@@ -26,6 +26,7 @@ from .bounds import (
     bound_coeff2,
     bound_sqrt_weak,
     bound_value,
+    bound_zero_free,
     full_report,
     lambda_at,
     upper_bound_zero_free,
@@ -60,6 +61,7 @@ from .rational import (
     arg_derivative,
     blaschke_B,
     check_rotation_bounds,
+    classify_numerator,
 )
 from .roots import RootSolveConfig, ZeroClassification, classify_zeros, find_roots
 from .witness import (

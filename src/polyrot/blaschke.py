@@ -25,7 +25,7 @@ from typing import Iterable
 from .errors import DegenerateDerivative, HypothesisViolated, RootAtOne
 from .poly import Polynomial, RootForm, UnitCirclePoint, from_roots, rotation_speed
 from .report import InequalityCheck
-from .roots import ON_CIRCLE_TOL, RootSolveConfig, classify_zeros
+from .roots import ON_CIRCLE_TOL, classify_zeros
 
 # Zeros this close to z = 1 poison the normalization f(1) = 1.
 _ROOT_AT_ONE_TOL = 1e-9
@@ -200,14 +200,13 @@ def check_mercer(fp0: complex, fpp0: complex, boundary_mod: float) -> Inequality
     return InequalityCheck("mercer", boundary_mod, rhs, margin, margin >= -_CHECK_TOL)
 
 
-def check_mercer_remark(p: Polynomial, cfg: RootSolveConfig | None = None) -> InequalityCheck:
+def check_mercer_remark(p: Polynomial) -> InequalityCheck:
     """Coefficient form of Mercer's remark |f''(0)| <= 2 (1 - |f'(0)|^2).
 
     For zeros-in-disk polynomials this reads
     |c1 conj(cn) - c0 conj(c_{n-1})| <= |cn|^2 - |c0|^2.
     """
-    cls = classify_zeros(p, cfg)
-    if not cls.all_in_closed_disk:
+    if not classify_zeros(p).all_in_closed_disk:
         raise HypothesisViolated("zeros outside the closed unit disk")
     c = p.coeffs
     lhs = abs(c[1] * c[-1].conjugate() - c[0] * c[-2].conjugate())

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from .errors import HypothesisViolated, ZeroProximity
 from .oracle import ArcSpec, arc_increment
 from .poly import ZERO_PROXIMITY_REL, Polynomial, UnitCirclePoint, rotation_speed
-from .report import BOUND_KEYS
-from .roots import RootSolveConfig, ZeroClassification, classify_zeros
+from .report import BOUND_KEYS, csv_cell
+from .roots import ZeroClassification, classify_zeros
 
 # Additive slack for inequality checks, relative to max(1, |lambda|):
 # double precision cannot do better on rational coefficient expressions.
@@ -96,49 +96,51 @@ def bound_arc(
     p: Polynomial,
     pt: UnitCirclePoint,
     alpha: float,
-    beta: float,
-    n_samples: int = 4096,
-    cfg: RootSolveConfig | None = None,
+    beta: float | None,
+    classification: ZeroClassification | None = None,
 ) -> float:
     """Finite-increment upper bound tan(beta/2) / tan(alpha/2) for lambda at pt.
 
     Hypotheses: the open arc of half-width alpha around pt is zero free,
     and the increment of 2 arg P(z) - n arg z along the arc is at most
     beta in absolute value.  The increment is measured and checked
-    against the supplied beta.
+    against the supplied beta; beta = None uses the measured increment.
 
-    Raises HypothesisViolated when a zero lies on the open arc or the
-    measured increment exceeds beta.
+    Raises ValueError when alpha or beta lies outside (0, pi), and
+    HypothesisViolated when a zero lies on the open arc or the measured
+    increment exceeds beta (or, with beta = None, reaches pi).
     """
-    if not (0.0 < alpha < math.pi):
-        raise ValueError("alpha must lie in (0, pi)")
-    if not (0.0 < beta < math.pi):
+    if beta is not None and not (0.0 < beta < math.pi):
         raise ValueError("beta must lie in (0, pi)")
-    measured = arc_increment(p, ArcSpec(pt.theta, alpha, n_samples), cfg)
-    if measured > beta + 1e-9:
+    measured = arc_increment(p, ArcSpec(pt.theta, alpha), classification)
+    use_beta = measured if beta is None else beta
+    if measured > use_beta + 1e-9 or use_beta >= math.pi:
         raise HypothesisViolated(
-            f"measured arc increment {measured:.6f} exceeds the supplied beta {beta:.6f}"
+            f"measured arc increment {measured:.6f} exceeds beta {use_beta:.6f} or reaches pi"
         )
-    return math.tan(0.5 * beta) / math.tan(0.5 * alpha)
+    return math.tan(0.5 * use_beta) / math.tan(0.5 * alpha)
+
+
+def bound_zero_free(p: Polynomial) -> float:
+    """n/2 + (|cn| - |c0|) / (2(|cn| + |c0|)); `upper_bound_zero_free` adds the hypothesis check."""
+    return 0.5 * p.degree + 0.5 * bound_coeff(p)
 
 
 def upper_bound_zero_free(
     p: Polynomial,
     pt: UnitCirclePoint,
-    cfg: RootSolveConfig | None = None,
     classification: ZeroClassification | None = None,
 ) -> float:
-    """Upper bound n/2 + (|cn| - |c0|) / (2(|cn| + |c0|)) on the rotation speed.
+    """`bound_zero_free` for polynomials with no zeros in the open unit disk.
 
-    Applies to polynomials with no zeros in the open unit disk (the
-    reversed-conjugate polynomial then has all zeros in the closed disk,
-    and the correction term is <= 0).
+    The reversed-conjugate polynomial then has all zeros in the closed
+    disk, and the correction term is <= 0.
     """
-    cls = classification or classify_zeros(p, cfg)
+    cls = classification or classify_zeros(p)
     if not cls.none_inside_open_disk:
         raise HypothesisViolated("polynomial has zeros inside the open unit disk")
     rotation_speed(p, pt)  # zero-proximity guard
-    return 0.5 * p.degree + 0.5 * bound_coeff(p)
+    return bound_zero_free(p)
 
 
 @dataclass(frozen=True)
@@ -161,6 +163,14 @@ class BoundReport:
     def status(self) -> str:
         return "fail" if any(f == "fail" for f in self.flags.values()) else "pass"
 
+    def fails(self, checks) -> bool:
+        """True when a bound named in checks failed."""
+        return any(self.flags.get(k) == "fail" for k in checks)
+
+    def csv_cells(self) -> list[str]:
+        cells = [csv_cell(self.theta), csv_cell(self.lam)]
+        return cells + [csv_cell(self.bounds.get(k)) for k in BOUND_KEYS] + [self.status]
+
     def as_dict(self) -> dict:
         return {
             "theta": self.theta,
@@ -176,7 +186,6 @@ def full_report(
     p: Polynomial,
     pt: UnitCirclePoint,
     arc: tuple[float, float | None] | None = None,
-    cfg: RootSolveConfig | None = None,
     slack: float = CHECK_SLACK,
     classification: ZeroClassification | None = None,
 ) -> BoundReport:
@@ -187,15 +196,22 @@ def full_report(
     arc bound is only evaluated when `arc = (alpha, beta)` is supplied
     (beta = None means: use the measured increment).  Bounds whose
     hypothesis fails are reported with flag "na" rather than "fail".
+    Pass the zero classification of p to avoid solving for its zeros
+    again at every point.
     """
-    cls = classification or classify_zeros(p, cfg)
+    cls = classification or classify_zeros(p)
     speed = rotation_speed(p, pt)
     lam = 2.0 * speed - p.degree
     tol = slack * max(1.0, abs(lam))
 
-    bounds: dict = {}
-    margins: dict = {}
-    flags: dict = {}
+    bounds = dict.fromkeys(BOUND_KEYS)
+    margins = dict.fromkeys(BOUND_KEYS)
+    flags = dict.fromkeys(BOUND_KEYS, "na")
+
+    def record(key, value, margin):
+        bounds[key] = value
+        margins[key] = margin
+        flags[key] = "na" if margin is None else "pass" if margin >= -tol else "fail"
 
     lower_ok = cls.all_in_closed_disk
     for key, value in (
@@ -205,38 +221,17 @@ def full_report(
         ("value_thm1", bound_value(p, pt, LambdaValue(lam))),
         ("coeff2_thm2", bound_coeff2(p)),
     ):
-        bounds[key] = value
-        if lower_ok and math.isfinite(value):
-            margins[key] = lam - value
-            flags[key] = "pass" if margins[key] >= -tol else "fail"
-        else:
-            margins[key] = None
-            flags[key] = "na"
+        record(key, value, lam - value if lower_ok and math.isfinite(value) else None)
 
-    bounds["arc_thm3"] = None
-    margins["arc_thm3"] = None
-    flags["arc_thm3"] = "na"
     if arc is not None:
-        alpha, beta = arc
         try:
-            measured = arc_increment(p, ArcSpec(pt.theta, alpha), cfg)
-            use_beta = measured if beta is None else beta
-            if use_beta < math.pi and measured <= use_beta + 1e-9:
-                value = math.tan(0.5 * use_beta) / math.tan(0.5 * alpha)
-                bounds["arc_thm3"] = value
-                margins["arc_thm3"] = value - lam
-                flags["arc_thm3"] = "pass" if margins["arc_thm3"] >= -tol else "fail"
+            value = bound_arc(p, pt, *arc, classification=cls)
+            record("arc_thm3", value, value - lam)
         except HypothesisViolated:
             pass
 
     if cls.none_inside_open_disk:
-        value = 0.5 * p.degree + 0.5 * bound_coeff(p)
-        bounds["upper_zero_free"] = value
-        margins["upper_zero_free"] = value - speed
-        flags["upper_zero_free"] = "pass" if margins["upper_zero_free"] >= -tol else "fail"
-    else:
-        bounds["upper_zero_free"] = None
-        margins["upper_zero_free"] = None
-        flags["upper_zero_free"] = "na"
+        value = bound_zero_free(p)
+        record("upper_zero_free", value, value - speed)
 
     return BoundReport(pt.theta, lam, bounds, margins, flags)

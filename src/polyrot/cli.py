@@ -7,10 +7,10 @@ one inequality violated beyond tolerance.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -23,12 +23,13 @@ from .bounds import (
     bound_coeff2,
     bound_sqrt_weak,
     bound_value,
+    bound_zero_free,
     full_report,
 )
 from .errors import InvalidWitnessParams, PolyrotError, ZeroProximity
 from .oracle import ArcSpec, arc_increment, arg_derivative_fd
 from .poly import Polynomial, RootForm, UnitCirclePoint, from_roots, rotation_speed
-from .rational import RationalFunction, check_rotation_bounds
+from .rational import RationalBoundReport, RationalFunction, check_rotation_bounds, classify_numerator
 from .report import BOUND_KEYS, CSV_HEADER, csv_cell, dump_json
 from .roots import classify_zeros
 from .witness import (
@@ -39,8 +40,6 @@ from .witness import (
     witness_unimodular,
     witness_value,
 )
-
-RATIONAL_CSV_HEADER = "theta,value,reference,lower_margin,upper_margin,status"
 
 
 @dataclass(frozen=True)
@@ -53,18 +52,17 @@ class ScanConfig:
     thetas: tuple[float, ...] | None = None
     checks: frozenset = frozenset(BOUND_KEYS)
     fmt: str = "csv"
-    seed: int = 0
     tol: float = CHECK_SLACK
     arc: tuple[float, float | None] | None = None
-    jobs: int = 1
 
     def __post_init__(self):
         if self.grid < 1:
             raise ValueError("grid count must be >= 1")
         if self.tol <= 0.0:
             raise ValueError("tolerance must be positive")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        for flag, angle in zip(("--arc-alpha", "--arc-beta"), self.arc or ()):
+            if angle is not None and not (0.0 < angle < math.pi):
+                raise ValueError(f"{flag} must lie in (0, pi)")
         unknown = set(self.checks) - set(BOUND_KEYS)
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
@@ -84,10 +82,8 @@ def _scan_config(args) -> ScanConfig:
         thetas=tuple(float(t) for t in args.theta.split(",")) if args.theta else None,
         checks=frozenset(args.checks.split(",")) if args.checks else frozenset(BOUND_KEYS),
         fmt=args.fmt,
-        seed=args.seed,
         tol=args.tol if args.tol is not None else CHECK_SLACK,
         arc=(args.arc_alpha, args.arc_beta) if args.arc_alpha is not None else None,
-        jobs=args.jobs,
     )
 
 
@@ -99,8 +95,6 @@ def _read_input(path: str) -> str:
 
 
 def _parse_scan_input(text: str, mode: str):
-    import json
-
     data = json.loads(text)
     if isinstance(data, list):
         if mode == "roots":
@@ -116,103 +110,46 @@ def _parse_scan_input(text: str, mode: str):
     raise ValueError("unrecognized input shape")
 
 
-def _scan_poly_row(p, theta, arc, tol, cls):
-    try:
-        rep = full_report(p, UnitCirclePoint(theta), arc=arc, slack=tol, classification=cls)
-    except ZeroProximity:
-        return {"theta": theta, "skipped": True, "reason": "zero_proximity"}
-    return rep.as_dict()
-
-
-_POOL_STATE: dict = {}
-
-
-def _pool_init(coeffs_json, arc, tol):
-    _POOL_STATE["p"] = Polynomial.from_json(coeffs_json)
-    _POOL_STATE["cls"] = classify_zeros(_POOL_STATE["p"])
-    _POOL_STATE["arc"] = arc
-    _POOL_STATE["tol"] = tol
-
-
-def _pool_row(theta):
-    return _scan_poly_row(
-        _POOL_STATE["p"], theta, _POOL_STATE["arc"], _POOL_STATE["tol"], _POOL_STATE["cls"]
-    )
-
-
 def cmd_scan(args) -> int:
     try:
         cfg = _scan_config(args)
         obj = _parse_scan_input(_read_input(cfg.source), cfg.mode)
-        thetas = cfg.theta_grid
     except (ValueError, KeyError, TypeError, OSError, PolyrotError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    tol = cfg.tol
-    rows = []
+    # The zeros do not depend on theta: classify them once per input.
     if isinstance(obj, RationalFunction):
-        for theta in thetas:
-            try:
-                rep = check_rotation_bounds(obj, UnitCirclePoint(theta), tol=tol)
-                rows.append(rep.as_dict())
-            except ZeroProximity:
-                rows.append({"theta": theta, "skipped": True, "reason": "zero_proximity"})
-        failed = any(
-            r.get(side, {}).get("passed") is False
-            for r in rows
-            if not r.get("skipped")
-            for side in ("lower", "upper")
-        )
-        if cfg.fmt == "json":
-            sys.stdout.write(dump_json({"command": "scan", "input": obj.to_json(), "rows": rows}))
-        else:
-            out = [RATIONAL_CSV_HEADER]
-            for r in rows:
-                if r.get("skipped"):
-                    out.append(csv_cell(r["theta"]) + ",,,,," + "skipped")
-                    continue
-                status = "pass"
-                if r["lower"]["passed"] is False or r["upper"]["passed"] is False:
-                    status = "fail"
-                out.append(
-                    ",".join(
-                        [
-                            csv_cell(r["theta"]),
-                            csv_cell(r["value"]),
-                            csv_cell(r["reference"]),
-                            csv_cell(r["lower"]["margin"]),
-                            csv_cell(r["upper"]["margin"]),
-                            status,
-                        ]
-                    )
-                )
-            sys.stdout.write("\n".join(out) + "\n")
-        return 2 if failed else 0
+        cls = classify_numerator(obj)
+        header = RationalBoundReport.CSV_HEADER
 
-    if cfg.jobs > 1:
-        with Pool(cfg.jobs, _pool_init, (obj.to_json(), cfg.arc, tol)) as pool:
-            rows = pool.map(_pool_row, thetas)
+        def evaluate(pt):
+            return check_rotation_bounds(obj, pt, tol=cfg.tol, classification=cls)
+
     else:
         cls = classify_zeros(obj)
-        rows = [_scan_poly_row(obj, t, cfg.arc, tol, cls) for t in thetas]
+        header = CSV_HEADER
 
-    failed = any(
-        not r.get("skipped") and r["flags"].get(k) == "fail" for r in rows for k in cfg.checks
-    )
-    if cfg.fmt == "json":
+        def evaluate(pt):
+            return full_report(obj, pt, arc=cfg.arc, slack=cfg.tol, classification=cls)
+
+    json_rows = cfg.fmt == "json"
+    rows = []
+    failed = False
+    for theta in cfg.theta_grid:
+        try:
+            rep = evaluate(UnitCirclePoint(theta))
+        except ZeroProximity:
+            skip = {"theta": theta, "skipped": True, "reason": "zero_proximity"}
+            rows.append(skip if json_rows else csv_cell(theta) + "," * header.count(",") + "skipped")
+            continue
+        failed = failed or rep.fails(cfg.checks)
+        rows.append(rep.as_dict() if json_rows else ",".join(rep.csv_cells()))
+
+    if json_rows:
         sys.stdout.write(dump_json({"command": "scan", "input": obj.to_json(), "rows": rows}))
     else:
-        out = [CSV_HEADER]
-        for r in rows:
-            if r.get("skipped"):
-                out.append(csv_cell(r["theta"]) + "," * (len(BOUND_KEYS) + 1) + ",skipped")
-                continue
-            cells = [csv_cell(r["theta"]), csv_cell(r["lambda"])]
-            cells += [csv_cell(r["bounds"][k]) for k in BOUND_KEYS]
-            cells.append(r["status"])
-            out.append(",".join(cells))
-        sys.stdout.write("\n".join(out) + "\n")
+        sys.stdout.write("\n".join([header, *rows]) + "\n")
     return 2 if failed else 0
 
 
@@ -236,7 +173,7 @@ class _FuzzTally:
 
 
 def _fuzz_polynomial_case(tally, rng, degree, zone):
-    rf, p = corpus.random_polynomial(rng, degree, zone)
+    _, p = corpus.random_polynomial(rng, degree, zone)
     theta = corpus.valid_theta(rng, p)
     if theta is None:
         return
@@ -258,8 +195,7 @@ def _fuzz_polynomial_case(tally, rng, degree, zone):
     if zone == "on_circle":
         tally.record("lambda_zero", -abs(lam), 1e-9)
     if zone == "outside":
-        bound = 0.5 * p.degree + 0.5 * bound_coeff(p)
-        tally.record("upper_zero_free", bound - speed, tol)
+        tally.record("upper_zero_free", bound_zero_free(p) - speed, tol)
 
 
 def _fuzz_rational_case(tally, rng, degree, zone):
@@ -370,12 +306,13 @@ def _witness_report(spec: WitnessSpec) -> dict:
         }
     if spec.kind == "rational":
         r = witness_rational(spec.poles, spec.coeff_alpha, spec.coeff_beta)
+        cls = classify_numerator(r)
         worst = 0.0
         used = 0
         for k in range(100):
             theta = 2.0 * math.pi * k / 100
             try:
-                rep = check_rotation_bounds(r, UnitCirclePoint(theta))
+                rep = check_rotation_bounds(r, UnitCirclePoint(theta), classification=cls)
             except ZeroProximity:
                 continue
             used += 1
@@ -392,8 +329,6 @@ def _witness_report(spec: WitnessSpec) -> dict:
 
 
 def cmd_witness(args) -> int:
-    import json
-
     try:
         spec = WitnessSpec.from_json(json.loads(_read_input(args.spec)))
         report = _witness_report(spec)
@@ -417,11 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--theta", help="comma separated list, overrides --grid")
     scan.add_argument("--checks", help="comma separated subset of bound keys to gate on")
     scan.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    scan.add_argument("--seed", type=int, default=0)
     scan.add_argument("--tol", type=float, default=None)
     scan.add_argument("--arc-alpha", type=float, default=None)
     scan.add_argument("--arc-beta", type=float, default=None)
-    scan.add_argument("--jobs", type=int, default=1)
     scan.set_defaults(func=cmd_scan)
 
     fuzz = sub.add_parser("fuzz", help="randomized verification sweep")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ArcContainsRoot, UnwrapAmbiguity, ZeroProximity
 from .poly import Polynomial, ZERO_PROXIMITY_REL
-from .roots import ON_CIRCLE_TOL, RootSolveConfig, classify_zeros
+from .roots import ON_CIRCLE_TOL, ZeroClassification, classify_zeros
 
 DEFAULT_ARC_SAMPLES = 4096
 
@@ -73,7 +73,7 @@ class ArcSpec:
 def arc_increment(
     p: Polynomial,
     arc: ArcSpec,
-    cfg: RootSolveConfig | None = None,
+    classification: ZeroClassification | None = None,
     max_refinements: int = 6,
 ) -> float:
     """Sup of |increment of 2 arg P(z) - n arg z| from the arc center to any arc point.
@@ -85,9 +85,10 @@ def arc_increment(
 
     Raises ArcContainsRoot when a zero lies on the open arc (detected by
     classification or by the |P| guard at an interior sample), and
-    UnwrapAmbiguity when refinement cannot tame the phase jumps.
+    UnwrapAmbiguity when refinement cannot tame the phase jumps.  Pass the
+    zero classification of p to avoid solving for its zeros again.
     """
-    cls = classify_zeros(p, cfg)
+    cls = classification or classify_zeros(p)
     for r in cls.roots:
         if abs(abs(r) - 1.0) <= ON_CIRCLE_TOL:
             dist = abs(_wrap_pi(math.atan2(r.imag, r.real) - arc.theta0))

@@ -197,7 +197,7 @@ def rotation_speed(p: Polynomial, pt: UnitCirclePoint) -> float:
     return (z * der / val).real
 
 
-def to_root_form(p: Polynomial, cfg=None) -> RootForm:
+def to_root_form(p: Polynomial) -> RootForm:
     """Solve for all zeros and return leading + roots.
 
     Delegates to the simultaneous root iteration; raises NonConvergence
@@ -205,4 +205,4 @@ def to_root_form(p: Polynomial, cfg=None) -> RootForm:
     """
     from .roots import find_roots
 
-    return RootForm(p.leading, find_roots(p, cfg))
+    return RootForm(p.leading, find_roots(p))

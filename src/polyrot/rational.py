@@ -19,7 +19,8 @@ from typing import Iterable, Sequence
 
 from .errors import PoleOnCircle, ZeroProximity
 from .poly import ZERO_PROXIMITY_REL, Polynomial, UnitCirclePoint, _horner_pair
-from .roots import RootSolveConfig, classify_zeros
+from .report import csv_cell
+from .roots import ZeroClassification, classify_root_list, classify_zeros
 
 _POLE_CIRCLE_TOL = 1e-12
 
@@ -128,6 +129,8 @@ def arg_derivative(r: RationalFunction, pt: UnitCirclePoint) -> float:
 class RationalBoundReport:
     """Both halves of the rotation comparison against (m - n + (arg B)')/2."""
 
+    CSV_HEADER = "theta,value,reference,lower_margin,upper_margin,status"
+
     theta: float
     value: float
     reference: float
@@ -139,6 +142,14 @@ class RationalBoundReport:
     upper_margin: float | None
     lower_pass: bool | None
     upper_pass: bool | None
+
+    def fails(self, checks=()) -> bool:
+        """True when either comparison failed; checks name polynomial bounds and do not apply."""
+        return self.lower_pass is False or self.upper_pass is False
+
+    def csv_cells(self) -> list[str]:
+        cells = (self.theta, self.value, self.reference, self.lower_margin, self.upper_margin)
+        return [csv_cell(c) for c in cells] + ["fail" if self.fails() else "pass"]
 
     def as_dict(self) -> dict:
         return {
@@ -160,28 +171,31 @@ class RationalBoundReport:
         }
 
 
+def classify_numerator(r: RationalFunction) -> ZeroClassification:
+    """Zero classification of the numerator; a constant one has no zeros."""
+    return classify_zeros(Polynomial(r.numerator)) if r.num_degree else classify_root_list(())
+
+
 def check_rotation_bounds(
     r: RationalFunction,
     pt: UnitCirclePoint,
-    cfg: RootSolveConfig | None = None,
     tol: float = 1e-9,
+    classification: ZeroClassification | None = None,
 ) -> RationalBoundReport:
     """Check (arg R)' against (m - n + (arg B)')/2 in both directions.
 
     The lower inequality applies when all m numerator zeros lie in the
     closed unit disk, the upper one when none lie in the open disk; a
-    constant numerator satisfies both vacuously.
+    constant numerator satisfies both vacuously.  `classification` is that
+    of the numerator (see `classify_numerator`); pass it to avoid solving
+    for the zeros again at every point.
     """
     value = arg_derivative(r, pt)
     reference = 0.5 * (
         r.num_degree - len(r.poles) + PoleBlaschke(r.poles).arg_derivative(pt)
     )
-    if r.num_degree > 0:
-        cls = classify_zeros(Polynomial(r.numerator), cfg)
-        lower_ok = cls.all_in_closed_disk
-        upper_ok = cls.none_inside_open_disk
-    else:
-        lower_ok = upper_ok = True
+    cls = classification or classify_numerator(r)
+    lower_ok, upper_ok = cls.all_in_closed_disk, cls.none_inside_open_disk
     check_tol = tol * max(1.0, abs(value), abs(reference))
     lower_margin = value - reference if lower_ok else None
     upper_margin = reference - value if upper_ok else None

@@ -74,8 +74,6 @@ def find_roots(p: Polynomial, cfg: RootSolveConfig | None = None) -> list[comple
     radius = math.sqrt(1.0 + max(abs(c) for c in monic[:-1]))
     zs = [radius * cmath.exp(1j * (2.0 * math.pi * j / m + _ANGLE_OFFSET)) for j in range(m)]
 
-    iterations = 0
-    converged = False
     for iterations in range(1, cfg.max_iterations + 1):
         movement = 0.0
         residual_ok = True
@@ -104,19 +102,17 @@ def find_roots(p: Polynomial, cfg: RootSolveConfig | None = None) -> list[comple
             zs[j] = zj - step
             movement = max(movement, abs(step) / (1.0 + abs(zs[j])))
         if residual_ok or movement < cfg.convergence_tol:
-            converged = True
             break
 
+    # An iteration that stalled with acceptable residuals has met a cluster:
+    # clusters are ill conditioned, so accept them at the relaxed threshold
+    # and keep the approximations.
     relaxed = cfg.residual_tol ** (1.0 / m)
     for z in zs:
         res = abs(_horner_pair(monic, z)[0])
         bound = cfg.residual_tol * _residual_scale(monic, z)
-        # clusters are ill conditioned: accept them at the relaxed threshold
         if res > bound and res > relaxed * _residual_scale(monic, z):
             raise NonConvergence(iterations)
-    if not converged:
-        # stalled but residuals acceptable: a cluster, keep the approximations
-        pass
 
     roots.extend(zs)
     roots.sort(key=lambda r: (r.real, r.imag))

@@ -102,6 +102,18 @@ def test_scan_rejects_nonpositive_tolerance(capsys, monkeypatch):
     assert "positive" in err
 
 
+@pytest.mark.parametrize(
+    "arc_args, flag",
+    [(["--arc-alpha", "4"], "--arc-alpha"), (["--arc-alpha", "0.3", "--arc-beta", "5"], "--arc-beta")],
+)
+def test_scan_rejects_arc_angle_outside_open_half_turn(capsys, monkeypatch, arc_args, flag):
+    argv = ["scan", "--input", "-", "--theta", "0", *arc_args]
+    code, out, err = run(capsys, argv, stdin="[[-0.5,0],[1,0]]", monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and flag in err
+
+
 def test_scan_rejects_empty_grid(capsys, monkeypatch):
     code, _, _ = run(
         capsys,
@@ -146,20 +158,55 @@ def test_scan_unknown_check_is_input_error(capsys, monkeypatch):
     assert "bogus" in err
 
 
-def test_scan_parallel_jobs_match_sequential(capsys, monkeypatch):
-    stdin = "[[-0.5,0],[1,0]]"
-    code, seq, _ = run(
-        capsys, ["scan", "--input", "-", "--grid", "16"], stdin=stdin, monkeypatch=monkeypatch
-    )
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (
+            ["scan", "--input", "-", "--grid", "60"],
+            json.dumps({"numerator": [[0.25, 0], [0, 0], [1, 0]], "poles": [[2, 0], [0, -1.5]]}),
+        ),
+        (["scan", "--input", "-", "--grid", "16", "--arc-alpha", "0.3"], "[[-0.5,0],[0,0.2],[1,0]]"),
+        (
+            ["witness", "--spec", "-"],
+            json.dumps({"kind": "rational", "poles": [[2, 0]], "coeff_alpha": [1, 0], "coeff_beta": [0, 1]}),
+        ),
+    ],
+    ids=["scan_rational", "scan_arc", "witness_rational"],
+)
+def test_one_root_solve_per_input(capsys, monkeypatch, argv, stdin):
+    import polyrot.roots as roots
+
+    calls = []
+    real = roots.find_roots
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(roots, "find_roots", counted)
+    code, _, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 0, err
+    assert len(calls) == 1
+
+
+def test_scan_rational_skip_rows(capsys, monkeypatch):
+    # numerator z - 1 vanishes at theta = 0: that row is skipped
+    stdin = json.dumps({"numerator": [[-1, 0], [1, 0]], "poles": [[2, 0]]})
+    argv = ["scan", "--input", "-", "--theta", "0,1.5"]
+    code, out, _ = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
     assert code == 0
-    code, par, _ = run(
-        capsys,
-        ["scan", "--input", "-", "--grid", "16", "--jobs", "2"],
-        stdin=stdin,
-        monkeypatch=monkeypatch,
-    )
+    header, skipped, live = out.strip().splitlines()
+    assert header == "theta,value,reference,lower_margin,upper_margin,status"
+    assert skipped == "0,,,,,skipped"
+    assert live.startswith(format_float(1.5) + ",") and live.endswith(",pass")
+
+    code, out, _ = run(capsys, argv + ["--format", "json"], stdin=stdin, monkeypatch=monkeypatch)
     assert code == 0
-    assert seq == par
+    skipped, live = json.loads(out)["rows"]
+    assert skipped == {"theta": 0.0, "skipped": True, "reason": "zero_proximity"}
+    # the numerator zero lies on the circle, so both directions apply
+    assert live["lower"]["applicable"] is True and live["upper"]["applicable"] is True
+    assert live["lower"]["passed"] is True and live["upper"]["passed"] is True
 
 
 def test_fuzz_zones_pass(capsys):
