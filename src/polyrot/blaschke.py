@@ -23,14 +23,19 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DegenerateDerivative, HypothesisViolated, RootAtOne
-from .poly import Polynomial, RootForm, UnitCirclePoint, from_roots, rotation_speed
+from .poly import Polynomial, RootForm, UnitCirclePoint, cross_term, from_roots, rotation_speed
 from .report import InequalityCheck
-from .roots import ON_CIRCLE_TOL, classify_zeros
-
-# Zeros this close to z = 1 poison the normalization f(1) = 1.
-_ROOT_AT_ONE_TOL = 1e-9
-
-_CHECK_TOL = 1e-9
+from .roots import classify_zeros
+from .tolerances import (
+    ANGULAR_DERIVATIVE_SLACK,
+    CHECK_SLACK,
+    DEGENERATE_DERIVATIVE_TOL,
+    ON_CIRCLE_TOL,
+    PREFACTOR_UNIMODULAR_TOL,
+    ROOT_AT_ONE_TOL,
+    SELF_MAP_ONE_TOL,
+    SELF_MAP_ORIGIN_TOL,
+)
 
 
 @dataclass(frozen=True)
@@ -43,7 +48,7 @@ class BlaschkeProduct:
 
     def __init__(self, prefactor: complex, monomial_power: int = 0, factors: Iterable[complex] = ()):
         pre = complex(prefactor)
-        if abs(abs(pre) - 1.0) > 1e-12:
+        if abs(abs(pre) - 1.0) > PREFACTOR_UNIMODULAR_TOL:
             raise ValueError("prefactor must be unimodular")
         if monomial_power < 0:
             raise ValueError("monomial power must be >= 0")
@@ -97,7 +102,7 @@ def _split_roots(roots: Iterable[complex]) -> tuple[list[complex], list[complex]
 
 def _check_not_at_one(roots: Iterable[complex]) -> None:
     for a in roots:
-        if abs(a - 1.0) <= _ROOT_AT_ONE_TOL:
+        if abs(a - 1.0) <= ROOT_AT_ONE_TOL:
             raise RootAtOne("a zero at z = 1 voids the normalization f(1) = 1")
 
 
@@ -131,18 +136,14 @@ def normalized_self_map(rf: RootForm) -> BlaschkeProduct:
 
 
 def arc_phase_map(rf: RootForm) -> BlaschkeProduct:
-    """Self-map with f(1) = 1 and no forced origin zero.
+    """`normalized_self_map` without its zero at the origin: f(1) = 1 still.
 
     On the circle its argument tracks 2 arg P(z) - n arg z up to a
     constant, which is the quantity whose arc increment the finite
     increment bound controls.
     """
-    _check_not_at_one(rf.roots)
-    interior, _ = _split_roots(rf.roots)
-    pre = 1.0 + 0j
-    for a in interior:
-        pre *= (1.0 - a.conjugate()) / (1.0 - a)
-    return BlaschkeProduct(pre, 0, interior)
+    f = normalized_self_map(rf)
+    return BlaschkeProduct(f.prefactor, 0, f.factors)
 
 
 def boundary_derivative_modulus(p: Polynomial, pt: UnitCirclePoint) -> float:
@@ -164,7 +165,7 @@ def f_second_0(rf: RootForm) -> complex:
     """
     c = from_roots(rf).coeffs
     cn_bar = c[-1].conjugate()
-    return 2.0 * (cn_bar * c[1] - c[0] * c[-2].conjugate()) / (cn_bar * cn_bar)
+    return 2.0 * cross_term(c) / (cn_bar * cn_bar)
 
 
 def check_goryainov(f: BlaschkeProduct, fp1: float) -> InequalityCheck:
@@ -173,16 +174,16 @@ def check_goryainov(f: BlaschkeProduct, fp1: float) -> InequalityCheck:
     f must satisfy f(0) = 0 and f(1) = 1; fp1 is the angular derivative
     at 1, computable as the boundary derivative modulus at theta = 0.
     """
-    if abs(f(0j)) > 1e-12:
+    if abs(f(0j)) > SELF_MAP_ORIGIN_TOL:
         raise HypothesisViolated("f(0) != 0")
-    if abs(f(1.0 + 0j) - 1.0) > 1e-8:
+    if abs(f(1.0 + 0j) - 1.0) > SELF_MAP_ONE_TOL:
         raise HypothesisViolated("f(1) != 1; use the normalized construction")
-    if not math.isfinite(fp1) or fp1 < 1.0 - 1e-9:
+    if not math.isfinite(fp1) or fp1 < 1.0 - ANGULAR_DERIVATIVE_SLACK:
         raise HypothesisViolated("angular derivative at 1 must be finite and >= 1")
     lhs = abs(f.derivative_at_zero() - 1.0 / fp1)
     rhs = 1.0 - 1.0 / fp1
     margin = rhs - lhs
-    return InequalityCheck("goryainov", lhs, rhs, margin, margin >= -_CHECK_TOL)
+    return InequalityCheck("goryainov", lhs, rhs, margin, margin >= -CHECK_SLACK)
 
 
 def check_mercer(fp0: complex, fpp0: complex, boundary_mod: float) -> InequalityCheck:
@@ -193,11 +194,11 @@ def check_mercer(fp0: complex, fpp0: complex, boundary_mod: float) -> Inequality
     circle.  Raises DegenerateDerivative when |f'(0)| = 1.
     """
     a = abs(fp0)
-    if abs(a - 1.0) < 1e-12:
+    if abs(a - 1.0) < DEGENERATE_DERIVATIVE_TOL:
         raise DegenerateDerivative("|f'(0)| = 1")
     rhs = 1.0 + 2.0 * (1.0 - a) ** 2 / (1.0 - a * a + 0.5 * abs(fpp0))
     margin = boundary_mod - rhs
-    return InequalityCheck("mercer", boundary_mod, rhs, margin, margin >= -_CHECK_TOL)
+    return InequalityCheck("mercer", boundary_mod, rhs, margin, margin >= -CHECK_SLACK)
 
 
 def check_mercer_remark(p: Polynomial) -> InequalityCheck:
@@ -209,8 +210,8 @@ def check_mercer_remark(p: Polynomial) -> InequalityCheck:
     if not classify_zeros(p).all_in_closed_disk:
         raise HypothesisViolated("zeros outside the closed unit disk")
     c = p.coeffs
-    lhs = abs(c[1] * c[-1].conjugate() - c[0] * c[-2].conjugate())
+    lhs = abs(cross_term(c))
     rhs = abs(c[-1]) ** 2 - abs(c[0]) ** 2
     scale = max(abs(c[-1]) ** 2, abs(c[1] * c[-1]), abs(c[0] * c[-2]))
     margin = rhs - lhs
-    return InequalityCheck("mercer_remark", lhs, rhs, margin, margin >= -_CHECK_TOL * scale)
+    return InequalityCheck("mercer_remark", lhs, rhs, margin, margin >= -CHECK_SLACK * scale)

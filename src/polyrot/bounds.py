@@ -15,19 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import HypothesisViolated, ZeroProximity
+from .errors import HypothesisViolated
 from .oracle import ArcSpec, arc_increment
-from .poly import ZERO_PROXIMITY_REL, Polynomial, UnitCirclePoint, rotation_speed
+from .poly import Polynomial, UnitCirclePoint, cross_term, guard_zero, rotation_speed
 from .report import BOUND_KEYS, csv_cell
 from .roots import ZeroClassification, classify_zeros
-
-# Additive slack for inequality checks, relative to max(1, |lambda|):
-# double precision cannot do better on rational coefficient expressions.
-CHECK_SLACK = 1e-9
-
-# Coefficient bound of the second kind degenerates at |c0| = |cn|; per its
-# statement the bound is 0 there.
-_EQUAL_MODULUS_REL = 1e-12
+from .tolerances import ARC_INCREMENT_SLACK, CHECK_SLACK, EQUAL_MODULUS_REL
 
 
 @dataclass(frozen=True)
@@ -66,8 +59,7 @@ def bound_value(p: Polynomial, pt: UnitCirclePoint, lam: LambdaValue) -> float:
     """
     z = pt.z
     val = p(z)
-    if abs(val) < ZERO_PROXIMITY_REL * p.coeff_scale:
-        raise ZeroProximity("boundary value too close to a zero of P")
+    guard_zero(val, p.coeff_scale)
     w = p.constant.conjugate() * val / (p.leading * z**p.degree * val.conjugate())
     return abs((lam.value + 1.0) * w - 1.0)
 
@@ -83,10 +75,9 @@ def bound_coeff2(p: Polynomial) -> float:
     c = p.coeffs
     a0 = abs(c[0])
     an = abs(c[-1])
-    if abs(a0 - an) <= _EQUAL_MODULUS_REL * max(a0, an):
+    if abs(a0 - an) <= EQUAL_MODULUS_REL * max(a0, an):
         return 0.0
-    cross = abs(c[-1].conjugate() * c[1] - c[0] * c[-2].conjugate())
-    denom = an * an - a0 * a0 + cross
+    denom = an * an - a0 * a0 + abs(cross_term(c))
     if denom <= 0.0:
         return math.nan
     return 2.0 * (a0 - an) ** 2 / denom
@@ -114,7 +105,7 @@ def bound_arc(
         raise ValueError("beta must lie in (0, pi)")
     measured = arc_increment(p, ArcSpec(pt.theta, alpha), classification)
     use_beta = measured if beta is None else beta
-    if measured > use_beta + 1e-9 or use_beta >= math.pi:
+    if measured > use_beta + ARC_INCREMENT_SLACK or use_beta >= math.pi:
         raise HypothesisViolated(
             f"measured arc increment {measured:.6f} exceeds beta {use_beta:.6f} or reaches pi"
         )

@@ -17,7 +17,6 @@ import numpy as np
 from . import corpus
 from .blaschke import boundary_derivative_modulus, check_goryainov, check_mercer_remark
 from .bounds import (
-    CHECK_SLACK,
     LambdaValue,
     bound_coeff,
     bound_coeff2,
@@ -25,6 +24,7 @@ from .bounds import (
     bound_value,
     bound_zero_free,
     full_report,
+    lambda_at,
 )
 from .errors import InvalidWitnessParams, PolyrotError, ZeroProximity
 from .oracle import ArcSpec, arc_increment, arg_derivative_fd
@@ -32,6 +32,7 @@ from .poly import Polynomial, RootForm, UnitCirclePoint, from_roots, rotation_sp
 from .rational import RationalBoundReport, RationalFunction, check_rotation_bounds, classify_numerator
 from .report import BOUND_KEYS, CSV_HEADER, csv_cell, dump_json
 from .roots import classify_zeros
+from .tolerances import CHECK_SLACK, ORACLE_AGREEMENT_TOL
 from .witness import (
     WitnessSpec,
     witness_arc,
@@ -60,6 +61,8 @@ class ScanConfig:
             raise ValueError("grid count must be >= 1")
         if self.tol <= 0.0:
             raise ValueError("tolerance must be positive")
+        if self.arc is not None and self.arc[0] is None:
+            raise ValueError("--arc-beta needs --arc-alpha")
         for flag, angle in zip(("--arc-alpha", "--arc-beta"), self.arc or ()):
             if angle is not None and not (0.0 < angle < math.pi):
                 raise ValueError(f"{flag} must lie in (0, pi)")
@@ -83,7 +86,7 @@ def _scan_config(args) -> ScanConfig:
         checks=frozenset(args.checks.split(",")) if args.checks else frozenset(BOUND_KEYS),
         fmt=args.fmt,
         tol=args.tol if args.tol is not None else CHECK_SLACK,
-        arc=(args.arc_alpha, args.arc_beta) if args.arc_alpha is not None else None,
+        arc=None if args.arc_alpha is None and args.arc_beta is None else (args.arc_alpha, args.arc_beta),
     )
 
 
@@ -181,7 +184,7 @@ def _fuzz_polynomial_case(tally, rng, degree, zone):
     speed = rotation_speed(p, pt)
     lam = 2.0 * speed - p.degree
     tol = CHECK_SLACK * max(1.0, abs(lam))
-    tally.record("oracle_agreement", 1e-6 - abs(speed - arg_derivative_fd(p, theta)), 0.0)
+    tally.record("oracle_agreement", ORACLE_AGREEMENT_TOL - abs(speed - arg_derivative_fd(p, theta)), 0.0)
 
     if zone in ("in_disk", "on_circle"):
         tally.record("lambda_nonneg", lam, tol)
@@ -193,7 +196,7 @@ def _fuzz_polynomial_case(tally, rng, degree, zone):
         scale = max(1.0, abs(remark.lhs), abs(remark.rhs))
         tally.record("mercer_remark", remark.margin, CHECK_SLACK * scale)
     if zone == "on_circle":
-        tally.record("lambda_zero", -abs(lam), 1e-9)
+        tally.record("lambda_zero", -abs(lam), CHECK_SLACK)
     if zone == "outside":
         tally.record("upper_zero_free", bound_zero_free(p) - speed, tol)
 
@@ -250,7 +253,7 @@ def _witness_report(spec: WitnessSpec) -> dict:
         rf = witness_value(spec.a, spec.unimodular_roots)
         p = from_roots(rf)
         pt = UnitCirclePoint(0.0)
-        lam = 2.0 * rotation_speed(p, pt) - p.degree
+        lam = lambda_at(p, pt).value
         rhs = bound_value(p, pt, LambdaValue(lam))
         return {
             "kind": spec.kind,
@@ -262,7 +265,7 @@ def _witness_report(spec: WitnessSpec) -> dict:
     if spec.kind == "arc":
         rf = witness_arc(spec.leading if spec.leading is not None else 1.0, spec.unimodular_roots)
         p = from_roots(rf)
-        lam = 2.0 * rotation_speed(p, UnitCirclePoint(0.0)) - p.degree
+        lam = lambda_at(p, UnitCirclePoint(0.0)).value
         out = {
             "kind": spec.kind,
             "witness": rf.to_json(),
@@ -294,7 +297,7 @@ def _witness_report(spec: WitnessSpec) -> dict:
         for k in range(128):
             theta = 2.0 * math.pi * k / 128
             try:
-                lam = 2.0 * rotation_speed(p, UnitCirclePoint(theta)) - p.degree
+                lam = lambda_at(p, UnitCirclePoint(theta)).value
             except ZeroProximity:
                 continue
             worst = max(worst, abs(lam))
@@ -332,15 +335,23 @@ def cmd_witness(args) -> int:
     try:
         spec = WitnessSpec.from_json(json.loads(_read_input(args.spec)))
         report = _witness_report(spec)
-    except (InvalidWitnessParams, ValueError, KeyError, TypeError, OSError) as exc:
+    except (PolyrotError, ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(dump_json(report))
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the input-error code; argparse's own 2 means a violated inequality here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="polyrot", description=__doc__)
+    parser = _Parser(prog="polyrot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     scan = sub.add_parser("scan", help="evaluate every bound on a theta grid")

@@ -14,6 +14,7 @@ import numpy as np
 
 from .poly import Polynomial, RootForm, UnitCirclePoint, from_roots
 from .rational import RationalFunction
+from .tolerances import SAMPLE_FLOOR_REL
 
 ZONES = ("in_disk", "on_circle", "outside", "mixed")
 
@@ -70,7 +71,7 @@ def random_rational(
 def valid_theta(
     rng: np.random.Generator,
     p: Polynomial,
-    min_rel: float = 1e-3,
+    min_rel: float = SAMPLE_FLOOR_REL,
     tries: int = 500,
 ) -> float | None:
     """A random angle where |P(e^{i theta})| > min_rel * max|c_k|, or None."""

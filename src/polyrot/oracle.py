@@ -1,8 +1,8 @@
 """Independent finite-difference oracle for boundary arguments.
 
 Everything here works directly on sampled values of arg P(e^{i theta})
-with explicit phase unwrapping, so it shares no code path with the
-analytic rotation-speed formula it is used to cross-check.
+with explicit phase unwrapping; beyond the Horner value loop it shares
+no code with the analytic rotation-speed formula it cross-checks.
 """
 
 from __future__ import annotations
@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArcContainsRoot, UnwrapAmbiguity, ZeroProximity
-from .poly import Polynomial, ZERO_PROXIMITY_REL
-from .roots import ON_CIRCLE_TOL, ZeroClassification, classify_zeros
+from .errors import ArcContainsRoot, UnwrapAmbiguity
+from .poly import Polynomial, guard_zero, horner
+from .roots import ZeroClassification, classify_zeros
+from .tolerances import ARC_EDGE_SLACK, ON_CIRCLE_TOL, PHASE_STEP_LIMIT, ZERO_PROXIMITY_REL
 
 DEFAULT_ARC_SAMPLES = 4096
 
@@ -32,25 +33,18 @@ def _wrap_pi_array(d: np.ndarray) -> np.ndarray:
     return np.where(w == 0.0, np.pi, w - np.pi)
 
 
-def _horner_array(coeffs, z: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(z)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
 def arg_derivative_fd(p: Polynomial, theta: float, h: float = 1e-5) -> float:
     """Central difference of arg P(e^{i theta}) with the step wrapped into (-pi, pi].
 
     Second-order accurate; at h = 1e-5 it agrees with the analytic
-    rotation speed to about 1e-8 away from zeros of P.
+    rotation speed to about eight digits away from zeros of P.  Raises
+    ZeroProximity when any point of the stencil is zero proximate.
     """
     if not (0.0 < h <= 1e-2):
         raise ValueError("step h must lie in (0, 1e-2]")
-    guard = ZERO_PROXIMITY_REL * p.coeff_scale
     vals = [p(complex(math.cos(t), math.sin(t))) for t in (theta - h, theta, theta + h)]
-    if any(abs(v) < guard for v in vals):
-        raise ZeroProximity("finite-difference stencil touches the zero-proximity guard")
+    for v in vals:
+        guard_zero(v, p.coeff_scale)
     d = _wrap_pi(math.atan2(vals[2].imag, vals[2].real) - math.atan2(vals[0].imag, vals[0].real))
     return d / (2.0 * h)
 
@@ -92,10 +86,9 @@ def arc_increment(
     for r in cls.roots:
         if abs(abs(r) - 1.0) <= ON_CIRCLE_TOL:
             dist = abs(_wrap_pi(math.atan2(r.imag, r.real) - arc.theta0))
-            if dist < arc.alpha - 1e-9:
+            if dist < arc.alpha - ARC_EDGE_SLACK:
                 raise ArcContainsRoot(f"zero at angle distance {dist:.6f} inside the open arc")
 
-    coeffs = np.asarray(p.coeffs, dtype=complex)
     n = p.degree
     guard = ZERO_PROXIMITY_REL * p.coeff_scale
 
@@ -105,13 +98,13 @@ def arc_increment(
         for attempt in range(max_refinements + 1):
             t = arc.alpha * np.arange(n_samp + 1) / n_samp
             z = np.exp(1j * (arc.theta0 + sign * t))
-            mags = np.abs(_horner_array(coeffs, z))
+            vals = horner(p.coeffs, z)
+            mags = np.abs(vals)
             if np.any(mags[:-1] <= guard):
                 raise ArcContainsRoot("|P| fell below the zero-proximity guard inside the arc")
             m = n_samp + 1 if mags[-1] > guard else n_samp
-            phases = np.angle(_horner_array(coeffs, z[:m]))
-            diffs = _wrap_pi_array(np.diff(phases))
-            if diffs.size and np.max(np.abs(diffs)) >= 0.5 * np.pi:
+            diffs = _wrap_pi_array(np.diff(np.angle(vals[:m])))
+            if diffs.size and np.max(np.abs(diffs)) >= PHASE_STEP_LIMIT:
                 if attempt == max_refinements:
                     raise UnwrapAmbiguity(
                         f"phase step >= pi/2 at {n_samp} samples; the arc cannot be tracked reliably"

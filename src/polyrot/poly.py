@@ -16,30 +16,43 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ZeroProximity
-
-# A point counts as zero proximate when |P(z)| < ZERO_PROXIMITY_REL * max|c_k|.
-ZERO_PROXIMITY_REL = 1e-12
-
-# The leading coefficient must dominate roundoff in the coefficient list,
-# otherwise the degree itself is numerically ambiguous.
-_LEADING_REL = 1e-13
+from .tolerances import LEADING_REL, ZERO_PROXIMITY_REL
 
 
-def _horner(coeffs: Sequence[complex], z: complex) -> complex:
+def horner(coeffs: Sequence[complex], z):
+    """P(z) by Horner's nested scheme; z is a complex scalar or a numpy array."""
     acc = 0j
     for c in reversed(coeffs):
         acc = acc * z + c
     return acc
 
 
-def _horner_pair(coeffs: Sequence[complex], z: complex) -> tuple[complex, complex]:
-    """Value and first derivative in one nested pass."""
+def horner_pair(coeffs: Sequence[complex], z):
+    """P(z) and P'(z) in one nested pass; z is a complex scalar or a numpy array."""
     acc = 0j
     dacc = 0j
     for c in reversed(coeffs):
         dacc = dacc * z + acc
         acc = acc * z + c
     return acc, dacc
+
+
+def guard_zero(val: complex, scale: float) -> None:
+    """Raise ZeroProximity when |P(z)| = |val| < ZERO_PROXIMITY_REL * scale, scale = max|c_k|."""
+    if abs(val) < ZERO_PROXIMITY_REL * scale:
+        raise ZeroProximity(f"|P(z)| = {abs(val):.3e} is below the zero-proximity guard")
+
+
+def boundary_speed(coeffs: Sequence[complex], scale: float, z: complex) -> float:
+    """Re(z P'(z)/P(z)) for the coefficients of P, scale = max|c_k|, behind `guard_zero`."""
+    val, der = horner_pair(coeffs, z)
+    guard_zero(val, scale)
+    return (z * der / val).real
+
+
+def cross_term(coeffs: Sequence[complex]) -> complex:
+    """conj(c_n) c_1 - c_0 conj(c_{n-1}): second coefficient bound, Mercer's remark and f''(0)."""
+    return coeffs[-1].conjugate() * coeffs[1] - coeffs[0] * coeffs[-2].conjugate()
 
 
 def expand_monic(roots: Iterable[complex]) -> list[complex]:
@@ -64,9 +77,10 @@ class Polynomial:
         if len(cs) < 2:
             raise ValueError("polynomial must have degree >= 1")
         scale = max(abs(c) for c in cs)
-        if abs(cs[-1]) == 0.0 or abs(cs[-1]) < _LEADING_REL * scale:
+        if abs(cs[-1]) == 0.0 or abs(cs[-1]) < LEADING_REL * scale:
             raise ValueError("leading coefficient is (numerically) zero")
         object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "_scale", scale)
 
     @property
     def degree(self) -> int:
@@ -82,13 +96,11 @@ class Polynomial:
 
     @property
     def coeff_scale(self) -> float:
-        return max(abs(c) for c in self.coeffs)
+        """max|c_k|, computed once at construction."""
+        return self._scale
 
     def __call__(self, z: complex) -> complex:
-        return _horner(self.coeffs, z)
-
-    def value_and_derivative(self, z: complex) -> tuple[complex, complex]:
-        return _horner_pair(self.coeffs, z)
+        return horner(self.coeffs, z)
 
     def scaled(self, c: complex) -> "Polynomial":
         return Polynomial(tuple(c * ck for ck in self.coeffs))
@@ -153,7 +165,7 @@ class UnitCirclePoint:
 
 def evaluate(p: Polynomial, z: complex) -> complex:
     """P(z) by Horner's nested scheme."""
-    return _horner(p.coeffs, z)
+    return horner(p.coeffs, z)
 
 
 def from_roots(rf: RootForm) -> Polynomial:
@@ -187,14 +199,11 @@ def reverse_conjugate(p: Polynomial) -> Polynomial:
 def rotation_speed(p: Polynomial, pt: UnitCirclePoint) -> float:
     """(d/dtheta) arg P(e^{i theta}) = Re(z P'(z)/P(z)) at z = e^{i theta}.
 
-    Raises ZeroProximity when |P(z)| < 1e-12 * max|c_k|: the quantity is
-    undefined at zeros of P and meaningless in their immediate vicinity.
+    Raises ZeroProximity when |P(z)| < ZERO_PROXIMITY_REL * max|c_k|: the
+    quantity is undefined at zeros of P and meaningless in their immediate
+    vicinity.
     """
-    z = pt.z
-    val, der = _horner_pair(p.coeffs, z)
-    if abs(val) < ZERO_PROXIMITY_REL * p.coeff_scale:
-        raise ZeroProximity(f"|P(e^{{i{pt.theta}}})| = {abs(val):.3e} is below the zero-proximity guard")
-    return (z * der / val).real
+    return boundary_speed(p.coeffs, p.coeff_scale, pt.z)
 
 
 def to_root_form(p: Polynomial) -> RootForm:

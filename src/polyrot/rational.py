@@ -17,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import PoleOnCircle, ZeroProximity
-from .poly import ZERO_PROXIMITY_REL, Polynomial, UnitCirclePoint, _horner_pair
+from .errors import PoleOnCircle
+from .poly import Polynomial, UnitCirclePoint, boundary_speed, horner
 from .report import csv_cell
 from .roots import ZeroClassification, classify_root_list, classify_zeros
-
-_POLE_CIRCLE_TOL = 1e-12
+from .tolerances import CHECK_SLACK, LEADING_REL, POLE_CIRCLE_TOL
 
 
 @dataclass(frozen=True)
@@ -42,21 +41,22 @@ class RationalFunction:
         scale = max(abs(c) for c in num)
         if scale == 0.0:
             raise ValueError("numerator must not be identically zero")
-        if len(num) > 1 and abs(num[-1]) < 1e-13 * scale:
+        if len(num) > 1 and abs(num[-1]) < LEADING_REL * scale:
             raise ValueError("trailing numerator coefficient is (numerically) zero")
         ps = tuple(complex(a) for a in poles)
         for a in ps:
-            if abs(a) <= 1.0 + _POLE_CIRCLE_TOL:
+            if abs(a) <= 1.0 + POLE_CIRCLE_TOL:
                 raise ValueError(f"pole at |a| = {abs(a):.6f}; all poles must satisfy |a| > 1")
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "poles", ps)
+        object.__setattr__(self, "_num_scale", scale)
 
     @property
     def num_degree(self) -> int:
         return len(self.numerator) - 1
 
     def __call__(self, z: complex) -> complex:
-        val, _ = _horner_pair(self.numerator, z)
+        val = horner(self.numerator, z)
         for a in self.poles:
             val /= z - a
         return val
@@ -107,7 +107,7 @@ def blaschke_B(poles: Iterable[complex]) -> PoleBlaschke:
     """
     ps = tuple(complex(a) for a in poles)
     for a in ps:
-        if abs(abs(a) - 1.0) <= _POLE_CIRCLE_TOL:
+        if abs(abs(a) - 1.0) <= POLE_CIRCLE_TOL:
             raise PoleOnCircle(f"|a| = {abs(a):.12f}")
     return PoleBlaschke(ps)
 
@@ -115,11 +115,7 @@ def blaschke_B(poles: Iterable[complex]) -> PoleBlaschke:
 def arg_derivative(r: RationalFunction, pt: UnitCirclePoint) -> float:
     """(arg R)'_theta = Re(z P'(z)/P(z)) - sum Re(z / (z - a_k)) at z = e^{i theta}."""
     z = pt.z
-    val, der = _horner_pair(r.numerator, z)
-    scale = max(abs(c) for c in r.numerator)
-    if abs(val) < ZERO_PROXIMITY_REL * scale:
-        raise ZeroProximity("boundary point too close to a zero of R")
-    speed = (z * der / val).real if r.num_degree > 0 else 0.0
+    speed = boundary_speed(r.numerator, r._num_scale, z)
     for a in r.poles:
         speed -= (z / (z - a)).real
     return speed
@@ -179,7 +175,7 @@ def classify_numerator(r: RationalFunction) -> ZeroClassification:
 def check_rotation_bounds(
     r: RationalFunction,
     pt: UnitCirclePoint,
-    tol: float = 1e-9,
+    tol: float = CHECK_SLACK,
     classification: ZeroClassification | None = None,
 ) -> RationalBoundReport:
     """Check (arg R)' against (m - n + (arg B)')/2 in both directions.

@@ -13,10 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonConvergence
-from .poly import Polynomial, _horner_pair
-
-# Zeros within this band of |z| = 1 are treated as lying on the circle.
-ON_CIRCLE_TOL = 1e-9
+from .poly import Polynomial, horner, horner_pair
+from .tolerances import ON_CIRCLE_TOL
 
 # Irrational angular offset for the initial guesses; avoids symmetric
 # stagnation on polynomials with rotational symmetry.
@@ -39,11 +37,6 @@ class RootSolveConfig:
 
 
 DEFAULT_CONFIG = RootSolveConfig()
-
-
-def _residual_scale(coeffs, z: complex) -> float:
-    n = len(coeffs) - 1
-    return sum(abs(c) for c in coeffs) * max(1.0, abs(z)) ** n
 
 
 def find_roots(p: Polynomial, cfg: RootSolveConfig | None = None) -> list[complex]:
@@ -71,6 +64,9 @@ def find_roots(p: Polynomial, cfg: RootSolveConfig | None = None) -> list[comple
     if m == 0:
         return roots
 
+    # Residuals are judged against sum|c_k| * max(1, |z|)^m, a bound on the
+    # roundoff of evaluating the monic polynomial at z.
+    abs_sum = sum(abs(c) for c in monic)
     radius = math.sqrt(1.0 + max(abs(c) for c in monic[:-1]))
     zs = [radius * cmath.exp(1j * (2.0 * math.pi * j / m + _ANGLE_OFFSET)) for j in range(m)]
 
@@ -79,8 +75,8 @@ def find_roots(p: Polynomial, cfg: RootSolveConfig | None = None) -> list[comple
         residual_ok = True
         for j in range(m):
             zj = zs[j]
-            val, der = _horner_pair(monic, zj)
-            if abs(val) > 1e-14 * _residual_scale(monic, zj):
+            val, der = horner_pair(monic, zj)
+            if abs(val) > 1e-14 * (abs_sum * max(1.0, abs(zj)) ** m):
                 residual_ok = False
             if val == 0:
                 continue
@@ -109,9 +105,9 @@ def find_roots(p: Polynomial, cfg: RootSolveConfig | None = None) -> list[comple
     # and keep the approximations.
     relaxed = cfg.residual_tol ** (1.0 / m)
     for z in zs:
-        res = abs(_horner_pair(monic, z)[0])
-        bound = cfg.residual_tol * _residual_scale(monic, z)
-        if res > bound and res > relaxed * _residual_scale(monic, z):
+        res = abs(horner(monic, z))
+        res_scale = abs_sum * max(1.0, abs(z)) ** m
+        if res > cfg.residual_tol * res_scale and res > relaxed * res_scale:
             raise NonConvergence(iterations)
 
     roots.extend(zs)

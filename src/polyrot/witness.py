@@ -19,19 +19,17 @@ from .blaschke import BlaschkeProduct
 from .errors import InvalidWitnessParams
 from .poly import RootForm, expand_monic
 from .rational import RationalFunction
-
-# Roots this close to z = 1 void the equality point.
-_ONE_EXCLUSION = 1e-6
+from .tolerances import ON_CIRCLE_TOL, ONE_EXCLUSION, POLE_CIRCLE_TOL
 
 
 def _as_unimodular(roots: Iterable[complex]) -> tuple[complex, ...]:
     out = []
     for a in roots:
         a = complex(a)
-        if abs(abs(a) - 1.0) > 1e-9:
+        if abs(abs(a) - 1.0) > ON_CIRCLE_TOL:
             raise InvalidWitnessParams(f"|a| = {abs(a):.9f} is not unimodular")
         a /= abs(a)  # snap exactly onto the circle
-        if abs(a - 1.0) < _ONE_EXCLUSION:
+        if abs(a - 1.0) < ONE_EXCLUSION:
             raise InvalidWitnessParams("unimodular roots must stay away from z = 1")
         out.append(a)
     return tuple(out)
@@ -90,11 +88,11 @@ def witness_rational(
     if not ps:
         raise InvalidWitnessParams("need at least one pole")
     for a in ps:
-        if abs(a) <= 1.0 + 1e-12:
+        if abs(a) <= 1.0 + POLE_CIRCLE_TOL:
             raise InvalidWitnessParams("poles must satisfy |a| > 1")
     alpha, beta = complex(alpha), complex(beta)
     for w in (alpha, beta):
-        if abs(abs(w) - 1.0) > 1e-9:
+        if abs(abs(w) - 1.0) > ON_CIRCLE_TOL:
             raise InvalidWitnessParams("alpha and beta must be unimodular")
     alpha /= abs(alpha)
     beta /= abs(beta)

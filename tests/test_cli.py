@@ -104,7 +104,11 @@ def test_scan_rejects_nonpositive_tolerance(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "arc_args, flag",
-    [(["--arc-alpha", "4"], "--arc-alpha"), (["--arc-alpha", "0.3", "--arc-beta", "5"], "--arc-beta")],
+    [
+        (["--arc-alpha", "4"], "--arc-alpha"),
+        (["--arc-alpha", "0.3", "--arc-beta", "5"], "--arc-beta"),
+        (["--arc-beta", "0.5"], "--arc-beta"),
+    ],
 )
 def test_scan_rejects_arc_angle_outside_open_half_turn(capsys, monkeypatch, arc_args, flag):
     argv = ["scan", "--input", "-", "--theta", "0", *arc_args]
@@ -156,6 +160,32 @@ def test_scan_unknown_check_is_input_error(capsys, monkeypatch):
     )
     assert code == 1
     assert "bogus" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--theta", "0", "--jobs", "2"],
+        ["scan", "--grid", "many"],
+        ["fuzz", "--zone", "nowhere"],
+        ["witness", "--spec"],
+        ["bogus"],
+        [],
+    ],
+)
+def test_usage_errors_exit_1_not_violation_code(capsys, argv):
+    # exit 2 is reserved for a violated inequality
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--help"])
+    assert exc.value.code == 0
+    assert "--arc-alpha" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -313,6 +343,15 @@ def test_witness_invalid_params(capsys, monkeypatch):
     )
     assert code == 1
     assert "error" in err
+
+
+def test_witness_toolkit_error_is_input_error(capsys, monkeypatch):
+    # the arc of half-width 0.5 around z = 1 contains the zero at angle 0.1
+    spec = {"kind": "arc", "unimodular_roots": [[math.cos(0.1), math.sin(0.1)]], "alpha": 0.5}
+    code, out, err = run(capsys, ["witness", "--spec", "-"], stdin=json.dumps(spec), monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_witness_spec_round_trip():

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +16,7 @@ from polyrot import (
     rotation_speed,
     to_root_form,
 )
+from polyrot.poly import horner, horner_pair
 
 
 def test_evaluate_direct_substitution():
@@ -172,3 +174,29 @@ def test_serialization_round_trip():
     rf = RootForm(2j, (0.5, -0.25j))
     back = RootForm.from_json(rf.to_json())
     assert back.leading == rf.leading and back.roots == rf.roots
+
+
+def test_horner_kernels_on_arrays_match_scalar_calls(rng):
+    # The arc increment evaluates its samples with the same kernels as an array.
+    # On arrays the value loop is np.polyval's loop bit for bit.  numpy's
+    # vectorised complex product may round differently from Python's scalar
+    # one (likely fused multiply-add), so scalar calls are held to the a-priori
+    # Horner rounding bound n eps sum_k k^j |c_k| |z|^(k-j), with room 4 and 8.
+    eps = np.finfo(float).eps
+    for _ in range(40):
+        n = int(rng.integers(1, 40))
+        coeffs = tuple(complex(re, im) for re, im in rng.normal(size=(n + 1, 2)))
+        z = np.exp(1j * rng.uniform(0.0, 2 * math.pi, 65)) * rng.uniform(0.5, 1.5, 65)
+        val = horner(coeffs, z)
+        pair_val, der = horner_pair(coeffs, z)
+        assert np.array_equal(val, np.polyval(coeffs[::-1], z))
+        assert np.array_equal(pair_val, val)
+        r = np.abs(z)
+        val_bound = 4 * n * eps * sum(abs(c) * r**k for k, c in enumerate(coeffs))
+        der_bound = 8 * n * eps * sum(k * abs(c) * r ** (k - 1) for k, c in enumerate(coeffs))
+        for k, zk in enumerate(z.tolist()):
+            s_val = horner(coeffs, zk)
+            s_pair, s_der = horner_pair(coeffs, zk)
+            assert s_pair == s_val
+            assert abs(s_val - val[k]) <= val_bound[k]
+            assert abs(s_der - der[k]) <= der_bound[k]

@@ -14,6 +14,7 @@ from polyrot import (
     check_rotation_bounds,
     from_roots,
     lambda_at,
+    rotation_speed,
     witness_rational,
 )
 from polyrot.poly import RootForm
@@ -83,6 +84,18 @@ def test_arg_derivative_matches_fd(rng):
         assert arg_derivative(r, UnitCirclePoint(theta)) == pytest.approx(
             fd_arg_derivative(r, theta), abs=1e-6
         )
+
+
+def test_arg_derivative_is_numerator_speed_minus_pole_terms(rng):
+    for _ in range(20):
+        num = Polynomial(tuple(complex(re, im) for re, im in rng.normal(size=(int(rng.integers(2, 9)), 2))))
+        poles = [rng.uniform(1.1, 3.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(int(rng.integers(0, 4)))]
+        pt = UnitCirclePoint(float(rng.uniform(0, 2 * math.pi)))
+        z = pt.z
+        expected = rotation_speed(num, pt)
+        for a in poles:
+            expected -= (z / (z - a)).real
+        assert arg_derivative(RationalFunction(num, poles), pt) == expected
 
 
 def test_zero_proximity_guard():
