@@ -20,7 +20,6 @@ from .blaschke import (
 )
 from .bounds import (
     BoundReport,
-    LambdaValue,
     bound_arc,
     bound_coeff,
     bound_coeff2,
@@ -29,7 +28,6 @@ from .bounds import (
     bound_zero_free,
     full_report,
     lambda_at,
-    upper_bound_zero_free,
 )
 from .errors import (
     ArcContainsRoot,
@@ -48,10 +46,11 @@ from .poly import (
     Polynomial,
     RootForm,
     UnitCirclePoint,
-    evaluate,
+    circle_grid,
     from_roots,
     reverse_conjugate,
     rotation_speed,
+    sweep,
     to_root_form,
 )
 from .rational import (
@@ -69,6 +68,7 @@ from .witness import (
     witness_arc,
     witness_goryainov,
     witness_rational,
+    witness_report,
     witness_unimodular,
     witness_value,
 )

@@ -23,16 +23,9 @@ from .roots import ZeroClassification, classify_zeros
 from .tolerances import ARC_INCREMENT_SLACK, CHECK_SLACK, EQUAL_MODULUS_REL
 
 
-@dataclass(frozen=True)
-class LambdaValue:
-    """Excess rotation 2 (arg P)'_theta - n at one boundary point."""
-
-    value: float
-
-
-def lambda_at(p: Polynomial, pt: UnitCirclePoint) -> LambdaValue:
-    """2 * rotation_speed - degree; raises ZeroProximity at zeros of P."""
-    return LambdaValue(2.0 * rotation_speed(p, pt) - p.degree)
+def lambda_at(p: Polynomial, pt: UnitCirclePoint) -> float:
+    """Excess rotation 2 * rotation_speed - degree; raises ZeroProximity at zeros of P."""
+    return 2.0 * rotation_speed(p, pt) - p.degree
 
 
 def bound_coeff(p: Polynomial) -> float:
@@ -51,7 +44,7 @@ def bound_sqrt_weak(p: Polynomial) -> float:
     return 1.0 - math.sqrt(abs(p.constant) / abs(p.leading))
 
 
-def bound_value(p: Polynomial, pt: UnitCirclePoint, lam: LambdaValue) -> float:
+def bound_value(p: Polynomial, pt: UnitCirclePoint, lam: float) -> float:
     """Value-refined lower bound |(lambda + 1) * conj(c0) P(z) / (cn z^n conj(P(z))) - 1|.
 
     Uses the boundary value of P itself, so it varies with theta; for
@@ -61,7 +54,7 @@ def bound_value(p: Polynomial, pt: UnitCirclePoint, lam: LambdaValue) -> float:
     val = p(z)
     guard_zero(val, p.coeff_scale)
     w = p.constant.conjugate() * val / (p.leading * z**p.degree * val.conjugate())
-    return abs((lam.value + 1.0) * w - 1.0)
+    return abs((lam + 1.0) * w - 1.0)
 
 
 def bound_coeff2(p: Polynomial) -> float:
@@ -113,25 +106,13 @@ def bound_arc(
 
 
 def bound_zero_free(p: Polynomial) -> float:
-    """n/2 + (|cn| - |c0|) / (2(|cn| + |c0|)); `upper_bound_zero_free` adds the hypothesis check."""
-    return 0.5 * p.degree + 0.5 * bound_coeff(p)
+    """Upper bound n/2 + (|cn| - |c0|) / (2(|cn| + |c0|)) on the rotation speed.
 
-
-def upper_bound_zero_free(
-    p: Polynomial,
-    pt: UnitCirclePoint,
-    classification: ZeroClassification | None = None,
-) -> float:
-    """`bound_zero_free` for polynomials with no zeros in the open unit disk.
-
-    The reversed-conjugate polynomial then has all zeros in the closed
-    disk, and the correction term is <= 0.
+    Valid when no zero lies in the open unit disk: the reversed-conjugate
+    polynomial then has all zeros in the closed disk, and the correction
+    term is <= 0.  `full_report` applies the hypothesis gate.
     """
-    cls = classification or classify_zeros(p)
-    if not cls.none_inside_open_disk:
-        raise HypothesisViolated("polynomial has zeros inside the open unit disk")
-    rotation_speed(p, pt)  # zero-proximity guard
-    return bound_zero_free(p)
+    return 0.5 * p.degree + 0.5 * bound_coeff(p)
 
 
 @dataclass(frozen=True)
@@ -142,9 +123,11 @@ class BoundReport:
     bounds report bound - lambda (arc) and bound - rotation speed
     (zero-free).  A flag is "pass" / "fail" for applicable bounds and
     "na" when the hypothesis does not hold or the bound was not requested.
+    `speed` is the rotation speed behind lambda = 2 speed - n.
     """
 
     theta: float
+    speed: float
     lam: float
     bounds: dict
     margins: dict
@@ -209,7 +192,7 @@ def full_report(
         ("classic", 0.0),
         ("coeff", bound_coeff(p)),
         ("sqrt_weak", bound_sqrt_weak(p)),
-        ("value_thm1", bound_value(p, pt, LambdaValue(lam))),
+        ("value_thm1", bound_value(p, pt, lam)),
         ("coeff2_thm2", bound_coeff2(p)),
     ):
         record(key, value, lam - value if lower_ok and math.isfinite(value) else None)
@@ -225,4 +208,4 @@ def full_report(
         value = bound_zero_free(p)
         record("upper_zero_free", value, value - speed)
 
-    return BoundReport(pt.theta, lam, bounds, margins, flags)
+    return BoundReport(pt.theta, speed, lam, bounds, margins, flags)

@@ -10,84 +10,20 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import corpus
-from .blaschke import boundary_derivative_modulus, check_goryainov, check_mercer_remark
-from .bounds import (
-    LambdaValue,
-    bound_coeff,
-    bound_coeff2,
-    bound_sqrt_weak,
-    bound_value,
-    bound_zero_free,
-    full_report,
-    lambda_at,
-)
-from .errors import InvalidWitnessParams, PolyrotError, ZeroProximity
-from .oracle import ArcSpec, arc_increment, arg_derivative_fd
-from .poly import Polynomial, RootForm, UnitCirclePoint, from_roots, rotation_speed
+from .blaschke import check_mercer_remark
+from .bounds import full_report
+from .errors import PolyrotError
+from .oracle import arg_derivative_fd
+from .poly import Polynomial, RootForm, UnitCirclePoint, circle_grid, from_roots, sweep
 from .rational import RationalBoundReport, RationalFunction, check_rotation_bounds, classify_numerator
 from .report import BOUND_KEYS, CSV_HEADER, csv_cell, dump_json
-from .roots import classify_zeros
+from .roots import classify_root_list, classify_zeros
 from .tolerances import CHECK_SLACK, ORACLE_AGREEMENT_TOL
-from .witness import (
-    WitnessSpec,
-    witness_arc,
-    witness_goryainov,
-    witness_rational,
-    witness_unimodular,
-    witness_value,
-)
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    """Validated scan parameters: grid or explicit angles, check set, output shape."""
-
-    source: str = "-"
-    mode: str = "auto"
-    grid: int = 360
-    thetas: tuple[float, ...] | None = None
-    checks: frozenset = frozenset(BOUND_KEYS)
-    fmt: str = "csv"
-    tol: float = CHECK_SLACK
-    arc: tuple[float, float | None] | None = None
-
-    def __post_init__(self):
-        if self.grid < 1:
-            raise ValueError("grid count must be >= 1")
-        if self.tol <= 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.arc is not None and self.arc[0] is None:
-            raise ValueError("--arc-beta needs --arc-alpha")
-        for flag, angle in zip(("--arc-alpha", "--arc-beta"), self.arc or ()):
-            if angle is not None and not (0.0 < angle < math.pi):
-                raise ValueError(f"{flag} must lie in (0, pi)")
-        unknown = set(self.checks) - set(BOUND_KEYS)
-        if unknown:
-            raise ValueError(f"unknown checks: {sorted(unknown)}")
-
-    @property
-    def theta_grid(self) -> list[float]:
-        if self.thetas is not None:
-            return list(self.thetas)
-        return [2.0 * math.pi * k / self.grid for k in range(self.grid)]
-
-
-def _scan_config(args) -> ScanConfig:
-    return ScanConfig(
-        source=args.input,
-        mode=args.mode,
-        grid=args.grid,
-        thetas=tuple(float(t) for t in args.theta.split(",")) if args.theta else None,
-        checks=frozenset(args.checks.split(",")) if args.checks else frozenset(BOUND_KEYS),
-        fmt=args.fmt,
-        tol=args.tol if args.tol is not None else CHECK_SLACK,
-        arc=None if args.arc_alpha is None and args.arc_beta is None else (args.arc_alpha, args.arc_beta),
-    )
+from .witness import WitnessSpec, witness_report
 
 
 def _read_input(path: str) -> str:
@@ -115,8 +51,22 @@ def _parse_scan_input(text: str, mode: str):
 
 def cmd_scan(args) -> int:
     try:
-        cfg = _scan_config(args)
-        obj = _parse_scan_input(_read_input(cfg.source), cfg.mode)
+        thetas = [float(t) for t in args.theta.split(",")] if args.theta else circle_grid(args.grid)
+        checks = args.checks.split(",") if args.checks else BOUND_KEYS
+        unknown = sorted(set(checks) - set(BOUND_KEYS))
+        for bad, message in (
+            (args.grid < 1, "grid count must be >= 1"),
+            (args.tol <= 0.0, "tolerance must be positive"),
+            (not math.isfinite(args.tol), "tolerance must be finite"),
+            (not all(map(math.isfinite, thetas)), "--theta values must be finite"),
+            (args.arc_beta is not None and args.arc_alpha is None, "--arc-beta needs --arc-alpha"),
+            (args.arc_alpha is not None and not 0.0 < args.arc_alpha < math.pi, "--arc-alpha must lie in (0, pi)"),
+            (args.arc_beta is not None and not 0.0 < args.arc_beta < math.pi, "--arc-beta must lie in (0, pi)"),
+            (unknown, f"unknown checks: {unknown}"),
+        ):
+            if bad:
+                raise ValueError(message)
+        obj = _parse_scan_input(_read_input(args.input), args.mode)
     except (ValueError, KeyError, TypeError, OSError, PolyrotError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -127,26 +77,25 @@ def cmd_scan(args) -> int:
         header = RationalBoundReport.CSV_HEADER
 
         def evaluate(pt):
-            return check_rotation_bounds(obj, pt, tol=cfg.tol, classification=cls)
+            return check_rotation_bounds(obj, pt, tol=args.tol, classification=cls)
 
     else:
         cls = classify_zeros(obj)
         header = CSV_HEADER
+        arc = None if args.arc_alpha is None else (args.arc_alpha, args.arc_beta)
 
         def evaluate(pt):
-            return full_report(obj, pt, arc=cfg.arc, slack=cfg.tol, classification=cls)
+            return full_report(obj, pt, arc=arc, slack=args.tol, classification=cls)
 
-    json_rows = cfg.fmt == "json"
+    json_rows = args.fmt == "json"
     rows = []
     failed = False
-    for theta in cfg.theta_grid:
-        try:
-            rep = evaluate(UnitCirclePoint(theta))
-        except ZeroProximity:
+    for theta, rep in sweep(evaluate, thetas):
+        if rep is None:
             skip = {"theta": theta, "skipped": True, "reason": "zero_proximity"}
             rows.append(skip if json_rows else csv_cell(theta) + "," * header.count(",") + "skipped")
             continue
-        failed = failed or rep.fails(cfg.checks)
+        failed = failed or rep.fails(checks)
         rows.append(rep.as_dict() if json_rows else ",".join(rep.csv_cells()))
 
     if json_rows:
@@ -160,12 +109,13 @@ class _FuzzTally:
     def __init__(self):
         self.stats: dict = {}
 
-    def record(self, name: str, margin: float, tol: float):
+    def record(self, name: str, margin: float | None, violated: bool):
+        """One case of check name; a None margin (non-finite bound) leaves the minimum as it is."""
         s = self.stats.setdefault(name, {"cases": 0, "min_margin": math.inf, "violations": 0})
         s["cases"] += 1
-        s["min_margin"] = min(s["min_margin"], margin)
-        if margin < -tol:
-            s["violations"] += 1
+        if margin is not None:
+            s["min_margin"] = min(s["min_margin"], margin)
+        s["violations"] += violated
 
     def as_dict(self) -> dict:
         return {k: dict(v) for k, v in sorted(self.stats.items())}
@@ -175,30 +125,32 @@ class _FuzzTally:
         return sum(v["violations"] for v in self.stats.values())
 
 
+# full_report keys of the lower bounds and the names fuzz tallies them under.
+_FUZZ_LOWER = {"classic": "lambda_nonneg", "coeff": "coeff", "sqrt_weak": "sqrt_weak", "value_thm1": "value",
+               "coeff2_thm2": "coeff2"}
+
+
 def _fuzz_polynomial_case(tally, rng, degree, zone):
-    _, p = corpus.random_polynomial(rng, degree, zone)
+    rf, p = corpus.random_polynomial(rng, degree, zone)
     theta = corpus.valid_theta(rng, p)
     if theta is None:
         return
-    pt = UnitCirclePoint(theta)
-    speed = rotation_speed(p, pt)
-    lam = 2.0 * speed - p.degree
-    tol = CHECK_SLACK * max(1.0, abs(lam))
-    tally.record("oracle_agreement", ORACLE_AGREEMENT_TOL - abs(speed - arg_derivative_fd(p, theta)), 0.0)
+    # The constructed zeros decide applicability: no root solve per case.
+    rep = full_report(p, UnitCirclePoint(theta), classification=classify_root_list(rf.roots))
+    oracle_margin = ORACLE_AGREEMENT_TOL - abs(rep.speed - arg_derivative_fd(p, theta))
+    tally.record("oracle_agreement", oracle_margin, oracle_margin < 0.0)
 
     if zone in ("in_disk", "on_circle"):
-        tally.record("lambda_nonneg", lam, tol)
-        tally.record("coeff", lam - bound_coeff(p), tol)
-        tally.record("sqrt_weak", lam - bound_sqrt_weak(p), tol)
-        tally.record("value", lam - bound_value(p, pt, LambdaValue(lam)), tol)
-        tally.record("coeff2", lam - bound_coeff2(p), tol)
+        for key, name in _FUZZ_LOWER.items():
+            tally.record(name, rep.margins[key], rep.flags[key] == "fail")
         remark = check_mercer_remark(p)
         scale = max(1.0, abs(remark.lhs), abs(remark.rhs))
-        tally.record("mercer_remark", remark.margin, CHECK_SLACK * scale)
+        tally.record("mercer_remark", remark.margin, remark.margin < -CHECK_SLACK * scale)
     if zone == "on_circle":
-        tally.record("lambda_zero", -abs(lam), CHECK_SLACK)
+        tally.record("lambda_zero", -abs(rep.lam), abs(rep.lam) > CHECK_SLACK)
     if zone == "outside":
-        tally.record("upper_zero_free", bound_zero_free(p) - speed, tol)
+        key = "upper_zero_free"
+        tally.record(key, rep.margins[key], rep.flags[key] == "fail")
 
 
 def _fuzz_rational_case(tally, rng, degree, zone):
@@ -208,19 +160,36 @@ def _fuzz_rational_case(tally, rng, degree, zone):
     if theta is None:
         return
     rep = check_rotation_bounds(r, UnitCirclePoint(theta))
-    if rep.lower_margin is not None:
-        tally.record("rational_lower", rep.lower_margin, CHECK_SLACK * max(1.0, abs(rep.value)))
-    if rep.upper_margin is not None:
-        tally.record("rational_upper", rep.upper_margin, CHECK_SLACK * max(1.0, abs(rep.value)))
+    tol = CHECK_SLACK * max(1.0, abs(rep.value))
+    for name, margin in (("rational_lower", rep.lower_margin), ("rational_upper", rep.upper_margin)):
+        if margin is not None:
+            tally.record(name, margin, margin < -tol)
 
 
 def cmd_fuzz(args) -> int:
-    if args.zone not in corpus.ZONES:
-        print(f"error: unknown zone {args.zone!r}", file=sys.stderr)
-        return 1
-    if args.degree_min < 1 or args.degree_max < args.degree_min:
-        print("error: invalid degree range", file=sys.stderr)
-        return 1
+    """Tally randomized checks by zone; exit 2 when any case violates its inequality.
+
+    Each case draws a polynomial of random degree with zeros in the zone
+    and one angle where |P| is clear of its zeros, and tallies:
+
+    - every zone: oracle_agreement, the analytic speed against the
+      central-difference oracle within ORACLE_AGREEMENT_TOL;
+    - in_disk and on_circle: the lower bounds of `full_report`
+      (lambda_nonneg, coeff, sqrt_weak, value, coeff2) and mercer_remark;
+    - on_circle: lambda_zero, |lambda| <= CHECK_SLACK;
+    - outside: upper_zero_free.
+
+    Except in the mixed zone, each case also draws a rational function with
+    1-4 poles and tallies rational_lower and rational_upper where they apply.
+    """
+    for bad, message in (
+        (args.degree_min < 1 or args.degree_max < args.degree_min, "invalid degree range"),
+        (args.count < 0, "--count must be >= 0"),
+        (args.seed < 0, "--seed must be >= 0"),
+    ):
+        if bad:
+            print(f"error: {message}", file=sys.stderr)
+            return 1
     rng = np.random.default_rng(args.seed)
     tally = _FuzzTally()
     for _ in range(args.count):
@@ -248,93 +217,10 @@ def cmd_fuzz(args) -> int:
     return 2 if tally.violations else 0
 
 
-def _witness_report(spec: WitnessSpec) -> dict:
-    if spec.kind == "value":
-        rf = witness_value(spec.a, spec.unimodular_roots)
-        p = from_roots(rf)
-        pt = UnitCirclePoint(0.0)
-        lam = lambda_at(p, pt).value
-        rhs = bound_value(p, pt, LambdaValue(lam))
-        return {
-            "kind": spec.kind,
-            "witness": rf.to_json(),
-            "lambda_at_1": lam,
-            "bound": rhs,
-            "equality_gap": abs(lam - rhs),
-        }
-    if spec.kind == "arc":
-        rf = witness_arc(spec.leading if spec.leading is not None else 1.0, spec.unimodular_roots)
-        p = from_roots(rf)
-        lam = lambda_at(p, UnitCirclePoint(0.0)).value
-        out = {
-            "kind": spec.kind,
-            "witness": rf.to_json(),
-            "lambda_at_1": lam,
-            "equality_gap": abs(lam - 1.0),
-        }
-        if spec.alpha is not None:
-            inc = arc_increment(p, ArcSpec(0.0, spec.alpha))
-            out["alpha"] = spec.alpha
-            out["measured_increment"] = inc
-            out["increment_gap"] = abs(inc - spec.alpha)
-        return out
-    if spec.kind == "goryainov":
-        f = witness_goryainov(spec.a)
-        p = from_roots(RootForm(1.0, (spec.a,)))
-        fp1 = boundary_derivative_modulus(p, UnitCirclePoint(0.0))
-        chk = check_goryainov(f, fp1)
-        return {
-            "kind": spec.kind,
-            "witness": {"a": [spec.a.real, spec.a.imag]},
-            "lhs": chk.lhs,
-            "rhs": chk.rhs,
-            "equality_gap": abs(chk.margin),
-        }
-    if spec.kind == "unimodular":
-        rf = witness_unimodular(spec.n if spec.n is not None else 1, spec.seed if spec.seed is not None else 0)
-        p = from_roots(rf)
-        worst = 0.0
-        for k in range(128):
-            theta = 2.0 * math.pi * k / 128
-            try:
-                lam = lambda_at(p, UnitCirclePoint(theta)).value
-            except ZeroProximity:
-                continue
-            worst = max(worst, abs(lam))
-        return {
-            "kind": spec.kind,
-            "witness": rf.to_json(),
-            "max_abs_lambda": worst,
-            "coeff2_bound": bound_coeff2(p),
-        }
-    if spec.kind == "rational":
-        r = witness_rational(spec.poles, spec.coeff_alpha, spec.coeff_beta)
-        cls = classify_numerator(r)
-        worst = 0.0
-        used = 0
-        for k in range(100):
-            theta = 2.0 * math.pi * k / 100
-            try:
-                rep = check_rotation_bounds(r, UnitCirclePoint(theta), classification=cls)
-            except ZeroProximity:
-                continue
-            used += 1
-            for margin in (rep.lower_margin, rep.upper_margin):
-                if margin is not None:
-                    worst = max(worst, abs(margin))
-        return {
-            "kind": spec.kind,
-            "witness": r.to_json(),
-            "points_checked": used,
-            "max_abs_margin": worst,
-        }
-    raise InvalidWitnessParams(f"unknown witness kind {spec.kind!r}")
-
-
 def cmd_witness(args) -> int:
     try:
         spec = WitnessSpec.from_json(json.loads(_read_input(args.spec)))
-        report = _witness_report(spec)
+        report = witness_report(spec)
     except (PolyrotError, ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -363,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--theta", help="comma separated list, overrides --grid")
     scan.add_argument("--checks", help="comma separated subset of bound keys to gate on")
     scan.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    scan.add_argument("--tol", type=float, default=None)
+    scan.add_argument("--tol", type=float, default=CHECK_SLACK)
     scan.add_argument("--arc-alpha", type=float, default=None)
     scan.add_argument("--arc-beta", type=float, default=None)
     scan.set_defaults(func=cmd_scan)

@@ -12,8 +12,9 @@ which is finite at every boundary point away from the zeros of P.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ZeroProximity
 from .tolerances import LEADING_REL, ZERO_PROXIMITY_REL
@@ -163,9 +164,19 @@ class UnitCirclePoint:
         return cmath.exp(1j * self.theta)
 
 
-def evaluate(p: Polynomial, z: complex) -> complex:
-    """P(z) by Horner's nested scheme."""
-    return horner(p.coeffs, z)
+def circle_grid(n: int) -> list[float]:
+    """The n equally spaced angles 2 pi k / n, k = 0 .. n - 1."""
+    return [2.0 * math.pi * k / n for k in range(n)]
+
+
+def sweep(evaluate: Callable[[UnitCirclePoint], object], thetas: Iterable[float]) -> Iterator[tuple[float, object]]:
+    """Yield (theta, evaluate(e^{i theta})) per angle, with None where the point is zero proximate."""
+    for theta in thetas:
+        try:
+            rep = evaluate(UnitCirclePoint(theta))
+        except ZeroProximity:
+            rep = None
+        yield theta, rep
 
 
 def from_roots(rf: RootForm) -> Polynomial:

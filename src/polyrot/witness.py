@@ -3,7 +3,7 @@
 Each constructor returns an input on which the corresponding inequality
 is attained (at z = 1 for the two polynomial families, identically on
 the circle for the rational family), so sharpness can be confirmed
-numerically rather than taken on faith.
+numerically rather than taken on faith; `witness_report` does so for a spec.
 """
 
 from __future__ import annotations
@@ -15,10 +15,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct
+from .blaschke import BlaschkeProduct, boundary_derivative_modulus, check_goryainov
+from .bounds import bound_coeff2, bound_value, lambda_at
 from .errors import InvalidWitnessParams
-from .poly import RootForm, expand_monic
-from .rational import RationalFunction
+from .oracle import ArcSpec, arc_increment
+from .poly import RootForm, UnitCirclePoint, circle_grid, expand_monic, from_roots, sweep
+from .rational import RationalFunction, check_rotation_bounds, classify_numerator
 from .tolerances import ON_CIRCLE_TOL, ONE_EXCLUSION, POLE_CIRCLE_TOL
 
 
@@ -156,3 +158,70 @@ class WitnessSpec:
             n=data.get("n"),
             seed=data.get("seed"),
         )
+
+
+def witness_report(spec: WitnessSpec) -> dict:
+    """Construct the witness that spec describes and measure how sharply it attains its bound."""
+    if spec.kind == "value":
+        rf = witness_value(spec.a, spec.unimodular_roots)
+        p = from_roots(rf)
+        pt = UnitCirclePoint(0.0)
+        lam = lambda_at(p, pt)
+        rhs = bound_value(p, pt, lam)
+        return {
+            "kind": spec.kind,
+            "witness": rf.to_json(),
+            "lambda_at_1": lam,
+            "bound": rhs,
+            "equality_gap": abs(lam - rhs),
+        }
+    if spec.kind == "arc":
+        rf = witness_arc(spec.leading if spec.leading is not None else 1.0, spec.unimodular_roots)
+        p = from_roots(rf)
+        lam = lambda_at(p, UnitCirclePoint(0.0))
+        out = {
+            "kind": spec.kind,
+            "witness": rf.to_json(),
+            "lambda_at_1": lam,
+            "equality_gap": abs(lam - 1.0),
+        }
+        if spec.alpha is not None:
+            inc = arc_increment(p, ArcSpec(0.0, spec.alpha))
+            out["alpha"] = spec.alpha
+            out["measured_increment"] = inc
+            out["increment_gap"] = abs(inc - spec.alpha)
+        return out
+    if spec.kind == "goryainov":
+        f = witness_goryainov(spec.a)
+        p = from_roots(RootForm(1.0, (spec.a,)))
+        chk = check_goryainov(f, boundary_derivative_modulus(p, UnitCirclePoint(0.0)))
+        return {
+            "kind": spec.kind,
+            "witness": {"a": [spec.a.real, spec.a.imag]},
+            "lhs": chk.lhs,
+            "rhs": chk.rhs,
+            "equality_gap": abs(chk.margin),
+        }
+    if spec.kind == "unimodular":
+        rf = witness_unimodular(spec.n if spec.n is not None else 1, spec.seed if spec.seed is not None else 0)
+        p = from_roots(rf)
+        lams = [lam for _, lam in sweep(lambda pt: lambda_at(p, pt), circle_grid(128)) if lam is not None]
+        return {
+            "kind": spec.kind,
+            "witness": rf.to_json(),
+            "max_abs_lambda": max([0.0, *map(abs, lams)]),
+            "coeff2_bound": bound_coeff2(p),
+        }
+    if spec.kind == "rational":
+        r = witness_rational(spec.poles, spec.coeff_alpha, spec.coeff_beta)
+        cls = classify_numerator(r)
+        reps = sweep(lambda pt: check_rotation_bounds(r, pt, classification=cls), circle_grid(100))
+        reps = [rep for _, rep in reps if rep is not None]
+        margins = [abs(m) for rep in reps for m in (rep.lower_margin, rep.upper_margin) if m is not None]
+        return {
+            "kind": spec.kind,
+            "witness": r.to_json(),
+            "points_checked": len(reps),
+            "max_abs_margin": max([0.0, *margins]),
+        }
+    raise InvalidWitnessParams(f"unknown witness kind {spec.kind!r}")

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -17,7 +15,3 @@ settings.load_profile("det")
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-def circle_grid(n):
-    return [2.0 * math.pi * k / n for k in range(n)]

@@ -36,10 +36,10 @@ from polyrot import (
     f_prime_0,
     f_second_0,
     from_roots,
+    full_report,
     lambda_at,
     normalized_self_map,
     rotation_speed,
-    upper_bound_zero_free,
     witness_arc,
     witness_goryainov,
     witness_rational,
@@ -106,7 +106,7 @@ def test_criterion_2_lambda_nonnegativity(disk_corpus):
     low = math.inf
     for _, p, thetas in disk_corpus:
         for t in thetas:
-            low = min(low, lambda_at(p, UnitCirclePoint(t)).value)
+            low = min(low, lambda_at(p, UnitCirclePoint(t)))
 
     rng = np.random.default_rng(1002)
     worst_abs = 0.0
@@ -116,7 +116,7 @@ def test_criterion_2_lambda_nonnegativity(disk_corpus):
         t = _valid_theta(rng, p, rf.roots, min_dist=0.0)
         if t is None:
             continue
-        worst_abs = max(worst_abs, abs(lambda_at(p, UnitCirclePoint(t)).value))
+        worst_abs = max(worst_abs, abs(lambda_at(p, UnitCirclePoint(t))))
     _report(
         2,
         low >= -1e-9 and worst_abs <= 1e-9,
@@ -130,7 +130,7 @@ def test_criterion_3_value_refined_bound(disk_corpus):
         for t in thetas:
             pt = UnitCirclePoint(t)
             lam = lambda_at(p, pt)
-            low = min(low, lam.value - bound_value(p, pt, lam))
+            low = min(low, lam - bound_value(p, pt, lam))
 
     rng = np.random.default_rng(1003)
     worst_gap = 0.0
@@ -141,7 +141,7 @@ def test_criterion_3_value_refined_bound(disk_corpus):
         p = from_roots(witness_value(a, roots))
         pt = UnitCirclePoint(0.0)
         lam = lambda_at(p, pt)
-        worst_gap = max(worst_gap, abs(lam.value - bound_value(p, pt, lam)))
+        worst_gap = max(worst_gap, abs(lam - bound_value(p, pt, lam)))
     _report(
         3,
         low >= -1e-9 and worst_gap <= 1e-8,
@@ -158,7 +158,7 @@ def test_criterion_4_second_coefficient_bound(disk_corpus):
         ordering = min(ordering, rhs - bound_coeff(p))
         remark_ok = remark_ok and check_mercer_remark(p).passed
         for t in thetas:
-            low = min(low, lambda_at(p, UnitCirclePoint(t)).value - rhs)
+            low = min(low, lambda_at(p, UnitCirclePoint(t)) - rhs)
     _report(
         4,
         low >= -1e-9 and ordering >= -1e-12 and remark_ok,
@@ -178,7 +178,7 @@ def test_criterion_5_arc_bound():
         lead = complex(rng.uniform(0.5, 2.0)) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         p = from_roots(witness_arc(lead, roots))
         worst_inc = max(worst_inc, abs(arc_increment(p, ArcSpec(0.0, alpha)) - alpha))
-        worst_lam = max(worst_lam, abs(lambda_at(p, UnitCirclePoint(0.0)).value - 1.0))
+        worst_lam = max(worst_lam, abs(lambda_at(p, UnitCirclePoint(0.0)) - 1.0))
 
     rng = np.random.default_rng(1006)
     applicable = 0
@@ -198,7 +198,7 @@ def test_criterion_5_arc_bound():
             continue
         applicable += 1
         bound = math.tan(0.5 * measured) / math.tan(0.5 * alpha)
-        low = min(low, bound - lambda_at(p, UnitCirclePoint(t0)).value)
+        low = min(low, bound - lambda_at(p, UnitCirclePoint(t0)))
     _report(
         5,
         worst_inc <= ARC_BUDGET and worst_lam <= 1e-10 and applicable >= 20 and low >= -1e-6,
@@ -218,7 +218,7 @@ def test_criterion_6_zero_free_upper_bound():
             if t is None:
                 break
             pt = UnitCirclePoint(t)
-            low = min(low, upper_bound_zero_free(p, pt) - rotation_speed(p, pt))
+            low = min(low, full_report(p, pt).bounds["upper_zero_free"] - rotation_speed(p, pt))
     _report(6, low >= -1e-9, f"min (bound - rotation_speed) = {low:.3e}")
 
 

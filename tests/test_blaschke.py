@@ -94,7 +94,7 @@ def test_boundary_derivative_hand_values():
 def test_boundary_derivative_identity_with_lambda():
     p = from_roots(RootForm(1.3j, (0.4, -0.2j, 0.5)))
     pt = UnitCirclePoint(2.2)
-    assert boundary_derivative_modulus(p, pt) == lambda_at(p, pt).value + 1.0
+    assert boundary_derivative_modulus(p, pt) == lambda_at(p, pt) + 1.0
 
 
 def test_boundary_derivative_against_fd_of_map(rng):

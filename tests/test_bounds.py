@@ -15,11 +15,11 @@ from polyrot import (
     bound_coeff2,
     bound_sqrt_weak,
     bound_value,
+    bound_zero_free,
     from_roots,
     full_report,
     lambda_at,
     rotation_speed,
-    upper_bound_zero_free,
 )
 from polyrot.report import BOUND_KEYS
 
@@ -31,16 +31,16 @@ def fifth_roots_of_unity():
 def test_lambda_monomial():
     for n in (1, 2, 6):
         p = Polynomial([0] * n + [1])
-        assert lambda_at(p, UnitCirclePoint(1.3)).value == pytest.approx(n, abs=1e-12)
+        assert lambda_at(p, UnitCirclePoint(1.3)) == pytest.approx(n, abs=1e-12)
 
 
 def test_lambda_vanishes_for_circle_zeros():
     p = fifth_roots_of_unity()
-    assert abs(lambda_at(p, UnitCirclePoint(math.pi / 5)).value) <= 1e-9
+    assert abs(lambda_at(p, UnitCirclePoint(math.pi / 5))) <= 1e-9
 
 
 def test_lambda_hand_value():
-    assert lambda_at(Polynomial([-0.5, 1]), UnitCirclePoint(0.0)).value == pytest.approx(3.0)
+    assert lambda_at(Polynomial([-0.5, 1]), UnitCirclePoint(0.0)) == pytest.approx(3.0)
 
 
 def test_bound_coeff_values():
@@ -67,14 +67,14 @@ def test_bound_value_hand_cases():
     lam = lambda_at(p, pt)
     rhs = bound_value(p, pt, lam)
     assert rhs == pytest.approx(3.0)
-    assert lam.value == pytest.approx(rhs)  # equality family member
+    assert lam == pytest.approx(rhs)  # equality family member
 
 
 def test_bound_value_equality_with_unimodular_tail():
     p = from_roots(RootForm(1.0, (0.4, cmath.exp(1j * math.pi / 3))))
     pt = UnitCirclePoint(0.0)
     lam = lambda_at(p, pt)
-    assert abs(lam.value - bound_value(p, pt, lam)) <= 1e-8
+    assert abs(lam - bound_value(p, pt, lam)) <= 1e-8
 
 
 def test_bound_coeff2_values():
@@ -82,7 +82,7 @@ def test_bound_coeff2_values():
     assert bound_coeff2(Polynomial([-0.5, 1])) == pytest.approx(1 / 3)
     p = Polynomial([0, 0, 1])
     assert bound_coeff2(p) == pytest.approx(2.0)
-    assert lambda_at(p, UnitCirclePoint(0.7)).value == pytest.approx(2.0)
+    assert lambda_at(p, UnitCirclePoint(0.7)) == pytest.approx(2.0)
 
 
 def test_bound_coeff2_degenerate_denominator_is_nan():
@@ -102,7 +102,7 @@ def test_bound_arc_equal_angles():
     pt = UnitCirclePoint(0.0)
     alpha = math.pi / 2
     assert bound_arc(p, pt, alpha, alpha) == pytest.approx(1.0)
-    assert lambda_at(p, pt).value == pytest.approx(1.0)
+    assert lambda_at(p, pt) == pytest.approx(1.0)
 
 
 def test_bound_arc_closed_form():
@@ -110,7 +110,7 @@ def test_bound_arc_closed_form():
     p = from_roots(RootForm(1.0, (cmath.exp(2.8j), cmath.exp(-2.8j))))
     value = bound_arc(p, UnitCirclePoint(0.0), math.pi / 2, math.pi / 4)
     assert value == pytest.approx(math.sqrt(2) - 1, abs=1e-12)
-    assert lambda_at(p, UnitCirclePoint(0.0)).value <= value
+    assert lambda_at(p, UnitCirclePoint(0.0)) <= value
 
 
 def test_bound_arc_rejects_bad_hypotheses():
@@ -131,22 +131,23 @@ def test_bound_arc_rejects_bad_hypotheses():
 def test_upper_bound_zero_free_hand_case():
     p = Polynomial([-2, 1])
     pt = UnitCirclePoint(0.0)
-    bound = upper_bound_zero_free(p, pt)
-    assert bound == pytest.approx(1 / 3)
+    bound = full_report(p, pt).bounds["upper_zero_free"]
+    assert bound == bound_zero_free(p) == pytest.approx(1 / 3)
     assert rotation_speed(p, pt) == pytest.approx(-1.0)
 
 
 def test_upper_bound_equality_for_circle_zeros():
     p = fifth_roots_of_unity()
     pt = UnitCirclePoint(math.pi / 5)
-    bound = upper_bound_zero_free(p, pt)
+    bound = full_report(p, pt).bounds["upper_zero_free"]
     assert bound == pytest.approx(2.5)
     assert rotation_speed(p, pt) == pytest.approx(2.5, abs=1e-9)
 
 
 def test_upper_bound_rejects_interior_zeros():
-    with pytest.raises(HypothesisViolated):
-        upper_bound_zero_free(Polynomial([-0.5, 1]), UnitCirclePoint(0.0))
+    rep = full_report(Polynomial([-0.5, 1]), UnitCirclePoint(0.0))
+    assert rep.flags["upper_zero_free"] == "na"
+    assert rep.bounds["upper_zero_free"] is None and rep.margins["upper_zero_free"] is None
 
 
 def test_upper_bound_respects_oracle(rng):
@@ -156,7 +157,7 @@ def test_upper_bound_respects_oracle(rng):
     pt = UnitCirclePoint(math.pi)
     speed = rotation_speed(p, pt)
     assert abs(speed - arg_derivative_fd(p, math.pi)) <= 1e-6
-    assert speed <= upper_bound_zero_free(p, pt) + 1e-9
+    assert speed <= full_report(p, pt).bounds["upper_zero_free"] + 1e-9
 
 
 def test_full_report_reference_point():
@@ -228,8 +229,8 @@ def test_rotation_covariance():
     p = from_roots(RootForm(1.0, (0.3, -0.4j)))
     theta0, phi = 0.9, 0.6
     w = cmath.exp(1j * theta0)
-    lhs = lambda_at(p, UnitCirclePoint(theta0 + phi)).value
-    rhs = lambda_at(p.rotated(w), UnitCirclePoint(phi)).value
+    lhs = lambda_at(p, UnitCirclePoint(theta0 + phi))
+    rhs = lambda_at(p.rotated(w), UnitCirclePoint(phi))
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -252,9 +253,9 @@ def test_lambda_dominates_coeff_chain(root_polar, theta):
         return
     lam = lambda_at(p, pt)
     rhs = bound_value(p, pt, lam)
-    tol = 1e-9 * max(1.0, abs(lam.value))
-    assert lam.value >= rhs - tol
+    tol = 1e-9 * max(1.0, abs(lam))
+    assert lam >= rhs - tol
     # reverse triangle step of the derivation
     w_mod = abs(p.constant / p.leading)
-    assert rhs >= 1.0 - (lam.value + 1.0) * w_mod - tol
-    assert lam.value >= bound_coeff(p) - tol
+    assert rhs >= 1.0 - (lam + 1.0) * w_mod - tol
+    assert lam >= bound_coeff(p) - tol

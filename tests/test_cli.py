@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -91,15 +92,22 @@ def test_scan_rational_input(capsys, monkeypatch):
     assert len(lines) == 3
 
 
-def test_scan_rejects_nonpositive_tolerance(capsys, monkeypatch):
-    code, _, err = run(
-        capsys,
-        ["scan", "--input", "-", "--theta", "0", "--tol", "-0.001"],
-        stdin="[[-0.5,0],[1,0]]",
-        monkeypatch=monkeypatch,
-    )
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--theta", "0", "--tol", "-0.001"], "positive"),
+        (["--theta", "0", "--tol", "nan"], "finite"),
+        (["--theta", "0", "--tol", "inf"], "finite"),
+        (["--theta", "0,nan"], "finite"),
+        (["--theta", "inf"], "finite"),
+    ],
+    ids=["negative", "tol_nan", "tol_inf", "theta_nan", "theta_inf"],
+)
+def test_scan_rejects_nonpositive_tolerance(capsys, monkeypatch, flags, message):
+    code, out, err = run(capsys, ["scan", "--input", "-", *flags], stdin="[[-0.5,0],[1,0]]", monkeypatch=monkeypatch)
     assert code == 1
-    assert "positive" in err
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize(
@@ -264,9 +272,16 @@ def test_fuzz_csv_format(capsys):
     assert out.splitlines()[0] == "check,cases,min_margin,violations"
 
 
-def test_fuzz_bad_degree_range(capsys):
-    code = main(["fuzz", "--degree-min", "5", "--degree-max", "2"])
+@pytest.mark.parametrize(
+    "flags",
+    [["--degree-min", "5", "--degree-max", "2"], ["--seed", "-1"], ["--count", "-3"]],
+    ids=["degree_range", "negative_seed", "negative_count"],
+)
+def test_fuzz_bad_degree_range(capsys, flags):
+    code = main(["fuzz", *flags])
+    captured = capsys.readouterr()
     assert code == 1
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_witness_value_kind(capsys, monkeypatch):
@@ -360,3 +375,14 @@ def test_witness_spec_round_trip():
     spec = WitnessSpec(kind="value", a=0.3 + 0.1j, unimodular_roots=(1j,))
     back = WitnessSpec.from_json(spec.to_json())
     assert back == spec
+
+
+GOLDEN = json.loads((Path(__file__).parent / "witness_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[c["spec"]["kind"] for c in GOLDEN])
+def test_witness_stdout_is_golden(capsys, monkeypatch, case):
+    # arc with alpha is left out: its increment runs through numpy's array
+    # kernel, whose last bits depend on the CPU's SIMD level
+    code, out, err = run(capsys, ["witness", "--spec", "-"], stdin=json.dumps(case["spec"]), monkeypatch=monkeypatch)
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])

@@ -74,13 +74,13 @@ def test_arc_increment_of_monomial():
 def test_arc_increment_first_order_taylor():
     p = from_roots(RootForm(1.0, (0.4, -0.5j, -0.6)))
     theta0 = 0.4
-    lam = lambda_at(p, UnitCirclePoint(theta0)).value
+    lam = lambda_at(p, UnitCirclePoint(theta0))
     alpha = 1e-2
     inc = arc_increment(p, ArcSpec(theta0, alpha))
     # curvature oracle: finite difference of lambda along the circle
     dlam = (
-        lambda_at(p, UnitCirclePoint(theta0 + 1e-4)).value
-        - lambda_at(p, UnitCirclePoint(theta0 - 1e-4)).value
+        lambda_at(p, UnitCirclePoint(theta0 + 1e-4))
+        - lambda_at(p, UnitCirclePoint(theta0 - 1e-4))
     ) / 2e-4
     assert abs(inc - lam * alpha) <= (abs(dlam) + 1.0) * alpha**2
 

@@ -10,7 +10,6 @@ from polyrot import (
     RootForm,
     UnitCirclePoint,
     ZeroProximity,
-    evaluate,
     from_roots,
     reverse_conjugate,
     rotation_speed,
@@ -20,13 +19,13 @@ from polyrot.poly import horner, horner_pair
 
 
 def test_evaluate_direct_substitution():
-    assert evaluate(Polynomial([-0.25, 0, 1]), 1j) == pytest.approx(-1.25)
-    assert evaluate(Polynomial([-0.5, 1]), 1.0) == pytest.approx(0.5)
+    assert Polynomial([-0.25, 0, 1])(1j) == pytest.approx(-1.25)
+    assert Polynomial([-0.5, 1])(1.0) == pytest.approx(0.5)
 
 
 def test_evaluate_vanishes_at_expanded_root():
     p = from_roots(RootForm(1.0, (0.3, 0.7j)))
-    assert abs(evaluate(p, 0.3)) <= 1e-14
+    assert abs(p(0.3)) <= 1e-14
 
 
 def test_from_roots_single():

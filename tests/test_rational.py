@@ -157,7 +157,7 @@ def test_pole_free_reduction_matches_polynomial_bound():
     pt = UnitCirclePoint(0.8)
     rep = check_rotation_bounds(r, pt)
     assert rep.reference == pytest.approx(p.degree / 2)
-    assert rep.lower_margin == pytest.approx(0.5 * lambda_at(p, pt).value, rel=1e-12)
+    assert rep.lower_margin == pytest.approx(0.5 * lambda_at(p, pt), rel=1e-12)
 
 
 def test_outside_zone_upper_bound(rng):

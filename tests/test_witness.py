@@ -24,7 +24,7 @@ def equality_gap_at_one(rf):
     p = from_roots(rf)
     pt = UnitCirclePoint(0.0)
     lam = lambda_at(p, pt)
-    return abs(lam.value - bound_value(p, pt, lam)), lam.value
+    return abs(lam - bound_value(p, pt, lam)), lam
 
 
 def test_value_witness_single_root():
@@ -79,16 +79,16 @@ def test_value_witness_validation():
 
 def test_arc_witness_hand_cases():
     p = from_roots(witness_arc(1.0, (-1,)))
-    assert abs(lambda_at(p, UnitCirclePoint(0.0)).value - 1.0) <= 1e-10
+    assert abs(lambda_at(p, UnitCirclePoint(0.0)) - 1.0) <= 1e-10
 
     p = from_roots(witness_arc(1.0, (1j, -1j)))
-    assert abs(lambda_at(p, UnitCirclePoint(0.0)).value - 1.0) <= 1e-10
+    assert abs(lambda_at(p, UnitCirclePoint(0.0)) - 1.0) <= 1e-10
 
 
 def test_arc_witness_leading_invariance():
     lead = 5.0 * cmath.exp(1j * math.pi / 7)
     p = from_roots(witness_arc(lead, (-1,)))
-    assert abs(lambda_at(p, UnitCirclePoint(0.0)).value - 1.0) <= 1e-10
+    assert abs(lambda_at(p, UnitCirclePoint(0.0)) - 1.0) <= 1e-10
 
 
 def test_arc_witness_increment_equals_alpha():
@@ -123,7 +123,7 @@ def test_unimodular_witness_properties():
     for k in range(64):
         theta = 2 * math.pi * k / 64
         try:
-            lam = lambda_at(p, UnitCirclePoint(theta)).value
+            lam = lambda_at(p, UnitCirclePoint(theta))
         except ZeroProximity:
             continue
         checked += 1
@@ -139,7 +139,7 @@ def test_unimodular_witness_single_root():
     rf = witness_unimodular(1, seed=2)
     p = from_roots(rf)
     phi = math.atan2(rf.roots[0].imag, rf.roots[0].real)
-    lam = lambda_at(p, UnitCirclePoint(phi + math.pi)).value
+    lam = lambda_at(p, UnitCirclePoint(phi + math.pi))
     assert abs(lam) <= 1e-12
 
 
