@@ -8,7 +8,6 @@ families that show each bound is attained.
 
 from .blaschke import (
     BlaschkeProduct,
-    arc_phase_map,
     boundary_derivative_modulus,
     check_goryainov,
     check_mercer,
@@ -35,7 +34,6 @@ from .errors import (
     HypothesisViolated,
     InvalidWitnessParams,
     NonConvergence,
-    PoleOnCircle,
     PolyrotError,
     RootAtOne,
     UnwrapAmbiguity,
@@ -48,21 +46,18 @@ from .poly import (
     UnitCirclePoint,
     circle_grid,
     from_roots,
-    reverse_conjugate,
     rotation_speed,
     sweep,
-    to_root_form,
 )
 from .rational import (
-    PoleBlaschke,
     RationalBoundReport,
     RationalFunction,
     arg_derivative,
-    blaschke_B,
     check_rotation_bounds,
     classify_numerator,
+    pole_speed,
 )
-from .roots import RootSolveConfig, ZeroClassification, classify_zeros, find_roots
+from .roots import ZeroClassification, classify_zeros, find_roots
 from .witness import (
     WitnessSpec,
     witness_arc,

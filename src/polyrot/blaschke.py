@@ -135,17 +135,6 @@ def normalized_self_map(rf: RootForm) -> BlaschkeProduct:
     return BlaschkeProduct(pre, 1, interior)
 
 
-def arc_phase_map(rf: RootForm) -> BlaschkeProduct:
-    """`normalized_self_map` without its zero at the origin: f(1) = 1 still.
-
-    On the circle its argument tracks 2 arg P(z) - n arg z up to a
-    constant, which is the quantity whose arc increment the finite
-    increment bound controls.
-    """
-    f = normalized_self_map(rf)
-    return BlaschkeProduct(f.prefactor, 0, f.factors)
-
-
 def boundary_derivative_modulus(p: Polynomial, pt: UnitCirclePoint) -> float:
     """|f'(z)| = 2 Re(z P'(z)/P(z)) - n + 1 on |z| = 1 for the origin-pinned map."""
     return 2.0 * rotation_speed(p, pt) - p.degree + 1.0

@@ -51,9 +51,18 @@ def _parse_scan_input(text: str, mode: str):
 
 def cmd_scan(args) -> int:
     try:
+        obj = _parse_scan_input(_read_input(args.input), args.mode)
         thetas = [float(t) for t in args.theta.split(",")] if args.theta else circle_grid(args.grid)
         checks = args.checks.split(",") if args.checks else BOUND_KEYS
         unknown = sorted(set(checks) - set(BOUND_KEYS))
+        if isinstance(obj, RationalFunction):
+            # A rational input has no coefficient/root mode, no polynomial bound to gate on and no arc check.
+            given = {"--coeffs": args.mode == "coeffs", "--roots": args.mode == "roots",
+                     "--checks": args.checks is not None, "--arc-alpha": args.arc_alpha is not None,
+                     "--arc-beta": args.arc_beta is not None}
+            ignored = [flag for flag, used in given.items() if used]
+            if ignored:
+                raise ValueError(f"{ignored[0]} does not apply to rational input")
         for bad, message in (
             (args.grid < 1, "grid count must be >= 1"),
             (args.tol <= 0.0, "tolerance must be positive"),
@@ -66,7 +75,6 @@ def cmd_scan(args) -> int:
         ):
             if bad:
                 raise ValueError(message)
-        obj = _parse_scan_input(_read_input(args.input), args.mode)
     except (ValueError, KeyError, TypeError, OSError, PolyrotError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -39,7 +39,3 @@ class DegenerateDerivative(PolyrotError):
 
 class InvalidWitnessParams(PolyrotError):
     """Witness parameters violate the constraints of the equality family."""
-
-
-class PoleOnCircle(PolyrotError):
-    """A pole with |a| = 1 was supplied; the pole product is undefined there."""

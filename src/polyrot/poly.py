@@ -56,6 +56,14 @@ def cross_term(coeffs: Sequence[complex]) -> complex:
     return coeffs[-1].conjugate() * coeffs[1] - coeffs[0] * coeffs[-2].conjugate()
 
 
+def finite_complex(values: Iterable[complex], what: str) -> tuple[complex, ...]:
+    """The values as complex numbers; a NaN or infinite part is an input error (ValueError)."""
+    cs = tuple(complex(c) for c in values)
+    if not all(map(cmath.isfinite, cs)):
+        raise ValueError(f"{what} must be finite")
+    return cs
+
+
 def expand_monic(roots: Iterable[complex]) -> list[complex]:
     """Coefficients of prod (z - r), ascending degree."""
     coeffs: list[complex] = [1.0 + 0j]
@@ -74,7 +82,7 @@ class Polynomial:
     coeffs: tuple[complex, ...]
 
     def __init__(self, coeffs: Iterable[complex]):
-        cs = tuple(complex(c) for c in coeffs)
+        cs = finite_complex(coeffs, "coefficients")
         if len(cs) < 2:
             raise ValueError("polynomial must have degree >= 1")
         scale = max(abs(c) for c in cs)
@@ -103,18 +111,6 @@ class Polynomial:
     def __call__(self, z: complex) -> complex:
         return horner(self.coeffs, z)
 
-    def scaled(self, c: complex) -> "Polynomial":
-        return Polynomial(tuple(c * ck for ck in self.coeffs))
-
-    def rotated(self, w: complex) -> "Polynomial":
-        """The substituted polynomial P(w z), coefficients c_k w^k."""
-        wk = 1.0 + 0j
-        out = []
-        for c in self.coeffs:
-            out.append(c * wk)
-            wk *= w
-        return Polynomial(out)
-
     def to_json(self) -> list[list[float]]:
         return [[c.real, c.imag] for c in self.coeffs]
 
@@ -131,11 +127,11 @@ class RootForm:
     roots: tuple[complex, ...]
 
     def __init__(self, leading: complex, roots: Iterable[complex]):
-        lead = complex(leading)
+        (lead,) = finite_complex((leading,), "leading coefficient")
         if abs(lead) == 0.0:
             raise ValueError("leading coefficient must be nonzero")
         object.__setattr__(self, "leading", lead)
-        object.__setattr__(self, "roots", tuple(complex(r) for r in roots))
+        object.__setattr__(self, "roots", finite_complex(roots, "roots"))
 
     @property
     def degree(self) -> int:
@@ -191,22 +187,6 @@ def from_roots(rf: RootForm) -> Polynomial:
     return Polynomial(tuple(rf.leading * c for c in coeffs))
 
 
-def conj_reversed_coeffs(coeffs: Sequence[complex]) -> tuple[complex, ...]:
-    """Coefficient list of z^n * conj(P(1/conj(z))): conjugate and reverse."""
-    return tuple(c.conjugate() for c in reversed(coeffs))
-
-
-def reverse_conjugate(p: Polynomial) -> Polynomial:
-    """The reversed-conjugate polynomial Q(z) = z^n conj(P(1/conj(z))).
-
-    Q has coefficients conj(c_{n-k}) and satisfies |Q(z)| = |P(z)| on
-    |z| = 1.  If P(0) is (numerically) zero the reversal would drop the
-    degree, which the Polynomial invariant forbids; such inputs are
-    rejected.
-    """
-    return Polynomial(conj_reversed_coeffs(p.coeffs))
-
-
 def rotation_speed(p: Polynomial, pt: UnitCirclePoint) -> float:
     """(d/dtheta) arg P(e^{i theta}) = Re(z P'(z)/P(z)) at z = e^{i theta}.
 
@@ -215,14 +195,3 @@ def rotation_speed(p: Polynomial, pt: UnitCirclePoint) -> float:
     vicinity.
     """
     return boundary_speed(p.coeffs, p.coeff_scale, pt.z)
-
-
-def to_root_form(p: Polynomial) -> RootForm:
-    """Solve for all zeros and return leading + roots.
-
-    Delegates to the simultaneous root iteration; raises NonConvergence
-    for inputs it cannot resolve.
-    """
-    from .roots import find_roots
-
-    return RootForm(p.leading, find_roots(p))

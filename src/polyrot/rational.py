@@ -17,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import PoleOnCircle
-from .poly import Polynomial, UnitCirclePoint, boundary_speed, horner
+from .poly import Polynomial, UnitCirclePoint, boundary_speed, finite_complex, horner
 from .report import csv_cell
 from .roots import ZeroClassification, classify_root_list, classify_zeros
 from .tolerances import CHECK_SLACK, LEADING_REL, POLE_CIRCLE_TOL
@@ -32,10 +31,8 @@ class RationalFunction:
     poles: tuple[complex, ...]
 
     def __init__(self, numerator, poles: Iterable[complex] = ()):
-        if isinstance(numerator, Polynomial):
-            num = numerator.coeffs
-        else:
-            num = tuple(complex(c) for c in numerator)
+        ps = finite_complex(poles, "poles")
+        num = finite_complex(numerator, "numerator coefficients")
         if not num:
             raise ValueError("numerator needs at least one coefficient")
         scale = max(abs(c) for c in num)
@@ -43,7 +40,6 @@ class RationalFunction:
             raise ValueError("numerator must not be identically zero")
         if len(num) > 1 and abs(num[-1]) < LEADING_REL * scale:
             raise ValueError("trailing numerator coefficient is (numerically) zero")
-        ps = tuple(complex(a) for a in poles)
         for a in ps:
             if abs(a) <= 1.0 + POLE_CIRCLE_TOL:
                 raise ValueError(f"pole at |a| = {abs(a):.6f}; all poles must satisfy |a| > 1")
@@ -74,42 +70,12 @@ class RationalFunction:
         return RationalFunction(num, ps)
 
 
-class PoleBlaschke:
-    """Evaluator for B(z) = prod (1 - conj(a_k) z) / (z - a_k) and its log derivative."""
-
-    def __init__(self, poles: Sequence[complex]):
-        self.poles = tuple(complex(a) for a in poles)
-
-    def __call__(self, z: complex) -> complex:
-        acc = 1.0 + 0j
-        for a in self.poles:
-            acc *= (1.0 - a.conjugate() * z) / (z - a)
-        return acc
-
-    def log_derivative(self, z: complex) -> complex:
-        s = 0j
-        for a in self.poles:
-            s += -a.conjugate() / (1.0 - a.conjugate() * z) - 1.0 / (z - a)
-        return s
-
-    def arg_derivative(self, pt: UnitCirclePoint) -> float:
-        """(arg B)'_theta = Re(z B'(z)/B(z)); equals sum (|a|^2 - 1)/|z - a|^2 on the circle."""
-        z = pt.z
-        return (z * self.log_derivative(z)).real
-
-
-def blaschke_B(poles: Iterable[complex]) -> PoleBlaschke:
-    """Pole product evaluator; rejects poles with |a| = 1.
-
-    Poles on either side of the circle are accepted here (the product is
-    defined for any |a| != 1), even though RationalFunction itself only
-    allows exterior poles.
-    """
-    ps = tuple(complex(a) for a in poles)
-    for a in ps:
-        if abs(abs(a) - 1.0) <= POLE_CIRCLE_TOL:
-            raise PoleOnCircle(f"|a| = {abs(a):.12f}")
-    return PoleBlaschke(ps)
+def pole_speed(poles: Sequence[complex], z: complex) -> float:
+    """(arg B)'_theta = Re(z B'(z)/B(z)) for the pole product B; equals sum (|a|^2 - 1)/|z - a|^2 on the circle."""
+    s = 0j
+    for a in poles:
+        s += -a.conjugate() / (1.0 - a.conjugate() * z) - 1.0 / (z - a)
+    return (z * s).real
 
 
 def arg_derivative(r: RationalFunction, pt: UnitCirclePoint) -> float:
@@ -187,9 +153,7 @@ def check_rotation_bounds(
     for the zeros again at every point.
     """
     value = arg_derivative(r, pt)
-    reference = 0.5 * (
-        r.num_degree - len(r.poles) + PoleBlaschke(r.poles).arg_derivative(pt)
-    )
+    reference = 0.5 * (r.num_degree - len(r.poles) + pole_speed(r.poles, pt.z))
     cls = classification or classify_numerator(r)
     lower_ok, upper_ok = cls.all_in_closed_disk, cls.none_inside_open_disk
     check_tol = tol * max(1.0, abs(value), abs(reference))

@@ -33,15 +33,6 @@ class InequalityCheck:
     margin: float
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "check": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "passed": self.passed,
-        }
-
 
 def format_float(x: float) -> str:
     if x == 0.0:

@@ -14,32 +14,14 @@ from dataclasses import dataclass
 
 from .errors import NonConvergence
 from .poly import Polynomial, horner, horner_pair
-from .tolerances import ON_CIRCLE_TOL
+from .tolerances import CONVERGENCE_TOL, MAX_ITERATIONS, ON_CIRCLE_TOL, RESIDUAL_TOL
 
 # Irrational angular offset for the initial guesses; avoids symmetric
 # stagnation on polynomials with rotational symmetry.
 _ANGLE_OFFSET = math.sqrt(2.0) / 2.0
 
 
-@dataclass(frozen=True)
-class RootSolveConfig:
-    max_iterations: int = 200
-    convergence_tol: float = 1e-13
-    residual_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
-        if not (0.0 < self.convergence_tol < 1.0):
-            raise ValueError("convergence_tol must lie in (0, 1)")
-        if self.residual_tol <= 0.0:
-            raise ValueError("residual_tol must be positive")
-
-
-DEFAULT_CONFIG = RootSolveConfig()
-
-
-def find_roots(p: Polynomial, cfg: RootSolveConfig | None = None) -> list[complex]:
+def find_roots(p: Polynomial) -> list[complex]:
     """All zeros of p, with multiplicity, in a deterministic order.
 
     Zeros at the origin are deflated exactly first; the remaining monic
@@ -49,7 +31,6 @@ def find_roots(p: Polynomial, cfg: RootSolveConfig | None = None) -> list[comple
     Raises NonConvergence when the iteration stalls and the residuals do
     not meet even the cluster-relaxed acceptance threshold.
     """
-    cfg = cfg or DEFAULT_CONFIG
     lead = p.leading
     monic = [c / lead for c in p.coeffs]
 
@@ -70,7 +51,7 @@ def find_roots(p: Polynomial, cfg: RootSolveConfig | None = None) -> list[comple
     radius = math.sqrt(1.0 + max(abs(c) for c in monic[:-1]))
     zs = [radius * cmath.exp(1j * (2.0 * math.pi * j / m + _ANGLE_OFFSET)) for j in range(m)]
 
-    for iterations in range(1, cfg.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         movement = 0.0
         residual_ok = True
         for j in range(m):
@@ -97,17 +78,17 @@ def find_roots(p: Polynomial, cfg: RootSolveConfig | None = None) -> list[comple
             step = newton if abs(denom) < 1e-300 else newton / denom
             zs[j] = zj - step
             movement = max(movement, abs(step) / (1.0 + abs(zs[j])))
-        if residual_ok or movement < cfg.convergence_tol:
+        if residual_ok or movement < CONVERGENCE_TOL:
             break
 
     # An iteration that stalled with acceptable residuals has met a cluster:
     # clusters are ill conditioned, so accept them at the relaxed threshold
     # and keep the approximations.
-    relaxed = cfg.residual_tol ** (1.0 / m)
+    relaxed = RESIDUAL_TOL ** (1.0 / m)
     for z in zs:
         res = abs(horner(monic, z))
         res_scale = abs_sum * max(1.0, abs(z)) ** m
-        if res > cfg.residual_tol * res_scale and res > relaxed * res_scale:
+        if res > RESIDUAL_TOL * res_scale and res > relaxed * res_scale:
             raise NonConvergence(iterations)
 
     roots.extend(zs)
@@ -129,10 +110,6 @@ class ZeroClassification:
         return self.outside == 0
 
     @property
-    def all_on_circle(self) -> bool:
-        return self.on_circle == len(self.roots)
-
-    @property
     def none_inside_open_disk(self) -> bool:
         return self.inside == 0
 
@@ -151,6 +128,6 @@ def classify_root_list(roots) -> ZeroClassification:
     return ZeroClassification(rs, inside, on, outside)
 
 
-def classify_zeros(p: Polynomial, cfg: RootSolveConfig | None = None) -> ZeroClassification:
+def classify_zeros(p: Polynomial) -> ZeroClassification:
     """Solve for the zeros of p and partition them against the unit circle."""
-    return classify_root_list(find_roots(p, cfg))
+    return classify_root_list(find_roots(p))

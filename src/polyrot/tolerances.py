@@ -13,6 +13,14 @@ ZERO_PROXIMITY_REL = 1e-12
 # A leading coefficient below this * max|c_k| leaves the degree numerically ambiguous.
 LEADING_REL = 1e-13
 
+# Stopping rules of the Aberth-Ehrlich root solver.
+# Sweeps before the solver stops and judges the residuals; cubic convergence settles simple roots in far fewer.
+MAX_ITERATIONS = 200
+# Relative root movement per sweep below which the iteration has stalled: a few hundred ulps of a double.
+CONVERGENCE_TOL = 1e-13
+# Root residual |P(z)| / (sum|c_k| max(1, |z|)^m) at degree m; acceptance relaxes it to RESIDUAL_TOL^(1/m) so clusters pass.
+RESIDUAL_TOL = 1e-10
+
 # Position against the unit circle.
 # The root solver does not resolve |z| more finely: zeros (and witness parameters) this close to 1 are unimodular.
 ON_CIRCLE_TOL = 1e-9

@@ -111,7 +111,7 @@ def witness_rational(
 
 @dataclass(frozen=True)
 class WitnessSpec:
-    """Serializable description of one witness; round-trips through the CLI."""
+    """Description of one witness, as the `witness` command reads it from JSON."""
 
     kind: str  # value | arc | goryainov | unimodular | rational
     a: complex | None = None
@@ -123,23 +123,6 @@ class WitnessSpec:
     coeff_beta: complex | None = None
     n: int | None = None
     seed: int | None = None
-
-    def to_json(self) -> dict:
-        def pair(w):
-            return None if w is None else [w.real, w.imag]
-
-        return {
-            "kind": self.kind,
-            "a": pair(self.a),
-            "leading": pair(self.leading),
-            "unimodular_roots": [[r.real, r.imag] for r in self.unimodular_roots],
-            "alpha": self.alpha,
-            "poles": [[p.real, p.imag] for p in self.poles],
-            "coeff_alpha": pair(self.coeff_alpha),
-            "coeff_beta": pair(self.coeff_beta),
-            "n": self.n,
-            "seed": self.seed,
-        }
 
     @staticmethod
     def from_json(data: dict) -> "WitnessSpec":

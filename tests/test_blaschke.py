@@ -11,7 +11,6 @@ from polyrot import (
     RootAtOne,
     RootForm,
     UnitCirclePoint,
-    arc_phase_map,
     boundary_derivative_modulus,
     check_goryainov,
     check_mercer,
@@ -224,13 +223,6 @@ def test_mercer_remark_sweep(rng):
 def test_mercer_remark_rejects_outside_zeros():
     with pytest.raises(HypothesisViolated):
         check_mercer_remark(Polynomial([-2, 1]))
-
-
-def test_arc_phase_map_is_identity_on_arc_witness():
-    rf = RootForm(1.0, (0j, 1j, -1j))
-    f = arc_phase_map(rf)
-    for z in (0.5, -0.2j, cmath.exp(0.8j), 1.0 + 0j):
-        assert abs(f(z) - z) <= 1e-10
 
 
 def test_prefactor_must_be_unimodular():

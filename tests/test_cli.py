@@ -92,19 +92,29 @@ def test_scan_rational_input(capsys, monkeypatch):
     assert len(lines) == 3
 
 
+POLY = "[[-0.5,0],[1,0]]"
+RATIONAL = '{"numerator": [[1, 0], [-2, 0]], "poles": [[2, 0]]}'
+
+
 @pytest.mark.parametrize(
-    "flags, message",
+    "stdin, flags, message",
     [
-        (["--theta", "0", "--tol", "-0.001"], "positive"),
-        (["--theta", "0", "--tol", "nan"], "finite"),
-        (["--theta", "0", "--tol", "inf"], "finite"),
-        (["--theta", "0,nan"], "finite"),
-        (["--theta", "inf"], "finite"),
+        (POLY, ["--theta", "0", "--tol", "-0.001"], "positive"),
+        (POLY, ["--theta", "0", "--tol", "nan"], "finite"),
+        (POLY, ["--theta", "0", "--tol", "inf"], "finite"),
+        (POLY, ["--theta", "0,nan"], "finite"),
+        (POLY, ["--theta", "inf"], "finite"),
+        (RATIONAL, ["--theta", "0", "--coeffs"], "--coeffs does not apply to rational input"),
+        (RATIONAL, ["--theta", "0", "--roots"], "--roots does not apply to rational input"),
+        (RATIONAL, ["--theta", "0", "--checks", "classic"], "--checks does not apply to rational input"),
+        (RATIONAL, ["--theta", "0", "--arc-alpha", "0.3"], "--arc-alpha does not apply to rational input"),
+        (RATIONAL, ["--theta", "0", "--arc-beta", "0.5"], "--arc-beta does not apply to rational input"),
     ],
-    ids=["negative", "tol_nan", "tol_inf", "theta_nan", "theta_inf"],
+    ids=["negative", "tol_nan", "tol_inf", "theta_nan", "theta_inf",
+         "rational_coeffs", "rational_roots", "rational_checks", "rational_arc_alpha", "rational_arc_beta"],
 )
-def test_scan_rejects_nonpositive_tolerance(capsys, monkeypatch, flags, message):
-    code, out, err = run(capsys, ["scan", "--input", "-", *flags], stdin="[[-0.5,0],[1,0]]", monkeypatch=monkeypatch)
+def test_scan_rejects_nonpositive_tolerance(capsys, monkeypatch, stdin, flags, message):
+    code, out, err = run(capsys, ["scan", "--input", "-", *flags], stdin=stdin, monkeypatch=monkeypatch)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and message in err
@@ -124,6 +134,25 @@ def test_scan_rejects_arc_angle_outside_open_half_turn(capsys, monkeypatch, arc_
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and flag in err
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["scan", "--theta", "0.5"], "[[NaN,0],[1,0]]"),
+        (["scan", "--theta", "0.5"], '{"numerator": [[1, 0]], "poles": [[NaN, 0]]}'),
+        (["scan", "--theta", "0.5"], '{"leading": [1, 0], "roots": [[Infinity, 0]]}'),
+        (["witness"], '{"kind": "rational", "poles": [[NaN, 0]], "coeff_alpha": [1, 0], "coeff_beta": [0, 1]}'),
+        (["witness"], '{"kind": "value", "a": [NaN, 0]}'),
+    ],
+    ids=["nan_coefficient", "nan_pole", "infinite_root", "witness_nan_pole", "witness_nan_value"],
+)
+def test_non_finite_input_is_input_error(capsys, monkeypatch, argv, stdin):
+    # NaN and Infinity are valid JSON to Python's parser; a violated inequality (2) or a clean pass (0) would hide them.
+    code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "finite" in err
 
 
 def test_scan_rejects_empty_grid(capsys, monkeypatch):
@@ -367,14 +396,6 @@ def test_witness_toolkit_error_is_input_error(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
-
-
-def test_witness_spec_round_trip():
-    from polyrot.witness import WitnessSpec
-
-    spec = WitnessSpec(kind="value", a=0.3 + 0.1j, unimodular_roots=(1j,))
-    back = WitnessSpec.from_json(spec.to_json())
-    assert back == spec
 
 
 GOLDEN = json.loads((Path(__file__).parent / "witness_golden.json").read_text())

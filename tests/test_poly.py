@@ -10,10 +10,9 @@ from polyrot import (
     RootForm,
     UnitCirclePoint,
     ZeroProximity,
+    find_roots,
     from_roots,
-    reverse_conjugate,
     rotation_speed,
-    to_root_form,
 )
 from polyrot.poly import horner, horner_pair
 
@@ -48,38 +47,6 @@ def test_from_roots_rejects_zero_leading():
         RootForm(0.0, (0.5,))
 
 
-def test_reverse_conjugate_real_coeffs():
-    q = reverse_conjugate(Polynomial([-0.5, 1]))
-    assert q.coeffs == (1 + 0j, -0.5 + 0j)
-
-
-def test_reverse_conjugate_complex_coeffs():
-    q = reverse_conjugate(Polynomial([1j, 0, 2]))
-    assert q.coeffs == (2 + 0j, 0j, -1j)
-
-
-def test_reverse_conjugate_is_involution():
-    p = Polynomial([0.2 - 1j, 1.5, -0.3j, 2 + 2j])
-    assert reverse_conjugate(reverse_conjugate(p)).coeffs == p.coeffs
-
-
-def test_reverse_conjugate_preserves_boundary_modulus(rng):
-    for _ in range(20):
-        coeffs = rng.normal(size=5) + 1j * rng.normal(size=5)
-        coeffs[0] += 3.0  # keep |c0| away from 0 so the reversal keeps the degree
-        p = Polynomial(coeffs)
-        q = reverse_conjugate(p)
-        for theta in rng.uniform(0, 2 * math.pi, size=5):
-            z = cmath.exp(1j * theta)
-            assert abs(abs(p(z)) - abs(q(z))) <= 1e-12 * p.coeff_scale
-
-
-def test_reverse_conjugate_rejects_degree_drop():
-    # P(0) = 0 would reverse into a list with zero leading coefficient
-    with pytest.raises(ValueError):
-        reverse_conjugate(Polynomial([0, 0, 1]))
-
-
 def test_rotation_speed_monomial_is_degree():
     for n in (1, 3, 7):
         p = Polynomial([0] * n + [1])
@@ -112,27 +79,18 @@ def test_polynomial_invariants():
         Polynomial([])
 
 
-def test_rotated_polynomial_matches_substitution():
-    p = Polynomial([1, -2j, 0.5])
-    w = cmath.exp(0.7j)
-    q = p.rotated(w)
-    for z in (0.3 + 0.1j, 1j, -0.8):
-        assert q(z) == pytest.approx(p(w * z), rel=1e-13)
-
-
 def test_to_root_form_simple_cases():
-    rf = to_root_form(Polynomial([-0.5, 1]))
-    assert rf.leading == 1
-    assert rf.roots[0] == pytest.approx(0.5)
+    roots = find_roots(Polynomial([-0.5, 1]))
+    assert roots[0] == pytest.approx(0.5)
 
-    rf = to_root_form(Polynomial([0, 0, 1]))
-    assert sorted(abs(r) for r in rf.roots) == [0.0, 0.0]
+    roots = find_roots(Polynomial([0, 0, 1]))
+    assert sorted(abs(r) for r in roots) == [0.0, 0.0]
 
 
 def test_to_root_form_wilkinson_style():
     planted = [k / 20 for k in range(1, 11)]
     p = from_roots(RootForm(1.0, planted))
-    solved = sorted(r.real for r in to_root_form(p).roots)
+    solved = sorted(r.real for r in find_roots(p))
     assert max(abs(a - b) for a, b in zip(solved, planted)) <= 1e-8
 
 
@@ -145,7 +103,7 @@ def test_root_form_round_trip_well_separated(rng):
             if all(abs(cand - r) > 0.15 for r in roots):
                 roots.append(cand)
         p = from_roots(RootForm(1.0, roots))
-        back = from_roots(to_root_form(p))
+        back = from_roots(RootForm(p.leading, find_roots(p)))
         for a, b in zip(back.coeffs, p.coeffs):
             assert abs(a - b) <= 1e-8 * max(1.0, p.coeff_scale)
 

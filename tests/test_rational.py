@@ -4,16 +4,15 @@ import math
 import pytest
 
 from polyrot import (
-    PoleOnCircle,
     Polynomial,
     RationalFunction,
     UnitCirclePoint,
     ZeroProximity,
     arg_derivative,
-    blaschke_B,
     check_rotation_bounds,
     from_roots,
     lambda_at,
+    pole_speed,
     rotation_speed,
     witness_rational,
 )
@@ -31,31 +30,12 @@ def fd_arg_derivative(func, theta, h=1e-6):
     return (d - math.pi) / (2 * h)
 
 
-def test_pole_product_single_pole():
-    B = blaschke_B([2.0])
-    assert B(1.0 + 0j) == pytest.approx(1.0)
-    assert B.arg_derivative(UnitCirclePoint(0.0)) == pytest.approx(3.0)
-
-
-def test_pole_product_empty():
-    B = blaschke_B([])
-    assert B(0.7j) == 1.0
-    assert B.arg_derivative(UnitCirclePoint(1.0)) == 0.0
-
-
-def test_pole_product_rejects_circle_pole():
-    with pytest.raises(PoleOnCircle):
-        blaschke_B([cmath.exp(0.4j)])
-
-
 def test_pole_product_boundary_modulus_and_positivity(rng):
     for _ in range(10):
         poles = [rng.uniform(1.2, 4.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(int(rng.integers(1, 5)))]
-        B = blaschke_B(poles)
         for theta in rng.uniform(0, 2 * math.pi, size=100):
             z = cmath.exp(1j * theta)
-            assert abs(abs(B(z)) - 1.0) <= 1e-10
-            speed = B.arg_derivative(UnitCirclePoint(float(theta)))
+            speed = pole_speed(poles, z)
             explicit = sum((abs(a) ** 2 - 1.0) / abs(z - a) ** 2 for a in poles)
             assert speed == pytest.approx(explicit, rel=1e-10)
             assert speed > 0.0
@@ -95,7 +75,7 @@ def test_arg_derivative_is_numerator_speed_minus_pole_terms(rng):
         expected = rotation_speed(num, pt)
         for a in poles:
             expected -= (z / (z - a)).real
-        assert arg_derivative(RationalFunction(num, poles), pt) == expected
+        assert arg_derivative(RationalFunction(num.coeffs, poles), pt) == expected
 
 
 def test_zero_proximity_guard():
@@ -114,12 +94,11 @@ def test_pole_product_itself_gives_half_its_speed_as_margin():
 
     num = [lead * c for c in expand_monic([1 / complex(a).conjugate() for a in poles])]
     r = RationalFunction(num, poles)
-    B = blaschke_B(poles)
     for theta in (0.3, 1.0, 2.5):
         rep = check_rotation_bounds(r, UnitCirclePoint(theta))
         assert rep.lower_applicable and not rep.upper_applicable
         assert rep.lower_margin == pytest.approx(
-            0.5 * B.arg_derivative(UnitCirclePoint(theta)), rel=1e-9
+            0.5 * pole_speed(poles, UnitCirclePoint(theta).z), rel=1e-9
         )
         assert rep.lower_margin > 0.0
 
@@ -190,3 +169,29 @@ def test_rational_serialization_round_trip():
     back = RationalFunction.from_json(r.to_json())
     assert back.numerator == r.numerator
     assert back.poles == r.poles
+
+
+def test_margins_are_half_the_numerator_excess_rotation(rng):
+    # (arg R)' - (m - n + (arg B)')/2 = (arg P)' - m/2: the pole terms cancel, so the
+    # lower margin is lambda_P / 2 of the numerator and the upper margin its negative.
+    lower = upper = 0
+    for _ in range(300):
+        radius = (0.05, 0.98) if rng.uniform() < 0.5 else (1.02, 3.0)
+        m = int(rng.integers(1, 9))
+        roots = [rng.uniform(*radius) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(m)]
+        poles = [rng.uniform(1.1, 4.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(int(rng.integers(0, 5)))]
+        num = from_roots(RootForm(complex(rng.normal(), rng.normal()), roots))
+        pt = UnitCirclePoint(float(rng.uniform(0, 2 * math.pi)))
+        try:
+            rep = check_rotation_bounds(RationalFunction(num.coeffs, poles), pt)
+        except ZeroProximity:
+            continue
+        half_lambda = 0.5 * lambda_at(num, pt)
+        tol = 1e-12 * max(1.0, abs(rep.value), abs(rep.reference))
+        if rep.lower_margin is not None:
+            lower += 1
+            assert abs(rep.lower_margin - half_lambda) <= tol
+        if rep.upper_margin is not None:
+            upper += 1
+            assert abs(rep.upper_margin + half_lambda) <= tol
+    assert lower >= 100 and upper >= 100

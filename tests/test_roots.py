@@ -8,11 +8,11 @@ from polyrot import (
     NonConvergence,
     Polynomial,
     RootForm,
-    RootSolveConfig,
     classify_zeros,
     find_roots,
     from_roots,
 )
+from polyrot.tolerances import RESIDUAL_TOL
 
 
 def _sorted(zs):
@@ -61,15 +61,14 @@ def test_root_count_and_vieta(rng):
 
 
 def test_residual_postcondition(rng):
-    cfg = RootSolveConfig()
     for _ in range(20):
         n = int(rng.integers(2, 9))
         coeffs = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
         coeffs[-1] += 1.5
         p = Polynomial(coeffs)
         total = sum(abs(c) for c in p.coeffs)
-        for r in find_roots(p, cfg):
-            assert abs(p(r)) <= cfg.residual_tol * total * max(1.0, abs(r)) ** n
+        for r in find_roots(p):
+            assert abs(p(r)) <= RESIDUAL_TOL * total * max(1.0, abs(r)) ** n
 
 
 def test_agrees_with_companion_matrix_method(rng):
@@ -82,21 +81,14 @@ def test_agrees_with_companion_matrix_method(rng):
         assert max(abs(a - b) for a, b in zip(mine, ref)) <= 1e-7
 
 
-def test_nonconvergence_carries_iterations():
-    cfg = RootSolveConfig(max_iterations=1, convergence_tol=1e-15, residual_tol=1e-14)
+def test_nonconvergence_carries_iterations(monkeypatch):
+    monkeypatch.setattr("polyrot.roots.MAX_ITERATIONS", 1)
+    monkeypatch.setattr("polyrot.roots.CONVERGENCE_TOL", 1e-15)
+    monkeypatch.setattr("polyrot.roots.RESIDUAL_TOL", 1e-14)
     p = from_roots(RootForm(1.0, [0.3, -0.8, 0.5j, -0.2j, 0.9]))
     with pytest.raises(NonConvergence) as exc:
-        find_roots(p, cfg)
+        find_roots(p)
     assert exc.value.iterations_used == 1
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        RootSolveConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        RootSolveConfig(convergence_tol=1.5)
-    with pytest.raises(ValueError):
-        RootSolveConfig(residual_tol=-1.0)
 
 
 def test_classify_inside_and_outside():
@@ -117,7 +109,6 @@ def test_classify_roots_of_unity():
     p = from_roots(RootForm(1.0, tuple(cmath.exp(2j * math.pi * k / 5) for k in range(5))))
     cls = classify_zeros(p)
     assert cls.on_circle == 5
-    assert cls.all_on_circle
     assert cls.all_in_closed_disk
     assert cls.none_inside_open_disk
 
