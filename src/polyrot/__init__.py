@@ -39,7 +39,7 @@ from .errors import (
     UnwrapAmbiguity,
     ZeroProximity,
 )
-from .oracle import ArcSpec, arc_increment, arg_derivative_fd
+from .oracle import arc_increment, arg_derivative_fd
 from .poly import (
     Polynomial,
     RootForm,

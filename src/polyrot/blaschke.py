@@ -2,16 +2,16 @@
 
 For P(z) = cn prod (z - a_k) with zeros in the closed disk, the product
 
-    f(z) = prefactor * z^m * prod_{|a_k| < 1} (z - a_k) / (1 - conj(a_k) z)
+    f(z) = prefactor * z * prod_{|a_k| < 1} (z - a_k) / (1 - conj(a_k) z)
 
 maps the disk into itself and the circle to the circle.  Zeros on the
 circle contribute constant unimodular factors (z - a)/(1 - conj(a) z)
 = -1/conj(a) and are folded into the prefactor, which removes their
 spurious 0/0 boundary singularities.  On |z| = 1 away from zeros of P
-the two constructions used here satisfy the boundary derivative identity
+both constructions used here, which add a zero at the origin, satisfy
+the boundary derivative identity
 
-    |f'(z)| = 2 Re(z P'(z)/P(z)) - n + 1      (extra zero at the origin)
-    |f'(z)| = 2 Re(z P'(z)/P(z)) - n          (no extra zero)
+    |f'(z)| = 2 Re(z P'(z)/P(z)) - n + 1
 
 so the self-map inequalities translate directly into rotation bounds.
 """
@@ -25,12 +25,11 @@ from typing import Iterable
 from .errors import DegenerateDerivative, HypothesisViolated, RootAtOne
 from .poly import Polynomial, RootForm, UnitCirclePoint, cross_term, from_roots, rotation_speed
 from .report import InequalityCheck
-from .roots import classify_zeros
+from .roots import ZeroClassification, classify_root_list, classify_zeros
 from .tolerances import (
     ANGULAR_DERIVATIVE_SLACK,
     CHECK_SLACK,
     DEGENERATE_DERIVATIVE_TOL,
-    ON_CIRCLE_TOL,
     PREFACTOR_UNIMODULAR_TOL,
     ROOT_AT_ONE_TOL,
     SELF_MAP_ONE_TOL,
@@ -40,64 +39,41 @@ from .tolerances import (
 
 @dataclass(frozen=True)
 class BlaschkeProduct:
-    """Unimodular prefactor times z^monomial_power times interior disk factors."""
+    """Unimodular prefactor times z times interior disk factors."""
 
     prefactor: complex
-    monomial_power: int
     factors: tuple[complex, ...]
 
-    def __init__(self, prefactor: complex, monomial_power: int = 0, factors: Iterable[complex] = ()):
+    def __init__(self, prefactor: complex, factors: Iterable[complex] = ()):
         pre = complex(prefactor)
         if abs(abs(pre) - 1.0) > PREFACTOR_UNIMODULAR_TOL:
             raise ValueError("prefactor must be unimodular")
-        if monomial_power < 0:
-            raise ValueError("monomial power must be >= 0")
         fs = tuple(complex(a) for a in factors)
         for a in fs:
             if abs(a) >= 1.0:
                 raise ValueError("interior factors require |a| < 1")
         object.__setattr__(self, "prefactor", pre)
-        object.__setattr__(self, "monomial_power", monomial_power)
         object.__setattr__(self, "factors", fs)
 
     def __call__(self, z: complex) -> complex:
-        acc = self.prefactor * z**self.monomial_power
+        acc = self.prefactor * z
         for a in self.factors:
             acc *= (z - a) / (1.0 - a.conjugate() * z)
         return acc
 
     def derivative_at_zero(self) -> complex:
-        if self.monomial_power > 1:
-            return 0j
-        if self.monomial_power == 1:
-            acc = self.prefactor
-            for a in self.factors:
-                acc *= -a
-            return acc
-        # power 0: product rule at the origin
-        total = 0j
-        for j, aj in enumerate(self.factors):
-            term = (1.0 - abs(aj) ** 2) + 0j
-            for k, ak in enumerate(self.factors):
-                if k != j:
-                    term *= -ak
-            total += term
-        return self.prefactor * total
+        acc = self.prefactor
+        for a in self.factors:
+            acc *= -a
+        return acc
 
 
-def _split_roots(roots: Iterable[complex]) -> tuple[list[complex], list[complex]]:
-    """Partition zeros into interior factors and on-circle constants."""
-    interior: list[complex] = []
-    unimodular: list[complex] = []
-    for a in roots:
-        d = abs(a) - 1.0
-        if abs(d) <= ON_CIRCLE_TOL:
-            unimodular.append(a / abs(a))
-        elif d < 0:
-            interior.append(a)
-        else:
-            raise HypothesisViolated(f"zero at |a| = {abs(a):.6f} lies outside the closed unit disk")
-    return interior, unimodular
+def _closed_disk_zeros(rf: RootForm) -> ZeroClassification:
+    """The classified zeros of rf; raises HypothesisViolated on the first zero outside the closed disk."""
+    cls = classify_root_list(rf.roots)
+    if cls.outside:
+        raise HypothesisViolated(f"zero at |a| = {abs(cls.outside[0]):.6f} lies outside the closed unit disk")
+    return cls
 
 
 def _check_not_at_one(roots: Iterable[complex]) -> None:
@@ -112,11 +88,11 @@ def disk_self_map(rf: RootForm) -> BlaschkeProduct:
     Satisfies f(0) = 0, f'(0) = c0 / conj(cn); zeros on the circle are
     folded into the unimodular prefactor.
     """
-    interior, unimodular = _split_roots(rf.roots)
+    cls = _closed_disk_zeros(rf)
     pre = rf.leading / rf.leading.conjugate()
-    for a in unimodular:
-        pre *= -1.0 / a.conjugate()
-    return BlaschkeProduct(pre, 1, interior)
+    for a in cls.on_circle:
+        pre *= -1.0 / (a / abs(a)).conjugate()  # snapped onto the circle
+    return BlaschkeProduct(pre, cls.inside)
 
 
 def normalized_self_map(rf: RootForm) -> BlaschkeProduct:
@@ -128,11 +104,11 @@ def normalized_self_map(rf: RootForm) -> BlaschkeProduct:
     Raises RootAtOne when a zero sits at z = 1.
     """
     _check_not_at_one(rf.roots)
-    interior, _ = _split_roots(rf.roots)
+    interior = _closed_disk_zeros(rf).inside
     pre = 1.0 + 0j
     for a in interior:
         pre *= (1.0 - a.conjugate()) / (1.0 - a)
-    return BlaschkeProduct(pre, 1, interior)
+    return BlaschkeProduct(pre, interior)
 
 
 def boundary_derivative_modulus(p: Polynomial, pt: UnitCirclePoint) -> float:
@@ -196,7 +172,7 @@ def check_mercer_remark(p: Polynomial) -> InequalityCheck:
     For zeros-in-disk polynomials this reads
     |c1 conj(cn) - c0 conj(c_{n-1})| <= |cn|^2 - |c0|^2.
     """
-    if not classify_zeros(p).all_in_closed_disk:
+    if classify_zeros(p).outside:
         raise HypothesisViolated("zeros outside the closed unit disk")
     c = p.coeffs
     lhs = abs(cross_term(c))

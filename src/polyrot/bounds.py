@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import HypothesisViolated
-from .oracle import ArcSpec, arc_increment
+from .oracle import arc_increment
 from .poly import Polynomial, UnitCirclePoint, cross_term, guard_zero, rotation_speed
 from .report import BOUND_KEYS, csv_cell
 from .roots import ZeroClassification, classify_zeros
@@ -96,7 +96,7 @@ def bound_arc(
     """
     if beta is not None and not (0.0 < beta < math.pi):
         raise ValueError("beta must lie in (0, pi)")
-    measured = arc_increment(p, ArcSpec(pt.theta, alpha), classification)
+    measured = arc_increment(p, pt.theta, alpha, classification)
     use_beta = measured if beta is None else beta
     if measured > use_beta + ARC_INCREMENT_SLACK or use_beta >= math.pi:
         raise HypothesisViolated(
@@ -187,7 +187,7 @@ def full_report(
         margins[key] = margin
         flags[key] = "na" if margin is None else "pass" if margin >= -tol else "fail"
 
-    lower_ok = cls.all_in_closed_disk
+    lower_ok = not cls.outside
     for key, value in (
         ("classic", 0.0),
         ("coeff", bound_coeff(p)),
@@ -204,7 +204,7 @@ def full_report(
         except HypothesisViolated:
             pass
 
-    if cls.none_inside_open_disk:
+    if not cls.inside:
         value = bound_zero_free(p)
         record("upper_zero_free", value, value - speed)
 

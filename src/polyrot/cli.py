@@ -75,20 +75,19 @@ def cmd_scan(args) -> int:
         ):
             if bad:
                 raise ValueError(message)
+        # The zeros do not depend on theta: classify them once per input.
+        cls = classify_numerator(obj) if isinstance(obj, RationalFunction) else classify_zeros(obj)
     except (ValueError, KeyError, TypeError, OSError, PolyrotError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    # The zeros do not depend on theta: classify them once per input.
     if isinstance(obj, RationalFunction):
-        cls = classify_numerator(obj)
         header = RationalBoundReport.CSV_HEADER
 
         def evaluate(pt):
             return check_rotation_bounds(obj, pt, tol=args.tol, classification=cls)
 
     else:
-        cls = classify_zeros(obj)
         header = CSV_HEADER
         arc = None if args.arc_alpha is None else (args.arc_alpha, args.arc_beta)
 

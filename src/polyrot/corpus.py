@@ -14,7 +14,7 @@ import numpy as np
 
 from .poly import Polynomial, RootForm, UnitCirclePoint, from_roots
 from .rational import RationalFunction
-from .tolerances import SAMPLE_FLOOR_REL
+from .tolerances import SAMPLE_FLOOR_REL, SAMPLE_TRIES
 
 ZONES = ("in_disk", "on_circle", "outside", "mixed")
 
@@ -24,7 +24,7 @@ def random_leading(rng: np.random.Generator) -> complex:
     return mag * cmath.exp(1j * float(rng.uniform(0.0, 2.0 * math.pi)))
 
 
-def random_roots(rng: np.random.Generator, n: int, zone: str, radius_cap: float = 1.0) -> list[complex]:
+def random_roots(rng: np.random.Generator, n: int, zone: str) -> list[complex]:
     if zone not in ZONES:
         raise ValueError(f"unknown zone {zone!r}")
     roots: list[complex] = []
@@ -35,7 +35,7 @@ def random_roots(rng: np.random.Generator, n: int, zone: str, radius_cap: float 
         else:
             z = zone
         if z == "in_disk":
-            r = radius_cap * math.sqrt(float(rng.uniform()))
+            r = math.sqrt(float(rng.uniform()))
         elif z == "on_circle":
             r = 1.0
         else:  # outside, inverted area-uniform, bounded away from the circle
@@ -44,13 +44,8 @@ def random_roots(rng: np.random.Generator, n: int, zone: str, radius_cap: float 
     return roots
 
 
-def random_polynomial(
-    rng: np.random.Generator,
-    degree: int,
-    zone: str,
-    radius_cap: float = 1.0,
-) -> tuple[RootForm, Polynomial]:
-    rf = RootForm(random_leading(rng), random_roots(rng, degree, zone, radius_cap))
+def random_polynomial(rng: np.random.Generator, degree: int, zone: str) -> tuple[RootForm, Polynomial]:
+    rf = RootForm(random_leading(rng), random_roots(rng, degree, zone))
     return rf, from_roots(rf)
 
 
@@ -68,15 +63,10 @@ def random_rational(
     return rf, RationalFunction(p.coeffs, random_poles(rng, n_poles))
 
 
-def valid_theta(
-    rng: np.random.Generator,
-    p: Polynomial,
-    min_rel: float = SAMPLE_FLOOR_REL,
-    tries: int = 500,
-) -> float | None:
-    """A random angle where |P(e^{i theta})| > min_rel * max|c_k|, or None."""
-    floor = min_rel * p.coeff_scale
-    for _ in range(tries):
+def valid_theta(rng: np.random.Generator, p: Polynomial) -> float | None:
+    """A random angle where |P(e^{i theta})| > SAMPLE_FLOOR_REL * max|c_k|, or None after SAMPLE_TRIES draws."""
+    floor = SAMPLE_FLOOR_REL * p.coeff_scale
+    for _ in range(SAMPLE_TRIES):
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         if abs(p(UnitCirclePoint(theta).z)) > floor:
             return theta

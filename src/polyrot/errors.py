@@ -12,9 +12,9 @@ class ZeroProximity(PolyrotError):
 class NonConvergence(PolyrotError):
     """The root iteration failed to settle within the allowed iterations."""
 
-    def __init__(self, iterations_used: int, message: str | None = None):
+    def __init__(self, iterations_used: int):
         self.iterations_used = iterations_used
-        super().__init__(message or f"root iteration did not converge after {iterations_used} iterations")
+        super().__init__(f"root iteration did not converge after {iterations_used} iterations")
 
 
 class HypothesisViolated(PolyrotError):

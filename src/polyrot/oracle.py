@@ -8,16 +8,13 @@ no code with the analytic rotation-speed formula it cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ArcContainsRoot, UnwrapAmbiguity
 from .poly import Polynomial, guard_zero, horner
 from .roots import ZeroClassification, classify_zeros
-from .tolerances import ARC_EDGE_SLACK, ON_CIRCLE_TOL, PHASE_STEP_LIMIT, ZERO_PROXIMITY_REL
-
-DEFAULT_ARC_SAMPLES = 4096
+from .tolerances import ARC_EDGE_SLACK, ARC_REFINEMENTS, ARC_SAMPLES, PHASE_STEP_LIMIT, ZERO_PROXIMITY_REL
 
 
 def _wrap_pi(d: float) -> float:
@@ -49,55 +46,41 @@ def arg_derivative_fd(p: Polynomial, theta: float, h: float = 1e-5) -> float:
     return d / (2.0 * h)
 
 
-@dataclass(frozen=True)
-class ArcSpec:
-    """Open boundary arc of half-width alpha centered at e^{i theta0}."""
-
-    theta0: float
-    alpha: float
-    n_samples: int = DEFAULT_ARC_SAMPLES
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < math.pi):
-            raise ValueError("alpha must lie in (0, pi)")
-        if self.n_samples < 64:
-            raise ValueError("need at least 64 samples per arc")
-
-
 def arc_increment(
-    p: Polynomial,
-    arc: ArcSpec,
-    classification: ZeroClassification | None = None,
-    max_refinements: int = 6,
+    p: Polynomial, theta0: float, alpha: float, classification: ZeroClassification | None = None
 ) -> float:
     """Sup of |increment of 2 arg P(z) - n arg z| from the arc center to any arc point.
+
+    The arc is open, of half-width alpha, centered at e^{i theta0}.
 
     The tracked quantity is continuous on a zero-free arc, so the sup over
     curves ending at the center reduces to the sup over endpoints; it is
     measured by continuous phase tracking on a dense grid, refined until
     successive phase jumps stay below pi/2.
 
-    Raises ArcContainsRoot when a zero lies on the open arc (detected by
-    classification or by the |P| guard at an interior sample), and
-    UnwrapAmbiguity when refinement cannot tame the phase jumps.  Pass the
-    zero classification of p to avoid solving for its zeros again.
+    Raises ValueError when alpha lies outside (0, pi), ArcContainsRoot
+    when a zero lies on the open arc (detected by classification or by
+    the |P| guard at an interior sample), and UnwrapAmbiguity when
+    refinement cannot tame the phase jumps.  Pass the zero classification
+    of p to avoid solving for its zeros again.
     """
+    if not 0.0 < alpha < math.pi:
+        raise ValueError("alpha must lie in (0, pi)")
     cls = classification or classify_zeros(p)
-    for r in cls.roots:
-        if abs(abs(r) - 1.0) <= ON_CIRCLE_TOL:
-            dist = abs(_wrap_pi(math.atan2(r.imag, r.real) - arc.theta0))
-            if dist < arc.alpha - ARC_EDGE_SLACK:
-                raise ArcContainsRoot(f"zero at angle distance {dist:.6f} inside the open arc")
+    for r in cls.on_circle:
+        dist = abs(_wrap_pi(math.atan2(r.imag, r.real) - theta0))
+        if dist < alpha - ARC_EDGE_SLACK:
+            raise ArcContainsRoot(f"zero at angle distance {dist:.6f} inside the open arc")
 
     n = p.degree
     guard = ZERO_PROXIMITY_REL * p.coeff_scale
 
     best = 0.0
     for sign in (1.0, -1.0):
-        n_samp = arc.n_samples
-        for attempt in range(max_refinements + 1):
-            t = arc.alpha * np.arange(n_samp + 1) / n_samp
-            z = np.exp(1j * (arc.theta0 + sign * t))
+        n_samp = ARC_SAMPLES
+        for attempt in range(ARC_REFINEMENTS + 1):
+            t = alpha * np.arange(n_samp + 1) / n_samp
+            z = np.exp(1j * (theta0 + sign * t))
             vals = horner(p.coeffs, z)
             mags = np.abs(vals)
             if np.any(mags[:-1] <= guard):
@@ -105,7 +88,7 @@ def arc_increment(
             m = n_samp + 1 if mags[-1] > guard else n_samp
             diffs = _wrap_pi_array(np.diff(np.angle(vals[:m])))
             if diffs.size and np.max(np.abs(diffs)) >= PHASE_STEP_LIMIT:
-                if attempt == max_refinements:
+                if attempt == ARC_REFINEMENTS:
                     raise UnwrapAmbiguity(
                         f"phase step >= pi/2 at {n_samp} samples; the arc cannot be tracked reliably"
                     )

@@ -155,7 +155,7 @@ def check_rotation_bounds(
     value = arg_derivative(r, pt)
     reference = 0.5 * (r.num_degree - len(r.poles) + pole_speed(r.poles, pt.z))
     cls = classification or classify_numerator(r)
-    lower_ok, upper_ok = cls.all_in_closed_disk, cls.none_inside_open_disk
+    lower_ok, upper_ok = not cls.outside, not cls.inside
     check_tol = tol * max(1.0, abs(value), abs(reference))
     lower_margin = value - reference if lower_ok else None
     upper_margin = reference - value if upper_ok else None

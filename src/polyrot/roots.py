@@ -51,45 +51,51 @@ def find_roots(p: Polynomial) -> list[complex]:
     radius = math.sqrt(1.0 + max(abs(c) for c in monic[:-1]))
     zs = [radius * cmath.exp(1j * (2.0 * math.pi * j / m + _ANGLE_OFFSET)) for j in range(m)]
 
-    for iterations in range(1, MAX_ITERATIONS + 1):
-        movement = 0.0
-        residual_ok = True
-        for j in range(m):
-            zj = zs[j]
-            val, der = horner_pair(monic, zj)
-            if abs(val) > 1e-14 * (abs_sum * max(1.0, abs(zj)) ** m):
-                residual_ok = False
-            if val == 0:
-                continue
-            if der == 0:
-                # saddle point of |P|: nudge off it and retry next sweep
-                zs[j] = zj * (1.0 + 1e-6) + 1e-6
-                movement = max(movement, 1e-6)
-                continue
-            newton = val / der
-            s = 0j
-            for k in range(m):
-                if k != j:
-                    dz = zj - zs[k]
-                    if dz == 0:
-                        dz = 1e-12
-                    s += 1.0 / dz
-            denom = 1.0 - newton * s
-            step = newton if abs(denom) < 1e-300 else newton / denom
-            zs[j] = zj - step
-            movement = max(movement, abs(step) / (1.0 + abs(zs[j])))
-        if residual_ok or movement < CONVERGENCE_TOL:
-            break
+    # A solve whose iterates blow up past the double range has failed too.
+    try:
+        for iterations in range(1, MAX_ITERATIONS + 1):
+            movement = 0.0
+            residual_ok = True
+            for j in range(m):
+                zj = zs[j]
+                val, der = horner_pair(monic, zj)
+                if abs(val) > 1e-14 * (abs_sum * max(1.0, abs(zj)) ** m):
+                    residual_ok = False
+                if val == 0:
+                    continue
+                if der == 0:
+                    # saddle point of |P|: nudge off it and retry next sweep
+                    zs[j] = zj * (1.0 + 1e-6) + 1e-6
+                    movement = max(movement, 1e-6)
+                    continue
+                newton = val / der
+                s = 0j
+                for k in range(m):
+                    if k != j:
+                        dz = zj - zs[k]
+                        if dz == 0:
+                            dz = 1e-12
+                        s += 1.0 / dz
+                denom = 1.0 - newton * s
+                step = newton if abs(denom) < 1e-300 else newton / denom
+                zs[j] = zj - step
+                movement = max(movement, abs(step) / (1.0 + abs(zs[j])))
+            if residual_ok or movement < CONVERGENCE_TOL:
+                break
 
-    # An iteration that stalled with acceptable residuals has met a cluster:
-    # clusters are ill conditioned, so accept them at the relaxed threshold
-    # and keep the approximations.
-    relaxed = RESIDUAL_TOL ** (1.0 / m)
-    for z in zs:
-        res = abs(horner(monic, z))
-        res_scale = abs_sum * max(1.0, abs(z)) ** m
-        if res > RESIDUAL_TOL * res_scale and res > relaxed * res_scale:
-            raise NonConvergence(iterations)
+        # An iteration that stalled with acceptable residuals has met a cluster:
+        # clusters are ill conditioned, so accept them at the relaxed threshold
+        # and keep the approximations.
+        relaxed = RESIDUAL_TOL ** (1.0 / m)
+        for z in zs:
+            if not cmath.isfinite(z):
+                raise NonConvergence(iterations)
+            res = abs(horner(monic, z))
+            res_scale = abs_sum * max(1.0, abs(z)) ** m
+            if res > RESIDUAL_TOL * res_scale and res > relaxed * res_scale:
+                raise NonConvergence(iterations)
+    except OverflowError:
+        raise NonConvergence(iterations) from None
 
     roots.extend(zs)
     roots.sort(key=lambda r: (r.real, r.imag))
@@ -98,34 +104,29 @@ def find_roots(p: Polynomial) -> list[complex]:
 
 @dataclass(frozen=True)
 class ZeroClassification:
-    """Partition of the zeros relative to the unit circle."""
+    """The zeros partitioned against the unit circle, each part in input order.
 
-    roots: tuple[complex, ...]
-    inside: int
-    on_circle: int
-    outside: int
+    Lower bounds need `not outside` (all zeros in the closed disk), the
+    zero-free upper bound needs `not inside` (none in the open disk).
+    """
 
-    @property
-    def all_in_closed_disk(self) -> bool:
-        return self.outside == 0
-
-    @property
-    def none_inside_open_disk(self) -> bool:
-        return self.inside == 0
+    inside: tuple[complex, ...]
+    on_circle: tuple[complex, ...]
+    outside: tuple[complex, ...]
 
 
 def classify_root_list(roots) -> ZeroClassification:
-    inside = on = outside = 0
-    rs = tuple(complex(r) for r in roots)
-    for r in rs:
+    """The one test of a zero against the on-circle band of width ON_CIRCLE_TOL."""
+    inside, on, outside = [], [], []
+    for r in map(complex, roots):
         d = abs(r) - 1.0
         if abs(d) <= ON_CIRCLE_TOL:
-            on += 1
+            on.append(r)
         elif d < 0:
-            inside += 1
+            inside.append(r)
         else:
-            outside += 1
-    return ZeroClassification(rs, inside, on, outside)
+            outside.append(r)
+    return ZeroClassification(tuple(inside), tuple(on), tuple(outside))
 
 
 def classify_zeros(p: Polynomial) -> ZeroClassification:

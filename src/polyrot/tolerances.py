@@ -42,10 +42,16 @@ ARC_EDGE_SLACK = 1e-9
 ARC_INCREMENT_SLACK = 1e-9
 # A phase step this large between successive arc samples is ambiguous modulo 2 pi: refine the grid.
 PHASE_STEP_LIMIT = 0.5 * math.pi
+# Samples per half-arc in arc tracking: steps under pi/4096 rad, for a discretization bound of 2 pi/4096.
+ARC_SAMPLES = 4096
+# Sample doublings allowed while a phase step reaches PHASE_STEP_LIMIT; past 64 * ARC_SAMPLES the arc is ambiguous.
+ARC_REFINEMENTS = 6
 # Fuzz gate on |speed - central difference|; the difference's truncation error is about 1e-8 away from zeros.
 ORACLE_AGREEMENT_TOL = 1e-6
 # Fuzz angles keep |P(z)| above this * max|c_k|, clear of the guard and of the stencil's blow-up near zeros.
 SAMPLE_FLOOR_REL = 1e-3
+# Random angles drawn for that floor before a fuzz case is dropped as having none.
+SAMPLE_TRIES = 500
 
 # Hypotheses of the Blaschke self-map checks.
 # A Blaschke prefactor must be unimodular to this precision.

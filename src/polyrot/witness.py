@@ -18,7 +18,7 @@ import numpy as np
 from .blaschke import BlaschkeProduct, boundary_derivative_modulus, check_goryainov
 from .bounds import bound_coeff2, bound_value, lambda_at
 from .errors import InvalidWitnessParams
-from .oracle import ArcSpec, arc_increment
+from .oracle import arc_increment
 from .poly import RootForm, UnitCirclePoint, circle_grid, expand_monic, from_roots, sweep
 from .rational import RationalFunction, check_rotation_bounds, classify_numerator
 from .tolerances import ON_CIRCLE_TOL, ONE_EXCLUSION, POLE_CIRCLE_TOL
@@ -66,7 +66,7 @@ def witness_goryainov(a: complex) -> BlaschkeProduct:
     if abs(a) >= 1.0:
         raise InvalidWitnessParams("parameter must satisfy |a| < 1")
     pre = (1.0 - a.conjugate()) / (1.0 - a)
-    return BlaschkeProduct(pre, 1, (a,))
+    return BlaschkeProduct(pre, (a,))
 
 
 def witness_unimodular(n: int, seed: int) -> RootForm:
@@ -169,7 +169,7 @@ def witness_report(spec: WitnessSpec) -> dict:
             "equality_gap": abs(lam - 1.0),
         }
         if spec.alpha is not None:
-            inc = arc_increment(p, ArcSpec(0.0, spec.alpha))
+            inc = arc_increment(p, 0.0, spec.alpha)
             out["alpha"] = spec.alpha
             out["measured_increment"] = inc
             out["increment_gap"] = abs(inc - spec.alpha)

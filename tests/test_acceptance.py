@@ -16,7 +16,6 @@ import pytest
 
 from polyrot import (
     ArcContainsRoot,
-    ArcSpec,
     Polynomial,
     RootForm,
     UnitCirclePoint,
@@ -177,7 +176,7 @@ def test_criterion_5_arc_bound():
         roots = tuple(cmath.exp(1j * rng.uniform(math.pi / 2, 3 * math.pi / 2)) for _ in range(k))
         lead = complex(rng.uniform(0.5, 2.0)) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         p = from_roots(witness_arc(lead, roots))
-        worst_inc = max(worst_inc, abs(arc_increment(p, ArcSpec(0.0, alpha)) - alpha))
+        worst_inc = max(worst_inc, abs(arc_increment(p, 0.0, alpha) - alpha))
         worst_lam = max(worst_lam, abs(lambda_at(p, UnitCirclePoint(0.0)) - 1.0))
 
     rng = np.random.default_rng(1006)
@@ -185,13 +184,15 @@ def test_criterion_5_arc_bound():
     low = math.inf
     for _ in range(200):
         degree = int(rng.integers(1, 13))
-        rf, p = corpus.random_polynomial(rng, degree, "in_disk", radius_cap=0.995)
+        # roots capped at radius 0.995; the leading coefficient is drawn first, as random_polynomial does
+        rf = RootForm(corpus.random_leading(rng), [0.995 * r for r in corpus.random_roots(rng, degree, "in_disk")])
+        p = from_roots(rf)
         alpha = float(rng.uniform(0.05, 0.45))
         t0 = _valid_theta(rng, p, rf.roots)
         if t0 is None:
             continue
         try:
-            measured = arc_increment(p, ArcSpec(t0, alpha))
+            measured = arc_increment(p, t0, alpha)
         except (ArcContainsRoot, UnwrapAmbiguity):
             continue
         if measured >= math.pi:

@@ -136,7 +136,7 @@ def test_f_second_0_values():
 
 
 def test_goryainov_identity_map():
-    chk = check_goryainov(BlaschkeProduct(1.0, 1, ()), 1.0)
+    chk = check_goryainov(BlaschkeProduct(1.0, ()), 1.0)
     assert chk.lhs == pytest.approx(0.0)
     assert chk.rhs == pytest.approx(0.0)
     assert chk.passed
@@ -227,4 +227,4 @@ def test_mercer_remark_rejects_outside_zeros():
 
 def test_prefactor_must_be_unimodular():
     with pytest.raises(ValueError):
-        BlaschkeProduct(0.5, 1, ())
+        BlaschkeProduct(0.5, ())

@@ -204,6 +204,10 @@ def test_full_report_with_arc():
     d = rep.as_dict()
     assert d["bounds"]["arc_thm3"] == pytest.approx(1.0, abs=1e-3)
     assert d["flags"]["arc_thm3"] == "pass"
+    # the measured increment is about alpha = pi/2, so beta = 0.5 voids the arc hypothesis
+    na = full_report(p, UnitCirclePoint(0.0), arc=(math.pi / 2, 0.5)).as_dict()
+    assert (na["flags"]["arc_thm3"], na["bounds"]["arc_thm3"], na["margins"]["arc_thm3"]) == ("na", None, None)
+    assert na == full_report(p, UnitCirclePoint(0.0)).as_dict()
 
 
 def test_report_keys_match_wire_schema():

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from polyrot import witness_unimodular
 from polyrot.cli import main
 from polyrot.report import CSV_HEADER, format_float
 
@@ -50,10 +51,30 @@ def test_scan_skips_zero_proximate_grid_point(capsys, monkeypatch):
     assert skipped[0].startswith(format_float(math.pi / 4))
 
 
-def test_scan_malformed_input(capsys, monkeypatch):
-    code, out, err = run(capsys, ["scan", "--input", "-"], stdin="not json", monkeypatch=monkeypatch)
+@pytest.mark.parametrize(
+    "flags, stdin",
+    [
+        ([], "not json"),
+        (["--roots"], "[[-0.5,0],[1,0]]"),
+        (["--coeffs"], '{"leading": [1, 0], "roots": [[0.5, 0]]}'),
+        ([], "5"),
+    ],
+    ids=["not_json", "roots_on_array", "coeffs_on_root_form", "scalar"],
+)
+def test_scan_malformed_input(capsys, monkeypatch, flags, stdin):
+    code, out, err = run(capsys, ["scan", "--input", "-", *flags], stdin=stdin, monkeypatch=monkeypatch)
     assert code == 1
-    assert "error" in err
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_failed_root_solve_is_input_error(capsys, monkeypatch):
+    # the degree-128 solve overflows the double range before it converges
+    stdin = json.dumps(witness_unimodular(128, 0).to_json())
+    code, out, err = run(capsys, ["scan", "--roots", "--theta", "0.5"], stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: root iteration did not converge")
 
 
 def test_scan_json_and_csv_carry_identical_digits(capsys, monkeypatch):
@@ -378,15 +399,21 @@ def test_witness_rational_kind(capsys, monkeypatch):
     assert doc["points_checked"] >= 80
 
 
-def test_witness_invalid_params(capsys, monkeypatch):
-    code, _, err = run(
-        capsys,
-        ["witness", "--spec", "-"],
-        stdin='{"kind": "value", "a": [1.5, 0]}',
-        monkeypatch=monkeypatch,
-    )
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "value", "a": [1.5, 0]},
+        {"kind": "rational", "poles": [], "coeff_alpha": [1, 0], "coeff_beta": [0, 1]},
+        {"kind": "rational", "poles": [[0.5, 0]], "coeff_alpha": [1, 0], "coeff_beta": [0, 1]},
+        {"kind": "rational", "poles": [[2, 0]], "coeff_alpha": [2, 0], "coeff_beta": [0, 1]},
+    ],
+    ids=["value_outside_disk", "rational_no_poles", "rational_pole_inside", "rational_alpha_not_unimodular"],
+)
+def test_witness_invalid_params(capsys, monkeypatch, spec):
+    code, out, err = run(capsys, ["witness", "--spec", "-"], stdin=json.dumps(spec), monkeypatch=monkeypatch)
     assert code == 1
-    assert "error" in err
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_witness_toolkit_error_is_input_error(capsys, monkeypatch):

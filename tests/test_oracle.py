@@ -5,7 +5,6 @@ import pytest
 
 from polyrot import (
     ArcContainsRoot,
-    ArcSpec,
     Polynomial,
     RootForm,
     UnitCirclePoint,
@@ -49,25 +48,24 @@ def test_fd_second_order_convergence():
 
 
 def test_arc_spec_validation():
+    p = Polynomial([-0.5, 1])
     with pytest.raises(ValueError):
-        ArcSpec(0.0, 0.0)
+        arc_increment(p, 0.0, 0.0)
     with pytest.raises(ValueError):
-        ArcSpec(0.0, math.pi)
-    with pytest.raises(ValueError):
-        ArcSpec(0.0, 1.0, n_samples=16)
+        arc_increment(p, 0.0, math.pi)
 
 
 def test_arc_increment_of_equality_family_is_alpha():
     p = from_roots(witness_arc(1.0, (-1,)))
     for alpha in (math.pi / 6, math.pi / 2):
-        inc = arc_increment(p, ArcSpec(0.0, alpha))
+        inc = arc_increment(p, 0.0, alpha)
         assert abs(inc - alpha) <= 2 * math.pi / 4096
 
 
 def test_arc_increment_of_monomial():
     n, alpha = 4, 0.8
     p = Polynomial([0] * n + [1])
-    inc = arc_increment(p, ArcSpec(0.3, alpha))
+    inc = arc_increment(p, 0.3, alpha)
     assert abs(inc - n * alpha) <= 2 * math.pi / 4096
 
 
@@ -76,7 +74,7 @@ def test_arc_increment_first_order_taylor():
     theta0 = 0.4
     lam = lambda_at(p, UnitCirclePoint(theta0))
     alpha = 1e-2
-    inc = arc_increment(p, ArcSpec(theta0, alpha))
+    inc = arc_increment(p, theta0, alpha)
     # curvature oracle: finite difference of lambda along the circle
     dlam = (
         lambda_at(p, UnitCirclePoint(theta0 + 1e-4))
@@ -85,34 +83,38 @@ def test_arc_increment_first_order_taylor():
     assert abs(inc - lam * alpha) <= (abs(dlam) + 1.0) * alpha**2
 
 
-def test_arc_increment_stable_under_doubling():
+def test_arc_increment_stable_under_doubling(monkeypatch):
     p = from_roots(RootForm(1.0, (0.5, -0.2 + 0.3j)))
-    a = arc_increment(p, ArcSpec(1.0, 1.2, n_samples=4096))
-    b = arc_increment(p, ArcSpec(1.0, 1.2, n_samples=8192))
+    monkeypatch.setattr("polyrot.oracle.ARC_SAMPLES", 4096)
+    a = arc_increment(p, 1.0, 1.2)
+    monkeypatch.setattr("polyrot.oracle.ARC_SAMPLES", 8192)
+    b = arc_increment(p, 1.0, 1.2)
     assert abs(a - b) < 2 * math.pi / 4096
 
 
 def test_arc_rejects_root_on_open_arc():
     p = from_roots(RootForm(1.0, (cmath.exp(0.1j),)))
     with pytest.raises(ArcContainsRoot):
-        arc_increment(p, ArcSpec(0.0, 0.5))
+        arc_increment(p, 0.0, 0.5)
 
 
 def test_arc_allows_root_at_endpoint():
     # zero exactly at the arc endpoint is outside the open arc
     alpha = 0.75
     p = from_roots(RootForm(1.0, (0j, cmath.exp(1j * alpha))))
-    inc = arc_increment(p, ArcSpec(0.0, alpha))
+    inc = arc_increment(p, 0.0, alpha)
     assert abs(inc - alpha) <= 2 * math.pi / 4096
 
 
-def test_arc_unwrap_ambiguity_on_hopeless_resolution():
+def test_arc_unwrap_ambiguity_on_hopeless_resolution(monkeypatch):
     p = from_roots(RootForm(1.0, ((1 - 1e-7) * cmath.exp(0.25j),)))
+    monkeypatch.setattr("polyrot.oracle.ARC_SAMPLES", 64)
+    monkeypatch.setattr("polyrot.oracle.ARC_REFINEMENTS", 2)
     with pytest.raises(UnwrapAmbiguity):
-        arc_increment(p, ArcSpec(0.0, 0.5, n_samples=64), max_refinements=2)
+        arc_increment(p, 0.0, 0.5)
 
 
 def test_arc_center_on_root_is_rejected():
     p = from_roots(RootForm(1.0, (1.0,)))
     with pytest.raises(ArcContainsRoot):
-        arc_increment(p, ArcSpec(0.0, 0.5))
+        arc_increment(p, 0.0, 0.5)

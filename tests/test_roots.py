@@ -11,6 +11,7 @@ from polyrot import (
     classify_zeros,
     find_roots,
     from_roots,
+    witness_unimodular,
 )
 from polyrot.tolerances import RESIDUAL_TOL
 
@@ -91,26 +92,38 @@ def test_nonconvergence_carries_iterations(monkeypatch):
     assert exc.value.iterations_used == 1
 
 
+def test_overflowing_solve_is_nonconvergence():
+    p = from_roots(witness_unimodular(128, 0))
+    with pytest.raises(NonConvergence):
+        find_roots(p)
+
+
+def test_non_finite_iterates_are_nonconvergence(monkeypatch):
+    # a NaN residual compares False against every threshold, so only an explicit check refuses it
+    monkeypatch.setattr("polyrot.roots.horner_pair", lambda coeffs, z: (complex("nan"), 1.0))
+    with pytest.raises(NonConvergence):
+        find_roots(Polynomial([-0.5, 1]))
+
+
 def test_classify_inside_and_outside():
     p = from_roots(RootForm(1.0, (0.5, 2.0)))
     cls = classify_zeros(p)
-    assert (cls.inside, cls.on_circle, cls.outside) == (1, 0, 1)
-    assert not cls.all_in_closed_disk
-    assert not cls.none_inside_open_disk
+    assert (len(cls.inside), len(cls.on_circle), len(cls.outside)) == (1, 0, 1)
+    assert abs(cls.inside[0] - 0.5) <= 1e-12 and abs(cls.outside[0] - 2.0) <= 1e-12
 
 
 def test_classify_monomial():
     cls = classify_zeros(Polynomial([0, 0, 0, 0, 1]))
-    assert cls.inside == 4
-    assert cls.all_in_closed_disk
+    assert len(cls.inside) == 4
+    assert not cls.outside
 
 
 def test_classify_roots_of_unity():
     p = from_roots(RootForm(1.0, tuple(cmath.exp(2j * math.pi * k / 5) for k in range(5))))
     cls = classify_zeros(p)
-    assert cls.on_circle == 5
-    assert cls.all_in_closed_disk
-    assert cls.none_inside_open_disk
+    assert len(cls.on_circle) == 5
+    assert not cls.outside
+    assert not cls.inside
 
 
 def test_double_root_accepted_with_degraded_residual():

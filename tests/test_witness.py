@@ -4,7 +4,6 @@ import math
 import pytest
 
 from polyrot import (
-    ArcSpec,
     InvalidWitnessParams,
     UnitCirclePoint,
     ZeroProximity,
@@ -94,7 +93,7 @@ def test_arc_witness_leading_invariance():
 def test_arc_witness_increment_equals_alpha():
     p = from_roots(witness_arc(1.0, (-1, 1j)))
     for alpha in (math.pi / 6, math.pi / 4):
-        inc = arc_increment(p, ArcSpec(0.0, alpha))
+        inc = arc_increment(p, 0.0, alpha)
         assert abs(inc - alpha) <= 2 * math.pi / 4096
 
 
