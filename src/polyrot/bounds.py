@@ -12,13 +12,19 @@ its hypothesis, and records signed margins and pass flags.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import itertools
 import math
+import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import HypothesisViolated
 from .oracle import arc_increment
-from .poly import Polynomial, UnitCirclePoint, cross_term, guard_zero, rotation_speed
-from .report import BOUND_KEYS, csv_cell
+from .poly import Polynomial, UnitCirclePoint, boundary_grid, c_mul, c_quot, cross_term, guard_zero, rotation_speed
+from .report import BOUND_KEYS, Rendered, csv_cell, format_floats, render_json
 from .roots import ZeroClassification, classify_zeros
 from .tolerances import ARC_INCREMENT_SLACK, CHECK_SLACK, EQUAL_MODULUS_REL
 
@@ -115,6 +121,12 @@ def bound_zero_free(p: Polynomial) -> float:
     return 0.5 * p.degree + 0.5 * bound_coeff(p)
 
 
+def _lower_bounds(p: Polynomial, value_thm1):
+    """(key, value) of each lower bound, in BOUND_KEYS order; value_thm1 is the one that varies with theta."""
+    return (("classic", 0.0), ("coeff", bound_coeff(p)), ("sqrt_weak", bound_sqrt_weak(p)),
+            ("value_thm1", value_thm1), ("coeff2_thm2", bound_coeff2(p)))
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Every applicable bound at one boundary point, with margins and flags.
@@ -136,10 +148,6 @@ class BoundReport:
     @property
     def status(self) -> str:
         return "fail" if any(f == "fail" for f in self.flags.values()) else "pass"
-
-    def fails(self, checks) -> bool:
-        """True when a bound named in checks failed."""
-        return any(self.flags.get(k) == "fail" for k in checks)
 
     def csv_cells(self) -> list[str]:
         cells = [csv_cell(self.theta), csv_cell(self.lam)]
@@ -188,13 +196,7 @@ def full_report(
         flags[key] = "na" if margin is None else "pass" if margin >= -tol else "fail"
 
     lower_ok = not cls.outside
-    for key, value in (
-        ("classic", 0.0),
-        ("coeff", bound_coeff(p)),
-        ("sqrt_weak", bound_sqrt_weak(p)),
-        ("value_thm1", bound_value(p, pt, lam)),
-        ("coeff2_thm2", bound_coeff2(p)),
-    ):
+    for key, value in _lower_bounds(p, bound_value(p, pt, lam)):
         record(key, value, lam - value if lower_ok and math.isfinite(value) else None)
 
     if arc is not None:
@@ -209,3 +211,106 @@ def full_report(
         record("upper_zero_free", value, value - speed)
 
     return BoundReport(pt.theta, speed, lam, bounds, margins, flags)
+
+
+@functools.cache
+def _row_template(json_rows: bool) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The literal pieces of one rendered scan row, and the names of the slots between them."""
+    groups = ({k: f"\0{g}.{k}\0" for k in BOUND_KEYS} for g in ("bounds", "margins", "flags"))
+    rep = BoundReport("\0theta\0", None, "\0lam\0", *groups)
+    row = rep.as_dict() | {"status": "\0status\0"} if json_rows else rep.csv_cells()[:-1] + ["\0status\0"]
+    # JSON rows sit at depth 2 of the scan document, in its "rows" list
+    text = render_json(row, 2) if json_rows else ",".join(row)
+    parts = re.split('"?\0([^\0]*)\0"?', text)
+    return tuple(parts[0::2]), tuple(parts[1::2])
+
+
+@dataclass(frozen=True)
+class GridReport:
+    """`full_report` at every angle of a grid, as columns; a `skipped` angle has no verdict.
+
+    Each value in bounds, margins and flags is an array over the angles or one value for all of
+    them; a margin `full_report` leaves None reads nan.
+    """
+
+    theta: np.ndarray
+    skipped: np.ndarray
+    speed: np.ndarray
+    lam: np.ndarray
+    bounds: dict
+    margins: dict
+    flags: dict
+
+    def fails(self, checks) -> np.ndarray:
+        """Per angle: whether a bound named in checks failed there; never at a skipped angle."""
+        failed = np.zeros_like(self.skipped)
+        for k in checks:
+            failed |= np.asarray(self.flags[k]) == "fail"
+        return failed & ~self.skipped
+
+    @property
+    def status(self) -> np.ndarray:
+        return np.where(self.fails(BOUND_KEYS), "fail", "pass")
+
+    def rows(self, json_rows: bool) -> list[str | None]:
+        """Each angle's row as `BoundReport` renders it, None where skipped; constant cells are rendered once."""
+        literals, slots = _row_template(json_rows)
+        cell = render_json if json_rows else csv_cell
+        columns, text = [], literals[0]
+        for name, literal in zip(slots, literals[1:]):
+            group, _, key = name.partition(".")
+            value = getattr(self, group)[key] if key else getattr(self, group)
+            if not isinstance(value, np.ndarray):
+                text += cell(value) + literal
+                continue
+            if value.dtype.kind == "f":
+                cells = format_floats(value.tolist(), cell(math.nan))
+            else:
+                names = {v: cell(v) for v in set(value.tolist())}
+                cells = [names[v] for v in value.tolist()]
+            columns += [itertools.repeat(text), cells]
+            text = literal
+        rows = map("".join, zip(*columns, itertools.repeat(text)))
+        return [None if skip else Rendered(r) if json_rows else r for r, skip in zip(rows, self.skipped.tolist())]
+
+
+def grid_report(p: Polynomial, thetas: list[float], arc: tuple[float, float | None] | None = None,
+                slack: float = CHECK_SLACK, classification: ZeroClassification | None = None) -> GridReport:
+    """`full_report`, bit for bit, at every angle of thetas in one array pass.
+
+    The theta-independent bounds are evaluated once; `arc_thm3` is a `bound_arc` call per angle not skipped.
+    """
+    cls = classification or classify_zeros(p)
+    z, vr, vi, speed, skipped = boundary_grid(p, thetas)
+    lam = 2.0 * speed - p.degree
+    tol = slack * np.fmax(1.0, np.abs(lam))  # fmax, like max(1.0, x), ignores a nan x
+    bounds, margins, flags = dict.fromkeys(BOUND_KEYS), dict.fromkeys(BOUND_KEYS), dict.fromkeys(BOUND_KEYS, "na")
+
+    def record(key, value, margin, applies):
+        bounds[key] = value
+        if np.any(applies):
+            margins[key] = np.where(applies, margin, math.nan)
+            flags[key] = np.where(applies, np.where(margin >= -tol, "pass", "fail"), "na")
+
+    # bound_value's operations in its order; z**n is a Python scalar per angle
+    c0, lead_zn = p.constant.conjugate(), np.array([p.leading * w**p.degree for w in z])
+    wr, wi = c_quot(*c_mul(c0.real, c0.imag, vr, vi), *c_mul(lead_zn.real, lead_zn.imag, vr, -vi))
+    # A real factor scales both parts: for finite w that is CPython's (lam + 1, 0) * w but for the sign of a zero.
+    value_thm1 = np.hypot((lam + 1.0) * wr - 1.0, (lam + 1.0) * wi)
+
+    lower_ok = not cls.outside
+    for key, value in _lower_bounds(p, value_thm1):
+        record(key, value, lam - value, lower_ok & np.isfinite(value))
+
+    if arc is not None:
+        value = np.full(len(thetas), math.nan)  # nan where the arc hypothesis fails
+        for k in np.flatnonzero(~skipped):
+            with contextlib.suppress(HypothesisViolated):
+                value[k] = bound_arc(p, UnitCirclePoint(thetas[k]), *arc, classification=cls)
+        record("arc_thm3", value, value - lam, ~np.isnan(value))
+
+    if not cls.inside:
+        value = bound_zero_free(p)
+        record("upper_zero_free", value, value - speed, True)
+
+    return GridReport(np.asarray(thetas, dtype=float), skipped, speed, lam, bounds, margins, flags)

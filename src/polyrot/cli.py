@@ -15,7 +15,7 @@ import numpy as np
 
 from . import corpus
 from .blaschke import check_mercer_remark
-from .bounds import full_report
+from .bounds import full_report, grid_report
 from .errors import PolyrotError
 from .oracle import arg_derivative_fd
 from .poly import Polynomial, RootForm, UnitCirclePoint, circle_grid, from_roots, sweep
@@ -81,35 +81,26 @@ def cmd_scan(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    json_rows = args.fmt == "json"
     if isinstance(obj, RationalFunction):
         header = RationalBoundReport.CSV_HEADER
-
-        def evaluate(pt):
-            return check_rotation_bounds(obj, pt, tol=args.tol, classification=cls)
-
+        reps = [rep for _, rep in sweep(lambda pt: check_rotation_bounds(obj, pt, args.tol, cls), thetas)]
+        rendered = [None if rep is None else rep.as_dict() if json_rows else ",".join(rep.csv_cells()) for rep in reps]
+        failing = [rep is not None and rep.fails(checks) for rep in reps]
     else:
         header = CSV_HEADER
         arc = None if args.arc_alpha is None else (args.arc_alpha, args.arc_beta)
+        grid = grid_report(obj, thetas, arc=arc, slack=args.tol, classification=cls)
+        rendered, failing = grid.rows(json_rows), grid.fails(checks)
 
-        def evaluate(pt):
-            return full_report(obj, pt, arc=arc, slack=args.tol, classification=cls)
-
-    json_rows = args.fmt == "json"
-    rows = []
-    failed = False
-    for theta, rep in sweep(evaluate, thetas):
-        if rep is None:
-            skip = {"theta": theta, "skipped": True, "reason": "zero_proximity"}
-            rows.append(skip if json_rows else csv_cell(theta) + "," * header.count(",") + "skipped")
-            continue
-        failed = failed or rep.fails(checks)
-        rows.append(rep.as_dict() if json_rows else ",".join(rep.csv_cells()))
+    rows = [row if row is not None else {"theta": theta, "skipped": True, "reason": "zero_proximity"} if json_rows
+            else csv_cell(theta) + "," * header.count(",") + "skipped" for theta, row in zip(thetas, rendered)]
 
     if json_rows:
         sys.stdout.write(dump_json({"command": "scan", "input": obj.to_json(), "rows": rows}))
     else:
         sys.stdout.write("\n".join([header, *rows]) + "\n")
-    return 2 if failed else 0
+    return 2 if any(failing) else 0
 
 
 class _FuzzTally:

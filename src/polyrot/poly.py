@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import ZeroProximity
 from .tolerances import LEADING_REL, ZERO_PROXIMITY_REL
 
@@ -36,6 +38,20 @@ def horner_pair(coeffs: Sequence[complex], z):
         dacc = dacc * z + acc
         acc = acc * z + c
     return acc, dacc
+
+
+def c_mul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) on split float64 arrays, rounded as CPython's complex product."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def c_quot(ar, ai, br, bi):
+    """(ar + i ai)/(br + i bi) for b != 0, element by element the finite branch of CPython's `_Py_c_quot`."""
+    by_re = np.abs(br) >= np.abs(bi)  # scale top and bottom by the larger part of b
+    ratio = np.where(by_re, bi, br) / np.where(by_re, br, bi)
+    denom = np.where(by_re, br + bi * ratio, br * ratio + bi)
+    return (np.where(by_re, ar + ai * ratio, ar * ratio + ai) / denom,
+            np.where(by_re, ai - ar * ratio, ai * ratio - ar) / denom)
 
 
 def guard_zero(val: complex, scale: float) -> None:
@@ -195,3 +211,22 @@ def rotation_speed(p: Polynomial, pt: UnitCirclePoint) -> float:
     vicinity.
     """
     return boundary_speed(p.coeffs, p.coeff_scale, pt.z)
+
+
+def boundary_grid(p: Polynomial, thetas: list[float]):
+    """(z, vr, vi, speed, skipped): z, P(z) = vr + i vi and the rotation speed at every theta, in one array pass.
+
+    Element k is bit for bit what `UnitCirclePoint.z`, `horner_pair` and `rotation_speed` give at thetas[k]:
+    every complex product and quotient follows CPython's operand order (`c_mul`, `c_quot`), never numpy's
+    complex multiply.  `skipped` marks where `guard_zero` refuses; P(z) reads 1 there, so nothing divides by 0.
+    """
+    z = [UnitCirclePoint(t).z for t in thetas]
+    zr, zi = np.array(z).real, np.array(z).imag
+    vr, vi, dr, di = (np.zeros(len(z)) for _ in range(4))
+    for c in reversed(p.coeffs):  # horner_pair: dacc = dacc z + acc, then acc = acc z + c
+        (dzr, dzi), (vzr, vzi) = c_mul(dr, di, zr, zi), c_mul(vr, vi, zr, zi)
+        dr, di, vr, vi = dzr + vr, dzi + vi, vzr + c.real, vzi + c.imag
+    skipped = np.hypot(vr, vi) < ZERO_PROXIMITY_REL * p.coeff_scale  # abs(complex) is hypot
+    vr, vi = np.where(skipped, 1.0, vr), np.where(skipped, 0.0, vi)
+    speed, _ = c_quot(*c_mul(zr, zi, dr, di), vr, vi)
+    return z, vr, vi, speed, skipped

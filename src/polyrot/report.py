@@ -40,9 +40,27 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def format_floats(values: list[float], missing: str) -> list[str]:
+    """format_float of every value, inlined for whole columns; missing where a value is not finite."""
+    return [f"{x + 0.0:.17g}" if math.isfinite(x) else missing for x in values]  # + 0.0 normalizes -0.0
+
+
+class Rendered(str):
+    """JSON text rendered in advance at its depth in the document; `dump_json` copies it verbatim."""
+
+
+def render_json(obj, indent: int = 0) -> Rendered:
+    """obj as JSON text at the given nesting depth, with the rules of `dump_json`."""
+    out: list[str] = []
+    _emit(obj, out, indent)
+    return Rendered("".join(out))
+
+
 def _emit(obj, out: list[str], indent: int) -> None:
     pad = "  " * indent
-    if obj is None:
+    if isinstance(obj, Rendered):
+        out.append(obj)
+    elif obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")

@@ -126,20 +126,30 @@ class WitnessSpec:
 
     @staticmethod
     def from_json(data: dict) -> "WitnessSpec":
-        def cx(v):
+        def is_a(x, kind=(int, float)):  # a JSON boolean is not a number, nor a fraction a count
+            return isinstance(x, kind) and not isinstance(x, bool)
+
+        def num(field, kind=(int, float)):
+            if data.get(field) is not None and not is_a(data[field], kind):
+                raise InvalidWitnessParams(f"{field} must be {'an integer' if kind is int else 'a number'}")
+            return data.get(field)
+
+        def cx(field, v):
+            if v is not None and not (isinstance(v, list) and len(v) == 2 and all(map(is_a, v))):
+                raise InvalidWitnessParams(f"{field} must be [re, im] pairs of numbers")
             return None if v is None else complex(v[0], v[1])
 
         return WitnessSpec(
             kind=data["kind"],
-            a=cx(data.get("a")),
-            leading=cx(data.get("leading")),
-            unimodular_roots=tuple(complex(re, im) for re, im in data.get("unimodular_roots", [])),
-            alpha=data.get("alpha"),
-            poles=tuple(complex(re, im) for re, im in data.get("poles", [])),
-            coeff_alpha=cx(data.get("coeff_alpha")),
-            coeff_beta=cx(data.get("coeff_beta")),
-            n=data.get("n"),
-            seed=data.get("seed"),
+            a=cx("a", data.get("a")),
+            leading=cx("leading", data.get("leading")),
+            unimodular_roots=tuple(cx("unimodular_roots", v) for v in data.get("unimodular_roots", [])),
+            alpha=num("alpha"),
+            poles=tuple(cx("poles", v) for v in data.get("poles", [])),
+            coeff_alpha=cx("coeff_alpha", data.get("coeff_alpha")),
+            coeff_beta=cx("coeff_beta", data.get("coeff_beta")),
+            n=num("n", int),
+            seed=num("seed", int),
         )
 
 

@@ -191,14 +191,14 @@ def test_scan_violation_exit_code(capsys, monkeypatch):
     # report hook to exercise the exit-code contract
     import polyrot.cli as cli
 
-    real = cli.full_report
+    real = cli.grid_report
 
-    def doctored(p, pt, **kwargs):
-        rep = real(p, pt, **kwargs)
+    def doctored(p, thetas, **kwargs):
+        rep = real(p, thetas, **kwargs)
         rep.flags["coeff"] = "fail"
         return rep
 
-    monkeypatch.setattr(cli, "full_report", doctored)
+    monkeypatch.setattr(cli, "grid_report", doctored)
     code, out, _ = run(
         capsys,
         ["scan", "--input", "-", "--theta", "0"],
@@ -406,8 +406,18 @@ def test_witness_rational_kind(capsys, monkeypatch):
         {"kind": "rational", "poles": [], "coeff_alpha": [1, 0], "coeff_beta": [0, 1]},
         {"kind": "rational", "poles": [[0.5, 0]], "coeff_alpha": [1, 0], "coeff_beta": [0, 1]},
         {"kind": "rational", "poles": [[2, 0]], "coeff_alpha": [2, 0], "coeff_beta": [0, 1]},
+        {"kind": "arc", "unimodular_roots": [[-1, 0]], "alpha": True},
+        {"kind": "unimodular", "n": 3, "seed": True},
+        {"kind": "unimodular", "n": True},
+        {"kind": "unimodular", "n": 2.5},
+        {"kind": "unimodular", "n": 3, "seed": 1.5},
+        {"kind": "value", "a": [True, 0]},
+        {"kind": "arc", "unimodular_roots": [[0, False]]},
+        {"kind": "rational", "poles": [[2, 0]], "coeff_alpha": [1, 0], "coeff_beta": [0, True]},
     ],
-    ids=["value_outside_disk", "rational_no_poles", "rational_pole_inside", "rational_alpha_not_unimodular"],
+    ids=["value_outside_disk", "rational_no_poles", "rational_pole_inside", "rational_alpha_not_unimodular",
+         "alpha_bool", "seed_bool", "n_bool", "n_fraction", "seed_fraction", "pair_bool", "root_pair_bool",
+         "coeff_pair_bool"],
 )
 def test_witness_invalid_params(capsys, monkeypatch, spec):
     code, out, err = run(capsys, ["witness", "--spec", "-"], stdin=json.dumps(spec), monkeypatch=monkeypatch)
@@ -425,6 +435,21 @@ def test_witness_toolkit_error_is_input_error(capsys, monkeypatch):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "field,spec",
+    [
+        ("alpha", {"kind": "arc", "unimodular_roots": [[-1, 0]], "alpha": True}),
+        ("seed", {"kind": "unimodular", "n": 3, "seed": True}),
+        ("n", {"kind": "unimodular", "n": 2.5}),
+        ("poles", {"kind": "rational", "poles": [[True, 0]], "coeff_alpha": [1, 0], "coeff_beta": [0, 1]}),
+    ],
+)
+def test_witness_error_names_the_field(capsys, monkeypatch, field, spec):
+    code, _, err = run(capsys, ["witness", "--spec", "-"], stdin=json.dumps(spec), monkeypatch=monkeypatch)
+    assert code == 1
+    assert err.startswith(f"error: {field} must be ")
+
+
 GOLDEN = json.loads((Path(__file__).parent / "witness_golden.json").read_text())
 
 
@@ -433,4 +458,16 @@ def test_witness_stdout_is_golden(capsys, monkeypatch, case):
     # arc with alpha is left out: its increment runs through numpy's array
     # kernel, whose last bits depend on the CPU's SIMD level
     code, out, err = run(capsys, ["witness", "--spec", "-"], stdin=json.dumps(case["spec"]), monkeypatch=monkeypatch)
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+SCAN_GOLDEN = json.loads((Path(__file__).parent / "scan_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", SCAN_GOLDEN, ids=[c["id"] for c in SCAN_GOLDEN])
+def test_scan_stdout_is_golden(capsys, monkeypatch, case):
+    # coefficient, root-form and rational input in CSV and JSON, with --checks,
+    # --tol, --theta lists, skipped rows and rows failing under a tiny --tol;
+    # --arc-alpha is left out: its increment runs through numpy's array kernel
+    code, out, err = run(capsys, case["argv"], stdin=case["stdin"], monkeypatch=monkeypatch)
     assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
