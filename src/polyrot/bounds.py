@@ -24,7 +24,7 @@ import numpy as np
 from .errors import HypothesisViolated
 from .oracle import arc_increment
 from .poly import Polynomial, UnitCirclePoint, boundary_grid, c_mul, c_quot, cross_term, guard_zero, rotation_speed
-from .report import BOUND_KEYS, Rendered, csv_cell, format_floats, render_json
+from .report import BOUND_KEYS, Rendered, csv_cell, format_float, render_json
 from .roots import ZeroClassification, classify_zeros
 from .tolerances import ARC_INCREMENT_SLACK, CHECK_SLACK, EQUAL_MODULUS_REL
 
@@ -264,7 +264,8 @@ class GridReport:
                 text += cell(value) + literal
                 continue
             if value.dtype.kind == "f":
-                cells = format_floats(value.tolist(), cell(math.nan))
+                missing = cell(math.nan)
+                cells = [format_float(x) if math.isfinite(x) else missing for x in value.tolist()]
             else:
                 names = {v: cell(v) for v in set(value.tolist())}
                 cells = [names[v] for v in value.tolist()]
@@ -274,43 +275,45 @@ class GridReport:
         return [None if skip else Rendered(r) if json_rows else r for r, skip in zip(rows, self.skipped.tolist())]
 
 
-def grid_report(p: Polynomial, thetas: list[float], arc: tuple[float, float | None] | None = None,
-                slack: float = CHECK_SLACK, classification: ZeroClassification | None = None) -> GridReport:
+def grid_report(p: Polynomial, thetas: list[float], arc: tuple[float, float | None] | None,
+                slack: float, classification: ZeroClassification) -> GridReport:
     """`full_report`, bit for bit, at every angle of thetas in one array pass.
 
     The theta-independent bounds are evaluated once; `arc_thm3` is a `bound_arc` call per angle not skipped.
     """
-    cls = classification or classify_zeros(p)
     z, vr, vi, speed, skipped = boundary_grid(p, thetas)
-    lam = 2.0 * speed - p.degree
-    tol = slack * np.fmax(1.0, np.abs(lam))  # fmax, like max(1.0, x), ignores a nan x
     bounds, margins, flags = dict.fromkeys(BOUND_KEYS), dict.fromkeys(BOUND_KEYS), dict.fromkeys(BOUND_KEYS, "na")
-
-    def record(key, value, margin, applies):
-        bounds[key] = value
-        if np.any(applies):
-            margins[key] = np.where(applies, margin, math.nan)
-            flags[key] = np.where(applies, np.where(margin >= -tol, "pass", "fail"), "na")
-
-    # bound_value's operations in its order; z**n is a Python scalar per angle
-    c0, lead_zn = p.constant.conjugate(), np.array([p.leading * w**p.degree for w in z])
-    wr, wi = c_quot(*c_mul(c0.real, c0.imag, vr, vi), *c_mul(lead_zn.real, lead_zn.imag, vr, -vi))
-    # A real factor scales both parts: for finite w that is CPython's (lam + 1, 0) * w but for the sign of a zero.
-    value_thm1 = np.hypot((lam + 1.0) * wr - 1.0, (lam + 1.0) * wi)
-
-    lower_ok = not cls.outside
-    for key, value in _lower_bounds(p, value_thm1):
-        record(key, value, lam - value, lower_ok & np.isfinite(value))
-
+    arc_value = None
     if arc is not None:
-        value = np.full(len(thetas), math.nan)  # nan where the arc hypothesis fails
+        arc_value = np.full(len(thetas), math.nan)  # nan where the arc hypothesis fails
         for k in np.flatnonzero(~skipped):
             with contextlib.suppress(HypothesisViolated):
-                value[k] = bound_arc(p, UnitCirclePoint(thetas[k]), *arc, classification=cls)
-        record("arc_thm3", value, value - lam, ~np.isnan(value))
+                arc_value[k] = bound_arc(p, UnitCirclePoint(thetas[k]), *arc, classification=classification)
 
-    if not cls.inside:
-        value = bound_zero_free(p)
-        record("upper_zero_free", value, value - speed, True)
+    # inf and nan arise silently, as in boundary_grid; bound_arc above keeps its own numpy warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lam = 2.0 * speed - p.degree
+        tol = slack * np.fmax(1.0, np.abs(lam))  # fmax, like max(1.0, x), ignores a nan x
+
+        def record(key, value, margin, applies):
+            bounds[key] = value
+            if np.any(applies):
+                margins[key] = np.where(applies, margin, math.nan)
+                flags[key] = np.where(applies, np.where(margin >= -tol, "pass", "fail"), "na")
+
+        # bound_value's operations in its order; z**n is a Python scalar per angle
+        c0, lead_zn = p.constant.conjugate(), np.array([p.leading * w**p.degree for w in z])
+        wr, wi = c_quot(*c_mul(c0.real, c0.imag, vr, vi), *c_mul(lead_zn.real, lead_zn.imag, vr, -vi))
+        # A real factor scales both parts: for finite w that is CPython's (lam + 1, 0) * w but for the sign of a zero.
+        value_thm1 = np.hypot((lam + 1.0) * wr - 1.0, (lam + 1.0) * wi)
+
+        lower_ok = not classification.outside
+        for key, value in _lower_bounds(p, value_thm1):
+            record(key, value, lam - value, lower_ok & np.isfinite(value))
+        if arc_value is not None:
+            record("arc_thm3", arc_value, arc_value - lam, ~np.isnan(arc_value))
+        if not classification.inside:
+            value = bound_zero_free(p)
+            record("upper_zero_free", value, value - speed, True)
 
     return GridReport(np.asarray(thetas, dtype=float), skipped, speed, lam, bounds, margins, flags)

@@ -213,6 +213,7 @@ def rotation_speed(p: Polynomial, pt: UnitCirclePoint) -> float:
     return boundary_speed(p.coeffs, p.coeff_scale, pt.z)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf and nan arise silently, as in complex arithmetic
 def boundary_grid(p: Polynomial, thetas: list[float]):
     """(z, vr, vi, speed, skipped): z, P(z) = vr + i vi and the rotation speed at every theta, in one array pass.
 

@@ -40,11 +40,6 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def format_floats(values: list[float], missing: str) -> list[str]:
-    """format_float of every value, inlined for whole columns; missing where a value is not finite."""
-    return [f"{x + 0.0:.17g}" if math.isfinite(x) else missing for x in values]  # + 0.0 normalizes -0.0
-
-
 class Rendered(str):
     """JSON text rendered in advance at its depth in the document; `dump_json` copies it verbatim."""
 
