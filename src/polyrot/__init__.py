@@ -47,7 +47,6 @@ from .poly import (
     circle_grid,
     from_roots,
     rotation_speed,
-    sweep,
 )
 from .rational import (
     RationalBoundReport,

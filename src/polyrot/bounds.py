@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +22,7 @@ import numpy as np
 from .errors import HypothesisViolated
 from .oracle import arc_increment
 from .poly import Polynomial, UnitCirclePoint, boundary_grid, c_mul, c_quot, cross_term, guard_zero, rotation_speed
-from .report import BOUND_KEYS, Rendered, csv_cell, format_float, render_json
+from .report import BOUND_KEYS, CSV_HEADER, csv_cell, grid_rows, row_template, slot
 from .roots import ZeroClassification, classify_zeros
 from .tolerances import ARC_INCREMENT_SLACK, CHECK_SLACK, EQUAL_MODULUS_REL
 
@@ -215,14 +213,9 @@ def full_report(
 
 @functools.cache
 def _row_template(json_rows: bool) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The literal pieces of one rendered scan row, and the names of the slots between them."""
-    groups = ({k: f"\0{g}.{k}\0" for k in BOUND_KEYS} for g in ("bounds", "margins", "flags"))
-    rep = BoundReport("\0theta\0", None, "\0lam\0", *groups)
-    row = rep.as_dict() | {"status": "\0status\0"} if json_rows else rep.csv_cells()[:-1] + ["\0status\0"]
-    # JSON rows sit at depth 2 of the scan document, in its "rows" list
-    text = render_json(row, 2) if json_rows else ",".join(row)
-    parts = re.split('"?\0([^\0]*)\0"?', text)
-    return tuple(parts[0::2]), tuple(parts[1::2])
+    """`row_template` of a BoundReport that holds a slot in every rendered cell."""
+    groups = ({k: slot(f"{g}.{k}") for k in BOUND_KEYS} for g in ("bounds", "margins", "flags"))
+    return row_template(BoundReport(slot("theta"), None, slot("lam"), *groups), json_rows)
 
 
 @dataclass(frozen=True)
@@ -232,6 +225,8 @@ class GridReport:
     Each value in bounds, margins and flags is an array over the angles or one value for all of
     them; a margin `full_report` leaves None reads nan.
     """
+
+    CSV_HEADER = CSV_HEADER  # the header of BoundReport rows
 
     theta: np.ndarray
     skipped: np.ndarray
@@ -254,25 +249,12 @@ class GridReport:
 
     def rows(self, json_rows: bool) -> list[str | None]:
         """Each angle's row as `BoundReport` renders it, None where skipped; constant cells are rendered once."""
-        literals, slots = _row_template(json_rows)
-        cell = render_json if json_rows else csv_cell
-        columns, text = [], literals[0]
-        for name, literal in zip(slots, literals[1:]):
-            group, _, key = name.partition(".")
-            value = getattr(self, group)[key] if key else getattr(self, group)
-            if not isinstance(value, np.ndarray):
-                text += cell(value) + literal
-                continue
-            if value.dtype.kind == "f":
-                missing = cell(math.nan)
-                cells = [format_float(x) if math.isfinite(x) else missing for x in value.tolist()]
-            else:
-                names = {v: cell(v) for v in set(value.tolist())}
-                cells = [names[v] for v in value.tolist()]
-            columns += [itertools.repeat(text), cells]
-            text = literal
-        rows = map("".join, zip(*columns, itertools.repeat(text)))
-        return [None if skip else Rendered(r) if json_rows else r for r, skip in zip(rows, self.skipped.tolist())]
+        return grid_rows(self, _row_template(json_rows), json_rows)
+
+    @property
+    def overflows(self) -> np.ndarray:
+        """Per angle not skipped: whether lambda came out inf or nan."""
+        return ~np.isfinite(self.lam) & ~self.skipped
 
 
 def grid_report(p: Polynomial, thetas: list[float], arc: tuple[float, float | None] | None,
@@ -281,7 +263,7 @@ def grid_report(p: Polynomial, thetas: list[float], arc: tuple[float, float | No
 
     The theta-independent bounds are evaluated once; `arc_thm3` is a `bound_arc` call per angle not skipped.
     """
-    z, vr, vi, speed, skipped = boundary_grid(p, thetas)
+    z, vr, vi, speed, skipped = boundary_grid(p.coeffs, p.coeff_scale, thetas)
     bounds, margins, flags = dict.fromkeys(BOUND_KEYS), dict.fromkeys(BOUND_KEYS), dict.fromkeys(BOUND_KEYS, "na")
     arc_value = None
     if arc is not None:

@@ -18,9 +18,9 @@ from .blaschke import check_mercer_remark
 from .bounds import full_report, grid_report
 from .errors import PolyrotError
 from .oracle import arg_derivative_fd
-from .poly import Polynomial, RootForm, UnitCirclePoint, circle_grid, from_roots, sweep
-from .rational import RationalBoundReport, RationalFunction, check_rotation_bounds, classify_numerator
-from .report import BOUND_KEYS, CSV_HEADER, csv_cell, dump_json
+from .poly import Polynomial, RootForm, UnitCirclePoint, circle_grid, from_roots
+from .rational import RationalFunction, check_rotation_bounds, classify_numerator, rational_grid
+from .report import BOUND_KEYS, csv_cell, dump_json
 from .roots import classify_root_list, classify_zeros
 from .tolerances import CHECK_SLACK, ORACLE_AGREEMENT_TOL
 from .witness import WitnessSpec, witness_report
@@ -81,18 +81,18 @@ def cmd_scan(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    json_rows = args.fmt == "json"
     if isinstance(obj, RationalFunction):
-        header = RationalBoundReport.CSV_HEADER
-        reps = [rep for _, rep in sweep(lambda pt: check_rotation_bounds(obj, pt, args.tol, cls), thetas)]
-        rendered = [None if rep is None else rep.as_dict() if json_rows else ",".join(rep.csv_cells()) for rep in reps]
-        failing = [rep is not None and rep.fails(checks) for rep in reps]
+        grid = rational_grid(obj, thetas, args.tol, cls)
     else:
-        header = CSV_HEADER
         arc = None if args.arc_alpha is None else (args.arc_alpha, args.arc_beta)
         grid = grid_report(obj, thetas, arc=arc, slack=args.tol, classification=cls)
-        rendered, failing = grid.rows(json_rows), grid.fails(checks)
+    overflow = np.flatnonzero(grid.overflows)
+    if overflow.size:
+        print(f"error: the evaluation overflows at theta = {csv_cell(thetas[overflow[0]])}", file=sys.stderr)
+        return 1
 
+    json_rows, header = args.fmt == "json", grid.CSV_HEADER
+    rendered = grid.rows(json_rows)
     rows = [row if row is not None else {"theta": theta, "skipped": True, "reason": "zero_proximity"} if json_rows
             else csv_cell(theta) + "," * header.count(",") + "skipped" for theta, row in zip(thetas, rendered)]
 
@@ -100,7 +100,7 @@ def cmd_scan(args) -> int:
         sys.stdout.write(dump_json({"command": "scan", "input": obj.to_json(), "rows": rows}))
     else:
         sys.stdout.write("\n".join([header, *rows]) + "\n")
-    return 2 if any(failing) else 0
+    return 2 if grid.fails(checks).any() else 0
 
 
 class _FuzzTally:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -173,22 +173,17 @@ class UnitCirclePoint:
 
     @property
     def z(self) -> complex:
-        return cmath.exp(1j * self.theta)
+        return circle_point(self.theta)
+
+
+def circle_point(theta: float) -> complex:
+    """e^{i theta}: the one formula for a boundary point."""
+    return cmath.exp(1j * theta)
 
 
 def circle_grid(n: int) -> list[float]:
     """The n equally spaced angles 2 pi k / n, k = 0 .. n - 1."""
     return [2.0 * math.pi * k / n for k in range(n)]
-
-
-def sweep(evaluate: Callable[[UnitCirclePoint], object], thetas: Iterable[float]) -> Iterator[tuple[float, object]]:
-    """Yield (theta, evaluate(e^{i theta})) per angle, with None where the point is zero proximate."""
-    for theta in thetas:
-        try:
-            rep = evaluate(UnitCirclePoint(theta))
-        except ZeroProximity:
-            rep = None
-        yield theta, rep
 
 
 def from_roots(rf: RootForm) -> Polynomial:
@@ -214,20 +209,21 @@ def rotation_speed(p: Polynomial, pt: UnitCirclePoint) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf and nan arise silently, as in complex arithmetic
-def boundary_grid(p: Polynomial, thetas: list[float]):
+def boundary_grid(coeffs: Sequence[complex], scale: float, thetas: list[float]):
     """(z, vr, vi, speed, skipped): z, P(z) = vr + i vi and the rotation speed at every theta, in one array pass.
 
-    Element k is bit for bit what `UnitCirclePoint.z`, `horner_pair` and `rotation_speed` give at thetas[k]:
-    every complex product and quotient follows CPython's operand order (`c_mul`, `c_quot`), never numpy's
-    complex multiply.  `skipped` marks where `guard_zero` refuses; P(z) reads 1 there, so nothing divides by 0.
+    Takes what `boundary_speed` takes, so any coefficient list works, a constant one included.  Element k is
+    bit for bit what `circle_point`, `horner_pair` and `boundary_speed` give at thetas[k]: every complex
+    product and quotient follows CPython's operand order (`c_mul`, `c_quot`), never numpy's complex multiply.
+    `skipped` marks where `guard_zero` refuses; P(z) reads 1 there, so nothing divides by 0.
     """
-    z = [UnitCirclePoint(t).z for t in thetas]
+    z = list(map(circle_point, thetas))
     zr, zi = np.array(z).real, np.array(z).imag
     vr, vi, dr, di = (np.zeros(len(z)) for _ in range(4))
-    for c in reversed(p.coeffs):  # horner_pair: dacc = dacc z + acc, then acc = acc z + c
+    for c in reversed(coeffs):  # horner_pair: dacc = dacc z + acc, then acc = acc z + c
         (dzr, dzi), (vzr, vzi) = c_mul(dr, di, zr, zi), c_mul(vr, vi, zr, zi)
         dr, di, vr, vi = dzr + vr, dzi + vi, vzr + c.real, vzi + c.imag
-    skipped = np.hypot(vr, vi) < ZERO_PROXIMITY_REL * p.coeff_scale  # abs(complex) is hypot
+    skipped = np.hypot(vr, vi) < ZERO_PROXIMITY_REL * scale  # abs(complex) is hypot
     vr, vi = np.where(skipped, 1.0, vr), np.where(skipped, 0.0, vi)
     speed, _ = c_quot(*c_mul(zr, zi, dr, di), vr, vi)
     return z, vr, vi, speed, skipped

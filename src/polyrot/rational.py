@@ -14,11 +14,14 @@ attains both at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
-from .poly import Polynomial, UnitCirclePoint, boundary_speed, finite_complex, horner
-from .report import csv_cell
+import numpy as np
+
+from .poly import Polynomial, UnitCirclePoint, boundary_grid, boundary_speed, c_mul, c_quot, finite_complex, horner
+from .report import csv_cell, grid_rows, row_template, slot
 from .roots import ZeroClassification, classify_root_list, classify_zeros
 from .tolerances import CHECK_SLACK, LEADING_REL, POLE_CIRCLE_TOL
 
@@ -105,8 +108,8 @@ class RationalBoundReport:
     lower_pass: bool | None
     upper_pass: bool | None
 
-    def fails(self, checks=()) -> bool:
-        """True when either comparison failed; checks name polynomial bounds and do not apply."""
+    def fails(self) -> bool:
+        """True when either comparison failed."""
         return self.lower_pass is False or self.upper_pass is False
 
     def csv_cells(self) -> list[str]:
@@ -161,6 +164,105 @@ def check_rotation_bounds(
     upper_margin = reference - value if upper_ok else None
     return RationalBoundReport(
         theta=pt.theta,
+        value=value,
+        reference=reference,
+        num_degree=r.num_degree,
+        n_poles=len(r.poles),
+        lower_applicable=lower_ok,
+        upper_applicable=upper_ok,
+        lower_margin=lower_margin,
+        upper_margin=upper_margin,
+        lower_pass=None if lower_margin is None else lower_margin >= -check_tol,
+        upper_pass=None if upper_margin is None else upper_margin >= -check_tol,
+    )
+
+
+@functools.cache
+def _row_template(json_rows: bool) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """`row_template` of a RationalBoundReport that holds a slot in every field."""
+    return row_template(RationalBoundReport(*(slot(f.name) for f in fields(RationalBoundReport))), json_rows)
+
+
+@dataclass(frozen=True)
+class RationalGrid:
+    """`check_rotation_bounds` at every angle of a grid, as columns; a `skipped` angle has no verdict.
+
+    The fields are those of `RationalBoundReport`: theta, value, reference and, for a comparison that
+    applies, its margin and pass flag are arrays over the angles; the rest holds one value for all of them.
+    """
+
+    CSV_HEADER = RationalBoundReport.CSV_HEADER
+
+    theta: np.ndarray
+    skipped: np.ndarray
+    value: np.ndarray
+    reference: np.ndarray
+    num_degree: int
+    n_poles: int
+    lower_applicable: bool
+    upper_applicable: bool
+    lower_margin: np.ndarray | None
+    upper_margin: np.ndarray | None
+    lower_pass: np.ndarray | None
+    upper_pass: np.ndarray | None
+
+    def fails(self, checks=()) -> np.ndarray:
+        """Per angle: whether either comparison failed there; never at a skipped angle.
+
+        checks name polynomial bounds, which do not apply; the parameter matches `GridReport.fails`.
+        """
+        failed = np.zeros_like(self.skipped)
+        for passed in (self.lower_pass, self.upper_pass):
+            if passed is not None:
+                failed |= ~passed
+        return failed & ~self.skipped
+
+    @property
+    def status(self) -> np.ndarray:
+        return np.where(self.fails(), "fail", "pass")
+
+    def rows(self, json_rows: bool) -> list[str | None]:
+        """Each angle's row as `RationalBoundReport` renders it, None where skipped."""
+        return grid_rows(self, _row_template(json_rows), json_rows)
+
+    @property
+    def overflows(self) -> np.ndarray:
+        """Per angle not skipped: whether value or reference came out inf or nan."""
+        return ~(np.isfinite(self.value) & np.isfinite(self.reference)) & ~self.skipped
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf and nan arise silently, as in complex arithmetic
+def rational_grid(r: RationalFunction, thetas: list[float], tol: float,
+                  classification: ZeroClassification) -> RationalGrid:
+    """`check_rotation_bounds`, bit for bit, at every angle of thetas in one array pass.
+
+    The numerator runs through `boundary_grid`; each pole's terms are arrays of shape (poles, angles), taken
+    with `c_mul`/`c_quot` in CPython's operand order, where a float operand of a complex operation is the
+    complex (x, 0), and summed pole by pole in `arg_derivative`'s and `pole_speed`'s order.
+    """
+    z, _, _, speed, skipped = boundary_grid(r.numerator, r._num_scale, thetas)
+    zr, zi = np.array(z).real, np.array(z).imag
+    poles = np.array(r.poles, dtype=complex).reshape(-1, 1)
+    ar, ai = poles.real, poles.imag
+    dr, di = zr - ar, zi - ai  # z - a
+    value = speed
+    for term in c_quot(zr, zi, dr, di)[0]:  # Re(z / (z - a))
+        value = value - term
+    cr, ci = c_mul(ar, -ai, zr, zi)  # conj(a) z
+    xr, xi = c_quot(-ar, ai, 1.0 - cr, 0.0 - ci)  # -conj(a) / (1.0 - conj(a) z)
+    yr, yi = c_quot(1.0, 0.0, dr, di)  # 1.0 / (z - a)
+    sr, si = np.zeros(len(z)), np.zeros(len(z))
+    for k in range(len(r.poles)):
+        sr, si = sr + (xr[k] - yr[k]), si + (xi[k] - yi[k])
+    reference = 0.5 * ((r.num_degree - len(r.poles)) + (zr * sr - zi * si))
+
+    lower_ok, upper_ok = not classification.outside, not classification.inside
+    check_tol = tol * np.fmax(np.fmax(1.0, np.abs(value)), np.abs(reference))  # fmax, like max, ignores a nan
+    lower_margin = value - reference if lower_ok else None
+    upper_margin = reference - value if upper_ok else None
+    return RationalGrid(
+        theta=np.asarray(thetas, dtype=float),
+        skipped=skipped,
         value=value,
         reference=reference,
         num_degree=r.num_degree,

@@ -2,13 +2,19 @@
 
 All numeric output is formatted at 17 significant digits so that CSV and
 JSON renderings of the same run carry identical digit strings and two
-runs with identical inputs are byte identical.
+runs with identical inputs are byte identical.  A whole grid's scan rows
+render through a template cut from one point's rendered row (`row_template`,
+`grid_rows`), so the grid and the one-point path share one row schema.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 from dataclasses import dataclass
+
+import numpy as np
 
 BOUND_KEYS = (
     "classic",
@@ -105,3 +111,53 @@ def csv_cell(value) -> str:
     if isinstance(value, float):
         return format_float(value) if math.isfinite(value) else ""
     return str(value)
+
+
+def slot(name: str) -> str:
+    """A sentinel cell: `row_template` cuts a rendered row there, and `grid_rows` fills in column `name`."""
+    return f"\0{name}\0"
+
+
+def row_template(rep, json_rows: bool) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The literal pieces of rep's rendered scan row, and the names of the slots between them.
+
+    rep is a one-point report holding a `slot` in every field; its status, which a report derives from its
+    flags rather than holds, is the slot "status".  The row renders through rep's own `as_dict` or `csv_cells`,
+    so the row schema keeps one source.
+    """
+    if json_rows:
+        row = rep.as_dict()
+        if "status" in row:
+            row["status"] = slot("status")
+        text = render_json(row, 2)  # rows sit at depth 2 of the scan document, in its "rows" list
+    else:
+        text = ",".join(rep.csv_cells()[:-1] + [slot("status")])
+    parts = re.split('"?\0([^\0]*)\0"?', text)
+    return tuple(parts[0::2]), tuple(parts[1::2])
+
+
+def grid_rows(grid, template, json_rows: bool) -> list[str | None]:
+    """Each angle's row of grid through template, None where grid.skipped.
+
+    A slot "group.key" reads grid.group[key], any other slot the attribute of its name: an array over the
+    angles, or one value for all of them, which is rendered once and merged into the literals.
+    """
+    literals, slots = template
+    cell = render_json if json_rows else csv_cell
+    columns, text = [], literals[0]
+    for name, literal in zip(slots, literals[1:]):
+        group, _, key = name.partition(".")
+        value = getattr(grid, group)[key] if key else getattr(grid, group)
+        if not isinstance(value, np.ndarray):
+            text += cell(value) + literal
+            continue
+        if value.dtype.kind == "f":
+            missing = cell(math.nan)
+            cells = [format_float(x) if math.isfinite(x) else missing for x in value.tolist()]
+        else:
+            names = {v: cell(v) for v in set(value.tolist())}
+            cells = [names[v] for v in value.tolist()]
+        columns += [itertools.repeat(text), cells]
+        text = literal
+    rows = map("".join, zip(*columns, itertools.repeat(text)))
+    return [None if skip else Rendered(r) if json_rows else r for r, skip in zip(rows, grid.skipped.tolist())]

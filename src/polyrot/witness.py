@@ -19,9 +19,9 @@ from .blaschke import BlaschkeProduct, boundary_derivative_modulus, check_goryai
 from .bounds import bound_coeff2, bound_value, lambda_at
 from .errors import InvalidWitnessParams
 from .oracle import arc_increment
-from .poly import RootForm, UnitCirclePoint, circle_grid, expand_monic, from_roots, sweep
-from .rational import RationalFunction, check_rotation_bounds, classify_numerator
-from .tolerances import ON_CIRCLE_TOL, ONE_EXCLUSION, POLE_CIRCLE_TOL
+from .poly import RootForm, UnitCirclePoint, boundary_grid, circle_grid, expand_monic, from_roots
+from .rational import RationalFunction, classify_numerator, rational_grid
+from .tolerances import CHECK_SLACK, ON_CIRCLE_TOL, ONE_EXCLUSION, POLE_CIRCLE_TOL
 
 
 def _as_unimodular(roots: Iterable[complex]) -> tuple[complex, ...]:
@@ -198,23 +198,24 @@ def witness_report(spec: WitnessSpec) -> dict:
     if spec.kind == "unimodular":
         rf = witness_unimodular(spec.n if spec.n is not None else 1, spec.seed if spec.seed is not None else 0)
         p = from_roots(rf)
-        lams = [lam for _, lam in sweep(lambda pt: lambda_at(p, pt), circle_grid(128)) if lam is not None]
+        *_, speed, skipped = boundary_grid(p.coeffs, p.coeff_scale, circle_grid(128))
+        lams = 2.0 * speed[~skipped] - p.degree  # lambda_at where the zero guard lets it through
         return {
             "kind": spec.kind,
             "witness": rf.to_json(),
-            "max_abs_lambda": max([0.0, *map(abs, lams)]),
+            "max_abs_lambda": max([0.0, *np.abs(lams).tolist()]),
             "coeff2_bound": bound_coeff2(p),
         }
     if spec.kind == "rational":
         r = witness_rational(spec.poles, spec.coeff_alpha, spec.coeff_beta)
-        cls = classify_numerator(r)
-        reps = sweep(lambda pt: check_rotation_bounds(r, pt, classification=cls), circle_grid(100))
-        reps = [rep for _, rep in reps if rep is not None]
-        margins = [abs(m) for rep in reps for m in (rep.lower_margin, rep.upper_margin) if m is not None]
+        grid = rational_grid(r, circle_grid(100), CHECK_SLACK, classify_numerator(r))
+        checked = ~grid.skipped
+        margins = [abs(x) for m in (grid.lower_margin, grid.upper_margin) if m is not None
+                   for x in m[checked].tolist()]
         return {
             "kind": spec.kind,
             "witness": r.to_json(),
-            "points_checked": len(reps),
+            "points_checked": int(checked.sum()),
             "max_abs_margin": max([0.0, *margins]),
         }
     raise InvalidWitnessParams(f"unknown witness kind {spec.kind!r}")

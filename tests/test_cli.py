@@ -262,19 +262,38 @@ def test_help_exits_0(capsys):
     ids=["scan_rational", "scan_arc", "witness_rational"],
 )
 def test_one_root_solve_per_input(capsys, monkeypatch, argv, stdin):
+    # one root solve per input, and no point-by-point rational check: scan and witness evaluate whole grids
+    import polyrot.cli as cli
+    import polyrot.rational as rational
     import polyrot.roots as roots
+    import polyrot.witness as witness
 
-    calls = []
-    real = roots.find_roots
+    calls = {"find_roots": [], "check_rotation_bounds": []}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name].append(1)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(roots, "find_roots", counted)
+        return wrapper
+
+    for module, name in ((roots, "find_roots"), (rational, "check_rotation_bounds"), (cli, "check_rotation_bounds"),
+                         (witness, "check_rotation_bounds")):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     code, _, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
     assert code == 0, err
-    assert len(calls) == 1
+    assert len(calls["find_roots"]) == 1
+    assert len(calls["check_rotation_bounds"]) == 0
+
+
+def test_scan_reference_overflow_is_input_error(capsys, monkeypatch):
+    # conj(a) z overflows for a pole this large: an unrepresentable reference is no verdict, so exit 1
+    # (tests/scan_golden.json pins the numerator and polynomial overflows)
+    stdin = json.dumps({"numerator": [[0.5, 0], [1, 0]], "poles": [[1e308, 1e308]]})
+    code, out, err = run(capsys, ["scan", "--theta", "0,0.3"], stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, out) == (1, "")
+    assert err == "error: the evaluation overflows at theta = 0\n"
 
 
 def test_scan_rational_skip_rows(capsys, monkeypatch):
@@ -453,7 +472,7 @@ def test_witness_error_names_the_field(capsys, monkeypatch, field, spec):
 GOLDEN = json.loads((Path(__file__).parent / "witness_golden.json").read_text())
 
 
-@pytest.mark.parametrize("case", GOLDEN, ids=[c["spec"]["kind"] for c in GOLDEN])
+@pytest.mark.parametrize("case", GOLDEN, ids=[c.get("id", c["spec"]["kind"]) for c in GOLDEN])
 def test_witness_stdout_is_golden(capsys, monkeypatch, case):
     # arc with alpha is left out: its increment runs through numpy's array
     # kernel, whose last bits depend on the CPU's SIMD level

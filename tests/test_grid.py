@@ -1,9 +1,11 @@
-"""The whole-grid kernel against the scalar path it replaces in `scan`, bit for bit.
+"""The whole-grid kernels against the scalar paths they replace in `scan`, bit for bit.
 
 `grid_report` must give, at every angle, exactly what `full_report` gives
 there: the same speed, lambda, bounds, margins and flags, and a skipped row
-exactly where `guard_zero` refuses the point.  Equality is exact (compared
-through float.hex), not within a tolerance.
+exactly where `guard_zero` refuses the point.  `rational_grid` must give
+exactly what `check_rotation_bounds` gives: value, reference, margins, pass
+flags and skipped rows.  Equality is exact (compared through float.hex), not
+within a tolerance.
 """
 
 import cmath
@@ -12,9 +14,22 @@ import math
 import numpy as np
 import pytest
 
-from polyrot import Polynomial, RootForm, UnitCirclePoint, ZeroProximity, circle_grid, from_roots, full_report
+from polyrot import (
+    Polynomial,
+    RationalFunction,
+    RootForm,
+    UnitCirclePoint,
+    ZeroProximity,
+    check_rotation_bounds,
+    circle_grid,
+    classify_numerator,
+    from_roots,
+    full_report,
+)
+from polyrot import poly, rational
 from polyrot.bounds import grid_report
 from polyrot.poly import boundary_grid, guard_zero
+from polyrot.rational import rational_grid
 from polyrot.report import BOUND_KEYS, render_json
 from polyrot.roots import classify_root_list, classify_zeros
 
@@ -118,6 +133,91 @@ def test_grid_skips_where_the_guard_refuses():
     # zeros at e^{i pi/4} and -1: the 8-point grid hits both
     c = math.cos(math.pi / 4)
     p = from_roots(RootForm(1.0, (complex(c, c), -1.0, 0.3j)))
-    *_, speed, skipped = boundary_grid(p, circle_grid(8))
+    *_, speed, skipped = boundary_grid(p.coeffs, p.coeff_scale, circle_grid(8))
     assert skipped.tolist() == [False, True, False, False, True, False, False, False]
     assert np.all(np.isfinite(speed))
+
+
+def _rational_cases():
+    rng = np.random.default_rng(9)
+    zones = ("in_disk", "outside", "on_circle", "mixed")
+    shapes = ((0, 1), (0, 3), (1, 1), (2, 2), (3, 4), (4, 4), (7, 3), (12, 2), (16, 4), (5, 0), (9, 1), (6, 2))
+    for k, (degree, n_poles) in enumerate(shapes):
+        zone = zones[k % 4]
+        roots = _zeros(rng, degree, zone)
+        lead = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
+        numerator = from_roots(RootForm(lead, roots)).coeffs if degree else (lead,)
+        poles = [rng.uniform(1.05, 4.0) * cmath.exp(1j * t) for t in rng.uniform(0.0, 2.0 * math.pi, n_poles)]
+        yield f"{zone}-m{degree}-n{n_poles}", RationalFunction(numerator, poles), roots
+    # a pole 1e-11 off the circle, one at 1e6, and a constant numerator beside them
+    roots = _zeros(rng, 3, "in_disk")
+    yield "near-and-far-poles", RationalFunction(from_roots(RootForm(1.0, roots)).coeffs, [1.0 + 1e-11, 1e6j]), roots
+    yield "near-and-far-poles-m0", RationalFunction([0.5 - 2j], [cmath.exp(2j) * (1.0 + 1e-11), -1e6]), []
+
+
+RATIONAL_CASES = list(_rational_cases())
+
+
+def _item(column, k):
+    """Element k of a rational grid column, which is an array over the angles or one value for all of them."""
+    return column[k].item() if isinstance(column, np.ndarray) else column
+
+
+def rational_mismatches(r, thetas, tol=1e-9):
+    """(theta, what) wherever rational_grid and its rows differ from check_rotation_bounds at theta."""
+    cls = classify_numerator(r)
+    grid = rational_grid(r, thetas, tol, cls)
+    json_rows, csv_rows, fails = grid.rows(True), grid.rows(False), grid.fails()
+    out = []
+    for k, theta in enumerate(thetas):
+        try:
+            rep = check_rotation_bounds(r, UnitCirclePoint(theta), tol, cls)
+        except ZeroProximity:
+            if not grid.skipped[k] or json_rows[k] is not None or csv_rows[k] is not None or fails[k]:
+                out.append((theta, "skipped"))
+            continue
+        if grid.skipped[k]:
+            out.append((theta, "skipped"))
+            continue
+        for name in ("value", "reference", "lower_margin", "upper_margin"):
+            if _hex(_item(getattr(grid, name), k)) != _hex(getattr(rep, name)):
+                out.append((theta, name))
+        for name in ("num_degree", "n_poles", "lower_applicable", "upper_applicable", "lower_pass", "upper_pass"):
+            if _item(getattr(grid, name), k) != getattr(rep, name):
+                out.append((theta, name))
+        if bool(fails[k]) != rep.fails():
+            out.append((theta, "fails"))
+        if json_rows[k] != render_json(rep.as_dict(), 2) or csv_rows[k] != ",".join(rep.csv_cells()):
+            out.append((theta, "row"))
+    return out
+
+
+def _rational_thetas(roots, n):
+    # the grid plus the angle of every numerator zero on the circle, where the guard refuses
+    return circle_grid(n) + [cmath.phase(r) for r in roots if abs(abs(r) - 1.0) < 1e-12]
+
+
+@pytest.mark.parametrize("name,r,roots", RATIONAL_CASES, ids=[c[0] for c in RATIONAL_CASES])
+def test_rational_grid_equals_check_rotation_bounds(name, r, roots):
+    thetas = _rational_thetas(roots, 720)
+    assert rational_mismatches(r, thetas) == []
+    if "on_circle" in name:
+        assert rational_grid(r, thetas, 1e-9, classify_numerator(r)).skipped.any()
+    # a tolerance far below rounding turns the rounding-level margins into failures
+    assert rational_mismatches(r, thetas[::7], tol=1e-300) == []
+
+
+def test_rational_grid_with_numpy_complex_division_differs(monkeypatch):
+    # numpy divides complex arrays by multiplying with a reciprocal, which rounds differently
+    # from CPython's complex quotient: the exact comparison must catch it
+    to_complex = np.vectorize(complex, otypes=[complex])
+
+    def numpy_quot(ar, ai, br, bi):
+        q = to_complex(ar, ai) / to_complex(br, bi)
+        return q.real, q.imag
+
+    for module in (poly, rational):
+        monkeypatch.setattr(module, "c_quot", numpy_quot)
+    found = {what for _, r, roots in RATIONAL_CASES for _, what in rational_mismatches(r, _rational_thetas(roots, 90))}
+    assert {"value", "reference"} <= found
+
