@@ -284,7 +284,7 @@ def grid_report(p: Polynomial, thetas: list[float], arc: tuple[float, float | No
                 flags[key] = np.where(applies, np.where(margin >= -tol, "pass", "fail"), "na")
 
         # bound_value's operations in its order; z**n is a Python scalar per angle
-        c0, lead_zn = p.constant.conjugate(), np.array([p.leading * w**p.degree for w in z])
+        c0, lead_zn = p.constant.conjugate(), np.array([p.leading * w**p.degree for w in z.tolist()])
         wr, wi = c_quot(*c_mul(c0.real, c0.imag, vr, vi), *c_mul(lead_zn.real, lead_zn.imag, vr, -vi))
         # A real factor scales both parts: for finite w that is CPython's (lam + 1, 0) * w but for the sign of a zero.
         value_thm1 = np.hypot((lam + 1.0) * wr - 1.0, (lam + 1.0) * wi)

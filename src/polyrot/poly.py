@@ -215,10 +215,11 @@ def boundary_grid(coeffs: Sequence[complex], scale: float, thetas: list[float]):
     Takes what `boundary_speed` takes, so any coefficient list works, a constant one included.  Element k is
     bit for bit what `circle_point`, `horner_pair` and `boundary_speed` give at thetas[k]: every complex
     product and quotient follows CPython's operand order (`c_mul`, `c_quot`), never numpy's complex multiply.
-    `skipped` marks where `guard_zero` refuses; P(z) reads 1 there, so nothing divides by 0.
+    `skipped` marks where `guard_zero` refuses; P(z) reads 1 there, so nothing divides by 0.  z is the one
+    complex array of the points: callers take its `.real` and `.imag` views instead of building another.
     """
-    z = list(map(circle_point, thetas))
-    zr, zi = np.array(z).real, np.array(z).imag
+    z = np.fromiter(map(circle_point, thetas), complex, len(thetas))
+    zr, zi = z.real, z.imag
     vr, vi, dr, di = (np.zeros(len(z)) for _ in range(4))
     for c in reversed(coeffs):  # horner_pair: dacc = dacc z + acc, then acc = acc z + c
         (dzr, dzi), (vzr, vzi) = c_mul(dr, di, zr, zi), c_mul(vr, vi, zr, zi)

@@ -241,7 +241,7 @@ def rational_grid(r: RationalFunction, thetas: list[float], tol: float,
     complex (x, 0), and summed pole by pole in `arg_derivative`'s and `pole_speed`'s order.
     """
     z, _, _, speed, skipped = boundary_grid(r.numerator, r._num_scale, thetas)
-    zr, zi = np.array(z).real, np.array(z).imag
+    zr, zi = z.real, z.imag
     poles = np.array(r.poles, dtype=complex).reshape(-1, 1)
     ar, ai = poles.real, poles.imag
     dr, di = zr - ar, zi - ai  # z - a

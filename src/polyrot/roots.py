@@ -52,6 +52,9 @@ def find_roots(p: Polynomial) -> list[complex]:
     zs = [radius * cmath.exp(1j * (2.0 * math.pi * j / m + _ANGLE_OFFSET)) for j in range(m)]
 
     # A solve whose iterates blow up past the double range has failed too.
+    # The sweep is Gauss-Seidel: zs[j] is updated in place, so later j see it.
+    # Each root must stay bit for bit what the reference loop in
+    # tests/test_roots.py gives: change no floating-point operation or its order.
     try:
         for iterations in range(1, MAX_ITERATIONS + 1):
             movement = 0.0
@@ -59,7 +62,9 @@ def find_roots(p: Polynomial) -> list[complex]:
             for j in range(m):
                 zj = zs[j]
                 val, der = horner_pair(monic, zj)
-                if abs(val) > 1e-14 * (abs_sum * max(1.0, abs(zj)) ** m):
+                r = abs(zj)
+                # evaluated at every j: its ** m is where an overflowing solve raises
+                if abs(val) > 1e-14 * (abs_sum * (r if r > 1.0 else 1.0) ** m):
                     residual_ok = False
                 if val == 0:
                     continue
@@ -70,16 +75,17 @@ def find_roots(p: Polynomial) -> list[complex]:
                     continue
                 newton = val / der
                 s = 0j
-                for k in range(m):
-                    if k != j:
-                        dz = zj - zs[k]
-                        if dz == 0:
-                            dz = 1e-12
-                        s += 1.0 / dz
+                for zk in zs[:j] + zs[j + 1:]:
+                    dz = zj - zk
+                    if not dz:
+                        dz = 1e-12
+                    s += 1.0 / dz
                 denom = 1.0 - newton * s
                 step = newton if abs(denom) < 1e-300 else newton / denom
-                zs[j] = zj - step
-                movement = max(movement, abs(step) / (1.0 + abs(zs[j])))
+                zs[j] = znew = zj - step
+                moved = abs(step) / (1.0 + abs(znew))
+                if moved > movement:
+                    movement = moved
             if residual_ok or movement < CONVERGENCE_TOL:
                 break
 

@@ -490,3 +490,65 @@ def test_scan_stdout_is_golden(capsys, monkeypatch, case):
     # --arc-alpha is left out: its increment runs through numpy's array kernel
     code, out, err = run(capsys, case["argv"], stdin=case["stdin"], monkeypatch=monkeypatch)
     assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def _outcome(capsys, monkeypatch, call, argv, stdin):
+    """(exit code, stdout, stderr) of call(argv), a SystemExit's code included."""
+    import io
+    import sys
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    try:
+        code = call(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _full_parser_path(argv):
+    from polyrot.cli import build_parser
+
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        ([], ""),
+        (["-h"], ""),
+        (["bogus"], ""),
+        (["scan", "--help"], ""),
+        (["fuzz", "-h"], ""),
+        (["witness", "--help"], ""),
+        (["scan", "--grid", "many"], ""),
+        (["scan", "--coeffs", "--roots"], ""),
+        (["scan", "--theta", "0", "--jobs", "2"], ""),
+        (["fuzz", "--count", "1", "extra"], ""),
+        (["fuzz", "--zone", "nowhere"], ""),
+        (["witness", "--spec"], ""),
+        (["scan", "--grid", "12", "--format", "json"], json.dumps({"leading": [1, 0], "roots": [[0.5, 0], [0, 2]]})),
+        (["fuzz", "--count", "3", "--zone", "outside", "--seed", "4", "--format", "csv"], ""),
+    ],
+)
+def test_command_parser_matches_full_parser(capsys, monkeypatch, argv, stdin):
+    # main parses a named command with that command's parser alone; the output must be the full parser's
+    expected = _outcome(capsys, monkeypatch, _full_parser_path, argv, stdin)
+    assert _outcome(capsys, monkeypatch, main, argv, stdin) == expected
+
+
+def test_scan_builds_one_parser(capsys, monkeypatch):
+    import polyrot.cli as cli
+
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    code, out, _ = run(capsys, ["scan", "--theta", "0.5"], stdin="[[-0.5,0],[1,0]]", monkeypatch=monkeypatch)
+    assert (code, len(out.splitlines())) == (0, 2)
+    assert built == ["polyrot scan"]

@@ -131,3 +131,101 @@ def test_double_root_accepted_with_degraded_residual():
     roots = find_roots(p)
     assert len(roots) == 2
     assert max(abs(r - 0.5) for r in roots) <= 1e-6
+
+
+def _reference_find_roots(p):
+    """find_roots as first written, with a range(m) sweep that skips k == j: the bit-for-bit reference."""
+    from polyrot.poly import horner, horner_pair
+    from polyrot.roots import _ANGLE_OFFSET
+    from polyrot.tolerances import CONVERGENCE_TOL, MAX_ITERATIONS
+
+    lead = p.leading
+    monic = [c / lead for c in p.coeffs]
+    scale = max(abs(c) for c in monic)
+    origin = 0
+    while len(monic) > 1 and abs(monic[0]) <= 1e-15 * scale:
+        monic.pop(0)
+        origin += 1
+    roots = [0j] * origin
+    m = len(monic) - 1
+    if m == 0:
+        return roots
+    abs_sum = sum(abs(c) for c in monic)
+    radius = math.sqrt(1.0 + max(abs(c) for c in monic[:-1]))
+    zs = [radius * cmath.exp(1j * (2.0 * math.pi * j / m + _ANGLE_OFFSET)) for j in range(m)]
+    try:
+        for iterations in range(1, MAX_ITERATIONS + 1):
+            movement = 0.0
+            residual_ok = True
+            for j in range(m):
+                zj = zs[j]
+                val, der = horner_pair(monic, zj)
+                if abs(val) > 1e-14 * (abs_sum * max(1.0, abs(zj)) ** m):
+                    residual_ok = False
+                if val == 0:
+                    continue
+                if der == 0:
+                    zs[j] = zj * (1.0 + 1e-6) + 1e-6
+                    movement = max(movement, 1e-6)
+                    continue
+                newton = val / der
+                s = 0j
+                for k in range(m):
+                    if k != j:
+                        dz = zj - zs[k]
+                        if dz == 0:
+                            dz = 1e-12
+                        s += 1.0 / dz
+                denom = 1.0 - newton * s
+                step = newton if abs(denom) < 1e-300 else newton / denom
+                zs[j] = zj - step
+                movement = max(movement, abs(step) / (1.0 + abs(zs[j])))
+            if residual_ok or movement < CONVERGENCE_TOL:
+                break
+        relaxed = RESIDUAL_TOL ** (1.0 / m)
+        for z in zs:
+            if not cmath.isfinite(z):
+                raise NonConvergence(iterations)
+            res = abs(horner(monic, z))
+            res_scale = abs_sum * max(1.0, abs(z)) ** m
+            if res > RESIDUAL_TOL * res_scale and res > relaxed * res_scale:
+                raise NonConvergence(iterations)
+    except OverflowError:
+        raise NonConvergence(iterations) from None
+    roots.extend(zs)
+    roots.sort(key=lambda r: (r.real, r.imag))
+    return roots
+
+
+def _solve_outcome(solve, p):
+    """The roots as float.hex pairs, or the iteration count of a NonConvergence."""
+    try:
+        return [(z.real.hex(), z.imag.hex()) for z in solve(p)]
+    except NonConvergence as exc:
+        return ("NonConvergence", exc.iterations_used)
+
+
+def _sweep_cases():
+    # every degree to 24, then steps to 64; the zeros cycle inside, on and outside the circle
+    rng = np.random.default_rng(31)
+    radii = ((0.05, 0.98), (1.0, 1.0), (1.02, 1.5))
+    for degree in [*range(1, 25), *range(28, 65, 6)]:
+        roots = [rng.uniform(*radii[(degree + k) % 3]) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+                 for k in range(degree)]
+        yield f"mixed-{degree}", roots
+    for mult in (2, 3):
+        for base in ([0.5], [0.3 + 0.4j, -0.7], [1j, 0.9, -0.2 - 0.6j], [1.3, -1.1j]):
+            yield f"x{mult}-{len(base)}", [r for r in base for _ in range(mult)] + [0.1 - 0.8j]
+    for origin in (1, 2, 5):
+        yield f"origin-{origin}", [0j] * origin + [0.6, -0.4j, 1.2 + 0.3j]
+    yield "unimodular-128", list(witness_unimodular(128, 0).roots)
+
+
+def test_sweep_matches_reference_bit_for_bit():
+    outcomes = []
+    for name, roots in _sweep_cases():
+        p = from_roots(RootForm(complex(1.0, 0.25), roots))
+        ref = _solve_outcome(_reference_find_roots, p)
+        assert _solve_outcome(find_roots, p) == ref, name
+        outcomes.append(ref)
+    assert outcomes[-1][0] == "NonConvergence"  # the degree-128 witness overflows
