@@ -10,12 +10,7 @@ from .blaschke import (
     BlaschkeProduct,
     boundary_derivative_modulus,
     check_goryainov,
-    check_mercer,
     check_mercer_remark,
-    disk_self_map,
-    f_prime_0,
-    f_second_0,
-    normalized_self_map,
 )
 from .bounds import (
     BoundReport,
@@ -30,12 +25,10 @@ from .bounds import (
 )
 from .errors import (
     ArcContainsRoot,
-    DegenerateDerivative,
     HypothesisViolated,
     InvalidWitnessParams,
     NonConvergence,
     PolyrotError,
-    RootAtOne,
     UnwrapAmbiguity,
     ZeroProximity,
 )

@@ -29,13 +29,5 @@ class UnwrapAmbiguity(PolyrotError):
     """Successive phase samples jump by >= pi/2 even after refinement; tracking is ambiguous."""
 
 
-class RootAtOne(PolyrotError):
-    """A zero sits at z = 1, where the normalized self-map construction is undefined."""
-
-
-class DegenerateDerivative(PolyrotError):
-    """|f'(0)| = 1, where the interior derivative bound degenerates."""
-
-
 class InvalidWitnessParams(PolyrotError):
     """Witness parameters violate the constraints of the equality family."""

@@ -26,8 +26,6 @@ RESIDUAL_TOL = 1e-10
 ON_CIRCLE_TOL = 1e-9
 # The pole product is undefined at |a| = 1, so poles need |a| > 1 + POLE_CIRCLE_TOL.
 POLE_CIRCLE_TOL = 1e-12
-# A zero this close to z = 1 poisons the normalization f(1) = 1 of the self-maps.
-ROOT_AT_ONE_TOL = 1e-9
 # Witness zeros this close to z = 1 would sit on the equality point itself.
 ONE_EXCLUSION = 1e-6
 
@@ -62,5 +60,3 @@ SELF_MAP_ORIGIN_TOL = 1e-12
 SELF_MAP_ONE_TOL = 1e-8
 # The angular derivative at 1 is >= 1 (Julia's lemma) up to this rounding.
 ANGULAR_DERIVATIVE_SLACK = 1e-9
-# Mercer's bound degenerates where |f'(0)| is 1 to this precision.
-DEGENERATE_DERIVATIVE_TOL = 1e-12

@@ -21,6 +21,7 @@ from .errors import InvalidWitnessParams
 from .oracle import arc_increment
 from .poly import RootForm, UnitCirclePoint, boundary_grid, circle_grid, expand_monic, from_roots
 from .rational import RationalFunction, classify_numerator, rational_grid
+from .roots import classify_root_list
 from .tolerances import CHECK_SLACK, ON_CIRCLE_TOL, ONE_EXCLUSION, POLE_CIRCLE_TOL
 
 
@@ -179,7 +180,7 @@ def witness_report(spec: WitnessSpec) -> dict:
             "equality_gap": abs(lam - 1.0),
         }
         if spec.alpha is not None:
-            inc = arc_increment(p, 0.0, spec.alpha)
+            inc = arc_increment(p, 0.0, spec.alpha, classify_root_list(rf.roots))
             out["alpha"] = spec.alpha
             out["measured_increment"] = inc
             out["increment_gap"] = abs(inc - spec.alpha)

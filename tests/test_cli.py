@@ -287,6 +287,19 @@ def test_one_root_solve_per_input(capsys, monkeypatch, argv, stdin):
     assert len(calls["check_rotation_bounds"]) == 0
 
 
+def test_witness_arc_solves_no_roots(capsys, monkeypatch):
+    # the witness is built from its zeros, so its arc increment reads their classification instead of solving
+    import polyrot.roots as roots
+
+    real, calls = roots.find_roots, []
+    monkeypatch.setattr(roots, "find_roots", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    spec = json.dumps({"kind": "arc", "unimodular_roots": [[-1, 0], [0, 1]], "alpha": 0.5})
+    code, out, err = run(capsys, ["witness", "--spec", "-"], stdin=spec, monkeypatch=monkeypatch)
+    assert code == 0, err
+    assert "measured_increment" in json.loads(out)
+    assert calls == []
+
+
 def test_scan_reference_overflow_is_input_error(capsys, monkeypatch):
     # conj(a) z overflows for a pole this large: an unrepresentable reference is no verdict, so exit 1
     # (tests/scan_golden.json pins the numerator and polynomial overflows)
@@ -506,10 +519,10 @@ def _outcome(capsys, monkeypatch, call, argv, stdin):
     return code, captured.out, captured.err
 
 
-def _full_parser_path(argv):
+def _fresh_parser_path(argv):
     from polyrot.cli import build_parser
 
-    args = build_parser().parse_args(argv)
+    args = build_parser.__wrapped__().parse_args(argv)  # a new parser, not the cached one main uses
     return args.func(args)
 
 
@@ -533,12 +546,14 @@ def _full_parser_path(argv):
     ],
 )
 def test_command_parser_matches_full_parser(capsys, monkeypatch, argv, stdin):
-    # main parses a named command with that command's parser alone; the output must be the full parser's
-    expected = _outcome(capsys, monkeypatch, _full_parser_path, argv, stdin)
-    assert _outcome(capsys, monkeypatch, main, argv, stdin) == expected
+    # main reuses one parser for every call; anything a call left behind in it would show in the second call
+    expected = _outcome(capsys, monkeypatch, _fresh_parser_path, argv, stdin)
+    for _ in range(2):
+        assert _outcome(capsys, monkeypatch, main, argv, stdin) == expected
 
 
 def test_scan_builds_one_parser(capsys, monkeypatch):
+    # two scans in one process build the parser at most once
     import polyrot.cli as cli
 
     built = []
@@ -549,6 +564,11 @@ def test_scan_builds_one_parser(capsys, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(cli, "_Parser", CountingParser)
-    code, out, _ = run(capsys, ["scan", "--theta", "0.5"], stdin="[[-0.5,0],[1,0]]", monkeypatch=monkeypatch)
-    assert (code, len(out.splitlines())) == (0, 2)
-    assert built == ["polyrot scan"]
+    cli.build_parser.cache_clear()
+    try:
+        for _ in range(2):
+            code, out, _ = run(capsys, ["scan", "--theta", "0.5"], stdin="[[-0.5,0],[1,0]]", monkeypatch=monkeypatch)
+            assert (code, len(out.splitlines())) == (0, 2)
+    finally:
+        cli.build_parser.cache_clear()  # the next call builds from the real _Parser
+    assert built == ["polyrot", "polyrot scan", "polyrot fuzz", "polyrot witness"]

@@ -1,0 +1,49 @@
+"""Guards on the public surface: the benchmark's traced names resolve, and every exported name serves some module."""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import polyrot
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "polyrot"
+
+
+def _perfbench_constant(name):
+    """The literal value of a top-level constant of perfbench/spans.py, read without running that file."""
+    for stmt in ast.parse((ROOT / "perfbench" / "spans.py").read_text()).body:
+        if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == name for t in stmt.targets):
+            return ast.literal_eval(stmt.value)
+    raise LookupError(name)
+
+
+def test_traced_names_resolve():
+    # perfbench's tracer wraps these by name; a rename or deletion would silently drop a span
+    for module, function in _perfbench_constant("SPANS"):
+        assert callable(getattr(importlib.import_module(f"polyrot.{module}"), function, None)), (module, function)
+    for module, cls, prop in _perfbench_constant("COUNTED_PROPERTIES"):
+        owner = getattr(importlib.import_module(f"polyrot.{module}"), cls)
+        assert isinstance(inspect.getattr_static(owner, prop), property), (module, cls, prop)
+
+
+def _loaded_names(path):
+    """Names the module at path reads, outside the top-level definition of the same name."""
+    used = set()
+    for stmt in ast.parse(path.read_text()).body:
+        own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(stmt):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name not in (None, own):
+                used.add(name)
+    return used
+
+
+def test_every_exported_name_is_used_by_the_package():
+    # a function or class that only tests reach buys no verdict: delete it or use it
+    used = set().union(*(_loaded_names(path) for path in SRC.glob("*.py") if path.name != "__init__.py"))
+    exported = [name for name in polyrot.__all__
+                if inspect.isfunction(getattr(polyrot, name)) or inspect.isclass(getattr(polyrot, name))]
+    assert exported
+    assert sorted(set(exported) - used) == []
