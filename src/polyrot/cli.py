@@ -7,7 +7,6 @@ one inequality violated beyond tolerance.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -235,13 +234,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built on first use: parsing leaves it unchanged, so one serves every call."""
-    parser = _Parser(prog="polyrot", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    scan = sub.add_parser("scan", help="evaluate every bound on a theta grid")
+def _scan_arguments(scan: argparse.ArgumentParser) -> None:
     scan.add_argument("--input", default="-", help="JSON file or - for stdin")
     group = scan.add_mutually_exclusive_group()
     group.add_argument("--coeffs", dest="mode", action="store_const", const="coeffs", default="auto")
@@ -255,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--arc-beta", type=float, default=None)
     scan.set_defaults(func=cmd_scan)
 
-    fuzz = sub.add_parser("fuzz", help="randomized verification sweep")
+
+def _fuzz_arguments(fuzz: argparse.ArgumentParser) -> None:
     fuzz.add_argument("--count", type=int, default=100)
     fuzz.add_argument("--degree-min", type=int, default=1)
     fuzz.add_argument("--degree-max", type=int, default=10)
@@ -264,14 +258,41 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--format", dest="fmt", choices=("csv", "json"), default="json")
     fuzz.set_defaults(func=cmd_fuzz)
 
-    wit = sub.add_parser("witness", help="construct an equality family member and check it")
+
+def _witness_arguments(wit: argparse.ArgumentParser) -> None:
     wit.add_argument("--spec", default="-", help="WitnessSpec JSON file or - for stdin")
     wit.set_defaults(func=cmd_witness)
+
+
+# Each command's help line and the function that adds its arguments to a parser.
+_COMMANDS = {
+    "scan": ("evaluate every bound on a theta grid", _scan_arguments),
+    "fuzz": ("randomized verification sweep", _fuzz_arguments),
+    "witness": ("construct an equality family member and check it", _witness_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="polyrot", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one command; argv defaults to sys.argv[1:]."""
+    """Run one command.  A call that names its command is parsed by that command's parser alone.
+
+    The full parser, which builds every command's, handles the rest: no command, an unknown one, top-level
+    help, and arguments the command does not take, which it reports as `polyrot: error: ...`.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        parser = _Parser(prog=f"polyrot {argv[0]}")  # the prog a subparser of build_parser() gets
+        _COMMANDS[argv[0]][1](parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            return args.func(args)
     args = build_parser().parse_args(argv)
     return args.func(args)
 

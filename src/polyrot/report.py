@@ -99,7 +99,10 @@ def _emit(obj, out: list[str], indent: int) -> None:
 
 def dump_json(obj) -> str:
     """JSON text with floats rendered by format_float (non-finite -> null)."""
-    return render_json(obj) + "\n"
+    out: list[str] = []
+    _emit(obj, out, 0)
+    out.append("\n")
+    return "".join(out)
 
 
 def csv_cell(value) -> str:

@@ -300,6 +300,15 @@ def test_witness_arc_solves_no_roots(capsys, monkeypatch):
     assert calls == []
 
 
+def test_witness_arc_double_zero_on_arc_is_input_error(capsys, monkeypatch):
+    # the double zero at angle 0.3 lies on the arc of half-width 0.5; a solve splits it to either side of the
+    # circle, out of reach of the on-circle test, but the witness's own zeros are exactly on the circle
+    z = [math.cos(0.3), math.sin(0.3)]
+    spec = json.dumps({"kind": "arc", "unimodular_roots": [z, z], "alpha": 0.5})
+    code, out, err = run(capsys, ["witness", "--spec", "-"], stdin=spec, monkeypatch=monkeypatch)
+    assert (code, out, err) == (1, "", "error: zero at angle distance 0.300000 inside the open arc\n")
+
+
 def test_scan_reference_overflow_is_input_error(capsys, monkeypatch):
     # conj(a) z overflows for a pole this large: an unrepresentable reference is no verdict, so exit 1
     # (tests/scan_golden.json pins the numerator and polynomial overflows)
@@ -519,10 +528,10 @@ def _outcome(capsys, monkeypatch, call, argv, stdin):
     return code, captured.out, captured.err
 
 
-def _fresh_parser_path(argv):
+def _full_parser_path(argv):
     from polyrot.cli import build_parser
 
-    args = build_parser.__wrapped__().parse_args(argv)  # a new parser, not the cached one main uses
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 
@@ -546,14 +555,15 @@ def _fresh_parser_path(argv):
     ],
 )
 def test_command_parser_matches_full_parser(capsys, monkeypatch, argv, stdin):
-    # main reuses one parser for every call; anything a call left behind in it would show in the second call
-    expected = _outcome(capsys, monkeypatch, _fresh_parser_path, argv, stdin)
+    # main parses a named command with that command's parser alone; the output must be the full parser's,
+    # and state one call left behind would show in the second
+    expected = _outcome(capsys, monkeypatch, _full_parser_path, argv, stdin)
     for _ in range(2):
         assert _outcome(capsys, monkeypatch, main, argv, stdin) == expected
 
 
 def test_scan_builds_one_parser(capsys, monkeypatch):
-    # two scans in one process build the parser at most once
+    # each scan builds its own command's parser and no other
     import polyrot.cli as cli
 
     built = []
@@ -564,11 +574,7 @@ def test_scan_builds_one_parser(capsys, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(cli, "_Parser", CountingParser)
-    cli.build_parser.cache_clear()
-    try:
-        for _ in range(2):
-            code, out, _ = run(capsys, ["scan", "--theta", "0.5"], stdin="[[-0.5,0],[1,0]]", monkeypatch=monkeypatch)
-            assert (code, len(out.splitlines())) == (0, 2)
-    finally:
-        cli.build_parser.cache_clear()  # the next call builds from the real _Parser
-    assert built == ["polyrot", "polyrot scan", "polyrot fuzz", "polyrot witness"]
+    for _ in range(2):
+        code, out, _ = run(capsys, ["scan", "--theta", "0.5"], stdin="[[-0.5,0],[1,0]]", monkeypatch=monkeypatch)
+        assert (code, len(out.splitlines())) == (0, 2)
+    assert built == ["polyrot scan"] * 2
