@@ -23,7 +23,7 @@ from typing import Iterable
 from .errors import HypothesisViolated
 from .poly import Polynomial, UnitCirclePoint, cross_term, rotation_speed
 from .report import InequalityCheck
-from .roots import classify_zeros
+from .roots import ZeroClassification
 from .tolerances import (
     ANGULAR_DERIVATIVE_SLACK,
     CHECK_SLACK,
@@ -87,13 +87,14 @@ def check_goryainov(f: BlaschkeProduct, fp1: float) -> InequalityCheck:
     return InequalityCheck("goryainov", lhs, rhs, margin, margin >= -CHECK_SLACK)
 
 
-def check_mercer_remark(p: Polynomial) -> InequalityCheck:
+def check_mercer_remark(p: Polynomial, classification: ZeroClassification) -> InequalityCheck:
     """Coefficient form of Mercer's remark |f''(0)| <= 2 (1 - |f'(0)|^2).
 
     For zeros-in-disk polynomials this reads
-    |c1 conj(cn) - c0 conj(c_{n-1})| <= |cn|^2 - |c0|^2.
+    |c1 conj(cn) - c0 conj(c_{n-1})| <= |cn|^2 - |c0|^2; `classification`,
+    that of p's zeros, must put none outside the closed disk.
     """
-    if classify_zeros(p).outside:
+    if classification.outside:
         raise HypothesisViolated("zeros outside the closed unit disk")
     c = p.coeffs
     lhs = abs(cross_term(c))

@@ -23,7 +23,7 @@ from .errors import HypothesisViolated
 from .oracle import arc_increment
 from .poly import Polynomial, UnitCirclePoint, boundary_grid, c_mul, c_quot, cross_term, guard_zero, rotation_speed
 from .report import BOUND_KEYS, CSV_HEADER, csv_cell, grid_rows, row_template, slot
-from .roots import ZeroClassification, classify_zeros
+from .roots import ZeroClassification
 from .tolerances import ARC_INCREMENT_SLACK, CHECK_SLACK, EQUAL_MODULUS_REL
 
 
@@ -85,7 +85,7 @@ def bound_arc(
     pt: UnitCirclePoint,
     alpha: float,
     beta: float | None,
-    classification: ZeroClassification | None = None,
+    classification: ZeroClassification,
 ) -> float:
     """Finite-increment upper bound tan(beta/2) / tan(alpha/2) for lambda at pt.
 
@@ -93,6 +93,7 @@ def bound_arc(
     and the increment of 2 arg P(z) - n arg z along the arc is at most
     beta in absolute value.  The increment is measured and checked
     against the supplied beta; beta = None uses the measured increment.
+    `classification` is that of p's zeros.
 
     Raises ValueError when alpha or beta lies outside (0, pi), and
     HypothesisViolated when a zero lies on the open arc or the measured
@@ -165,21 +166,19 @@ class BoundReport:
 def full_report(
     p: Polynomial,
     pt: UnitCirclePoint,
+    classification: ZeroClassification,
     arc: tuple[float, float | None] | None = None,
     slack: float = CHECK_SLACK,
-    classification: ZeroClassification | None = None,
 ) -> BoundReport:
     """Evaluate lambda and every applicable bound at one boundary point.
 
     Lower bounds apply when all zeros lie in the closed disk; the
-    zero-free upper bound applies when none lie in the open disk.  The
+    zero-free upper bound applies when none lie in the open disk, both
+    read from `classification`, that of p's zeros.  The
     arc bound is only evaluated when `arc = (alpha, beta)` is supplied
     (beta = None means: use the measured increment).  Bounds whose
     hypothesis fails are reported with flag "na" rather than "fail".
-    Pass the zero classification of p to avoid solving for its zeros
-    again at every point.
     """
-    cls = classification or classify_zeros(p)
     speed = rotation_speed(p, pt)
     lam = 2.0 * speed - p.degree
     tol = slack * max(1.0, abs(lam))
@@ -193,18 +192,18 @@ def full_report(
         margins[key] = margin
         flags[key] = "na" if margin is None else "pass" if margin >= -tol else "fail"
 
-    lower_ok = not cls.outside
+    lower_ok = not classification.outside
     for key, value in _lower_bounds(p, bound_value(p, pt, lam)):
         record(key, value, lam - value if lower_ok and math.isfinite(value) else None)
 
     if arc is not None:
         try:
-            value = bound_arc(p, pt, *arc, classification=cls)
+            value = bound_arc(p, pt, *arc, classification)
             record("arc_thm3", value, value - lam)
         except HypothesisViolated:
             pass
 
-    if not cls.inside:
+    if not classification.inside:
         value = bound_zero_free(p)
         record("upper_zero_free", value, value - speed)
 
@@ -270,7 +269,7 @@ def grid_report(p: Polynomial, thetas: list[float], arc: tuple[float, float | No
         arc_value = np.full(len(thetas), math.nan)  # nan where the arc hypothesis fails
         for k in np.flatnonzero(~skipped):
             with contextlib.suppress(HypothesisViolated):
-                arc_value[k] = bound_arc(p, UnitCirclePoint(thetas[k]), *arc, classification=classification)
+                arc_value[k] = bound_arc(p, UnitCirclePoint(thetas[k]), *arc, classification)
 
     # inf and nan arise silently, as in boundary_grid; bound_arc above keeps its own numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -134,16 +134,16 @@ def _fuzz_polynomial_case(tally, rng, degree, zone):
     if theta is None:
         return
     # The constructed zeros decide applicability: no root solve per case.
-    rep = full_report(p, UnitCirclePoint(theta), classification=classify_root_list(rf.roots))
+    cls = classify_root_list(rf.roots)
+    rep = full_report(p, UnitCirclePoint(theta), cls)
     oracle_margin = ORACLE_AGREEMENT_TOL - abs(rep.speed - arg_derivative_fd(p, theta))
     tally.record("oracle_agreement", oracle_margin, oracle_margin < 0.0)
 
     if zone in ("in_disk", "on_circle"):
         for key, name in _FUZZ_LOWER.items():
             tally.record(name, rep.margins[key], rep.flags[key] == "fail")
-        remark = check_mercer_remark(p)
-        scale = max(1.0, abs(remark.lhs), abs(remark.rhs))
-        tally.record("mercer_remark", remark.margin, remark.margin < -CHECK_SLACK * scale)
+        remark = check_mercer_remark(p, cls)
+        tally.record("mercer_remark", remark.margin, not remark.passed)
     if zone == "on_circle":
         tally.record("lambda_zero", -abs(rep.lam), abs(rep.lam) > CHECK_SLACK)
     if zone == "outside":
@@ -153,11 +153,11 @@ def _fuzz_polynomial_case(tally, rng, degree, zone):
 
 def _fuzz_rational_case(tally, rng, degree, zone):
     n_poles = int(rng.integers(1, 5))
-    _, r = corpus.random_rational(rng, degree, n_poles, zone)
+    rf, r = corpus.random_rational(rng, degree, n_poles, zone)
     theta = corpus.valid_theta(rng, Polynomial(r.numerator))
     if theta is None:
         return
-    rep = check_rotation_bounds(r, UnitCirclePoint(theta))
+    rep = check_rotation_bounds(r, UnitCirclePoint(theta), classify_root_list(rf.roots))
     tol = CHECK_SLACK * max(1.0, abs(rep.value))
     for name, margin in (("rational_lower", rep.lower_margin), ("rational_upper", rep.upper_margin)):
         if margin is not None:
@@ -167,8 +167,10 @@ def _fuzz_rational_case(tally, rng, degree, zone):
 def cmd_fuzz(args) -> int:
     """Tally randomized checks by zone; exit 2 when any case violates its inequality.
 
-    Each case draws a polynomial of random degree with zeros in the zone
-    and one angle where |P| is clear of its zeros, and tallies:
+    Each case draws a polynomial of random degree from zeros placed in the
+    zone and one angle where |P| is clear of its zeros.  Every hypothesis is
+    read from the classification of those zeros, so fuzz solves for no
+    root.  It tallies:
 
     - every zone: oracle_agreement, the analytic speed against the
       central-difference oracle within ORACLE_AGREEMENT_TOL;

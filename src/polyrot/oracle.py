@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ArcContainsRoot, UnwrapAmbiguity
 from .poly import Polynomial, guard_zero, horner
-from .roots import ZeroClassification, classify_zeros
+from .roots import ZeroClassification
 from .tolerances import ARC_EDGE_SLACK, ARC_REFINEMENTS, ARC_SAMPLES, PHASE_STEP_LIMIT, ZERO_PROXIMITY_REL
 
 
@@ -46,9 +46,7 @@ def arg_derivative_fd(p: Polynomial, theta: float, h: float = 1e-5) -> float:
     return d / (2.0 * h)
 
 
-def arc_increment(
-    p: Polynomial, theta0: float, alpha: float, classification: ZeroClassification | None = None
-) -> float:
+def arc_increment(p: Polynomial, theta0: float, alpha: float, classification: ZeroClassification) -> float:
     """Sup of |increment of 2 arg P(z) - n arg z| from the arc center to any arc point.
 
     The arc is open, of half-width alpha, centered at e^{i theta0}.
@@ -59,15 +57,13 @@ def arc_increment(
     successive phase jumps stay below pi/2.
 
     Raises ValueError when alpha lies outside (0, pi), ArcContainsRoot
-    when a zero lies on the open arc (detected by classification or by
-    the |P| guard at an interior sample), and UnwrapAmbiguity when
-    refinement cannot tame the phase jumps.  Pass the zero classification
-    of p to avoid solving for its zeros again.
+    when a zero lies on the open arc (detected by `classification`, that
+    of p's zeros, or by the |P| guard at an interior sample), and
+    UnwrapAmbiguity when refinement cannot tame the phase jumps.
     """
     if not 0.0 < alpha < math.pi:
         raise ValueError("alpha must lie in (0, pi)")
-    cls = classification or classify_zeros(p)
-    for r in cls.on_circle:
+    for r in classification.on_circle:
         dist = abs(_wrap_pi(math.atan2(r.imag, r.real) - theta0))
         if dist < alpha - ARC_EDGE_SLACK:
             raise ArcContainsRoot(f"zero at angle distance {dist:.6f} inside the open arc")

@@ -144,21 +144,19 @@ def classify_numerator(r: RationalFunction) -> ZeroClassification:
 def check_rotation_bounds(
     r: RationalFunction,
     pt: UnitCirclePoint,
+    classification: ZeroClassification,
     tol: float = CHECK_SLACK,
-    classification: ZeroClassification | None = None,
 ) -> RationalBoundReport:
     """Check (arg R)' against (m - n + (arg B)')/2 in both directions.
 
     The lower inequality applies when all m numerator zeros lie in the
     closed unit disk, the upper one when none lie in the open disk; a
     constant numerator satisfies both vacuously.  `classification` is that
-    of the numerator (see `classify_numerator`); pass it to avoid solving
-    for the zeros again at every point.
+    of the numerator (see `classify_numerator`).
     """
     value = arg_derivative(r, pt)
     reference = 0.5 * (r.num_degree - len(r.poles) + pole_speed(r.poles, pt.z))
-    cls = classification or classify_numerator(r)
-    lower_ok, upper_ok = not cls.outside, not cls.inside
+    lower_ok, upper_ok = not classification.outside, not classification.inside
     check_tol = tol * max(1.0, abs(value), abs(reference))
     lower_margin = value - reference if lower_ok else None
     upper_margin = reference - value if upper_ok else None

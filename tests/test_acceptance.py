@@ -31,6 +31,8 @@ from polyrot import (
     check_goryainov,
     check_mercer_remark,
     check_rotation_bounds,
+    classify_numerator,
+    classify_zeros,
     from_roots,
     full_report,
     lambda_at,
@@ -151,7 +153,7 @@ def test_criterion_4_second_coefficient_bound(disk_corpus):
     for _, p, thetas in disk_corpus:
         rhs = bound_coeff2(p)
         ordering = min(ordering, rhs - bound_coeff(p))
-        remark_ok = remark_ok and check_mercer_remark(p).passed
+        remark_ok = remark_ok and check_mercer_remark(p, classify_zeros(p)).passed
         for t in thetas:
             low = min(low, lambda_at(p, UnitCirclePoint(t)) - rhs)
     _report(
@@ -172,7 +174,7 @@ def test_criterion_5_arc_bound():
         roots = tuple(cmath.exp(1j * rng.uniform(math.pi / 2, 3 * math.pi / 2)) for _ in range(k))
         lead = complex(rng.uniform(0.5, 2.0)) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         p = from_roots(witness_arc(lead, roots))
-        worst_inc = max(worst_inc, abs(arc_increment(p, 0.0, alpha) - alpha))
+        worst_inc = max(worst_inc, abs(arc_increment(p, 0.0, alpha, classify_zeros(p)) - alpha))
         worst_lam = max(worst_lam, abs(lambda_at(p, UnitCirclePoint(0.0)) - 1.0))
 
     rng = np.random.default_rng(1006)
@@ -188,7 +190,7 @@ def test_criterion_5_arc_bound():
         if t0 is None:
             continue
         try:
-            measured = arc_increment(p, t0, alpha)
+            measured = arc_increment(p, t0, alpha, classify_zeros(p))
         except (ArcContainsRoot, UnwrapAmbiguity):
             continue
         if measured >= math.pi:
@@ -210,12 +212,13 @@ def test_criterion_6_zero_free_upper_bound():
     for _ in range(500):
         degree = int(rng.integers(1, 13))
         rf, p = corpus.random_polynomial(rng, degree, "outside")
+        cls = classify_zeros(p)
         for _ in range(5):
             t = _valid_theta(rng, p, rf.roots, min_dist=0.0)
             if t is None:
                 break
             pt = UnitCirclePoint(t)
-            low = min(low, full_report(p, pt).bounds["upper_zero_free"] - rotation_speed(p, pt))
+            low = min(low, full_report(p, pt, cls).bounds["upper_zero_free"] - rotation_speed(p, pt))
     _report(6, low >= -1e-9, f"min (bound - rotation_speed) = {low:.3e}")
 
 
@@ -265,7 +268,7 @@ def test_criterion_8_rational_bounds():
         t = _valid_theta(rng, Polynomial(r.numerator), rf.roots, min_dist=0.0)
         if t is None:
             continue
-        rep = check_rotation_bounds(r, UnitCirclePoint(t))
+        rep = check_rotation_bounds(r, UnitCirclePoint(t), classify_numerator(r))
         lower_low = min(lower_low, rep.lower_margin)
         lower_cases += 1
     upper_low = math.inf
@@ -277,7 +280,7 @@ def test_criterion_8_rational_bounds():
         t = _valid_theta(rng, Polynomial(r.numerator), rf.roots, min_dist=0.0)
         if t is None:
             continue
-        rep = check_rotation_bounds(r, UnitCirclePoint(t))
+        rep = check_rotation_bounds(r, UnitCirclePoint(t), classify_numerator(r))
         upper_low = min(upper_low, rep.upper_margin)
         upper_cases += 1
     worst_eq = 0.0
@@ -289,9 +292,10 @@ def test_criterion_8_rational_bounds():
             cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
             cmath.exp(1j * rng.uniform(0, 2 * math.pi)),
         )
+        cls = classify_numerator(r)
         for k in range(100):
             try:
-                rep = check_rotation_bounds(r, UnitCirclePoint(2 * math.pi * k / 100))
+                rep = check_rotation_bounds(r, UnitCirclePoint(2 * math.pi * k / 100), cls)
             except ZeroProximity:
                 continue
             points += 1

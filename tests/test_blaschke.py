@@ -13,6 +13,7 @@ from polyrot import (
     boundary_derivative_modulus,
     check_goryainov,
     check_mercer_remark,
+    classify_zeros,
     from_roots,
     lambda_at,
     witness_goryainov,
@@ -195,11 +196,12 @@ def test_mercer_sweep(rng):
 
 def test_mercer_remark_values():
     p5 = from_roots(RootForm(1.0, tuple(cmath.exp(2j * math.pi * k / 5) for k in range(5))))
-    chk = check_mercer_remark(p5)
+    chk = check_mercer_remark(p5, classify_zeros(p5))
     assert abs(chk.lhs) <= 1e-12
     assert abs(chk.rhs) <= 1e-12
 
-    chk = check_mercer_remark(Polynomial([-0.5, 1]))
+    p1 = Polynomial([-0.5, 1])
+    chk = check_mercer_remark(p1, classify_zeros(p1))
     assert chk.lhs == pytest.approx(0.75)
     assert chk.rhs == pytest.approx(0.75)
     assert chk.passed
@@ -208,12 +210,14 @@ def test_mercer_remark_values():
 def test_mercer_remark_sweep(rng):
     for _ in range(200):
         rf = random_disk_rootform(rng, max_degree=10, keep_off_one=False)
-        assert check_mercer_remark(from_roots(rf)).passed
+        p = from_roots(rf)
+        assert check_mercer_remark(p, classify_zeros(p)).passed
 
 
 def test_mercer_remark_rejects_outside_zeros():
+    p = Polynomial([-2, 1])
     with pytest.raises(HypothesisViolated):
-        check_mercer_remark(Polynomial([-2, 1]))
+        check_mercer_remark(p, classify_zeros(p))
 
 
 def test_prefactor_must_be_unimodular():

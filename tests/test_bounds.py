@@ -16,6 +16,7 @@ from polyrot import (
     bound_sqrt_weak,
     bound_value,
     bound_zero_free,
+    classify_zeros,
     from_roots,
     full_report,
     lambda_at,
@@ -101,14 +102,14 @@ def test_bound_arc_equal_angles():
     p = from_roots(RootForm(1.0, (0j, -1.0)))
     pt = UnitCirclePoint(0.0)
     alpha = math.pi / 2
-    assert bound_arc(p, pt, alpha, alpha) == pytest.approx(1.0)
+    assert bound_arc(p, pt, alpha, alpha, classify_zeros(p)) == pytest.approx(1.0)
     assert lambda_at(p, pt) == pytest.approx(1.0)
 
 
 def test_bound_arc_closed_form():
     # circle zeros far from the arc: the tracked increment is 0, any beta works
     p = from_roots(RootForm(1.0, (cmath.exp(2.8j), cmath.exp(-2.8j))))
-    value = bound_arc(p, UnitCirclePoint(0.0), math.pi / 2, math.pi / 4)
+    value = bound_arc(p, UnitCirclePoint(0.0), math.pi / 2, math.pi / 4, classify_zeros(p))
     assert value == pytest.approx(math.sqrt(2) - 1, abs=1e-12)
     assert lambda_at(p, UnitCirclePoint(0.0)) <= value
 
@@ -117,21 +118,23 @@ def test_bound_arc_rejects_bad_hypotheses():
     p = from_roots(RootForm(1.0, (0j, -1.0)))
     pt = UnitCirclePoint(0.0)
     with pytest.raises(ValueError):
-        bound_arc(p, pt, math.pi, 0.5)
+        bound_arc(p, pt, math.pi, 0.5, classify_zeros(p))
     with pytest.raises(ValueError):
-        bound_arc(p, pt, 0.5, math.pi)
+        bound_arc(p, pt, 0.5, math.pi, classify_zeros(p))
     # measured increment 2*alpha exceeds beta = alpha for the pure square
+    square = Polynomial([0, 0, 1])
     with pytest.raises(HypothesisViolated):
-        bound_arc(Polynomial([0, 0, 1]), pt, 0.5, 0.5)
+        bound_arc(square, pt, 0.5, 0.5, classify_zeros(square))
     # root on the open arc
+    on_arc = from_roots(RootForm(1.0, (cmath.exp(0.1j),)))
     with pytest.raises(HypothesisViolated):
-        bound_arc(from_roots(RootForm(1.0, (cmath.exp(0.1j),))), pt, 0.5, 0.5)
+        bound_arc(on_arc, pt, 0.5, 0.5, classify_zeros(on_arc))
 
 
 def test_upper_bound_zero_free_hand_case():
     p = Polynomial([-2, 1])
     pt = UnitCirclePoint(0.0)
-    bound = full_report(p, pt).bounds["upper_zero_free"]
+    bound = full_report(p, pt, classify_zeros(p)).bounds["upper_zero_free"]
     assert bound == bound_zero_free(p) == pytest.approx(1 / 3)
     assert rotation_speed(p, pt) == pytest.approx(-1.0)
 
@@ -139,13 +142,14 @@ def test_upper_bound_zero_free_hand_case():
 def test_upper_bound_equality_for_circle_zeros():
     p = fifth_roots_of_unity()
     pt = UnitCirclePoint(math.pi / 5)
-    bound = full_report(p, pt).bounds["upper_zero_free"]
+    bound = full_report(p, pt, classify_zeros(p)).bounds["upper_zero_free"]
     assert bound == pytest.approx(2.5)
     assert rotation_speed(p, pt) == pytest.approx(2.5, abs=1e-9)
 
 
 def test_upper_bound_rejects_interior_zeros():
-    rep = full_report(Polynomial([-0.5, 1]), UnitCirclePoint(0.0))
+    p = Polynomial([-0.5, 1])
+    rep = full_report(p, UnitCirclePoint(0.0), classify_zeros(p))
     assert rep.flags["upper_zero_free"] == "na"
     assert rep.bounds["upper_zero_free"] is None and rep.margins["upper_zero_free"] is None
 
@@ -157,11 +161,12 @@ def test_upper_bound_respects_oracle(rng):
     pt = UnitCirclePoint(math.pi)
     speed = rotation_speed(p, pt)
     assert abs(speed - arg_derivative_fd(p, math.pi)) <= 1e-6
-    assert speed <= full_report(p, pt).bounds["upper_zero_free"] + 1e-9
+    assert speed <= full_report(p, pt, classify_zeros(p)).bounds["upper_zero_free"] + 1e-9
 
 
 def test_full_report_reference_point():
-    rep = full_report(Polynomial([-0.5, 1]), UnitCirclePoint(0.0))
+    p = Polynomial([-0.5, 1])
+    rep = full_report(p, UnitCirclePoint(0.0), classify_zeros(p))
     d = rep.as_dict()
     assert d["lambda"] == pytest.approx(3.0)
     assert d["bounds"]["classic"] == 0.0
@@ -178,7 +183,7 @@ def test_full_report_reference_point():
 
 def test_full_report_gates_lower_bounds_off_outside():
     p = from_roots(RootForm(1.0, (1.5, 0.3)))
-    rep = full_report(p, UnitCirclePoint(0.4))
+    rep = full_report(p, UnitCirclePoint(0.4), classify_zeros(p))
     d = rep.as_dict()
     for key in ("classic", "coeff", "sqrt_weak", "value_thm1", "coeff2_thm2"):
         assert d["flags"][key] == "na"
@@ -193,25 +198,27 @@ def test_full_report_random_disk_sweep(rng):
         theta = float(rng.uniform(0, 2 * math.pi))
         if abs(p(UnitCirclePoint(theta).z)) <= 1e-3 * p.coeff_scale:
             continue
-        d = full_report(p, UnitCirclePoint(theta)).as_dict()
+        d = full_report(p, UnitCirclePoint(theta), classify_zeros(p)).as_dict()
         for key in ("classic", "coeff", "sqrt_weak", "value_thm1", "coeff2_thm2"):
             assert d["flags"][key] == "pass", (key, d)
 
 
 def test_full_report_with_arc():
     p = from_roots(RootForm(1.0, (0j, -1.0)))
-    rep = full_report(p, UnitCirclePoint(0.0), arc=(math.pi / 2, None))
+    cls = classify_zeros(p)
+    rep = full_report(p, UnitCirclePoint(0.0), cls, arc=(math.pi / 2, None))
     d = rep.as_dict()
     assert d["bounds"]["arc_thm3"] == pytest.approx(1.0, abs=1e-3)
     assert d["flags"]["arc_thm3"] == "pass"
     # the measured increment is about alpha = pi/2, so beta = 0.5 voids the arc hypothesis
-    na = full_report(p, UnitCirclePoint(0.0), arc=(math.pi / 2, 0.5)).as_dict()
+    na = full_report(p, UnitCirclePoint(0.0), cls, arc=(math.pi / 2, 0.5)).as_dict()
     assert (na["flags"]["arc_thm3"], na["bounds"]["arc_thm3"], na["margins"]["arc_thm3"]) == ("na", None, None)
-    assert na == full_report(p, UnitCirclePoint(0.0)).as_dict()
+    assert na == full_report(p, UnitCirclePoint(0.0), cls).as_dict()
 
 
 def test_report_keys_match_wire_schema():
-    rep = full_report(Polynomial([-0.5, 1]), UnitCirclePoint(0.0))
+    p = Polynomial([-0.5, 1])
+    rep = full_report(p, UnitCirclePoint(0.0), classify_zeros(p))
     d = rep.as_dict()
     assert tuple(d["bounds"].keys()) == BOUND_KEYS
     assert tuple(d["margins"].keys()) == BOUND_KEYS
@@ -221,9 +228,10 @@ def test_report_keys_match_wire_schema():
 def test_scale_invariance(rng):
     p = from_roots(RootForm(1.0, (0.2, -0.5j, 0.7)))
     pt = UnitCirclePoint(1.1)
-    base = full_report(p, pt).as_dict()
+    base = full_report(p, pt, classify_zeros(p)).as_dict()
     for c in (2.0, -3j, 0.7 * cmath.exp(1.9j)):
-        scaled = full_report(Polynomial([c * ck for ck in p.coeffs]), pt).as_dict()
+        q = Polynomial([c * ck for ck in p.coeffs])
+        scaled = full_report(q, pt, classify_zeros(q)).as_dict()
         assert scaled["lambda"] == pytest.approx(base["lambda"], rel=1e-12)
         for key in ("coeff", "sqrt_weak", "value_thm1", "coeff2_thm2"):
             assert scaled["bounds"][key] == pytest.approx(base["bounds"][key], rel=1e-12, abs=1e-13)
@@ -241,7 +249,7 @@ def test_rotation_covariance():
 def test_zero_proximity_propagates():
     p = from_roots(RootForm(1.0, (1.0, 0.5)))
     with pytest.raises(ZeroProximity):
-        full_report(p, UnitCirclePoint(0.0))
+        full_report(p, UnitCirclePoint(0.0), classify_zeros(p))
 
 
 @given(

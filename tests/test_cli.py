@@ -246,6 +246,23 @@ def test_help_exits_0(capsys):
     assert "--arc-alpha" in capsys.readouterr().out
 
 
+def count_calls(monkeypatch, targets):
+    """Calls per function name while the test runs, for each (module, name) in targets that the module binds."""
+    calls = {name: 0 for _, name in targets}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in targets:
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
 @pytest.mark.parametrize(
     "argv, stdin",
     [
@@ -268,36 +285,23 @@ def test_one_root_solve_per_input(capsys, monkeypatch, argv, stdin):
     import polyrot.roots as roots
     import polyrot.witness as witness
 
-    calls = {"find_roots": [], "check_rotation_bounds": []}
-
-    def counted(name, real):
-        def wrapper(*args, **kwargs):
-            calls[name].append(1)
-            return real(*args, **kwargs)
-
-        return wrapper
-
-    for module, name in ((roots, "find_roots"), (rational, "check_rotation_bounds"), (cli, "check_rotation_bounds"),
-                         (witness, "check_rotation_bounds")):
-        if hasattr(module, name):
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    calls = count_calls(monkeypatch, ((roots, "find_roots"), (rational, "check_rotation_bounds"),
+                                      (cli, "check_rotation_bounds"), (witness, "check_rotation_bounds")))
     code, _, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
     assert code == 0, err
-    assert len(calls["find_roots"]) == 1
-    assert len(calls["check_rotation_bounds"]) == 0
+    assert calls == {"find_roots": 1, "check_rotation_bounds": 0}
 
 
 def test_witness_arc_solves_no_roots(capsys, monkeypatch):
     # the witness is built from its zeros, so its arc increment reads their classification instead of solving
     import polyrot.roots as roots
 
-    real, calls = roots.find_roots, []
-    monkeypatch.setattr(roots, "find_roots", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    calls = count_calls(monkeypatch, ((roots, "find_roots"),))
     spec = json.dumps({"kind": "arc", "unimodular_roots": [[-1, 0], [0, 1]], "alpha": 0.5})
     code, out, err = run(capsys, ["witness", "--spec", "-"], stdin=spec, monkeypatch=monkeypatch)
     assert code == 0, err
     assert "measured_increment" in json.loads(out)
-    assert calls == []
+    assert calls == {"find_roots": 0}
 
 
 def test_witness_arc_double_zero_on_arc_is_input_error(capsys, monkeypatch):
@@ -354,6 +358,34 @@ def test_fuzz_on_circle_reports_lambda_zero(capsys):
     assert code == 0
     assert "lambda_zero" in doc["checks"]
     assert doc["checks"]["lambda_zero"]["min_margin"] >= -1e-9
+
+
+@pytest.mark.parametrize("zone", ["in_disk", "on_circle", "outside", "mixed"])
+def test_fuzz_solves_no_roots(capsys, monkeypatch, zone):
+    # every case is built from its zeros, so each check reads their classification instead of solving
+    import polyrot.roots as roots
+
+    calls = count_calls(monkeypatch, ((roots, "find_roots"),))
+    code, out, err = run(capsys, ["fuzz", "--count", "40", "--degree-max", "16", "--zone", zone, "--seed", "4"])
+    assert code in (0, 2), err
+    assert json.loads(out)["checks"]["oracle_agreement"]["cases"] > 0
+    assert calls == {"find_roots": 0}
+
+
+def test_fuzz_on_circle_mercer_reads_the_constructed_zeros(capsys):
+    # a root solve used to move a constructed on-circle zero outside the disk, and Mercer's
+    # hypothesis check raised HypothesisViolated out of fuzz
+    code, out, err = run(capsys, ["fuzz", "--zone", "on_circle", "--count", "200", "--seed", "4"])
+    assert code == 0, err
+    assert json.loads(out)["checks"]["mercer_remark"]["cases"] == 200
+
+
+def test_fuzz_on_circle_keeps_every_rational_case(capsys):
+    # a root solve used to move a numerator zero off the on-circle band, which dropped both rational checks
+    code, out, err = run(capsys, ["fuzz", "--zone", "on_circle", "--count", "100", "--degree-max", "16", "--seed", "0"])
+    checks = json.loads(out)["checks"]
+    assert code == 0, err
+    assert checks["rational_lower"]["cases"] == checks["rational_upper"]["cases"] == 100
 
 
 def test_fuzz_csv_format(capsys):
@@ -511,6 +543,17 @@ def test_scan_stdout_is_golden(capsys, monkeypatch, case):
     # --tol, --theta lists, skipped rows and rows failing under a tiny --tol;
     # --arc-alpha is left out: its increment runs through numpy's array kernel
     code, out, err = run(capsys, case["argv"], stdin=case["stdin"], monkeypatch=monkeypatch)
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+FUZZ_GOLDEN = json.loads((Path(__file__).parent / "fuzz_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", FUZZ_GOLDEN, ids=[c["id"] for c in FUZZ_GOLDEN])
+def test_fuzz_stdout_is_golden(capsys, case):
+    # in_disk, outside and mixed in JSON and CSV at --degree-max 10 and 16, failing oracle cases included;
+    # the on_circle tallies are pinned by the regression tests above
+    code, out, err = run(capsys, case["argv"])
     assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
 
 

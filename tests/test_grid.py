@@ -171,7 +171,7 @@ def rational_mismatches(r, thetas, tol=1e-9):
     out = []
     for k, theta in enumerate(thetas):
         try:
-            rep = check_rotation_bounds(r, UnitCirclePoint(theta), tol, cls)
+            rep = check_rotation_bounds(r, UnitCirclePoint(theta), cls, tol)
         except ZeroProximity:
             if not grid.skipped[k] or json_rows[k] is not None or csv_rows[k] is not None or fails[k]:
                 out.append((theta, "skipped"))

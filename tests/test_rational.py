@@ -10,6 +10,7 @@ from polyrot import (
     ZeroProximity,
     arg_derivative,
     check_rotation_bounds,
+    classify_numerator,
     from_roots,
     lambda_at,
     pole_speed,
@@ -94,8 +95,9 @@ def test_pole_product_itself_gives_half_its_speed_as_margin():
 
     num = [lead * c for c in expand_monic([1 / complex(a).conjugate() for a in poles])]
     r = RationalFunction(num, poles)
+    cls = classify_numerator(r)
     for theta in (0.3, 1.0, 2.5):
-        rep = check_rotation_bounds(r, UnitCirclePoint(theta))
+        rep = check_rotation_bounds(r, UnitCirclePoint(theta), cls)
         assert rep.lower_applicable and not rep.upper_applicable
         assert rep.lower_margin == pytest.approx(
             0.5 * pole_speed(poles, UnitCirclePoint(theta).z), rel=1e-9
@@ -105,7 +107,7 @@ def test_pole_product_itself_gives_half_its_speed_as_margin():
 
 def test_hand_checked_interior_case():
     r = RationalFunction([-0.5, 1], [2.0])
-    rep = check_rotation_bounds(r, UnitCirclePoint(math.pi))
+    rep = check_rotation_bounds(r, UnitCirclePoint(math.pi), classify_numerator(r))
     assert rep.value == pytest.approx(1 / 3)
     assert rep.reference == pytest.approx(1 / 6)
     assert rep.lower_applicable
@@ -117,10 +119,10 @@ def test_equality_family(rng):
     for _ in range(10):
         poles = [rng.uniform(1.3, 3.5) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(int(rng.integers(1, 5)))]
         r = witness_rational(poles, cmath.exp(1j * rng.uniform(0, 2 * math.pi)), cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
-        checked = 0
+        cls, checked = classify_numerator(r), 0
         for theta in rng.uniform(0, 2 * math.pi, size=40):
             try:
-                rep = check_rotation_bounds(r, UnitCirclePoint(float(theta)))
+                rep = check_rotation_bounds(r, UnitCirclePoint(float(theta)), cls)
             except ZeroProximity:
                 continue
             checked += 1
@@ -134,7 +136,7 @@ def test_pole_free_reduction_matches_polynomial_bound():
     p = from_roots(RootForm(1.0, (0.4, -0.3j)))
     r = RationalFunction(p.coeffs, [])
     pt = UnitCirclePoint(0.8)
-    rep = check_rotation_bounds(r, pt)
+    rep = check_rotation_bounds(r, pt, classify_numerator(r))
     assert rep.reference == pytest.approx(p.degree / 2)
     assert rep.lower_margin == pytest.approx(0.5 * lambda_at(p, pt), rel=1e-12)
 
@@ -149,7 +151,7 @@ def test_outside_zone_upper_bound(rng):
         num = Polynomial(r.numerator)
         if abs(num(cmath.exp(1j * theta))) <= 1e-3 * num.coeff_scale:
             continue
-        rep = check_rotation_bounds(r, UnitCirclePoint(theta))
+        rep = check_rotation_bounds(r, UnitCirclePoint(theta), classify_numerator(r))
         assert rep.upper_applicable
         assert not rep.lower_applicable
         assert rep.upper_margin >= -1e-9
@@ -182,8 +184,9 @@ def test_margins_are_half_the_numerator_excess_rotation(rng):
         poles = [rng.uniform(1.1, 4.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(int(rng.integers(0, 5)))]
         num = from_roots(RootForm(complex(rng.normal(), rng.normal()), roots))
         pt = UnitCirclePoint(float(rng.uniform(0, 2 * math.pi)))
+        r = RationalFunction(num.coeffs, poles)
         try:
-            rep = check_rotation_bounds(RationalFunction(num.coeffs, poles), pt)
+            rep = check_rotation_bounds(r, pt, classify_numerator(r))
         except ZeroProximity:
             continue
         half_lambda = 0.5 * lambda_at(num, pt)

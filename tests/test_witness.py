@@ -10,6 +10,7 @@ from polyrot import (
     arc_increment,
     bound_coeff2,
     bound_value,
+    classify_zeros,
     from_roots,
     lambda_at,
     witness_arc,
@@ -93,7 +94,7 @@ def test_arc_witness_leading_invariance():
 def test_arc_witness_increment_equals_alpha():
     p = from_roots(witness_arc(1.0, (-1, 1j)))
     for alpha in (math.pi / 6, math.pi / 4):
-        inc = arc_increment(p, 0.0, alpha)
+        inc = arc_increment(p, 0.0, alpha, classify_zeros(p))
         assert abs(inc - alpha) <= 2 * math.pi / 4096
 
 
