@@ -29,7 +29,6 @@ from .errors import (
     InvalidWitnessParams,
     NonConvergence,
     PolyrotError,
-    UnwrapAmbiguity,
     ZeroProximity,
 )
 from .oracle import arc_increment, arg_derivative_fd

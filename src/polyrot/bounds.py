@@ -91,9 +91,9 @@ def bound_arc(
 
     Hypotheses: the open arc of half-width alpha around pt is zero free,
     and the increment of 2 arg P(z) - n arg z along the arc is at most
-    beta in absolute value.  The increment is measured and checked
-    against the supplied beta; beta = None uses the measured increment.
-    `classification` is that of p's zeros.
+    beta in absolute value.  The increment is `arc_increment`'s closed
+    form over `classification`, that of p's zeros, and is checked against
+    the supplied beta; beta = None uses the measured increment.
 
     Raises ValueError when alpha or beta lies outside (0, pi), and
     HypothesisViolated when a zero lies on the open arc or the measured

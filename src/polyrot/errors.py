@@ -25,9 +25,5 @@ class ArcContainsRoot(HypothesisViolated):
     """A zero lies on the open arc that was required to be zero free."""
 
 
-class UnwrapAmbiguity(PolyrotError):
-    """Successive phase samples jump by >= pi/2 even after refinement; tracking is ambiguous."""
-
-
 class InvalidWitnessParams(PolyrotError):
     """Witness parameters violate the constraints of the equality family."""

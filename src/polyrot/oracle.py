@@ -1,8 +1,9 @@
-"""Independent finite-difference oracle for boundary arguments.
+"""Oracles for boundary arguments, independent of the analytic rotation speed.
 
-Everything here works directly on sampled values of arg P(e^{i theta})
-with explicit phase unwrapping; beyond the Horner value loop it shares
-no code with the analytic rotation-speed formula it cross-checks.
+`arg_derivative_fd` differences sampled values of arg P(e^{i theta});
+beyond the Horner value loop it shares no code with the rotation-speed
+formula it cross-checks.  `arc_increment` sums the closed-form increment
+of arg(z - a) over the classified zeros a of P, with no phase unwrapping.
 """
 
 from __future__ import annotations
@@ -11,10 +12,10 @@ import math
 
 import numpy as np
 
-from .errors import ArcContainsRoot, UnwrapAmbiguity
-from .poly import Polynomial, guard_zero, horner
+from .errors import ArcContainsRoot
+from .poly import Polynomial, circle_point, guard_zero
 from .roots import ZeroClassification
-from .tolerances import ARC_EDGE_SLACK, ARC_REFINEMENTS, ARC_SAMPLES, PHASE_STEP_LIMIT, ZERO_PROXIMITY_REL
+from .tolerances import ARC_EDGE_SLACK, ARC_SAMPLES
 
 
 def _wrap_pi(d: float) -> float:
@@ -23,11 +24,6 @@ def _wrap_pi(d: float) -> float:
     if w <= 0.0:
         w += 2.0 * math.pi
     return w - math.pi
-
-
-def _wrap_pi_array(d: np.ndarray) -> np.ndarray:
-    w = np.mod(d + np.pi, 2.0 * np.pi)
-    return np.where(w == 0.0, np.pi, w - np.pi)
 
 
 def arg_derivative_fd(p: Polynomial, theta: float, h: float = 1e-5) -> float:
@@ -46,20 +42,47 @@ def arg_derivative_fd(p: Polynomial, theta: float, h: float = 1e-5) -> float:
     return d / (2.0 * h)
 
 
+def _arg_step(re, im, x0, y0, x1, y1, atan2):
+    """arg((z1 - a) / (z0 - a)) as that of (z1 - a) conj(z0 - a), a = re + i im, for floats or numpy arrays."""
+    u0, v0, u1, v1 = x0 - re, y0 - im, x1 - re, y1 - im
+    return atan2(v1 * u0 - u1 * v0, u1 * u0 + v1 * v0)
+
+
+def _endpoint_increment(inside: tuple[complex, ...], theta0: float, t: float) -> float:
+    """The increment from e^{i theta0} to e^{i (theta0 + t)} in Python floats, for zeros in the open disk."""
+    z0, z1 = circle_point(theta0), circle_point(theta0 + t)
+    terms = []
+    for a in inside:
+        d = _arg_step(a.real, a.imag, z0.real, z0.imag, z1.real, z1.imag, math.atan2)
+        if d * t < 0.0:  # arg(z - a) increases along the circle, so the step has the sign of t
+            d += math.copysign(2.0 * math.pi, t)
+        terms.append(2.0 * d - ((theta0 + t) - theta0))
+    return math.fsum(terms)
+
+
+def _sampled_increment(inside: tuple[complex, ...], outside: tuple[complex, ...], theta0: float, t: np.ndarray):
+    """`_endpoint_increment` at every t of the array t, with the zeros outside the disk added."""
+    a = np.array(inside + outside)[:, None]
+    z0 = circle_point(theta0)
+    d = _arg_step(a.real, a.imag, z0.real, z0.imag, np.cos(theta0 + t), np.sin(theta0 + t), np.arctan2)
+    d[:len(inside)] += np.where(d[:len(inside)] * t < 0.0, np.copysign(2.0 * math.pi, t), 0.0)
+    return np.sum(2.0 * d - ((theta0 + t) - theta0), axis=0)
+
+
 def arc_increment(p: Polynomial, theta0: float, alpha: float, classification: ZeroClassification) -> float:
     """Sup of |increment of 2 arg P(z) - n arg z| from the arc center to any arc point.
 
-    The arc is open, of half-width alpha, centered at e^{i theta0}.
+    The arc is open, of half-width alpha, centered at e^{i theta0}; `classification` is that of p's zeros.
+    The increment to z1 = e^{i (theta0 + t)} is the sum over the zeros a of 2 darg(z - a) - t, where darg
+    is the principal argument of (z1 - a) / (z0 - a).  arg(z - a) strictly increases for a zero inside
+    the disk, so its darg is moved into (0, 2 pi) forward and (-2 pi, 0) backward; it exceeds pi for a
+    zero between the chord and the arc.  A zero in the on-circle band adds exactly 0.  Each term's
+    t-derivative is its zero's Poisson term (1 - |a|^2) / |z - a|^2, so with no zero outside the disk
+    the sup sits at t = +-alpha and is evaluated there alone, in Python floats; otherwise the same sum
+    is evaluated on ARC_SAMPLES points per half-arc.
 
-    The tracked quantity is continuous on a zero-free arc, so the sup over
-    curves ending at the center reduces to the sup over endpoints; it is
-    measured by continuous phase tracking on a dense grid, refined until
-    successive phase jumps stay below pi/2.
-
-    Raises ValueError when alpha lies outside (0, pi), ArcContainsRoot
-    when a zero lies on the open arc (detected by `classification`, that
-    of p's zeros, or by the |P| guard at an interior sample), and
-    UnwrapAmbiguity when refinement cannot tame the phase jumps.
+    Raises ValueError when alpha lies outside (0, pi) and ArcContainsRoot when an on-circle zero lies
+    on the open arc.
     """
     if not 0.0 < alpha < math.pi:
         raise ValueError("alpha must lie in (0, pi)")
@@ -67,30 +90,10 @@ def arc_increment(p: Polynomial, theta0: float, alpha: float, classification: Ze
         dist = abs(_wrap_pi(math.atan2(r.imag, r.real) - theta0))
         if dist < alpha - ARC_EDGE_SLACK:
             raise ArcContainsRoot(f"zero at angle distance {dist:.6f} inside the open arc")
+    inside, outside = classification.inside, classification.outside
+    assert len(inside) + len(classification.on_circle) + len(outside) == p.degree
 
-    n = p.degree
-    guard = ZERO_PROXIMITY_REL * p.coeff_scale
-
-    best = 0.0
-    for sign in (1.0, -1.0):
-        n_samp = ARC_SAMPLES
-        for attempt in range(ARC_REFINEMENTS + 1):
-            t = alpha * np.arange(n_samp + 1) / n_samp
-            z = np.exp(1j * (theta0 + sign * t))
-            vals = horner(p.coeffs, z)
-            mags = np.abs(vals)
-            if np.any(mags[:-1] <= guard):
-                raise ArcContainsRoot("|P| fell below the zero-proximity guard inside the arc")
-            m = n_samp + 1 if mags[-1] > guard else n_samp
-            diffs = _wrap_pi_array(np.diff(np.angle(vals[:m])))
-            if diffs.size and np.max(np.abs(diffs)) >= PHASE_STEP_LIMIT:
-                if attempt == ARC_REFINEMENTS:
-                    raise UnwrapAmbiguity(
-                        f"phase step >= pi/2 at {n_samp} samples; the arc cannot be tracked reliably"
-                    )
-                n_samp *= 2
-                continue
-            g = 2.0 * np.concatenate(([0.0], np.cumsum(diffs))) - n * sign * t[:m]
-            best = max(best, float(np.max(np.abs(g))))
-            break
-    return best
+    if not outside:
+        return max(abs(_endpoint_increment(inside, theta0, sign * alpha)) for sign in (1.0, -1.0))
+    t = alpha * np.arange(1, ARC_SAMPLES + 1) / ARC_SAMPLES
+    return max(float(np.max(np.abs(_sampled_increment(inside, outside, theta0, sign * t)))) for sign in (1.0, -1.0))

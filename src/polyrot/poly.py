@@ -23,7 +23,7 @@ from .tolerances import LEADING_REL, ZERO_PROXIMITY_REL
 
 
 def horner(coeffs: Sequence[complex], z):
-    """P(z) by Horner's nested scheme; z is a complex scalar or a numpy array."""
+    """P(z) by Horner's nested scheme at a complex scalar z."""
     acc = 0j
     for c in reversed(coeffs):
         acc = acc * z + c
@@ -31,7 +31,7 @@ def horner(coeffs: Sequence[complex], z):
 
 
 def horner_pair(coeffs: Sequence[complex], z):
-    """P(z) and P'(z) in one nested pass; z is a complex scalar or a numpy array."""
+    """P(z) and P'(z) in one nested pass at a complex scalar z."""
     acc = 0j
     dacc = 0j
     for c in reversed(coeffs):

@@ -5,8 +5,6 @@ max|c_k|; the others are absolute.  Values that merely coincide keep
 separate names, so changing one decision never moves another.
 """
 
-import math
-
 # Evaluation and input shape.
 # Rotation quantities are undefined at a zero of P and roundoff next to one: refused below this * max|c_k|.
 ZERO_PROXIMITY_REL = 1e-12
@@ -38,12 +36,8 @@ EQUAL_MODULUS_REL = 1e-12
 ARC_EDGE_SLACK = 1e-9
 # The measured arc increment may exceed beta by this much (radians), the tracking's rounding.
 ARC_INCREMENT_SLACK = 1e-9
-# A phase step this large between successive arc samples is ambiguous modulo 2 pi: refine the grid.
-PHASE_STEP_LIMIT = 0.5 * math.pi
-# Samples per half-arc in arc tracking: steps under pi/4096 rad, for a discretization bound of 2 pi/4096.
+# Samples per half-arc when a zero lies outside the closed disk: steps under pi/4096 rad, for a discretization bound of 2 pi/4096.
 ARC_SAMPLES = 4096
-# Sample doublings allowed while a phase step reaches PHASE_STEP_LIMIT; past 64 * ARC_SAMPLES the arc is ambiguous.
-ARC_REFINEMENTS = 6
 # Fuzz gate on |speed - central difference|; the difference's truncation error is about 1e-8 away from zeros.
 ORACLE_AGREEMENT_TOL = 1e-6
 # Fuzz angles keep |P(z)| above this * max|c_k|, clear of the guard and of the stencil's blow-up near zeros.

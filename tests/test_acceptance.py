@@ -20,7 +20,6 @@ from polyrot import (
     Polynomial,
     RootForm,
     UnitCirclePoint,
-    UnwrapAmbiguity,
     ZeroProximity,
     arc_increment,
     arg_derivative_fd,
@@ -44,7 +43,8 @@ from polyrot import (
 )
 from polyrot import corpus
 
-ARC_BUDGET = 2 * math.pi / 4096
+# The witnesses' increment is alpha exactly; the closed form misses it only by rounding.
+ARC_BUDGET = 1e-12
 
 
 def _report(criterion, passed, detail):
@@ -191,7 +191,7 @@ def test_criterion_5_arc_bound():
             continue
         try:
             measured = arc_increment(p, t0, alpha, classify_zeros(p))
-        except (ArcContainsRoot, UnwrapAmbiguity):
+        except ArcContainsRoot:
             continue
         if measured >= math.pi:
             continue

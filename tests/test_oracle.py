@@ -1,23 +1,32 @@
 import cmath
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from polyrot import (
     ArcContainsRoot,
+    HypothesisViolated,
     Polynomial,
     RootForm,
     UnitCirclePoint,
-    UnwrapAmbiguity,
     ZeroProximity,
     arc_increment,
     arg_derivative_fd,
+    bound_arc,
     classify_zeros,
     from_roots,
     lambda_at,
     rotation_speed,
     witness_arc,
 )
+from polyrot.bounds import grid_report
+from polyrot.roots import classify_root_list
+from polyrot.tolerances import CHECK_SLACK
+
+# Rounding bound of the closed-form increment: a few ulps per zero term, summed exactly.
+EXACT = 1e-12
 
 
 def test_fd_monomial_is_exact():
@@ -60,14 +69,14 @@ def test_arc_increment_of_equality_family_is_alpha():
     p = from_roots(witness_arc(1.0, (-1,)))
     for alpha in (math.pi / 6, math.pi / 2):
         inc = arc_increment(p, 0.0, alpha, classify_zeros(p))
-        assert abs(inc - alpha) <= 2 * math.pi / 4096
+        assert abs(inc - alpha) <= EXACT
 
 
 def test_arc_increment_of_monomial():
     n, alpha = 4, 0.8
     p = Polynomial([0] * n + [1])
     inc = arc_increment(p, 0.3, alpha, classify_zeros(p))
-    assert abs(inc - n * alpha) <= 2 * math.pi / 4096
+    assert abs(inc - n * alpha) <= EXACT
 
 
 def test_arc_increment_first_order_taylor():
@@ -85,7 +94,8 @@ def test_arc_increment_first_order_taylor():
 
 
 def test_arc_increment_stable_under_doubling(monkeypatch):
-    p = from_roots(RootForm(1.0, (0.5, -0.2 + 0.3j)))
+    # a zero outside the disk: the only input whose increment is sampled
+    p = from_roots(RootForm(1.0, (0.5, -0.2 + 0.3j, 1.1 * cmath.exp(1.5j))))
     monkeypatch.setattr("polyrot.oracle.ARC_SAMPLES", 4096)
     a = arc_increment(p, 1.0, 1.2, classify_zeros(p))
     monkeypatch.setattr("polyrot.oracle.ARC_SAMPLES", 8192)
@@ -104,18 +114,74 @@ def test_arc_allows_root_at_endpoint():
     alpha = 0.75
     p = from_roots(RootForm(1.0, (0j, cmath.exp(1j * alpha))))
     inc = arc_increment(p, 0.0, alpha, classify_zeros(p))
-    assert abs(inc - alpha) <= 2 * math.pi / 4096
+    assert abs(inc - alpha) <= EXACT
 
 
-def test_arc_unwrap_ambiguity_on_hopeless_resolution(monkeypatch):
+def test_arc_zero_next_to_the_arc_measures_past_pi():
+    # arg(z - a) turns by almost 2 pi as z passes the zero 1e-7 inside the circle, so the increment
+    # reaches pi and the arc hypothesis fails
     p = from_roots(RootForm(1.0, ((1 - 1e-7) * cmath.exp(0.25j),)))
-    monkeypatch.setattr("polyrot.oracle.ARC_SAMPLES", 64)
-    monkeypatch.setattr("polyrot.oracle.ARC_REFINEMENTS", 2)
-    with pytest.raises(UnwrapAmbiguity):
-        arc_increment(p, 0.0, 0.5, classify_zeros(p))
+    cls = classify_zeros(p)
+    assert arc_increment(p, 0.0, 0.5, cls) >= math.pi
+    with pytest.raises(HypothesisViolated):
+        bound_arc(p, UnitCirclePoint(0.0), 0.5, None, cls)
+    assert grid_report(p, [0.0], (0.5, None), CHECK_SLACK, cls).flags["arc_thm3"] == "na"
 
 
 def test_arc_center_on_root_is_rejected():
     p = from_roots(RootForm(1.0, (1.0,)))
     with pytest.raises(ArcContainsRoot):
         arc_increment(p, 0.0, 0.5, classify_zeros(p))
+
+
+def _mp_increment(zeros, theta0, alpha):
+    """50-digit reference: sup of |integral of the Poisson-sum lambda| from theta0 over [theta0 - alpha, theta0 + alpha].
+
+    lambda is the t-derivative of the increment.  With a zero outside the disk it changes sign, and the sup is
+    taken over the arc ends and every zero of lambda located between the nodes of a 64-point grid.
+    """
+    with mp.workdps(50):
+        zs = [mp.mpc(a) for a in zeros]
+        lam = lambda t: mp.fsum((1 - abs(a) ** 2) / abs(mp.expj(t) - a) ** 2 for a in zs)  # noqa: E731
+        best = mp.mpf(0)
+        for sign in (1, -1):
+            end = theta0 + sign * mp.mpf(alpha)
+            ends = [end]
+            if any(abs(a) > 1 for a in zs):
+                nodes = mp.linspace(theta0, end, 65)
+                ends += [mp.findroot(lam, (u, v), solver="anderson")
+                         for u, v in zip(nodes, nodes[1:]) if lam(u) * lam(v) < 0]
+            for t in ends:
+                # break the quadrature at the angles of zeros near the path, where lambda peaks
+                peaks = sorted(mp.arg(a) for a in zs if min(theta0, t) < mp.arg(a) < max(theta0, t))
+                best = max(best, abs(mp.quad(lam, [theta0, *(peaks if sign > 0 else peaks[::-1]), t])))
+        return float(best)
+
+
+def _random_zeros(rng, k, radii):
+    return tuple(complex(r * cmath.exp(1j * phi))
+                 for r, phi in zip(rng.uniform(*radii, k), rng.uniform(0.0, 2 * math.pi, k)))
+
+
+def test_arc_increment_matches_mpmath():
+    rng = np.random.default_rng(4096)
+
+    def arc():
+        return float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(0.05, 1.5))
+
+    cases = [(_random_zeros(rng, int(rng.integers(1, 7)), (0.0, 0.98)), *arc()) for _ in range(8)]
+    cases += [(_random_zeros(rng, int(rng.integers(1, 4)), (0.0, 0.98))
+               + _random_zeros(rng, int(rng.integers(1, 3)), (1.02, 1.5)), *arc()) for _ in range(4)]
+    # a zero between the chord and the arc at theta0 = 0, alone and beside a zero outside
+    segment = 0.999 * cmath.exp(0.3j)
+    cases += [((segment,), 0.0, 0.5), ((segment, 1.2 * cmath.exp(2.0j)), 0.0, 0.5)]
+    for zeros, theta0, alpha in cases:
+        cls = classify_root_list(zeros)
+        inc = arc_increment(from_roots(RootForm(1.0, zeros)), theta0, alpha, cls)
+        ref = _mp_increment(zeros, theta0, alpha)
+        if not cls.outside:  # evaluated at the arc ends: exact up to rounding
+            assert abs(inc - ref) <= EXACT * max(1.0, ref), (zeros, theta0, alpha, inc, ref)
+        else:  # sampled: it can only miss the sup between two of its samples
+            assert -EXACT * max(1.0, ref) <= ref - inc <= 2 * math.pi / 4096, (zeros, theta0, alpha, inc, ref)
+        if segment in zeros:  # passing the zero turns arg(z - a) by more than pi
+            assert math.pi < inc < 2 * math.pi

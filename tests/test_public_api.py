@@ -69,3 +69,14 @@ def test_zeros_are_solved_for_only_where_an_input_arrives():
     solving = {path.stem for path in SRC.glob("*.py")
                if path.name != "__init__.py" and _referenced_names(path) & {"classify_zeros", "find_roots"}}
     assert solving <= {"cli", "rational", "roots"}  # __init__ only re-exports both
+
+
+def test_every_tolerance_is_read_by_the_package():
+    # a knob whose code is deleted must go with it, not linger in the table
+    from polyrot import tolerances
+
+    knobs = {name for name in vars(tolerances) if name.isupper()}
+    used = set().union(*(_loaded_names(path) for path in SRC.glob("*.py")
+                         if path.name not in ("__init__.py", "tolerances.py")))
+    assert knobs
+    assert sorted(knobs - used) == []

@@ -95,7 +95,7 @@ def test_arc_witness_increment_equals_alpha():
     p = from_roots(witness_arc(1.0, (-1, 1j)))
     for alpha in (math.pi / 6, math.pi / 4):
         inc = arc_increment(p, 0.0, alpha, classify_zeros(p))
-        assert abs(inc - alpha) <= 2 * math.pi / 4096
+        assert abs(inc - alpha) <= 1e-12
 
 
 def test_arc_witness_validation():
