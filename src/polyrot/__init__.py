@@ -8,7 +8,6 @@ families that show each bound is attained.
 
 from .blaschke import (
     BlaschkeProduct,
-    boundary_derivative_modulus,
     check_goryainov,
     check_mercer_remark,
 )

@@ -6,12 +6,12 @@ circle to the circle.  For P(z) = cn prod (z - a_k) with zeros in the closed
 disk, the product over its interior zeros with one added zero at the origin
 satisfies, on |z| = 1 away from zeros of P, the boundary derivative identity
 
-    |f'(z)| = 2 Re(z P'(z)/P(z)) - n + 1
+    |f'(z)| = 2 Re(z P'(z)/P(z)) - n + 1 = lambda + 1
 
-(`boundary_derivative_modulus`), so self-map inequalities read as rotation
-bounds.  `check_goryainov` checks Goryainov's inequality on a product
-(`witness goryainov`), and `check_mercer_remark` checks Mercer's remark in
-its coefficient form (`fuzz`).
+(`lambda_at` + 1), so self-map inequalities read as rotation bounds.
+`check_goryainov` checks Goryainov's inequality on a product (`witness
+goryainov`), and `check_mercer_remark` checks Mercer's remark in its
+coefficient form (`fuzz`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import HypothesisViolated
-from .poly import Polynomial, UnitCirclePoint, cross_term, rotation_speed
+from .poly import Polynomial, cross_term
 from .report import InequalityCheck
 from .roots import ZeroClassification
 from .tolerances import (
@@ -64,16 +64,11 @@ class BlaschkeProduct:
         return acc
 
 
-def boundary_derivative_modulus(p: Polynomial, pt: UnitCirclePoint) -> float:
-    """|f'(z)| = 2 Re(z P'(z)/P(z)) - n + 1 on |z| = 1 for the origin-pinned map."""
-    return 2.0 * rotation_speed(p, pt) - p.degree + 1.0
-
-
 def check_goryainov(f: BlaschkeProduct, fp1: float) -> InequalityCheck:
     """Goryainov's inequality |f'(0) - 1/f'(1)| <= 1 - 1/f'(1).
 
     f must satisfy f(0) = 0 and f(1) = 1; fp1 is the angular derivative
-    at 1, computable as the boundary derivative modulus at theta = 0.
+    at 1, computable as `lambda_at` + 1 at theta = 0.
     """
     if abs(f(0j)) > SELF_MAP_ORIGIN_TOL:
         raise HypothesisViolated("f(0) != 0")

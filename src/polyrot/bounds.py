@@ -89,15 +89,17 @@ def bound_arc(
 ) -> float:
     """Finite-increment upper bound tan(beta/2) / tan(alpha/2) for lambda at pt.
 
-    Hypotheses: the open arc of half-width alpha around pt is zero free,
-    and the increment of 2 arg P(z) - n arg z along the arc is at most
-    beta in absolute value.  The increment is `arc_increment`'s closed
-    form over `classification`, that of p's zeros, and is checked against
-    the supplied beta; beta = None uses the measured increment.
+    Hypotheses: every zero of p lies in the closed unit disk, the open arc
+    of half-width alpha around pt is zero free, and the increment of
+    2 arg P(z) - n arg z along the arc is at most beta in absolute value.
+    The increment is `arc_increment`'s closed form over `classification`,
+    that of p's zeros, and is checked against the supplied beta;
+    beta = None uses the measured increment.
 
     Raises ValueError when alpha or beta lies outside (0, pi), and
-    HypothesisViolated when a zero lies on the open arc or the measured
-    increment exceeds beta (or, with beta = None, reaches pi).
+    HypothesisViolated when a zero lies outside the closed disk or on the
+    open arc, or the measured increment exceeds beta (or, with
+    beta = None, reaches pi).
     """
     if beta is not None and not (0.0 < beta < math.pi):
         raise ValueError("beta must lie in (0, pi)")

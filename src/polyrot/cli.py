@@ -158,10 +158,10 @@ def _fuzz_rational_case(tally, rng, degree, zone):
     if theta is None:
         return
     rep = check_rotation_bounds(r, UnitCirclePoint(theta), classify_root_list(rf.roots))
-    tol = CHECK_SLACK * max(1.0, abs(rep.value))
-    for name, margin in (("rational_lower", rep.lower_margin), ("rational_upper", rep.upper_margin)):
+    for name, margin, passed in (("rational_lower", rep.lower_margin, rep.lower_pass),
+                                 ("rational_upper", rep.upper_margin, rep.upper_pass)):
         if margin is not None:
-            tally.record(name, margin, margin < -tol)
+            tally.record(name, margin, not passed)
 
 
 def cmd_fuzz(args) -> int:

@@ -3,19 +3,18 @@
 `arg_derivative_fd` differences sampled values of arg P(e^{i theta});
 beyond the Horner value loop it shares no code with the rotation-speed
 formula it cross-checks.  `arc_increment` sums the closed-form increment
-of arg(z - a) over the classified zeros a of P, with no phase unwrapping.
+of arg(z - a) over the classified zeros a of P at the two arc ends, which
+holds the sup when every zero lies in the closed unit disk.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .errors import ArcContainsRoot
+from .errors import ArcContainsRoot, HypothesisViolated
 from .poly import Polynomial, circle_point, guard_zero
 from .roots import ZeroClassification
-from .tolerances import ARC_EDGE_SLACK, ARC_SAMPLES
+from .tolerances import ARC_EDGE_SLACK
 
 
 def _wrap_pi(d: float) -> float:
@@ -42,10 +41,10 @@ def arg_derivative_fd(p: Polynomial, theta: float, h: float = 1e-5) -> float:
     return d / (2.0 * h)
 
 
-def _arg_step(re, im, x0, y0, x1, y1, atan2):
-    """arg((z1 - a) / (z0 - a)) as that of (z1 - a) conj(z0 - a), a = re + i im, for floats or numpy arrays."""
+def _arg_step(re, im, x0, y0, x1, y1):
+    """arg((z1 - a) / (z0 - a)) as that of (z1 - a) conj(z0 - a), a = re + i im."""
     u0, v0, u1, v1 = x0 - re, y0 - im, x1 - re, y1 - im
-    return atan2(v1 * u0 - u1 * v0, u1 * u0 + v1 * v0)
+    return math.atan2(v1 * u0 - u1 * v0, u1 * u0 + v1 * v0)
 
 
 def _endpoint_increment(inside: tuple[complex, ...], theta0: float, t: float) -> float:
@@ -53,20 +52,11 @@ def _endpoint_increment(inside: tuple[complex, ...], theta0: float, t: float) ->
     z0, z1 = circle_point(theta0), circle_point(theta0 + t)
     terms = []
     for a in inside:
-        d = _arg_step(a.real, a.imag, z0.real, z0.imag, z1.real, z1.imag, math.atan2)
+        d = _arg_step(a.real, a.imag, z0.real, z0.imag, z1.real, z1.imag)
         if d * t < 0.0:  # arg(z - a) increases along the circle, so the step has the sign of t
             d += math.copysign(2.0 * math.pi, t)
         terms.append(2.0 * d - ((theta0 + t) - theta0))
     return math.fsum(terms)
-
-
-def _sampled_increment(inside: tuple[complex, ...], outside: tuple[complex, ...], theta0: float, t: np.ndarray):
-    """`_endpoint_increment` at every t of the array t, with the zeros outside the disk added."""
-    a = np.array(inside + outside)[:, None]
-    z0 = circle_point(theta0)
-    d = _arg_step(a.real, a.imag, z0.real, z0.imag, np.cos(theta0 + t), np.sin(theta0 + t), np.arctan2)
-    d[:len(inside)] += np.where(d[:len(inside)] * t < 0.0, np.copysign(2.0 * math.pi, t), 0.0)
-    return np.sum(2.0 * d - ((theta0 + t) - theta0), axis=0)
 
 
 def arc_increment(p: Polynomial, theta0: float, alpha: float, classification: ZeroClassification) -> float:
@@ -77,12 +67,12 @@ def arc_increment(p: Polynomial, theta0: float, alpha: float, classification: Ze
     is the principal argument of (z1 - a) / (z0 - a).  arg(z - a) strictly increases for a zero inside
     the disk, so its darg is moved into (0, 2 pi) forward and (-2 pi, 0) backward; it exceeds pi for a
     zero between the chord and the arc.  A zero in the on-circle band adds exactly 0.  Each term's
-    t-derivative is its zero's Poisson term (1 - |a|^2) / |z - a|^2, so with no zero outside the disk
-    the sup sits at t = +-alpha and is evaluated there alone, in Python floats; otherwise the same sum
-    is evaluated on ARC_SAMPLES points per half-arc.
+    t-derivative is its zero's Poisson term (1 - |a|^2) / |z - a|^2 >= 0, so under the paper's
+    hypothesis, every zero in the closed unit disk, the sup sits at t = +-alpha and is evaluated there
+    alone, in Python floats.
 
-    Raises ValueError when alpha lies outside (0, pi) and ArcContainsRoot when an on-circle zero lies
-    on the open arc.
+    Raises ValueError when alpha lies outside (0, pi), HypothesisViolated when a zero lies outside the
+    closed disk, and ArcContainsRoot when an on-circle zero lies on the open arc.
     """
     if not 0.0 < alpha < math.pi:
         raise ValueError("alpha must lie in (0, pi)")
@@ -90,10 +80,8 @@ def arc_increment(p: Polynomial, theta0: float, alpha: float, classification: Ze
         dist = abs(_wrap_pi(math.atan2(r.imag, r.real) - theta0))
         if dist < alpha - ARC_EDGE_SLACK:
             raise ArcContainsRoot(f"zero at angle distance {dist:.6f} inside the open arc")
-    inside, outside = classification.inside, classification.outside
-    assert len(inside) + len(classification.on_circle) + len(outside) == p.degree
-
-    if not outside:
-        return max(abs(_endpoint_increment(inside, theta0, sign * alpha)) for sign in (1.0, -1.0))
-    t = alpha * np.arange(1, ARC_SAMPLES + 1) / ARC_SAMPLES
-    return max(float(np.max(np.abs(_sampled_increment(inside, outside, theta0, sign * t)))) for sign in (1.0, -1.0))
+    if classification.outside:
+        raise HypothesisViolated("zeros outside the closed unit disk")
+    inside = classification.inside
+    assert len(inside) + len(classification.on_circle) == p.degree
+    return max(abs(_endpoint_increment(inside, theta0, sign * alpha)) for sign in (1.0, -1.0))

@@ -34,10 +34,8 @@ CHECK_SLACK = 1e-9
 EQUAL_MODULUS_REL = 1e-12
 # An on-circle zero this close (radians) to an arc end lies outside the open arc, not inside it.
 ARC_EDGE_SLACK = 1e-9
-# The measured arc increment may exceed beta by this much (radians), the tracking's rounding.
+# The measured arc increment may exceed beta by this much (radians), the closed-form sum's rounding.
 ARC_INCREMENT_SLACK = 1e-9
-# Samples per half-arc when a zero lies outside the closed disk: steps under pi/4096 rad, for a discretization bound of 2 pi/4096.
-ARC_SAMPLES = 4096
 # Fuzz gate on |speed - central difference|; the difference's truncation error is about 1e-8 away from zeros.
 ORACLE_AGREEMENT_TOL = 1e-6
 # Fuzz angles keep |P(z)| above this * max|c_k|, clear of the guard and of the stencil's blow-up near zeros.

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, boundary_derivative_modulus, check_goryainov
+from .blaschke import BlaschkeProduct, check_goryainov
 from .bounds import bound_coeff2, bound_value, lambda_at
 from .errors import InvalidWitnessParams
 from .oracle import arc_increment
@@ -188,7 +188,7 @@ def witness_report(spec: WitnessSpec) -> dict:
     if spec.kind == "goryainov":
         f = witness_goryainov(spec.a)
         p = from_roots(RootForm(1.0, (spec.a,)))
-        chk = check_goryainov(f, boundary_derivative_modulus(p, UnitCirclePoint(0.0)))
+        chk = check_goryainov(f, lambda_at(p, UnitCirclePoint(0.0)) + 1.0)
         return {
             "kind": spec.kind,
             "witness": {"a": [spec.a.real, spec.a.imag]},

@@ -23,7 +23,6 @@ from polyrot import (
     ZeroProximity,
     arc_increment,
     arg_derivative_fd,
-    boundary_derivative_modulus,
     bound_coeff,
     bound_coeff2,
     bound_value,
@@ -239,7 +238,7 @@ def test_criterion_7_self_map_derivatives_and_inequalities():
         h = 1e-5
         worst_d1 = max(worst_d1, abs(f.derivative_at_zero() - (f(h + 0j) - f(-h + 0j)) / (2 * h)))
         if abs(p(1.0 + 0j)) > 1e-3 * p.coeff_scale and min(abs(1.0 - r) for r in roots) >= 0.05:
-            fp1 = boundary_derivative_modulus(p, UnitCirclePoint(0.0))
+            fp1 = lambda_at(p, UnitCirclePoint(0.0)) + 1.0
             pre = 1.0 + 0j
             for a in roots:
                 pre *= (1.0 - a.conjugate()) / (1.0 - a)  # normalizes the map to f(1) = 1
@@ -248,7 +247,7 @@ def test_criterion_7_self_map_derivatives_and_inequalities():
         a = 0.9 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         fw = witness_goryainov(a)
         pw = from_roots(RootForm(1.0, (a,)))
-        fp1 = boundary_derivative_modulus(pw, UnitCirclePoint(0.0))
+        fp1 = lambda_at(pw, UnitCirclePoint(0.0)) + 1.0
         worst_fstar = max(worst_fstar, abs(check_goryainov(fw, fp1).margin))
     _report(
         7,

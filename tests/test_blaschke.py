@@ -10,7 +10,6 @@ from polyrot import (
     RootForm,
     UnitCirclePoint,
     bound_coeff2,
-    boundary_derivative_modulus,
     check_goryainov,
     check_mercer_remark,
     classify_zeros,
@@ -94,14 +93,8 @@ def test_interior_maximum_modulus(rng):
 def test_boundary_derivative_hand_values():
     for n in (1, 2, 5):
         p = Polynomial([0] * n + [1])
-        assert boundary_derivative_modulus(p, UnitCirclePoint(0.9)) == pytest.approx(n + 1)
-    assert boundary_derivative_modulus(Polynomial([-0.5, 1]), UnitCirclePoint(0.0)) == pytest.approx(4.0)
-
-
-def test_boundary_derivative_identity_with_lambda():
-    p = from_roots(RootForm(1.3j, (0.4, -0.2j, 0.5)))
-    pt = UnitCirclePoint(2.2)
-    assert boundary_derivative_modulus(p, pt) == lambda_at(p, pt) + 1.0
+        assert lambda_at(p, UnitCirclePoint(0.9)) + 1.0 == pytest.approx(n + 1)
+    assert lambda_at(Polynomial([-0.5, 1]), UnitCirclePoint(0.0)) + 1.0 == pytest.approx(4.0)
 
 
 def test_boundary_derivative_against_fd_of_map(rng):
@@ -114,7 +107,7 @@ def test_boundary_derivative_against_fd_of_map(rng):
             continue
         f = normalized_map(rf)
         df = (f(cmath.exp(1j * (theta + h))) - f(cmath.exp(1j * (theta - h)))) / (2 * h)
-        assert abs(boundary_derivative_modulus(p, UnitCirclePoint(theta)) - abs(df)) <= 1e-6
+        assert abs(lambda_at(p, UnitCirclePoint(theta)) + 1.0 - abs(df)) <= 1e-6
 
 
 def test_f_prime_0_values():
@@ -146,7 +139,7 @@ def test_goryainov_equality_witnesses():
     for a in (0.0, 0.5, -0.7j, 0.3 + 0.4j):
         f = witness_goryainov(a)
         p = from_roots(RootForm(1.0, (a,)))
-        fp1 = boundary_derivative_modulus(p, UnitCirclePoint(0.0))
+        fp1 = lambda_at(p, UnitCirclePoint(0.0)) + 1.0
         chk = check_goryainov(f, fp1)
         assert abs(chk.margin) <= 1e-9
         assert chk.passed
@@ -159,7 +152,7 @@ def test_goryainov_holds_on_random_constructions(rng):
         if abs(p(1.0 + 0j)) <= 1e-3 * p.coeff_scale:
             continue
         f = normalized_map(rf)
-        fp1 = boundary_derivative_modulus(p, UnitCirclePoint(0.0))
+        fp1 = lambda_at(p, UnitCirclePoint(0.0)) + 1.0
         assert check_goryainov(f, fp1).margin >= -1e-9
 
 
@@ -174,11 +167,11 @@ def test_goryainov_hypothesis_checks():
 def test_mercer_hand_values():
     rf = RootForm(1.0, (0j, 0j))  # f(z) = z^3: f'(0) = f''(0) = 0 and the bound 3 is attained everywhere
     assert mercer_rhs(disk_map(rf)) == pytest.approx(3.0)
-    assert boundary_derivative_modulus(from_roots(rf), UnitCirclePoint(1.1)) == pytest.approx(3.0)
+    assert lambda_at(from_roots(rf), UnitCirclePoint(1.1)) + 1.0 == pytest.approx(3.0)
 
     rf = RootForm(1.0, (0.5,))  # f'(0) = -1/2, f''(0)/2 = 3/4
     assert mercer_rhs(disk_map(rf)) == pytest.approx(4 / 3)
-    assert boundary_derivative_modulus(from_roots(rf), UnitCirclePoint(0.0)) == pytest.approx(4.0)
+    assert lambda_at(from_roots(rf), UnitCirclePoint(0.0)) + 1.0 == pytest.approx(4.0)
 
 
 def test_mercer_sweep(rng):
@@ -191,7 +184,7 @@ def test_mercer_sweep(rng):
         theta = float(rng.uniform(0, 2 * math.pi))
         if abs(p(cmath.exp(1j * theta))) <= 1e-3 * p.coeff_scale:
             continue
-        assert boundary_derivative_modulus(p, UnitCirclePoint(theta)) - rhs >= -1e-9
+        assert lambda_at(p, UnitCirclePoint(theta)) + 1.0 - rhs >= -1e-9
 
 
 def test_mercer_remark_values():

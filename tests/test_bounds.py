@@ -22,7 +22,9 @@ from polyrot import (
     lambda_at,
     rotation_speed,
 )
+from polyrot import corpus
 from polyrot.report import BOUND_KEYS
+from polyrot.roots import classify_root_list
 
 
 def fifth_roots_of_unity():
@@ -214,6 +216,30 @@ def test_full_report_with_arc():
     na = full_report(p, UnitCirclePoint(0.0), cls, arc=(math.pi / 2, 0.5)).as_dict()
     assert (na["flags"]["arc_thm3"], na["bounds"]["arc_thm3"], na["margins"]["arc_thm3"]) == ("na", None, None)
     assert na == full_report(p, UnitCirclePoint(0.0), cls).as_dict()
+
+
+def test_every_applicable_flag_passes_across_zones(rng):
+    # Each zero of a degree 1-6 input is drawn inside the disk, on the circle or outside, at an angle where
+    # |P| clears fuzz's floor.  A bound whose hypothesis holds must pass, and the arc bound, stated for zeros
+    # in the closed disk, must read na whenever one lies outside.
+    applicable = dict.fromkeys(BOUND_KEYS, 0)
+    gated_arcs = 0
+    for _ in range(2000):
+        zones = rng.choice(corpus.ZONES[:3], size=int(rng.integers(1, 7)))
+        roots = [r for zone in zones for r in corpus.random_roots(rng, 1, zone)]
+        p = from_roots(RootForm(corpus.random_leading(rng), roots))
+        theta, alpha = corpus.valid_theta(rng, p), float(rng.uniform(0.05, 1.5))
+        if theta is None:
+            continue
+        cls = classify_root_list(roots)
+        rep = full_report(p, UnitCirclePoint(theta), cls, arc=(alpha, None))
+        for key, flag in rep.flags.items():
+            assert flag in ("pass", "na"), (key, roots, theta, alpha, rep.margins[key])
+            applicable[key] += flag == "pass"
+        if cls.outside:
+            assert rep.flags["arc_thm3"] == "na", (roots, theta, alpha)
+            gated_arcs += 1
+    assert min(applicable.values()) > 300 and gated_arcs > 1000, (applicable, gated_arcs)
 
 
 def test_report_keys_match_wire_schema():

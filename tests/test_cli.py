@@ -209,6 +209,21 @@ def test_scan_violation_exit_code(capsys, monkeypatch):
     assert out.strip().splitlines()[1].endswith(",fail")
 
 
+def test_scan_arc_bound_is_na_with_a_zero_outside_the_disk(capsys, monkeypatch):
+    # P = (z - 0.9)(z - 2): lambda(0) = 16 exceeds tan(beta/2) / tan(alpha/2), but Theorem 3 assumes
+    # every zero in the closed disk, so the arc bound does not apply
+    stdin, argv = "[[1.8,0],[-2.9,0],[1,0]]", ["scan", "--theta", "0", "--arc-alpha", "1"]
+    code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    row = dict(zip(CSV_HEADER.split(","), out.splitlines()[1].split(",")))
+    assert (row["lambda"], row["arc_thm3"], row["status"]) == ("16.000000000000021", "", "pass")
+    code, out, err = run(capsys, argv + ["--format", "json"], stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    (row,) = json.loads(out)["rows"]
+    assert (row["bounds"]["arc_thm3"], row["margins"]["arc_thm3"], row["flags"]["arc_thm3"]) == (None, None, "na")
+    assert row["status"] == "pass"
+
+
 def test_scan_unknown_check_is_input_error(capsys, monkeypatch):
     code, _, err = run(
         capsys,
@@ -539,8 +554,7 @@ SCAN_GOLDEN = json.loads((Path(__file__).parent / "scan_golden.json").read_text(
 def test_scan_stdout_is_golden(capsys, monkeypatch, case):
     # coefficient, root-form and rational input in CSV and JSON, with --checks,
     # --tol, --theta lists, skipped rows, rows failing under a tiny --tol and
-    # --arc-alpha/--arc-beta; no arc input has a zero outside the disk, whose
-    # sampled increment runs through numpy and may differ in the last bits by CPU
+    # --arc-alpha/--arc-beta, inputs with a zero outside the disk included
     code, out, err = run(capsys, case["argv"], stdin=case["stdin"], monkeypatch=monkeypatch)
     assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
 

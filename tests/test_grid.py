@@ -122,11 +122,19 @@ def test_grid_equals_full_report_for_coefficient_input():
         assert_grid_matches_scalar(p, classify_zeros(p), circle_grid(1800))
 
 
+# zeros inside and outside the disk, none on the circle: the arc bound's closed-disk hypothesis fails everywhere
+IN_AND_OUT = (0.9, 2.0, 0.3 - 0.5j, 1.4j)
+
+
 @pytest.mark.parametrize("arc", [(0.3, None), (0.3, 0.5), (1.2, 0.1), (2.0, 3.0)])
 def test_grid_equals_full_report_with_arc(arc):
-    for name, p, roots in CASES[:6] + CASES[10:11]:
+    in_and_out = ("in_and_out", from_roots(RootForm(1.0, IN_AND_OUT)), IN_AND_OUT)
+    for name, p, roots in CASES[:6] + CASES[10:11] + [in_and_out]:
         thetas = circle_grid(16) + [cmath.phase(r) for r in roots if abs(abs(r) - 1.0) < 1e-12]
-        assert_grid_matches_scalar(p, classify_root_list(roots), thetas, arc=arc)
+        cls = classify_root_list(roots)
+        assert_grid_matches_scalar(p, cls, thetas, arc=arc)
+        if cls.outside:
+            assert np.all(grid_report(p, thetas, arc, 1e-9, cls).flags["arc_thm3"] == "na"), name
 
 
 def test_grid_skips_where_the_guard_refuses():

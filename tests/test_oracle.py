@@ -93,16 +93,6 @@ def test_arc_increment_first_order_taylor():
     assert abs(inc - lam * alpha) <= (abs(dlam) + 1.0) * alpha**2
 
 
-def test_arc_increment_stable_under_doubling(monkeypatch):
-    # a zero outside the disk: the only input whose increment is sampled
-    p = from_roots(RootForm(1.0, (0.5, -0.2 + 0.3j, 1.1 * cmath.exp(1.5j))))
-    monkeypatch.setattr("polyrot.oracle.ARC_SAMPLES", 4096)
-    a = arc_increment(p, 1.0, 1.2, classify_zeros(p))
-    monkeypatch.setattr("polyrot.oracle.ARC_SAMPLES", 8192)
-    b = arc_increment(p, 1.0, 1.2, classify_zeros(p))
-    assert abs(a - b) < 2 * math.pi / 4096
-
-
 def test_arc_rejects_root_on_open_arc():
     p = from_roots(RootForm(1.0, (cmath.exp(0.1j),)))
     with pytest.raises(ArcContainsRoot):
@@ -137,24 +127,18 @@ def test_arc_center_on_root_is_rejected():
 def _mp_increment(zeros, theta0, alpha):
     """50-digit reference: sup of |integral of the Poisson-sum lambda| from theta0 over [theta0 - alpha, theta0 + alpha].
 
-    lambda is the t-derivative of the increment.  With a zero outside the disk it changes sign, and the sup is
-    taken over the arc ends and every zero of lambda located between the nodes of a 64-point grid.
+    lambda is the t-derivative of the increment.  With every zero in the closed disk it is nonnegative, so the sup
+    is taken at the arc ends.
     """
     with mp.workdps(50):
         zs = [mp.mpc(a) for a in zeros]
         lam = lambda t: mp.fsum((1 - abs(a) ** 2) / abs(mp.expj(t) - a) ** 2 for a in zs)  # noqa: E731
         best = mp.mpf(0)
         for sign in (1, -1):
-            end = theta0 + sign * mp.mpf(alpha)
-            ends = [end]
-            if any(abs(a) > 1 for a in zs):
-                nodes = mp.linspace(theta0, end, 65)
-                ends += [mp.findroot(lam, (u, v), solver="anderson")
-                         for u, v in zip(nodes, nodes[1:]) if lam(u) * lam(v) < 0]
-            for t in ends:
-                # break the quadrature at the angles of zeros near the path, where lambda peaks
-                peaks = sorted(mp.arg(a) for a in zs if min(theta0, t) < mp.arg(a) < max(theta0, t))
-                best = max(best, abs(mp.quad(lam, [theta0, *(peaks if sign > 0 else peaks[::-1]), t])))
+            t = theta0 + sign * mp.mpf(alpha)
+            # break the quadrature at the angles of zeros near the path, where lambda peaks
+            peaks = sorted(mp.arg(a) for a in zs if min(theta0, t) < mp.arg(a) < max(theta0, t))
+            best = max(best, abs(mp.quad(lam, [theta0, *(peaks if sign > 0 else peaks[::-1]), t])))
         return float(best)
 
 
@@ -177,11 +161,13 @@ def test_arc_increment_matches_mpmath():
     cases += [((segment,), 0.0, 0.5), ((segment, 1.2 * cmath.exp(2.0j)), 0.0, 0.5)]
     for zeros, theta0, alpha in cases:
         cls = classify_root_list(zeros)
-        inc = arc_increment(from_roots(RootForm(1.0, zeros)), theta0, alpha, cls)
+        p = from_roots(RootForm(1.0, zeros))
+        if cls.outside:  # outside the closed disk the endpoint rule, and the paper's hypothesis, fail
+            with pytest.raises(HypothesisViolated):
+                arc_increment(p, theta0, alpha, cls)
+            continue
+        inc = arc_increment(p, theta0, alpha, cls)
         ref = _mp_increment(zeros, theta0, alpha)
-        if not cls.outside:  # evaluated at the arc ends: exact up to rounding
-            assert abs(inc - ref) <= EXACT * max(1.0, ref), (zeros, theta0, alpha, inc, ref)
-        else:  # sampled: it can only miss the sup between two of its samples
-            assert -EXACT * max(1.0, ref) <= ref - inc <= 2 * math.pi / 4096, (zeros, theta0, alpha, inc, ref)
+        assert abs(inc - ref) <= EXACT * max(1.0, ref), (zeros, theta0, alpha, inc, ref)
         if segment in zeros:  # passing the zero turns arg(z - a) by more than pi
             assert math.pi < inc < 2 * math.pi
