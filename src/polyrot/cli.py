@@ -45,21 +45,21 @@ def _parse_scan_input(text: str, mode: str):
         if "roots" in data:
             if mode == "coeffs":
                 raise ValueError("--coeffs expects a plain coefficient array")
-            return from_roots(RootForm.from_json(data))
+            return RootForm.from_json(data)
     raise ValueError("unrecognized input shape")
 
 
 def cmd_scan(args) -> int:
     try:
-        obj = _parse_scan_input(_read_input(args.input), args.mode)
+        parsed = _parse_scan_input(_read_input(args.input), args.mode)
+        obj = from_roots(parsed) if isinstance(parsed, RootForm) else parsed  # a root form is evaluated expanded
         thetas = [float(t) for t in args.theta.split(",")] if args.theta else circle_grid(args.grid)
         checks = args.checks.split(",") if args.checks else BOUND_KEYS
         unknown = sorted(set(checks) - set(BOUND_KEYS))
         if isinstance(obj, RationalFunction):
             # A rational input has no coefficient/root mode, no polynomial bound to gate on and no arc check.
-            given = {"--coeffs": args.mode == "coeffs", "--roots": args.mode == "roots",
-                     "--checks": args.checks is not None, "--arc-alpha": args.arc_alpha is not None,
-                     "--arc-beta": args.arc_beta is not None}
+            given = {f"--{args.mode}": args.mode != "auto", "--checks": args.checks is not None,
+                     "--arc-alpha": args.arc_alpha is not None, "--arc-beta": args.arc_beta is not None}
             ignored = [flag for flag, used in given.items() if used]
             if ignored:
                 raise ValueError(f"{ignored[0]} does not apply to rational input")
@@ -75,8 +75,9 @@ def cmd_scan(args) -> int:
         ):
             if bad:
                 raise ValueError(message)
-        # The zeros do not depend on theta: classify them once per input.
-        cls = classify_numerator(obj) if isinstance(obj, RationalFunction) else classify_zeros(obj)
+        # The zeros do not depend on theta: classify them once per input, a root form's as it states them.
+        cls = (classify_root_list(parsed.roots) if isinstance(parsed, RootForm)
+               else classify_numerator(obj) if isinstance(obj, RationalFunction) else classify_zeros(obj))
     except (ValueError, KeyError, TypeError, OSError, PolyrotError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

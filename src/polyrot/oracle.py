@@ -41,18 +41,13 @@ def arg_derivative_fd(p: Polynomial, theta: float, h: float = 1e-5) -> float:
     return d / (2.0 * h)
 
 
-def _arg_step(re, im, x0, y0, x1, y1):
-    """arg((z1 - a) / (z0 - a)) as that of (z1 - a) conj(z0 - a), a = re + i im."""
-    u0, v0, u1, v1 = x0 - re, y0 - im, x1 - re, y1 - im
-    return math.atan2(v1 * u0 - u1 * v0, u1 * u0 + v1 * v0)
-
-
 def _endpoint_increment(inside: tuple[complex, ...], theta0: float, t: float) -> float:
     """The increment from e^{i theta0} to e^{i (theta0 + t)} in Python floats, for zeros in the open disk."""
     z0, z1 = circle_point(theta0), circle_point(theta0 + t)
     terms = []
     for a in inside:
-        d = _arg_step(a.real, a.imag, z0.real, z0.imag, z1.real, z1.imag)
+        u0, v0, u1, v1 = z0.real - a.real, z0.imag - a.imag, z1.real - a.real, z1.imag - a.imag
+        d = math.atan2(v1 * u0 - u1 * v0, u1 * u0 + v1 * v0)  # arg((z1 - a) / (z0 - a)), as arg((z1 - a) conj(z0 - a))
         if d * t < 0.0:  # arg(z - a) increases along the circle, so the step has the sign of t
             d += math.copysign(2.0 * math.pi, t)
         terms.append(2.0 * d - ((theta0 + t) - theta0))

@@ -80,6 +80,18 @@ def finite_complex(values: Iterable[complex], what: str) -> tuple[complex, ...]:
     return cs
 
 
+def is_number(x, kind=(int, float)) -> bool:
+    """x is a JSON number of the given kind: a JSON boolean is not a number, nor a fraction a count."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
+def complex_pairs(data, what: str) -> tuple[complex, ...]:
+    """JSON [[re, im], ...] as complex numbers; any other shape is an input error (ValueError)."""
+    if isinstance(data, list) and all(isinstance(v, list) and len(v) == 2 and all(map(is_number, v)) for v in data):
+        return tuple(complex(re, im) for re, im in data)
+    raise ValueError(f"{what} must be [re, im] pairs of numbers")
+
+
 def expand_monic(roots: Iterable[complex]) -> list[complex]:
     """Coefficients of prod (z - r), ascending degree."""
     coeffs: list[complex] = [1.0 + 0j]
@@ -101,11 +113,10 @@ class Polynomial:
         cs = finite_complex(coeffs, "coefficients")
         if len(cs) < 2:
             raise ValueError("polynomial must have degree >= 1")
-        scale = max(abs(c) for c in cs)
-        if abs(cs[-1]) == 0.0 or abs(cs[-1]) < LEADING_REL * scale:
+        if cs[-1] == 0:
             raise ValueError("leading coefficient is (numerically) zero")
         object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_scale", max(abs(c) for c in cs))
 
     @property
     def degree(self) -> int:
@@ -131,8 +142,12 @@ class Polynomial:
         return [[c.real, c.imag] for c in self.coeffs]
 
     @staticmethod
-    def from_json(data: Sequence[Sequence[float]]) -> "Polynomial":
-        return Polynomial(complex(re, im) for re, im in data)
+    def from_json(data) -> "Polynomial":
+        """Coefficient input, which states no degree: a leading one below LEADING_REL * max|c_k| is refused."""
+        p = Polynomial(complex_pairs(data, "coefficients"))
+        if abs(p.leading) < LEADING_REL * p.coeff_scale:
+            raise ValueError("leading coefficient is (numerically) zero")
+        return p
 
 
 @dataclass(frozen=True)
@@ -154,15 +169,11 @@ class RootForm:
         return len(self.roots)
 
     def to_json(self) -> dict:
-        return {
-            "leading": [self.leading.real, self.leading.imag],
-            "roots": [[r.real, r.imag] for r in self.roots],
-        }
+        return {"leading": [self.leading.real, self.leading.imag], "roots": [[r.real, r.imag] for r in self.roots]}
 
     @staticmethod
     def from_json(data: dict) -> "RootForm":
-        lead = complex(data["leading"][0], data["leading"][1])
-        return RootForm(lead, (complex(re, im) for re, im in data["roots"]))
+        return RootForm(complex_pairs([data["leading"]], "leading")[0], complex_pairs(data["roots"], "roots"))
 
 
 @dataclass(frozen=True)

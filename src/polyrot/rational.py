@@ -20,7 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .poly import Polynomial, UnitCirclePoint, boundary_grid, boundary_speed, c_mul, c_quot, finite_complex, horner
+from .poly import (Polynomial, UnitCirclePoint, boundary_grid, boundary_speed, c_mul, c_quot, complex_pairs,
+                   finite_complex, horner)
 from .report import csv_cell, grid_rows, row_template, slot
 from .roots import ZeroClassification, classify_root_list, classify_zeros
 from .tolerances import CHECK_SLACK, LEADING_REL, POLE_CIRCLE_TOL
@@ -68,9 +69,7 @@ class RationalFunction:
 
     @staticmethod
     def from_json(data: dict) -> "RationalFunction":
-        num = (complex(re, im) for re, im in data["numerator"])
-        ps = (complex(re, im) for re, im in data["poles"])
-        return RationalFunction(num, ps)
+        return RationalFunction(complex_pairs(data["numerator"], "numerator"), complex_pairs(data["poles"], "poles"))
 
 
 def pole_speed(poles: Sequence[complex], z: complex) -> float:

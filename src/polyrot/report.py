@@ -61,12 +61,8 @@ def _emit(obj, out: list[str], indent: int) -> None:
     pad = "  " * indent
     if isinstance(obj, Rendered):
         out.append(obj)
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
+    elif obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else "true" if obj else "false")
     elif isinstance(obj, str):
         out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
     elif isinstance(obj, int):

@@ -136,5 +136,5 @@ def classify_root_list(roots) -> ZeroClassification:
 
 
 def classify_zeros(p: Polynomial) -> ZeroClassification:
-    """Solve for the zeros of p and partition them against the unit circle."""
+    """Solve for the zeros of p and partition them: for input that comes without its zeros, never a root form."""
     return classify_root_list(find_roots(p))

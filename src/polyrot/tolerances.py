@@ -8,7 +8,7 @@ separate names, so changing one decision never moves another.
 # Evaluation and input shape.
 # Rotation quantities are undefined at a zero of P and roundoff next to one: refused below this * max|c_k|.
 ZERO_PROXIMITY_REL = 1e-12
-# A leading coefficient below this * max|c_k| leaves the degree numerically ambiguous.
+# A leading coefficient of coefficient input below this * max|c_k| leaves its degree numerically ambiguous.
 LEADING_REL = 1e-13
 
 # Stopping rules of the Aberth-Ehrlich root solver.

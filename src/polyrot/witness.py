@@ -19,7 +19,8 @@ from .blaschke import BlaschkeProduct, check_goryainov
 from .bounds import bound_coeff2, bound_value, lambda_at
 from .errors import InvalidWitnessParams
 from .oracle import arc_increment
-from .poly import RootForm, UnitCirclePoint, boundary_grid, circle_grid, expand_monic, from_roots
+from .poly import (RootForm, UnitCirclePoint, boundary_grid, circle_grid, complex_pairs, expand_monic, from_roots,
+                   is_number)
 from .rational import RationalFunction, classify_numerator, rational_grid
 from .roots import classify_root_list
 from .tolerances import CHECK_SLACK, ON_CIRCLE_TOL, ONE_EXCLUSION, POLE_CIRCLE_TOL
@@ -127,28 +128,23 @@ class WitnessSpec:
 
     @staticmethod
     def from_json(data: dict) -> "WitnessSpec":
-        def is_a(x, kind=(int, float)):  # a JSON boolean is not a number, nor a fraction a count
-            return isinstance(x, kind) and not isinstance(x, bool)
-
         def num(field, kind=(int, float)):
-            if data.get(field) is not None and not is_a(data[field], kind):
+            if data.get(field) is not None and not is_number(data[field], kind):
                 raise InvalidWitnessParams(f"{field} must be {'an integer' if kind is int else 'a number'}")
             return data.get(field)
 
-        def cx(field, v):
-            if v is not None and not (isinstance(v, list) and len(v) == 2 and all(map(is_a, v))):
-                raise InvalidWitnessParams(f"{field} must be [re, im] pairs of numbers")
-            return None if v is None else complex(v[0], v[1])
+        def cx(field):
+            return None if data.get(field) is None else complex_pairs([data[field]], field)[0]
 
         return WitnessSpec(
             kind=data["kind"],
-            a=cx("a", data.get("a")),
-            leading=cx("leading", data.get("leading")),
-            unimodular_roots=tuple(cx("unimodular_roots", v) for v in data.get("unimodular_roots", [])),
+            a=cx("a"),
+            leading=cx("leading"),
+            unimodular_roots=complex_pairs(data.get("unimodular_roots", []), "unimodular_roots"),
             alpha=num("alpha"),
-            poles=tuple(cx("poles", v) for v in data.get("poles", [])),
-            coeff_alpha=cx("coeff_alpha", data.get("coeff_alpha")),
-            coeff_beta=cx("coeff_beta", data.get("coeff_beta")),
+            poles=complex_pairs(data.get("poles", []), "poles"),
+            coeff_alpha=cx("coeff_alpha"),
+            coeff_beta=cx("coeff_beta"),
             n=num("n", int),
             seed=num("seed", int),
         )

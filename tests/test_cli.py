@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from polyrot import witness_unimodular
+from polyrot import RootForm, UnitCirclePoint, bound_arc, from_roots, witness_unimodular
 from polyrot.cli import main
 from polyrot.report import CSV_HEADER, format_float
+from polyrot.roots import classify_root_list
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -52,26 +53,50 @@ def test_scan_skips_zero_proximate_grid_point(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "flags, stdin",
+    "flags, stdin, message",
     [
-        ([], "not json"),
-        (["--roots"], "[[-0.5,0],[1,0]]"),
-        (["--coeffs"], '{"leading": [1, 0], "roots": [[0.5, 0]]}'),
-        ([], "5"),
+        ([], "not json", ""),
+        (["--roots"], "[[-0.5,0],[1,0]]", ""),
+        (["--coeffs"], '{"leading": [1, 0], "roots": [[0.5, 0]]}', ""),
+        ([], "5", ""),
+        # every [re, im] pair is parsed alike: a JSON boolean or string is not a number
+        ([], "[[true,0],[1,0]]", "coefficients must be [re, im] pairs of numbers"),
+        ([], "[1,2]", "coefficients must be [re, im] pairs of numbers"),
+        ([], '{"leading": [1, false], "roots": [[0.5, 0]]}', "leading must be [re, im] pairs of numbers"),
+        ([], '{"leading": [1, 0], "roots": [[0.5, 0, 1]]}', "roots must be [re, im] pairs of numbers"),
+        ([], '{"numerator": [["1", 0]], "poles": [[2, 0]]}', "numerator must be [re, im] pairs of numbers"),
+        ([], '{"numerator": [[1, 0]], "poles": [[2, true]]}', "poles must be [re, im] pairs of numbers"),
     ],
-    ids=["not_json", "roots_on_array", "coeffs_on_root_form", "scalar"],
+    ids=["not_json", "roots_on_array", "coeffs_on_root_form", "scalar", "coeff_pair_bool", "coeff_not_pairs",
+         "leading_bool", "root_triple", "numerator_string", "pole_pair_bool"],
 )
-def test_scan_malformed_input(capsys, monkeypatch, flags, stdin):
+def test_scan_malformed_input(capsys, monkeypatch, flags, stdin, message):
     code, out, err = run(capsys, ["scan", "--input", "-", *flags], stdin=stdin, monkeypatch=monkeypatch)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: " + message)
+
+
+def test_root_form_states_its_degree(capsys, monkeypatch):
+    # zeros at radius 100 give max|c_k| = 1e16 next to a leading 1, which coefficient input could not tell
+    # from a lower degree; a root form's degree is len(roots), so the degree guard does not apply
+    roots = [[100 * math.cos(k * math.pi / 4), 100 * math.sin(k * math.pi / 4)] for k in range(8)]
+    stdin = json.dumps({"leading": [1, 0], "roots": roots})
+    code, out, err = run(capsys, ["scan", "--roots", "--grid", "12"], stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 0, err
+    assert all(line.endswith(",pass") for line in out.splitlines()[1:])
+
+
+def test_coefficient_input_with_a_negligible_leading_coefficient_is_refused(capsys, monkeypatch):
+    code, out, err = run(capsys, ["scan", "--theta", "0.5"], stdin="[[1,0],[1e-14,0]]", monkeypatch=monkeypatch)
+    assert (code, out, err) == (1, "", "error: leading coefficient is (numerically) zero\n")
 
 
 def test_failed_root_solve_is_input_error(capsys, monkeypatch):
-    # the degree-128 solve overflows the double range before it converges
-    stdin = json.dumps(witness_unimodular(128, 0).to_json())
-    code, out, err = run(capsys, ["scan", "--roots", "--theta", "0.5"], stdin=stdin, monkeypatch=monkeypatch)
+    # the degree-128 solve overflows the double range before it converges; a root form states its zeros and
+    # is not solved, so its expansion goes in as coefficients
+    stdin = json.dumps(from_roots(witness_unimodular(128, 0)).to_json())
+    code, out, err = run(capsys, ["scan", "--coeffs", "--theta", "0.5"], stdin=stdin, monkeypatch=monkeypatch)
     assert code == 1
     assert out == ""
     assert err.startswith("error: root iteration did not converge")
@@ -305,6 +330,42 @@ def test_one_root_solve_per_input(capsys, monkeypatch, argv, stdin):
     code, _, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
     assert code == 0, err
     assert calls == {"find_roots": 1, "check_rotation_bounds": 0}
+
+
+@pytest.mark.parametrize("flags", [["--grid", "60"], ["--grid", "16", "--arc-alpha", "0.3"]], ids=["grid", "arc"])
+def test_root_form_scan_solves_no_roots(capsys, monkeypatch, flags):
+    # a root form states its zeros: scan classifies them as given and solves for none
+    import polyrot.roots as roots
+
+    calls = count_calls(monkeypatch, ((roots, "find_roots"),))
+    stdin = json.dumps({"leading": [1, 0.5], "roots": [[0.5, 0.2], [-0.3, 0.6], [0.1, -0.7]]})
+    code, _, err = run(capsys, ["scan", "--roots", *flags], stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 0, err
+    assert calls == {"find_roots": 0}
+
+
+def test_root_form_double_zero_on_circle_keeps_lower_bounds(capsys, monkeypatch):
+    # (z + 1)^2 (z - 0.3): a solve split the double zero at -1 and counted one half outside the disk,
+    # so every lower bound read na; the given zeros are in the closed disk
+    stdin = json.dumps({"leading": [1, 0], "roots": [[-1, 0], [-1, 0], [0.3, 0]]})
+    argv = ["scan", "--roots", "--format", "json", "--theta", "0.5"]
+    code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    (row,) = json.loads(out)["rows"]
+    assert code == 0, err
+    for key in ("classic", "coeff", "sqrt_weak", "value_thm1", "coeff2_thm2"):
+        assert row["flags"][key] == "pass"
+        assert row["margins"][key] is not None
+
+
+def test_root_form_arc_bound_reads_the_given_zeros(capsys, monkeypatch):
+    # zeros a solve would move in their last bits, and with them arc_thm3's
+    rf = RootForm(1 + 0.5j, (0.5 + 0.2j, -0.3 + 0.6j, 0.1 - 0.7j))
+    argv = ["scan", "--roots", "--format", "json", "--grid", "8", "--arc-alpha", "0.4"]
+    code, out, err = run(capsys, argv, stdin=json.dumps(rf.to_json()), monkeypatch=monkeypatch)
+    assert code == 0, err
+    p, cls = from_roots(rf), classify_root_list(rf.roots)
+    for row in json.loads(out)["rows"]:
+        assert row["bounds"]["arc_thm3"] == bound_arc(p, UnitCirclePoint(row["theta"]), 0.4, None, cls)
 
 
 def test_witness_arc_solves_no_roots(capsys, monkeypatch):

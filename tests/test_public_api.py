@@ -64,8 +64,9 @@ def _referenced_names(path):
 
 
 def test_zeros_are_solved_for_only_where_an_input_arrives():
-    # scan's input and a rational numerator come without their zeros; every evaluator takes the
-    # classification as an argument, so a module that starts solving again fails here
+    # only a coefficient array and a rational numerator come without their zeros, and only scan and the
+    # rational module solve for those; a root form is classified from the zeros it states.  Every evaluator
+    # takes the classification as an argument, so a module that starts solving again fails here
     solving = {path.stem for path in SRC.glob("*.py")
                if path.name != "__init__.py" and _referenced_names(path) & {"classify_zeros", "find_roots"}}
     assert solving <= {"cli", "rational", "roots"}  # __init__ only re-exports both
