@@ -53,8 +53,8 @@ def cmd_scan(args) -> int:
     try:
         parsed = _parse_scan_input(_read_input(args.input), args.mode)
         obj = from_roots(parsed) if isinstance(parsed, RootForm) else parsed  # a root form is evaluated expanded
-        thetas = [float(t) for t in args.theta.split(",")] if args.theta else circle_grid(args.grid)
-        checks = args.checks.split(",") if args.checks else BOUND_KEYS
+        thetas = [float(t) for t in args.theta.split(",")] if args.theta is not None else circle_grid(args.grid)
+        checks = args.checks.split(",") if args.checks is not None else BOUND_KEYS
         unknown = sorted(set(checks) - set(BOUND_KEYS))
         if isinstance(obj, RationalFunction):
             # A rational input has no coefficient/root mode, no polynomial bound to gate on and no arc check.

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -85,9 +86,14 @@ def is_number(x, kind=(int, float)) -> bool:
     return isinstance(x, kind) and not isinstance(x, bool)
 
 
+def _is_double(x) -> bool:
+    """x is a JSON number that a double holds: a float, or an integer within the finite double range."""
+    return is_number(x) and (isinstance(x, float) or abs(x) <= sys.float_info.max)
+
+
 def complex_pairs(data, what: str) -> tuple[complex, ...]:
-    """JSON [[re, im], ...] as complex numbers; any other shape is an input error (ValueError)."""
-    if isinstance(data, list) and all(isinstance(v, list) and len(v) == 2 and all(map(is_number, v)) for v in data):
+    """JSON [[re, im], ...] as complex numbers; another shape, or a number past the double range, is an input error."""
+    if isinstance(data, list) and all(isinstance(v, list) and len(v) == 2 and all(map(_is_double, v)) for v in data):
         return tuple(complex(re, im) for re, im in data)
     raise ValueError(f"{what} must be [re, im] pairs of numbers")
 

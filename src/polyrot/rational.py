@@ -20,8 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .poly import (Polynomial, UnitCirclePoint, boundary_grid, boundary_speed, c_mul, c_quot, complex_pairs,
-                   finite_complex, horner)
+from .poly import Polynomial, UnitCirclePoint, boundary_grid, boundary_speed, complex_pairs, finite_complex
 from .report import csv_cell, grid_rows, row_template, slot
 from .roots import ZeroClassification, classify_root_list, classify_zeros
 from .tolerances import CHECK_SLACK, LEADING_REL, POLE_CIRCLE_TOL
@@ -55,12 +54,6 @@ class RationalFunction:
     def num_degree(self) -> int:
         return len(self.numerator) - 1
 
-    def __call__(self, z: complex) -> complex:
-        val = horner(self.numerator, z)
-        for a in self.poles:
-            val /= z - a
-        return val
-
     def to_json(self) -> dict:
         return {
             "numerator": [[c.real, c.imag] for c in self.numerator],
@@ -72,21 +65,26 @@ class RationalFunction:
         return RationalFunction(complex_pairs(data["numerator"], "numerator"), complex_pairs(data["poles"], "poles"))
 
 
-def pole_speed(poles: Sequence[complex], z: complex) -> float:
-    """(arg B)'_theta = Re(z B'(z)/B(z)) for the pole product B; equals sum (|a|^2 - 1)/|z - a|^2 on the circle."""
-    s = 0j
+def pole_speed(poles: Sequence[complex], z):
+    """(arg B)'_theta = S, the sum of the poles' Poisson terms (|a|^2 - 1)/|z - a|^2, at z on the circle.
+
+    z is one point or an array of them.  Each term is taken as ((|a| - 1)/|z - a|)((|a| + 1)/|z - a|), which
+    overflows for no finite pole.  |z - a| is C `hypot` both ways, through `abs` at a point and `np.hypot` on a
+    grid, so a point and a grid give the same bits.
+    """
+    s = 0.0 * z.real  # 0.0 at a point, zeros on a grid
     for a in poles:
-        s += -a.conjugate() / (1.0 - a.conjugate() * z) - 1.0 / (z - a)
-    return (z * s).real
+        d = abs(z - a) if isinstance(z, complex) else np.hypot(z.real - a.real, z.imag - a.imag)
+        s = s + ((abs(a) - 1.0) / d) * ((abs(a) + 1.0) / d)
+    return s
 
 
-def arg_derivative(r: RationalFunction, pt: UnitCirclePoint) -> float:
-    """(arg R)'_theta = Re(z P'(z)/P(z)) - sum Re(z / (z - a_k)) at z = e^{i theta}."""
-    z = pt.z
-    speed = boundary_speed(r.numerator, r._num_scale, z)
-    for a in r.poles:
-        speed -= (z / (z - a)).real
-    return speed
+def arg_derivative(r: RationalFunction, speed, s):
+    """(arg R)'_theta = (arg P)'_theta - n/2 + S/2 from the numerator speed and S = `pole_speed`.
+
+    On |z| = 1 each pole's Re(z / (z - a)) is 1/2 minus half its Poisson term, so no complex division is needed.
+    """
+    return speed - 0.5 * len(r.poles) + 0.5 * s
 
 
 @dataclass(frozen=True)
@@ -140,38 +138,37 @@ def classify_numerator(r: RationalFunction) -> ZeroClassification:
     return classify_zeros(Polynomial(r.numerator)) if r.num_degree else classify_root_list(())
 
 
-def check_rotation_bounds(
-    r: RationalFunction,
-    pt: UnitCirclePoint,
-    classification: ZeroClassification,
-    tol: float = CHECK_SLACK,
-) -> RationalBoundReport:
-    """Check (arg R)' against (m - n + (arg B)')/2 in both directions.
+def _comparison(r: RationalFunction, speed, z, classification: ZeroClassification, tol: float) -> dict:
+    """The fields of the comparison but theta, from the numerator speed at z: scalars at a point, arrays on a grid.
 
-    The lower inequality applies when all m numerator zeros lie in the
-    closed unit disk, the upper one when none lie in the open disk; a
-    constant numerator satisfies both vacuously.  `classification` is that
-    of the numerator (see `classify_numerator`).
+    value - reference = speed - m/2, which is lambda_P/2 of the numerator P: each margin is +-lambda_P/2, and
+    the poles reach a verdict only through the tolerance's scale max(1, |value|, |reference|).
     """
-    value = arg_derivative(r, pt)
-    reference = 0.5 * (r.num_degree - len(r.poles) + pole_speed(r.poles, pt.z))
+    m, n = r.num_degree, len(r.poles)
+    s = pole_speed(r.poles, z)
+    value, reference, half_lambda = arg_derivative(r, speed, s), 0.5 * ((m - n) + s), speed - 0.5 * m
     lower_ok, upper_ok = not classification.outside, not classification.inside
-    check_tol = tol * max(1.0, abs(value), abs(reference))
-    lower_margin = value - reference if lower_ok else None
-    upper_margin = reference - value if upper_ok else None
-    return RationalBoundReport(
-        theta=pt.theta,
-        value=value,
-        reference=reference,
-        num_degree=r.num_degree,
-        n_poles=len(r.poles),
-        lower_applicable=lower_ok,
-        upper_applicable=upper_ok,
-        lower_margin=lower_margin,
-        upper_margin=upper_margin,
-        lower_pass=None if lower_margin is None else lower_margin >= -check_tol,
-        upper_pass=None if upper_margin is None else upper_margin >= -check_tol,
-    )
+    check_tol = tol * np.fmax(np.fmax(1.0, np.abs(value)), np.abs(reference))  # fmax, like max, ignores a nan
+    lower_margin = half_lambda if lower_ok else None
+    upper_margin = -half_lambda if upper_ok else None
+    return dict(value=value, reference=reference, num_degree=m, n_poles=n, lower_applicable=lower_ok,
+                upper_applicable=upper_ok, lower_margin=lower_margin, upper_margin=upper_margin,
+                lower_pass=None if lower_margin is None else lower_margin >= -check_tol,
+                upper_pass=None if upper_margin is None else upper_margin >= -check_tol)
+
+
+def check_rotation_bounds(r: RationalFunction, pt: UnitCirclePoint, classification: ZeroClassification,
+                          tol: float = CHECK_SLACK) -> RationalBoundReport:
+    """Check (arg R)' against (m - n + (arg B)')/2 in both directions, in Python floats and bools.
+
+    The lower inequality applies when all m numerator zeros lie in the closed unit disk, the upper one when
+    none lie in the open disk; a constant numerator satisfies both vacuously.  `classification` is that of
+    the numerator (see `classify_numerator`).  Raises ZeroProximity at a numerator zero.
+    """
+    z = pt.z
+    columns = _comparison(r, boundary_speed(r.numerator, r._num_scale, z), z, classification, tol)
+    return RationalBoundReport(theta=pt.theta, **{k: v.item() if isinstance(v, np.generic) else v
+                                                  for k, v in columns.items()})
 
 
 @functools.cache
@@ -224,50 +221,14 @@ class RationalGrid:
 
     @property
     def overflows(self) -> np.ndarray:
-        """Per angle not skipped: whether value or reference came out inf or nan."""
-        return ~(np.isfinite(self.value) & np.isfinite(self.reference)) & ~self.skipped
+        """Per angle not skipped: whether value came out inf or nan; the reference is finite for finite poles."""
+        return ~np.isfinite(self.value) & ~self.skipped
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf and nan arise silently, as in complex arithmetic
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf and nan arise silently, as in boundary_grid
 def rational_grid(r: RationalFunction, thetas: list[float], tol: float,
                   classification: ZeroClassification) -> RationalGrid:
-    """`check_rotation_bounds`, bit for bit, at every angle of thetas in one array pass.
-
-    The numerator runs through `boundary_grid`; each pole's terms are arrays of shape (poles, angles), taken
-    with `c_mul`/`c_quot` in CPython's operand order, where a float operand of a complex operation is the
-    complex (x, 0), and summed pole by pole in `arg_derivative`'s and `pole_speed`'s order.
-    """
+    """`check_rotation_bounds`, bit for bit, at every angle of thetas: the numerator through `boundary_grid`."""
     z, _, _, speed, skipped = boundary_grid(r.numerator, r._num_scale, thetas)
-    zr, zi = z.real, z.imag
-    poles = np.array(r.poles, dtype=complex).reshape(-1, 1)
-    ar, ai = poles.real, poles.imag
-    dr, di = zr - ar, zi - ai  # z - a
-    value = speed
-    for term in c_quot(zr, zi, dr, di)[0]:  # Re(z / (z - a))
-        value = value - term
-    cr, ci = c_mul(ar, -ai, zr, zi)  # conj(a) z
-    xr, xi = c_quot(-ar, ai, 1.0 - cr, 0.0 - ci)  # -conj(a) / (1.0 - conj(a) z)
-    yr, yi = c_quot(1.0, 0.0, dr, di)  # 1.0 / (z - a)
-    sr, si = np.zeros(len(z)), np.zeros(len(z))
-    for k in range(len(r.poles)):
-        sr, si = sr + (xr[k] - yr[k]), si + (xi[k] - yi[k])
-    reference = 0.5 * ((r.num_degree - len(r.poles)) + (zr * sr - zi * si))
-
-    lower_ok, upper_ok = not classification.outside, not classification.inside
-    check_tol = tol * np.fmax(np.fmax(1.0, np.abs(value)), np.abs(reference))  # fmax, like max, ignores a nan
-    lower_margin = value - reference if lower_ok else None
-    upper_margin = reference - value if upper_ok else None
-    return RationalGrid(
-        theta=np.asarray(thetas, dtype=float),
-        skipped=skipped,
-        value=value,
-        reference=reference,
-        num_degree=r.num_degree,
-        n_poles=len(r.poles),
-        lower_applicable=lower_ok,
-        upper_applicable=upper_ok,
-        lower_margin=lower_margin,
-        upper_margin=upper_margin,
-        lower_pass=None if lower_margin is None else lower_margin >= -check_tol,
-        upper_pass=None if upper_margin is None else upper_margin >= -check_tol,
-    )
+    return RationalGrid(theta=np.asarray(thetas, dtype=float), skipped=skipped,
+                        **_comparison(r, speed, z, classification, tol))

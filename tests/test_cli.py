@@ -66,9 +66,14 @@ def test_scan_skips_zero_proximate_grid_point(capsys, monkeypatch):
         ([], '{"leading": [1, 0], "roots": [[0.5, 0, 1]]}', "roots must be [re, im] pairs of numbers"),
         ([], '{"numerator": [["1", 0]], "poles": [[2, 0]]}', "numerator must be [re, im] pairs of numbers"),
         ([], '{"numerator": [[1, 0]], "poles": [[2, true]]}', "poles must be [re, im] pairs of numbers"),
+        # an integer that no double holds is no number either
+        ([], "[[" + "9" * 400 + ", 0], [1, 0]]", "coefficients must be [re, im] pairs of numbers"),
+        ([], '{"numerator": [[1, -' + "9" * 400 + ']], "poles": [[2, 0]]}',
+         "numerator must be [re, im] pairs of numbers"),
     ],
     ids=["not_json", "roots_on_array", "coeffs_on_root_form", "scalar", "coeff_pair_bool", "coeff_not_pairs",
-         "leading_bool", "root_triple", "numerator_string", "pole_pair_bool"],
+         "leading_bool", "root_triple", "numerator_string", "pole_pair_bool", "coeff_huge_integer",
+         "numerator_huge_integer"],
 )
 def test_scan_malformed_input(capsys, monkeypatch, flags, stdin, message):
     code, out, err = run(capsys, ["scan", "--input", "-", *flags], stdin=stdin, monkeypatch=monkeypatch)
@@ -155,9 +160,13 @@ RATIONAL = '{"numerator": [[1, 0], [-2, 0]], "poles": [[2, 0]]}'
         (RATIONAL, ["--theta", "0", "--checks", "classic"], "--checks does not apply to rational input"),
         (RATIONAL, ["--theta", "0", "--arc-alpha", "0.3"], "--arc-alpha does not apply to rational input"),
         (RATIONAL, ["--theta", "0", "--arc-beta", "0.5"], "--arc-beta does not apply to rational input"),
+        # an empty list is not the default: it names no angle and no check
+        (POLY, ["--theta", ""], "could not convert string to float"),
+        (POLY, ["--theta", "0", "--checks", ""], "unknown checks"),
     ],
     ids=["negative", "tol_nan", "tol_inf", "theta_nan", "theta_inf",
-         "rational_coeffs", "rational_roots", "rational_checks", "rational_arc_alpha", "rational_arc_beta"],
+         "rational_coeffs", "rational_roots", "rational_checks", "rational_arc_alpha", "rational_arc_beta",
+         "theta_empty", "checks_empty"],
 )
 def test_scan_rejects_nonpositive_tolerance(capsys, monkeypatch, stdin, flags, message):
     code, out, err = run(capsys, ["scan", "--input", "-", *flags], stdin=stdin, monkeypatch=monkeypatch)
@@ -389,13 +398,22 @@ def test_witness_arc_double_zero_on_arc_is_input_error(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "error: zero at angle distance 0.300000 inside the open arc\n")
 
 
-def test_scan_reference_overflow_is_input_error(capsys, monkeypatch):
-    # conj(a) z overflows for a pole this large: an unrepresentable reference is no verdict, so exit 1
-    # (tests/scan_golden.json pins the numerator and polynomial overflows)
+def test_scan_pole_near_double_max_evaluates(capsys, monkeypatch):
+    # each Poisson term is ((|a| - 1)/|z - a|)((|a| + 1)/|z - a|), so no finite pole overflows the reference
+    # (tests/scan_golden.json pins the numerator and polynomial overflows, which still exit 1)
+    import mpmath
+
     stdin = json.dumps({"numerator": [[0.5, 0], [1, 0]], "poles": [[1e308, 1e308]]})
-    code, out, err = run(capsys, ["scan", "--theta", "0,0.3"], stdin=stdin, monkeypatch=monkeypatch)
-    assert (code, out) == (1, "")
-    assert err == "error: the evaluation overflows at theta = 0\n"
+    code, out, err = run(capsys, ["scan", "--theta", "0,0.3", "--format", "json"], stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    a = mpmath.mpc(1e308, 1e308)
+    with mpmath.workdps(50):
+        for row in json.loads(out)["rows"]:
+            z = mpmath.expj(row["theta"])
+            term = (abs(a) ** 2 - 1) / abs(z - a) ** 2
+            value = (z / (z + 0.5)).real - 0.5 + term / 2
+            for got, exact in ((row["value"], value), (row["reference"], term / 2)):
+                assert abs(got - exact) <= 1e-15 * abs(exact)
 
 
 def test_scan_rational_skip_rows(capsys, monkeypatch):
@@ -563,10 +581,11 @@ def test_witness_rational_kind(capsys, monkeypatch):
         {"kind": "value", "a": [True, 0]},
         {"kind": "arc", "unimodular_roots": [[0, False]]},
         {"kind": "rational", "poles": [[2, 0]], "coeff_alpha": [1, 0], "coeff_beta": [0, True]},
+        {"kind": "value", "a": [int("9" * 400), 0]},
     ],
     ids=["value_outside_disk", "rational_no_poles", "rational_pole_inside", "rational_alpha_not_unimodular",
          "alpha_bool", "seed_bool", "n_bool", "n_fraction", "seed_fraction", "pair_bool", "root_pair_bool",
-         "coeff_pair_bool"],
+         "coeff_pair_bool", "a_huge_integer"],
 )
 def test_witness_invalid_params(capsys, monkeypatch, spec):
     code, out, err = run(capsys, ["witness", "--spec", "-"], stdin=json.dumps(spec), monkeypatch=monkeypatch)

@@ -26,7 +26,7 @@ from polyrot import (
     from_roots,
     full_report,
 )
-from polyrot import poly, rational
+from polyrot import poly
 from polyrot.bounds import grid_report
 from polyrot.poly import boundary_grid, guard_zero
 from polyrot.rational import rational_grid
@@ -217,15 +217,16 @@ def test_rational_grid_equals_check_rotation_bounds(name, r, roots):
 
 def test_rational_grid_with_numpy_complex_division_differs(monkeypatch):
     # numpy divides complex arrays by multiplying with a reciprocal, which rounds differently
-    # from CPython's complex quotient: the exact comparison must catch it
+    # from CPython's complex quotient: the exact comparison must catch it in the numerator speed, and so in
+    # value and the margins; the reference holds no complex quotient, only the poles' Poisson terms
     to_complex = np.vectorize(complex, otypes=[complex])
 
     def numpy_quot(ar, ai, br, bi):
         q = to_complex(ar, ai) / to_complex(br, bi)
         return q.real, q.imag
 
-    for module in (poly, rational):
-        monkeypatch.setattr(module, "c_quot", numpy_quot)
+    monkeypatch.setattr(poly, "c_quot", numpy_quot)
     found = {what for _, r, roots in RATIONAL_CASES for _, what in rational_mismatches(r, _rational_thetas(roots, 90))}
-    assert {"value", "reference"} <= found
+    assert {"value", "lower_margin", "upper_margin"} <= found
+    assert "reference" not in found
 

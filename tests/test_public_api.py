@@ -72,6 +72,13 @@ def test_zeros_are_solved_for_only_where_an_input_arrives():
     assert solving <= {"cli", "rational", "roots"}  # __init__ only re-exports both
 
 
+def test_complex_quotient_emulation_stays_in_the_polynomial_kernels():
+    # c_mul and c_quot copy CPython's complex arithmetic so that a grid matches the scalar path bit for bit;
+    # the rational comparison needs no complex division, so only poly and bounds may use them
+    emulating = {path.stem for path in SRC.glob("*.py") if _referenced_names(path) & {"c_mul", "c_quot"}}
+    assert emulating <= {"poly", "bounds"}
+
+
 def test_every_tolerance_is_read_by_the_package():
     # a knob whose code is deleted must go with it, not linger in the table
     from polyrot import tolerances

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import pytest
 
 from polyrot import (
@@ -42,14 +43,39 @@ def test_pole_product_boundary_modulus_and_positivity(rng):
             assert speed > 0.0
 
 
+def value_at(r, pt):
+    """(arg R)'_theta at pt, the value `check_rotation_bounds` reports."""
+    return check_rotation_bounds(r, pt, classify_numerator(r)).value
+
+
+@pytest.mark.parametrize(
+    "pole",
+    [1.0 + 1e-11, cmath.exp(1j) * (1.0 + 1e-11), 1.0 + 1e-6, cmath.exp(2.5j) * (1.0 + 1e-6), 1.2j,
+     4.0 * cmath.exp(-0.7j), 1e6, -1e300j],
+    ids=["1+1e-11", "1+1e-11_off_axis", "1+1e-6", "1+1e-6_off_axis", "1.2", "4", "1e6", "1e300"],
+)
+def test_pole_speed_matches_mpmath(rng, pole):
+    # (|a|^2 - 1)/|e^{i theta} - a|^2 at 50 digits, from the stored pole and angle.  The double point e^{i theta}
+    # and |a| are each off by about an ulp, which moves the term by u |a|/(|a| - 1) relative at most, since
+    # |z - a| >= |a| - 1; the seeded angles include ones within 1e-12 to 1e-1 of the pole's own angle
+    a = complex(pole)
+    am = mpmath.mpc(a.real, a.imag)
+    near = cmath.phase(a) + rng.choice([-1.0, 1.0], 100) * 10.0 ** rng.uniform(-12.0, -1.0, 100)
+    tol = 8 * 2.0**-53 * abs(a) / (abs(a) - 1.0)
+    with mpmath.workdps(50):
+        for theta in [*rng.uniform(0.0, 2.0 * math.pi, 200), *near]:
+            exact = (abs(am) ** 2 - 1) / abs(mpmath.expj(float(theta)) - am) ** 2
+            assert abs(pole_speed([a], cmath.exp(1j * theta)) - exact) <= tol * exact
+
+
 def test_arg_derivative_of_pole_product_form():
     r = RationalFunction([1, -2], [2.0])
-    assert arg_derivative(r, UnitCirclePoint(0.0)) == pytest.approx(3.0)
+    assert value_at(r, UnitCirclePoint(0.0)) == pytest.approx(3.0)
 
 
 def test_arg_derivative_constant_numerator():
     r = RationalFunction([2.5])
-    assert arg_derivative(r, UnitCirclePoint(0.3)) == 0.0
+    assert value_at(r, UnitCirclePoint(0.3)) == 0.0
 
 
 def test_arg_derivative_matches_fd(rng):
@@ -62,9 +88,8 @@ def test_arg_derivative_matches_fd(rng):
         num = Polynomial(r.numerator)
         if abs(num(cmath.exp(1j * theta))) <= 1e-3 * num.coeff_scale:
             continue
-        assert arg_derivative(r, UnitCirclePoint(theta)) == pytest.approx(
-            fd_arg_derivative(r, theta), abs=1e-6
-        )
+        oracle = fd_arg_derivative(lambda z: num(z) / math.prod(z - a for a in poles), theta)
+        assert value_at(r, UnitCirclePoint(theta)) == pytest.approx(oracle, abs=1e-6)
 
 
 def test_arg_derivative_is_numerator_speed_minus_pole_terms(rng):
@@ -73,16 +98,20 @@ def test_arg_derivative_is_numerator_speed_minus_pole_terms(rng):
         poles = [rng.uniform(1.1, 3.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(int(rng.integers(0, 4)))]
         pt = UnitCirclePoint(float(rng.uniform(0, 2 * math.pi)))
         z = pt.z
+        r = RationalFunction(num.coeffs, poles)
+        value = value_at(r, pt)
+        assert value == arg_derivative(r, rotation_speed(num, pt), pole_speed(poles, z))
+        # each pole's Re(z / (z - a)) is half of 1 minus its Poisson term, up to rounding
         expected = rotation_speed(num, pt)
         for a in poles:
             expected -= (z / (z - a)).real
-        assert arg_derivative(RationalFunction(num.coeffs, poles), pt) == expected
+        assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_zero_proximity_guard():
     r = RationalFunction([-1, 1], [2.0])  # numerator zero at z = 1
     with pytest.raises(ZeroProximity):
-        arg_derivative(r, UnitCirclePoint(0.0))
+        check_rotation_bounds(r, UnitCirclePoint(0.0), classify_numerator(r))
 
 
 def test_pole_product_itself_gives_half_its_speed_as_margin():
@@ -175,7 +204,7 @@ def test_rational_serialization_round_trip():
 
 def test_margins_are_half_the_numerator_excess_rotation(rng):
     # (arg R)' - (m - n + (arg B)')/2 = (arg P)' - m/2: the pole terms cancel, so the
-    # lower margin is lambda_P / 2 of the numerator and the upper margin its negative.
+    # lower margin is lambda_P / 2 of the numerator and the upper margin its negative, bit for bit.
     lower = upper = 0
     for _ in range(300):
         radius = (0.05, 0.98) if rng.uniform() < 0.5 else (1.02, 3.0)
@@ -190,11 +219,10 @@ def test_margins_are_half_the_numerator_excess_rotation(rng):
         except ZeroProximity:
             continue
         half_lambda = 0.5 * lambda_at(num, pt)
-        tol = 1e-12 * max(1.0, abs(rep.value), abs(rep.reference))
         if rep.lower_margin is not None:
             lower += 1
-            assert abs(rep.lower_margin - half_lambda) <= tol
+            assert rep.lower_margin == half_lambda
         if rep.upper_margin is not None:
             upper += 1
-            assert abs(rep.upper_margin + half_lambda) <= tol
+            assert rep.upper_margin == -half_lambda
     assert lower >= 100 and upper >= 100
