@@ -22,7 +22,7 @@ from .poly import Polynomial, RootForm, UnitCirclePoint, circle_grid, from_roots
 from .rational import RationalFunction, check_rotation_bounds, classify_numerator, rational_grid
 from .report import BOUND_KEYS, csv_cell, dump_json
 from .roots import classify_root_list, classify_zeros
-from .tolerances import CHECK_SLACK, ORACLE_AGREEMENT_TOL
+from .tolerances import CHECK_SLACK, MAX_DEGREE, ORACLE_AGREEMENT_TOL
 from .witness import WitnessSpec, witness_report
 
 
@@ -185,6 +185,7 @@ def cmd_fuzz(args) -> int:
     """
     for bad, message in (
         (args.degree_min < 1 or args.degree_max < args.degree_min, "invalid degree range"),
+        (args.degree_max > MAX_DEGREE, f"--degree-max must be <= {MAX_DEGREE}"),
         (args.count < 0, "--count must be >= 0"),
         (args.seed < 0, "--seed must be >= 0"),
     ):

@@ -10,11 +10,7 @@ class ZeroProximity(PolyrotError):
 
 
 class NonConvergence(PolyrotError):
-    """The root iteration failed to settle within the allowed iterations."""
-
-    def __init__(self, iterations_used: int):
-        self.iterations_used = iterations_used
-        super().__init__(f"root iteration did not converge after {iterations_used} iterations")
+    """The root solve failed: the eigenvalue iteration, a non-finite zero or a residual; the message names which."""
 
 
 class HypothesisViolated(PolyrotError):

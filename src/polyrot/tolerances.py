@@ -10,13 +10,11 @@ separate names, so changing one decision never moves another.
 ZERO_PROXIMITY_REL = 1e-12
 # A leading coefficient of coefficient input below this * max|c_k| leaves its degree numerically ambiguous.
 LEADING_REL = 1e-13
+# Largest degree `fuzz --degree-max` and witness `n` build: witness unimodular at 4096 runs 1.4-1.7 s (2-core VM).
+MAX_DEGREE = 4096
 
-# Stopping rules of the Aberth-Ehrlich root solver.
-# Sweeps before the solver stops and judges the residuals; cubic convergence settles simple roots in far fewer.
-MAX_ITERATIONS = 200
-# Relative root movement per sweep below which the iteration has stalled: a few hundred ulps of a double.
-CONVERGENCE_TOL = 1e-13
-# Root residual |P(z)| / (sum|c_k| max(1, |z|)^m) at degree m; acceptance relaxes it to RESIDUAL_TOL^(1/m) so clusters pass.
+# Postcondition of the root solver.
+# Largest root residual |P(z)| / (sum|c_k| max(1, |z|)^m) at degree m that a solve may return.
 RESIDUAL_TOL = 1e-10
 
 # Position against the unit circle.

@@ -23,7 +23,7 @@ from .poly import (RootForm, UnitCirclePoint, boundary_grid, circle_grid, comple
                    is_number)
 from .rational import RationalFunction, classify_numerator, rational_grid
 from .roots import classify_root_list
-from .tolerances import CHECK_SLACK, ON_CIRCLE_TOL, ONE_EXCLUSION, POLE_CIRCLE_TOL
+from .tolerances import CHECK_SLACK, MAX_DEGREE, ON_CIRCLE_TOL, ONE_EXCLUSION, POLE_CIRCLE_TOL
 
 
 def _as_unimodular(roots: Iterable[complex]) -> tuple[complex, ...]:
@@ -75,6 +75,8 @@ def witness_unimodular(n: int, seed: int) -> RootForm:
     """n random zeros on the unit circle: excess rotation vanishes identically."""
     if n < 1:
         raise InvalidWitnessParams("need n >= 1 roots")
+    if n > MAX_DEGREE:
+        raise InvalidWitnessParams(f"n must be <= {MAX_DEGREE}")
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, size=n)
     return RootForm(1.0, tuple(cmath.exp(1j * t) for t in angles))
@@ -152,6 +154,9 @@ class WitnessSpec:
 
 def witness_report(spec: WitnessSpec) -> dict:
     """Construct the witness that spec describes and measure how sharply it attains its bound."""
+    for field in {"value": ("a",), "goryainov": ("a",), "rational": ("coeff_alpha", "coeff_beta")}.get(spec.kind, ()):
+        if getattr(spec, field) is None:
+            raise InvalidWitnessParams(f"{field} must be an [re, im] pair of numbers")
     if spec.kind == "value":
         rf = witness_value(spec.a, spec.unimodular_roots)
         p = from_roots(rf)

@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from polyrot import RootForm, UnitCirclePoint, bound_arc, from_roots, witness_unimodular
+from polyrot import RootForm, UnitCirclePoint, bound_arc, from_roots
 from polyrot.cli import main
 from polyrot.report import CSV_HEADER, format_float
 from polyrot.roots import classify_root_list
+from polyrot.tolerances import MAX_DEGREE
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -98,13 +99,13 @@ def test_coefficient_input_with_a_negligible_leading_coefficient_is_refused(caps
 
 
 def test_failed_root_solve_is_input_error(capsys, monkeypatch):
-    # the degree-128 solve overflows the double range before it converges; a root form states its zeros and
-    # is not solved, so its expansion goes in as coefficients
-    stdin = json.dumps(from_roots(witness_unimodular(128, 0)).to_json())
-    code, out, err = run(capsys, ["scan", "--coeffs", "--theta", "0.5"], stdin=stdin, monkeypatch=monkeypatch)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: root iteration did not converge")
+    # 2e-13 z^30 + z^29 + 1e-3 has a zero near -5e12, where P(z) overflows the double range, so the Newton
+    # step leaves a NaN zero; unrefused, it would classify as outside and the scan would exit 0
+    coeffs = [[0, 0]] * 31
+    coeffs[0], coeffs[29], coeffs[30] = [1e-3, 0], [1, 0], [2e-13, 0]
+    code, out, err = run(capsys, ["scan", "--theta", "0.5"], stdin=json.dumps(coeffs), monkeypatch=monkeypatch)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: root solve gave a non-finite zero")
 
 
 def test_scan_json_and_csv_carry_identical_digits(capsys, monkeypatch):
@@ -490,15 +491,21 @@ def test_fuzz_csv_format(capsys):
 
 
 @pytest.mark.parametrize(
-    "flags",
-    [["--degree-min", "5", "--degree-max", "2"], ["--seed", "-1"], ["--count", "-3"]],
-    ids=["degree_range", "negative_seed", "negative_count"],
+    "flags,message",
+    [
+        (["--degree-min", "5", "--degree-max", "2"], "invalid degree range"),
+        (["--seed", "-1"], "--seed must be >= 0"),
+        (["--count", "-3"], "--count must be >= 0"),
+        (["--degree-max", "100000000000000000000"], f"--degree-max must be <= {MAX_DEGREE}"),
+        (["--degree-max", str(MAX_DEGREE + 1)], f"--degree-max must be <= {MAX_DEGREE}"),
+    ],
+    ids=["degree_range", "negative_seed", "negative_count", "huge_degree_max", "degree_max_past_limit"],
 )
-def test_fuzz_bad_degree_range(capsys, flags):
+def test_fuzz_bad_degree_range(capsys, flags, message):
+    # the degree limit is checked before any polynomial is drawn
     code = main(["fuzz", *flags])
     captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == "" and captured.err.startswith("error: ")
+    assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
 
 
 def test_witness_value_kind(capsys, monkeypatch):
@@ -610,6 +617,11 @@ def test_witness_toolkit_error_is_input_error(capsys, monkeypatch):
         ("seed", {"kind": "unimodular", "n": 3, "seed": True}),
         ("n", {"kind": "unimodular", "n": 2.5}),
         ("poles", {"kind": "rational", "poles": [[True, 0]], "coeff_alpha": [1, 0], "coeff_beta": [0, 1]}),
+        ("n", {"kind": "unimodular", "n": int("9" * 400)}),
+        ("n", {"kind": "unimodular", "n": MAX_DEGREE + 1}),
+        ("a", {"kind": "value"}),
+        ("a", {"kind": "goryainov"}),
+        ("coeff_beta", {"kind": "rational", "poles": [[2, 0]], "coeff_alpha": [1, 0]}),
     ],
 )
 def test_witness_error_names_the_field(capsys, monkeypatch, field, spec):
