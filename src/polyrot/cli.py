@@ -154,8 +154,8 @@ def _fuzz_polynomial_case(tally, rng, degree, zone):
 
 def _fuzz_rational_case(tally, rng, degree, zone):
     n_poles = int(rng.integers(1, 5))
-    rf, r = corpus.random_rational(rng, degree, n_poles, zone)
-    theta = corpus.valid_theta(rng, Polynomial(r.numerator))
+    rf, p, r = corpus.random_rational(rng, degree, n_poles, zone)
+    theta = corpus.valid_theta(rng, p)
     if theta is None:
         return
     rep = check_rotation_bounds(r, UnitCirclePoint(theta), classify_root_list(rf.roots))
@@ -182,6 +182,8 @@ def cmd_fuzz(args) -> int:
 
     Except in the mixed zone, each case also draws a rational function with
     1-4 poles and tallies rational_lower and rational_upper where they apply.
+    A case that cannot be built, because at high degree its expansion
+    overflows or outgrows its leading coefficient, is an input error (exit 1).
     """
     for bad, message in (
         (args.degree_min < 1 or args.degree_max < args.degree_min, "invalid degree range"),
@@ -196,9 +198,13 @@ def cmd_fuzz(args) -> int:
     tally = _FuzzTally()
     for _ in range(args.count):
         degree = int(rng.integers(args.degree_min, args.degree_max + 1))
-        _fuzz_polynomial_case(tally, rng, degree, args.zone)
-        if args.zone != "mixed":
-            _fuzz_rational_case(tally, rng, degree, args.zone)
+        try:
+            _fuzz_polynomial_case(tally, rng, degree, args.zone)
+            if args.zone != "mixed":
+                _fuzz_rational_case(tally, rng, degree, args.zone)
+        except ValueError as exc:
+            print(f"error: cannot build a degree-{degree} case: {exc}", file=sys.stderr)
+            return 1
 
     summary = {
         "command": "fuzz",

@@ -3,6 +3,17 @@
 Roots inside the disk are drawn area uniform (radius sqrt(u)), which
 keeps a realistic share of near-boundary zeros instead of clustering at
 the origin; outside roots mirror that through inversion.
+
+Each function takes all its uniforms from one `Generator.random` call and
+scales each draw u as `Generator.uniform(low, high)` does, low + (high - low) u.
+The stream and every bit are therefore those of one scalar `uniform` call
+per number, in this order:
+
+- the leading coefficient: its magnitude, then its phase;
+- each zero: its phase, then the zone coin (zone `mixed` only), then its
+  radius (none on the circle);
+- each pole: its radius, then its phase;
+- `valid_theta`: one angle per try, drawn only when it is tried.
 """
 
 from __future__ import annotations
@@ -12,35 +23,40 @@ import math
 
 import numpy as np
 
-from .poly import Polynomial, RootForm, UnitCirclePoint, from_roots
+from .poly import Polynomial, RootForm, circle_point, from_roots
 from .rational import RationalFunction
 from .tolerances import SAMPLE_FLOOR_REL, SAMPLE_TRIES
 
 ZONES = ("in_disk", "on_circle", "outside", "mixed")
+TAU = 2.0 * math.pi
+
+
+def _uniform(u: float, low: float, high: float) -> float:
+    """The draw u of `Generator.random` scaled to [low, high) as `Generator.uniform(low, high)` scales it."""
+    return low + (high - low) * u
 
 
 def random_leading(rng: np.random.Generator) -> complex:
-    mag = float(rng.uniform(0.5, 2.0))
-    return mag * cmath.exp(1j * float(rng.uniform(0.0, 2.0 * math.pi)))
+    mag, phase = rng.random(2).tolist()
+    return _uniform(mag, 0.5, 2.0) * cmath.exp(1j * _uniform(phase, 0.0, TAU))
 
 
 def random_roots(rng: np.random.Generator, n: int, zone: str) -> list[complex]:
     if zone not in ZONES:
         raise ValueError(f"unknown zone {zone!r}")
+    per_zero = 1 if zone == "on_circle" else 3 if zone == "mixed" else 2  # phase, [coin,] radius
+    draws = rng.random(per_zero * n).tolist()
     roots: list[complex] = []
-    for _ in range(n):
-        phi = float(rng.uniform(0.0, 2.0 * math.pi))
-        if zone == "mixed":
-            z = "in_disk" if rng.uniform() < 0.5 else "outside"
-        else:
-            z = zone
+    for k in range(0, len(draws), per_zero):
+        phase, u = draws[k], draws[k + per_zero - 1]  # u: the radius draw, unused on the circle
+        z = zone if zone != "mixed" else "in_disk" if draws[k + 1] < 0.5 else "outside"
         if z == "in_disk":
-            r = math.sqrt(float(rng.uniform()))
+            r = math.sqrt(u)
         elif z == "on_circle":
             r = 1.0
         else:  # outside, inverted area-uniform, bounded away from the circle
-            r = 1.0 / math.sqrt(float(rng.uniform(1e-4, 0.995)))
-        roots.append(r * cmath.exp(1j * phi))
+            r = 1.0 / math.sqrt(_uniform(u, 1e-4, 0.995))
+        roots.append(r * cmath.exp(1j * _uniform(phase, 0.0, TAU)))
     return roots
 
 
@@ -50,24 +66,24 @@ def random_polynomial(rng: np.random.Generator, degree: int, zone: str) -> tuple
 
 
 def random_poles(rng: np.random.Generator, n: int) -> list[complex]:
-    return [
-        float(rng.uniform(1.2, 4.0)) * cmath.exp(1j * float(rng.uniform(0.0, 2.0 * math.pi)))
-        for _ in range(n)
-    ]
+    draws = rng.random(2 * n).tolist()
+    return [_uniform(r, 1.2, 4.0) * cmath.exp(1j * _uniform(phase, 0.0, TAU))
+            for r, phase in zip(draws[::2], draws[1::2])]
 
 
 def random_rational(
     rng: np.random.Generator, num_degree: int, n_poles: int, zone: str
-) -> tuple[RootForm, RationalFunction]:
+) -> tuple[RootForm, Polynomial, RationalFunction]:
+    """The numerator's root form and expansion, and the rational function over random poles."""
     rf, p = random_polynomial(rng, num_degree, zone)
-    return rf, RationalFunction(p.coeffs, random_poles(rng, n_poles))
+    return rf, p, RationalFunction(p.coeffs, random_poles(rng, n_poles))
 
 
 def valid_theta(rng: np.random.Generator, p: Polynomial) -> float | None:
     """A random angle where |P(e^{i theta})| > SAMPLE_FLOOR_REL * max|c_k|, or None after SAMPLE_TRIES draws."""
     floor = SAMPLE_FLOOR_REL * p.coeff_scale
     for _ in range(SAMPLE_TRIES):
-        theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        if abs(p(UnitCirclePoint(theta).z)) > floor:
+        theta = _uniform(rng.random(), 0.0, TAU)
+        if abs(p(circle_point(theta))) > floor:
             return theta
     return None

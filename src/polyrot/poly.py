@@ -75,7 +75,7 @@ def cross_term(coeffs: Sequence[complex]) -> complex:
 
 def finite_complex(values: Iterable[complex], what: str) -> tuple[complex, ...]:
     """The values as complex numbers; a NaN or infinite part is an input error (ValueError)."""
-    cs = tuple(complex(c) for c in values)
+    cs = tuple(map(complex, values))
     if not all(map(cmath.isfinite, cs)):
         raise ValueError(f"{what} must be finite")
     return cs
@@ -122,7 +122,7 @@ class Polynomial:
         if cs[-1] == 0:
             raise ValueError("leading coefficient is (numerically) zero")
         object.__setattr__(self, "coeffs", cs)
-        object.__setattr__(self, "_scale", max(abs(c) for c in cs))
+        object.__setattr__(self, "_scale", max(map(abs, cs)))
 
     @property
     def degree(self) -> int:
@@ -212,7 +212,7 @@ def from_roots(rf: RootForm) -> Polynomial:
     if rf.degree < 1:
         raise ValueError("need at least one root to form a polynomial of degree >= 1")
     coeffs = expand_monic(rf.roots)
-    return Polynomial(tuple(rf.leading * c for c in coeffs))
+    return Polynomial([rf.leading * c for c in coeffs])
 
 
 def rotation_speed(p: Polynomial, pt: UnitCirclePoint) -> float:

@@ -17,7 +17,6 @@ import pytest
 from polyrot import (
     ArcContainsRoot,
     BlaschkeProduct,
-    Polynomial,
     RootForm,
     UnitCirclePoint,
     ZeroProximity,
@@ -263,8 +262,8 @@ def test_criterion_8_rational_bounds():
     for _ in range(200):
         m = int(rng.integers(1, 7))
         n_poles = int(rng.integers(1, 5))
-        rf, r = corpus.random_rational(rng, m, n_poles, "in_disk")
-        t = _valid_theta(rng, Polynomial(r.numerator), rf.roots, min_dist=0.0)
+        rf, p, r = corpus.random_rational(rng, m, n_poles, "in_disk")
+        t = _valid_theta(rng, p, rf.roots, min_dist=0.0)
         if t is None:
             continue
         rep = check_rotation_bounds(r, UnitCirclePoint(t), classify_numerator(r))
@@ -275,8 +274,8 @@ def test_criterion_8_rational_bounds():
     for _ in range(200):
         m = int(rng.integers(1, 7))
         n_poles = int(rng.integers(1, 5))
-        rf, r = corpus.random_rational(rng, m, n_poles, "outside")
-        t = _valid_theta(rng, Polynomial(r.numerator), rf.roots, min_dist=0.0)
+        rf, p, r = corpus.random_rational(rng, m, n_poles, "outside")
+        t = _valid_theta(rng, p, rf.roots, min_dist=0.0)
         if t is None:
             continue
         rep = check_rotation_bounds(r, UnitCirclePoint(t), classify_numerator(r))

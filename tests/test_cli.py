@@ -508,6 +508,16 @@ def test_fuzz_bad_degree_range(capsys, flags, message):
     assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("zone,degree", [("outside", 256), ("in_disk", 1024)])
+def test_fuzz_unbuildable_high_degree_case_is_an_input_error(capsys, zone, degree):
+    # the expanded numerator outgrows its leading coefficient by more than 1/LEADING_REL at these degrees:
+    # one error line that names the degree, no traceback
+    code, out, err = run(capsys, ["fuzz", "--zone", zone, "--count", "3", "--degree-min", str(degree),
+                                  "--degree-max", str(degree)])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot build a degree-{degree} case: ") and err.count("\n") == 1
+
+
 def test_witness_value_kind(capsys, monkeypatch):
     code, out, _ = run(
         capsys,

@@ -14,7 +14,7 @@ from polyrot import (
     from_roots,
     rotation_speed,
 )
-from polyrot.poly import horner, horner_pair
+from polyrot.poly import expand_monic, horner, horner_pair
 
 
 def test_evaluate_direct_substitution():
@@ -155,3 +155,34 @@ def test_horner_kernels_match_polyval(rng):
             assert s_pair == s_val
             assert abs(s_val - val[k]) <= val_bound[k]
             assert abs(s_der - der[k]) <= der_bound[k]
+
+
+def _expand_by_loop(roots):
+    """The product of the factors z - r by an in-place loop over the coefficients: the reference bits."""
+    coeffs = [1.0 + 0j]
+    for r in roots:
+        coeffs.append(0j)
+        for k in range(len(coeffs) - 1, 0, -1):
+            coeffs[k] = coeffs[k - 1] - r * coeffs[k]
+        coeffs[0] = -r * coeffs[0]
+    return coeffs
+
+
+def _bits(values):
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+SIGNED_ZERO_ROOTS = [complex(re, im) for re in (0.0, -0.0, 0.5, -1.0) for im in (0.0, -0.0, 0.25, -2.0)]
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_expansion_bits_match_the_loop(seed):
+    # every bit of expand_monic and from_roots, signed zeros included, against the reference loop
+    rng = np.random.default_rng(seed)
+    cases = [[complex(re, im) for re, im in rng.uniform(-1.5, 1.5, (degree, 2))] for degree in range(1, 65)]
+    cases += [SIGNED_ZERO_ROOTS, SIGNED_ZERO_ROOTS[::-1], SIGNED_ZERO_ROOTS[:2] * 3, [complex(0.0, -0.0)] * 3]
+    for roots in cases:
+        want = _expand_by_loop(roots)
+        assert _bits(expand_monic(roots)) == _bits(want)
+        lead = complex(*rng.uniform(-2.0, 2.0, 2))
+        assert _bits(from_roots(RootForm(lead, roots)).coeffs) == _bits([lead * c for c in want])
