@@ -13,7 +13,6 @@ its hypothesis, and records signed margins and pass flags.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 from .errors import HypothesisViolated
 from .oracle import arc_increment
 from .poly import Polynomial, UnitCirclePoint, boundary_grid, c_mul, c_quot, cross_term, guard_zero, rotation_speed
-from .report import BOUND_KEYS, CSV_HEADER, csv_cell, grid_rows, row_template, slot
+from .report import BOUND_KEYS, grid_rows, row_template
 from .roots import ZeroClassification
 from .tolerances import ARC_INCREMENT_SLACK, CHECK_SLACK, EQUAL_MODULUS_REL
 
@@ -128,41 +127,58 @@ def _lower_bounds(p: Polynomial, value_thm1):
             ("value_thm1", value_thm1), ("coeff2_thm2", bound_coeff2(p)))
 
 
+# A scan row, as data: the JSON row with a column name at each leaf, and the CSV header name of each column.
+_JSON_ROW = {"theta": "theta", "lambda": "lam", **{g: {k: f"{g}.{k}" for k in BOUND_KEYS}
+                                                   for g in ("bounds", "margins", "flags")}, "status": "status"}
+_CSV_ROW = {"theta": "theta", "lambda": "lam", **{k: f"bounds.{k}" for k in BOUND_KEYS}, "status": "status"}
+_TEMPLATES = {json_rows: row_template(_JSON_ROW, _CSV_ROW.values(), json_rows) for json_rows in (False, True)}
+
+
 @dataclass(frozen=True)
 class BoundReport:
-    """Every applicable bound at one boundary point, with margins and flags.
+    """Every applicable bound at one boundary point, or at every angle of a grid, with margins and flags.
 
     Margin conventions: lower bounds report lambda - bound, the two upper
     bounds report bound - lambda (arc) and bound - rotation speed
     (zero-free).  A flag is "pass" / "fail" for applicable bounds and
     "na" when the hypothesis does not hold or the bound was not requested.
     `speed` is the rotation speed behind lambda = 2 speed - n.
+
+    At a point (`full_report`) every field is a scalar and a margin that does not apply is None.  On a grid
+    (`grid_report`) theta, speed, lam and `skipped` are arrays over the angles, each value in bounds, margins
+    and flags is an array or one value for all of them, and a margin that does not apply at an angle reads
+    nan; a skipped angle has no verdict.
     """
 
-    theta: float
-    speed: float
-    lam: float
+    CSV_HEADER = ",".join(_CSV_ROW)
+
+    theta: float | np.ndarray
+    speed: float | np.ndarray
+    lam: float | np.ndarray
     bounds: dict
     margins: dict
     flags: dict
+    skipped: bool | np.ndarray = False
+
+    def fails(self, checks) -> np.ndarray:
+        """Per angle: whether a bound named in checks failed there; never at a skipped angle."""
+        failed = np.zeros_like(self.skipped)
+        for k in checks:
+            failed |= np.asarray(self.flags[k]) == "fail"
+        return failed & np.logical_not(self.skipped)
 
     @property
-    def status(self) -> str:
-        return "fail" if any(f == "fail" for f in self.flags.values()) else "pass"
+    def status(self) -> np.ndarray:
+        return np.where(self.fails(BOUND_KEYS), "fail", "pass")
 
-    def csv_cells(self) -> list[str]:
-        cells = [csv_cell(self.theta), csv_cell(self.lam)]
-        return cells + [csv_cell(self.bounds.get(k)) for k in BOUND_KEYS] + [self.status]
+    def rows(self, json_rows: bool) -> list[str | None]:
+        """Each angle's scan row on a grid, None where skipped; constant cells are rendered once."""
+        return grid_rows(self, _TEMPLATES[json_rows], json_rows)
 
-    def as_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "lambda": self.lam,
-            "bounds": {k: self.bounds.get(k) for k in BOUND_KEYS},
-            "margins": {k: self.margins.get(k) for k in BOUND_KEYS},
-            "flags": {k: self.flags.get(k, "na") for k in BOUND_KEYS},
-            "status": self.status,
-        }
+    @property
+    def overflows(self) -> np.ndarray:
+        """Per angle not skipped: whether lambda came out inf or nan."""
+        return ~np.isfinite(self.lam) & np.logical_not(self.skipped)
 
 
 def full_report(
@@ -212,54 +228,8 @@ def full_report(
     return BoundReport(pt.theta, speed, lam, bounds, margins, flags)
 
 
-@functools.cache
-def _row_template(json_rows: bool) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """`row_template` of a BoundReport that holds a slot in every rendered cell."""
-    groups = ({k: slot(f"{g}.{k}") for k in BOUND_KEYS} for g in ("bounds", "margins", "flags"))
-    return row_template(BoundReport(slot("theta"), None, slot("lam"), *groups), json_rows)
-
-
-@dataclass(frozen=True)
-class GridReport:
-    """`full_report` at every angle of a grid, as columns; a `skipped` angle has no verdict.
-
-    Each value in bounds, margins and flags is an array over the angles or one value for all of
-    them; a margin `full_report` leaves None reads nan.
-    """
-
-    CSV_HEADER = CSV_HEADER  # the header of BoundReport rows
-
-    theta: np.ndarray
-    skipped: np.ndarray
-    speed: np.ndarray
-    lam: np.ndarray
-    bounds: dict
-    margins: dict
-    flags: dict
-
-    def fails(self, checks) -> np.ndarray:
-        """Per angle: whether a bound named in checks failed there; never at a skipped angle."""
-        failed = np.zeros_like(self.skipped)
-        for k in checks:
-            failed |= np.asarray(self.flags[k]) == "fail"
-        return failed & ~self.skipped
-
-    @property
-    def status(self) -> np.ndarray:
-        return np.where(self.fails(BOUND_KEYS), "fail", "pass")
-
-    def rows(self, json_rows: bool) -> list[str | None]:
-        """Each angle's row as `BoundReport` renders it, None where skipped; constant cells are rendered once."""
-        return grid_rows(self, _row_template(json_rows), json_rows)
-
-    @property
-    def overflows(self) -> np.ndarray:
-        """Per angle not skipped: whether lambda came out inf or nan."""
-        return ~np.isfinite(self.lam) & ~self.skipped
-
-
 def grid_report(p: Polynomial, thetas: list[float], arc: tuple[float, float | None] | None,
-                slack: float, classification: ZeroClassification) -> GridReport:
+                slack: float, classification: ZeroClassification) -> BoundReport:
     """`full_report`, bit for bit, at every angle of thetas in one array pass.
 
     The theta-independent bounds are evaluated once; `arc_thm3` is a `bound_arc` call per angle not skipped.
@@ -299,4 +269,4 @@ def grid_report(p: Polynomial, thetas: list[float], arc: tuple[float, float | No
             value = bound_zero_free(p)
             record("upper_zero_free", value, value - speed, True)
 
-    return GridReport(np.asarray(thetas, dtype=float), skipped, speed, lam, bounds, margins, flags)
+    return BoundReport(np.asarray(thetas, dtype=float), speed, lam, bounds, margins, flags, skipped)

@@ -14,14 +14,13 @@ attains both at once.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .poly import Polynomial, UnitCirclePoint, boundary_grid, boundary_speed, complex_pairs, finite_complex
-from .report import csv_cell, grid_rows, row_template, slot
+from .report import grid_rows, row_template
 from .roots import ZeroClassification, classify_root_list, classify_zeros
 from .tolerances import CHECK_SLACK, LEADING_REL, POLE_CIRCLE_TOL
 
@@ -87,50 +86,61 @@ def arg_derivative(r: RationalFunction, speed, s):
     return speed - 0.5 * len(r.poles) + 0.5 * s
 
 
+# A scan row, as data: the JSON row with a column name at each leaf, and the CSV column order.
+_JSON_ROW = {"theta": "theta", "value": "value", "reference": "reference", "m": "num_degree", "n_poles": "n_poles",
+             **{side: {"applicable": f"{side}_applicable", "margin": f"{side}_margin", "passed": f"{side}_pass"}
+                for side in ("lower", "upper")}}
+_CSV_COLUMNS = ("theta", "value", "reference", "lower_margin", "upper_margin", "status")
+_TEMPLATES = {json_rows: row_template(_JSON_ROW, _CSV_COLUMNS, json_rows) for json_rows in (False, True)}
+
+
 @dataclass(frozen=True)
 class RationalBoundReport:
-    """Both halves of the rotation comparison against (m - n + (arg B)')/2."""
+    """Both halves of the rotation comparison against (m - n + (arg B)')/2, at one point or on a grid.
 
-    CSV_HEADER = "theta,value,reference,lower_margin,upper_margin,status"
+    At a point (`check_rotation_bounds`) every field is a Python scalar.  On a grid (`rational_grid`) theta,
+    value, reference, `skipped` and, for a comparison that applies, its margin and pass flag are arrays over
+    the angles; the rest holds one value for all of them.  A skipped angle has no verdict.
+    """
 
-    theta: float
-    value: float
-    reference: float
+    CSV_HEADER = ",".join(_CSV_COLUMNS)
+
+    theta: float | np.ndarray
+    value: float | np.ndarray
+    reference: float | np.ndarray
     num_degree: int
     n_poles: int
     lower_applicable: bool
     upper_applicable: bool
-    lower_margin: float | None
-    upper_margin: float | None
-    lower_pass: bool | None
-    upper_pass: bool | None
+    lower_margin: float | np.ndarray | None
+    upper_margin: float | np.ndarray | None
+    lower_pass: bool | np.ndarray | None
+    upper_pass: bool | np.ndarray | None
+    skipped: bool | np.ndarray = False
 
-    def fails(self) -> bool:
-        """True when either comparison failed."""
-        return self.lower_pass is False or self.upper_pass is False
+    def fails(self, checks=()) -> np.ndarray:
+        """Per angle: whether either comparison failed there; never at a skipped angle.
 
-    def csv_cells(self) -> list[str]:
-        cells = (self.theta, self.value, self.reference, self.lower_margin, self.upper_margin)
-        return [csv_cell(c) for c in cells] + ["fail" if self.fails() else "pass"]
+        checks name polynomial bounds, which do not apply; the parameter matches `BoundReport.fails`.
+        """
+        failed = np.zeros_like(self.skipped)
+        for passed in (self.lower_pass, self.upper_pass):
+            if passed is not None:
+                failed |= np.logical_not(passed)
+        return failed & np.logical_not(self.skipped)
 
-    def as_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "value": self.value,
-            "reference": self.reference,
-            "m": self.num_degree,
-            "n_poles": self.n_poles,
-            "lower": {
-                "applicable": self.lower_applicable,
-                "margin": self.lower_margin,
-                "passed": self.lower_pass,
-            },
-            "upper": {
-                "applicable": self.upper_applicable,
-                "margin": self.upper_margin,
-                "passed": self.upper_pass,
-            },
-        }
+    @property
+    def status(self) -> np.ndarray:
+        return np.where(self.fails(), "fail", "pass")
+
+    def rows(self, json_rows: bool) -> list[str | None]:
+        """Each angle's scan row on a grid, None where skipped; constant cells are rendered once."""
+        return grid_rows(self, _TEMPLATES[json_rows], json_rows)
+
+    @property
+    def overflows(self) -> np.ndarray:
+        """Per angle not skipped: whether value came out inf or nan; the reference is finite for finite poles."""
+        return ~np.isfinite(self.value) & np.logical_not(self.skipped)
 
 
 def classify_numerator(r: RationalFunction) -> ZeroClassification:
@@ -171,64 +181,10 @@ def check_rotation_bounds(r: RationalFunction, pt: UnitCirclePoint, classificati
                                                   for k, v in columns.items()})
 
 
-@functools.cache
-def _row_template(json_rows: bool) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """`row_template` of a RationalBoundReport that holds a slot in every field."""
-    return row_template(RationalBoundReport(*(slot(f.name) for f in fields(RationalBoundReport))), json_rows)
-
-
-@dataclass(frozen=True)
-class RationalGrid:
-    """`check_rotation_bounds` at every angle of a grid, as columns; a `skipped` angle has no verdict.
-
-    The fields are those of `RationalBoundReport`: theta, value, reference and, for a comparison that
-    applies, its margin and pass flag are arrays over the angles; the rest holds one value for all of them.
-    """
-
-    CSV_HEADER = RationalBoundReport.CSV_HEADER
-
-    theta: np.ndarray
-    skipped: np.ndarray
-    value: np.ndarray
-    reference: np.ndarray
-    num_degree: int
-    n_poles: int
-    lower_applicable: bool
-    upper_applicable: bool
-    lower_margin: np.ndarray | None
-    upper_margin: np.ndarray | None
-    lower_pass: np.ndarray | None
-    upper_pass: np.ndarray | None
-
-    def fails(self, checks=()) -> np.ndarray:
-        """Per angle: whether either comparison failed there; never at a skipped angle.
-
-        checks name polynomial bounds, which do not apply; the parameter matches `GridReport.fails`.
-        """
-        failed = np.zeros_like(self.skipped)
-        for passed in (self.lower_pass, self.upper_pass):
-            if passed is not None:
-                failed |= ~passed
-        return failed & ~self.skipped
-
-    @property
-    def status(self) -> np.ndarray:
-        return np.where(self.fails(), "fail", "pass")
-
-    def rows(self, json_rows: bool) -> list[str | None]:
-        """Each angle's row as `RationalBoundReport` renders it, None where skipped."""
-        return grid_rows(self, _row_template(json_rows), json_rows)
-
-    @property
-    def overflows(self) -> np.ndarray:
-        """Per angle not skipped: whether value came out inf or nan; the reference is finite for finite poles."""
-        return ~np.isfinite(self.value) & ~self.skipped
-
-
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf and nan arise silently, as in boundary_grid
 def rational_grid(r: RationalFunction, thetas: list[float], tol: float,
-                  classification: ZeroClassification) -> RationalGrid:
+                  classification: ZeroClassification) -> RationalBoundReport:
     """`check_rotation_bounds`, bit for bit, at every angle of thetas: the numerator through `boundary_grid`."""
     z, _, _, speed, skipped = boundary_grid(r.numerator, r._num_scale, thetas)
-    return RationalGrid(theta=np.asarray(thetas, dtype=float), skipped=skipped,
-                        **_comparison(r, speed, z, classification, tol))
+    return RationalBoundReport(theta=np.asarray(thetas, dtype=float), skipped=skipped,
+                               **_comparison(r, speed, z, classification, tol))

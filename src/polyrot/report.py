@@ -2,9 +2,11 @@
 
 All numeric output is formatted at 17 significant digits so that CSV and
 JSON renderings of the same run carry identical digit strings and two
-runs with identical inputs are byte identical.  A whole grid's scan rows
-render through a template cut from one point's rendered row (`row_template`,
-`grid_rows`), so the grid and the one-point path share one row schema.
+runs with identical inputs are byte identical.  Each report type states its
+scan row once, as data: a JSON row whose leaves name its columns, and the
+CSV column order.  `row_template` cuts a template of literals and column
+names from that schema, and `grid_rows` fills it in at every angle of a
+grid, rendering each input's constant cells once.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ BOUND_KEYS = (
     "arc_thm3",
     "upper_zero_free",
 )
-
-CSV_HEADER = "theta,lambda," + ",".join(BOUND_KEYS) + ",status"
 
 
 @dataclass(frozen=True)
@@ -109,25 +109,22 @@ def csv_cell(value) -> str:
     return str(value)
 
 
-def slot(name: str) -> str:
-    """A sentinel cell: `row_template` cuts a rendered row there, and `grid_rows` fills in column `name`."""
-    return f"\0{name}\0"
+def _slots(node):
+    """node with each column name at its leaves replaced by a sentinel that `row_template` cuts a row at."""
+    return {k: _slots(v) for k, v in node.items()} if isinstance(node, dict) else f"\0{node}\0"
 
 
-def row_template(rep, json_rows: bool) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The literal pieces of rep's rendered scan row, and the names of the slots between them.
+def row_template(json_row: dict, csv_columns, json_rows: bool) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The literal pieces of a rendered scan row, and the names of the columns between them.
 
-    rep is a one-point report holding a `slot` in every field; its status, which a report derives from its
-    flags rather than holds, is the slot "status".  The row renders through rep's own `as_dict` or `csv_cells`,
-    so the row schema keeps one source.
+    json_row is the JSON row with a column name at each leaf, csv_columns the CSV cells' column names in order:
+    one report type's row schema, stated as data.  The row renders with a sentinel in every cell and is cut
+    there, so the literals are exactly those of `render_json` or the CSV join.
     """
     if json_rows:
-        row = rep.as_dict()
-        if "status" in row:
-            row["status"] = slot("status")
-        text = render_json(row, 2)  # rows sit at depth 2 of the scan document, in its "rows" list
+        text = render_json(_slots(json_row), 2)  # rows sit at depth 2 of the scan document, in its "rows" list
     else:
-        text = ",".join(rep.csv_cells()[:-1] + [slot("status")])
+        text = ",".join(map(_slots, csv_columns))
     parts = re.split('"?\0([^\0]*)\0"?', text)
     return tuple(parts[0::2]), tuple(parts[1::2])
 
@@ -135,13 +132,13 @@ def row_template(rep, json_rows: bool) -> tuple[tuple[str, ...], tuple[str, ...]
 def grid_rows(grid, template, json_rows: bool) -> list[str | None]:
     """Each angle's row of grid through template, None where grid.skipped.
 
-    A slot "group.key" reads grid.group[key], any other slot the attribute of its name: an array over the
+    A column "group.key" reads grid.group[key], any other column the attribute of its name: an array over the
     angles, or one value for all of them, which is rendered once and merged into the literals.
     """
-    literals, slots = template
+    literals, names = template
     cell = render_json if json_rows else csv_cell
     columns, text = [], literals[0]
-    for name, literal in zip(slots, literals[1:]):
+    for name, literal in zip(names, literals[1:]):
         group, _, key = name.partition(".")
         value = getattr(grid, group)[key] if key else getattr(grid, group)
         if not isinstance(value, np.ndarray):

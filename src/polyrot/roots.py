@@ -10,6 +10,7 @@ outside the unit circle and the arc increment.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,8 @@ def find_roots(p: Polynomial) -> list[complex]:
 
     Companion-matrix eigenvalues of the monic coefficients, each moved by
     one Newton step.  Raises NonConvergence when the eigenvalue iteration
-    fails, a zero is not finite, or a residual |P(z)| exceeds RESIDUAL_TOL
-    * sum|c_k| * max(1, |z|)^m, m the degree.
+    fails, a zero is not finite, or a residual |P(z)| is not finite or
+    exceeds RESIDUAL_TOL * sum|c_k| * max(1, |z|)^m, m the degree.
     """
     lead = p.leading
     monic = [c / lead for c in p.coeffs]
@@ -42,11 +43,12 @@ def find_roots(p: Polynomial) -> list[complex]:
             z -= val / der
         if not cmath.isfinite(z):
             raise NonConvergence(f"root solve gave a non-finite zero {z}")
+        residual = abs(horner(monic, z))
         try:
-            residual_ok = abs(horner(monic, z)) <= RESIDUAL_TOL * abs_sum * max(1.0, abs(z)) ** m
-        except OverflowError:  # |z|^m or |P(z)| past the double range
-            residual_ok = False
-        if not residual_ok:
+            bound = RESIDUAL_TOL * abs_sum * max(1.0, abs(z)) ** m
+        except OverflowError:  # the bound is past the double range: any finite residual is below it
+            bound = math.inf
+        if not (math.isfinite(residual) and residual <= bound):
             raise NonConvergence(f"root solve left a residual above RESIDUAL_TOL at {z}")
         roots.append(z)
     roots.sort(key=lambda r: (r.real, r.imag))

@@ -169,27 +169,26 @@ def test_upper_bound_respects_oracle(rng):
 def test_full_report_reference_point():
     p = Polynomial([-0.5, 1])
     rep = full_report(p, UnitCirclePoint(0.0), classify_zeros(p))
-    d = rep.as_dict()
-    assert d["lambda"] == pytest.approx(3.0)
-    assert d["bounds"]["classic"] == 0.0
-    assert d["bounds"]["coeff"] == pytest.approx(1 / 3)
-    assert d["bounds"]["sqrt_weak"] == pytest.approx(1 - math.sqrt(0.5))
-    assert d["bounds"]["value_thm1"] == pytest.approx(3.0)
-    assert d["bounds"]["coeff2_thm2"] == pytest.approx(1 / 3)
+    assert rep.lam == pytest.approx(3.0)
+    assert rep.bounds["classic"] == 0.0
+    assert rep.bounds["coeff"] == pytest.approx(1 / 3)
+    assert rep.bounds["sqrt_weak"] == pytest.approx(1 - math.sqrt(0.5))
+    assert rep.bounds["value_thm1"] == pytest.approx(3.0)
+    assert rep.bounds["coeff2_thm2"] == pytest.approx(1 / 3)
     for key in ("classic", "coeff", "sqrt_weak", "value_thm1", "coeff2_thm2"):
-        assert d["flags"][key] == "pass"
-    assert d["flags"]["upper_zero_free"] == "na"
-    assert d["flags"]["arc_thm3"] == "na"
-    assert d["status"] == "pass"
+        assert rep.flags[key] == "pass"
+        assert rep.margins[key] == pytest.approx(rep.lam - rep.bounds[key])
+    assert rep.flags["upper_zero_free"] == "na"
+    assert rep.flags["arc_thm3"] == "na"
+    assert rep.status == "pass" and not rep.skipped
 
 
 def test_full_report_gates_lower_bounds_off_outside():
     p = from_roots(RootForm(1.0, (1.5, 0.3)))
     rep = full_report(p, UnitCirclePoint(0.4), classify_zeros(p))
-    d = rep.as_dict()
     for key in ("classic", "coeff", "sqrt_weak", "value_thm1", "coeff2_thm2"):
-        assert d["flags"][key] == "na"
-    assert d["status"] == "pass"
+        assert rep.flags[key] == "na" and rep.margins[key] is None
+    assert rep.status == "pass"
 
 
 def test_full_report_random_disk_sweep(rng):
@@ -200,22 +199,21 @@ def test_full_report_random_disk_sweep(rng):
         theta = float(rng.uniform(0, 2 * math.pi))
         if abs(p(UnitCirclePoint(theta).z)) <= 1e-3 * p.coeff_scale:
             continue
-        d = full_report(p, UnitCirclePoint(theta), classify_zeros(p)).as_dict()
+        rep = full_report(p, UnitCirclePoint(theta), classify_zeros(p))
         for key in ("classic", "coeff", "sqrt_weak", "value_thm1", "coeff2_thm2"):
-            assert d["flags"][key] == "pass", (key, d)
+            assert rep.flags[key] == "pass", (key, rep)
 
 
 def test_full_report_with_arc():
     p = from_roots(RootForm(1.0, (0j, -1.0)))
     cls = classify_zeros(p)
     rep = full_report(p, UnitCirclePoint(0.0), cls, arc=(math.pi / 2, None))
-    d = rep.as_dict()
-    assert d["bounds"]["arc_thm3"] == pytest.approx(1.0, abs=1e-3)
-    assert d["flags"]["arc_thm3"] == "pass"
+    assert rep.bounds["arc_thm3"] == pytest.approx(1.0, abs=1e-3)
+    assert rep.flags["arc_thm3"] == "pass"
     # the measured increment is about alpha = pi/2, so beta = 0.5 voids the arc hypothesis
-    na = full_report(p, UnitCirclePoint(0.0), cls, arc=(math.pi / 2, 0.5)).as_dict()
-    assert (na["flags"]["arc_thm3"], na["bounds"]["arc_thm3"], na["margins"]["arc_thm3"]) == ("na", None, None)
-    assert na == full_report(p, UnitCirclePoint(0.0), cls).as_dict()
+    na = full_report(p, UnitCirclePoint(0.0), cls, arc=(math.pi / 2, 0.5))
+    assert (na.flags["arc_thm3"], na.bounds["arc_thm3"], na.margins["arc_thm3"]) == ("na", None, None)
+    assert na == full_report(p, UnitCirclePoint(0.0), cls)
 
 
 def test_every_applicable_flag_passes_across_zones(rng):
@@ -245,22 +243,19 @@ def test_every_applicable_flag_passes_across_zones(rng):
 def test_report_keys_match_wire_schema():
     p = Polynomial([-0.5, 1])
     rep = full_report(p, UnitCirclePoint(0.0), classify_zeros(p))
-    d = rep.as_dict()
-    assert tuple(d["bounds"].keys()) == BOUND_KEYS
-    assert tuple(d["margins"].keys()) == BOUND_KEYS
-    assert tuple(d["flags"].keys()) == BOUND_KEYS
+    assert tuple(rep.bounds) == tuple(rep.margins) == tuple(rep.flags) == BOUND_KEYS
 
 
 def test_scale_invariance(rng):
     p = from_roots(RootForm(1.0, (0.2, -0.5j, 0.7)))
     pt = UnitCirclePoint(1.1)
-    base = full_report(p, pt, classify_zeros(p)).as_dict()
+    base = full_report(p, pt, classify_zeros(p))
     for c in (2.0, -3j, 0.7 * cmath.exp(1.9j)):
         q = Polynomial([c * ck for ck in p.coeffs])
-        scaled = full_report(q, pt, classify_zeros(q)).as_dict()
-        assert scaled["lambda"] == pytest.approx(base["lambda"], rel=1e-12)
+        scaled = full_report(q, pt, classify_zeros(q))
+        assert scaled.lam == pytest.approx(base.lam, rel=1e-12)
         for key in ("coeff", "sqrt_weak", "value_thm1", "coeff2_thm2"):
-            assert scaled["bounds"][key] == pytest.approx(base["bounds"][key], rel=1e-12, abs=1e-13)
+            assert scaled.bounds[key] == pytest.approx(base.bounds[key], rel=1e-12, abs=1e-13)
 
 
 def test_rotation_covariance():

@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from polyrot import RootForm, UnitCirclePoint, bound_arc, from_roots
+from polyrot import BoundReport, RootForm, UnitCirclePoint, bound_arc, from_roots
 from polyrot.cli import main
-from polyrot.report import CSV_HEADER, format_float
+from polyrot.report import format_float
 from polyrot.roots import classify_root_list
 from polyrot.tolerances import MAX_DEGREE
 
@@ -31,7 +31,7 @@ def test_scan_csv_full_grid(capsys, monkeypatch):
     )
     lines = out.strip().splitlines()
     assert code == 0
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == BoundReport.CSV_HEADER
     assert len(lines) == 361
     assert all(line.endswith(",pass") for line in lines[1:])
 
@@ -250,7 +250,7 @@ def test_scan_arc_bound_is_na_with_a_zero_outside_the_disk(capsys, monkeypatch):
     stdin, argv = "[[1.8,0],[-2.9,0],[1,0]]", ["scan", "--theta", "0", "--arc-alpha", "1"]
     code, out, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
     assert (code, err) == (0, "")
-    row = dict(zip(CSV_HEADER.split(","), out.splitlines()[1].split(",")))
+    row = dict(zip(BoundReport.CSV_HEADER.split(","), out.splitlines()[1].split(",")))
     assert (row["lambda"], row["arc_thm3"], row["status"]) == ("16.000000000000021", "", "pass")
     code, out, err = run(capsys, argv + ["--format", "json"], stdin=stdin, monkeypatch=monkeypatch)
     assert (code, err) == (0, "")
@@ -686,10 +686,10 @@ def _outcome(capsys, monkeypatch, call, argv, stdin):
     return code, captured.out, captured.err
 
 
-def _full_parser_path(argv):
+def _fresh_parser_path(argv):
     from polyrot.cli import build_parser
 
-    args = build_parser().parse_args(argv)
+    args = build_parser.__wrapped__().parse_args(argv)  # a parser no earlier call has used
     return args.func(args)
 
 
@@ -713,15 +713,15 @@ def _full_parser_path(argv):
     ],
 )
 def test_command_parser_matches_full_parser(capsys, monkeypatch, argv, stdin):
-    # main parses a named command with that command's parser alone; the output must be the full parser's,
-    # and state one call left behind would show in the second
-    expected = _outcome(capsys, monkeypatch, _full_parser_path, argv, stdin)
+    # main parses every argv with the one parser it builds per process; the output must be a fresh parser's,
+    # and state one call left behind in the cached parser would show in the second
+    expected = _outcome(capsys, monkeypatch, _fresh_parser_path, argv, stdin)
     for _ in range(2):
         assert _outcome(capsys, monkeypatch, main, argv, stdin) == expected
 
 
 def test_scan_builds_one_parser(capsys, monkeypatch):
-    # each scan builds its own command's parser and no other
+    # the parsers are built once per process: two scans build the full parser and its three commands' once
     import polyrot.cli as cli
 
     built = []
@@ -732,7 +732,11 @@ def test_scan_builds_one_parser(capsys, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(cli, "_Parser", CountingParser)
-    for _ in range(2):
-        code, out, _ = run(capsys, ["scan", "--theta", "0.5"], stdin="[[-0.5,0],[1,0]]", monkeypatch=monkeypatch)
-        assert (code, len(out.splitlines())) == (0, 2)
-    assert built == ["polyrot scan"] * 2
+    cli.build_parser.cache_clear()
+    try:
+        for _ in range(2):
+            code, out, _ = run(capsys, ["scan", "--theta", "0.5"], stdin="[[-0.5,0],[1,0]]", monkeypatch=monkeypatch)
+            assert (code, len(out.splitlines())) == (0, 2)
+    finally:
+        cli.build_parser.cache_clear()  # no later test gets the counting parser
+    assert built == ["polyrot", "polyrot scan", "polyrot fuzz", "polyrot witness"]

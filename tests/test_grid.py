@@ -5,7 +5,10 @@ there: the same speed, lambda, bounds, margins and flags, and a skipped row
 exactly where `guard_zero` refuses the point.  `rational_grid` must give
 exactly what `check_rotation_bounds` gives: value, reference, margins, pass
 flags and skipped rows.  Equality is exact (compared through float.hex), not
-within a tolerance.
+within a tolerance.  Each rendered row must equal, byte for byte, a row that
+the test renders itself from the point report's fields with `render_json` and
+`csv_cell`, so the row template and its merged constant cells are checked
+against a direct rendering.
 """
 
 import cmath
@@ -30,7 +33,7 @@ from polyrot import poly
 from polyrot.bounds import grid_report
 from polyrot.poly import boundary_grid, guard_zero
 from polyrot.rational import rational_grid
-from polyrot.report import BOUND_KEYS, render_json
+from polyrot.report import BOUND_KEYS, csv_cell, render_json
 from polyrot.roots import classify_root_list, classify_zeros
 
 CHECK_SUBSETS = (BOUND_KEYS, ("coeff",), ("value_thm1", "upper_zero_free"), ("arc_thm3",), ("classic", "coeff2_thm2"))
@@ -72,6 +75,17 @@ def _at(column, k):
     return None if isinstance(value, float) and math.isnan(value) else value
 
 
+def _status(flags):
+    return "fail" if "fail" in flags else "pass"
+
+
+def _bound_row(rep):
+    """The JSON scan row of a `full_report`, built from its fields: the reference for the grid's template."""
+    return {"theta": rep.theta, "lambda": rep.lam, "bounds": {k: rep.bounds[k] for k in BOUND_KEYS},
+            "margins": {k: rep.margins[k] for k in BOUND_KEYS}, "flags": {k: rep.flags[k] for k in BOUND_KEYS},
+            "status": _status(rep.flags.values())}
+
+
 def assert_grid_matches_scalar(p, cls, thetas, arc=None, slack=1e-9):
     grid = grid_report(p, thetas, arc=arc, slack=slack, classification=cls)
     json_rows, csv_rows = grid.rows(True), grid.rows(False)
@@ -95,11 +109,14 @@ def assert_grid_matches_scalar(p, cls, thetas, arc=None, slack=1e-9):
             assert _hex(_at(grid.bounds[key], k)) == _hex(rep.bounds[key]), (theta, key)
             assert _hex(_at(grid.margins[key], k)) == _hex(rep.margins[key]), (theta, key)
             assert _at(grid.flags[key], k) == rep.flags[key], (theta, key)
-        assert grid.status[k] == rep.status
+        status = _status(rep.flags.values())
+        assert grid.status[k] == status
         for checks in CHECK_SUBSETS:
-            assert bool(grid.fails(checks)[k]) == any(rep.flags[c] == "fail" for c in checks), (theta, checks)
-        assert json_rows[k] == render_json(rep.as_dict(), 2)
-        assert csv_rows[k] == ",".join(rep.csv_cells())
+            failed = any(rep.flags[c] == "fail" for c in checks)
+            assert bool(grid.fails(checks)[k]) == bool(rep.fails(checks)) == failed, (theta, checks)
+        assert json_rows[k] == render_json(_bound_row(rep), 2)
+        cells = [rep.theta, rep.lam, *(rep.bounds[key] for key in BOUND_KEYS)]
+        assert csv_rows[k] == ",".join([*map(csv_cell, cells), status])
     return skipped
 
 
@@ -171,6 +188,14 @@ def _item(column, k):
     return column[k].item() if isinstance(column, np.ndarray) else column
 
 
+def _rational_row(rep):
+    """The JSON scan row of a `check_rotation_bounds`, built from its fields: the reference for the template."""
+    side = {s: {"applicable": getattr(rep, f"{s}_applicable"), "margin": getattr(rep, f"{s}_margin"),
+                "passed": getattr(rep, f"{s}_pass")} for s in ("lower", "upper")}
+    return {"theta": rep.theta, "value": rep.value, "reference": rep.reference, "m": rep.num_degree,
+            "n_poles": rep.n_poles, **side}
+
+
 def rational_mismatches(r, thetas, tol=1e-9):
     """(theta, what) wherever rational_grid and its rows differ from check_rotation_bounds at theta."""
     cls = classify_numerator(r)
@@ -193,9 +218,11 @@ def rational_mismatches(r, thetas, tol=1e-9):
         for name in ("num_degree", "n_poles", "lower_applicable", "upper_applicable", "lower_pass", "upper_pass"):
             if _item(getattr(grid, name), k) != getattr(rep, name):
                 out.append((theta, name))
-        if bool(fails[k]) != rep.fails():
+        status = "fail" if False in (rep.lower_pass, rep.upper_pass) else "pass"
+        if bool(fails[k]) != (status == "fail") or bool(rep.fails()) != (status == "fail"):
             out.append((theta, "fails"))
-        if json_rows[k] != render_json(rep.as_dict(), 2) or csv_rows[k] != ",".join(rep.csv_cells()):
+        if json_rows[k] != render_json(_rational_row(rep), 2) or csv_rows[k] != ",".join(
+                [*map(csv_cell, (rep.theta, rep.value, rep.reference, rep.lower_margin, rep.upper_margin)), status]):
             out.append((theta, "row"))
     return out
 

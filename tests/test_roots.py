@@ -98,6 +98,16 @@ def test_overflowing_solve_is_nonconvergence():
         find_roots(Polynomial(coeffs))
 
 
+def test_exact_zero_past_the_residual_scale_is_accepted(monkeypatch):
+    # max(1, |z|)^2 overflows at z = 1e200: the bound is past the double range, so the exact zero passes
+    p = Polynomial([0, -1e200, 1])
+    assert find_roots(p) == [0, 1e200]
+    # a residual that is not finite is still refused, even against that bound
+    monkeypatch.setattr("polyrot.roots.horner", lambda coeffs, z: complex("inf"))
+    with pytest.raises(NonConvergence, match="residual"):
+        find_roots(p)
+
+
 def test_degree_128_expansion_passes_the_postcondition():
     # the classification is not pinned: above degree 75 the eigenvalue bits depend on the BLAS kernel
     p = from_roots(witness_unimodular(128, 0))
