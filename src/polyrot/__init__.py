@@ -20,7 +20,6 @@ from .bounds import (
     bound_value,
     bound_zero_free,
     full_report,
-    lambda_at,
 )
 from .errors import (
     ArcContainsRoot,

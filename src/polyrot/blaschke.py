@@ -6,9 +6,9 @@ circle to the circle.  For P(z) = cn prod (z - a_k) with zeros in the closed
 disk, the product over its interior zeros with one added zero at the origin
 satisfies, on |z| = 1 away from zeros of P, the boundary derivative identity
 
-    |f'(z)| = 2 Re(z P'(z)/P(z)) - n + 1 = lambda + 1
+    |f'(z)| = 2 Re(z P'(z)/P(z)) - n + 1 = lambda + 1,
 
-(`lambda_at` + 1), so self-map inequalities read as rotation bounds.
+so self-map inequalities read as rotation bounds.
 `check_goryainov` checks Goryainov's inequality on a product (`witness
 goryainov`), and `check_mercer_remark` checks Mercer's remark in its
 coefficient form (`fuzz`).
@@ -68,7 +68,7 @@ def check_goryainov(f: BlaschkeProduct, fp1: float) -> InequalityCheck:
     """Goryainov's inequality |f'(0) - 1/f'(1)| <= 1 - 1/f'(1).
 
     f must satisfy f(0) = 0 and f(1) = 1; fp1 is the angular derivative
-    at 1, computable as `lambda_at` + 1 at theta = 0.
+    at 1, computable as lambda + 1 at theta = 0.
     """
     if abs(f(0j)) > SELF_MAP_ORIGIN_TOL:
         raise HypothesisViolated("f(0) != 0")

@@ -20,15 +20,11 @@ import numpy as np
 
 from .errors import HypothesisViolated
 from .oracle import arc_increment
-from .poly import Polynomial, UnitCirclePoint, boundary_grid, c_mul, c_quot, cross_term, guard_zero, rotation_speed
+from .poly import (Polynomial, RootForm, UnitCirclePoint, boundary_grid, c_mul, c_quot, cross_term, guard_zero,
+                   root_grid, rotation_speed)
 from .report import BOUND_KEYS, grid_rows, row_template
 from .roots import ZeroClassification
 from .tolerances import ARC_INCREMENT_SLACK, CHECK_SLACK, EQUAL_MODULUS_REL
-
-
-def lambda_at(p: Polynomial, pt: UnitCirclePoint) -> float:
-    """Excess rotation 2 * rotation_speed - degree; raises ZeroProximity at zeros of P."""
-    return 2.0 * rotation_speed(p, pt) - p.degree
 
 
 def bound_coeff(p: Polynomial) -> float:
@@ -88,26 +84,29 @@ def bound_arc(
 ) -> float:
     """Finite-increment upper bound tan(beta/2) / tan(alpha/2) for lambda at pt.
 
-    Hypotheses: every zero of p lies in the closed unit disk, the open arc
-    of half-width alpha around pt is zero free, and the increment of
-    2 arg P(z) - n arg z along the arc is at most beta in absolute value.
-    The increment is `arc_increment`'s closed form over `classification`,
-    that of p's zeros, and is checked against the supplied beta;
-    beta = None uses the measured increment.
+    Hypotheses: every zero of p lies in the closed unit disk, the open arc of half-width alpha around pt is zero
+    free, and the increment of 2 arg P(z) - n arg z along the arc is at most beta in absolute value.  The
+    increment is `arc_increment`'s closed form over `classification`, that of p's zeros, and is checked against
+    the supplied beta; beta = None uses the measured increment.
 
-    Raises ValueError when alpha or beta lies outside (0, pi), and
-    HypothesisViolated when a zero lies outside the closed disk or on the
-    open arc, or the measured increment exceeds beta (or, with
-    beta = None, reaches pi).
+    Raises ValueError when alpha or beta lies outside (0, pi), and HypothesisViolated when a zero lies outside the
+    closed disk or on the open arc, or the measured increment exceeds beta (or, with beta = None, reaches pi).
     """
     if beta is not None and not (0.0 < beta < math.pi):
         raise ValueError("beta must lie in (0, pi)")
     measured = arc_increment(p, pt.theta, alpha, classification)
+    value = _arc_value(measured, alpha, beta)
+    if math.isnan(value):
+        use_beta = measured if beta is None else beta
+        raise HypothesisViolated(f"measured arc increment {measured:.6f} exceeds beta {use_beta:.6f} or reaches pi")
+    return value
+
+
+def _arc_value(measured: float, alpha: float, beta: float | None) -> float:
+    """`bound_arc` for a measured increment: nan where it is nan, exceeds beta (if given) or reaches pi."""
     use_beta = measured if beta is None else beta
-    if measured > use_beta + ARC_INCREMENT_SLACK or use_beta >= math.pi:
-        raise HypothesisViolated(
-            f"measured arc increment {measured:.6f} exceeds beta {use_beta:.6f} or reaches pi"
-        )
+    if math.isnan(measured) or measured > use_beta + ARC_INCREMENT_SLACK or use_beta >= math.pi:
+        return math.nan
     return math.tan(0.5 * use_beta) / math.tan(0.5 * alpha)
 
 
@@ -229,30 +228,40 @@ def full_report(
 
 
 def grid_report(p: Polynomial, thetas: list[float], arc: tuple[float, float | None] | None,
-                slack: float, classification: ZeroClassification) -> BoundReport:
-    """`full_report`, bit for bit, at every angle of thetas in one array pass.
+                slack: float, classification: ZeroClassification, rf: RootForm | None = None) -> BoundReport:
+    """`full_report` at every angle of thetas in one array pass; each theta-free bound and `arc_increment` runs once.
 
-    The theta-independent bounds are evaluated once; `arc_thm3` is a `bound_arc` call per angle not skipped.
+    Without rf it is `full_report` bit for bit, from p's coefficients (`boundary_grid`).  With rf, the band-snapped
+    root form p was expanded from, the speed and P(z) come from its zeros (`root_grid`).
     """
-    z, vr, vi, speed, skipped = boundary_grid(p.coeffs, p.coeff_scale, thetas)
+    if rf is None:
+        z, vr, vi, speed, skipped = boundary_grid(p.coeffs, p.coeff_scale, thetas)
+    else:
+        z, vr, vi, speed, skipped = root_grid(rf, p.coeff_scale, thetas)
+    angles = np.asarray(thetas, dtype=float)
     bounds, margins, flags = dict.fromkeys(BOUND_KEYS), dict.fromkeys(BOUND_KEYS), dict.fromkeys(BOUND_KEYS, "na")
     arc_value = None
     if arc is not None:
+        if arc[1] is not None and not 0.0 < arc[1] < math.pi:
+            raise ValueError("beta must lie in (0, pi)")
         arc_value = np.full(len(thetas), math.nan)  # nan where the arc hypothesis fails
-        for k in np.flatnonzero(~skipped):
-            with contextlib.suppress(HypothesisViolated):
-                arc_value[k] = bound_arc(p, UnitCirclePoint(thetas[k]), *arc, classification)
+        live = np.flatnonzero(~skipped)
+        with contextlib.suppress(HypothesisViolated):
+            measured = arc_increment(p, angles[live], arc[0], classification).tolist()
+            arc_value[live] = [_arc_value(x, *arc) for x in measured]
 
-    # inf and nan arise silently, as in boundary_grid; bound_arc above keeps its own numpy warnings
+    # inf and nan arise silently, as in boundary_grid; arc_increment above keeps its own numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lam = 2.0 * speed - p.degree
-        tol = slack * np.fmax(1.0, np.abs(lam))  # fmax, like max(1.0, x), ignores a nan x
+        neg_tol = -(slack * np.fmax(1.0, np.abs(lam)))  # fmax, like max(1.0, x), ignores a nan x
 
         def record(key, value, margin, applies):
             bounds[key] = value
-            if np.any(applies):
-                margins[key] = np.where(applies, margin, math.nan)
-                flags[key] = np.where(applies, np.where(margin >= -tol, "pass", "fail"), "na")
+            flag = np.where(margin >= neg_tol, "pass", "fail")
+            if np.ndim(applies) == 0 and applies:  # one verdict of applicability for every angle
+                margins[key], flags[key] = margin, flag
+            elif np.ndim(applies) and applies.any():
+                margins[key], flags[key] = np.where(applies, margin, math.nan), np.where(applies, flag, "na")
 
         # bound_value's operations in its order; z**n is a Python scalar per angle
         c0, lead_zn = p.constant.conjugate(), np.array([p.leading * w**p.degree for w in z.tolist()])
@@ -269,4 +278,4 @@ def grid_report(p: Polynomial, thetas: list[float], arc: tuple[float, float | No
             value = bound_zero_free(p)
             record("upper_zero_free", value, value - speed, True)
 
-    return BoundReport(np.asarray(thetas, dtype=float), speed, lam, bounds, margins, flags, skipped)
+    return BoundReport(angles, speed, lam, bounds, margins, flags, skipped)

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ZeroProximity
-from .tolerances import LEADING_REL, ZERO_PROXIMITY_REL
+from .tolerances import LEADING_REL, ON_CIRCLE_TOL, ZERO_PROXIMITY_REL
 
 
 def horner(coeffs: Sequence[complex], z):
@@ -203,6 +203,17 @@ def circle_grid(n: int) -> list[float]:
     return [2.0 * math.pi * k / n for k in range(n)]
 
 
+def circle_side(a: complex) -> int:
+    """-1 inside the unit disk, 0 in the on-circle band of width ON_CIRCLE_TOL, 1 outside: the one test of a zero."""
+    d = abs(a) - 1.0
+    return 0 if abs(d) <= ON_CIRCLE_TOL else -1 if d < 0 else 1
+
+
+def snap_band(rf: RootForm) -> RootForm:
+    """rf with every zero of the on-circle band moved to a/|a|, onto the circle that its classification puts it on."""
+    return RootForm(rf.leading, (a / abs(a) if circle_side(a) == 0 else a for a in rf.roots))
+
+
 def from_roots(rf: RootForm) -> Polynomial:
     """Expand leading * prod (z - r_k) into coefficient form.
 
@@ -244,4 +255,41 @@ def boundary_grid(coeffs: Sequence[complex], scale: float, thetas: list[float]):
     skipped = np.hypot(vr, vi) < ZERO_PROXIMITY_REL * scale  # abs(complex) is hypot
     vr, vi = np.where(skipped, 1.0, vr), np.where(skipped, 0.0, vi)
     speed, _ = c_quot(*c_mul(zr, zi, dr, di), vr, vi)
+    return z, vr, vi, speed, skipped
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def root_grid(rf: RootForm, scale: float, thetas: list[float]):
+    """What `boundary_grid` returns, from the band-snapped zeros of rf (`snap_band`), scale = max|c_k| of its expansion.
+
+    One pass over the zeros in input order, on 1-D angle arrays updated in place.  Each zero adds its term of the
+    speed Re(z/(z - a)) in a form that does not cancel: 1/2 + (1 - |a|^2)/(2 |z - a|^2) inside the disk (the 1/2s
+    added at once), (1 - Re(z conj(a)))/|z - a|^2 outside it, exactly 1/2 in the band.  |P(z)| = |cn| prod |z - a|
+    feeds the zero guard; P(z) is returned as cn prod (z - a)/|z - a|, of P's argument and modulus |cn|.
+    """
+    z = np.fromiter(map(circle_point, thetas), complex, len(thetas))
+    zr, zi = z.real.copy(), z.imag.copy()
+    sides = [circle_side(a) for a in rf.roots]
+    speed, mod = np.full(len(z), 0.5 * (len(sides) - sides.count(1))), np.full(len(z), abs(rf.leading))
+    vr, vi = np.full(len(z), rf.leading.real), np.full(len(z), rf.leading.imag)
+    dr, di, d2, m, t, u = (np.empty(len(z)) for _ in range(6))  # scratch, written in place
+    for a, side in zip(rf.roots, sides):
+        np.subtract(zr, a.real, out=dr)
+        np.subtract(zi, a.imag, out=di)
+        np.add(np.multiply(dr, dr, out=d2), np.multiply(di, di, out=t), out=d2)  # |z - a|^2
+        mod *= np.sqrt(d2, out=m)
+        if side < 0:
+            speed += np.divide(0.5 * (1.0 - abs(a)) * (1.0 + abs(a)), d2, out=t)
+        elif side > 0:
+            speed += (1.0 - (zr * a.real + zi * a.imag)) / d2
+        dr /= m  # (dr, di) is now the unit factor (z - a)/|z - a|, and v times it is `c_mul`'s product
+        di /= m
+        np.multiply(vi, di, out=t)
+        np.multiply(vr, di, out=u)
+        vr *= dr
+        vr -= t
+        vi *= dr
+        vi += u
+    skipped = mod < ZERO_PROXIMITY_REL * scale
+    vr, vi = np.where(skipped, 1.0, vr), np.where(skipped, 0.0, vi)
     return z, vr, vi, speed, skipped

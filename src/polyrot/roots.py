@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence
-from .poly import Polynomial, horner, horner_pair
-from .tolerances import ON_CIRCLE_TOL, RESIDUAL_TOL
+from .poly import Polynomial, circle_side, horner, horner_pair
+from .tolerances import RESIDUAL_TOL
 
 
 def find_roots(p: Polynomial) -> list[complex]:
@@ -69,17 +69,11 @@ class ZeroClassification:
 
 
 def classify_root_list(roots) -> ZeroClassification:
-    """The one test of a zero against the on-circle band of width ON_CIRCLE_TOL."""
-    inside, on, outside = [], [], []
+    """The zeros partitioned by `circle_side`, the one test of a zero against the on-circle band."""
+    parts: tuple[list, list, list] = ([], [], [])  # inside, on, outside
     for r in map(complex, roots):
-        d = abs(r) - 1.0
-        if abs(d) <= ON_CIRCLE_TOL:
-            on.append(r)
-        elif d < 0:
-            inside.append(r)
-        else:
-            outside.append(r)
-    return ZeroClassification(tuple(inside), tuple(on), tuple(outside))
+        parts[circle_side(r) + 1].append(r)
+    return ZeroClassification(*map(tuple, parts))
 
 
 def classify_zeros(p: Polynomial) -> ZeroClassification:

@@ -16,11 +16,10 @@ from typing import Iterable
 import numpy as np
 
 from .blaschke import BlaschkeProduct, check_goryainov
-from .bounds import bound_coeff2, bound_value, lambda_at
-from .errors import InvalidWitnessParams
+from .bounds import bound_coeff2, grid_report
+from .errors import InvalidWitnessParams, ZeroProximity
 from .oracle import arc_increment
-from .poly import (RootForm, UnitCirclePoint, boundary_grid, circle_grid, complex_pairs, expand_monic, from_roots,
-                   is_number)
+from .poly import RootForm, circle_grid, complex_pairs, expand_monic, from_roots, is_number, snap_band
 from .rational import RationalFunction, classify_numerator, rational_grid
 from .roots import classify_root_list
 from .tolerances import CHECK_SLACK, MAX_DEGREE, ON_CIRCLE_TOL, ONE_EXCLUSION, POLE_CIRCLE_TOL
@@ -152,6 +151,16 @@ class WitnessSpec:
         )
 
 
+def _root_report(rf: RootForm, thetas: list[float]):
+    """(p, `grid_report` at thetas) of rf's band-snapped zeros, expanded once into p; raises at a lone skipped angle."""
+    rf = snap_band(rf)
+    p = from_roots(rf)
+    rep = grid_report(p, thetas, None, CHECK_SLACK, classify_root_list(rf.roots), rf)
+    if len(thetas) == 1 and rep.skipped[0]:
+        raise ZeroProximity(f"|P(z)| at theta = {thetas[0]} is below the zero-proximity guard")
+    return p, rep
+
+
 def witness_report(spec: WitnessSpec) -> dict:
     """Construct the witness that spec describes and measure how sharply it attains its bound."""
     for field in {"value": ("a",), "goryainov": ("a",), "rational": ("coeff_alpha", "coeff_beta")}.get(spec.kind, ()):
@@ -159,10 +168,8 @@ def witness_report(spec: WitnessSpec) -> dict:
             raise InvalidWitnessParams(f"{field} must be an [re, im] pair of numbers")
     if spec.kind == "value":
         rf = witness_value(spec.a, spec.unimodular_roots)
-        p = from_roots(rf)
-        pt = UnitCirclePoint(0.0)
-        lam = lambda_at(p, pt)
-        rhs = bound_value(p, pt, lam)
+        _, rep = _root_report(rf, [0.0])
+        lam, rhs = rep.lam.item(), rep.bounds["value_thm1"].item()
         return {
             "kind": spec.kind,
             "witness": rf.to_json(),
@@ -172,8 +179,8 @@ def witness_report(spec: WitnessSpec) -> dict:
         }
     if spec.kind == "arc":
         rf = witness_arc(spec.leading if spec.leading is not None else 1.0, spec.unimodular_roots)
-        p = from_roots(rf)
-        lam = lambda_at(p, UnitCirclePoint(0.0))
+        p, rep = _root_report(rf, [0.0])
+        lam = rep.lam.item()
         out = {
             "kind": spec.kind,
             "witness": rf.to_json(),
@@ -181,15 +188,15 @@ def witness_report(spec: WitnessSpec) -> dict:
             "equality_gap": abs(lam - 1.0),
         }
         if spec.alpha is not None:
-            inc = arc_increment(p, 0.0, spec.alpha, classify_root_list(rf.roots))
+            inc = arc_increment(p, 0.0, spec.alpha, classify_root_list(snap_band(rf).roots))
             out["alpha"] = spec.alpha
             out["measured_increment"] = inc
             out["increment_gap"] = abs(inc - spec.alpha)
         return out
     if spec.kind == "goryainov":
         f = witness_goryainov(spec.a)
-        p = from_roots(RootForm(1.0, (spec.a,)))
-        chk = check_goryainov(f, lambda_at(p, UnitCirclePoint(0.0)) + 1.0)
+        _, rep = _root_report(RootForm(1.0, (spec.a,)), [0.0])
+        chk = check_goryainov(f, rep.lam.item() + 1.0)
         return {
             "kind": spec.kind,
             "witness": {"a": [spec.a.real, spec.a.imag]},
@@ -199,9 +206,8 @@ def witness_report(spec: WitnessSpec) -> dict:
         }
     if spec.kind == "unimodular":
         rf = witness_unimodular(spec.n if spec.n is not None else 1, spec.seed if spec.seed is not None else 0)
-        p = from_roots(rf)
-        *_, speed, skipped = boundary_grid(p.coeffs, p.coeff_scale, circle_grid(128))
-        lams = 2.0 * speed[~skipped] - p.degree  # lambda_at where the zero guard lets it through
+        p, rep = _root_report(rf, circle_grid(128))
+        lams = rep.lam[~rep.skipped]  # lambda where the zero guard lets it through
         return {
             "kind": spec.kind,
             "witness": rf.to_json(),

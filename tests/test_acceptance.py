@@ -32,7 +32,6 @@ from polyrot import (
     classify_zeros,
     from_roots,
     full_report,
-    lambda_at,
     rotation_speed,
     witness_arc,
     witness_goryainov,
@@ -40,6 +39,12 @@ from polyrot import (
     witness_value,
 )
 from polyrot import corpus
+
+
+def lambda_at(p, pt):
+    """Excess rotation 2 (arg P)'_theta - n at pt, from the coefficients."""
+    return 2.0 * rotation_speed(p, pt) - p.degree
+
 
 # The witnesses' increment is alpha exactly; the closed form misses it only by rounding.
 ARC_BUDGET = 1e-12

@@ -14,9 +14,14 @@ from polyrot import (
     check_mercer_remark,
     classify_zeros,
     from_roots,
-    lambda_at,
+    rotation_speed,
     witness_goryainov,
 )
+
+
+def lambda_at(p, pt):
+    """Excess rotation 2 (arg P)'_theta - n at pt, from the coefficients."""
+    return 2.0 * rotation_speed(p, pt) - p.degree
 
 
 def random_disk_rootform(rng, max_degree=8, keep_off_one=True):

@@ -19,12 +19,16 @@ from polyrot import (
     classify_zeros,
     from_roots,
     full_report,
-    lambda_at,
     rotation_speed,
 )
 from polyrot import corpus
 from polyrot.report import BOUND_KEYS
 from polyrot.roots import classify_root_list
+
+
+def lambda_at(p, pt):
+    """Excess rotation 2 (arg P)'_theta - n at pt, from the coefficients."""
+    return 2.0 * rotation_speed(p, pt) - p.degree
 
 
 def fifth_roots_of_unity():

@@ -257,3 +257,11 @@ def test_rational_grid_with_numpy_complex_division_differs(monkeypatch):
     assert {"value", "lower_margin", "upper_margin"} <= found
     assert "reference" not in found
 
+
+
+def test_grid_refuses_a_beta_outside_0_pi():
+    # the arc bound's parameters are checked once for the grid, as `bound_arc` checks them at a point
+    p = from_roots(RootForm(1.0, (0.3, -0.5j)))
+    for beta in (0.0, math.pi, -1.0):
+        with pytest.raises(ValueError, match="beta"):
+            grid_report(p, circle_grid(8), (0.5, beta), 1e-9, classify_zeros(p))

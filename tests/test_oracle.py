@@ -17,13 +17,19 @@ from polyrot import (
     bound_arc,
     classify_zeros,
     from_roots,
-    lambda_at,
     rotation_speed,
     witness_arc,
 )
 from polyrot.bounds import grid_report
 from polyrot.roots import classify_root_list
-from polyrot.tolerances import CHECK_SLACK
+from polyrot.poly import circle_grid
+from polyrot.tolerances import ARC_EDGE_SLACK, ARC_INCREMENT_SLACK, CHECK_SLACK
+
+
+def lambda_at(p, pt):
+    """Excess rotation 2 (arg P)'_theta - n at pt, from the coefficients."""
+    return 2.0 * rotation_speed(p, pt) - p.degree
+
 
 # Rounding bound of the closed-form increment: a few ulps per zero term, summed exactly.
 EXACT = 1e-12
@@ -171,3 +177,73 @@ def test_arc_increment_matches_mpmath():
         assert abs(inc - ref) <= EXACT * max(1.0, ref), (zeros, theta0, alpha, inc, ref)
         if segment in zeros:  # passing the zero turns arg(z - a) by more than pi
             assert math.pi < inc < 2 * math.pi
+
+
+def _one_center_increment(cls, theta0, alpha):
+    """The closed form at one center, in Python floats, term by term; None where an on-circle zero lies on the arc.
+
+    This is `arc_increment` as it read before it took every center in one call, kept as the reference that the
+    many-center evaluation must equal bit for bit.
+    """
+    for r in cls.on_circle:
+        w = math.fmod(math.atan2(r.imag, r.real) - theta0 + math.pi, 2.0 * math.pi)
+        if w <= 0.0:
+            w += 2.0 * math.pi
+        if abs(w - math.pi) < alpha - ARC_EDGE_SLACK:
+            return None
+    z0 = cmath.exp(1j * theta0)
+    ends = []
+    for t in (alpha, -alpha):
+        z1 = cmath.exp(1j * (theta0 + t))
+        terms = []
+        for a in cls.inside:
+            u0, v0, u1, v1 = z0.real - a.real, z0.imag - a.imag, z1.real - a.real, z1.imag - a.imag
+            d = math.atan2(v1 * u0 - u1 * v0, u1 * u0 + v1 * v0)
+            if d * t < 0.0:
+                d += math.copysign(2.0 * math.pi, t)
+            terms.append(2.0 * d - ((theta0 + t) - theta0))
+        ends.append(abs(math.fsum(terms)))
+    return max(ends)
+
+
+def _one_center_bound(inc, alpha, beta):
+    use = inc if beta is None else beta
+    return None if inc is None or inc > use + ARC_INCREMENT_SLACK or use >= math.pi else (
+        math.tan(0.5 * use) / math.tan(0.5 * alpha))
+
+
+def _arc_cases():
+    rng = np.random.default_rng(31)
+    phi, alpha = 0.2, 0.4
+    edge = [phi - alpha, phi + alpha, phi - alpha + 0.5 * ARC_EDGE_SLACK, phi - alpha + 2.0 * ARC_EDGE_SLACK]
+    yield "in_disk", _random_zeros(rng, 9, (0.0, 0.98)), circle_grid(24), 0.3
+    yield "in_disk_wide", _random_zeros(rng, 4, (0.0, 0.9)), circle_grid(7), 2.5
+    # the grid puts the zero on some arcs and off others; the edge centers sit on and beside the ARC_EDGE_SLACK edge
+    yield "on_circle", (cmath.exp(1j * phi), 0.5j, -0.3, cmath.exp(2.5j)), circle_grid(32) + edge, alpha
+    yield "chord_arc", (0.999 * cmath.exp(0.3j), 0.2), [0.0, 0.3, 0.6, -1.0], 0.5
+
+
+ARC_CASES = list(_arc_cases())
+
+
+@pytest.mark.parametrize("name,zeros,centers,alpha", ARC_CASES, ids=[c[0] for c in ARC_CASES])
+def test_arc_increment_at_many_centers_equals_one_center_closed_form(name, zeros, centers, alpha):
+    p, cls = from_roots(RootForm(1.0, zeros)), classify_root_list(zeros)
+    expected = [_one_center_increment(cls, c, alpha) for c in centers]
+    assert [None if math.isnan(x) else x.hex() for x in arc_increment(p, np.array(centers), alpha, cls).tolist()] == [
+        None if x is None else x.hex() for x in expected]
+    for c, x in zip(centers, expected):
+        if x is None:
+            with pytest.raises(ArcContainsRoot):
+                arc_increment(p, c, alpha, cls)
+        else:
+            assert arc_increment(p, c, alpha, cls).hex() == x.hex()
+    if name == "on_circle":
+        assert [x is None for x in expected[-4:]] == [False, False, False, True]
+    if name == "chord_arc":
+        assert expected[0] > math.pi
+    for beta in (None, 0.3, 2.9):
+        grid = grid_report(p, centers, (alpha, beta), CHECK_SLACK, cls)
+        column = [None if math.isnan(x) else x.hex() for x in grid.bounds["arc_thm3"].tolist()]
+        bounds = [_one_center_bound(x, alpha, beta) for x in expected]
+        assert column == [None if b is None else b.hex() for b in bounds], beta

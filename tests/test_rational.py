@@ -13,12 +13,16 @@ from polyrot import (
     check_rotation_bounds,
     classify_numerator,
     from_roots,
-    lambda_at,
     pole_speed,
     rotation_speed,
     witness_rational,
 )
 from polyrot.poly import RootForm
+
+
+def lambda_at(p, pt):
+    """Excess rotation 2 (arg P)'_theta - n at pt, from the coefficients."""
+    return 2.0 * rotation_speed(p, pt) - p.degree
 
 
 def fd_arg_derivative(func, theta, h=1e-6):

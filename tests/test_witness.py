@@ -12,12 +12,17 @@ from polyrot import (
     bound_value,
     classify_zeros,
     from_roots,
-    lambda_at,
+    rotation_speed,
     witness_arc,
     witness_goryainov,
     witness_unimodular,
     witness_value,
 )
+
+
+def lambda_at(p, pt):
+    """Excess rotation 2 (arg P)'_theta - n at pt, from the coefficients."""
+    return 2.0 * rotation_speed(p, pt) - p.degree
 
 
 def equality_gap_at_one(rf):
