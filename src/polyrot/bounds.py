@@ -7,7 +7,9 @@ All lower bounds are stated for the normalized excess rotation
 which is nonnegative whenever every zero of P lies in the closed unit
 disk.  Each bound function returns the right-hand side on that scale;
 `full_report` evaluates all of them at one boundary point, gates each by
-its hypothesis, and records signed margins and pass flags.
+its hypothesis, and records signed margins and pass flags.  A coefficient
+bound reads only ends = (c0, c1, c_{n-1}, cn), the `endpoints` of a
+Polynomial or a RootForm, and no positive factor of all four moves it.
 """
 
 from __future__ import annotations
@@ -27,20 +29,19 @@ from .roots import ZeroClassification
 from .tolerances import ARC_INCREMENT_SLACK, CHECK_SLACK, EQUAL_MODULUS_REL
 
 
-def bound_coeff(p: Polynomial) -> float:
+def bound_coeff(ends: tuple[complex, ...]) -> float:
     """Endpoint-coefficient lower bound (|cn| - |c0|) / (|cn| + |c0|).
 
     Valid (nonnegative) when all zeros lie in the closed disk; ranges in
     [0, 1] there, hitting 0 exactly when |c0| = |cn| and 1 when c0 = 0.
     """
-    a0 = abs(p.constant)
-    an = abs(p.leading)
+    a0, an = abs(ends[0]), abs(ends[-1])
     return (an - a0) / (an + a0)
 
 
-def bound_sqrt_weak(p: Polynomial) -> float:
-    """Weaker square-root variant 1 - sqrt(|c0| / |cn|), kept for comparison."""
-    return 1.0 - math.sqrt(abs(p.constant) / abs(p.leading))
+def bound_sqrt_weak(ends: tuple[complex, ...]) -> float:
+    """Weaker square-root variant 1 - sqrt(|c0| / |cn|), kept for comparison; -inf where cn underflowed to 0."""
+    return 1.0 - math.sqrt(abs(ends[0]) / abs(ends[-1])) if ends[-1] else -math.inf
 
 
 def bound_value(p: Polynomial, pt: UnitCirclePoint, lam: float) -> float:
@@ -52,11 +53,11 @@ def bound_value(p: Polynomial, pt: UnitCirclePoint, lam: float) -> float:
     z = pt.z
     val = p(z)
     guard_zero(val, p.coeff_scale)
-    w = p.constant.conjugate() * val / (p.leading * z**p.degree * val.conjugate())
+    w = p.coeffs[0].conjugate() * val / (p.leading * z**p.degree * val.conjugate())
     return abs((lam + 1.0) * w - 1.0)
 
 
-def bound_coeff2(p: Polynomial) -> float:
+def bound_coeff2(ends: tuple[complex, ...]) -> float:
     """Second coefficient lower bound 2(|c0|-|cn|)^2 / (|cn|^2 - |c0|^2 + |conj(cn) c1 - c0 conj(c_{n-1})|).
 
     Returns 0 when |c0| = |cn| (all zeros on the circle), where the
@@ -64,29 +65,21 @@ def bound_coeff2(p: Polynomial) -> float:
     the denominator can vanish or turn negative; the result is then nan
     and the caller is expected to have gated the bound off.
     """
-    c = p.coeffs
-    a0 = abs(c[0])
-    an = abs(c[-1])
+    a0, an = abs(ends[0]), abs(ends[-1])
     if abs(a0 - an) <= EQUAL_MODULUS_REL * max(a0, an):
         return 0.0
-    denom = an * an - a0 * a0 + abs(cross_term(c))
+    denom = an * an - a0 * a0 + abs(cross_term(ends))
     if denom <= 0.0:
         return math.nan
     return 2.0 * (a0 - an) ** 2 / denom
 
 
-def bound_arc(
-    p: Polynomial,
-    pt: UnitCirclePoint,
-    alpha: float,
-    beta: float | None,
-    classification: ZeroClassification,
-) -> float:
+def bound_arc(pt: UnitCirclePoint, alpha: float, beta: float | None, classification: ZeroClassification) -> float:
     """Finite-increment upper bound tan(beta/2) / tan(alpha/2) for lambda at pt.
 
-    Hypotheses: every zero of p lies in the closed unit disk, the open arc of half-width alpha around pt is zero
+    Hypotheses: every zero of P lies in the closed unit disk, the open arc of half-width alpha around pt is zero
     free, and the increment of 2 arg P(z) - n arg z along the arc is at most beta in absolute value.  The
-    increment is `arc_increment`'s closed form over `classification`, that of p's zeros, and is checked against
+    increment is `arc_increment`'s closed form over `classification`, that of P's zeros, and is checked against
     the supplied beta; beta = None uses the measured increment.
 
     Raises ValueError when alpha or beta lies outside (0, pi), and HypothesisViolated when a zero lies outside the
@@ -94,7 +87,7 @@ def bound_arc(
     """
     if beta is not None and not (0.0 < beta < math.pi):
         raise ValueError("beta must lie in (0, pi)")
-    measured = arc_increment(p, pt.theta, alpha, classification)
+    measured = arc_increment(pt.theta, alpha, classification)
     value = _arc_value(measured, alpha, beta)
     if math.isnan(value):
         use_beta = measured if beta is None else beta
@@ -110,20 +103,20 @@ def _arc_value(measured: float, alpha: float, beta: float | None) -> float:
     return math.tan(0.5 * use_beta) / math.tan(0.5 * alpha)
 
 
-def bound_zero_free(p: Polynomial) -> float:
+def bound_zero_free(ends: tuple[complex, ...], degree: int) -> float:
     """Upper bound n/2 + (|cn| - |c0|) / (2(|cn| + |c0|)) on the rotation speed.
 
     Valid when no zero lies in the open unit disk: the reversed-conjugate
     polynomial then has all zeros in the closed disk, and the correction
     term is <= 0.  `full_report` applies the hypothesis gate.
     """
-    return 0.5 * p.degree + 0.5 * bound_coeff(p)
+    return 0.5 * degree + 0.5 * bound_coeff(ends)
 
 
-def _lower_bounds(p: Polynomial, value_thm1):
+def _lower_bounds(ends: tuple[complex, ...], value_thm1):
     """(key, value) of each lower bound, in BOUND_KEYS order; value_thm1 is the one that varies with theta."""
-    return (("classic", 0.0), ("coeff", bound_coeff(p)), ("sqrt_weak", bound_sqrt_weak(p)),
-            ("value_thm1", value_thm1), ("coeff2_thm2", bound_coeff2(p)))
+    return (("classic", 0.0), ("coeff", bound_coeff(ends)), ("sqrt_weak", bound_sqrt_weak(ends)),
+            ("value_thm1", value_thm1), ("coeff2_thm2", bound_coeff2(ends)))
 
 
 # A scan row, as data: the JSON row with a column name at each leaf, and the CSV header name of each column.
@@ -210,34 +203,34 @@ def full_report(
         flags[key] = "na" if margin is None else "pass" if margin >= -tol else "fail"
 
     lower_ok = not classification.outside
-    for key, value in _lower_bounds(p, bound_value(p, pt, lam)):
+    for key, value in _lower_bounds(p.endpoints, bound_value(p, pt, lam)):
         record(key, value, lam - value if lower_ok and math.isfinite(value) else None)
 
     if arc is not None:
         try:
-            value = bound_arc(p, pt, *arc, classification)
+            value = bound_arc(pt, *arc, classification)
             record("arc_thm3", value, value - lam)
         except HypothesisViolated:
             pass
 
     if not classification.inside:
-        value = bound_zero_free(p)
+        value = bound_zero_free(p.endpoints, p.degree)
         record("upper_zero_free", value, value - speed)
 
     return BoundReport(pt.theta, speed, lam, bounds, margins, flags)
 
 
-def grid_report(p: Polynomial, thetas: list[float], arc: tuple[float, float | None] | None,
-                slack: float, classification: ZeroClassification, rf: RootForm | None = None) -> BoundReport:
+def grid_report(poly: Polynomial | RootForm, thetas: list[float], arc: tuple[float, float | None] | None,
+                slack: float, classification: ZeroClassification) -> BoundReport:
     """`full_report` at every angle of thetas in one array pass; each theta-free bound and `arc_increment` runs once.
 
-    Without rf it is `full_report` bit for bit, from p's coefficients (`boundary_grid`).  With rf, the band-snapped
-    root form p was expanded from, the speed and P(z) come from its zeros (`root_grid`).
+    A Polynomial is `full_report` bit for bit, from its coefficients (`boundary_grid`).  A RootForm, band-snapped
+    by the caller, is never expanded: the speed, P(z) and the zero guard come from its zeros (`root_grid`), and
+    the coefficient bounds from its `endpoints`, by Vieta's relations.
     """
-    if rf is None:
-        z, vr, vi, speed, skipped = boundary_grid(p.coeffs, p.coeff_scale, thetas)
-    else:
-        z, vr, vi, speed, skipped = root_grid(rf, p.coeff_scale, thetas)
+    z, vr, vi, speed, skipped = (root_grid(poly, thetas) if isinstance(poly, RootForm)
+                                 else boundary_grid(poly.coeffs, poly.coeff_scale, thetas))
+    ends, n = poly.endpoints, poly.degree
     angles = np.asarray(thetas, dtype=float)
     bounds, margins, flags = dict.fromkeys(BOUND_KEYS), dict.fromkeys(BOUND_KEYS), dict.fromkeys(BOUND_KEYS, "na")
     arc_value = None
@@ -247,12 +240,12 @@ def grid_report(p: Polynomial, thetas: list[float], arc: tuple[float, float | No
         arc_value = np.full(len(thetas), math.nan)  # nan where the arc hypothesis fails
         live = np.flatnonzero(~skipped)
         with contextlib.suppress(HypothesisViolated):
-            measured = arc_increment(p, angles[live], arc[0], classification).tolist()
+            measured = arc_increment(angles[live], arc[0], classification).tolist()
             arc_value[live] = [_arc_value(x, *arc) for x in measured]
 
     # inf and nan arise silently, as in boundary_grid; arc_increment above keeps its own numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        lam = 2.0 * speed - p.degree
+        lam = 2.0 * speed - n
         neg_tol = -(slack * np.fmax(1.0, np.abs(lam)))  # fmax, like max(1.0, x), ignores a nan x
 
         def record(key, value, margin, applies):
@@ -264,18 +257,18 @@ def grid_report(p: Polynomial, thetas: list[float], arc: tuple[float, float | No
                 margins[key], flags[key] = np.where(applies, margin, math.nan), np.where(applies, flag, "na")
 
         # bound_value's operations in its order; z**n is a Python scalar per angle
-        c0, lead_zn = p.constant.conjugate(), np.array([p.leading * w**p.degree for w in z.tolist()])
+        c0, lead_zn = ends[0].conjugate(), np.array([ends[-1] * w**n for w in z.tolist()])
         wr, wi = c_quot(*c_mul(c0.real, c0.imag, vr, vi), *c_mul(lead_zn.real, lead_zn.imag, vr, -vi))
         # A real factor scales both parts: for finite w that is CPython's (lam + 1, 0) * w but for the sign of a zero.
         value_thm1 = np.hypot((lam + 1.0) * wr - 1.0, (lam + 1.0) * wi)
 
         lower_ok = not classification.outside
-        for key, value in _lower_bounds(p, value_thm1):
+        for key, value in _lower_bounds(ends, value_thm1):
             record(key, value, lam - value, lower_ok & np.isfinite(value))
         if arc_value is not None:
             record("arc_thm3", arc_value, arc_value - lam, ~np.isnan(arc_value))
         if not classification.inside:
-            value = bound_zero_free(p)
+            value = bound_zero_free(ends, n)
             record("upper_zero_free", value, value - speed, True)
 
     return BoundReport(angles, speed, lam, bounds, margins, flags, skipped)

@@ -19,7 +19,7 @@ from .blaschke import check_mercer_remark
 from .bounds import full_report, grid_report
 from .errors import PolyrotError
 from .oracle import arg_derivative_fd
-from .poly import Polynomial, RootForm, UnitCirclePoint, circle_grid, from_roots, snap_band
+from .poly import Polynomial, RootForm, UnitCirclePoint, circle_grid, snap_band
 from .rational import RationalFunction, check_rotation_bounds, classify_numerator, rational_grid
 from .report import BOUND_KEYS, csv_cell, dump_json
 from .roots import classify_root_list, classify_zeros
@@ -51,10 +51,10 @@ def _parse_scan_input(text: str, mode: str):
 
 
 def cmd_scan(args) -> int:
+    """Scan one input over a theta grid; a root form is evaluated from its band-snapped zeros, never expanded."""
     try:
         parsed = _parse_scan_input(_read_input(args.input), args.mode)
-        rf = snap_band(parsed) if isinstance(parsed, RootForm) else None
-        obj = parsed if rf is None else from_roots(rf)  # expanded once, for max|c_k| and the coefficient bounds
+        obj = snap_band(parsed) if isinstance(parsed, RootForm) else parsed
         thetas = [float(t) for t in args.theta.split(",")] if args.theta is not None else circle_grid(args.grid)
         checks = args.checks.split(",") if args.checks is not None else BOUND_KEYS
         unknown = sorted(set(checks) - set(BOUND_KEYS))
@@ -78,7 +78,7 @@ def cmd_scan(args) -> int:
             if bad:
                 raise ValueError(message)
         # The zeros do not depend on theta: classify them once per input, a root form's as it states them.
-        cls = (classify_root_list(rf.roots) if rf is not None
+        cls = (classify_root_list(obj.roots) if isinstance(obj, RootForm)
                else classify_numerator(obj) if isinstance(obj, RationalFunction) else classify_zeros(obj))
     except (ValueError, KeyError, TypeError, OSError, PolyrotError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -88,7 +88,7 @@ def cmd_scan(args) -> int:
         grid = rational_grid(obj, thetas, args.tol, cls)
     else:
         arc = None if args.arc_alpha is None else (args.arc_alpha, args.arc_beta)
-        grid = grid_report(obj, thetas, arc=arc, slack=args.tol, classification=cls, rf=rf)
+        grid = grid_report(obj, thetas, arc=arc, slack=args.tol, classification=cls)
     overflow = np.flatnonzero(grid.overflows)
     if overflow.size:
         print(f"error: the evaluation overflows at theta = {csv_cell(thetas[overflow[0]])}", file=sys.stderr)
@@ -100,7 +100,7 @@ def cmd_scan(args) -> int:
             else csv_cell(theta) + "," * header.count(",") + "skipped" for theta, row in zip(thetas, rendered)]
 
     if json_rows:
-        sys.stdout.write(dump_json({"command": "scan", "input": obj.to_json(), "rows": rows}))
+        sys.stdout.write(dump_json({"command": "scan", "input": parsed.to_json(), "rows": rows}))
     else:
         sys.stdout.write("\n".join([header, *rows]) + "\n")
     return 2 if grid.fails(checks).any() else 0

@@ -50,10 +50,10 @@ def _endpoint_increments(inside: tuple[complex, ...], centers: np.ndarray, z0: n
     return np.fromiter(map(math.fsum, terms.tolist()), float, len(centers))
 
 
-def arc_increment(p: Polynomial, theta0, alpha: float, classification: ZeroClassification):
+def arc_increment(theta0, alpha: float, classification: ZeroClassification):
     """Sup of |increment of 2 arg P(z) - n arg z| from the arc center to any arc point, at one center or many.
 
-    The arc is open, of half-width alpha, centered at e^{i theta0}; `classification` is that of p's zeros.
+    The arc is open, of half-width alpha, centered at e^{i theta0}; `classification` is that of P's zeros.
     The increment to z1 = e^{i (theta0 + t)} is the sum over the zeros a of 2 darg(z - a) - t, where darg
     is the principal argument of (z1 - a) / (z0 - a).  arg(z - a) strictly increases for a zero inside
     the disk, so its darg is moved into (0, 2 pi) forward and (-2 pi, 0) backward; it exceeds pi for a
@@ -77,7 +77,6 @@ def arc_increment(p: Polynomial, theta0, alpha: float, classification: ZeroClass
     if classification.outside:
         raise HypothesisViolated("zeros outside the closed unit disk")
     inside = classification.inside
-    assert len(inside) + len(classification.on_circle) == p.degree
     z0 = np.fromiter(map(circle_point, centers.tolist()), complex, len(centers))[:, None]
     inc = np.maximum(*(np.abs(_endpoint_increments(inside, centers, z0, sign * alpha)) for sign in (1.0, -1.0)))
     inc[on_arc.any(axis=1)] = math.nan

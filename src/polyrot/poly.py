@@ -98,6 +98,12 @@ def complex_pairs(data, what: str) -> tuple[complex, ...]:
     raise ValueError(f"{what} must be [re, im] pairs of numbers")
 
 
+def _fsum(values: Iterable[complex]) -> complex:
+    """The sum of complex values, each part correctly rounded by `math.fsum`."""
+    vs = list(values)
+    return complex(math.fsum(v.real for v in vs), math.fsum(v.imag for v in vs))
+
+
 def expand_monic(roots: Iterable[complex]) -> list[complex]:
     """Coefficients of prod (z - r), ascending degree."""
     coeffs: list[complex] = [1.0 + 0j]
@@ -133,8 +139,8 @@ class Polynomial:
         return self.coeffs[-1]
 
     @property
-    def constant(self) -> complex:
-        return self.coeffs[0]
+    def endpoints(self) -> tuple[complex, complex, complex, complex]:
+        return self.coeffs[0], self.coeffs[1], self.coeffs[-2], self.coeffs[-1]
 
     @property
     def coeff_scale(self) -> float:
@@ -169,10 +175,28 @@ class RootForm:
             raise ValueError("leading coefficient must be nonzero")
         object.__setattr__(self, "leading", lead)
         object.__setattr__(self, "roots", finite_complex(roots, "roots"))
+        if not self.roots:
+            raise ValueError("need at least one root to form a polynomial of degree >= 1")
 
     @property
     def degree(self) -> int:
         return len(self.roots)
+
+    @property
+    def endpoints(self) -> tuple[complex, complex, complex, complex]:
+        """(c0, c1, c_{n-1}, cn) by Vieta's relations, times 1/(|cn| max(1, e^L)) to stay finite at any degree.
+
+        L = sum log|b| over the zeros b off the origin; q0 = cn prod (-b) and q1 = -q0 sum 1/b, the lowest coefficients
+        of cn prod (z - b), move up k places with k zeros at the origin; c_{n-1} = -cn sum a."""
+        nonzero = [a for a in self.roots if a]
+        logs = math.fsum(math.log(abs(b)) for b in nonzero)
+        phase = unit = self.leading / abs(self.leading)
+        for b in nonzero:
+            phase *= -b / abs(b)
+        q0, lead = phase / abs(phase) * math.exp(min(logs, 0.0)), unit * math.exp(-max(logs, 0.0))
+        k = self.degree - len(nonzero)
+        c0, c1 = (q0, -q0 * _fsum(1.0 / b for b in nonzero)) if k == 0 else (0j, q0) if k == 1 else (0j, 0j)
+        return c0, c1, -lead * _fsum(self.roots), lead
 
     def to_json(self) -> dict:
         return {"leading": [self.leading.real, self.leading.imag], "roots": [[r.real, r.imag] for r in self.roots]}
@@ -215,13 +239,7 @@ def snap_band(rf: RootForm) -> RootForm:
 
 
 def from_roots(rf: RootForm) -> Polynomial:
-    """Expand leading * prod (z - r_k) into coefficient form.
-
-    Requires degree >= 1; the expansion is the iterated product of the
-    monomial factors, so Vieta's relations hold to roundoff.
-    """
-    if rf.degree < 1:
-        raise ValueError("need at least one root to form a polynomial of degree >= 1")
+    """Expand leading * prod (z - r_k) into coefficient form, the iterated product of the monomial factors."""
     coeffs = expand_monic(rf.roots)
     return Polynomial([rf.leading * c for c in coeffs])
 
@@ -259,37 +277,31 @@ def boundary_grid(coeffs: Sequence[complex], scale: float, thetas: list[float]):
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def root_grid(rf: RootForm, scale: float, thetas: list[float]):
-    """What `boundary_grid` returns, from the band-snapped zeros of rf (`snap_band`), scale = max|c_k| of its expansion.
+def root_grid(rf: RootForm, thetas: list[float]):
+    """What `boundary_grid` returns, from the zeros of rf, band-snapped (`snap_band`) by the caller.
 
-    One pass over the zeros in input order, on 1-D angle arrays updated in place.  Each zero adds its term of the
-    speed Re(z/(z - a)) in a form that does not cancel: 1/2 + (1 - |a|^2)/(2 |z - a|^2) inside the disk (the 1/2s
-    added at once), (1 - Re(z conj(a)))/|z - a|^2 outside it, exactly 1/2 in the band.  |P(z)| = |cn| prod |z - a|
-    feeds the zero guard; P(z) is returned as cn prod (z - a)/|z - a|, of P's argument and modulus |cn|.
+    One pass over the zeros in input order, on 1-D angle arrays.  Each zero adds its term of the speed Re(z/(z - a))
+    in a form that does not cancel: 1/2 + (1 - |a|^2)/(2 |z - a|^2) inside the disk (the 1/2s added at once),
+    (zr dr + zi di)/|z - a|^2 outside it, (dr, di) = z - a, and exactly 1/2 in the band.  The guard skips where the
+    nearest zero, the smallest |z - a| divided by, is closer than ZERO_PROXIMITY_REL.  P(z) is returned as
+    cn prod (z - a)/|z - a|, of P's argument and modulus |cn|.
     """
     z = np.fromiter(map(circle_point, thetas), complex, len(thetas))
     zr, zi = z.real.copy(), z.imag.copy()
     sides = [circle_side(a) for a in rf.roots]
-    speed, mod = np.full(len(z), 0.5 * (len(sides) - sides.count(1))), np.full(len(z), abs(rf.leading))
+    speed, nearest = np.full(len(z), 0.5 * (len(sides) - sides.count(1))), np.full(len(z), math.inf)
     vr, vi = np.full(len(z), rf.leading.real), np.full(len(z), rf.leading.imag)
-    dr, di, d2, m, t, u = (np.empty(len(z)) for _ in range(6))  # scratch, written in place
+    dr, di, d2, m, t = (np.empty(len(z)) for _ in range(5))  # scratch, written in place
     for a, side in zip(rf.roots, sides):
         np.subtract(zr, a.real, out=dr)
         np.subtract(zi, a.imag, out=di)
         np.add(np.multiply(dr, dr, out=d2), np.multiply(di, di, out=t), out=d2)  # |z - a|^2
-        mod *= np.sqrt(d2, out=m)
+        np.minimum(nearest, np.sqrt(d2, out=m), out=nearest)
         if side < 0:
             speed += np.divide(0.5 * (1.0 - abs(a)) * (1.0 + abs(a)), d2, out=t)
         elif side > 0:
-            speed += (1.0 - (zr * a.real + zi * a.imag)) / d2
-        dr /= m  # (dr, di) is now the unit factor (z - a)/|z - a|, and v times it is `c_mul`'s product
-        di /= m
-        np.multiply(vi, di, out=t)
-        np.multiply(vr, di, out=u)
-        vr *= dr
-        vr -= t
-        vi *= dr
-        vi += u
-    skipped = mod < ZERO_PROXIMITY_REL * scale
+            speed += (zr * dr + zi * di) / d2
+        vr, vi = c_mul(vr, vi, np.divide(dr, m, out=dr), np.divide(di, m, out=di))  # times (z - a)/|z - a|
+    skipped = nearest < ZERO_PROXIMITY_REL
     vr, vi = np.where(skipped, 1.0, vr), np.where(skipped, 0.0, vi)
     return z, vr, vi, speed, skipped

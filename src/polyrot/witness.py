@@ -16,10 +16,10 @@ from typing import Iterable
 import numpy as np
 
 from .blaschke import BlaschkeProduct, check_goryainov
-from .bounds import bound_coeff2, grid_report
+from .bounds import grid_report
 from .errors import InvalidWitnessParams, ZeroProximity
 from .oracle import arc_increment
-from .poly import RootForm, circle_grid, complex_pairs, expand_monic, from_roots, is_number, snap_band
+from .poly import RootForm, circle_grid, complex_pairs, expand_monic, is_number, snap_band
 from .rational import RationalFunction, classify_numerator, rational_grid
 from .roots import classify_root_list
 from .tolerances import CHECK_SLACK, MAX_DEGREE, ON_CIRCLE_TOL, ONE_EXCLUSION, POLE_CIRCLE_TOL
@@ -152,13 +152,12 @@ class WitnessSpec:
 
 
 def _root_report(rf: RootForm, thetas: list[float]):
-    """(p, `grid_report` at thetas) of rf's band-snapped zeros, expanded once into p; raises at a lone skipped angle."""
+    """`grid_report` at thetas of rf's band-snapped zeros, never expanded; raises at a lone skipped angle."""
     rf = snap_band(rf)
-    p = from_roots(rf)
-    rep = grid_report(p, thetas, None, CHECK_SLACK, classify_root_list(rf.roots), rf)
+    rep = grid_report(rf, thetas, None, CHECK_SLACK, classify_root_list(rf.roots))
     if len(thetas) == 1 and rep.skipped[0]:
-        raise ZeroProximity(f"|P(z)| at theta = {thetas[0]} is below the zero-proximity guard")
-    return p, rep
+        raise ZeroProximity(f"a zero of P is within the zero-proximity guard of theta = {thetas[0]}")
+    return rep
 
 
 def witness_report(spec: WitnessSpec) -> dict:
@@ -168,7 +167,7 @@ def witness_report(spec: WitnessSpec) -> dict:
             raise InvalidWitnessParams(f"{field} must be an [re, im] pair of numbers")
     if spec.kind == "value":
         rf = witness_value(spec.a, spec.unimodular_roots)
-        _, rep = _root_report(rf, [0.0])
+        rep = _root_report(rf, [0.0])
         lam, rhs = rep.lam.item(), rep.bounds["value_thm1"].item()
         return {
             "kind": spec.kind,
@@ -179,8 +178,7 @@ def witness_report(spec: WitnessSpec) -> dict:
         }
     if spec.kind == "arc":
         rf = witness_arc(spec.leading if spec.leading is not None else 1.0, spec.unimodular_roots)
-        p, rep = _root_report(rf, [0.0])
-        lam = rep.lam.item()
+        lam = _root_report(rf, [0.0]).lam.item()
         out = {
             "kind": spec.kind,
             "witness": rf.to_json(),
@@ -188,15 +186,12 @@ def witness_report(spec: WitnessSpec) -> dict:
             "equality_gap": abs(lam - 1.0),
         }
         if spec.alpha is not None:
-            inc = arc_increment(p, 0.0, spec.alpha, classify_root_list(snap_band(rf).roots))
-            out["alpha"] = spec.alpha
-            out["measured_increment"] = inc
-            out["increment_gap"] = abs(inc - spec.alpha)
+            inc = arc_increment(0.0, spec.alpha, classify_root_list(snap_band(rf).roots))
+            out.update(alpha=spec.alpha, measured_increment=inc, increment_gap=abs(inc - spec.alpha))
         return out
     if spec.kind == "goryainov":
         f = witness_goryainov(spec.a)
-        _, rep = _root_report(RootForm(1.0, (spec.a,)), [0.0])
-        chk = check_goryainov(f, rep.lam.item() + 1.0)
+        chk = check_goryainov(f, _root_report(RootForm(1.0, (spec.a,)), [0.0]).lam.item() + 1.0)
         return {
             "kind": spec.kind,
             "witness": {"a": [spec.a.real, spec.a.imag]},
@@ -206,13 +201,14 @@ def witness_report(spec: WitnessSpec) -> dict:
         }
     if spec.kind == "unimodular":
         rf = witness_unimodular(spec.n if spec.n is not None else 1, spec.seed if spec.seed is not None else 0)
-        p, rep = _root_report(rf, circle_grid(128))
+        rep = _root_report(rf, circle_grid(128))
         lams = rep.lam[~rep.skipped]  # lambda where the zero guard lets it through
         return {
             "kind": spec.kind,
             "witness": rf.to_json(),
+            "points_checked": len(lams),
             "max_abs_lambda": max([0.0, *np.abs(lams).tolist()]),
-            "coeff2_bound": bound_coeff2(p),
+            "coeff2_bound": rep.bounds["coeff2_thm2"],
         }
     if spec.kind == "rational":
         r = witness_rational(spec.poles, spec.coeff_alpha, spec.coeff_beta)

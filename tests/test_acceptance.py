@@ -154,8 +154,8 @@ def test_criterion_4_second_coefficient_bound(disk_corpus):
     ordering = math.inf
     remark_ok = True
     for _, p, thetas in disk_corpus:
-        rhs = bound_coeff2(p)
-        ordering = min(ordering, rhs - bound_coeff(p))
+        rhs = bound_coeff2(p.endpoints)
+        ordering = min(ordering, rhs - bound_coeff(p.endpoints))
         remark_ok = remark_ok and check_mercer_remark(p, classify_zeros(p)).passed
         for t in thetas:
             low = min(low, lambda_at(p, UnitCirclePoint(t)) - rhs)
@@ -177,7 +177,7 @@ def test_criterion_5_arc_bound():
         roots = tuple(cmath.exp(1j * rng.uniform(math.pi / 2, 3 * math.pi / 2)) for _ in range(k))
         lead = complex(rng.uniform(0.5, 2.0)) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         p = from_roots(witness_arc(lead, roots))
-        worst_inc = max(worst_inc, abs(arc_increment(p, 0.0, alpha, classify_zeros(p)) - alpha))
+        worst_inc = max(worst_inc, abs(arc_increment(0.0, alpha, classify_zeros(p)) - alpha))
         worst_lam = max(worst_lam, abs(lambda_at(p, UnitCirclePoint(0.0)) - 1.0))
 
     rng = np.random.default_rng(1006)
@@ -193,7 +193,7 @@ def test_criterion_5_arc_bound():
         if t0 is None:
             continue
         try:
-            measured = arc_increment(p, t0, alpha, classify_zeros(p))
+            measured = arc_increment(t0, alpha, classify_zeros(p))
         except ArcContainsRoot:
             continue
         if measured >= math.pi:

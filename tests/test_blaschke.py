@@ -184,7 +184,7 @@ def test_mercer_sweep(rng):
     for _ in range(200):
         rf = random_disk_rootform(rng, keep_off_one=False)
         p = from_roots(rf)
-        rhs = 1.0 + bound_coeff2(p)
+        rhs = 1.0 + bound_coeff2(p.endpoints)
         assert abs(mercer_rhs(disk_map(rf)) - rhs) <= 1e-6
         theta = float(rng.uniform(0, 2 * math.pi))
         if abs(p(cmath.exp(1j * theta))) <= 1e-3 * p.coeff_scale:

@@ -51,18 +51,18 @@ def test_lambda_hand_value():
 
 
 def test_bound_coeff_values():
-    assert bound_coeff(Polynomial([-0.5, 1])) == pytest.approx(1 / 3)
-    assert bound_coeff(fifth_roots_of_unity()) == pytest.approx(0.0, abs=1e-15)
-    assert bound_coeff(Polynomial([0, 0, 0, 1])) == pytest.approx(1.0)
+    assert bound_coeff(Polynomial([-0.5, 1]).endpoints) == pytest.approx(1 / 3)
+    assert bound_coeff(fifth_roots_of_unity().endpoints) == pytest.approx(0.0, abs=1e-15)
+    assert bound_coeff(Polynomial([0, 0, 0, 1]).endpoints) == pytest.approx(1.0)
 
 
 def test_bound_sqrt_weak_below_coeff(rng):
-    assert bound_sqrt_weak(Polynomial([-0.5, 1])) == pytest.approx(1 - math.sqrt(0.5))
+    assert bound_sqrt_weak(Polynomial([-0.5, 1]).endpoints) == pytest.approx(1 - math.sqrt(0.5))
     for _ in range(50):
         n = int(rng.integers(1, 9))
         roots = [math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(n)]
         p = from_roots(RootForm(1.0, roots))
-        assert bound_sqrt_weak(p) <= bound_coeff(p) + 1e-12
+        assert bound_sqrt_weak(p.endpoints) <= bound_coeff(p.endpoints) + 1e-12
 
 
 def test_bound_value_hand_cases():
@@ -85,15 +85,15 @@ def test_bound_value_equality_with_unimodular_tail():
 
 
 def test_bound_coeff2_values():
-    assert bound_coeff2(fifth_roots_of_unity()) == 0.0
-    assert bound_coeff2(Polynomial([-0.5, 1])) == pytest.approx(1 / 3)
+    assert bound_coeff2(fifth_roots_of_unity().endpoints) == 0.0
+    assert bound_coeff2(Polynomial([-0.5, 1]).endpoints) == pytest.approx(1 / 3)
     p = Polynomial([0, 0, 1])
-    assert bound_coeff2(p) == pytest.approx(2.0)
+    assert bound_coeff2(p.endpoints) == pytest.approx(2.0)
     assert lambda_at(p, UnitCirclePoint(0.7)) == pytest.approx(2.0)
 
 
 def test_bound_coeff2_degenerate_denominator_is_nan():
-    assert math.isnan(bound_coeff2(Polynomial([-2, 1])))
+    assert math.isnan(bound_coeff2(Polynomial([-2, 1]).endpoints))
 
 
 def test_bound_coeff2_dominates_coeff_in_disk(rng):
@@ -101,21 +101,21 @@ def test_bound_coeff2_dominates_coeff_in_disk(rng):
         n = int(rng.integers(1, 11))
         roots = [math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(n)]
         p = from_roots(RootForm(1.0, roots))
-        assert bound_coeff2(p) >= bound_coeff(p) - 1e-12
+        assert bound_coeff2(p.endpoints) >= bound_coeff(p.endpoints) - 1e-12
 
 
 def test_bound_arc_equal_angles():
     p = from_roots(RootForm(1.0, (0j, -1.0)))
     pt = UnitCirclePoint(0.0)
     alpha = math.pi / 2
-    assert bound_arc(p, pt, alpha, alpha, classify_zeros(p)) == pytest.approx(1.0)
+    assert bound_arc(pt, alpha, alpha, classify_zeros(p)) == pytest.approx(1.0)
     assert lambda_at(p, pt) == pytest.approx(1.0)
 
 
 def test_bound_arc_closed_form():
     # circle zeros far from the arc: the tracked increment is 0, any beta works
     p = from_roots(RootForm(1.0, (cmath.exp(2.8j), cmath.exp(-2.8j))))
-    value = bound_arc(p, UnitCirclePoint(0.0), math.pi / 2, math.pi / 4, classify_zeros(p))
+    value = bound_arc(UnitCirclePoint(0.0), math.pi / 2, math.pi / 4, classify_zeros(p))
     assert value == pytest.approx(math.sqrt(2) - 1, abs=1e-12)
     assert lambda_at(p, UnitCirclePoint(0.0)) <= value
 
@@ -124,24 +124,24 @@ def test_bound_arc_rejects_bad_hypotheses():
     p = from_roots(RootForm(1.0, (0j, -1.0)))
     pt = UnitCirclePoint(0.0)
     with pytest.raises(ValueError):
-        bound_arc(p, pt, math.pi, 0.5, classify_zeros(p))
+        bound_arc(pt, math.pi, 0.5, classify_zeros(p))
     with pytest.raises(ValueError):
-        bound_arc(p, pt, 0.5, math.pi, classify_zeros(p))
+        bound_arc(pt, 0.5, math.pi, classify_zeros(p))
     # measured increment 2*alpha exceeds beta = alpha for the pure square
     square = Polynomial([0, 0, 1])
     with pytest.raises(HypothesisViolated):
-        bound_arc(square, pt, 0.5, 0.5, classify_zeros(square))
+        bound_arc(pt, 0.5, 0.5, classify_zeros(square))
     # root on the open arc
     on_arc = from_roots(RootForm(1.0, (cmath.exp(0.1j),)))
     with pytest.raises(HypothesisViolated):
-        bound_arc(on_arc, pt, 0.5, 0.5, classify_zeros(on_arc))
+        bound_arc(pt, 0.5, 0.5, classify_zeros(on_arc))
 
 
 def test_upper_bound_zero_free_hand_case():
     p = Polynomial([-2, 1])
     pt = UnitCirclePoint(0.0)
     bound = full_report(p, pt, classify_zeros(p)).bounds["upper_zero_free"]
-    assert bound == bound_zero_free(p) == pytest.approx(1 / 3)
+    assert bound == bound_zero_free(p.endpoints, p.degree) == pytest.approx(1 / 3)
     assert rotation_speed(p, pt) == pytest.approx(-1.0)
 
 
@@ -293,6 +293,6 @@ def test_lambda_dominates_coeff_chain(root_polar, theta):
     tol = 1e-9 * max(1.0, abs(lam))
     assert lam >= rhs - tol
     # reverse triangle step of the derivation
-    w_mod = abs(p.constant / p.leading)
+    w_mod = abs(p.coeffs[0] / p.leading)
     assert rhs >= 1.0 - (lam + 1.0) * w_mod - tol
-    assert lam >= bound_coeff(p) - tol
+    assert lam >= bound_coeff(p.endpoints) - tol

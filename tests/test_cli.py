@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from polyrot import BoundReport, RootForm, UnitCirclePoint, bound_arc, from_roots
+from polyrot import BoundReport, RootForm, UnitCirclePoint, bound_arc
 from polyrot.cli import main
 from polyrot.report import format_float
 from polyrot.roots import classify_root_list
@@ -373,9 +373,9 @@ def test_root_form_arc_bound_reads_the_given_zeros(capsys, monkeypatch):
     argv = ["scan", "--roots", "--format", "json", "--grid", "8", "--arc-alpha", "0.4"]
     code, out, err = run(capsys, argv, stdin=json.dumps(rf.to_json()), monkeypatch=monkeypatch)
     assert code == 0, err
-    p, cls = from_roots(rf), classify_root_list(rf.roots)
+    cls = classify_root_list(rf.roots)
     for row in json.loads(out)["rows"]:
-        assert row["bounds"]["arc_thm3"] == bound_arc(p, UnitCirclePoint(row["theta"]), 0.4, None, cls)
+        assert row["bounds"]["arc_thm3"] == bound_arc(UnitCirclePoint(row["theta"]), 0.4, None, cls)
 
 
 def test_witness_arc_solves_no_roots(capsys, monkeypatch):

@@ -66,22 +66,22 @@ def test_fd_second_order_convergence():
 def test_arc_spec_validation():
     p = Polynomial([-0.5, 1])
     with pytest.raises(ValueError):
-        arc_increment(p, 0.0, 0.0, classify_zeros(p))
+        arc_increment(0.0, 0.0, classify_zeros(p))
     with pytest.raises(ValueError):
-        arc_increment(p, 0.0, math.pi, classify_zeros(p))
+        arc_increment(0.0, math.pi, classify_zeros(p))
 
 
 def test_arc_increment_of_equality_family_is_alpha():
     p = from_roots(witness_arc(1.0, (-1,)))
     for alpha in (math.pi / 6, math.pi / 2):
-        inc = arc_increment(p, 0.0, alpha, classify_zeros(p))
+        inc = arc_increment(0.0, alpha, classify_zeros(p))
         assert abs(inc - alpha) <= EXACT
 
 
 def test_arc_increment_of_monomial():
     n, alpha = 4, 0.8
     p = Polynomial([0] * n + [1])
-    inc = arc_increment(p, 0.3, alpha, classify_zeros(p))
+    inc = arc_increment(0.3, alpha, classify_zeros(p))
     assert abs(inc - n * alpha) <= EXACT
 
 
@@ -90,7 +90,7 @@ def test_arc_increment_first_order_taylor():
     theta0 = 0.4
     lam = lambda_at(p, UnitCirclePoint(theta0))
     alpha = 1e-2
-    inc = arc_increment(p, theta0, alpha, classify_zeros(p))
+    inc = arc_increment(theta0, alpha, classify_zeros(p))
     # curvature oracle: finite difference of lambda along the circle
     dlam = (
         lambda_at(p, UnitCirclePoint(theta0 + 1e-4))
@@ -102,14 +102,14 @@ def test_arc_increment_first_order_taylor():
 def test_arc_rejects_root_on_open_arc():
     p = from_roots(RootForm(1.0, (cmath.exp(0.1j),)))
     with pytest.raises(ArcContainsRoot):
-        arc_increment(p, 0.0, 0.5, classify_zeros(p))
+        arc_increment(0.0, 0.5, classify_zeros(p))
 
 
 def test_arc_allows_root_at_endpoint():
     # zero exactly at the arc endpoint is outside the open arc
     alpha = 0.75
     p = from_roots(RootForm(1.0, (0j, cmath.exp(1j * alpha))))
-    inc = arc_increment(p, 0.0, alpha, classify_zeros(p))
+    inc = arc_increment(0.0, alpha, classify_zeros(p))
     assert abs(inc - alpha) <= EXACT
 
 
@@ -118,16 +118,16 @@ def test_arc_zero_next_to_the_arc_measures_past_pi():
     # reaches pi and the arc hypothesis fails
     p = from_roots(RootForm(1.0, ((1 - 1e-7) * cmath.exp(0.25j),)))
     cls = classify_zeros(p)
-    assert arc_increment(p, 0.0, 0.5, cls) >= math.pi
+    assert arc_increment(0.0, 0.5, cls) >= math.pi
     with pytest.raises(HypothesisViolated):
-        bound_arc(p, UnitCirclePoint(0.0), 0.5, None, cls)
+        bound_arc(UnitCirclePoint(0.0), 0.5, None, cls)
     assert grid_report(p, [0.0], (0.5, None), CHECK_SLACK, cls).flags["arc_thm3"] == "na"
 
 
 def test_arc_center_on_root_is_rejected():
     p = from_roots(RootForm(1.0, (1.0,)))
     with pytest.raises(ArcContainsRoot):
-        arc_increment(p, 0.0, 0.5, classify_zeros(p))
+        arc_increment(0.0, 0.5, classify_zeros(p))
 
 
 def _mp_increment(zeros, theta0, alpha):
@@ -167,12 +167,11 @@ def test_arc_increment_matches_mpmath():
     cases += [((segment,), 0.0, 0.5), ((segment, 1.2 * cmath.exp(2.0j)), 0.0, 0.5)]
     for zeros, theta0, alpha in cases:
         cls = classify_root_list(zeros)
-        p = from_roots(RootForm(1.0, zeros))
         if cls.outside:  # outside the closed disk the endpoint rule, and the paper's hypothesis, fail
             with pytest.raises(HypothesisViolated):
-                arc_increment(p, theta0, alpha, cls)
+                arc_increment(theta0, alpha, cls)
             continue
-        inc = arc_increment(p, theta0, alpha, cls)
+        inc = arc_increment(theta0, alpha, cls)
         ref = _mp_increment(zeros, theta0, alpha)
         assert abs(inc - ref) <= EXACT * max(1.0, ref), (zeros, theta0, alpha, inc, ref)
         if segment in zeros:  # passing the zero turns arg(z - a) by more than pi
@@ -230,14 +229,14 @@ ARC_CASES = list(_arc_cases())
 def test_arc_increment_at_many_centers_equals_one_center_closed_form(name, zeros, centers, alpha):
     p, cls = from_roots(RootForm(1.0, zeros)), classify_root_list(zeros)
     expected = [_one_center_increment(cls, c, alpha) for c in centers]
-    assert [None if math.isnan(x) else x.hex() for x in arc_increment(p, np.array(centers), alpha, cls).tolist()] == [
+    assert [None if math.isnan(x) else x.hex() for x in arc_increment(np.array(centers), alpha, cls).tolist()] == [
         None if x is None else x.hex() for x in expected]
     for c, x in zip(centers, expected):
         if x is None:
             with pytest.raises(ArcContainsRoot):
-                arc_increment(p, c, alpha, cls)
+                arc_increment(c, alpha, cls)
         else:
-            assert arc_increment(p, c, alpha, cls).hex() == x.hex()
+            assert arc_increment(c, alpha, cls).hex() == x.hex()
     if name == "on_circle":
         assert [x is None for x in expected[-4:]] == [False, False, False, True]
     if name == "chord_arc":

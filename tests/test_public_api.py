@@ -88,3 +88,11 @@ def test_every_tolerance_is_read_by_the_package():
                          if path.name not in ("__init__.py", "tolerances.py")))
     assert knobs
     assert sorted(knobs - used) == []
+
+
+def test_root_form_is_never_expanded_outside_fuzz():
+    # scan and the witnesses evaluate, guard and bound a root form from its zeros; only fuzz's corpus expands one,
+    # to give the scalar coefficient path its input
+    expanding = {path.stem for path in SRC.glob("*.py")
+                 if path.name != "__init__.py" and "from_roots" in _referenced_names(path)}
+    assert expanding <= {"corpus"}

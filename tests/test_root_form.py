@@ -14,10 +14,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from polyrot import RootForm, from_roots, witness_unimodular
+from polyrot import RootForm, bound_coeff, bound_coeff2, bound_sqrt_weak, bound_zero_free, witness_unimodular
 from polyrot.cli import main
-from polyrot.poly import circle_grid, circle_side, root_grid, snap_band
-from polyrot.tolerances import ZERO_PROXIMITY_REL
+from polyrot.poly import circle_grid, circle_point, circle_side, root_grid, snap_band
+from polyrot.tolerances import MAX_DEGREE, ZERO_PROXIMITY_REL
 
 U = 2.0**-53
 
@@ -52,7 +52,7 @@ CASES = list(_cases())
 def test_speed_and_lambda_match_50_digits(name, rf, thetas):
     rf = snap_band(rf)
     n = rf.degree
-    _, _, _, speed, skipped = root_grid(rf, from_roots(rf).coeff_scale, thetas.tolist())
+    _, _, _, speed, skipped = root_grid(rf, thetas.tolist())
     assert skipped.sum() <= 2
     with mp.workdps(50):
         # the band zeros exactly on the circle, as the snapping means them
@@ -75,23 +75,23 @@ def test_band_zeros_add_exactly_one_half():
     zeros = [(1.0 + d) * cmath.exp(1j * phi) for d, phi in zip(rng.uniform(-1e-15, 1e-15, 61),
                                                                  rng.uniform(0.0, 2.0 * math.pi, 61))]
     rf = snap_band(RootForm(1.0, zeros))
-    _, _, _, speed, skipped = root_grid(rf, from_roots(rf).coeff_scale, circle_grid(1800))
+    _, _, _, speed, skipped = root_grid(rf, circle_grid(1800))
     assert not skipped.all()
     assert np.all(2.0 * speed - 61 == 0.0)
 
 
-def test_the_guard_reads_the_product_of_distances():
-    # |P(z)| = |cn| prod |z - a| against ZERO_PROXIMITY_REL max|c_k|: an 8-point grid hits both zeros on the circle
+def test_the_guard_reads_the_distance_to_the_nearest_zero():
+    # min |z - a| against ZERO_PROXIMITY_REL, the distance root_grid divides by: an 8-point grid hits both zeros on
+    # the circle
     c = math.cos(math.pi / 4)
     rf = snap_band(RootForm(2.0, (complex(c, c), -1.0, 0.3j)))
     thetas = circle_grid(8)
-    *_, speed, skipped = root_grid(rf, from_roots(rf).coeff_scale, thetas)
+    *_, speed, skipped = root_grid(rf, thetas)
     assert skipped.tolist() == [False, True, False, False, True, False, False, False]
     assert np.all(np.isfinite(speed))
-    scale = from_roots(rf).coeff_scale
     for theta, skip in zip(thetas, skipped):
         z = cmath.exp(1j * theta)
-        assert skip == (2.0 * math.prod(abs(z - a) for a in rf.roots) < ZERO_PROXIMITY_REL * scale)
+        assert skip == (min(abs(z - a) for a in rf.roots) < ZERO_PROXIMITY_REL)
 
 
 def _scan(capsys, monkeypatch, argv, doc):
@@ -144,10 +144,9 @@ def test_unimodular_zeros_read_lambda_zero(capsys, monkeypatch):
 
 @pytest.mark.parametrize("doc,message", [
     ({"leading": [1, 0], "roots": []}, "need at least one root to form a polynomial of degree >= 1"),
-    ({"leading": [1, 0], "roots": [[1e200, 0], [1e200, 0]]}, "coefficients must be finite"),
 ])
 def test_root_form_that_cannot_be_expanded_exits_1(capsys, monkeypatch, doc, message):
-    # the expansion still runs once per input, for max|c_k| and the coefficient bounds
+    # a root form with no zeros states no polynomial of degree >= 1: RootForm refuses it where it is parsed
     assert _scan(capsys, monkeypatch, ["scan", "--roots", "--theta", "1"], doc) == (1, "", f"error: {message}\n")
 
 
@@ -161,3 +160,111 @@ def test_roots_of_unity_skip_every_row_they_hit(capsys, monkeypatch, fmt):
         assert [row["reason"] for row in json.loads(out)["rows"]] == ["zero_proximity"] * 8
     else:
         assert [line.split(",")[-1] for line in out.splitlines()[1:]] == ["skipped"] * 8
+
+
+def test_outside_term_matches_40_digits_near_the_zero():
+    # 3,000 zeros at |a| = 1 + 10^U(-3, -0.3), theta within 0.1 of arg a, against Re(z/(z - a)) at the kernel's own
+    # z = e^{i theta}.  The window holds the term's zero for |a| < 1.005, where 1 - Re(z conj(a)) cancels: that
+    # form erred by up to 8.3e-11 relative on this draw, (zr dr + zi di)/|z - a|^2 by 3.4e-13
+    rng = np.random.default_rng(24)
+    radii = 1.0 + 10.0 ** rng.uniform(-3.0, -0.3, 3000)
+    phis, offsets = rng.uniform(-math.pi, math.pi, 3000), rng.uniform(-0.1, 0.1, 3000)
+    worst = 0.0
+    with mp.workdps(40):
+        for r, phi, d in zip(radii.tolist(), phis.tolist(), offsets.tolist()):
+            a = complex(r * math.cos(phi), r * math.sin(phi))
+            *_, speed, _ = root_grid(RootForm(1.0, (a,)), [phi + d])
+            z = mp.mpc(circle_point(phi + d))
+            ref = (z / (z - a)).real
+            worst = max(worst, float(abs((speed[0] - ref) / ref)))
+    assert worst <= 1e-12
+
+
+def _drawn_zeros(rng, kind, degree, origin):
+    """degree zeros with |a| = e^{-+t/degree}, t ~ U(0, 4), so that log prod |a| ~ -+2 at any degree; the first
+    origin of them at 0.  "far" puts every zero at radius 1.5, where prod |a| = 1.5^n overflows past degree 1750."""
+    radii = np.full(degree, 1.5) if kind == "far" else np.exp(rng.uniform(0.0, 4.0, degree) / degree * (
+        -1.0 if kind == "inside" else 1.0))
+    zeros = [complex(cmath.rect(r, phi)) for r, phi in zip(radii.tolist(), rng.uniform(-math.pi, math.pi, degree))]
+    return [0j] * origin + zeros[origin:]
+
+
+# The coefficient bounds from a root form's endpoints err by at most K_ENDS n u max(1, |bound|): each log|a| and
+# each term of sum a and sum 1/a rounds once, and so does each factor of the phase product.  Over 20 draws of each
+# case below the largest ratio of error to n u max(1, |bound|) was 2.0, at degree 1.
+K_ENDS = 4
+
+
+ENDPOINT_CASES = [(kind, origin, degree) for degree in (1, 2, 3, 8, 64, 512, 4096)
+                  for kind, origin in (("inside", 0), ("inside", 1), ("inside", 2), ("outside", 0), ("far", 0))
+                  if origin <= degree]
+
+
+@pytest.mark.parametrize("kind,origin,degree", ENDPOINT_CASES)
+def test_endpoint_bounds_match_50_digits(kind, origin, degree):
+    rng = np.random.default_rng(degree * 10 + origin)
+    lead = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
+    rf = RootForm(lead, _drawn_zeros(rng, kind, degree, origin))
+    ends = rf.endpoints
+    with mp.workdps(50):
+        a = [mp.mpc(z) for z in rf.roots]
+        nonzero = [b for b in a if b != 0]
+        cn = mp.mpc(lead)
+        q0 = cn * mp.fprod(-b for b in nonzero)
+        lowest = [q0, -q0 * mp.fsum(1 / b for b in nonzero)] if origin == 0 else [0, q0] if origin == 1 else [0, 0]
+        c0, c1, cn1 = lowest[0], lowest[1], -cn * mp.fsum(a)
+        a0, an = abs(c0), abs(cn)
+        coeff = (an - a0) / (an + a0)
+        # each bound where its hypothesis holds: the lower ones with every zero in the disk, the zero-free one outside
+        if kind == "inside":
+            cross = abs(mp.conj(cn) * c1 - c0 * mp.conj(cn1))
+            checked = {"coeff": (bound_coeff(ends), coeff),
+                       "sqrt_weak": (bound_sqrt_weak(ends), 1 - mp.sqrt(a0 / an)),
+                       "coeff2": (bound_coeff2(ends), 2 * (a0 - an) ** 2 / (an**2 - a0**2 + cross)),
+                       "c0/cn": (ends[0] / ends[-1], c0 / cn)}
+        else:
+            checked = {"zero_free": (bound_zero_free(ends, degree), mp.mpf(degree) / 2 + coeff / 2)}
+        for name, (got, ref) in checked.items():
+            assert cmath.isfinite(got), name
+            assert abs(got - complex(ref)) <= K_ENDS * degree * U * max(1.0, abs(complex(ref))), name
+    for bound in (bound_coeff, bound_sqrt_weak, bound_coeff2):  # where a hypothesis fails, a value but no error
+        bound(ends)
+
+
+@pytest.mark.parametrize("kind", ["in_disk", "unimodular"])
+def test_degree_1024_skips_only_rows_within_the_guard_of_a_zero(capsys, monkeypatch, kind):
+    # P21: the guard read |P(z)| against max|c_k| of the expansion, which grows exponentially with the degree, and
+    # skipped 78 of these 360 rows in the disk and 282 on the circle.  One zero sits on a grid angle: only its row
+    # is skipped
+    rng = np.random.default_rng(1024)
+    radii = np.sqrt(rng.uniform(0.0, 1.0, 1023)) if kind == "in_disk" else np.ones(1023)
+    zeros = [complex(cmath.rect(r, phi)) for r, phi in zip(radii.tolist(), rng.uniform(-math.pi, math.pi, 1023))]
+    thetas = circle_grid(360)
+    rf = RootForm(1.0, [*zeros, circle_point(thetas[90])])
+    code, out, err = _scan(capsys, monkeypatch, ["scan", "--roots", "--grid", "360"], rf.to_json())
+    _, status = _csv_lambdas(out)
+    snapped = snap_band(rf).roots
+    near = [min(abs(circle_point(t) - a) for a in snapped) < ZERO_PROXIMITY_REL for t in thetas]
+    assert (code, err) == (0, "")
+    assert [s == "skipped" for s in status] == near and near.count(True) == 1
+
+
+def test_root_form_past_the_double_range_scans_from_its_zeros(capsys, monkeypatch):
+    # the expansion of these overflowed ("coefficients must be finite", exit 1); the zeros alone give lambda and
+    # the zero-free bound: every zero far outside the disk turns lambda to -n, and coeff to -1
+    doc = {"leading": [1, 0], "roots": [[1e200, 0], [1e200, 0]]}
+    code, out, err = _scan(capsys, monkeypatch, ["scan", "--roots", "--theta", "1"], doc)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "1,-2,0,-1,,,,,0.5,pass"
+    rf = RootForm(1.0, [cmath.rect(1.5, 2.0 * math.pi * k / MAX_DEGREE + 0.1) for k in range(MAX_DEGREE)])
+    code, out, err = _scan(capsys, monkeypatch, ["scan", "--roots", "--grid", "4", "--format", "json"], rf.to_json())
+    rows = json.loads(out)["rows"]
+    assert (code, err) == (0, "") and len(rows) == 4
+    assert all(row["flags"]["upper_zero_free"] == "pass" and row["bounds"]["coeff"] == -1 for row in rows)
+
+
+def test_unimodular_witness_at_the_largest_degree_checks_every_angle(capsys, monkeypatch):
+    # the guard against max|c_k| of the expansion skipped all 128 angles here and still reported max_abs_lambda 0
+    code, out, _ = _scan(capsys, monkeypatch, ["witness"], {"kind": "unimodular", "n": MAX_DEGREE})
+    report = json.loads(out)
+    assert code == 0 and report["points_checked"] == 128 and report["max_abs_lambda"] < 1e-9

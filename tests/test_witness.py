@@ -99,7 +99,7 @@ def test_arc_witness_leading_invariance():
 def test_arc_witness_increment_equals_alpha():
     p = from_roots(witness_arc(1.0, (-1, 1j)))
     for alpha in (math.pi / 6, math.pi / 4):
-        inc = arc_increment(p, 0.0, alpha, classify_zeros(p))
+        inc = arc_increment(0.0, alpha, classify_zeros(p))
         assert abs(inc - alpha) <= 1e-12
 
 
@@ -122,8 +122,8 @@ def test_unimodular_witness_properties():
     rf = witness_unimodular(5, seed=11)
     assert all(abs(abs(r) - 1.0) <= 1e-12 for r in rf.roots)
     p = from_roots(rf)
-    assert abs(abs(p.constant) - abs(p.leading)) <= 1e-12
-    assert bound_coeff2(p) == 0.0
+    assert abs(abs(p.coeffs[0]) - abs(p.leading)) <= 1e-12
+    assert bound_coeff2(p.endpoints) == 0.0
     checked = 0
     for k in range(64):
         theta = 2 * math.pi * k / 64
