@@ -6,11 +6,7 @@ independent finite-difference oracle, and constructs the equality
 families that show each bound is attained.
 """
 
-from .blaschke import (
-    BlaschkeProduct,
-    check_goryainov,
-    check_mercer_remark,
-)
+from .blaschke import check_mercer_remark
 from .bounds import (
     BoundReport,
     bound_arc,
@@ -33,8 +29,8 @@ from .oracle import arc_increment, arg_derivative_fd
 from .poly import (
     Polynomial,
     RootForm,
-    UnitCirclePoint,
     circle_grid,
+    circle_point,
     from_roots,
     rotation_speed,
 )
@@ -49,6 +45,7 @@ from .rational import (
 from .roots import ZeroClassification, classify_zeros, find_roots
 from .witness import (
     WitnessSpec,
+    check_goryainov,
     witness_arc,
     witness_goryainov,
     witness_rational,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import HypothesisViolated
 from .oracle import arc_increment
-from .poly import (Polynomial, RootForm, UnitCirclePoint, boundary_grid, c_mul, c_quot, cross_term, guard_zero,
+from .poly import (Polynomial, RootForm, boundary_grid, c_mul, c_quot, circle_point, cross_term, guard_zero,
                    root_grid, rotation_speed)
 from .report import BOUND_KEYS, grid_rows, row_template
 from .roots import ZeroClassification
@@ -44,13 +44,12 @@ def bound_sqrt_weak(ends: tuple[complex, ...]) -> float:
     return 1.0 - math.sqrt(abs(ends[0]) / abs(ends[-1])) if ends[-1] else -math.inf
 
 
-def bound_value(p: Polynomial, pt: UnitCirclePoint, lam: float) -> float:
-    """Value-refined lower bound |(lambda + 1) * conj(c0) P(z) / (cn z^n conj(P(z))) - 1|.
+def bound_value(p: Polynomial, z: complex, lam: float) -> float:
+    """Value-refined lower bound |(lambda + 1) * conj(c0) P(z) / (cn z^n conj(P(z))) - 1| at z = `circle_point(theta)`.
 
     Uses the boundary value of P itself, so it varies with theta; for
     zeros-in-disk inputs lambda dominates it.
     """
-    z = pt.z
     val = p(z)
     guard_zero(val, p.coeff_scale)
     w = p.coeffs[0].conjugate() * val / (p.leading * z**p.degree * val.conjugate())
@@ -74,10 +73,10 @@ def bound_coeff2(ends: tuple[complex, ...]) -> float:
     return 2.0 * (a0 - an) ** 2 / denom
 
 
-def bound_arc(pt: UnitCirclePoint, alpha: float, beta: float | None, classification: ZeroClassification) -> float:
-    """Finite-increment upper bound tan(beta/2) / tan(alpha/2) for lambda at pt.
+def bound_arc(theta: float, alpha: float, beta: float | None, classification: ZeroClassification) -> float:
+    """Finite-increment upper bound tan(beta/2) / tan(alpha/2) for lambda at e^{i theta}.
 
-    Hypotheses: every zero of P lies in the closed unit disk, the open arc of half-width alpha around pt is zero
+    Hypotheses: every zero of P lies in the closed unit disk, the open arc of half-width alpha around it is zero
     free, and the increment of 2 arg P(z) - n arg z along the arc is at most beta in absolute value.  The
     increment is `arc_increment`'s closed form over `classification`, that of P's zeros, and is checked against
     the supplied beta; beta = None uses the measured increment.
@@ -87,7 +86,7 @@ def bound_arc(pt: UnitCirclePoint, alpha: float, beta: float | None, classificat
     """
     if beta is not None and not (0.0 < beta < math.pi):
         raise ValueError("beta must lie in (0, pi)")
-    measured = arc_increment(pt.theta, alpha, classification)
+    measured = arc_increment(theta, alpha, classification)
     value = _arc_value(measured, alpha, beta)
     if math.isnan(value):
         use_beta = measured if beta is None else beta
@@ -175,12 +174,12 @@ class BoundReport:
 
 def full_report(
     p: Polynomial,
-    pt: UnitCirclePoint,
+    theta: float,
     classification: ZeroClassification,
     arc: tuple[float, float | None] | None = None,
     slack: float = CHECK_SLACK,
 ) -> BoundReport:
-    """Evaluate lambda and every applicable bound at one boundary point.
+    """Evaluate lambda and every applicable bound at the boundary point e^{i theta}.
 
     Lower bounds apply when all zeros lie in the closed disk; the
     zero-free upper bound applies when none lie in the open disk, both
@@ -189,7 +188,8 @@ def full_report(
     (beta = None means: use the measured increment).  Bounds whose
     hypothesis fails are reported with flag "na" rather than "fail".
     """
-    speed = rotation_speed(p, pt)
+    z = circle_point(theta)
+    speed = rotation_speed(p, z)
     lam = 2.0 * speed - p.degree
     tol = slack * max(1.0, abs(lam))
 
@@ -203,12 +203,12 @@ def full_report(
         flags[key] = "na" if margin is None else "pass" if margin >= -tol else "fail"
 
     lower_ok = not classification.outside
-    for key, value in _lower_bounds(p.endpoints, bound_value(p, pt, lam)):
+    for key, value in _lower_bounds(p.endpoints, bound_value(p, z, lam)):
         record(key, value, lam - value if lower_ok and math.isfinite(value) else None)
 
     if arc is not None:
         try:
-            value = bound_arc(pt, *arc, classification)
+            value = bound_arc(theta, *arc, classification)
             record("arc_thm3", value, value - lam)
         except HypothesisViolated:
             pass
@@ -217,7 +217,7 @@ def full_report(
         value = bound_zero_free(p.endpoints, p.degree)
         record("upper_zero_free", value, value - speed)
 
-    return BoundReport(pt.theta, speed, lam, bounds, margins, flags)
+    return BoundReport(theta, speed, lam, bounds, margins, flags)
 
 
 def grid_report(poly: Polynomial | RootForm, thetas: list[float], arc: tuple[float, float | None] | None,

@@ -19,7 +19,7 @@ from .blaschke import check_mercer_remark
 from .bounds import full_report, grid_report
 from .errors import PolyrotError
 from .oracle import arg_derivative_fd
-from .poly import Polynomial, RootForm, UnitCirclePoint, circle_grid, snap_band
+from .poly import Polynomial, RootForm, circle_grid, snap_band
 from .rational import RationalFunction, check_rotation_bounds, classify_numerator, rational_grid
 from .report import BOUND_KEYS, csv_cell, dump_json
 from .roots import classify_root_list, classify_zeros
@@ -138,15 +138,15 @@ def _fuzz_polynomial_case(tally, rng, degree, zone):
         return
     # The constructed zeros decide applicability: no root solve per case.
     cls = classify_root_list(rf.roots)
-    rep = full_report(p, UnitCirclePoint(theta), cls)
+    rep = full_report(p, theta, cls)
     oracle_margin = ORACLE_AGREEMENT_TOL - abs(rep.speed - arg_derivative_fd(p, theta))
     tally.record("oracle_agreement", oracle_margin, oracle_margin < 0.0)
 
     if zone in ("in_disk", "on_circle"):
         for key, name in _FUZZ_LOWER.items():
             tally.record(name, rep.margins[key], rep.flags[key] == "fail")
-        remark = check_mercer_remark(p, cls)
-        tally.record("mercer_remark", remark.margin, not remark.passed)
+        margin, passed = check_mercer_remark(p.endpoints, cls)
+        tally.record("mercer_remark", margin, not passed)
     if zone == "on_circle":
         tally.record("lambda_zero", -abs(rep.lam), abs(rep.lam) > CHECK_SLACK)
     if zone == "outside":
@@ -160,7 +160,7 @@ def _fuzz_rational_case(tally, rng, degree, zone):
     theta = corpus.valid_theta(rng, p)
     if theta is None:
         return
-    rep = check_rotation_bounds(r, UnitCirclePoint(theta), classify_root_list(rf.roots))
+    rep = check_rotation_bounds(r, theta, classify_root_list(rf.roots))
     for name, margin, passed in (("rational_lower", rep.lower_margin, rep.lower_pass),
                                  ("rational_upper", rep.upper_margin, rep.upper_pass)):
         if margin is not None:

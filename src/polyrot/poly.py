@@ -206,17 +206,6 @@ class RootForm:
         return RootForm(complex_pairs([data["leading"]], "leading")[0], complex_pairs(data["roots"], "roots"))
 
 
-@dataclass(frozen=True)
-class UnitCirclePoint:
-    """Boundary point e^{i theta}, always derived from the angle."""
-
-    theta: float
-
-    @property
-    def z(self) -> complex:
-        return circle_point(self.theta)
-
-
 def circle_point(theta: float) -> complex:
     """e^{i theta}: the one formula for a boundary point."""
     return cmath.exp(1j * theta)
@@ -244,14 +233,14 @@ def from_roots(rf: RootForm) -> Polynomial:
     return Polynomial([rf.leading * c for c in coeffs])
 
 
-def rotation_speed(p: Polynomial, pt: UnitCirclePoint) -> float:
-    """(d/dtheta) arg P(e^{i theta}) = Re(z P'(z)/P(z)) at z = e^{i theta}.
+def rotation_speed(p: Polynomial, z: complex) -> float:
+    """(d/dtheta) arg P(e^{i theta}) = Re(z P'(z)/P(z)) at z = `circle_point(theta)`.
 
     Raises ZeroProximity when |P(z)| < ZERO_PROXIMITY_REL * max|c_k|: the
     quantity is undefined at zeros of P and meaningless in their immediate
     vicinity.
     """
-    return boundary_speed(p.coeffs, p.coeff_scale, pt.z)
+    return boundary_speed(p.coeffs, p.coeff_scale, z)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf and nan arise silently, as in complex arithmetic
@@ -296,7 +285,9 @@ def root_grid(rf: RootForm, thetas: list[float]):
         np.subtract(zr, a.real, out=dr)
         np.subtract(zi, a.imag, out=di)
         np.add(np.multiply(dr, dr, out=d2), np.multiply(di, di, out=t), out=d2)  # |z - a|^2
-        np.minimum(nearest, np.sqrt(d2, out=m), out=nearest)
+        if np.sqrt(d2, out=m).max() == math.inf:  # |z - a|^2 overflows past |a| of about 1.3e154; hypot does not
+            np.hypot(dr, di, out=m, where=np.isinf(d2))
+        np.minimum(nearest, m, out=nearest)
         if side < 0:
             speed += np.divide(0.5 * (1.0 - abs(a)) * (1.0 + abs(a)), d2, out=t)
         elif side > 0:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .poly import Polynomial, UnitCirclePoint, boundary_grid, boundary_speed, complex_pairs, finite_complex
+from .poly import Polynomial, boundary_grid, boundary_speed, circle_point, complex_pairs, finite_complex
 from .report import grid_rows, row_template
 from .roots import ZeroClassification, classify_root_list, classify_zeros
 from .tolerances import CHECK_SLACK, LEADING_REL, POLE_CIRCLE_TOL
@@ -167,18 +167,18 @@ def _comparison(r: RationalFunction, speed, z, classification: ZeroClassificatio
                 upper_pass=None if upper_margin is None else upper_margin >= -check_tol)
 
 
-def check_rotation_bounds(r: RationalFunction, pt: UnitCirclePoint, classification: ZeroClassification,
+def check_rotation_bounds(r: RationalFunction, theta: float, classification: ZeroClassification,
                           tol: float = CHECK_SLACK) -> RationalBoundReport:
-    """Check (arg R)' against (m - n + (arg B)')/2 in both directions, in Python floats and bools.
+    """Check (arg R)' against (m - n + (arg B)')/2 in both directions at e^{i theta}, in Python floats and bools.
 
     The lower inequality applies when all m numerator zeros lie in the closed unit disk, the upper one when
     none lie in the open disk; a constant numerator satisfies both vacuously.  `classification` is that of
     the numerator (see `classify_numerator`).  Raises ZeroProximity at a numerator zero.
     """
-    z = pt.z
+    z = circle_point(theta)
     columns = _comparison(r, boundary_speed(r.numerator, r._num_scale, z), z, classification, tol)
-    return RationalBoundReport(theta=pt.theta, **{k: v.item() if isinstance(v, np.generic) else v
-                                                  for k, v in columns.items()})
+    return RationalBoundReport(theta=theta, **{k: v.item() if isinstance(v, np.generic) else v
+                                               for k, v in columns.items()})
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # inf and nan arise silently, as in boundary_grid

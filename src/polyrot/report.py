@@ -1,4 +1,4 @@
-"""Report records and deterministic serialization.
+"""Scan rows and deterministic serialization.
 
 All numeric output is formatted at 17 significant digits so that CSV and
 JSON renderings of the same run carry identical digit strings and two
@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,17 +26,6 @@ BOUND_KEYS = (
     "arc_thm3",
     "upper_zero_free",
 )
-
-
-@dataclass(frozen=True)
-class InequalityCheck:
-    """One verified inequality: lhs versus rhs with a signed margin."""
-
-    name: str
-    lhs: float
-    rhs: float
-    margin: float
-    passed: bool
 
 
 def format_float(x: float) -> str:

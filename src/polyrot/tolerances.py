@@ -41,12 +41,10 @@ SAMPLE_FLOOR_REL = 1e-3
 # Random angles drawn for that floor before a fuzz case is dropped as having none.
 SAMPLE_TRIES = 500
 
-# Hypotheses of the Blaschke self-map checks.
-# A Blaschke prefactor must be unimodular to this precision.
-PREFACTOR_UNIMODULAR_TOL = 1e-12
-# Goryainov needs f(0) = 0, which the origin-pinned maps give exactly.
+# Hypotheses of the Goryainov self-map check.
+# Goryainov needs f(0) = 0, which the origin-pinned map gives exactly.
 SELF_MAP_ORIGIN_TOL = 1e-12
-# Goryainov needs f(1) = 1, which the product of degree-many factors meets only up to rounding.
+# Goryainov needs f(1) = 1, which the normalized map meets only up to rounding.
 SELF_MAP_ONE_TOL = 1e-8
 # The angular derivative at 1 is >= 1 (Julia's lemma) up to this rounding.
 ANGULAR_DERIVATIVE_SLACK = 1e-9

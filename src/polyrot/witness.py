@@ -1,9 +1,10 @@
 """Constructors for the equality families of each sharp bound.
 
 Each constructor returns an input on which the corresponding inequality
-is attained (at z = 1 for the two polynomial families, identically on
-the circle for the rational family), so sharpness can be confirmed
-numerically rather than taken on faith; `witness_report` does so for a spec.
+is attained (at z = 1 for the value, arc and Goryainov families, identically
+on the circle for the unimodular and rational ones), so sharpness can be
+confirmed numerically rather than taken on faith; `witness_report` does so
+for a spec.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .blaschke import BlaschkeProduct, check_goryainov
 from .bounds import grid_report
-from .errors import InvalidWitnessParams, ZeroProximity
+from .errors import HypothesisViolated, InvalidWitnessParams, ZeroProximity
 from .oracle import arc_increment
 from .poly import RootForm, circle_grid, complex_pairs, expand_monic, is_number, snap_band
 from .rational import RationalFunction, classify_numerator, rational_grid
 from .roots import classify_root_list
-from .tolerances import CHECK_SLACK, MAX_DEGREE, ON_CIRCLE_TOL, ONE_EXCLUSION, POLE_CIRCLE_TOL
+from .tolerances import (ANGULAR_DERIVATIVE_SLACK, CHECK_SLACK, MAX_DEGREE, ON_CIRCLE_TOL, ONE_EXCLUSION,
+                         POLE_CIRCLE_TOL, SELF_MAP_ONE_TOL, SELF_MAP_ORIGIN_TOL)
 
 
 def _as_unimodular(roots: Iterable[complex]) -> tuple[complex, ...]:
@@ -61,13 +62,28 @@ def witness_arc(leading: complex, unimodular_roots: Iterable[complex] = ()) -> R
     return RootForm(leading, (0j,) + _as_unimodular(unimodular_roots))
 
 
-def witness_goryainov(a: complex) -> BlaschkeProduct:
-    """f*(z) = z (1 - conj(a))/(1 - a) (z - a)/(1 - conj(a) z): equality in Goryainov's bound."""
+def witness_goryainov(a: complex) -> RootForm:
+    """z - a, whose self-map f*(z) = z (1 - conj(a))/(1 - a) (z - a)/(1 - conj(a) z) attains Goryainov's bound."""
     a = complex(a)
     if abs(a) >= 1.0:
         raise InvalidWitnessParams("parameter must satisfy |a| < 1")
-    pre = (1.0 - a.conjugate()) / (1.0 - a)
-    return BlaschkeProduct(pre, (a,))
+    return RootForm(1.0, (a,))
+
+
+def check_goryainov(f0: complex, f1: complex, df0: complex, df1: float) -> tuple[float, float]:
+    """(lhs, rhs) of Goryainov's inequality |f'(0) - 1/f'(1)| <= 1 - 1/f'(1) for a self-map f of the disk.
+
+    Takes f(0), f(1), f'(0) and the angular derivative df1 = f'(1), which is lambda + 1 at theta = 0 for the
+    self-map of P (see `blaschke`).  Raises HypothesisViolated unless f(0) = 0 and f(1) = 1 hold and df1 is
+    finite and >= 1, each up to rounding.
+    """
+    if abs(f0) > SELF_MAP_ORIGIN_TOL:
+        raise HypothesisViolated("f(0) != 0")
+    if abs(f1 - 1.0) > SELF_MAP_ONE_TOL:
+        raise HypothesisViolated("f(1) != 1; use the normalized construction")
+    if not math.isfinite(df1) or df1 < 1.0 - ANGULAR_DERIVATIVE_SLACK:
+        raise HypothesisViolated("angular derivative at 1 must be finite and >= 1")
+    return abs(df0 - 1.0 / df1), 1.0 - 1.0 / df1
 
 
 def witness_unimodular(n: int, seed: int) -> RootForm:
@@ -152,12 +168,14 @@ class WitnessSpec:
 
 
 def _root_report(rf: RootForm, thetas: list[float]):
-    """`grid_report` at thetas of rf's band-snapped zeros, never expanded; raises at a lone skipped angle."""
+    """`grid_report` at thetas of rf's band-snapped zeros, never expanded, and their classification; raises at a lone
+    skipped angle."""
     rf = snap_band(rf)
-    rep = grid_report(rf, thetas, None, CHECK_SLACK, classify_root_list(rf.roots))
+    cls = classify_root_list(rf.roots)
+    rep = grid_report(rf, thetas, None, CHECK_SLACK, cls)
     if len(thetas) == 1 and rep.skipped[0]:
         raise ZeroProximity(f"a zero of P is within the zero-proximity guard of theta = {thetas[0]}")
-    return rep
+    return rep, cls
 
 
 def witness_report(spec: WitnessSpec) -> dict:
@@ -167,7 +185,7 @@ def witness_report(spec: WitnessSpec) -> dict:
             raise InvalidWitnessParams(f"{field} must be an [re, im] pair of numbers")
     if spec.kind == "value":
         rf = witness_value(spec.a, spec.unimodular_roots)
-        rep = _root_report(rf, [0.0])
+        rep, _ = _root_report(rf, [0.0])
         lam, rhs = rep.lam.item(), rep.bounds["value_thm1"].item()
         return {
             "kind": spec.kind,
@@ -178,7 +196,8 @@ def witness_report(spec: WitnessSpec) -> dict:
         }
     if spec.kind == "arc":
         rf = witness_arc(spec.leading if spec.leading is not None else 1.0, spec.unimodular_roots)
-        lam = _root_report(rf, [0.0]).lam.item()
+        rep, cls = _root_report(rf, [0.0])
+        lam = rep.lam.item()
         out = {
             "kind": spec.kind,
             "witness": rf.to_json(),
@@ -186,22 +205,25 @@ def witness_report(spec: WitnessSpec) -> dict:
             "equality_gap": abs(lam - 1.0),
         }
         if spec.alpha is not None:
-            inc = arc_increment(0.0, spec.alpha, classify_root_list(snap_band(rf).roots))
+            inc = arc_increment(0.0, spec.alpha, cls)
             out.update(alpha=spec.alpha, measured_increment=inc, increment_gap=abs(inc - spec.alpha))
         return out
     if spec.kind == "goryainov":
-        f = witness_goryainov(spec.a)
-        chk = check_goryainov(f, _root_report(RootForm(1.0, (spec.a,)), [0.0]).lam.item() + 1.0)
+        rf = witness_goryainov(spec.a)
+        (a,) = rf.roots  # the one factor of f*(z) = pre z (z - a)/(1 - conj(a) z), so f*'(0) = pre (-a)
+        pre = (1.0 - a.conjugate()) / (1.0 - a)
+        f0, f1 = (pre * z * ((z - a) / (1.0 - a.conjugate() * z)) for z in (0j, 1.0 + 0j))
+        lhs, rhs = check_goryainov(f0, f1, pre * -a, _root_report(rf, [0.0])[0].lam.item() + 1.0)
         return {
             "kind": spec.kind,
             "witness": {"a": [spec.a.real, spec.a.imag]},
-            "lhs": chk.lhs,
-            "rhs": chk.rhs,
-            "equality_gap": abs(chk.margin),
+            "lhs": lhs,
+            "rhs": rhs,
+            "equality_gap": abs(rhs - lhs),
         }
     if spec.kind == "unimodular":
         rf = witness_unimodular(spec.n if spec.n is not None else 1, spec.seed if spec.seed is not None else 0)
-        rep = _root_report(rf, circle_grid(128))
+        rep, _ = _root_report(rf, circle_grid(128))
         lams = rep.lam[~rep.skipped]  # lambda where the zero guard lets it through
         return {
             "kind": spec.kind,

@@ -16,9 +16,8 @@ import pytest
 
 from polyrot import (
     ArcContainsRoot,
-    BlaschkeProduct,
     RootForm,
-    UnitCirclePoint,
+    WitnessSpec,
     ZeroProximity,
     arc_increment,
     arg_derivative_fd,
@@ -28,22 +27,46 @@ from polyrot import (
     check_goryainov,
     check_mercer_remark,
     check_rotation_bounds,
+    circle_point,
     classify_numerator,
     classify_zeros,
     from_roots,
     full_report,
     rotation_speed,
     witness_arc,
-    witness_goryainov,
     witness_rational,
+    witness_report,
     witness_value,
 )
 from polyrot import corpus
 
 
-def lambda_at(p, pt):
-    """Excess rotation 2 (arg P)'_theta - n at pt, from the coefficients."""
-    return 2.0 * rotation_speed(p, pt) - p.degree
+def lambda_at(p, theta):
+    """Excess rotation 2 (arg P)'_theta - n at theta, from the coefficients."""
+    return 2.0 * rotation_speed(p, circle_point(theta)) - p.degree
+
+
+class SelfMap:
+    """f(z) = pre z prod (z - a)/(1 - conj(a) z), a finite Blaschke product over zeros a in the open disk."""
+
+    def __init__(self, pre, zeros):
+        self.pre, self.zeros = pre, tuple(zeros)
+
+    def __call__(self, z):
+        acc = self.pre * z
+        for a in self.zeros:
+            acc *= (z - a) / (1.0 - a.conjugate() * z)
+        return acc
+
+    def derivative_at_zero(self):
+        acc = self.pre
+        for a in self.zeros:
+            acc *= -a
+        return acc
+
+    def goryainov(self, fp1):
+        """`check_goryainov` of this map, whose angular derivative at 1 is fp1."""
+        return check_goryainov(self(0j), self(1.0 + 0j), self.derivative_at_zero(), fp1)
 
 
 # The witnesses' increment is alpha exactly; the closed form misses it only by rounding.
@@ -91,7 +114,7 @@ def test_criterion_1_oracle_agreement(disk_corpus):
     samples = 0
     for _, p, thetas in disk_corpus:
         for t in thetas:
-            diff = abs(rotation_speed(p, UnitCirclePoint(t)) - arg_derivative_fd(p, t, 1e-5))
+            diff = abs(rotation_speed(p, circle_point(t)) - arg_derivative_fd(p, t, 1e-5))
             worst = max(worst, diff)
             samples += 1
     elapsed = time.monotonic() - start
@@ -106,7 +129,7 @@ def test_criterion_2_lambda_nonnegativity(disk_corpus):
     low = math.inf
     for _, p, thetas in disk_corpus:
         for t in thetas:
-            low = min(low, lambda_at(p, UnitCirclePoint(t)))
+            low = min(low, lambda_at(p, t))
 
     rng = np.random.default_rng(1002)
     worst_abs = 0.0
@@ -116,7 +139,7 @@ def test_criterion_2_lambda_nonnegativity(disk_corpus):
         t = _valid_theta(rng, p, rf.roots, min_dist=0.0)
         if t is None:
             continue
-        worst_abs = max(worst_abs, abs(lambda_at(p, UnitCirclePoint(t))))
+        worst_abs = max(worst_abs, abs(lambda_at(p, t)))
     _report(
         2,
         low >= -1e-9 and worst_abs <= 1e-9,
@@ -128,9 +151,8 @@ def test_criterion_3_value_refined_bound(disk_corpus):
     low = math.inf
     for _, p, thetas in disk_corpus:
         for t in thetas:
-            pt = UnitCirclePoint(t)
-            lam = lambda_at(p, pt)
-            low = min(low, lam - bound_value(p, pt, lam))
+            lam = lambda_at(p, t)
+            low = min(low, lam - bound_value(p, circle_point(t), lam))
 
     rng = np.random.default_rng(1003)
     worst_gap = 0.0
@@ -139,9 +161,8 @@ def test_criterion_3_value_refined_bound(disk_corpus):
         k = int(rng.integers(0, 7))
         roots = tuple(cmath.exp(1j * rng.uniform(math.pi / 4, 7 * math.pi / 4)) for _ in range(k))
         p = from_roots(witness_value(a, roots))
-        pt = UnitCirclePoint(0.0)
-        lam = lambda_at(p, pt)
-        worst_gap = max(worst_gap, abs(lam - bound_value(p, pt, lam)))
+        lam = lambda_at(p, 0.0)
+        worst_gap = max(worst_gap, abs(lam - bound_value(p, circle_point(0.0), lam)))
     _report(
         3,
         low >= -1e-9 and worst_gap <= 1e-8,
@@ -156,9 +177,9 @@ def test_criterion_4_second_coefficient_bound(disk_corpus):
     for _, p, thetas in disk_corpus:
         rhs = bound_coeff2(p.endpoints)
         ordering = min(ordering, rhs - bound_coeff(p.endpoints))
-        remark_ok = remark_ok and check_mercer_remark(p, classify_zeros(p)).passed
+        remark_ok = remark_ok and check_mercer_remark(p.endpoints, classify_zeros(p))[1]
         for t in thetas:
-            low = min(low, lambda_at(p, UnitCirclePoint(t)) - rhs)
+            low = min(low, lambda_at(p, t) - rhs)
     _report(
         4,
         low >= -1e-9 and ordering >= -1e-12 and remark_ok,
@@ -178,7 +199,7 @@ def test_criterion_5_arc_bound():
         lead = complex(rng.uniform(0.5, 2.0)) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         p = from_roots(witness_arc(lead, roots))
         worst_inc = max(worst_inc, abs(arc_increment(0.0, alpha, classify_zeros(p)) - alpha))
-        worst_lam = max(worst_lam, abs(lambda_at(p, UnitCirclePoint(0.0)) - 1.0))
+        worst_lam = max(worst_lam, abs(lambda_at(p, 0.0) - 1.0))
 
     rng = np.random.default_rng(1006)
     applicable = 0
@@ -200,7 +221,7 @@ def test_criterion_5_arc_bound():
             continue
         applicable += 1
         bound = math.tan(0.5 * measured) / math.tan(0.5 * alpha)
-        low = min(low, bound - lambda_at(p, UnitCirclePoint(t0)))
+        low = min(low, bound - lambda_at(p, t0))
     _report(
         5,
         worst_inc <= ARC_BUDGET and worst_lam <= 1e-10 and applicable >= 20 and low >= -1e-6,
@@ -220,8 +241,7 @@ def test_criterion_6_zero_free_upper_bound():
             t = _valid_theta(rng, p, rf.roots, min_dist=0.0)
             if t is None:
                 break
-            pt = UnitCirclePoint(t)
-            low = min(low, full_report(p, pt, cls).bounds["upper_zero_free"] - rotation_speed(p, pt))
+            low = min(low, full_report(p, t, cls).bounds["upper_zero_free"] - rotation_speed(p, circle_point(t)))
     _report(6, low >= -1e-9, f"min (bound - rotation_speed) = {low:.3e}")
 
 
@@ -238,21 +258,19 @@ def test_criterion_7_self_map_derivatives_and_inequalities():
                 roots.append(r)
         lead = complex(rng.uniform(0.5, 2.0)) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         p = from_roots(RootForm(lead, roots))
-        f = BlaschkeProduct(lead / lead.conjugate(), roots)  # the self-map with f'(0) = c0 / conj(cn)
+        f = SelfMap(lead / lead.conjugate(), roots)  # the self-map with f'(0) = c0 / conj(cn)
         h = 1e-5
         worst_d1 = max(worst_d1, abs(f.derivative_at_zero() - (f(h + 0j) - f(-h + 0j)) / (2 * h)))
         if abs(p(1.0 + 0j)) > 1e-3 * p.coeff_scale and min(abs(1.0 - r) for r in roots) >= 0.05:
-            fp1 = lambda_at(p, UnitCirclePoint(0.0)) + 1.0
+            fp1 = lambda_at(p, 0.0) + 1.0
             pre = 1.0 + 0j
             for a in roots:
                 pre *= (1.0 - a.conjugate()) / (1.0 - a)  # normalizes the map to f(1) = 1
-            gor_low = min(gor_low, check_goryainov(BlaschkeProduct(pre, roots), fp1).margin)
+            lhs, rhs = SelfMap(pre, roots).goryainov(fp1)
+            gor_low = min(gor_low, rhs - lhs)
     for _ in range(50):
         a = 0.9 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        fw = witness_goryainov(a)
-        pw = from_roots(RootForm(1.0, (a,)))
-        fp1 = lambda_at(pw, UnitCirclePoint(0.0)) + 1.0
-        worst_fstar = max(worst_fstar, abs(check_goryainov(fw, fp1).margin))
+        worst_fstar = max(worst_fstar, witness_report(WitnessSpec("goryainov", a=a))["equality_gap"])
     _report(
         7,
         worst_d1 <= 1e-8 and gor_low >= -1e-9 and worst_fstar <= 1e-9,
@@ -271,7 +289,7 @@ def test_criterion_8_rational_bounds():
         t = _valid_theta(rng, p, rf.roots, min_dist=0.0)
         if t is None:
             continue
-        rep = check_rotation_bounds(r, UnitCirclePoint(t), classify_numerator(r))
+        rep = check_rotation_bounds(r, t, classify_numerator(r))
         lower_low = min(lower_low, rep.lower_margin)
         lower_cases += 1
     upper_low = math.inf
@@ -283,7 +301,7 @@ def test_criterion_8_rational_bounds():
         t = _valid_theta(rng, p, rf.roots, min_dist=0.0)
         if t is None:
             continue
-        rep = check_rotation_bounds(r, UnitCirclePoint(t), classify_numerator(r))
+        rep = check_rotation_bounds(r, t, classify_numerator(r))
         upper_low = min(upper_low, rep.upper_margin)
         upper_cases += 1
     worst_eq = 0.0
@@ -298,7 +316,7 @@ def test_criterion_8_rational_bounds():
         cls = classify_numerator(r)
         for k in range(100):
             try:
-                rep = check_rotation_bounds(r, UnitCirclePoint(2 * math.pi * k / 100), cls)
+                rep = check_rotation_bounds(r, 2 * math.pi * k / 100, cls)
             except ZeroProximity:
                 continue
             points += 1

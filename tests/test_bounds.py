@@ -8,7 +8,6 @@ from polyrot import (
     HypothesisViolated,
     Polynomial,
     RootForm,
-    UnitCirclePoint,
     ZeroProximity,
     bound_arc,
     bound_coeff,
@@ -16,6 +15,7 @@ from polyrot import (
     bound_sqrt_weak,
     bound_value,
     bound_zero_free,
+    circle_point,
     classify_zeros,
     from_roots,
     full_report,
@@ -26,9 +26,9 @@ from polyrot.report import BOUND_KEYS
 from polyrot.roots import classify_root_list
 
 
-def lambda_at(p, pt):
-    """Excess rotation 2 (arg P)'_theta - n at pt, from the coefficients."""
-    return 2.0 * rotation_speed(p, pt) - p.degree
+def lambda_at(p, theta):
+    """Excess rotation 2 (arg P)'_theta - n at theta, from the coefficients."""
+    return 2.0 * rotation_speed(p, circle_point(theta)) - p.degree
 
 
 def fifth_roots_of_unity():
@@ -38,16 +38,16 @@ def fifth_roots_of_unity():
 def test_lambda_monomial():
     for n in (1, 2, 6):
         p = Polynomial([0] * n + [1])
-        assert lambda_at(p, UnitCirclePoint(1.3)) == pytest.approx(n, abs=1e-12)
+        assert lambda_at(p, 1.3) == pytest.approx(n, abs=1e-12)
 
 
 def test_lambda_vanishes_for_circle_zeros():
     p = fifth_roots_of_unity()
-    assert abs(lambda_at(p, UnitCirclePoint(math.pi / 5))) <= 1e-9
+    assert abs(lambda_at(p, math.pi / 5)) <= 1e-9
 
 
 def test_lambda_hand_value():
-    assert lambda_at(Polynomial([-0.5, 1]), UnitCirclePoint(0.0)) == pytest.approx(3.0)
+    assert lambda_at(Polynomial([-0.5, 1]), 0.0) == pytest.approx(3.0)
 
 
 def test_bound_coeff_values():
@@ -67,21 +67,19 @@ def test_bound_sqrt_weak_below_coeff(rng):
 
 def test_bound_value_hand_cases():
     p = Polynomial([0, 0, 1])
-    pt = UnitCirclePoint(0.0)
-    assert bound_value(p, pt, lambda_at(p, pt)) == pytest.approx(1.0)
+    assert bound_value(p, 1 + 0j, lambda_at(p, 0.0)) == pytest.approx(1.0)
 
     p = Polynomial([-0.5, 1])
-    lam = lambda_at(p, pt)
-    rhs = bound_value(p, pt, lam)
+    lam = lambda_at(p, 0.0)
+    rhs = bound_value(p, 1 + 0j, lam)
     assert rhs == pytest.approx(3.0)
     assert lam == pytest.approx(rhs)  # equality family member
 
 
 def test_bound_value_equality_with_unimodular_tail():
     p = from_roots(RootForm(1.0, (0.4, cmath.exp(1j * math.pi / 3))))
-    pt = UnitCirclePoint(0.0)
-    lam = lambda_at(p, pt)
-    assert abs(lam - bound_value(p, pt, lam)) <= 1e-8
+    lam = lambda_at(p, 0.0)
+    assert abs(lam - bound_value(p, 1 + 0j, lam)) <= 1e-8
 
 
 def test_bound_coeff2_values():
@@ -89,7 +87,7 @@ def test_bound_coeff2_values():
     assert bound_coeff2(Polynomial([-0.5, 1]).endpoints) == pytest.approx(1 / 3)
     p = Polynomial([0, 0, 1])
     assert bound_coeff2(p.endpoints) == pytest.approx(2.0)
-    assert lambda_at(p, UnitCirclePoint(0.7)) == pytest.approx(2.0)
+    assert lambda_at(p, 0.7) == pytest.approx(2.0)
 
 
 def test_bound_coeff2_degenerate_denominator_is_nan():
@@ -106,56 +104,56 @@ def test_bound_coeff2_dominates_coeff_in_disk(rng):
 
 def test_bound_arc_equal_angles():
     p = from_roots(RootForm(1.0, (0j, -1.0)))
-    pt = UnitCirclePoint(0.0)
+    theta = 0.0
     alpha = math.pi / 2
-    assert bound_arc(pt, alpha, alpha, classify_zeros(p)) == pytest.approx(1.0)
-    assert lambda_at(p, pt) == pytest.approx(1.0)
+    assert bound_arc(theta, alpha, alpha, classify_zeros(p)) == pytest.approx(1.0)
+    assert lambda_at(p, theta) == pytest.approx(1.0)
 
 
 def test_bound_arc_closed_form():
     # circle zeros far from the arc: the tracked increment is 0, any beta works
     p = from_roots(RootForm(1.0, (cmath.exp(2.8j), cmath.exp(-2.8j))))
-    value = bound_arc(UnitCirclePoint(0.0), math.pi / 2, math.pi / 4, classify_zeros(p))
+    value = bound_arc(0.0, math.pi / 2, math.pi / 4, classify_zeros(p))
     assert value == pytest.approx(math.sqrt(2) - 1, abs=1e-12)
-    assert lambda_at(p, UnitCirclePoint(0.0)) <= value
+    assert lambda_at(p, 0.0) <= value
 
 
 def test_bound_arc_rejects_bad_hypotheses():
     p = from_roots(RootForm(1.0, (0j, -1.0)))
-    pt = UnitCirclePoint(0.0)
+    theta = 0.0
     with pytest.raises(ValueError):
-        bound_arc(pt, math.pi, 0.5, classify_zeros(p))
+        bound_arc(theta, math.pi, 0.5, classify_zeros(p))
     with pytest.raises(ValueError):
-        bound_arc(pt, 0.5, math.pi, classify_zeros(p))
+        bound_arc(theta, 0.5, math.pi, classify_zeros(p))
     # measured increment 2*alpha exceeds beta = alpha for the pure square
     square = Polynomial([0, 0, 1])
     with pytest.raises(HypothesisViolated):
-        bound_arc(pt, 0.5, 0.5, classify_zeros(square))
+        bound_arc(theta, 0.5, 0.5, classify_zeros(square))
     # root on the open arc
     on_arc = from_roots(RootForm(1.0, (cmath.exp(0.1j),)))
     with pytest.raises(HypothesisViolated):
-        bound_arc(pt, 0.5, 0.5, classify_zeros(on_arc))
+        bound_arc(theta, 0.5, 0.5, classify_zeros(on_arc))
 
 
 def test_upper_bound_zero_free_hand_case():
     p = Polynomial([-2, 1])
-    pt = UnitCirclePoint(0.0)
-    bound = full_report(p, pt, classify_zeros(p)).bounds["upper_zero_free"]
+    theta = 0.0
+    bound = full_report(p, theta, classify_zeros(p)).bounds["upper_zero_free"]
     assert bound == bound_zero_free(p.endpoints, p.degree) == pytest.approx(1 / 3)
-    assert rotation_speed(p, pt) == pytest.approx(-1.0)
+    assert rotation_speed(p, circle_point(theta)) == pytest.approx(-1.0)
 
 
 def test_upper_bound_equality_for_circle_zeros():
     p = fifth_roots_of_unity()
-    pt = UnitCirclePoint(math.pi / 5)
-    bound = full_report(p, pt, classify_zeros(p)).bounds["upper_zero_free"]
+    theta = math.pi / 5
+    bound = full_report(p, theta, classify_zeros(p)).bounds["upper_zero_free"]
     assert bound == pytest.approx(2.5)
-    assert rotation_speed(p, pt) == pytest.approx(2.5, abs=1e-9)
+    assert rotation_speed(p, circle_point(theta)) == pytest.approx(2.5, abs=1e-9)
 
 
 def test_upper_bound_rejects_interior_zeros():
     p = Polynomial([-0.5, 1])
-    rep = full_report(p, UnitCirclePoint(0.0), classify_zeros(p))
+    rep = full_report(p, 0.0, classify_zeros(p))
     assert rep.flags["upper_zero_free"] == "na"
     assert rep.bounds["upper_zero_free"] is None and rep.margins["upper_zero_free"] is None
 
@@ -164,15 +162,15 @@ def test_upper_bound_respects_oracle(rng):
     from polyrot import arg_derivative_fd
 
     p = from_roots(RootForm(1.0, (2.0, 3.0)))
-    pt = UnitCirclePoint(math.pi)
-    speed = rotation_speed(p, pt)
+    theta = math.pi
+    speed = rotation_speed(p, circle_point(theta))
     assert abs(speed - arg_derivative_fd(p, math.pi)) <= 1e-6
-    assert speed <= full_report(p, pt, classify_zeros(p)).bounds["upper_zero_free"] + 1e-9
+    assert speed <= full_report(p, theta, classify_zeros(p)).bounds["upper_zero_free"] + 1e-9
 
 
 def test_full_report_reference_point():
     p = Polynomial([-0.5, 1])
-    rep = full_report(p, UnitCirclePoint(0.0), classify_zeros(p))
+    rep = full_report(p, 0.0, classify_zeros(p))
     assert rep.lam == pytest.approx(3.0)
     assert rep.bounds["classic"] == 0.0
     assert rep.bounds["coeff"] == pytest.approx(1 / 3)
@@ -189,7 +187,7 @@ def test_full_report_reference_point():
 
 def test_full_report_gates_lower_bounds_off_outside():
     p = from_roots(RootForm(1.0, (1.5, 0.3)))
-    rep = full_report(p, UnitCirclePoint(0.4), classify_zeros(p))
+    rep = full_report(p, 0.4, classify_zeros(p))
     for key in ("classic", "coeff", "sqrt_weak", "value_thm1", "coeff2_thm2"):
         assert rep.flags[key] == "na" and rep.margins[key] is None
     assert rep.status == "pass"
@@ -201,9 +199,9 @@ def test_full_report_random_disk_sweep(rng):
         roots = [math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(n)]
         p = from_roots(RootForm(1.0, roots))
         theta = float(rng.uniform(0, 2 * math.pi))
-        if abs(p(UnitCirclePoint(theta).z)) <= 1e-3 * p.coeff_scale:
+        if abs(p(circle_point(theta))) <= 1e-3 * p.coeff_scale:
             continue
-        rep = full_report(p, UnitCirclePoint(theta), classify_zeros(p))
+        rep = full_report(p, theta, classify_zeros(p))
         for key in ("classic", "coeff", "sqrt_weak", "value_thm1", "coeff2_thm2"):
             assert rep.flags[key] == "pass", (key, rep)
 
@@ -211,13 +209,13 @@ def test_full_report_random_disk_sweep(rng):
 def test_full_report_with_arc():
     p = from_roots(RootForm(1.0, (0j, -1.0)))
     cls = classify_zeros(p)
-    rep = full_report(p, UnitCirclePoint(0.0), cls, arc=(math.pi / 2, None))
+    rep = full_report(p, 0.0, cls, arc=(math.pi / 2, None))
     assert rep.bounds["arc_thm3"] == pytest.approx(1.0, abs=1e-3)
     assert rep.flags["arc_thm3"] == "pass"
     # the measured increment is about alpha = pi/2, so beta = 0.5 voids the arc hypothesis
-    na = full_report(p, UnitCirclePoint(0.0), cls, arc=(math.pi / 2, 0.5))
+    na = full_report(p, 0.0, cls, arc=(math.pi / 2, 0.5))
     assert (na.flags["arc_thm3"], na.bounds["arc_thm3"], na.margins["arc_thm3"]) == ("na", None, None)
-    assert na == full_report(p, UnitCirclePoint(0.0), cls)
+    assert na == full_report(p, 0.0, cls)
 
 
 def test_every_applicable_flag_passes_across_zones(rng):
@@ -234,7 +232,7 @@ def test_every_applicable_flag_passes_across_zones(rng):
         if theta is None:
             continue
         cls = classify_root_list(roots)
-        rep = full_report(p, UnitCirclePoint(theta), cls, arc=(alpha, None))
+        rep = full_report(p, theta, cls, arc=(alpha, None))
         for key, flag in rep.flags.items():
             assert flag in ("pass", "na"), (key, roots, theta, alpha, rep.margins[key])
             applicable[key] += flag == "pass"
@@ -246,17 +244,17 @@ def test_every_applicable_flag_passes_across_zones(rng):
 
 def test_report_keys_match_wire_schema():
     p = Polynomial([-0.5, 1])
-    rep = full_report(p, UnitCirclePoint(0.0), classify_zeros(p))
+    rep = full_report(p, 0.0, classify_zeros(p))
     assert tuple(rep.bounds) == tuple(rep.margins) == tuple(rep.flags) == BOUND_KEYS
 
 
 def test_scale_invariance(rng):
     p = from_roots(RootForm(1.0, (0.2, -0.5j, 0.7)))
-    pt = UnitCirclePoint(1.1)
-    base = full_report(p, pt, classify_zeros(p))
+    theta = 1.1
+    base = full_report(p, theta, classify_zeros(p))
     for c in (2.0, -3j, 0.7 * cmath.exp(1.9j)):
         q = Polynomial([c * ck for ck in p.coeffs])
-        scaled = full_report(q, pt, classify_zeros(q))
+        scaled = full_report(q, theta, classify_zeros(q))
         assert scaled.lam == pytest.approx(base.lam, rel=1e-12)
         for key in ("coeff", "sqrt_weak", "value_thm1", "coeff2_thm2"):
             assert scaled.bounds[key] == pytest.approx(base.bounds[key], rel=1e-12, abs=1e-13)
@@ -266,15 +264,15 @@ def test_rotation_covariance():
     p = from_roots(RootForm(1.0, (0.3, -0.4j)))
     theta0, phi = 0.9, 0.6
     w = cmath.exp(1j * theta0)
-    lhs = lambda_at(p, UnitCirclePoint(theta0 + phi))
-    rhs = lambda_at(Polynomial([ck * w**k for k, ck in enumerate(p.coeffs)]), UnitCirclePoint(phi))
+    lhs = lambda_at(p, theta0 + phi)
+    rhs = lambda_at(Polynomial([ck * w**k for k, ck in enumerate(p.coeffs)]), phi)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_zero_proximity_propagates():
     p = from_roots(RootForm(1.0, (1.0, 0.5)))
     with pytest.raises(ZeroProximity):
-        full_report(p, UnitCirclePoint(0.0), classify_zeros(p))
+        full_report(p, 0.0, classify_zeros(p))
 
 
 @given(
@@ -285,11 +283,10 @@ def test_lambda_dominates_coeff_chain(root_polar, theta):
     """The value-refined bound implies the coefficient bound through lambda."""
     roots = [math.sqrt(r2) * cmath.exp(1j * phi) for r2, phi in root_polar]
     p = from_roots(RootForm(1.0, roots))
-    pt = UnitCirclePoint(theta)
-    if abs(p(pt.z)) <= 1e-3 * p.coeff_scale:
+    if abs(p(circle_point(theta))) <= 1e-3 * p.coeff_scale:
         return
-    lam = lambda_at(p, pt)
-    rhs = bound_value(p, pt, lam)
+    lam = lambda_at(p, theta)
+    rhs = bound_value(p, circle_point(theta), lam)
     tol = 1e-9 * max(1.0, abs(lam))
     assert lam >= rhs - tol
     # reverse triangle step of the derivation

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from polyrot import BoundReport, RootForm, UnitCirclePoint, bound_arc
+from polyrot import BoundReport, RootForm, bound_arc
 from polyrot.cli import main
 from polyrot.report import format_float
 from polyrot.roots import classify_root_list
@@ -375,7 +375,7 @@ def test_root_form_arc_bound_reads_the_given_zeros(capsys, monkeypatch):
     assert code == 0, err
     cls = classify_root_list(rf.roots)
     for row in json.loads(out)["rows"]:
-        assert row["bounds"]["arc_thm3"] == bound_arc(UnitCirclePoint(row["theta"]), 0.4, None, cls)
+        assert row["bounds"]["arc_thm3"] == bound_arc(row["theta"], 0.4, None, cls)
 
 
 def test_witness_arc_solves_no_roots(capsys, monkeypatch):

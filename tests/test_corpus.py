@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from polyrot import corpus
-from polyrot.poly import RootForm, UnitCirclePoint, from_roots
+from polyrot.poly import RootForm, circle_point, from_roots
 from polyrot.tolerances import SAMPLE_FLOOR_REL, SAMPLE_TRIES
 
 # The draw loops as written with one scalar `uniform` call per number: the reference the bulk draws keep.
@@ -47,7 +47,7 @@ def reference_valid_theta(rng, p):
     floor = SAMPLE_FLOOR_REL * p.coeff_scale
     for _ in range(SAMPLE_TRIES):
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        if abs(p(UnitCirclePoint(theta).z)) > floor:
+        if abs(p(circle_point(theta))) > floor:
             return theta
     return None
 

@@ -21,10 +21,10 @@ from polyrot import (
     Polynomial,
     RationalFunction,
     RootForm,
-    UnitCirclePoint,
     ZeroProximity,
     check_rotation_bounds,
     circle_grid,
+    circle_point,
     classify_numerator,
     from_roots,
     full_report,
@@ -92,13 +92,13 @@ def assert_grid_matches_scalar(p, cls, thetas, arc=None, slack=1e-9):
     skipped = 0
     for k, theta in enumerate(thetas):
         try:
-            guard_zero(p(UnitCirclePoint(theta).z), p.coeff_scale)
+            guard_zero(p(circle_point(theta)), p.coeff_scale)
             refused = False
         except ZeroProximity:
             refused = True
         assert bool(grid.skipped[k]) == refused, theta
         try:
-            rep = full_report(p, UnitCirclePoint(theta), arc=arc, slack=slack, classification=cls)
+            rep = full_report(p, theta, arc=arc, slack=slack, classification=cls)
         except ZeroProximity:
             assert refused and json_rows[k] is None and csv_rows[k] is None
             skipped += 1
@@ -204,7 +204,7 @@ def rational_mismatches(r, thetas, tol=1e-9):
     out = []
     for k, theta in enumerate(thetas):
         try:
-            rep = check_rotation_bounds(r, UnitCirclePoint(theta), cls, tol)
+            rep = check_rotation_bounds(r, theta, cls, tol)
         except ZeroProximity:
             if not grid.skipped[k] or json_rows[k] is not None or csv_rows[k] is not None or fails[k]:
                 out.append((theta, "skipped"))

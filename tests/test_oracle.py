@@ -10,11 +10,11 @@ from polyrot import (
     HypothesisViolated,
     Polynomial,
     RootForm,
-    UnitCirclePoint,
     ZeroProximity,
     arc_increment,
     arg_derivative_fd,
     bound_arc,
+    circle_point,
     classify_zeros,
     from_roots,
     rotation_speed,
@@ -26,9 +26,9 @@ from polyrot.poly import circle_grid
 from polyrot.tolerances import ARC_EDGE_SLACK, ARC_INCREMENT_SLACK, CHECK_SLACK
 
 
-def lambda_at(p, pt):
-    """Excess rotation 2 (arg P)'_theta - n at pt, from the coefficients."""
-    return 2.0 * rotation_speed(p, pt) - p.degree
+def lambda_at(p, theta):
+    """Excess rotation 2 (arg P)'_theta - n at theta, from the coefficients."""
+    return 2.0 * rotation_speed(p, circle_point(theta)) - p.degree
 
 
 # Rounding bound of the closed-form increment: a few ulps per zero term, summed exactly.
@@ -56,7 +56,7 @@ def test_fd_guards():
 def test_fd_second_order_convergence():
     p = from_roots(RootForm(1.0, (0.5, -0.3j, 0.2 + 0.4j)))
     theta = 0.7
-    exact = rotation_speed(p, UnitCirclePoint(theta))
+    exact = rotation_speed(p, circle_point(theta))
     errors = [abs(arg_derivative_fd(p, theta, h) - exact) for h in (1e-3, 1e-4)]
     order = math.log10(errors[0] / errors[1])
     assert 1.7 <= order <= 2.3
@@ -88,13 +88,13 @@ def test_arc_increment_of_monomial():
 def test_arc_increment_first_order_taylor():
     p = from_roots(RootForm(1.0, (0.4, -0.5j, -0.6)))
     theta0 = 0.4
-    lam = lambda_at(p, UnitCirclePoint(theta0))
+    lam = lambda_at(p, theta0)
     alpha = 1e-2
     inc = arc_increment(theta0, alpha, classify_zeros(p))
     # curvature oracle: finite difference of lambda along the circle
     dlam = (
-        lambda_at(p, UnitCirclePoint(theta0 + 1e-4))
-        - lambda_at(p, UnitCirclePoint(theta0 - 1e-4))
+        lambda_at(p, theta0 + 1e-4)
+        - lambda_at(p, theta0 - 1e-4)
     ) / 2e-4
     assert abs(inc - lam * alpha) <= (abs(dlam) + 1.0) * alpha**2
 
@@ -120,7 +120,7 @@ def test_arc_zero_next_to_the_arc_measures_past_pi():
     cls = classify_zeros(p)
     assert arc_increment(0.0, 0.5, cls) >= math.pi
     with pytest.raises(HypothesisViolated):
-        bound_arc(UnitCirclePoint(0.0), 0.5, None, cls)
+        bound_arc(0.0, 0.5, None, cls)
     assert grid_report(p, [0.0], (0.5, None), CHECK_SLACK, cls).flags["arc_thm3"] == "na"
 
 

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from polyrot import (
     Polynomial,
     RootForm,
-    UnitCirclePoint,
     ZeroProximity,
+    circle_point,
     find_roots,
     from_roots,
     rotation_speed,
@@ -51,23 +51,23 @@ def test_rotation_speed_monomial_is_degree():
     for n in (1, 3, 7):
         p = Polynomial([0] * n + [1])
         for theta in (0.0, 0.4, 2.0, 5.5):
-            assert rotation_speed(p, UnitCirclePoint(theta)) == pytest.approx(n, abs=1e-12)
+            assert rotation_speed(p, circle_point(theta)) == pytest.approx(n, abs=1e-12)
 
 
 def test_rotation_speed_hand_values():
-    assert rotation_speed(Polynomial([-0.5, 1]), UnitCirclePoint(0.0)) == pytest.approx(2.0)
-    assert rotation_speed(Polynomial([-0.25, 0, 1]), UnitCirclePoint(math.pi / 2)) == pytest.approx(1.6)
+    assert rotation_speed(Polynomial([-0.5, 1]), circle_point(0.0)) == pytest.approx(2.0)
+    assert rotation_speed(Polynomial([-0.25, 0, 1]), circle_point(math.pi / 2)) == pytest.approx(1.6)
 
 
 def test_rotation_speed_refuses_zero_proximity():
     p = Polynomial([-1, 1])  # zero at z = 1
     with pytest.raises(ZeroProximity):
-        rotation_speed(p, UnitCirclePoint(0.0))
+        rotation_speed(p, circle_point(0.0))
 
 
 def test_unit_circle_point_modulus():
     for theta in (0.0, 1.0, 3.9, -2.5):
-        assert abs(UnitCirclePoint(theta).z) == pytest.approx(1.0, abs=5e-16)
+        assert abs(circle_point(theta)) == pytest.approx(1.0, abs=5e-16)
 
 
 def test_polynomial_invariants():
@@ -119,10 +119,9 @@ def test_root_form_round_trip_well_separated(rng):
 def test_rotation_speed_at_least_half_degree_for_disk_zeros(root_polar, theta):
     roots = [math.sqrt(r2) * cmath.exp(1j * phi) for r2, phi in root_polar]
     p = from_roots(RootForm(1.0, roots))
-    pt = UnitCirclePoint(theta)
-    if abs(p(pt.z)) <= 1e-3 * p.coeff_scale:
+    if abs(p(circle_point(theta))) <= 1e-3 * p.coeff_scale:
         return
-    assert rotation_speed(p, pt) >= 0.5 * p.degree - 1e-9
+    assert rotation_speed(p, circle_point(theta)) >= 0.5 * p.degree - 1e-9
 
 
 def test_serialization_round_trip():

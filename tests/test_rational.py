@@ -7,10 +7,10 @@ import pytest
 from polyrot import (
     Polynomial,
     RationalFunction,
-    UnitCirclePoint,
     ZeroProximity,
     arg_derivative,
     check_rotation_bounds,
+    circle_point,
     classify_numerator,
     from_roots,
     pole_speed,
@@ -20,9 +20,9 @@ from polyrot import (
 from polyrot.poly import RootForm
 
 
-def lambda_at(p, pt):
-    """Excess rotation 2 (arg P)'_theta - n at pt, from the coefficients."""
-    return 2.0 * rotation_speed(p, pt) - p.degree
+def lambda_at(p, theta):
+    """Excess rotation 2 (arg P)'_theta - n at theta, from the coefficients."""
+    return 2.0 * rotation_speed(p, circle_point(theta)) - p.degree
 
 
 def fd_arg_derivative(func, theta, h=1e-6):
@@ -47,9 +47,9 @@ def test_pole_product_boundary_modulus_and_positivity(rng):
             assert speed > 0.0
 
 
-def value_at(r, pt):
-    """(arg R)'_theta at pt, the value `check_rotation_bounds` reports."""
-    return check_rotation_bounds(r, pt, classify_numerator(r)).value
+def value_at(r, theta):
+    """(arg R)'_theta at theta, the value `check_rotation_bounds` reports."""
+    return check_rotation_bounds(r, theta, classify_numerator(r)).value
 
 
 @pytest.mark.parametrize(
@@ -74,12 +74,12 @@ def test_pole_speed_matches_mpmath(rng, pole):
 
 def test_arg_derivative_of_pole_product_form():
     r = RationalFunction([1, -2], [2.0])
-    assert value_at(r, UnitCirclePoint(0.0)) == pytest.approx(3.0)
+    assert value_at(r, 0.0) == pytest.approx(3.0)
 
 
 def test_arg_derivative_constant_numerator():
     r = RationalFunction([2.5])
-    assert value_at(r, UnitCirclePoint(0.3)) == 0.0
+    assert value_at(r, 0.3) == 0.0
 
 
 def test_arg_derivative_matches_fd(rng):
@@ -93,20 +93,20 @@ def test_arg_derivative_matches_fd(rng):
         if abs(num(cmath.exp(1j * theta))) <= 1e-3 * num.coeff_scale:
             continue
         oracle = fd_arg_derivative(lambda z: num(z) / math.prod(z - a for a in poles), theta)
-        assert value_at(r, UnitCirclePoint(theta)) == pytest.approx(oracle, abs=1e-6)
+        assert value_at(r, theta) == pytest.approx(oracle, abs=1e-6)
 
 
 def test_arg_derivative_is_numerator_speed_minus_pole_terms(rng):
     for _ in range(20):
         num = Polynomial(tuple(complex(re, im) for re, im in rng.normal(size=(int(rng.integers(2, 9)), 2))))
         poles = [rng.uniform(1.1, 3.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(int(rng.integers(0, 4)))]
-        pt = UnitCirclePoint(float(rng.uniform(0, 2 * math.pi)))
-        z = pt.z
+        theta = float(rng.uniform(0, 2 * math.pi))
+        z = circle_point(theta)
         r = RationalFunction(num.coeffs, poles)
-        value = value_at(r, pt)
-        assert value == arg_derivative(r, rotation_speed(num, pt), pole_speed(poles, z))
+        value = value_at(r, theta)
+        assert value == arg_derivative(r, rotation_speed(num, z), pole_speed(poles, z))
         # each pole's Re(z / (z - a)) is half of 1 minus its Poisson term, up to rounding
-        expected = rotation_speed(num, pt)
+        expected = rotation_speed(num, z)
         for a in poles:
             expected -= (z / (z - a)).real
         assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
@@ -115,7 +115,7 @@ def test_arg_derivative_is_numerator_speed_minus_pole_terms(rng):
 def test_zero_proximity_guard():
     r = RationalFunction([-1, 1], [2.0])  # numerator zero at z = 1
     with pytest.raises(ZeroProximity):
-        check_rotation_bounds(r, UnitCirclePoint(0.0), classify_numerator(r))
+        check_rotation_bounds(r, 0.0, classify_numerator(r))
 
 
 def test_pole_product_itself_gives_half_its_speed_as_margin():
@@ -130,17 +130,17 @@ def test_pole_product_itself_gives_half_its_speed_as_margin():
     r = RationalFunction(num, poles)
     cls = classify_numerator(r)
     for theta in (0.3, 1.0, 2.5):
-        rep = check_rotation_bounds(r, UnitCirclePoint(theta), cls)
+        rep = check_rotation_bounds(r, theta, cls)
         assert rep.lower_applicable and not rep.upper_applicable
         assert rep.lower_margin == pytest.approx(
-            0.5 * pole_speed(poles, UnitCirclePoint(theta).z), rel=1e-9
+            0.5 * pole_speed(poles, circle_point(theta)), rel=1e-9
         )
         assert rep.lower_margin > 0.0
 
 
 def test_hand_checked_interior_case():
     r = RationalFunction([-0.5, 1], [2.0])
-    rep = check_rotation_bounds(r, UnitCirclePoint(math.pi), classify_numerator(r))
+    rep = check_rotation_bounds(r, math.pi, classify_numerator(r))
     assert rep.value == pytest.approx(1 / 3)
     assert rep.reference == pytest.approx(1 / 6)
     assert rep.lower_applicable
@@ -155,7 +155,7 @@ def test_equality_family(rng):
         cls, checked = classify_numerator(r), 0
         for theta in rng.uniform(0, 2 * math.pi, size=40):
             try:
-                rep = check_rotation_bounds(r, UnitCirclePoint(float(theta)), cls)
+                rep = check_rotation_bounds(r, float(theta), cls)
             except ZeroProximity:
                 continue
             checked += 1
@@ -168,10 +168,10 @@ def test_equality_family(rng):
 def test_pole_free_reduction_matches_polynomial_bound():
     p = from_roots(RootForm(1.0, (0.4, -0.3j)))
     r = RationalFunction(p.coeffs, [])
-    pt = UnitCirclePoint(0.8)
-    rep = check_rotation_bounds(r, pt, classify_numerator(r))
+    theta = 0.8
+    rep = check_rotation_bounds(r, theta, classify_numerator(r))
     assert rep.reference == pytest.approx(p.degree / 2)
-    assert rep.lower_margin == pytest.approx(0.5 * lambda_at(p, pt), rel=1e-12)
+    assert rep.lower_margin == pytest.approx(0.5 * lambda_at(p, theta), rel=1e-12)
 
 
 def test_outside_zone_upper_bound(rng):
@@ -184,7 +184,7 @@ def test_outside_zone_upper_bound(rng):
         num = Polynomial(r.numerator)
         if abs(num(cmath.exp(1j * theta))) <= 1e-3 * num.coeff_scale:
             continue
-        rep = check_rotation_bounds(r, UnitCirclePoint(theta), classify_numerator(r))
+        rep = check_rotation_bounds(r, theta, classify_numerator(r))
         assert rep.upper_applicable
         assert not rep.lower_applicable
         assert rep.upper_margin >= -1e-9
@@ -216,13 +216,13 @@ def test_margins_are_half_the_numerator_excess_rotation(rng):
         roots = [rng.uniform(*radius) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(m)]
         poles = [rng.uniform(1.1, 4.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(int(rng.integers(0, 5)))]
         num = from_roots(RootForm(complex(rng.normal(), rng.normal()), roots))
-        pt = UnitCirclePoint(float(rng.uniform(0, 2 * math.pi)))
+        theta = float(rng.uniform(0, 2 * math.pi))
         r = RationalFunction(num.coeffs, poles)
         try:
-            rep = check_rotation_bounds(r, pt, classify_numerator(r))
+            rep = check_rotation_bounds(r, theta, classify_numerator(r))
         except ZeroProximity:
             continue
-        half_lambda = 0.5 * lambda_at(num, pt)
+        half_lambda = 0.5 * lambda_at(num, theta)
         if rep.lower_margin is not None:
             lower += 1
             assert rep.lower_margin == half_lambda

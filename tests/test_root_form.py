@@ -268,3 +268,21 @@ def test_unimodular_witness_at_the_largest_degree_checks_every_angle(capsys, mon
     code, out, _ = _scan(capsys, monkeypatch, ["witness"], {"kind": "unimodular", "n": MAX_DEGREE})
     report = json.loads(out)
     assert code == 0 and report["points_checked"] == 128 and report["max_abs_lambda"] < 1e-9
+
+
+def test_zero_past_1e154_keeps_the_phase_of_p(capsys, monkeypatch):
+    # |z - a|^2 overflows for |a| past about 1.3e154, and the unit factor (z - a)/|z - a| read 0 there: P(z) lost
+    # its phase and value_thm1 printed empty.  |z - a| by hypot keeps it
+    doc = {"leading": [1, 0], "roots": [[0.5, 0], [1e160, 0]]}
+    code, out, err = _scan(capsys, monkeypatch, ["scan", "--roots", "--theta", "1"], doc)
+    assert (code, err) == (0, "")
+    row = dict(zip(*(line.split(",") for line in out.splitlines())))
+    with mp.workdps(50):
+        z, zeros = mp.mpc(circle_point(1.0)), [mp.mpf(0.5), mp.mpf(1e160)]
+        lam = 2 * mp.fsum((z / (z - a)).real for a in zeros) - 2
+        val = mp.fprod(z - a for a in zeros)
+        c0 = mp.fprod(-a for a in zeros)
+        ref = abs((lam + 1) * mp.conj(c0) * val / (z**2 * mp.conj(val)) - 1)
+        # |c0/cn| = e^L, L = sum log|a| = 368, inherits L's rounding: a relative error up to about L u
+        assert abs(float(row["value_thm1"]) - ref) <= (mp.log(ref) + 8) * U * ref
+        assert abs(float(row["lambda"]) - lam) <= 8 * U
