@@ -15,7 +15,6 @@ from .bounds import (
     bound_sqrt_weak,
     bound_value,
     bound_zero_free,
-    full_report,
 )
 from .errors import (
     ArcContainsRoot,
@@ -25,7 +24,7 @@ from .errors import (
     PolyrotError,
     ZeroProximity,
 )
-from .oracle import arc_increment, arg_derivative_fd
+from .oracle import arc_increment
 from .poly import (
     Polynomial,
     RootForm,
@@ -38,7 +37,6 @@ from .rational import (
     RationalBoundReport,
     RationalFunction,
     arg_derivative,
-    check_rotation_bounds,
     classify_numerator,
     pole_speed,
 )

@@ -56,6 +56,14 @@ def bound_value(p: Polynomial, z: complex, lam: float) -> float:
     return abs((lam + 1.0) * w - 1.0)
 
 
+def value_refined(c0_conj, lead_zn, vr, vi, lam):
+    """`bound_value` on arrays, in its operations and order: P(z) = vr + i vi, lead_zn = cn z^n a Python product
+    per point, c0_conj = conj(c0) one value or one per point.  No guard: the caller skips where P(z) vanishes."""
+    wr, wi = c_quot(*c_mul(c0_conj.real, c0_conj.imag, vr, vi), *c_mul(lead_zn.real, lead_zn.imag, vr, -vi))
+    # A real factor scales both parts: for finite w that is CPython's (lam + 1, 0) * w but for the sign of a zero.
+    return np.hypot((lam + 1.0) * wr - 1.0, (lam + 1.0) * wi)
+
+
 def bound_coeff2(ends: tuple[complex, ...]) -> float:
     """Second coefficient lower bound 2(|c0|-|cn|)^2 / (|cn|^2 - |c0|^2 + |conj(cn) c1 - c0 conj(c_{n-1})|).
 
@@ -112,7 +120,7 @@ def bound_zero_free(ends: tuple[complex, ...], degree: int) -> float:
     return 0.5 * degree + 0.5 * bound_coeff(ends)
 
 
-def _lower_bounds(ends: tuple[complex, ...], value_thm1):
+def lower_bounds(ends: tuple[complex, ...], value_thm1):
     """(key, value) of each lower bound, in BOUND_KEYS order; value_thm1 is the one that varies with theta."""
     return (("classic", 0.0), ("coeff", bound_coeff(ends)), ("sqrt_weak", bound_sqrt_weak(ends)),
             ("value_thm1", value_thm1), ("coeff2_thm2", bound_coeff2(ends)))
@@ -203,7 +211,7 @@ def full_report(
         flags[key] = "na" if margin is None else "pass" if margin >= -tol else "fail"
 
     lower_ok = not classification.outside
-    for key, value in _lower_bounds(p.endpoints, bound_value(p, z, lam)):
+    for key, value in lower_bounds(p.endpoints, bound_value(p, z, lam)):
         record(key, value, lam - value if lower_ok and math.isfinite(value) else None)
 
     if arc is not None:
@@ -256,14 +264,11 @@ def grid_report(poly: Polynomial | RootForm, thetas: list[float], arc: tuple[flo
             elif np.ndim(applies) and applies.any():
                 margins[key], flags[key] = np.where(applies, margin, math.nan), np.where(applies, flag, "na")
 
-        # bound_value's operations in its order; z**n is a Python scalar per angle
-        c0, lead_zn = ends[0].conjugate(), np.array([ends[-1] * w**n for w in z.tolist()])
-        wr, wi = c_quot(*c_mul(c0.real, c0.imag, vr, vi), *c_mul(lead_zn.real, lead_zn.imag, vr, -vi))
-        # A real factor scales both parts: for finite w that is CPython's (lam + 1, 0) * w but for the sign of a zero.
-        value_thm1 = np.hypot((lam + 1.0) * wr - 1.0, (lam + 1.0) * wi)
+        lead_zn = np.array([ends[-1] * w**n for w in z.tolist()])
+        value_thm1 = value_refined(ends[0].conjugate(), lead_zn, vr, vi, lam)
 
         lower_ok = not classification.outside
-        for key, value in _lower_bounds(ends, value_thm1):
+        for key, value in lower_bounds(ends, value_thm1):
             record(key, value, lam - value, lower_ok & np.isfinite(value))
         if arc_value is not None:
             record("arc_thm3", arc_value, arc_value - lam, ~np.isnan(arc_value))

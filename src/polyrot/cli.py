@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -16,13 +17,13 @@ import numpy as np
 
 from . import corpus
 from .blaschke import check_mercer_remark
-from .bounds import full_report, grid_report
+from .bounds import bound_zero_free, grid_report, lower_bounds, value_refined
 from .errors import PolyrotError
-from .oracle import arg_derivative_fd
-from .poly import Polynomial, RootForm, circle_grid, snap_band
-from .rational import RationalFunction, check_rotation_bounds, classify_numerator, rational_grid
+from .oracle import arg_derivative_fd_batch
+from .poly import Polynomial, RootBatch, RootForm, circle_grid, root_batch, snap_band
+from .rational import RationalFunction, classify_numerator, pole_speed, rational_grid
 from .report import BOUND_KEYS, csv_cell, dump_json
-from .roots import classify_root_list, classify_zeros
+from .roots import classify_root_list, classify_sides, classify_zeros
 from .tolerances import CHECK_SLACK, MAX_DEGREE, ORACLE_AGREEMENT_TOL
 from .witness import WitnessSpec, witness_report
 
@@ -110,13 +111,15 @@ class _FuzzTally:
     def __init__(self):
         self.stats: dict = {}
 
-    def record(self, name: str, margin: float | None, violated: bool):
-        """One case of check name; a None margin (non-finite bound) leaves the minimum as it is."""
+    def record(self, name: str, margins: np.ndarray, violated: np.ndarray):
+        """Cases of check name, one entry each; a nan margin (a non-finite bound: the scalar path's None) counts
+        its case but leaves the minimum as it is.  No cases leave the check out of the report."""
+        if not len(margins):
+            return
         s = self.stats.setdefault(name, {"cases": 0, "min_margin": math.inf, "violations": 0})
-        s["cases"] += 1
-        if margin is not None:
-            s["min_margin"] = min(s["min_margin"], margin)
-        s["violations"] += violated
+        s["cases"] += len(margins)
+        s["min_margin"] = min(s["min_margin"], float(np.fmin.reduce(margins, initial=math.inf)))
+        s["violations"] += int(np.count_nonzero(violated))
 
     def as_dict(self) -> dict:
         return {k: dict(v) for k, v in sorted(self.stats.items())}
@@ -126,66 +129,102 @@ class _FuzzTally:
         return sum(v["violations"] for v in self.stats.values())
 
 
-# full_report keys of the lower bounds and the names fuzz tallies them under.
+# Cases drawn before they are evaluated together: enough to amortize the array passes, few enough that a large
+# --count never holds every case at once (at MAX_DEGREE each array of a chunk's batch is 4096 x 128 doubles, 4 MB).
+_FUZZ_CHUNK = 64
+
+# `lower_bounds` keys and the names fuzz tallies them under.
 _FUZZ_LOWER = {"classic": "lambda_nonneg", "coeff": "coeff", "sqrt_weak": "sqrt_weak", "value_thm1": "value",
                "coeff2_thm2": "coeff2"}
 
 
-def _fuzz_polynomial_case(tally, rng, degree, zone):
-    rf, p = corpus.random_polynomial(rng, degree, zone)
-    theta = corpus.valid_theta(rng, p)
-    if theta is None:
-        return
-    # The constructed zeros decide applicability: no root solve per case.
-    cls = classify_root_list(rf.roots)
-    rep = full_report(p, theta, cls)
-    oracle_margin = ORACLE_AGREEMENT_TOL - abs(rep.speed - arg_derivative_fd(p, theta))
-    tally.record("oracle_agreement", oracle_margin, oracle_margin < 0.0)
-
-    if zone in ("in_disk", "on_circle"):
-        for key, name in _FUZZ_LOWER.items():
-            tally.record(name, rep.margins[key], rep.flags[key] == "fail")
-        margin, passed = check_mercer_remark(p.endpoints, cls)
-        tally.record("mercer_remark", margin, not passed)
-    if zone == "on_circle":
-        tally.record("lambda_zero", -abs(rep.lam), abs(rep.lam) > CHECK_SLACK)
-    if zone == "outside":
-        key = "upper_zero_free"
-        tally.record(key, rep.margins[key], rep.flags[key] == "fail")
+def _gated(margin, applies, neg_tol):
+    """(margins, violated) of a check, `full_report`'s verdict: nan and no violation where it does not apply."""
+    return np.where(applies, margin, math.nan), applies & ~(margin >= neg_tol)
 
 
-def _fuzz_rational_case(tally, rng, degree, zone):
-    n_poles = int(rng.integers(1, 5))
-    rf, p, r = corpus.random_rational(rng, degree, n_poles, zone)
-    theta = corpus.valid_theta(rng, p)
-    if theta is None:
-        return
-    rep = check_rotation_bounds(r, theta, classify_root_list(rf.roots))
-    for name, margin, passed in (("rational_lower", rep.lower_margin, rep.lower_pass),
-                                 ("rational_upper", rep.upper_margin, rep.upper_pass)):
-        if margin is not None:
-            tally.record(name, margin, not passed)
+def _fuzz_checks(polynomials: list, rationals: list, zone: str) -> dict:
+    """Each check's (margins, violated) over one chunk's cases, in the zone's set of checks (see `cmd_fuzz`).
+
+    Every case, polynomial and rational, is one form of one `root_batch` call; the oracle runs on the polynomial
+    forms.  Each theta-free bound is its scalar function, called once per case on the expansion's endpoints.
+    """
+    cases, k = polynomials + rationals, len(polynomials)
+    if not cases:
+        return {}
+    batch, thetas = RootBatch.snapped([c.form for c in cases]), [c.theta for c in cases]
+    z, vr, vi, speed, skipped = root_batch(batch, thetas)
+    if skipped.any():  # an angle the zero guard refuses drops its case, as a case without an angle is dropped
+        keep = (~skipped).tolist()
+        return _fuzz_checks([c for c, ok in zip(cases[:k], keep[:k]) if ok],
+                            [c for c, ok in zip(cases[k:], keep[k:]) if ok], zone)
+    degree, lower_ok, upper_ok = batch.degree, batch.count(1) == 0, batch.count(-1) == 0
+    checks = {}
+    if polynomials:
+        lam, ends = 2.0 * speed[:k] - degree[:k], [c.expansion.endpoints for c in polynomials]
+        neg_tol = -(CHECK_SLACK * np.fmax(1.0, np.abs(lam)))  # full_report's slack
+        oracle = ORACLE_AGREEMENT_TOL - np.abs(speed[:k] - arg_derivative_fd_batch(batch[:k], thetas[:k]))
+        checks["oracle_agreement"] = oracle, oracle < 0.0
+        if zone in ("in_disk", "on_circle"):
+            lead_zn = np.array([e[-1] * w**n for e, w, n in zip(ends, z[:k].tolist(), degree.tolist())])
+            value = value_refined(np.array([e[0].conjugate() for e in ends]), lead_zn, vr[:k], vi[:k], lam)
+            rows = [lower_bounds(e, v) for e, v in zip(ends, value.tolist())]
+            bounds = np.array([[b for _, b in row] for row in rows]).T  # one row per bound
+            margins, violated = _gated(lam - bounds, lower_ok[:k] & np.isfinite(bounds), neg_tol)
+            checks.update((_FUZZ_LOWER[key], pair) for (key, _), pair in zip(rows[0], zip(margins, violated)))
+            sides = batch.sides[:, :k].T.tolist()  # each form's, padded: classify_sides reads one per zero
+            classes = [classify_sides(c.form.roots, s) for c, s in zip(polynomials, sides)]
+            mercer = [check_mercer_remark(e, cls) for e, cls in zip(ends, classes)]
+            checks["mercer_remark"] = np.array([m for m, _ in mercer]), np.array([not ok for _, ok in mercer])
+        if zone == "on_circle":
+            checks["lambda_zero"] = -np.abs(lam), np.abs(lam) > CHECK_SLACK
+        if zone == "outside":
+            bound = np.array([bound_zero_free(e, n) for e, n in zip(ends, degree.tolist())])
+            checks["upper_zero_free"] = _gated(bound - speed[:k], upper_ok[:k], neg_tol)
+    if rationals:
+        n, m = np.array([len(c.poles) for c in rationals]), degree[k:]
+        # every case's poles at once, padded with the pole -1, whose Poisson term (|a| - 1)(...) adds exactly 0
+        width = int(n.max())
+        poles = np.fromiter(itertools.chain.from_iterable(c.poles + (-1.0,) * (width - len(c.poles))
+                                                          for c in rationals), complex, len(rationals) * width)
+        s = pole_speed((poles.reshape(len(rationals), width),), z[k:, None]).sum(axis=1)
+        # `rational._comparison`'s value (`arg_derivative`), reference and verdict; the margins are +-lambda_P/2
+        value, reference, half_lambda = speed[k:] - 0.5 * n + 0.5 * s, 0.5 * ((m - n) + s), speed[k:] - 0.5 * m
+        tol = CHECK_SLACK * np.fmax(np.fmax(1.0, np.abs(value)), np.abs(reference))
+        for name, margin, applies in (("rational_lower", half_lambda, lower_ok[k:]),
+                                      ("rational_upper", -half_lambda, upper_ok[k:])):
+            checks[name] = margin[applies], ~(margin[applies] >= -tol[applies])
+    return checks
 
 
 def cmd_fuzz(args) -> int:
     """Tally randomized checks by zone; exit 2 when any case violates its inequality.
 
     Each case draws a polynomial of random degree from zeros placed in the
-    zone and one angle where |P| is clear of its zeros.  Every hypothesis is
-    read from the classification of those zeros, so fuzz solves for no
-    root.  It tallies:
+    zone and one angle where |P| is clear of its zeros (`corpus.fuzz_case`).
+    The cases are drawn _FUZZ_CHUNK at a time, and each chunk is evaluated
+    at once from the band-snapped zeros, as `scan --roots` reads them, on
+    (zeros x cases) arrays: `poly.root_batch` gives the speed, lambda and
+    the phase of P behind value_thm1, the batch's sides the zero
+    classification, and `oracle.arg_derivative_fd_batch` the
+    central-difference oracle.  The expansion of the zeros is built for the
+    angle draw: its floor is relative to max|c_k|, and moving it onto the
+    zeros would change which angles are drawn.  It also gives the four
+    endpoint coefficients that each theta-free bound reads, once per case.
+    fuzz solves for no root.  It tallies, with `full_report`'s gates:
 
     - every zone: oracle_agreement, the analytic speed against the
       central-difference oracle within ORACLE_AGREEMENT_TOL;
-    - in_disk and on_circle: the lower bounds of `full_report`
-      (lambda_nonneg, coeff, sqrt_weak, value, coeff2) and mercer_remark;
+    - in_disk and on_circle: the lower bounds (`bounds.lower_bounds`:
+      lambda_nonneg, coeff, sqrt_weak, value, coeff2) and mercer_remark;
     - on_circle: lambda_zero, |lambda| <= CHECK_SLACK;
     - outside: upper_zero_free.
 
     Except in the mixed zone, each case also draws a rational function with
-    1-4 poles and tallies rational_lower and rational_upper where they apply.
-    A case that cannot be built, because at high degree its expansion
-    overflows or outgrows its leading coefficient, is an input error (exit 1).
+    1-4 poles and tallies rational_lower and rational_upper where they apply,
+    from the numerator's zeros and the poles.  A case that cannot be built,
+    because at high degree its expansion overflows, is an input error
+    (exit 1).
     """
     for bad, message in (
         (args.degree_min < 1 or args.degree_max < args.degree_min, "invalid degree range"),
@@ -198,15 +237,19 @@ def cmd_fuzz(args) -> int:
             return 1
     rng = np.random.default_rng(args.seed)
     tally = _FuzzTally()
-    for _ in range(args.count):
-        degree = int(rng.integers(args.degree_min, args.degree_max + 1))
-        try:
-            _fuzz_polynomial_case(tally, rng, degree, args.zone)
-            if args.zone != "mixed":
-                _fuzz_rational_case(tally, rng, degree, args.zone)
-        except ValueError as exc:
-            print(f"error: cannot build a degree-{degree} case: {exc}", file=sys.stderr)
-            return 1
+    for start in range(0, args.count, _FUZZ_CHUNK):
+        cases = []
+        for _ in range(min(_FUZZ_CHUNK, args.count - start)):
+            degree = int(rng.integers(args.degree_min, args.degree_max + 1))
+            try:
+                cases.append(corpus.fuzz_case(rng, degree, args.zone))
+            except ValueError as exc:
+                print(f"error: cannot build a degree-{degree} case: {exc}", file=sys.stderr)
+                return 1
+        polynomials = [p for p, _ in cases if p.theta is not None]
+        rationals = [r for _, r in cases if r is not None and r.theta is not None]
+        for name, (margins, violated) in _fuzz_checks(polynomials, rationals, args.zone).items():
+            tally.record(name, margins, violated)
 
     summary = {
         "command": "fuzz",

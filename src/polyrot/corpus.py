@@ -14,12 +14,17 @@ per number, in this order:
   radius (none on the circle);
 - each pole: its radius, then its phase;
 - `valid_theta`: one angle per try, drawn only when it is tried.
+
+A fuzz case (`fuzz_case`) is a polynomial and its angle, then, but in zone
+`mixed`, the pole count (`integers`), the numerator and its poles, as
+`random_rational` draws them, and the numerator's angle.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,3 +92,28 @@ def valid_theta(rng: np.random.Generator, p: Polynomial) -> float | None:
         if abs(p(circle_point(theta))) > floor:
             return theta
     return None
+
+
+class Drawn(NamedTuple):
+    """One polynomial of a fuzz case as drawn: its zeros, its expansion, its angle (None if none) and its poles."""
+
+    form: RootForm
+    expansion: Polynomial
+    theta: float | None
+    poles: tuple[complex, ...] = ()
+
+
+def fuzz_case(rng: np.random.Generator, degree: int, zone: str) -> tuple[Drawn, Drawn | None]:
+    """The polynomial of one fuzz case and, but in zone `mixed`, its rational function over 1-4 random poles.
+
+    The expansion serves `valid_theta` and the endpoint coefficients.  The rational function is drawn as
+    `random_rational` draws it, numerator then poles, and is not built: its numerator is evaluated from its zeros.
+    """
+    rf, p = random_polynomial(rng, degree, zone)
+    polynomial = Drawn(rf, p, valid_theta(rng, p))
+    if zone == "mixed":
+        return polynomial, None
+    n_poles = int(rng.integers(1, 5))
+    rf, p = random_polynomial(rng, degree, zone)
+    poles = tuple(random_poles(rng, n_poles))
+    return polynomial, Drawn(rf, p, valid_theta(rng, p), poles)

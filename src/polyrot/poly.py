@@ -12,6 +12,7 @@ which is finite at every boundary point away from the zeros of P.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -296,3 +297,87 @@ def root_grid(rf: RootForm, thetas: list[float]):
     skipped = nearest < ZERO_PROXIMITY_REL
     vr, vi = np.where(skipped, 1.0, vr), np.where(skipped, 0.0, vi)
     return z, vr, vi, speed, skipped
+
+
+@dataclass(frozen=True)
+class RootBatch:
+    """Many root forms as (zeros x forms) float arrays: column k holds form k's zeros in order, padded past its degree.
+
+    `re` and `im` hold each zero, those of the on-circle band moved onto the circle as `snap_band` moves them, bit
+    for bit, and `sides` its `circle_side`.  `poisson` holds (1 - |a|)(1 + |a|)/2, half the numerator of the
+    zero's Poisson term (1 - |a|^2)/|z - a|^2, and exactly 0 in the band.  `live` marks the zeros that exist; a
+    padded slot holds 0 on side 0, with `poisson` 0.  Each array is contiguous; a zero's row is its index in its form.
+    """
+
+    leading: np.ndarray
+    degree: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    poisson: np.ndarray
+    sides: np.ndarray
+    live: np.ndarray
+
+    @staticmethod
+    def snapped(forms: Sequence[RootForm]) -> "RootBatch":
+        roots = [f.roots for f in forms]
+        degree = np.array(list(map(len, roots)), dtype=int)
+        live = np.arange(degree.max(initial=0))[:, None] < degree
+        zeros = np.fromiter(itertools.chain.from_iterable(roots), complex, int(degree.sum()))
+        re, im = np.zeros(live.shape), np.zeros(live.shape)
+        re.T[live.T] = zeros.real  # form by form, as the forms list them
+        im.T[live.T] = zeros.imag
+        mod = np.hypot(re, im)  # abs(complex); np.abs of a complex array is not hypot
+        dist = mod - 1.0
+        band = np.abs(dist) <= ON_CIRCLE_TOL  # never a padded slot, whose dist is -1
+        if band.any():
+            scale = np.where(band, mod, 1.0)
+            np.divide(re, scale, out=re)  # a / |a| part by part, as CPython divides a complex by a float
+            np.divide(im, scale, out=im)
+        on_side_0 = band | ~live
+        sides = np.where(on_side_0, 0, np.where(dist < 0.0, -1, 1))
+        poisson = np.where(on_side_0, 0.0, 0.5 * (1.0 - mod) * (1.0 + mod))
+        return RootBatch(np.array([f.leading for f in forms], dtype=complex), degree, re, im, poisson, sides, live)
+
+    def __getitem__(self, which) -> "RootBatch":
+        """The forms that which selects, a slice or an index array, as a batch."""
+        columns = (a[:, which] for a in (self.re, self.im, self.poisson, self.sides, self.live))
+        return RootBatch(self.leading[which], self.degree[which], *columns)
+
+    def count(self, side: int) -> np.ndarray:
+        """Per form: how many of its zeros lie inside the circle (side -1) or outside it (side 1)."""
+        return (self.sides == side).sum(axis=0)
+
+
+def _column_products(ur: np.ndarray, ui: np.ndarray):
+    """The product down each column of (ur + i ui), by halves, every product a `c_mul`: its real and imaginary parts."""
+    while len(ur) > 1:
+        if len(ur) % 2:  # one more factor 1
+            ur, ui = np.vstack((ur, np.ones(ur.shape[1]))), np.vstack((ui, np.zeros(ui.shape[1])))
+        half = len(ur) // 2
+        ur, ui = c_mul(ur[:half], ui[:half], ur[half:], ui[half:])
+    return ur[0], ui[0]
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def root_batch(batch: RootBatch, thetas: Sequence[float]):
+    """What `root_grid` returns, at one angle per form of batch: thetas[k] for form k, every result one per form.
+
+    Each zero adds `root_grid`'s term, on (zeros x forms) arrays: 1/2 + (1 - |a|^2)/(2 |z - a|^2) inside the disk
+    (the 1/2s added at once), (zr dr + zi di)/|z - a|^2 outside it, (dr, di) = z - a, and exactly 1/2 in the band;
+    each form's terms are summed, and a padded slot adds 0.  The guard and P(z) = cn prod (z - a)/|z - a| are
+    `root_grid`'s, the product taken by halves in split real arithmetic (`c_mul`).
+    """
+    z = np.fromiter(map(circle_point, thetas), complex, len(thetas))
+    zr, zi = z.real.copy(), z.imag.copy()
+    dr, di = zr - batch.re, zi - batch.im
+    d2 = dr * dr + di * di  # |z - a|^2
+    m = np.sqrt(d2)
+    if m.max(initial=0.0) == math.inf:  # |z - a|^2 overflows past |a| of about 1.3e154; hypot does not
+        m = np.where(np.isinf(d2), np.hypot(dr, di), m)
+    outside = batch.sides > 0
+    terms = np.where(outside, zr * dr + zi * di, batch.poisson) / d2
+    speed = 0.5 * (batch.degree - outside.sum(axis=0)) + terms.sum(axis=0)
+    skipped = m.min(axis=0, initial=math.inf) < ZERO_PROXIMITY_REL  # a padded slot, at 0, lies 1 from z
+    ur, ui = _column_products(np.where(batch.live, dr / m, 1.0), np.where(batch.live, di / m, 0.0))
+    vr, vi = c_mul(batch.leading.real, batch.leading.imag, ur, ui)
+    return z, np.where(skipped, 1.0, vr), np.where(skipped, 0.0, vi), speed, skipped

@@ -67,14 +67,16 @@ class RationalFunction:
 def pole_speed(poles: Sequence[complex], z):
     """(arg B)'_theta = S, the sum of the poles' Poisson terms (|a|^2 - 1)/|z - a|^2, at z on the circle.
 
-    z is one point or an array of them.  Each term is taken as ((|a| - 1)/|z - a|)((|a| + 1)/|z - a|), which
-    overflows for no finite pole.  |z - a| is C `hypot` both ways, through `abs` at a point and `np.hypot` on a
-    grid, so a point and a grid give the same bits.
+    z is one point or an array of them, and each pole one complex or an array that broadcasts against z (one pole
+    per point).  Each term is taken as ((|a| - 1)/|z - a|)((|a| + 1)/|z - a|), which overflows for no finite pole.
+    |z - a| is C `hypot` both ways, through `abs` at a point and `np.hypot` on a grid, so a point and a grid give
+    the same bits.
     """
     s = 0.0 * z.real  # 0.0 at a point, zeros on a grid
     for a in poles:
         d = abs(z - a) if isinstance(z, complex) else np.hypot(z.real - a.real, z.imag - a.imag)
-        s = s + ((abs(a) - 1.0) / d) * ((abs(a) + 1.0) / d)
+        mod = abs(a) if isinstance(a, complex) else np.hypot(a.real, a.imag)  # np.abs of complex arrays is not hypot
+        s = s + ((mod - 1.0) / d) * ((mod + 1.0) / d)
     return s
 
 

@@ -20,18 +20,15 @@ from polyrot import (
     WitnessSpec,
     ZeroProximity,
     arc_increment,
-    arg_derivative_fd,
     bound_coeff,
     bound_coeff2,
     bound_value,
     check_goryainov,
     check_mercer_remark,
-    check_rotation_bounds,
     circle_point,
     classify_numerator,
     classify_zeros,
     from_roots,
-    full_report,
     rotation_speed,
     witness_arc,
     witness_rational,
@@ -39,6 +36,9 @@ from polyrot import (
     witness_value,
 )
 from polyrot import corpus
+from polyrot.bounds import full_report
+from polyrot.oracle import arg_derivative_fd
+from polyrot.rational import check_rotation_bounds
 
 
 def lambda_at(p, theta):

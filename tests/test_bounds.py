@@ -18,10 +18,10 @@ from polyrot import (
     circle_point,
     classify_zeros,
     from_roots,
-    full_report,
     rotation_speed,
 )
 from polyrot import corpus
+from polyrot.bounds import full_report
 from polyrot.report import BOUND_KEYS
 from polyrot.roots import classify_root_list
 
@@ -159,7 +159,7 @@ def test_upper_bound_rejects_interior_zeros():
 
 
 def test_upper_bound_respects_oracle(rng):
-    from polyrot import arg_derivative_fd
+    from polyrot.oracle import arg_derivative_fd
 
     p = from_roots(RootForm(1.0, (2.0, 3.0)))
     theta = math.pi

@@ -1,0 +1,178 @@
+"""fuzz evaluates its cases together: the (zeros x cases) kernel against `root_grid` and 50-digit mpmath, and the
+verdicts and tallies it keeps.
+
+Each error bound is K u times a first-order sum, K = 8 as in tests/test_root_form.py, with t_k = z/(z - a_k):
+
+- the speed and the phase of P: u sum |t_k| (1 + |t_k|), the bound `root_grid` is held to;
+- lambda = 2 speed - n: twice that, plus n u for the subtraction;
+- value_thm1 = |(lambda + 1) w - 1|, |w| = |c0/cn|: lambda's bound times |w|, plus (n + 1) u of |(lambda + 1) w| + 1
+  for the n + 1 rounded factors of w (c0, the phase of each zero, z^n and the quotient);
+- the central difference: u (sum |t_k| (1 + |t_k|) + n), each zero's step being its Poisson term to first order.
+"""
+
+import json
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+
+from polyrot import corpus
+from polyrot.bounds import value_refined
+from polyrot.cli import _FuzzTally, main
+from polyrot.oracle import arg_derivative_fd_batch
+from polyrot.poly import RootBatch, circle_side, root_batch, root_grid, snap_band
+from polyrot.report import csv_cell, dump_json
+from polyrot.roots import classify_root_list, classify_sides
+
+U = 2.0**-53
+K = 8
+H = 1e-5
+
+
+def _drawn(zone, seed, count):
+    """The first count polynomials with an angle that fuzz --seed seed draws in zone, rational numerators included."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        case = corpus.fuzz_case(rng, int(rng.integers(1, 17)), zone)
+        out += [c for c in case if c is not None and c.theta is not None]
+    return out[:count]
+
+
+def _evaluated(cases):
+    """What fuzz computes for each case: z, P(z)'s phase, the speed, lambda, value_thm1 and the central difference."""
+    batch, thetas = RootBatch.snapped([c.form for c in cases]), [c.theta for c in cases]
+    z, vr, vi, speed, skipped = root_batch(batch, thetas)
+    assert not skipped.any()
+    n = batch.degree
+    lam = 2.0 * speed - n
+    ends = [c.expansion.endpoints for c in cases]
+    lead_zn = np.array([e[-1] * w**k for e, w, k in zip(ends, z.tolist(), n.tolist())])
+    value = value_refined(np.array([e[0].conjugate() for e in ends]), lead_zn, vr, vi, lam)
+    return batch, z, vr, vi, speed, lam, value, arg_derivative_fd_batch(batch, thetas)
+
+
+def _first_order(z, roots):
+    t = [abs(z / (z - a)) for a in roots]
+    return math.fsum(x * (1.0 + x) for x in t)
+
+
+@pytest.mark.parametrize("zone", corpus.ZONES)
+def test_batch_is_root_grid_at_each_case(zone):
+    cases = _drawn(zone, 11, 200)
+    batch, z, vr, vi, speed, *_ = _evaluated(cases)
+    for k, (case, sides) in enumerate(zip(cases, batch.sides.T.tolist())):
+        rf = snap_band(case.form)
+        gz, gvr, gvi, gspeed, _ = root_grid(rf, [case.theta])
+        snapped = [complex(x, y) for x, y in zip(batch.re[:rf.degree, k].tolist(), batch.im[:rf.degree, k].tolist())]
+        assert snapped == list(rf.roots)  # as snap_band snaps, bit for bit
+        assert classify_sides(case.form.roots, sides) == classify_root_list(case.form.roots)
+        assert sides[rf.degree:] == [0] * (len(sides) - rf.degree)  # a padded slot lies on side 0
+        assert z[k] == gz[0]
+        tol = K * U * _first_order(z[k], rf.roots)
+        assert abs(speed[k] - gspeed[0]) <= tol, (zone, k)
+        assert abs(complex(vr[k], vi[k]) - complex(gvr[0], gvi[0])) <= tol * abs(rf.leading), (zone, k)
+
+
+@pytest.mark.parametrize("zone", corpus.ZONES)
+def test_lambda_value_and_oracle_match_50_digits(zone):
+    cases = _drawn(zone, 7, 200)
+    _, z, _, _, _, lam, value, fd = _evaluated(cases)
+    with mp.workdps(50):
+        for k, case in enumerate(cases):
+            # the band zeros exactly on the circle, as the snapping means them
+            zeros = [mp.mpc(a) / abs(mp.mpc(a)) if circle_side(a) == 0 else mp.mpc(a) for a in case.form.roots]
+            n, first = len(zeros), _first_order(z[k], zeros)
+            ze = mp.mpc(z[k])  # the angle's double point; its rounding moves each quantity to second order only
+            exact_lam = 2 * mp.fsum((ze / (ze - a)).real for a in zeros) - n
+            assert abs(float(lam[k] - exact_lam)) <= K * U * (2 * first + n), (zone, k)
+
+            cn = mp.mpc(case.form.leading)
+            c0 = cn * mp.fprod(-a for a in zeros)
+            p = cn * mp.fprod(ze - a for a in zeros)
+            w = mp.conj(c0) * p / (cn * ze**n * mp.conj(p))
+            exact_value, wmod = abs((exact_lam + 1) * w - 1), float(abs(w))
+            tol = K * U * ((2 * first + n) * wmod + (abs(float(exact_lam) + 1) * wmod + 1) * (n + 1))
+            assert abs(float(value[k] - exact_value)) <= tol, (zone, k)
+
+            # the central difference at the exact angles theta -+ h
+            zm, zp = mp.expj(mp.mpf(case.theta) - H), mp.expj(mp.mpf(case.theta) + H)
+            exact_fd = mp.fsum(mp.arg((zp - a) * mp.conj(zm - a)) for a in zeros) / (2 * mp.mpf(H))
+            assert abs(float(fd[k] - exact_fd)) <= K * U * (first + n), (zone, k)
+
+
+def test_band_zeros_add_exactly_one_half_to_the_oracle():
+    # a zero on the circle turns arg(z - a) by exactly h as z turns by 2h, whatever h: the difference has no
+    # truncation error, so on_circle cases agree with the analytic speed n/2 to the last bit
+    cases = _drawn("on_circle", 3, 100)
+    batch, _, _, _, speed, lam, _, fd = _evaluated(cases)
+    assert np.all(lam == 0.0) and np.all(fd == speed) and np.all(fd == 0.5 * batch.degree)
+
+
+def test_tally_keeps_its_semantics():
+    # a nan margin, the scalar path's None, counts its case and leaves the minimum alone; a check whose every
+    # margin is nan prints null in JSON and an empty cell in CSV; a check with no cases is left out
+    tally = _FuzzTally()
+    tally.record("coeff", np.array([0.5, math.nan, 0.25]), np.array([False, False, True]))
+    tally.record("coeff", np.array([math.nan]), np.array([False]))
+    tally.record("sqrt_weak", np.array([math.nan, math.nan]), np.array([False, False]))
+    tally.record("value", np.array([]), np.array([], dtype=bool))
+    assert tally.as_dict() == {"coeff": {"cases": 4, "min_margin": 0.25, "violations": 1},
+                               "sqrt_weak": {"cases": 2, "min_margin": math.inf, "violations": 0}}
+    assert tally.violations == 1
+    assert json.loads(dump_json(tally.as_dict()))["sqrt_weak"]["min_margin"] is None
+    assert csv_cell(tally.stats["sqrt_weak"]["min_margin"]) == ""
+
+
+def test_fuzz_of_no_cases_tallies_nothing(capsys):
+    assert main(["fuzz", "--count", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"] == {}
+
+
+def test_p4_on_circle_seed_1_passes(capsys):
+    # through the expansion, value_thm1's margin read -1.66e-9 against the fixed 1e-9 slack; from the zeros each
+    # band zero adds exactly 1/2, so lambda is 0 to the last bit
+    code = main(["fuzz", "--zone", "on_circle", "--count", "200", "--seed", "1"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert code == 0
+    assert checks["value"]["min_margin"] >= -1e-9
+    assert checks["lambda_zero"]["min_margin"] == 0.0
+    assert all(c["violations"] == 0 for c in checks.values())
+
+
+def test_p3_still_fails_on_the_oracle_alone(capsys):
+    # the central difference's truncation error against the fixed 1e-6 gate: a better oracle mends it, not this
+    code = main(["fuzz", "--count", "1000", "--seed", "42"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert code == 2
+    assert {name for name, c in checks.items() if c["violations"]} == {"oracle_agreement"}
+
+
+def test_fuzz_calls_no_scalar_evaluator(capsys, monkeypatch):
+    # every case is evaluated in the batch: no point report, no Horner oracle, no rational function per case
+    import polyrot
+    import polyrot.bounds
+    import polyrot.cli
+    import polyrot.corpus
+    import polyrot.oracle
+    import polyrot.rational
+
+    called = []
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            called.append(name)
+            raise AssertionError(f"fuzz called {name}")
+
+        return call
+
+    for module in (polyrot, polyrot.bounds, polyrot.cli, polyrot.corpus, polyrot.oracle, polyrot.rational):
+        for name in ("full_report", "arg_derivative_fd", "check_rotation_bounds"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden(name))
+    monkeypatch.setattr(polyrot.rational.RationalFunction, "__init__", forbidden("RationalFunction"))
+    for zone in corpus.ZONES:
+        assert main(["fuzz", "--count", "40", "--zone", zone, "--seed", "2", "--degree-max", "16"]) in (0, 2)
+        assert json.loads(capsys.readouterr().out)["checks"]["oracle_agreement"]["cases"] > 0
+    assert called == []

@@ -22,17 +22,15 @@ from polyrot import (
     RationalFunction,
     RootForm,
     ZeroProximity,
-    check_rotation_bounds,
     circle_grid,
     circle_point,
     classify_numerator,
     from_roots,
-    full_report,
 )
 from polyrot import poly
-from polyrot.bounds import grid_report
+from polyrot.bounds import full_report, grid_report
 from polyrot.poly import boundary_grid, guard_zero
-from polyrot.rational import rational_grid
+from polyrot.rational import check_rotation_bounds, rational_grid
 from polyrot.report import BOUND_KEYS, csv_cell, render_json
 from polyrot.roots import classify_root_list, classify_zeros
 

@@ -12,7 +12,6 @@ from polyrot import (
     RootForm,
     ZeroProximity,
     arc_increment,
-    arg_derivative_fd,
     bound_arc,
     circle_point,
     classify_zeros,
@@ -21,6 +20,7 @@ from polyrot import (
     witness_arc,
 )
 from polyrot.bounds import grid_report
+from polyrot.oracle import arg_derivative_fd
 from polyrot.roots import classify_root_list
 from polyrot.poly import circle_grid
 from polyrot.tolerances import ARC_EDGE_SLACK, ARC_INCREMENT_SLACK, CHECK_SLACK

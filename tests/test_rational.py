@@ -9,7 +9,6 @@ from polyrot import (
     RationalFunction,
     ZeroProximity,
     arg_derivative,
-    check_rotation_bounds,
     circle_point,
     classify_numerator,
     from_roots,
@@ -17,6 +16,7 @@ from polyrot import (
     rotation_speed,
     witness_rational,
 )
+from polyrot.rational import check_rotation_bounds
 from polyrot.poly import RootForm
 
 
