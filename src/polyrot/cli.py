@@ -147,12 +147,12 @@ def _fuzz_checks(polynomials: list, rationals: list, zone: str) -> dict:
     """Each check's (margins, violated) over one chunk's cases, in the zone's set of checks (see `cmd_fuzz`).
 
     Every case, polynomial and rational, is one form of one `root_batch` call; the oracle runs on the polynomial
-    forms.  Each theta-free bound is its scalar function, called once per case on the expansion's endpoints.
+    forms.  Each theta-free bound is its scalar function, called once per case on the drawn endpoints.
     """
     cases, k = polynomials + rationals, len(polynomials)
     if not cases:
         return {}
-    batch, thetas = RootBatch.snapped([c.form for c in cases]), [c.theta for c in cases]
+    batch, thetas = RootBatch.snapped(cases), [c.theta for c in cases]
     z, vr, vi, speed, skipped = root_batch(batch, thetas)
     if skipped.any():  # an angle the zero guard refuses drops its case, as a case without an angle is dropped
         keep = (~skipped).tolist()
@@ -161,7 +161,7 @@ def _fuzz_checks(polynomials: list, rationals: list, zone: str) -> dict:
     degree, lower_ok, upper_ok = batch.degree, batch.count(1) == 0, batch.count(-1) == 0
     checks = {}
     if polynomials:
-        lam, ends = 2.0 * speed[:k] - degree[:k], [c.expansion.endpoints for c in polynomials]
+        lam, ends = 2.0 * speed[:k] - degree[:k], [c.endpoints for c in polynomials]
         neg_tol = -(CHECK_SLACK * np.fmax(1.0, np.abs(lam)))  # full_report's slack
         oracle = ORACLE_AGREEMENT_TOL - np.abs(speed[:k] - arg_derivative_fd_batch(batch[:k], thetas[:k]))
         checks["oracle_agreement"] = oracle, oracle < 0.0
@@ -173,7 +173,7 @@ def _fuzz_checks(polynomials: list, rationals: list, zone: str) -> dict:
             margins, violated = _gated(lam - bounds, lower_ok[:k] & np.isfinite(bounds), neg_tol)
             checks.update((_FUZZ_LOWER[key], pair) for (key, _), pair in zip(rows[0], zip(margins, violated)))
             sides = batch.sides[:, :k].T.tolist()  # each form's, padded: classify_sides reads one per zero
-            classes = [classify_sides(c.form.roots, s) for c, s in zip(polynomials, sides)]
+            classes = [classify_sides(c.roots, s) for c, s in zip(polynomials, sides)]
             mercer = [check_mercer_remark(e, cls) for e, cls in zip(ends, classes)]
             checks["mercer_remark"] = np.array([m for m, _ in mercer]), np.array([not ok for _, ok in mercer])
         if zone == "on_circle":
@@ -202,16 +202,20 @@ def cmd_fuzz(args) -> int:
 
     Each case draws a polynomial of random degree from zeros placed in the
     zone and one angle where |P| is clear of its zeros (`corpus.fuzz_case`).
-    The cases are drawn _FUZZ_CHUNK at a time, and each chunk is evaluated
-    at once from the band-snapped zeros, as `scan --roots` reads them, on
-    (zeros x cases) arrays: `poly.root_batch` gives the speed, lambda and
-    the phase of P behind value_thm1, the batch's sides the zero
-    classification, and `oracle.arg_derivative_fd_batch` the
-    central-difference oracle.  The expansion of the zeros is built for the
-    angle draw: its floor is relative to max|c_k|, and moving it onto the
-    zeros would change which angles are drawn.  It also gives the four
-    endpoint coefficients that each theta-free bound reads, once per case.
-    fuzz solves for no root.  It tallies, with `full_report`'s gates:
+    A polynomial is drawn as plain numbers, its leading coefficient, zeros,
+    poles and first angle try from one `Generator.random` call, and no
+    `RootForm` or `Polynomial` is built per case.  The cases are drawn
+    _FUZZ_CHUNK at a time, and each chunk is evaluated at once from the
+    band-snapped zeros, as `scan --roots` reads them, on (zeros x cases)
+    arrays: `poly.root_batch` gives the speed, lambda and the phase of P
+    behind value_thm1, the batch's sides the zero classification, and
+    `oracle.arg_derivative_fd_batch` the central-difference oracle.  The
+    expansion of the zeros stays for the angle draw: its floor reads
+    max|c_k|, and a floor stated on the zeros would draw other angles and
+    ran slower, as did expanding a whole chunk in numpy (see README).  The
+    expansion also gives the four endpoint coefficients that each
+    theta-free bound reads, once per case.  fuzz solves for no root.  It
+    tallies, with `full_report`'s gates:
 
     - every zone: oracle_agreement, the analytic speed against the
       central-difference oracle within ORACLE_AGREEMENT_TOL;

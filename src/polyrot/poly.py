@@ -74,12 +74,16 @@ def cross_term(coeffs: Sequence[complex]) -> complex:
     return coeffs[-1].conjugate() * coeffs[1] - coeffs[0] * coeffs[-2].conjugate()
 
 
-def finite_complex(values: Iterable[complex], what: str) -> tuple[complex, ...]:
-    """The values as complex numbers; a NaN or infinite part is an input error (ValueError)."""
-    cs = tuple(map(complex, values))
+def _finite(cs, what: str):
+    """cs as given; a NaN or infinite part is an input error (ValueError)."""
     if not all(map(cmath.isfinite, cs)):
         raise ValueError(f"{what} must be finite")
     return cs
+
+
+def finite_complex(values: Iterable[complex], what: str) -> tuple[complex, ...]:
+    """The values as complex numbers; a NaN or infinite part is an input error (ValueError)."""
+    return _finite(tuple(map(complex, values)), what)
 
 
 def is_number(x, kind=(int, float)) -> bool:
@@ -116,6 +120,16 @@ def expand_monic(roots: Iterable[complex]) -> list[complex]:
     return coeffs
 
 
+def expand_roots(leading: complex, roots: Iterable[complex]) -> list[complex]:
+    """Coefficients of leading * prod (z - r), ascending degree; one past the double range is an error (ValueError)."""
+    return _finite([leading * c for c in expand_monic(roots)], "coefficients")
+
+
+def coeff_endpoints(coeffs: Sequence[complex]) -> tuple[complex, complex, complex, complex]:
+    """(c0, c1, c_{n-1}, cn) of the coefficients, ascending degree: all that a theta-free bound reads."""
+    return coeffs[0], coeffs[1], coeffs[-2], coeffs[-1]
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Coefficient-form polynomial, ascending degree, degree >= 1."""
@@ -141,7 +155,7 @@ class Polynomial:
 
     @property
     def endpoints(self) -> tuple[complex, complex, complex, complex]:
-        return self.coeffs[0], self.coeffs[1], self.coeffs[-2], self.coeffs[-1]
+        return coeff_endpoints(self.coeffs)
 
     @property
     def coeff_scale(self) -> float:
@@ -230,8 +244,7 @@ def snap_band(rf: RootForm) -> RootForm:
 
 def from_roots(rf: RootForm) -> Polynomial:
     """Expand leading * prod (z - r_k) into coefficient form, the iterated product of the monomial factors."""
-    coeffs = expand_monic(rf.roots)
-    return Polynomial([rf.leading * c for c in coeffs])
+    return Polynomial(expand_roots(rf.leading, rf.roots))
 
 
 def rotation_speed(p: Polynomial, z: complex) -> float:
@@ -318,7 +331,8 @@ class RootBatch:
     live: np.ndarray
 
     @staticmethod
-    def snapped(forms: Sequence[RootForm]) -> "RootBatch":
+    def snapped(forms: Sequence) -> "RootBatch":
+        """The batch of forms, each read by its `leading` and `roots` alone: a `RootForm` or a drawn fuzz polynomial."""
         roots = [f.roots for f in forms]
         degree = np.array(list(map(len, roots)), dtype=int)
         live = np.arange(degree.max(initial=0))[:, None] < degree

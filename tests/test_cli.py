@@ -509,7 +509,7 @@ def test_fuzz_bad_degree_range(capsys, flags, message):
 
 
 def test_fuzz_unbuildable_high_degree_case_is_an_input_error(capsys):
-    # from_roots refuses this case: 4096 zeros outside the disk expand past the double range; one error line that
+    # the expansion refuses this case: 4096 zeros outside the disk expand past the double range; one error line that
     # names the degree, no traceback
     code, out, err = run(capsys, ["fuzz", "--zone", "outside", "--count", "3", "--degree-min", "4096",
                                   "--degree-max", "4096"])

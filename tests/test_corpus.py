@@ -83,49 +83,52 @@ def test_bulk_draws_match_scalar_uniform(seed, zone):
         assert bulk.bit_generator.state == scalar.bit_generator.state, (seed, zone, degree)
 
 
-def _drawn(degree, lead, zeros, theta, poles):
-    return degree, bits([lead]), bits(zeros), None if theta is None else theta.hex(), bits(poles)
+def _drawn(degree, lead, zeros, ends, theta, poles):
+    return degree, bits([lead]), bits(zeros), bits(ends), None if theta is None else theta.hex(), bits(poles)
 
 
-def reference_fuzz(seed, zone, count, degree_max):
+def reference_fuzz(seed, zone, count, degree_min, degree_max):
     """The (polynomial, rational) cases of `fuzz --seed seed` that have an angle, drawn with scalar `uniform` calls."""
     rng = np.random.default_rng(seed)
     polynomials, rationals = [], []
     for _ in range(count):
-        degree = int(rng.integers(1, degree_max + 1))
+        degree = int(rng.integers(degree_min, degree_max + 1))
         lead, zeros = reference_leading(rng), reference_roots(rng, degree, zone)
-        theta = reference_valid_theta(rng, from_roots(RootForm(lead, zeros)))
-        polynomials.append(_drawn(degree, lead, zeros, theta, ()))
+        p = from_roots(RootForm(lead, zeros))
+        polynomials.append(_drawn(degree, lead, zeros, p.endpoints, reference_valid_theta(rng, p), ()))
         if zone != "mixed":
             n_poles = int(rng.integers(1, 5))
             lead, zeros = reference_leading(rng), reference_roots(rng, degree, zone)
             poles = reference_poles(rng, n_poles)
-            theta = reference_valid_theta(rng, from_roots(RootForm(lead, zeros)))
-            rationals.append(_drawn(degree, lead, zeros, theta, poles))
-    return [c for c in polynomials if c[3] is not None], [c for c in rationals if c[3] is not None]
+            p = from_roots(RootForm(lead, zeros))
+            rationals.append(_drawn(degree, lead, zeros, p.endpoints, reference_valid_theta(rng, p), poles))
+    return [c for c in polynomials if c[4] is not None], [c for c in rationals if c[4] is not None]
 
 
 @pytest.mark.parametrize("zone", corpus.ZONES)
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_fuzz_evaluates_the_scalar_draw_stream(monkeypatch, capsys, seed, zone):
-    # every case that cmd_fuzz evaluates, over more than one chunk, is the one the scalar loop draws, bit for bit
+    # every case that cmd_fuzz evaluates, over more than one chunk, is the one the scalar loop draws, bit for bit;
+    # at degrees 30-64 the zero lists are long and first angle tries are often rejected
     from polyrot import cli
 
-    evaluated = ([], [])
     real = cli._fuzz_checks
 
     def spy(polynomials, rationals, zone):
         for out, cases in zip(evaluated, (polynomials, rationals)):
-            out += [_drawn(c.form.degree, c.form.leading, c.form.roots, c.theta, c.poles) for c in cases]
+            out += [_drawn(len(c.roots), c.leading, c.roots, c.endpoints, c.theta, c.poles) for c in cases]
         return real(polynomials, rationals, zone)
 
     monkeypatch.setattr(cli, "_fuzz_checks", spy)
     count = cli._FUZZ_CHUNK + 16
-    argv = ["fuzz", "--count", str(count), "--zone", zone, "--seed", str(seed), "--degree-max", "16"]
-    assert cli.main(argv) in (0, 2)
-    capsys.readouterr()
-    assert evaluated == reference_fuzz(seed, zone, count, 16)
-    assert len(evaluated[0]) > count - 5
+    for degree_min, degree_max in ((1, 16), (30, 64)):
+        evaluated = ([], [])
+        argv = ["fuzz", "--count", str(count), "--zone", zone, "--seed", str(seed),
+                "--degree-min", str(degree_min), "--degree-max", str(degree_max)]
+        assert cli.main(argv) in (0, 2)
+        capsys.readouterr()
+        assert evaluated == reference_fuzz(seed, zone, count, degree_min, degree_max), (degree_min, degree_max)
+        assert len(evaluated[0]) > count - 5
 
 
 @pytest.mark.parametrize("zone", ["in_disk", "outside", "on_circle"])

@@ -21,7 +21,7 @@ from polyrot import corpus
 from polyrot.bounds import value_refined
 from polyrot.cli import _FuzzTally, main
 from polyrot.oracle import arg_derivative_fd_batch
-from polyrot.poly import RootBatch, circle_side, root_batch, root_grid, snap_band
+from polyrot.poly import RootBatch, RootForm, circle_side, root_batch, root_grid, snap_band
 from polyrot.report import csv_cell, dump_json
 from polyrot.roots import classify_root_list, classify_sides
 
@@ -42,12 +42,12 @@ def _drawn(zone, seed, count):
 
 def _evaluated(cases):
     """What fuzz computes for each case: z, P(z)'s phase, the speed, lambda, value_thm1 and the central difference."""
-    batch, thetas = RootBatch.snapped([c.form for c in cases]), [c.theta for c in cases]
+    batch, thetas = RootBatch.snapped(cases), [c.theta for c in cases]
     z, vr, vi, speed, skipped = root_batch(batch, thetas)
     assert not skipped.any()
     n = batch.degree
     lam = 2.0 * speed - n
-    ends = [c.expansion.endpoints for c in cases]
+    ends = [c.endpoints for c in cases]
     lead_zn = np.array([e[-1] * w**k for e, w, k in zip(ends, z.tolist(), n.tolist())])
     value = value_refined(np.array([e[0].conjugate() for e in ends]), lead_zn, vr, vi, lam)
     return batch, z, vr, vi, speed, lam, value, arg_derivative_fd_batch(batch, thetas)
@@ -63,11 +63,11 @@ def test_batch_is_root_grid_at_each_case(zone):
     cases = _drawn(zone, 11, 200)
     batch, z, vr, vi, speed, *_ = _evaluated(cases)
     for k, (case, sides) in enumerate(zip(cases, batch.sides.T.tolist())):
-        rf = snap_band(case.form)
+        rf = snap_band(RootForm(case.leading, case.roots))
         gz, gvr, gvi, gspeed, _ = root_grid(rf, [case.theta])
         snapped = [complex(x, y) for x, y in zip(batch.re[:rf.degree, k].tolist(), batch.im[:rf.degree, k].tolist())]
         assert snapped == list(rf.roots)  # as snap_band snaps, bit for bit
-        assert classify_sides(case.form.roots, sides) == classify_root_list(case.form.roots)
+        assert classify_sides(case.roots, sides) == classify_root_list(case.roots)
         assert sides[rf.degree:] == [0] * (len(sides) - rf.degree)  # a padded slot lies on side 0
         assert z[k] == gz[0]
         tol = K * U * _first_order(z[k], rf.roots)
@@ -82,13 +82,13 @@ def test_lambda_value_and_oracle_match_50_digits(zone):
     with mp.workdps(50):
         for k, case in enumerate(cases):
             # the band zeros exactly on the circle, as the snapping means them
-            zeros = [mp.mpc(a) / abs(mp.mpc(a)) if circle_side(a) == 0 else mp.mpc(a) for a in case.form.roots]
+            zeros = [mp.mpc(a) / abs(mp.mpc(a)) if circle_side(a) == 0 else mp.mpc(a) for a in case.roots]
             n, first = len(zeros), _first_order(z[k], zeros)
             ze = mp.mpc(z[k])  # the angle's double point; its rounding moves each quantity to second order only
             exact_lam = 2 * mp.fsum((ze / (ze - a)).real for a in zeros) - n
             assert abs(float(lam[k] - exact_lam)) <= K * U * (2 * first + n), (zone, k)
 
-            cn = mp.mpc(case.form.leading)
+            cn = mp.mpc(case.leading)
             c0 = cn * mp.fprod(-a for a in zeros)
             p = cn * mp.fprod(ze - a for a in zeros)
             w = mp.conj(c0) * p / (cn * ze**n * mp.conj(p))
@@ -150,12 +150,14 @@ def test_p3_still_fails_on_the_oracle_alone(capsys):
 
 
 def test_fuzz_calls_no_scalar_evaluator(capsys, monkeypatch):
-    # every case is evaluated in the batch: no point report, no Horner oracle, no rational function per case
+    # every case is drawn as plain numbers and evaluated in the batch: no point report, no Horner oracle, and no
+    # rational function, root form, polynomial or from_roots per case
     import polyrot
     import polyrot.bounds
     import polyrot.cli
     import polyrot.corpus
     import polyrot.oracle
+    import polyrot.poly
     import polyrot.rational
 
     called = []
@@ -167,11 +169,13 @@ def test_fuzz_calls_no_scalar_evaluator(capsys, monkeypatch):
 
         return call
 
-    for module in (polyrot, polyrot.bounds, polyrot.cli, polyrot.corpus, polyrot.oracle, polyrot.rational):
-        for name in ("full_report", "arg_derivative_fd", "check_rotation_bounds"):
+    for module in (polyrot, polyrot.bounds, polyrot.cli, polyrot.corpus, polyrot.oracle, polyrot.poly,
+                   polyrot.rational):
+        for name in ("full_report", "arg_derivative_fd", "check_rotation_bounds", "from_roots"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden(name))
-    monkeypatch.setattr(polyrot.rational.RationalFunction, "__init__", forbidden("RationalFunction"))
+    for cls in (polyrot.rational.RationalFunction, polyrot.poly.RootForm, polyrot.poly.Polynomial):
+        monkeypatch.setattr(cls, "__init__", forbidden(cls.__name__))
     for zone in corpus.ZONES:
         assert main(["fuzz", "--count", "40", "--zone", zone, "--seed", "2", "--degree-max", "16"]) in (0, 2)
         assert json.loads(capsys.readouterr().out)["checks"]["oracle_agreement"]["cases"] > 0

@@ -92,7 +92,8 @@ def test_every_tolerance_is_read_by_the_package():
 
 def test_root_form_is_never_expanded_outside_fuzz():
     # scan and the witnesses evaluate, guard and bound a root form from its zeros; only fuzz's corpus expands one,
-    # to give the scalar coefficient path its input
-    expanding = {path.stem for path in SRC.glob("*.py")
-                 if path.name != "__init__.py" and "from_roots" in _referenced_names(path)}
-    assert expanding <= {"corpus"}
+    # for its angle floor and endpoint coefficients, and poly's from_roots through the same helper
+    for name, allowed in (("from_roots", {"corpus"}), ("expand_roots", {"corpus", "poly"})):
+        expanding = {path.stem for path in SRC.glob("*.py")
+                     if path.name != "__init__.py" and name in _referenced_names(path)}
+        assert expanding <= allowed, name
