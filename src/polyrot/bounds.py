@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import HypothesisViolated
 from .oracle import arc_increment
-from .poly import (Polynomial, RootForm, boundary_grid, c_mul, c_quot, circle_point, cross_term, guard_zero,
+from .poly import (Polynomial, RootForm, boundary_grid, c_mul, c_pow, c_quot, circle_point, cross_term, guard_zero,
                    root_grid, rotation_speed)
 from .report import BOUND_KEYS, grid_rows, row_template
 from .roots import ZeroClassification
@@ -264,7 +264,8 @@ def grid_report(poly: Polynomial | RootForm, thetas: list[float], arc: tuple[flo
             elif np.ndim(applies) and applies.any():
                 margins[key], flags[key] = np.where(applies, margin, math.nan), np.where(applies, flag, "na")
 
-        lead_zn = np.array([ends[-1] * w**n for w in z.tolist()])
+        lead_zn = np.empty_like(z)  # cn z^n, each point's product as Python takes it
+        lead_zn.real, lead_zn.imag = c_mul(ends[-1].real, ends[-1].imag, *c_pow(z.real, z.imag, n))
         value_thm1 = value_refined(ends[0].conjugate(), lead_zn, vr, vi, lam)
 
         lower_ok = not classification.outside

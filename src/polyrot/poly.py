@@ -47,6 +47,24 @@ def c_mul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
+def c_pow(ar, ai, n: int):
+    """(ar + i ai)**n for an int n >= 1 on split float64 arrays, element by element CPython's `complex_pow`.
+
+    Up to n = 100 that is `c_powu`'s repeated squaring from r = 1 + 0i, every product a `c_mul`; past it, the
+    per-point `w**n`, which CPython takes through `_Py_c_pow`'s polar form.
+    """
+    if n > 100:
+        w = np.array([complex(r, i) ** n for r, i in zip(ar.tolist(), ai.tolist())])
+        return w.real, w.imag
+    rr, ri, mask = np.ones_like(ar), np.zeros_like(ai), 1
+    while n >= mask:
+        if n & mask:
+            rr, ri = c_mul(rr, ri, ar, ai)
+        mask <<= 1
+        ar, ai = c_mul(ar, ai, ar, ai)
+    return rr, ri
+
+
 def c_quot(ar, ai, br, bi):
     """(ar + i ai)/(br + i bi) for b != 0, element by element the finite branch of CPython's `_Py_c_quot`."""
     by_re = np.abs(br) >= np.abs(bi)  # scale top and bottom by the larger part of b
@@ -228,7 +246,7 @@ def circle_point(theta: float) -> complex:
 
 def circle_grid(n: int) -> list[float]:
     """The n equally spaced angles 2 pi k / n, k = 0 .. n - 1."""
-    return [2.0 * math.pi * k / n for k in range(n)]
+    return (2.0 * math.pi * np.arange(n) / n).tolist()  # (2 pi k)/n, each k and n as a float, in one array pass
 
 
 def circle_side(a: complex) -> int:
@@ -299,7 +317,8 @@ def root_grid(rf: RootForm, thetas: list[float]):
         np.subtract(zr, a.real, out=dr)
         np.subtract(zi, a.imag, out=di)
         np.add(np.multiply(dr, dr, out=d2), np.multiply(di, di, out=t), out=d2)  # |z - a|^2
-        if np.sqrt(d2, out=m).max() == math.inf:  # |z - a|^2 overflows past |a| of about 1.3e154; hypot does not
+        np.sqrt(d2, out=m)
+        if abs(a) > 1e153:  # |z - a|^2 <= 2 (1 + |a|)^2 overflows past |a| of about 9.4e153; hypot does not
             np.hypot(dr, di, out=m, where=np.isinf(d2))
         np.minimum(nearest, m, out=nearest)
         if side < 0:

@@ -6,7 +6,8 @@ runs with identical inputs are byte identical.  Each report type states its
 scan row once, as data: a JSON row whose leaves name its columns, and the
 CSV column order.  `row_template` cuts a template of literals and column
 names from that schema, and `grid_rows` fills it in at every angle of a
-grid, rendering each input's constant cells once.
+grid, rendering each input's constant cells once and each float column in
+one `%` call, with the digits that `format_float` gives one value at a time.
 """
 
 from __future__ import annotations
@@ -132,9 +133,12 @@ def grid_rows(grid, template, json_rows: bool) -> list[str | None]:
         if not isinstance(value, np.ndarray):
             text += cell(value) + literal
             continue
-        if value.dtype.kind == "f":
-            missing = cell(math.nan)
-            cells = [format_float(x) if math.isfinite(x) else missing for x in value.tolist()]
+        if value.dtype.kind == "f":  # format_float on the column in one call; + 0.0 turns -0.0 into 0
+            column = ("%.17g\0" * len(value)) % tuple((value + 0.0).tolist())
+            cells = column.split("\0")[:-1]
+            if "n" in column:  # nan or inf, the missing cell
+                missing = cell(math.nan)
+                cells = [missing if "n" in c else c for c in cells]
         else:
             names = {v: cell(v) for v in set(value.tolist())}
             cells = [names[v] for v in value.tolist()]

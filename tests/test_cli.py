@@ -108,6 +108,10 @@ def test_failed_root_solve_is_input_error(capsys, monkeypatch):
     assert err.startswith("error: root solve gave a non-finite zero")
 
 
+# zeros inside the disk and on the circle, two of them on grid angles
+IN_AND_ON = json.dumps({"leading": [1, 0.5], "roots": [[0.5, 0.2], [0, 1], [-0.3, -0.6], [1, 0]]})
+
+
 def test_scan_json_and_csv_carry_identical_digits(capsys, monkeypatch):
     code, csv_out, _ = run(
         capsys,
@@ -128,6 +132,14 @@ def test_scan_json_and_csv_carry_identical_digits(capsys, monkeypatch):
     lam_csv = row[1]
     assert lam_csv == format_float(doc["rows"][0]["lambda"])
     assert lam_csv in json_out
+    # a grid's columns are rendered a column at a time, in each format: the same digits in every row
+    outs = [run(capsys, ["scan", "--roots", "--grid", "1800", "--format", fmt], stdin=IN_AND_ON,
+                monkeypatch=monkeypatch) for fmt in ("csv", "json")]
+    assert [(code, err) for code, _, err in outs] == [(0, "")] * 2
+    csv_rows = [line.split(",")[:2] for line in outs[0][1].splitlines()[1:]]
+    json_rows = json.loads(outs[1][1], parse_float=str, parse_int=str)["rows"]
+    assert [[r["theta"], r.get("lambda", "")] for r in json_rows] == csv_rows
+    assert len(csv_rows) == 1800 and ["0", ""] in csv_rows  # the zero at 1 is skipped
 
 
 def test_scan_rational_input(capsys, monkeypatch):
@@ -340,6 +352,22 @@ def test_one_root_solve_per_input(capsys, monkeypatch, argv, stdin):
     code, _, err = run(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
     assert code == 0, err
     assert calls == {"find_roots": 1, "check_rotation_bounds": 0}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_grid_scan_formats_only_constant_cells_one_by_one(capsys, monkeypatch, fmt):
+    # each float column of a grid is formatted in one call: format_float runs as often on 1,800 angles as on 16
+    import polyrot.report as report
+
+    counts = []
+    for grid in ("1800", "16"):
+        calls = count_calls(monkeypatch, ((report, "format_float"),))
+        argv = ["scan", "--roots", "--grid", grid, "--arc-alpha", "0.3", "--format", fmt]
+        code, _, err = run(capsys, argv, stdin=IN_AND_ON, monkeypatch=monkeypatch)
+        assert code == 0, err
+        counts.append(calls["format_float"])
+        monkeypatch.undo()
+    assert counts[0] == counts[1] < 40
 
 
 @pytest.mark.parametrize("flags", [["--grid", "60"], ["--grid", "16", "--arc-alpha", "0.3"]], ids=["grid", "arc"])

@@ -9,12 +9,13 @@ from polyrot import (
     Polynomial,
     RootForm,
     ZeroProximity,
+    circle_grid,
     circle_point,
     find_roots,
     from_roots,
     rotation_speed,
 )
-from polyrot.poly import expand_monic, horner, horner_pair
+from polyrot.poly import c_pow, expand_monic, horner, horner_pair
 
 
 def test_evaluate_direct_substitution():
@@ -185,3 +186,21 @@ def test_expansion_bits_match_the_loop(seed):
         assert _bits(expand_monic(roots)) == _bits(want)
         lead = complex(*rng.uniform(-2.0, 2.0, 2))
         assert _bits(from_roots(RootForm(lead, roots)).coeffs) == _bits([lead * c for c in want])
+
+
+def test_array_power_is_complex_pow_bit_for_bit():
+    # CPython squares repeatedly up to n = 100 and goes polar past it: both branches, signed zeros included
+    axes = [complex(x, y) for x, y in ((0.0, 1.0), (-0.0, 1.0), (0.0, -1.0), (-0.0, -1.0), (1.0, -0.0), (-1.0, -0.0))]
+    z = np.array([circle_point(t) for t in circle_grid(1800) + [0.0, math.pi / 2, math.pi]] + axes)
+    for n in [*range(1, 101), 101, 128, 4096]:
+        re, im = c_pow(z.real, z.imag, n)
+        want = [w**n for w in z.tolist()]
+        assert [x.hex() for x in re.tolist()] == [w.real.hex() for w in want], n
+        assert [x.hex() for x in im.tolist()] == [w.imag.hex() for w in want], n
+
+
+@pytest.mark.parametrize("n", [1, 7, 360, 1800, 4096])
+def test_circle_grid_is_the_scalar_formula_bit_for_bit(n):
+    grid = circle_grid(n)
+    assert all(type(t) is float for t in grid)
+    assert [t.hex() for t in grid] == [(2.0 * math.pi * k / n).hex() for k in range(n)]

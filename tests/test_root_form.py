@@ -270,19 +270,32 @@ def test_unimodular_witness_at_the_largest_degree_checks_every_angle(capsys, mon
     assert code == 0 and report["points_checked"] == 128 and report["max_abs_lambda"] < 1e-9
 
 
+# The scan row of zeros 0.5 and a at theta = 1, |z - a| by sqrt, or by hypot where |z - a|^2 overflows.  The kernel
+# tries hypot past |a| = 1e153; 2 (1 + |a|)^2 overflows past 9.4e153, |z - a|^2 here past 1.34e154
+FAR_ZERO_ROWS = {
+    9e153: "1,0.056787990437872082,0,-1,-6.7082039324994017e+76,4.7555459569704704e+153,2.0000000000000391,,,pass",
+    1e154: "1,0.056787990437872082,0,-1,-7.0710678118654923e+76,5.2839399521893858e+153,2.00000000000002,,,pass",
+    1.34e154: "1,0.056787990437872082,0,-1,-8.1853527718723914e+76,7.0804795359336402e+153,1.9999999999999423,,,pass",
+    1e160: "1,0.056787990437872082,0,-1,-7.0710678118654912e+79,5.2839399521893843e+159,2.0000000000000178,,,pass",
+    1e200: "1,0.056787990437872082,0,-1,-7.071067811865547e+99,5.2839399521894663e+199,2.0000000000000808,,,pass",
+}
+
+
 def test_zero_past_1e154_keeps_the_phase_of_p(capsys, monkeypatch):
     # |z - a|^2 overflows for |a| past about 1.3e154, and the unit factor (z - a)/|z - a| read 0 there: P(z) lost
     # its phase and value_thm1 printed empty.  |z - a| by hypot keeps it
-    doc = {"leading": [1, 0], "roots": [[0.5, 0], [1e160, 0]]}
-    code, out, err = _scan(capsys, monkeypatch, ["scan", "--roots", "--theta", "1"], doc)
-    assert (code, err) == (0, "")
-    row = dict(zip(*(line.split(",") for line in out.splitlines())))
-    with mp.workdps(50):
-        z, zeros = mp.mpc(circle_point(1.0)), [mp.mpf(0.5), mp.mpf(1e160)]
-        lam = 2 * mp.fsum((z / (z - a)).real for a in zeros) - 2
-        val = mp.fprod(z - a for a in zeros)
-        c0 = mp.fprod(-a for a in zeros)
-        ref = abs((lam + 1) * mp.conj(c0) * val / (z**2 * mp.conj(val)) - 1)
-        # |c0/cn| = e^L, L = sum log|a| = 368, inherits L's rounding: a relative error up to about L u
-        assert abs(float(row["value_thm1"]) - ref) <= (mp.log(ref) + 8) * U * ref
-        assert abs(float(row["lambda"]) - lam) <= 8 * U
+    for far, want in FAR_ZERO_ROWS.items():
+        doc = {"leading": [1, 0], "roots": [[0.5, 0], [far, 0]]}
+        code, out, err = _scan(capsys, monkeypatch, ["scan", "--roots", "--theta", "1"], doc)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == want, far
+        row = dict(zip(*(line.split(",") for line in out.splitlines())))
+        with mp.workdps(50):
+            z, zeros = mp.mpc(circle_point(1.0)), [mp.mpf(0.5), mp.mpf(far)]
+            lam = 2 * mp.fsum((z / (z - a)).real for a in zeros) - 2
+            val = mp.fprod(z - a for a in zeros)
+            c0 = mp.fprod(-a for a in zeros)
+            ref = abs((lam + 1) * mp.conj(c0) * val / (z**2 * mp.conj(val)) - 1)
+            # |c0/cn| = e^L, L = sum log|a| (up to 460), inherits L's rounding: a relative error up to about L u
+            assert abs(float(row["value_thm1"]) - ref) <= (mp.log(ref) + 8) * U * ref, far
+            assert abs(float(row["lambda"]) - lam) <= 8 * U, far
