@@ -5,11 +5,14 @@ All lower bounds are stated for the normalized excess rotation
     lambda(theta) = 2 (arg P(e^{i theta}))'_theta - n,
 
 which is nonnegative whenever every zero of P lies in the closed unit
-disk.  Each bound function returns the right-hand side on that scale;
-`full_report` evaluates all of them at one boundary point, gates each by
-its hypothesis, and records signed margins and pass flags.  A coefficient
-bound reads only ends = (c0, c1, c_{n-1}, cn), the `endpoints` of a
-Polynomial or a RootForm, and no positive factor of all four moves it.
+disk.  Each bound function returns the right-hand side on that scale.
+One gate, `verdict`, turns the bounds into signed margins and flags: a
+bound is "na" where its hypothesis fails, and passes where its margin is
+at least -slack max(1, |lambda|).  `full_report` calls it at one boundary
+point, `grid_report` on a grid of angles and fuzz on a chunk of cases.
+A coefficient bound reads only ends = (c0, c1, c_{n-1}, cn), the
+`endpoints` of a Polynomial or a RootForm, and no positive factor of all
+four moves it.
 """
 
 from __future__ import annotations
@@ -33,14 +36,17 @@ def bound_coeff(ends: tuple[complex, ...]) -> float:
     """Endpoint-coefficient lower bound (|cn| - |c0|) / (|cn| + |c0|).
 
     Valid (nonnegative) when all zeros lie in the closed disk; ranges in
-    [0, 1] there, hitting 0 exactly when |c0| = |cn| and 1 when c0 = 0.
+    [0, 1] there, hitting 0 exactly when |c0| = |cn| and 1 when c0 = 0,
+    also where a root form's scaled cn underflowed to 0.
     """
     a0, an = abs(ends[0]), abs(ends[-1])
-    return (an - a0) / (an + a0)
+    return (an - a0) / (an + a0) if a0 else 1.0
 
 
 def bound_sqrt_weak(ends: tuple[complex, ...]) -> float:
-    """Weaker square-root variant 1 - sqrt(|c0| / |cn|), kept for comparison; -inf where cn underflowed to 0."""
+    """Weaker square-root variant 1 - sqrt(|c0| / |cn|), kept for comparison: 1 where c0 = 0, -inf where only cn is."""
+    if not ends[0]:
+        return 1.0
     return 1.0 - math.sqrt(abs(ends[0]) / abs(ends[-1])) if ends[-1] else -math.inf
 
 
@@ -115,15 +121,14 @@ def bound_zero_free(ends: tuple[complex, ...], degree: int) -> float:
 
     Valid when no zero lies in the open unit disk: the reversed-conjugate
     polynomial then has all zeros in the closed disk, and the correction
-    term is <= 0.  `full_report` applies the hypothesis gate.
+    term is <= 0.  `verdict` applies the hypothesis gate.
     """
     return 0.5 * degree + 0.5 * bound_coeff(ends)
 
 
-def lower_bounds(ends: tuple[complex, ...], value_thm1):
-    """(key, value) of each lower bound, in BOUND_KEYS order; value_thm1 is the one that varies with theta."""
-    return (("classic", 0.0), ("coeff", bound_coeff(ends)), ("sqrt_weak", bound_sqrt_weak(ends)),
-            ("value_thm1", value_thm1), ("coeff2_thm2", bound_coeff2(ends)))
+def lower_bounds(ends: tuple[complex, ...], value_thm1) -> tuple:
+    """The value of each lower bound, in BOUND_KEYS order; value_thm1 is the one that varies with theta."""
+    return 0.0, bound_coeff(ends), bound_sqrt_weak(ends), value_thm1, bound_coeff2(ends)
 
 
 # A scan row, as data: the JSON row with a column name at each leaf, and the CSV header name of each column.
@@ -143,10 +148,10 @@ class BoundReport:
     "na" when the hypothesis does not hold or the bound was not requested.
     `speed` is the rotation speed behind lambda = 2 speed - n.
 
-    At a point (`full_report`) every field is a scalar and a margin that does not apply is None.  On a grid
-    (`grid_report`) theta, speed, lam and `skipped` are arrays over the angles, each value in bounds, margins
-    and flags is an array or one value for all of them, and a margin that does not apply at an angle reads
-    nan; a skipped angle has no verdict.
+    `verdict` builds it.  At a point (`full_report`) every field is a scalar and a margin that does not apply is
+    None.  On a grid (`grid_report`) theta, speed, lam and `skipped` are arrays over the angles, each value in
+    bounds, margins and flags is an array or one value for all of them, and a margin that does not apply at an
+    angle reads nan; a skipped angle has no verdict.
     """
 
     CSV_HEADER = ",".join(_CSV_ROW)
@@ -180,6 +185,38 @@ class BoundReport:
         return ~np.isfinite(self.lam) & np.logical_not(self.skipped)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf and nan arise silently, as in boundary_grid
+def verdict(theta, speed, lam, lower, arc, zero_free, lower_ok, upper_ok, slack: float,
+            skipped=False) -> BoundReport:
+    """The one gate of the polynomial bounds, at a point or on arrays over a grid's angles or a fuzz chunk's cases.
+
+    lower holds the `lower_bounds` values, arc the arc bound (nan where its hypothesis fails) and zero_free the
+    zero-free bound; lower_ok and upper_ok say where all zeros lie in the closed disk and where none lie in the
+    open disk.  An empty lower, or None for arc or zero_free, leaves those bounds out.  A bound applies where its
+    hypothesis holds and, for a lower bound, its value is finite; elsewhere it is "na" with a nan margin (None if
+    it applies nowhere).  Where it applies it passes when its margin is at least -slack max(1, |lam|), and fails
+    otherwise, a nan margin included.  At a point each flag is a Python str.
+    """
+    bounds, margins, flags = dict.fromkeys(BOUND_KEYS), dict.fromkeys(BOUND_KEYS), dict.fromkeys(BOUND_KEYS, "na")
+    neg_tol = -(slack * np.fmax(1.0, np.abs(lam)))  # fmax, like max(1.0, x), ignores a nan x
+    checks = [(key, value, lam - value, lower_ok & np.isfinite(value)) for key, value in zip(BOUND_KEYS, lower)]
+    if arc is not None:
+        checks.append(("arc_thm3", arc, arc - lam, ~np.isnan(arc)))
+    if zero_free is not None:
+        checks.append(("upper_zero_free", zero_free, zero_free - speed, upper_ok))
+    for key, value, margin, applies in checks:
+        bounds[key] = value
+        applies = np.asarray(applies)
+        if applies.any():
+            flag = np.where(margin >= neg_tol, "pass", "fail")
+            if not applies.all():
+                margin, flag = np.where(applies, margin, math.nan), np.where(applies, flag, "na")
+            margins[key], flags[key] = margin, flag
+    if np.ndim(lam) == 0:
+        flags = {k: str(v) for k, v in flags.items()}
+    return BoundReport(theta, speed, lam, bounds, margins, flags, skipped)
+
+
 def full_report(
     p: Polynomial,
     theta: float,
@@ -187,7 +224,7 @@ def full_report(
     arc: tuple[float, float | None] | None = None,
     slack: float = CHECK_SLACK,
 ) -> BoundReport:
-    """Evaluate lambda and every applicable bound at the boundary point e^{i theta}.
+    """Evaluate lambda and every applicable bound at the boundary point e^{i theta}, gated by `verdict`.
 
     Lower bounds apply when all zeros lie in the closed disk; the
     zero-free upper bound applies when none lie in the open disk, both
@@ -199,33 +236,14 @@ def full_report(
     z = circle_point(theta)
     speed = rotation_speed(p, z)
     lam = 2.0 * speed - p.degree
-    tol = slack * max(1.0, abs(lam))
-
-    bounds = dict.fromkeys(BOUND_KEYS)
-    margins = dict.fromkeys(BOUND_KEYS)
-    flags = dict.fromkeys(BOUND_KEYS, "na")
-
-    def record(key, value, margin):
-        bounds[key] = value
-        margins[key] = margin
-        flags[key] = "na" if margin is None else "pass" if margin >= -tol else "fail"
-
-    lower_ok = not classification.outside
-    for key, value in lower_bounds(p.endpoints, bound_value(p, z, lam)):
-        record(key, value, lam - value if lower_ok and math.isfinite(value) else None)
-
+    lower = lower_bounds(p.endpoints, bound_value(p, z, lam))
+    arc_value = None
     if arc is not None:
-        try:
-            value = bound_arc(theta, *arc, classification)
-            record("arc_thm3", value, value - lam)
-        except HypothesisViolated:
-            pass
-
-    if not classification.inside:
-        value = bound_zero_free(p.endpoints, p.degree)
-        record("upper_zero_free", value, value - speed)
-
-    return BoundReport(theta, speed, lam, bounds, margins, flags)
+        with contextlib.suppress(HypothesisViolated):
+            arc_value = bound_arc(theta, *arc, classification)
+    zero_free = None if classification.inside else bound_zero_free(p.endpoints, p.degree)
+    return verdict(theta, speed, lam, lower, arc_value, zero_free, not classification.outside,
+                   not classification.inside, slack)
 
 
 def grid_report(poly: Polynomial | RootForm, thetas: list[float], arc: tuple[float, float | None] | None,
@@ -240,7 +258,6 @@ def grid_report(poly: Polynomial | RootForm, thetas: list[float], arc: tuple[flo
                                  else boundary_grid(poly.coeffs, poly.coeff_scale, thetas))
     ends, n = poly.endpoints, poly.degree
     angles = np.asarray(thetas, dtype=float)
-    bounds, margins, flags = dict.fromkeys(BOUND_KEYS), dict.fromkeys(BOUND_KEYS), dict.fromkeys(BOUND_KEYS, "na")
     arc_value = None
     if arc is not None:
         if arc[1] is not None and not 0.0 < arc[1] < math.pi:
@@ -254,27 +271,9 @@ def grid_report(poly: Polynomial | RootForm, thetas: list[float], arc: tuple[flo
     # inf and nan arise silently, as in boundary_grid; arc_increment above keeps its own numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lam = 2.0 * speed - n
-        neg_tol = -(slack * np.fmax(1.0, np.abs(lam)))  # fmax, like max(1.0, x), ignores a nan x
-
-        def record(key, value, margin, applies):
-            bounds[key] = value
-            flag = np.where(margin >= neg_tol, "pass", "fail")
-            if np.ndim(applies) == 0 and applies:  # one verdict of applicability for every angle
-                margins[key], flags[key] = margin, flag
-            elif np.ndim(applies) and applies.any():
-                margins[key], flags[key] = np.where(applies, margin, math.nan), np.where(applies, flag, "na")
-
         lead_zn = np.empty_like(z)  # cn z^n, each point's product as Python takes it
         lead_zn.real, lead_zn.imag = c_mul(ends[-1].real, ends[-1].imag, *c_pow(z.real, z.imag, n))
         value_thm1 = value_refined(ends[0].conjugate(), lead_zn, vr, vi, lam)
-
-        lower_ok = not classification.outside
-        for key, value in lower_bounds(ends, value_thm1):
-            record(key, value, lam - value, lower_ok & np.isfinite(value))
-        if arc_value is not None:
-            record("arc_thm3", arc_value, arc_value - lam, ~np.isnan(arc_value))
-        if not classification.inside:
-            value = bound_zero_free(ends, n)
-            record("upper_zero_free", value, value - speed, True)
-
-    return BoundReport(angles, speed, lam, bounds, margins, flags, skipped)
+    zero_free = None if classification.inside else bound_zero_free(ends, n)
+    return verdict(angles, speed, lam, lower_bounds(ends, value_thm1), arc_value, zero_free,
+                   not classification.outside, not classification.inside, slack, skipped)

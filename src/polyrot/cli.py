@@ -17,11 +17,11 @@ import numpy as np
 
 from . import corpus
 from .blaschke import check_mercer_remark
-from .bounds import bound_zero_free, grid_report, lower_bounds, value_refined
+from .bounds import bound_zero_free, grid_report, lower_bounds, value_refined, verdict
 from .errors import PolyrotError
 from .oracle import arg_derivative_fd_batch
 from .poly import Polynomial, RootBatch, RootForm, circle_grid, root_batch, snap_band
-from .rational import RationalFunction, classify_numerator, pole_speed, rational_grid
+from .rational import RationalFunction, classify_numerator, comparison, pole_speed, rational_grid
 from .report import BOUND_KEYS, csv_cell, dump_json
 from .roots import classify_root_list, classify_sides, classify_zeros
 from .tolerances import CHECK_SLACK, MAX_DEGREE, ORACLE_AGREEMENT_TOL
@@ -133,21 +133,17 @@ class _FuzzTally:
 # --count never holds every case at once (at MAX_DEGREE each array of a chunk's batch is 4096 x 128 doubles, 4 MB).
 _FUZZ_CHUNK = 64
 
-# `lower_bounds` keys and the names fuzz tallies them under.
-_FUZZ_LOWER = {"classic": "lambda_nonneg", "coeff": "coeff", "sqrt_weak": "sqrt_weak", "value_thm1": "value",
-               "coeff2_thm2": "coeff2"}
-
-
-def _gated(margin, applies, neg_tol):
-    """(margins, violated) of a check, `full_report`'s verdict: nan and no violation where it does not apply."""
-    return np.where(applies, margin, math.nan), applies & ~(margin >= neg_tol)
+# The bound keys fuzz tallies and the names it tallies them under.
+_FUZZ_NAMES = {"classic": "lambda_nonneg", "coeff": "coeff", "sqrt_weak": "sqrt_weak", "value_thm1": "value",
+               "coeff2_thm2": "coeff2", "upper_zero_free": "upper_zero_free"}
 
 
 def _fuzz_checks(polynomials: list, rationals: list, zone: str) -> dict:
     """Each check's (margins, violated) over one chunk's cases, in the zone's set of checks (see `cmd_fuzz`).
 
     Every case, polynomial and rational, is one form of one `root_batch` call; the oracle runs on the polynomial
-    forms.  Each theta-free bound is its scalar function, called once per case on the drawn endpoints.
+    forms.  Each theta-free bound is its scalar function, called once per case on the drawn endpoints.  The
+    polynomial bounds are gated by `bounds.verdict` and the rational ones by `rational.comparison`, as in scan.
     """
     cases, k = polynomials + rationals, len(polynomials)
     if not cases:
@@ -162,16 +158,13 @@ def _fuzz_checks(polynomials: list, rationals: list, zone: str) -> dict:
     checks = {}
     if polynomials:
         lam, ends = 2.0 * speed[:k] - degree[:k], [c.endpoints for c in polynomials]
-        neg_tol = -(CHECK_SLACK * np.fmax(1.0, np.abs(lam)))  # full_report's slack
         oracle = ORACLE_AGREEMENT_TOL - np.abs(speed[:k] - arg_derivative_fd_batch(batch[:k], thetas[:k]))
         checks["oracle_agreement"] = oracle, oracle < 0.0
+        lower, zero_free = (), None
         if zone in ("in_disk", "on_circle"):
             lead_zn = np.array([e[-1] * w**n for e, w, n in zip(ends, z[:k].tolist(), degree.tolist())])
             value = value_refined(np.array([e[0].conjugate() for e in ends]), lead_zn, vr[:k], vi[:k], lam)
-            rows = [lower_bounds(e, v) for e, v in zip(ends, value.tolist())]
-            bounds = np.array([[b for _, b in row] for row in rows]).T  # one row per bound
-            margins, violated = _gated(lam - bounds, lower_ok[:k] & np.isfinite(bounds), neg_tol)
-            checks.update((_FUZZ_LOWER[key], pair) for (key, _), pair in zip(rows[0], zip(margins, violated)))
+            lower = np.array([lower_bounds(e, v) for e, v in zip(ends, value.tolist())]).T  # one row per bound
             sides = batch.sides[:, :k].T.tolist()  # each form's, padded: classify_sides reads one per zero
             classes = [classify_sides(c.roots, s) for c, s in zip(polynomials, sides)]
             mercer = [check_mercer_remark(e, cls) for e, cls in zip(ends, classes)]
@@ -179,21 +172,22 @@ def _fuzz_checks(polynomials: list, rationals: list, zone: str) -> dict:
         if zone == "on_circle":
             checks["lambda_zero"] = -np.abs(lam), np.abs(lam) > CHECK_SLACK
         if zone == "outside":
-            bound = np.array([bound_zero_free(e, n) for e, n in zip(ends, degree.tolist())])
-            checks["upper_zero_free"] = _gated(bound - speed[:k], upper_ok[:k], neg_tol)
+            zero_free = np.array([bound_zero_free(e, n) for e, n in zip(ends, degree.tolist())])
+        report = verdict(thetas[:k], speed[:k], lam, lower, None, zero_free, lower_ok[:k], upper_ok[:k], CHECK_SLACK)
+        for key, name in _FUZZ_NAMES.items():
+            if report.bounds[key] is not None:  # a bound that applies to no case counts each case with a nan margin
+                margins = report.margins[key]
+                checks[name] = np.full(k, math.nan) if margins is None else margins, report.flags[key] == "fail"
     if rationals:
-        n, m = np.array([len(c.poles) for c in rationals]), degree[k:]
+        n = np.array([len(c.poles) for c in rationals])
         # every case's poles at once, padded with the pole -1, whose Poisson term (|a| - 1)(...) adds exactly 0
         width = int(n.max())
         poles = np.fromiter(itertools.chain.from_iterable(c.poles + (-1.0,) * (width - len(c.poles))
                                                           for c in rationals), complex, len(rationals) * width)
         s = pole_speed((poles.reshape(len(rationals), width),), z[k:, None]).sum(axis=1)
-        # `rational._comparison`'s value (`arg_derivative`), reference and verdict; the margins are +-lambda_P/2
-        value, reference, half_lambda = speed[k:] - 0.5 * n + 0.5 * s, 0.5 * ((m - n) + s), speed[k:] - 0.5 * m
-        tol = CHECK_SLACK * np.fmax(np.fmax(1.0, np.abs(value)), np.abs(reference))
-        for name, margin, applies in (("rational_lower", half_lambda, lower_ok[k:]),
-                                      ("rational_upper", -half_lambda, upper_ok[k:])):
-            checks[name] = margin[applies], ~(margin[applies] >= -tol[applies])
+        both = comparison(degree[k:], n, s, speed[k:], True, True, CHECK_SLACK)  # tallied where each side applies
+        for side, applies in (("lower", lower_ok[k:]), ("upper", upper_ok[k:])):
+            checks[f"rational_{side}"] = both[f"{side}_margin"][applies], ~both[f"{side}_pass"][applies]
     return checks
 
 
@@ -215,7 +209,8 @@ def cmd_fuzz(args) -> int:
     ran slower, as did expanding a whole chunk in numpy (see README).  The
     expansion also gives the four endpoint coefficients that each
     theta-free bound reads, once per case.  fuzz solves for no root.  It
-    tallies, with `full_report`'s gates:
+    tallies, each bound through scan's gate (`bounds.verdict` for the
+    polynomial bounds, `rational.comparison` for the rational ones):
 
     - every zone: oracle_agreement, the analytic speed against the
       central-difference oracle within ORACLE_AGREEMENT_TOL;
@@ -225,10 +220,10 @@ def cmd_fuzz(args) -> int:
     - outside: upper_zero_free.
 
     Except in the mixed zone, each case also draws a rational function with
-    1-4 poles and tallies rational_lower and rational_upper where they apply,
-    from the numerator's zeros and the poles.  A case that cannot be built,
-    because at high degree its expansion overflows, is an input error
-    (exit 1).
+    1-4 poles and tallies rational_lower and rational_upper, each over the
+    cases where it applies, from the numerator's zeros and the poles.  A
+    case that cannot be built, because at high degree its expansion
+    overflows, is an input error (exit 1).
     """
     for bad, message in (
         (args.degree_min < 1 or args.degree_max < args.degree_min, "invalid degree range"),

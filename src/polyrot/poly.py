@@ -393,12 +393,14 @@ def _column_products(ur: np.ndarray, ui: np.ndarray):
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def root_batch(batch: RootBatch, thetas: Sequence[float]):
-    """What `root_grid` returns, at one angle per form of batch: thetas[k] for form k, every result one per form.
+    """`root_grid`'s quantities at one angle per form of batch: thetas[k] for form k, every result one per form.
 
     Each zero adds `root_grid`'s term, on (zeros x forms) arrays: 1/2 + (1 - |a|^2)/(2 |z - a|^2) inside the disk
     (the 1/2s added at once), (zr dr + zi di)/|z - a|^2 outside it, (dr, di) = z - a, and exactly 1/2 in the band;
     each form's terms are summed, and a padded slot adds 0.  The guard and P(z) = cn prod (z - a)/|z - a| are
-    `root_grid`'s, the product taken by halves in split real arithmetic (`c_mul`).
+    `root_grid`'s, the product taken by halves in split real arithmetic (`c_mul`).  The bits are not `root_grid`'s,
+    and a form's depend on the other forms of the batch: the halves pair its factors by the batch's padded height,
+    and numpy sums the terms of a one-form batch pairwise but those of a wider one row by row.
     """
     z = np.fromiter(map(circle_point, thetas), complex, len(thetas))
     zr, zi = z.real.copy(), z.imag.copy()

@@ -69,23 +69,21 @@ def pole_speed(poles: Sequence[complex], z):
 
     z is one point or an array of them, and each pole one complex or an array that broadcasts against z (one pole
     per point).  Each term is taken as ((|a| - 1)/|z - a|)((|a| + 1)/|z - a|), which overflows for no finite pole.
-    |z - a| is C `hypot` both ways, through `abs` at a point and `np.hypot` on a grid, so a point and a grid give
-    the same bits.
+    |z - a| and |a| are C `hypot`, as `abs` takes them, so a point and a grid give the same bits.
     """
     s = 0.0 * z.real  # 0.0 at a point, zeros on a grid
     for a in poles:
-        d = abs(z - a) if isinstance(z, complex) else np.hypot(z.real - a.real, z.imag - a.imag)
-        mod = abs(a) if isinstance(a, complex) else np.hypot(a.real, a.imag)  # np.abs of complex arrays is not hypot
+        d, mod = np.hypot(z.real - a.real, z.imag - a.imag), np.hypot(a.real, a.imag)
         s = s + ((mod - 1.0) / d) * ((mod + 1.0) / d)
     return s
 
 
-def arg_derivative(r: RationalFunction, speed, s):
-    """(arg R)'_theta = (arg P)'_theta - n/2 + S/2 from the numerator speed and S = `pole_speed`.
+def arg_derivative(n_poles, speed, s):
+    """(arg R)'_theta = (arg P)'_theta - n/2 + S/2 from the pole count n, the numerator speed and S = `pole_speed`.
 
     On |z| = 1 each pole's Re(z / (z - a)) is 1/2 minus half its Poisson term, so no complex division is needed.
     """
-    return speed - 0.5 * len(r.poles) + 0.5 * s
+    return speed - 0.5 * n_poles + 0.5 * s
 
 
 # A scan row, as data: the JSON row with a column name at each leaf, and the CSV column order.
@@ -150,16 +148,15 @@ def classify_numerator(r: RationalFunction) -> ZeroClassification:
     return classify_zeros(Polynomial(r.numerator)) if r.num_degree else classify_root_list(())
 
 
-def _comparison(r: RationalFunction, speed, z, classification: ZeroClassification, tol: float) -> dict:
-    """The fields of the comparison but theta, from the numerator speed at z: scalars at a point, arrays on a grid.
+def comparison(m, n, s, speed, lower_ok, upper_ok, tol: float) -> dict:
+    """The fields of the comparison but theta, for numerator degree m, n poles, S = `pole_speed` and the numerator
+    speed: scalars at a point, arrays on a grid or over fuzz cases.  lower_ok and upper_ok are bools: whether all
+    numerator zeros lie in the closed disk, and whether none lie in the open disk.
 
     value - reference = speed - m/2, which is lambda_P/2 of the numerator P: each margin is +-lambda_P/2, and
     the poles reach a verdict only through the tolerance's scale max(1, |value|, |reference|).
     """
-    m, n = r.num_degree, len(r.poles)
-    s = pole_speed(r.poles, z)
-    value, reference, half_lambda = arg_derivative(r, speed, s), 0.5 * ((m - n) + s), speed - 0.5 * m
-    lower_ok, upper_ok = not classification.outside, not classification.inside
+    value, reference, half_lambda = arg_derivative(n, speed, s), 0.5 * ((m - n) + s), speed - 0.5 * m
     check_tol = tol * np.fmax(np.fmax(1.0, np.abs(value)), np.abs(reference))  # fmax, like max, ignores a nan
     lower_margin = half_lambda if lower_ok else None
     upper_margin = -half_lambda if upper_ok else None
@@ -178,7 +175,9 @@ def check_rotation_bounds(r: RationalFunction, theta: float, classification: Zer
     the numerator (see `classify_numerator`).  Raises ZeroProximity at a numerator zero.
     """
     z = circle_point(theta)
-    columns = _comparison(r, boundary_speed(r.numerator, r._num_scale, z), z, classification, tol)
+    speed = boundary_speed(r.numerator, r._num_scale, z)
+    columns = comparison(r.num_degree, len(r.poles), pole_speed(r.poles, z), speed, not classification.outside,
+                         not classification.inside, tol)
     return RationalBoundReport(theta=theta, **{k: v.item() if isinstance(v, np.generic) else v
                                                for k, v in columns.items()})
 
@@ -189,4 +188,5 @@ def rational_grid(r: RationalFunction, thetas: list[float], tol: float,
     """`check_rotation_bounds`, bit for bit, at every angle of thetas: the numerator through `boundary_grid`."""
     z, _, _, speed, skipped = boundary_grid(r.numerator, r._num_scale, thetas)
     return RationalBoundReport(theta=np.asarray(thetas, dtype=float), skipped=skipped,
-                               **_comparison(r, speed, z, classification, tol))
+                               **comparison(r.num_degree, len(r.poles), pole_speed(r.poles, z), speed,
+                                            not classification.outside, not classification.inside, tol))

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,7 +22,7 @@ from polyrot import (
     rotation_speed,
 )
 from polyrot import corpus
-from polyrot.bounds import full_report
+from polyrot.bounds import full_report, verdict
 from polyrot.report import BOUND_KEYS
 from polyrot.roots import classify_root_list
 
@@ -54,6 +55,11 @@ def test_bound_coeff_values():
     assert bound_coeff(Polynomial([-0.5, 1]).endpoints) == pytest.approx(1 / 3)
     assert bound_coeff(fifth_roots_of_unity().endpoints) == pytest.approx(0.0, abs=1e-15)
     assert bound_coeff(Polynomial([0, 0, 0, 1]).endpoints) == pytest.approx(1.0)
+    # a zero at the origin gives c0 = 0, and two zeros at 1e200 scale cn past the double range to 0 as well:
+    # both bounds read exactly 1, as for every c0 = 0, and divide nothing by 0
+    ends = RootForm(1.0, (0j, 1e200, 1e200)).endpoints
+    assert ends[0] == ends[-1] == 0
+    assert bound_coeff(ends) == bound_sqrt_weak(ends) == bound_coeff(Polynomial([0, 1]).endpoints) == 1.0
 
 
 def test_bound_sqrt_weak_below_coeff(rng):
@@ -240,6 +246,55 @@ def test_every_applicable_flag_passes_across_zones(rng):
             assert rep.flags["arc_thm3"] == "na", (roots, theta, alpha)
             gated_arcs += 1
     assert min(applicable.values()) > 300 and gated_arcs > 1000, (applicable, gated_arcs)
+
+
+SLACK = 2.0**-30  # a power of two, so that every margin below is exact
+# lambda, speed, the coeff and zero-free bounds, lower_ok, upper_ok, and the flags of coeff and upper_zero_free
+GATE_CASES = [
+    (0.0, 0.0, SLACK, -SLACK, True, True, "pass", "pass"),  # margins of exactly -slack max(1, |lambda|) pass
+    (0.0, 0.0, math.nextafter(SLACK, 1.0), math.nextafter(-SLACK, -1.0), True, True, "fail", "fail"),  # one below
+    (-4.0, 0.0, 4.0 * SLACK - 4.0, -4.0 * SLACK, True, True, "pass", "pass"),
+    (-4.0, 0.0, 0.0, math.nextafter(-4.0 * SLACK, -1.0), True, True, "fail", "fail"),
+    (0.5, 0.5, 0.25, 1.0, False, False, "na", "na"),  # neither hypothesis holds
+    (math.nan, math.nan, 0.25, 1.0, True, True, "fail", "fail"),  # an applicable nan margin fails
+    (0.5, 0.5, math.inf, 1.0, True, True, "na", "pass"),  # a lower bound that is not finite does not apply
+]
+
+
+def _hex(x):
+    return None if x is None else float(x).hex()
+
+
+def test_verdict_is_the_same_gate_at_a_point_and_on_arrays():
+    for lam, speed, coeff, zero_free, *_ in GATE_CASES[:4:2]:
+        assert lam - coeff == zero_free - speed == -SLACK * max(1.0, abs(lam))
+    lam, speed, coeff, zero_free, lower_ok, upper_ok, _, _ = map(np.array, zip(*GATE_CASES))
+    # classic reads nan, so it is na everywhere and the status is that of the two bounds under test
+    on_arrays = verdict(None, speed, lam, (math.nan, coeff), None, zero_free, lower_ok, upper_ok, SLACK,
+                        np.zeros(len(lam), bool))
+    for k, (lam, speed, coeff, zero_free, lower_ok, upper_ok, *flags) in enumerate(GATE_CASES):
+        at_point = verdict(0.0, speed, lam, (math.nan, coeff), None, zero_free, lower_ok, upper_ok, SLACK)
+        for key, flag, margin in zip(("coeff", "upper_zero_free"), flags, (lam - coeff, zero_free - speed)):
+            assert type(at_point.flags[key]) is str and at_point.flags[key] == on_arrays.flags[key][k] == flag
+            assert at_point.margins[key] is None or type(at_point.margins[key]) is float
+            assert _hex(at_point.margins[key]) == (None if flag == "na" else _hex(margin)), (k, key)
+            assert _hex(on_arrays.margins[key][k]) == _hex(math.nan if flag == "na" else margin), (k, key)
+        assert at_point.status == on_arrays.status[k] == ("fail" if "fail" in flags else "pass")
+
+
+def test_verdict_keeps_none_where_a_bound_applies_nowhere():
+    nowhere, lam = np.array([False, False]), np.array([0.5, 1.0])
+    at_point = verdict(0.0, 0.5, 0.5, (0.0, 0.25), math.nan, 2.0, False, False, SLACK)
+    on_arrays = verdict(None, lam, lam, (0.0, np.array([0.25, math.inf])), np.full(2, math.nan), 2.0, nowhere,
+                        nowhere, SLACK)
+    for report in (at_point, on_arrays):
+        for key in ("classic", "coeff", "arc_thm3", "upper_zero_free"):
+            assert report.margins[key] is None and report.flags[key] == "na", key
+        assert report.bounds["classic"] == 0.0 and report.bounds["upper_zero_free"] == 2.0
+    # a bound left out has no value either
+    left_out = verdict(0.0, 0.5, 0.5, (), None, None, True, True, SLACK)
+    assert set(left_out.bounds.values()) == set(left_out.margins.values()) == {None}
+    assert set(left_out.flags.values()) == {"na"}
 
 
 def test_report_keys_match_wire_schema():

@@ -104,7 +104,7 @@ def test_arg_derivative_is_numerator_speed_minus_pole_terms(rng):
         z = circle_point(theta)
         r = RationalFunction(num.coeffs, poles)
         value = value_at(r, theta)
-        assert value == arg_derivative(r, rotation_speed(num, z), pole_speed(poles, z))
+        assert value == arg_derivative(len(poles), rotation_speed(num, z), pole_speed(poles, z))
         # each pole's Re(z / (z - a)) is half of 1 minus its Poisson term, up to rounding
         expected = rotation_speed(num, z)
         for a in poles:
