@@ -13,17 +13,17 @@ from __future__ import annotations
 
 from .errors import HypothesisViolated
 from .poly import cross_term
-from .roots import ZeroClassification
 from .tolerances import CHECK_SLACK
 
 
-def check_mercer_remark(ends: tuple[complex, ...], classification: ZeroClassification) -> tuple[float, bool]:
+def check_mercer_remark(ends: tuple[complex, ...], in_closed_disk: bool) -> tuple[float, bool]:
     """(margin, passed) of Mercer's remark |c1 conj(cn) - c0 conj(c_{n-1})| <= |cn|^2 - |c0|^2.
 
-    ends = (c0, c1, c_{n-1}, cn) are the `endpoints` of P; `classification`,
-    that of P's zeros, must put none outside the closed disk.
+    ends = (c0, c1, c_{n-1}, cn) are the `endpoints` of P; in_closed_disk says that P has no zero outside the closed
+    disk, the remark's hypothesis, as `bounds.verdict`'s lower_ok says it: `not classification.outside` for a
+    `ZeroClassification`, `batch.count(1) == 0` for a `RootBatch`.
     """
-    if classification.outside:
+    if not in_closed_disk:
         raise HypothesisViolated("zeros outside the closed unit disk")
     c0, c1, cm, cn = ends
     scale = max(abs(cn) ** 2, abs(c1 * cn), abs(c0 * cm))

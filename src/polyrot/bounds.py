@@ -64,10 +64,11 @@ def bound_value(p: Polynomial, z: complex, lam: float) -> float:
 
 def value_refined(c0_conj, lead_zn, vr, vi, lam):
     """`bound_value` on arrays, in its operations and order: P(z) = vr + i vi, lead_zn = cn z^n a Python product
-    per point, c0_conj = conj(c0) one value or one per point.  No guard: the caller skips where P(z) vanishes."""
+    per point, c0_conj = conj(c0) one value or one per point.  No guard: the caller skips where P(z) vanishes.
+    Where c0 = 0 the bound is |0 - 1| = 1, also where a root form's scaled cn underflowed and w reads 0/0."""
     wr, wi = c_quot(*c_mul(c0_conj.real, c0_conj.imag, vr, vi), *c_mul(lead_zn.real, lead_zn.imag, vr, -vi))
     # A real factor scales both parts: for finite w that is CPython's (lam + 1, 0) * w but for the sign of a zero.
-    return np.hypot((lam + 1.0) * wr - 1.0, (lam + 1.0) * wi)
+    return np.where(c0_conj == 0, 1.0, np.hypot((lam + 1.0) * wr - 1.0, (lam + 1.0) * wi))
 
 
 def bound_coeff2(ends: tuple[complex, ...]) -> float:

@@ -23,7 +23,7 @@ from .oracle import arg_derivative_fd_batch
 from .poly import Polynomial, RootBatch, RootForm, circle_grid, root_batch, snap_band
 from .rational import RationalFunction, classify_numerator, comparison, pole_speed, rational_grid
 from .report import BOUND_KEYS, csv_cell, dump_json
-from .roots import classify_root_list, classify_sides, classify_zeros
+from .roots import classify_root_list, classify_zeros
 from .tolerances import CHECK_SLACK, MAX_DEGREE, ORACLE_AGREEMENT_TOL
 from .witness import WitnessSpec, witness_report
 
@@ -165,9 +165,7 @@ def _fuzz_checks(polynomials: list, rationals: list, zone: str) -> dict:
             lead_zn = np.array([e[-1] * w**n for e, w, n in zip(ends, z[:k].tolist(), degree.tolist())])
             value = value_refined(np.array([e[0].conjugate() for e in ends]), lead_zn, vr[:k], vi[:k], lam)
             lower = np.array([lower_bounds(e, v) for e, v in zip(ends, value.tolist())]).T  # one row per bound
-            sides = batch.sides[:, :k].T.tolist()  # each form's, padded: classify_sides reads one per zero
-            classes = [classify_sides(c.roots, s) for c, s in zip(polynomials, sides)]
-            mercer = [check_mercer_remark(e, cls) for e, cls in zip(ends, classes)]
+            mercer = [check_mercer_remark(e, ok) for e, ok in zip(ends, lower_ok[:k].tolist())]
             checks["mercer_remark"] = np.array([m for m, _ in mercer]), np.array([not ok for _, ok in mercer])
         if zone == "on_circle":
             checks["lambda_zero"] = -np.abs(lam), np.abs(lam) > CHECK_SLACK
@@ -202,8 +200,10 @@ def cmd_fuzz(args) -> int:
     _FUZZ_CHUNK at a time, and each chunk is evaluated at once from the
     band-snapped zeros, as `scan --roots` reads them, on (zeros x cases)
     arrays: `poly.root_batch` gives the speed, lambda and the phase of P
-    behind value_thm1, the batch's sides the zero classification, and
-    `oracle.arg_derivative_fd_batch` the central-difference oracle.  The
+    behind value_thm1, the batch's sides the hypothesis flags, and
+    `oracle.arg_derivative_fd_batch` the central-difference oracle.  Both
+    reduce the arrays one zero row at a time, so a case's bits are
+    `root_grid`'s and do not depend on the chunk it is drawn in.  The
     expansion of the zeros stays for the angle draw: its floor reads
     max|c_k|, and a floor stated on the zeros would draw other angles and
     ran slower, as did expanding a whole chunk in numpy (see README).  The

@@ -51,8 +51,9 @@ def arg_derivative_fd_batch(batch: RootBatch, thetas: Sequence[float], h: float 
     that is h + atan2(y, x), wrapped into (-pi, pi]; the leading coefficient adds none.  (1 - |a|^2)/2 is the
     batch's `poisson`, and a zero in the on-circle band, whose `poisson` is 0, has y = 0.  Divided by 2h, the
     steps give n/2 plus the sum of atan2(y, x)/(2h), each band zero exactly 1/2.  No difference of two nearby
-    angles is taken, so the only error left is the central difference's truncation.  It shares no code with
-    `root_batch`'s speed.  There is no zero guard.
+    angles is taken, so the only error left is the central difference's truncation.  The steps are summed one zero
+    row at a time, as `root_batch` sums its terms, so a form's value is the same alone as in any batch.  It shares
+    no code with `root_batch`'s speed.  There is no zero guard.
     """
     if not (0.0 < h <= 1e-2):
         raise ValueError("step h must lie in (0, 1e-2]")
@@ -64,7 +65,10 @@ def arg_derivative_fd_batch(batch: RootBatch, thetas: Sequence[float], h: float 
     steps = np.zeros(live.shape)
     steps[live] = list(map(math.atan2, y[live].tolist(), x[live].tolist()))  # C atan2 on every CPU
     steps[steps > math.pi - h] -= 2.0 * math.pi  # h + atan2 past pi: the principal argument is 2 pi lower
-    return 0.5 * batch.degree + steps.sum(axis=0) / (2.0 * h)
+    total = np.zeros(live.shape[1])
+    for row in steps:
+        total += row
+    return 0.5 * batch.degree + total / (2.0 * h)
 
 
 def _endpoint_increments(inside: tuple[complex, ...], centers: np.ndarray, z0: np.ndarray, t: float) -> np.ndarray:

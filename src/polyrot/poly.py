@@ -381,26 +381,16 @@ class RootBatch:
         return (self.sides == side).sum(axis=0)
 
 
-def _column_products(ur: np.ndarray, ui: np.ndarray):
-    """The product down each column of (ur + i ui), by halves, every product a `c_mul`: its real and imaginary parts."""
-    while len(ur) > 1:
-        if len(ur) % 2:  # one more factor 1
-            ur, ui = np.vstack((ur, np.ones(ur.shape[1]))), np.vstack((ui, np.zeros(ui.shape[1])))
-        half = len(ur) // 2
-        ur, ui = c_mul(ur[:half], ui[:half], ur[half:], ui[half:])
-    return ur[0], ui[0]
-
-
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def root_batch(batch: RootBatch, thetas: Sequence[float]):
     """`root_grid`'s quantities at one angle per form of batch: thetas[k] for form k, every result one per form.
 
-    Each zero adds `root_grid`'s term, on (zeros x forms) arrays: 1/2 + (1 - |a|^2)/(2 |z - a|^2) inside the disk
-    (the 1/2s added at once), (zr dr + zi di)/|z - a|^2 outside it, (dr, di) = z - a, and exactly 1/2 in the band;
-    each form's terms are summed, and a padded slot adds 0.  The guard and P(z) = cn prod (z - a)/|z - a| are
-    `root_grid`'s, the product taken by halves in split real arithmetic (`c_mul`).  The bits are not `root_grid`'s,
-    and a form's depend on the other forms of the batch: the halves pair its factors by the batch's padded height,
-    and numpy sums the terms of a one-form batch pairwise but those of a wider one row by row.
+    Each zero's term and unit factor are `root_grid`'s, taken on (zeros x forms) arrays: (1 - |a|^2)/(2 |z - a|^2)
+    inside the disk, (zr dr + zi di)/|z - a|^2 outside it, (dr, di) = z - a, 0 in the band, and (z - a)/|z - a|.
+    They are reduced one zero row at a time in `root_grid`'s order: the speed starts at 1/2 per zero inside or in
+    the band and adds each term in turn, and P(z) starts at cn and is multiplied by each factor in turn (`c_mul`);
+    a padded slot adds 0 and multiplies by 1.  So each form gets `root_grid`'s bits at its angle wherever the guard
+    keeps it, whatever other forms share its batch, but for the sign of a part of P(z) that is exactly 0.
     """
     z = np.fromiter(map(circle_point, thetas), complex, len(thetas))
     zr, zi = z.real.copy(), z.imag.copy()
@@ -411,8 +401,11 @@ def root_batch(batch: RootBatch, thetas: Sequence[float]):
         m = np.where(np.isinf(d2), np.hypot(dr, di), m)
     outside = batch.sides > 0
     terms = np.where(outside, zr * dr + zi * di, batch.poisson) / d2
-    speed = 0.5 * (batch.degree - outside.sum(axis=0)) + terms.sum(axis=0)
+    ur, ui = np.where(batch.live, dr / m, 1.0), np.where(batch.live, di / m, 0.0)
+    speed = 0.5 * (batch.degree - outside.sum(axis=0))
+    vr, vi = batch.leading.real, batch.leading.imag
+    for term, fr, fi in zip(terms, ur, ui):
+        speed += term
+        vr, vi = c_mul(vr, vi, fr, fi)
     skipped = m.min(axis=0, initial=math.inf) < ZERO_PROXIMITY_REL  # a padded slot, at 0, lies 1 from z
-    ur, ui = _column_products(np.where(batch.live, dr / m, 1.0), np.where(batch.live, di / m, 0.0))
-    vr, vi = c_mul(batch.leading.real, batch.leading.imag, ur, ui)
     return z, np.where(skipped, 1.0, vr), np.where(skipped, 0.0, vi), speed, skipped

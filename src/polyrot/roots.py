@@ -70,15 +70,9 @@ class ZeroClassification:
 
 def classify_root_list(roots) -> ZeroClassification:
     """The zeros partitioned by `circle_side`, the one test of a zero against the on-circle band."""
-    roots = tuple(map(complex, roots))
-    return classify_sides(roots, map(circle_side, roots))
-
-
-def classify_sides(roots, sides) -> ZeroClassification:
-    """The zeros partitioned by their sides, each a `circle_side` (-1, 0 or 1) already taken; extra sides are unread."""
     parts: tuple[list, list, list] = ([], [], [])  # inside, on, outside
-    for r, side in zip(roots, sides):
-        parts[side + 1].append(r)
+    for r in map(complex, roots):
+        parts[circle_side(r) + 1].append(r)
     return ZeroClassification(*map(tuple, parts))
 
 

@@ -177,7 +177,7 @@ def test_criterion_4_second_coefficient_bound(disk_corpus):
     for _, p, thetas in disk_corpus:
         rhs = bound_coeff2(p.endpoints)
         ordering = min(ordering, rhs - bound_coeff(p.endpoints))
-        remark_ok = remark_ok and check_mercer_remark(p.endpoints, classify_zeros(p))[1]
+        remark_ok = remark_ok and check_mercer_remark(p.endpoints, not classify_zeros(p).outside)[1]
         for t in thetas:
             low = min(low, lambda_at(p, t) - rhs)
     _report(

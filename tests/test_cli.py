@@ -398,13 +398,13 @@ def test_root_form_double_zero_on_circle_keeps_lower_bounds(capsys, monkeypatch)
 
 
 def test_root_form_zero_at_the_origin_with_an_underflowed_leading_coefficient(capsys, monkeypatch):
-    # c0 is 0 for the zero at the origin, and the endpoints scale cn to 0 past sum log|a| of about 745: coeff
-    # and sqrt_weak read exactly 1, as for every c0 = 0, where coeff divided 0 by 0
+    # c0 is 0 for the zero at the origin, and the endpoints scale cn to 0 past sum log|a| of about 745: coeff,
+    # sqrt_weak and value_thm1 read exactly 1, as for every c0 = 0, where coeff and value_thm1 divided 0 by 0
     stdin = json.dumps({"leading": [1, 0], "roots": [[0, 0], [1e200, 0], [1e200, 0]]})
     code, out, err = run(capsys, ["scan", "--roots", "--theta", "0.5"], stdin=stdin, monkeypatch=monkeypatch)
     assert (code, err) == (0, "")
     (row,) = csv.DictReader(io.StringIO(out))
-    assert row["coeff"] == row["sqrt_weak"] == "1" and row["status"] == "pass"
+    assert row["coeff"] == row["sqrt_weak"] == row["value_thm1"] == "1" and row["status"] == "pass"
 
 
 def test_root_form_arc_bound_reads_the_given_zeros(capsys, monkeypatch):

@@ -23,19 +23,18 @@ from polyrot.cli import _FuzzTally, main
 from polyrot.oracle import arg_derivative_fd_batch
 from polyrot.poly import RootBatch, RootForm, circle_side, root_batch, root_grid, snap_band
 from polyrot.report import csv_cell, dump_json
-from polyrot.roots import classify_root_list, classify_sides
 
 U = 2.0**-53
 K = 8
 H = 1e-5
 
 
-def _drawn(zone, seed, count):
+def _drawn(zone, seed, count, degrees=(1, 16)):
     """The first count polynomials with an angle that fuzz --seed seed draws in zone, rational numerators included."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
-        case = corpus.fuzz_case(rng, int(rng.integers(1, 17)), zone)
+        case = corpus.fuzz_case(rng, int(rng.integers(degrees[0], degrees[1] + 1)), zone)
         out += [c for c in case if c is not None and c.theta is not None]
     return out[:count]
 
@@ -58,21 +57,38 @@ def _first_order(z, roots):
     return math.fsum(x * (1.0 + x) for x in t)
 
 
+def _bits(*arrays):
+    return [[float(x).hex() for x in a] for a in arrays]
+
+
 @pytest.mark.parametrize("zone", corpus.ZONES)
 def test_batch_is_root_grid_at_each_case(zone):
-    cases = _drawn(zone, 11, 200)
-    batch, z, vr, vi, speed, *_ = _evaluated(cases)
-    for k, (case, sides) in enumerate(zip(cases, batch.sides.T.tolist())):
-        rf = snap_band(RootForm(case.leading, case.roots))
-        gz, gvr, gvi, gspeed, _ = root_grid(rf, [case.theta])
-        snapped = [complex(x, y) for x, y in zip(batch.re[:rf.degree, k].tolist(), batch.im[:rf.degree, k].tolist())]
-        assert snapped == list(rf.roots)  # as snap_band snaps, bit for bit
-        assert classify_sides(case.roots, sides) == classify_root_list(case.roots)
-        assert sides[rf.degree:] == [0] * (len(sides) - rf.degree)  # a padded slot lies on side 0
-        assert z[k] == gz[0]
-        tol = K * U * _first_order(z[k], rf.roots)
-        assert abs(speed[k] - gspeed[0]) <= tol, (zone, k)
-        assert abs(complex(vr[k], vi[k]) - complex(gvr[0], gvi[0])) <= tol * abs(rf.leading), (zone, k)
+    # the batch reduces its zero rows in root_grid's order, so each case gets root_grid's bits at its angle
+    for seed, degrees in ((11, (1, 16)), (12, (1, 16)), (13, (30, 64))):
+        cases = _drawn(zone, seed, 120, degrees)
+        batch, z, vr, vi, speed, *_ = _evaluated(cases)
+        for k, (case, sides) in enumerate(zip(cases, batch.sides.T.tolist())):
+            rf = snap_band(RootForm(case.leading, case.roots))
+            gz, gvr, gvi, gspeed, _ = root_grid(rf, [case.theta])
+            snapped = [complex(x, y) for x, y in zip(batch.re[:rf.degree, k].tolist(),
+                                                      batch.im[:rf.degree, k].tolist())]
+            assert snapped == list(rf.roots)  # as snap_band snaps, bit for bit
+            assert sides[:rf.degree] == list(map(circle_side, case.roots))
+            assert sides[rf.degree:] == [0] * (len(sides) - rf.degree)  # a padded slot lies on side 0
+            assert z[k] == gz[0]
+            assert _bits(speed[k:k + 1], vr[k:k + 1], vi[k:k + 1]) == _bits(gspeed, gvr, gvi), (seed, k)
+
+
+@pytest.mark.parametrize("zone", corpus.ZONES)
+@pytest.mark.parametrize("degrees", [(1, 16), (30, 64)])
+def test_each_case_alone_has_its_bits_in_the_chunk(zone, degrees):
+    # neither the kernel nor the oracle lets a case's bits depend on the other cases of its batch
+    cases = _drawn(zone, 5, 64, degrees)
+    _, z, vr, vi, speed, _, _, fd = _evaluated(cases)
+    for k, case in enumerate(cases):
+        _, z1, vr1, vi1, speed1, _, _, fd1 = _evaluated([case])
+        assert z1[0] == z[k]
+        assert _bits(speed1, vr1, vi1, fd1) == _bits(speed[k:k + 1], vr[k:k + 1], vi[k:k + 1], fd[k:k + 1]), (zone, k)
 
 
 @pytest.mark.parametrize("zone", corpus.ZONES)
@@ -108,6 +124,22 @@ def test_band_zeros_add_exactly_one_half_to_the_oracle():
     cases = _drawn("on_circle", 3, 100)
     batch, _, _, _, speed, lam, _, fd = _evaluated(cases)
     assert np.all(lam == 0.0) and np.all(fd == speed) and np.all(fd == 0.5 * batch.degree)
+
+
+@pytest.mark.parametrize("zone", corpus.ZONES)
+def test_fuzz_output_does_not_depend_on_the_chunk_size(zone, capsys, monkeypatch):
+    # a case's bits are its own, so how many cases share a batch moves no output byte
+    from polyrot import cli
+
+    for seed in (0, 1, 2):
+        for degree_max in ("16", "64"):
+            argv = ["fuzz", "--count", "70", "--zone", zone, "--seed", str(seed), "--degree-max", degree_max]
+            outputs = set()
+            for chunk in (1, 7, 64):
+                monkeypatch.setattr(cli, "_FUZZ_CHUNK", chunk)
+                code = main(argv)
+                outputs.add((code, capsys.readouterr().out))
+            assert len(outputs) == 1, (seed, degree_max)
 
 
 def test_tally_keeps_its_semantics():
