@@ -251,9 +251,9 @@ def grid_report(poly: Polynomial | RootForm, thetas: list[float], arc: tuple[flo
                 slack: float, classification: ZeroClassification) -> BoundReport:
     """`full_report` at every angle of thetas in one array pass; each theta-free bound and `arc_increment` runs once.
 
-    A Polynomial is `full_report` bit for bit, from its coefficients (`boundary_grid`).  A RootForm, band-snapped
-    by the caller, is never expanded: the speed, P(z) and the zero guard come from its zeros (`root_grid`), and
-    the coefficient bounds from its `endpoints`, by Vieta's relations.
+    A Polynomial is `full_report` bit for bit, from its coefficients (`boundary_grid`).  A RootForm is taken as
+    built, each reader applying the band rule (`read_zero`), and is never expanded: the speed, P(z) and the zero
+    guard come from its zeros (`root_grid`), and the coefficient bounds from its `endpoints`, by Vieta's relations.
     """
     z, vr, vi, speed, skipped = (root_grid(poly, thetas) if isinstance(poly, RootForm)
                                  else boundary_grid(poly.coeffs, poly.coeff_scale, thetas))

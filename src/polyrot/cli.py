@@ -20,7 +20,7 @@ from .blaschke import check_mercer_remark
 from .bounds import bound_zero_free, grid_report, lower_bounds, value_refined, verdict
 from .errors import PolyrotError
 from .oracle import arg_derivative_fd_batch
-from .poly import Polynomial, RootBatch, RootForm, circle_grid, root_batch, snap_band
+from .poly import Polynomial, RootBatch, RootForm, circle_grid, root_batch
 from .rational import RationalFunction, classify_numerator, comparison, pole_speed, rational_grid
 from .report import BOUND_KEYS, csv_cell, dump_json
 from .roots import classify_root_list, classify_zeros
@@ -52,10 +52,9 @@ def _parse_scan_input(text: str, mode: str):
 
 
 def cmd_scan(args) -> int:
-    """Scan one input over a theta grid; a root form is evaluated from its band-snapped zeros, never expanded."""
+    """Scan one input over a theta grid; a root form is evaluated from its zeros as it states them, never expanded."""
     try:
-        parsed = _parse_scan_input(_read_input(args.input), args.mode)
-        obj = snap_band(parsed) if isinstance(parsed, RootForm) else parsed
+        obj = _parse_scan_input(_read_input(args.input), args.mode)
         thetas = [float(t) for t in args.theta.split(",")] if args.theta is not None else circle_grid(args.grid)
         checks = args.checks.split(",") if args.checks is not None else BOUND_KEYS
         unknown = sorted(set(checks) - set(BOUND_KEYS))
@@ -81,7 +80,7 @@ def cmd_scan(args) -> int:
         # The zeros do not depend on theta: classify them once per input, a root form's as it states them.
         cls = (classify_root_list(obj.roots) if isinstance(obj, RootForm)
                else classify_numerator(obj) if isinstance(obj, RationalFunction) else classify_zeros(obj))
-    except (ValueError, KeyError, TypeError, OSError, PolyrotError) as exc:
+    except (ValueError, TypeError, OSError, PolyrotError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -101,7 +100,7 @@ def cmd_scan(args) -> int:
             else csv_cell(theta) + "," * header.count(",") + "skipped" for theta, row in zip(thetas, rendered)]
 
     if json_rows:
-        sys.stdout.write(dump_json({"command": "scan", "input": parsed.to_json(), "rows": rows}))
+        sys.stdout.write(dump_json({"command": "scan", "input": obj.to_json(), "rows": rows}))
     else:
         sys.stdout.write("\n".join([header, *rows]) + "\n")
     return 2 if grid.fails(checks).any() else 0
@@ -198,9 +197,9 @@ def cmd_fuzz(args) -> int:
     poles and first angle try from one `Generator.random` call, and no
     `RootForm` or `Polynomial` is built per case.  The cases are drawn
     _FUZZ_CHUNK at a time, and each chunk is evaluated at once from the
-    band-snapped zeros, as `scan --roots` reads them, on (zeros x cases)
-    arrays: `poly.root_batch` gives the speed, lambda and the phase of P
-    behind value_thm1, the batch's sides the hypothesis flags, and
+    zeros as `scan --roots` reads them (`RootBatch.snapped`), on (zeros x
+    cases) arrays: `poly.root_batch` gives the speed, lambda and the phase
+    of P behind value_thm1, the batch's sides the hypothesis flags, and
     `oracle.arg_derivative_fd_batch` the central-difference oracle.  Both
     reduce the arrays one zero row at a time, so a case's bits are
     `root_grid`'s and do not depend on the chunk it is drawn in.  The
@@ -273,7 +272,7 @@ def cmd_witness(args) -> int:
     try:
         spec = WitnessSpec.from_json(json.loads(_read_input(args.spec)))
         report = witness_report(spec)
-    except (PolyrotError, ValueError, KeyError, TypeError, OSError) as exc:
+    except (PolyrotError, ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     sys.stdout.write(dump_json(report))

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArcContainsRoot, HypothesisViolated
-from .poly import Polynomial, RootBatch, circle_point, guard_zero
+from .poly import Polynomial, RootBatch, circle_points, guard_zero
 from .roots import ZeroClassification
 from .tolerances import ARC_EDGE_SLACK
 
@@ -57,7 +57,7 @@ def arg_derivative_fd_batch(batch: RootBatch, thetas: Sequence[float], h: float 
     """
     if not (0.0 < h <= 1e-2):
         raise ValueError("step h must lie in (0, 1e-2]")
-    z = np.fromiter(map(circle_point, thetas), complex, len(thetas))
+    z = circle_points(thetas)
     dr, di = z.real - batch.re, z.imag - batch.im
     x = (dr * dr + di * di) - (2.0 - 2.0 * batch.poisson) * (2.0 * math.sin(0.5 * h) ** 2)  # 2 - 2 poisson = 1 + |a|^2
     y = batch.poisson * (2.0 * math.sin(h))
@@ -75,7 +75,7 @@ def _endpoint_increments(inside: tuple[complex, ...], centers: np.ndarray, z0: n
     """Each center's increment from z0 to e^{i (theta0 + t)}, zeros in the open disk, as a lone center's bits."""
     if not inside:
         return np.zeros(len(centers))
-    z1 = np.fromiter(map(circle_point, (centers + t).tolist()), complex, len(centers))[:, None]
+    z1 = circle_points((centers + t).tolist())[:, None]
     a = np.asarray(inside, dtype=complex)
     u0, v0, u1, v1 = z0.real - a.real, z0.imag - a.imag, z1.real - a.real, z1.imag - a.imag
     y, x = v1 * u0 - u1 * v0, u1 * u0 + v1 * v0  # arg((z1 - a) / (z0 - a)), as arg((z1 - a) conj(z0 - a))
@@ -112,7 +112,7 @@ def arc_increment(theta0, alpha: float, classification: ZeroClassification):
     if classification.outside:
         raise HypothesisViolated("zeros outside the closed unit disk")
     inside = classification.inside
-    z0 = np.fromiter(map(circle_point, centers.tolist()), complex, len(centers))[:, None]
+    z0 = circle_points(centers.tolist())[:, None]
     inc = np.maximum(*(np.abs(_endpoint_increments(inside, centers, z0, sign * alpha)) for sign in (1.0, -1.0)))
     inc[on_arc.any(axis=1)] = math.nan
     return float(inc[0]) if np.ndim(theta0) == 0 else inc

@@ -221,7 +221,8 @@ class RootForm:
 
         L = sum log|b| over the zeros b off the origin; q0 = cn prod (-b) and q1 = -q0 sum 1/b, the lowest coefficients
         of cn prod (z - b), move up k places with k zeros at the origin; c_{n-1} = -cn sum a."""
-        nonzero = [a for a in self.roots if a]
+        roots = [read_zero(a)[1] for a in self.roots]  # each zero as every reader takes it
+        nonzero = [a for a in roots if a]
         logs = math.fsum(math.log(abs(b)) for b in nonzero)
         phase = unit = self.leading / abs(self.leading)
         for b in nonzero:
@@ -229,14 +230,14 @@ class RootForm:
         q0, lead = phase / abs(phase) * math.exp(min(logs, 0.0)), unit * math.exp(-max(logs, 0.0))
         k = self.degree - len(nonzero)
         c0, c1 = (q0, -q0 * _fsum(1.0 / b for b in nonzero)) if k == 0 else (0j, q0) if k == 1 else (0j, 0j)
-        return c0, c1, -lead * _fsum(self.roots), lead
+        return c0, c1, -lead * _fsum(roots), lead
 
     def to_json(self) -> dict:
         return {"leading": [self.leading.real, self.leading.imag], "roots": [[r.real, r.imag] for r in self.roots]}
 
     @staticmethod
     def from_json(data: dict) -> "RootForm":
-        return RootForm(complex_pairs([data["leading"]], "leading")[0], complex_pairs(data["roots"], "roots"))
+        return RootForm(complex_pairs([data.get("leading")], "leading")[0], complex_pairs(data.get("roots"), "roots"))
 
 
 def circle_point(theta: float) -> complex:
@@ -249,15 +250,16 @@ def circle_grid(n: int) -> list[float]:
     return (2.0 * math.pi * np.arange(n) / n).tolist()  # (2 pi k)/n, each k and n as a float, in one array pass
 
 
-def circle_side(a: complex) -> int:
-    """-1 inside the unit disk, 0 in the on-circle band of width ON_CIRCLE_TOL, 1 outside: the one test of a zero."""
-    d = abs(a) - 1.0
-    return 0 if abs(d) <= ON_CIRCLE_TOL else -1 if d < 0 else 1
+def circle_points(thetas: Sequence[float]) -> np.ndarray:
+    """`circle_point` at every angle of thetas, as one complex array."""
+    return np.fromiter(map(circle_point, thetas), complex, len(thetas))
 
 
-def snap_band(rf: RootForm) -> RootForm:
-    """rf with every zero of the on-circle band moved to a/|a|, onto the circle that its classification puts it on."""
-    return RootForm(rf.leading, (a / abs(a) if circle_side(a) == 0 else a for a in rf.roots))
+def read_zero(a: complex) -> tuple[int, complex]:
+    """(side, zero): the one band rule, which every reader of a zero applies.  side is -1 inside the unit disk, 0 in
+    the on-circle band of width ON_CIRCLE_TOL and 1 outside; a zero of the band is moved onto the circle, to a/|a|."""
+    m = abs(a)
+    return (0, a / m) if abs(m - 1.0) <= ON_CIRCLE_TOL else (-1 if m < 1.0 else 1, a)
 
 
 def from_roots(rf: RootForm) -> Polynomial:
@@ -285,7 +287,7 @@ def boundary_grid(coeffs: Sequence[complex], scale: float, thetas: list[float]):
     `skipped` marks where `guard_zero` refuses; P(z) reads 1 there, so nothing divides by 0.  z is the one
     complex array of the points: callers take its `.real` and `.imag` views instead of building another.
     """
-    z = np.fromiter(map(circle_point, thetas), complex, len(thetas))
+    z = circle_points(thetas)
     zr, zi = z.real, z.imag
     vr, vi, dr, di = (np.zeros(len(z)) for _ in range(4))
     for c in reversed(coeffs):  # horner_pair: dacc = dacc z + acc, then acc = acc z + c
@@ -299,7 +301,7 @@ def boundary_grid(coeffs: Sequence[complex], scale: float, thetas: list[float]):
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def root_grid(rf: RootForm, thetas: list[float]):
-    """What `boundary_grid` returns, from the zeros of rf, band-snapped (`snap_band`) by the caller.
+    """What `boundary_grid` returns, from the zeros of rf, each as `read_zero` reads it.
 
     One pass over the zeros in input order, on 1-D angle arrays.  Each zero adds its term of the speed Re(z/(z - a))
     in a form that does not cancel: 1/2 + (1 - |a|^2)/(2 |z - a|^2) inside the disk (the 1/2s added at once),
@@ -307,13 +309,13 @@ def root_grid(rf: RootForm, thetas: list[float]):
     nearest zero, the smallest |z - a| divided by, is closer than ZERO_PROXIMITY_REL.  P(z) is returned as
     cn prod (z - a)/|z - a|, of P's argument and modulus |cn|.
     """
-    z = np.fromiter(map(circle_point, thetas), complex, len(thetas))
+    z = circle_points(thetas)
     zr, zi = z.real.copy(), z.imag.copy()
-    sides = [circle_side(a) for a in rf.roots]
-    speed, nearest = np.full(len(z), 0.5 * (len(sides) - sides.count(1))), np.full(len(z), math.inf)
+    zeros = list(map(read_zero, rf.roots))
+    speed, nearest = np.full(len(z), 0.5 * sum(side <= 0 for side, _ in zeros)), np.full(len(z), math.inf)
     vr, vi = np.full(len(z), rf.leading.real), np.full(len(z), rf.leading.imag)
     dr, di, d2, m, t = (np.empty(len(z)) for _ in range(5))  # scratch, written in place
-    for a, side in zip(rf.roots, sides):
+    for side, a in zeros:
         np.subtract(zr, a.real, out=dr)
         np.subtract(zi, a.imag, out=di)
         np.add(np.multiply(dr, dr, out=d2), np.multiply(di, di, out=t), out=d2)  # |z - a|^2
@@ -335,8 +337,8 @@ def root_grid(rf: RootForm, thetas: list[float]):
 class RootBatch:
     """Many root forms as (zeros x forms) float arrays: column k holds form k's zeros in order, padded past its degree.
 
-    `re` and `im` hold each zero, those of the on-circle band moved onto the circle as `snap_band` moves them, bit
-    for bit, and `sides` its `circle_side`.  `poisson` holds (1 - |a|)(1 + |a|)/2, half the numerator of the
+    `re` and `im` hold each zero and `sides` its side, both as `read_zero` reads it, bit for bit: this is that
+    rule on arrays, for fuzz's chunks.  `poisson` holds (1 - |a|)(1 + |a|)/2, half the numerator of the
     zero's Poisson term (1 - |a|^2)/|z - a|^2, and exactly 0 in the band.  `live` marks the zeros that exist; a
     padded slot holds 0 on side 0, with `poisson` 0.  Each array is contiguous; a zero's row is its index in its form.
     """
@@ -392,7 +394,7 @@ def root_batch(batch: RootBatch, thetas: Sequence[float]):
     a padded slot adds 0 and multiplies by 1.  So each form gets `root_grid`'s bits at its angle wherever the guard
     keeps it, whatever other forms share its batch, but for the sign of a part of P(z) that is exactly 0.
     """
-    z = np.fromiter(map(circle_point, thetas), complex, len(thetas))
+    z = circle_points(thetas)
     zr, zi = z.real.copy(), z.imag.copy()
     dr, di = zr - batch.re, zi - batch.im
     d2 = dr * dr + di * di  # |z - a|^2

@@ -61,7 +61,8 @@ class RationalFunction:
 
     @staticmethod
     def from_json(data: dict) -> "RationalFunction":
-        return RationalFunction(complex_pairs(data["numerator"], "numerator"), complex_pairs(data["poles"], "poles"))
+        return RationalFunction(complex_pairs(data.get("numerator"), "numerator"),
+                                complex_pairs(data.get("poles"), "poles"))
 
 
 def pole_speed(poles: Sequence[complex], z):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence
-from .poly import Polynomial, circle_side, horner, horner_pair
+from .poly import Polynomial, horner, horner_pair, read_zero
 from .tolerances import RESIDUAL_TOL
 
 
@@ -69,10 +69,10 @@ class ZeroClassification:
 
 
 def classify_root_list(roots) -> ZeroClassification:
-    """The zeros partitioned by `circle_side`, the one test of a zero against the on-circle band."""
+    """The zeros partitioned as `read_zero` reads them, those of the on-circle band moved onto the circle."""
     parts: tuple[list, list, list] = ([], [], [])  # inside, on, outside
-    for r in map(complex, roots):
-        parts[circle_side(r) + 1].append(r)
+    for side, r in map(read_zero, map(complex, roots)):
+        parts[side + 1].append(r)
     return ZeroClassification(*map(tuple, parts))
 
 

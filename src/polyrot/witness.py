@@ -9,7 +9,6 @@ for a spec.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -19,20 +18,18 @@ import numpy as np
 from .bounds import grid_report
 from .errors import HypothesisViolated, InvalidWitnessParams, ZeroProximity
 from .oracle import arc_increment
-from .poly import RootForm, circle_grid, complex_pairs, expand_monic, is_number, snap_band
+from .poly import RootForm, circle_grid, circle_point, complex_pairs, expand_monic, is_number, read_zero
 from .rational import RationalFunction, classify_numerator, rational_grid
 from .roots import classify_root_list
-from .tolerances import (ANGULAR_DERIVATIVE_SLACK, CHECK_SLACK, MAX_DEGREE, ON_CIRCLE_TOL, ONE_EXCLUSION,
-                         POLE_CIRCLE_TOL, SELF_MAP_ONE_TOL, SELF_MAP_ORIGIN_TOL)
+from .tolerances import (ANGULAR_DERIVATIVE_SLACK, CHECK_SLACK, MAX_DEGREE, ONE_EXCLUSION, POLE_CIRCLE_TOL,
+                         SELF_MAP_ONE_TOL, SELF_MAP_ORIGIN_TOL)
 
 
 def _as_unimodular(roots: Iterable[complex]) -> tuple[complex, ...]:
     out = []
-    for a in roots:
-        a = complex(a)
-        if abs(abs(a) - 1.0) > ON_CIRCLE_TOL:
+    for side, a in map(read_zero, map(complex, roots)):  # a zero of the band moved onto the circle
+        if side:
             raise InvalidWitnessParams(f"|a| = {abs(a):.9f} is not unimodular")
-        a /= abs(a)  # snap exactly onto the circle
         if abs(a - 1.0) < ONE_EXCLUSION:
             raise InvalidWitnessParams("unimodular roots must stay away from z = 1")
         out.append(a)
@@ -94,7 +91,7 @@ def witness_unimodular(n: int, seed: int) -> RootForm:
         raise InvalidWitnessParams(f"n must be <= {MAX_DEGREE}")
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    return RootForm(1.0, tuple(cmath.exp(1j * t) for t in angles))
+    return RootForm(1.0, tuple(map(circle_point, angles)))
 
 
 def witness_rational(
@@ -111,12 +108,9 @@ def witness_rational(
     for a in ps:
         if abs(a) <= 1.0 + POLE_CIRCLE_TOL:
             raise InvalidWitnessParams("poles must satisfy |a| > 1")
-    alpha, beta = complex(alpha), complex(beta)
-    for w in (alpha, beta):
-        if abs(abs(w) - 1.0) > ON_CIRCLE_TOL:
-            raise InvalidWitnessParams("alpha and beta must be unimodular")
-    alpha /= abs(alpha)
-    beta /= abs(beta)
+    (alpha_side, alpha), (beta_side, beta) = read_zero(complex(alpha)), read_zero(complex(beta))
+    if alpha_side or beta_side:
+        raise InvalidWitnessParams("alpha and beta must be unimodular")
 
     # numerator of alpha B + beta over the common denominator prod (z - a_k)
     top = expand_monic(1.0 / a.conjugate() for a in ps)
@@ -145,6 +139,11 @@ class WitnessSpec:
 
     @staticmethod
     def from_json(data: dict) -> "WitnessSpec":
+        if not isinstance(data, dict):
+            raise InvalidWitnessParams("witness spec must be a JSON object")
+        if not isinstance(data.get("kind"), str):
+            raise InvalidWitnessParams("kind must be a string: value, arc, goryainov, unimodular or rational")
+
         def num(field, kind=(int, float)):
             if data.get(field) is not None and not is_number(data[field], kind):
                 raise InvalidWitnessParams(f"{field} must be {'an integer' if kind is int else 'a number'}")
@@ -168,9 +167,7 @@ class WitnessSpec:
 
 
 def _root_report(rf: RootForm, thetas: list[float]):
-    """`grid_report` at thetas of rf's band-snapped zeros, never expanded, and their classification; raises at a lone
-    skipped angle."""
-    rf = snap_band(rf)
+    """`grid_report` at thetas of rf, from its zeros, and their classification; raises at a lone skipped angle."""
     cls = classify_root_list(rf.roots)
     rep = grid_report(rf, thetas, None, CHECK_SLACK, cls)
     if len(thetas) == 1 and rep.skipped[0]:

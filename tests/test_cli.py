@@ -178,10 +178,13 @@ RATIONAL = '{"numerator": [[1, 0], [-2, 0]], "poles": [[2, 0]]}'
         # an empty list is not the default: it names no angle and no check
         (POLY, ["--theta", ""], "could not convert string to float"),
         (POLY, ["--theta", "0", "--checks", ""], "unknown checks"),
+        # a missing field is named as a malformed one is
+        ('{"roots": [[0.5, 0]]}', ["--theta", "0"], "error: leading must be [re, im] pairs of numbers"),
+        ('{"poles": [[2, 0]]}', ["--theta", "0"], "error: numerator must be [re, im] pairs of numbers"),
     ],
     ids=["negative", "tol_nan", "tol_inf", "theta_nan", "theta_inf",
          "rational_coeffs", "rational_roots", "rational_checks", "rational_arc_alpha", "rational_arc_beta",
-         "theta_empty", "checks_empty"],
+         "theta_empty", "checks_empty", "roots_without_leading", "poles_without_numerator"],
 )
 def test_scan_rejects_nonpositive_tolerance(capsys, monkeypatch, stdin, flags, message):
     code, out, err = run(capsys, ["scan", "--input", "-", *flags], stdin=stdin, monkeypatch=monkeypatch)
@@ -683,6 +686,10 @@ def test_witness_toolkit_error_is_input_error(capsys, monkeypatch):
         ("a", {"kind": "value"}),
         ("a", {"kind": "goryainov"}),
         ("coeff_beta", {"kind": "rational", "poles": [[2, 0]], "coeff_alpha": [1, 0]}),
+        ("kind", {}),
+        ("kind", {"kind": ["value"]}),
+        ("witness spec", []),
+        ("witness spec", "x"),
     ],
 )
 def test_witness_error_names_the_field(capsys, monkeypatch, field, spec):

@@ -21,7 +21,7 @@ from polyrot import corpus
 from polyrot.bounds import value_refined
 from polyrot.cli import _FuzzTally, main
 from polyrot.oracle import arg_derivative_fd_batch
-from polyrot.poly import RootBatch, RootForm, circle_side, root_batch, root_grid, snap_band
+from polyrot.poly import RootBatch, RootForm, read_zero, root_batch, root_grid
 from polyrot.report import csv_cell, dump_json
 
 U = 2.0**-53
@@ -68,12 +68,13 @@ def test_batch_is_root_grid_at_each_case(zone):
         cases = _drawn(zone, seed, 120, degrees)
         batch, z, vr, vi, speed, *_ = _evaluated(cases)
         for k, (case, sides) in enumerate(zip(cases, batch.sides.T.tolist())):
-            rf = snap_band(RootForm(case.leading, case.roots))
+            rf = RootForm(case.leading, case.roots)
             gz, gvr, gvi, gspeed, _ = root_grid(rf, [case.theta])
             snapped = [complex(x, y) for x, y in zip(batch.re[:rf.degree, k].tolist(),
                                                       batch.im[:rf.degree, k].tolist())]
-            assert snapped == list(rf.roots)  # as snap_band snaps, bit for bit
-            assert sides[:rf.degree] == list(map(circle_side, case.roots))
+            read = [read_zero(a) for a in case.roots]
+            assert snapped == [a for _, a in read]  # as read_zero snaps, bit for bit
+            assert sides[:rf.degree] == [side for side, _ in read]
             assert sides[rf.degree:] == [0] * (len(sides) - rf.degree)  # a padded slot lies on side 0
             assert z[k] == gz[0]
             assert _bits(speed[k:k + 1], vr[k:k + 1], vi[k:k + 1]) == _bits(gspeed, gvr, gvi), (seed, k)
@@ -98,7 +99,7 @@ def test_lambda_value_and_oracle_match_50_digits(zone):
     with mp.workdps(50):
         for k, case in enumerate(cases):
             # the band zeros exactly on the circle, as the snapping means them
-            zeros = [mp.mpc(a) / abs(mp.mpc(a)) if circle_side(a) == 0 else mp.mpc(a) for a in case.roots]
+            zeros = [mp.mpc(a) / abs(mp.mpc(a)) if read_zero(a)[0] == 0 else mp.mpc(a) for a in case.roots]
             n, first = len(zeros), _first_order(z[k], zeros)
             ze = mp.mpc(z[k])  # the angle's double point; its rounding moves each quantity to second order only
             exact_lam = 2 * mp.fsum((ze / (ze - a)).real for a in zeros) - n

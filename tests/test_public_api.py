@@ -97,3 +97,11 @@ def test_root_form_is_never_expanded_outside_fuzz():
         expanding = {path.stem for path in SRC.glob("*.py")
                      if path.name != "__init__.py" and name in _referenced_names(path)}
         assert expanding <= allowed, name
+
+
+def test_only_poly_reads_the_band():
+    # one band rule: poly.read_zero (and RootBatch.snapped, its array form) tests a zero against the on-circle band
+    # and moves it onto the circle; every other module takes a zero's side and value from it
+    reading = {path.stem for path in SRC.glob("*.py")
+               if path.name != "tolerances.py" and "ON_CIRCLE_TOL" in _referenced_names(path)}
+    assert reading == {"poly"}

@@ -13,7 +13,6 @@ import pytest
 
 from polyrot import RootForm, circle_grid
 from polyrot.bounds import grid_report
-from polyrot.poly import snap_band
 from polyrot.report import BOUND_KEYS, csv_cell, format_float, grid_rows, render_json, row_template
 from polyrot.roots import classify_root_list
 
@@ -61,7 +60,7 @@ def test_edge_cells_read_as_stated():
 
 def test_arc_column_of_numbers_and_nan_renders_cell_by_cell():
     # an on-circle zero next to part of the grid: the arc bound is nan within alpha of it and a number elsewhere
-    rf = snap_band(RootForm(1.0 + 0.5j, (0.5 + 0.2j, 1j, -0.3 - 0.6j, 1.0)))
+    rf = RootForm(1.0 + 0.5j, (0.5 + 0.2j, 1j, -0.3 - 0.6j, 1.0))
     thetas = circle_grid(360)
     grid = grid_report(rf, thetas, (0.3, None), 1e-9, classify_root_list(rf.roots))
     arc = grid.bounds["arc_thm3"][~grid.skipped]
