@@ -11,21 +11,25 @@ difference instead.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import HypothesisViolated
-from .poly import cross_term
+from .poly import cross_modulus, modulus, pow2, product_modulus
 from .tolerances import CHECK_SLACK
 
 
-def check_mercer_remark(ends: tuple[complex, ...], in_closed_disk: bool) -> tuple[float, bool]:
+def check_mercer_remark(ends: tuple, in_closed_disk) -> tuple:
     """(margin, passed) of Mercer's remark |c1 conj(cn) - c0 conj(c_{n-1})| <= |cn|^2 - |c0|^2.
 
-    ends = (c0, c1, c_{n-1}, cn) are the `endpoints` of P; in_closed_disk says that P has no zero outside the closed
-    disk, the remark's hypothesis, as `bounds.verdict`'s lower_ok says it: `not classification.outside` for a
-    `ZeroClassification`, `batch.count(1) == 0` for a `RootBatch`.
+    ends = (c0, c1, c_{n-1}, cn) are the `endpoints` of P, or of many forms as arrays, one value per form
+    (`RootBatch.endpoints`); in_closed_disk says that P has no zero outside the closed disk, the remark's
+    hypothesis, as `bounds.verdict`'s lower_ok says it: `not classification.outside` for a `ZeroClassification`,
+    `batch.count(1) == 0` for a `RootBatch`.  Raises HypothesisViolated where any form fails it.
     """
-    if not in_closed_disk:
+    if not np.all(in_closed_disk):
         raise HypothesisViolated("zeros outside the closed unit disk")
     c0, c1, cm, cn = ends
-    scale = max(abs(cn) ** 2, abs(c1 * cn), abs(c0 * cm))
-    margin = abs(cn) ** 2 - abs(c0) ** 2 - abs(cross_term(ends))
+    an2 = pow2(modulus(cn))
+    scale = np.maximum(np.maximum(an2, product_modulus(c1, cn)), product_modulus(c0, cm))
+    margin = an2 - pow2(modulus(c0)) - cross_modulus(ends)
     return margin, margin >= -CHECK_SLACK * scale

@@ -25,29 +25,36 @@ import numpy as np
 
 from .errors import HypothesisViolated
 from .oracle import arc_increment
-from .poly import (Polynomial, RootForm, boundary_grid, c_mul, c_pow, c_quot, circle_point, cross_term, guard_zero,
-                   root_grid, rotation_speed)
+from .poly import (Polynomial, RootForm, boundary_grid, c_mul, c_pow, c_quot, circle_point, cross_modulus, guard_zero,
+                   modulus, pow2, root_grid, rotation_speed)
 from .report import BOUND_KEYS, grid_rows, row_template
 from .roots import ZeroClassification
 from .tolerances import ARC_INCREMENT_SLACK, CHECK_SLACK, EQUAL_MODULUS_REL
 
 
-def bound_coeff(ends: tuple[complex, ...]) -> float:
+def _where(cond, a, b):
+    """np.where on arrays; at a point, the value chosen."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else a if cond else b
+
+
+# Each coefficient bound reads ends as numbers, in Python floats, or as arrays with one value per form
+# (`RootBatch.endpoints`), element by element the same bits.  A denominator is moved off 0 where _where does not
+# take its quotient, so neither form divides by 0.
+def bound_coeff(ends: tuple):
     """Endpoint-coefficient lower bound (|cn| - |c0|) / (|cn| + |c0|).
 
     Valid (nonnegative) when all zeros lie in the closed disk; ranges in
     [0, 1] there, hitting 0 exactly when |c0| = |cn| and 1 when c0 = 0,
     also where a root form's scaled cn underflowed to 0.
     """
-    a0, an = abs(ends[0]), abs(ends[-1])
-    return (an - a0) / (an + a0) if a0 else 1.0
+    a0, an = modulus(ends[0]), modulus(ends[-1])
+    return _where(a0 == 0.0, 1.0, (an - a0) / (an + a0 + (a0 == 0.0)))
 
 
-def bound_sqrt_weak(ends: tuple[complex, ...]) -> float:
+def bound_sqrt_weak(ends: tuple):
     """Weaker square-root variant 1 - sqrt(|c0| / |cn|), kept for comparison: 1 where c0 = 0, -inf where only cn is."""
-    if not ends[0]:
-        return 1.0
-    return 1.0 - math.sqrt(abs(ends[0]) / abs(ends[-1])) if ends[-1] else -math.inf
+    a0, an = modulus(ends[0]), modulus(ends[-1])
+    return _where(a0 == 0.0, 1.0, _where(an == 0.0, -math.inf, 1.0 - np.sqrt(a0 / (an + (an == 0.0)))))
 
 
 def bound_value(p: Polynomial, z: complex, lam: float) -> float:
@@ -62,16 +69,19 @@ def bound_value(p: Polynomial, z: complex, lam: float) -> float:
     return abs((lam + 1.0) * w - 1.0)
 
 
-def value_refined(c0_conj, lead_zn, vr, vi, lam):
-    """`bound_value` on arrays, in its operations and order: P(z) = vr + i vi, lead_zn = cn z^n a Python product
-    per point, c0_conj = conj(c0) one value or one per point.  No guard: the caller skips where P(z) vanishes.
-    Where c0 = 0 the bound is |0 - 1| = 1, also where a root form's scaled cn underflowed and w reads 0/0."""
-    wr, wi = c_quot(*c_mul(c0_conj.real, c0_conj.imag, vr, vi), *c_mul(lead_zn.real, lead_zn.imag, vr, -vi))
+def value_refined(ends: tuple, z, n, vr, vi, lam):
+    """`bound_value` on arrays, in its operations and order, at the points z with P(z) = vr + i vi: ends are P's
+    endpoints and n its degree, or one of each per point.  cn z^n is each point's Python product (`c_pow`).
+    No guard: the caller skips where P(z) vanishes.  Where c0 = 0 the bound is |0 - 1| = 1, also where a root
+    form's scaled cn underflowed and w reads 0/0."""
+    c0, cn = ends[0], ends[-1]
+    lead_zn = c_mul(cn.real, cn.imag, *c_pow(z.real, z.imag, n))
+    wr, wi = c_quot(*c_mul(c0.real, -c0.imag, vr, vi), *c_mul(*lead_zn, vr, -vi))
     # A real factor scales both parts: for finite w that is CPython's (lam + 1, 0) * w but for the sign of a zero.
-    return np.where(c0_conj == 0, 1.0, np.hypot((lam + 1.0) * wr - 1.0, (lam + 1.0) * wi))
+    return np.where(c0 == 0, 1.0, np.hypot((lam + 1.0) * wr - 1.0, (lam + 1.0) * wi))
 
 
-def bound_coeff2(ends: tuple[complex, ...]) -> float:
+def bound_coeff2(ends: tuple):
     """Second coefficient lower bound 2(|c0|-|cn|)^2 / (|cn|^2 - |c0|^2 + |conj(cn) c1 - c0 conj(c_{n-1})|).
 
     Returns 0 when |c0| = |cn| (all zeros on the circle), where the
@@ -79,13 +89,10 @@ def bound_coeff2(ends: tuple[complex, ...]) -> float:
     the denominator can vanish or turn negative; the result is then nan
     and the caller is expected to have gated the bound off.
     """
-    a0, an = abs(ends[0]), abs(ends[-1])
-    if abs(a0 - an) <= EQUAL_MODULUS_REL * max(a0, an):
-        return 0.0
-    denom = an * an - a0 * a0 + abs(cross_term(ends))
-    if denom <= 0.0:
-        return math.nan
-    return 2.0 * (a0 - an) ** 2 / denom
+    a0, an = modulus(ends[0]), modulus(ends[-1])
+    denom = an * an - a0 * a0 + cross_modulus(ends)
+    value = _where(denom > 0.0, 2.0 * pow2(a0 - an) / _where(denom > 0.0, denom, 1.0), math.nan)
+    return _where(abs(a0 - an) <= EQUAL_MODULUS_REL * _where(a0 >= an, a0, an), 0.0, value)
 
 
 def bound_arc(theta: float, alpha: float, beta: float | None, classification: ZeroClassification) -> float:
@@ -117,7 +124,7 @@ def _arc_value(measured: float, alpha: float, beta: float | None) -> float:
     return math.tan(0.5 * use_beta) / math.tan(0.5 * alpha)
 
 
-def bound_zero_free(ends: tuple[complex, ...], degree: int) -> float:
+def bound_zero_free(ends: tuple, degree):
     """Upper bound n/2 + (|cn| - |c0|) / (2(|cn| + |c0|)) on the rotation speed.
 
     Valid when no zero lies in the open unit disk: the reversed-conjugate
@@ -127,7 +134,7 @@ def bound_zero_free(ends: tuple[complex, ...], degree: int) -> float:
     return 0.5 * degree + 0.5 * bound_coeff(ends)
 
 
-def lower_bounds(ends: tuple[complex, ...], value_thm1) -> tuple:
+def lower_bounds(ends: tuple, value_thm1) -> tuple:
     """The value of each lower bound, in BOUND_KEYS order; value_thm1 is the one that varies with theta."""
     return 0.0, bound_coeff(ends), bound_sqrt_weak(ends), value_thm1, bound_coeff2(ends)
 
@@ -272,9 +279,7 @@ def grid_report(poly: Polynomial | RootForm, thetas: list[float], arc: tuple[flo
     # inf and nan arise silently, as in boundary_grid; arc_increment above keeps its own numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lam = 2.0 * speed - n
-        lead_zn = np.empty_like(z)  # cn z^n, each point's product as Python takes it
-        lead_zn.real, lead_zn.imag = c_mul(ends[-1].real, ends[-1].imag, *c_pow(z.real, z.imag, n))
-        value_thm1 = value_refined(ends[0].conjugate(), lead_zn, vr, vi, lam)
+        value_thm1 = value_refined(ends, z, n, vr, vi, lam)
     zero_free = None if classification.inside else bound_zero_free(ends, n)
     return verdict(angles, speed, lam, lower_bounds(ends, value_thm1), arc_value, zero_free,
                    not classification.outside, not classification.inside, slack, skipped)

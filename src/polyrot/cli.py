@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import sys
@@ -137,52 +136,43 @@ _FUZZ_NAMES = {"classic": "lambda_nonneg", "coeff": "coeff", "sqrt_weak": "sqrt_
                "coeff2_thm2": "coeff2", "upper_zero_free": "upper_zero_free"}
 
 
-def _fuzz_checks(polynomials: list, rationals: list, zone: str) -> dict:
-    """Each check's (margins, violated) over one chunk's cases, in the zone's set of checks (see `cmd_fuzz`).
+def _fuzz_checks(batch: RootBatch, thetas: list[float], k: int, poles: np.ndarray, n_poles: np.ndarray,
+                 zone: str) -> dict:
+    """Each check's (margins, violated) over one chunk's forms, in the zone's set of checks (see `cmd_fuzz`): the
+    first k forms of batch are its polynomials, the rest the numerators of rational functions with these poles.
 
-    Every case, polynomial and rational, is one form of one `root_batch` call; the oracle runs on the polynomial
-    forms.  Each theta-free bound is its scalar function, called once per case on the drawn endpoints.  The
-    polynomial bounds are gated by `bounds.verdict` and the rational ones by `rational.comparison`, as in scan.
+    One `root_batch` call evaluates every form; the oracle runs on the polynomials, and each theta-free bound
+    once on their endpoint arrays (`RootBatch.endpoints`).  The polynomial bounds are gated by `bounds.verdict`
+    and the rational ones by `rational.comparison`, as in scan.
     """
-    cases, k = polynomials + rationals, len(polynomials)
-    if not cases:
-        return {}
-    batch, thetas = RootBatch.snapped(cases), [c.theta for c in cases]
     z, vr, vi, speed, skipped = root_batch(batch, thetas)
-    if skipped.any():  # an angle the zero guard refuses drops its case, as a case without an angle is dropped
-        keep = (~skipped).tolist()
-        return _fuzz_checks([c for c, ok in zip(cases[:k], keep[:k]) if ok],
-                            [c for c, ok in zip(cases[k:], keep[k:]) if ok], zone)
+    if skipped.any():  # an angle the zero guard refuses drops its case
+        keep, rational = ~skipped, ~skipped[k:]
+        return _fuzz_checks(batch[keep], np.asarray(thetas)[keep].tolist(), int(keep[:k].sum()), poles[rational],
+                            n_poles[rational], zone)
     degree, lower_ok, upper_ok = batch.degree, batch.count(1) == 0, batch.count(-1) == 0
     checks = {}
-    if polynomials:
-        lam, ends = 2.0 * speed[:k] - degree[:k], [c.endpoints for c in polynomials]
-        oracle = ORACLE_AGREEMENT_TOL - np.abs(speed[:k] - arg_derivative_fd_batch(batch[:k], thetas[:k]))
+    if k:
+        polynomials, lam = batch[:k], 2.0 * speed[:k] - degree[:k]
+        oracle = ORACLE_AGREEMENT_TOL - np.abs(speed[:k] - arg_derivative_fd_batch(polynomials, thetas[:k]))
         checks["oracle_agreement"] = oracle, oracle < 0.0
-        lower, zero_free = (), None
+        ends, lower, zero_free = polynomials.endpoints(), (), None
         if zone in ("in_disk", "on_circle"):
-            lead_zn = np.array([e[-1] * w**n for e, w, n in zip(ends, z[:k].tolist(), degree.tolist())])
-            value = value_refined(np.array([e[0].conjugate() for e in ends]), lead_zn, vr[:k], vi[:k], lam)
-            lower = np.array([lower_bounds(e, v) for e, v in zip(ends, value.tolist())]).T  # one row per bound
-            mercer = [check_mercer_remark(e, ok) for e, ok in zip(ends, lower_ok[:k].tolist())]
-            checks["mercer_remark"] = np.array([m for m, _ in mercer]), np.array([not ok for _, ok in mercer])
+            lower = lower_bounds(ends, value_refined(ends, z[:k], degree[:k], vr[:k], vi[:k], lam))
+            margin, passed = check_mercer_remark(ends, lower_ok[:k])
+            checks["mercer_remark"] = margin, ~passed
         if zone == "on_circle":
             checks["lambda_zero"] = -np.abs(lam), np.abs(lam) > CHECK_SLACK
         if zone == "outside":
-            zero_free = np.array([bound_zero_free(e, n) for e, n in zip(ends, degree.tolist())])
+            zero_free = bound_zero_free(ends, degree[:k])
         report = verdict(thetas[:k], speed[:k], lam, lower, None, zero_free, lower_ok[:k], upper_ok[:k], CHECK_SLACK)
         for key, name in _FUZZ_NAMES.items():
             if report.bounds[key] is not None:  # a bound that applies to no case counts each case with a nan margin
                 margins = report.margins[key]
                 checks[name] = np.full(k, math.nan) if margins is None else margins, report.flags[key] == "fail"
-    if rationals:
-        n = np.array([len(c.poles) for c in rationals])
-        # every case's poles at once, padded with the pole -1, whose Poisson term (|a| - 1)(...) adds exactly 0
-        width = int(n.max())
-        poles = np.fromiter(itertools.chain.from_iterable(c.poles + (-1.0,) * (width - len(c.poles))
-                                                          for c in rationals), complex, len(rationals) * width)
-        s = pole_speed((poles.reshape(len(rationals), width),), z[k:, None]).sum(axis=1)
-        both = comparison(degree[k:], n, s, speed[k:], True, True, CHECK_SLACK)  # tallied where each side applies
+    if len(n_poles):
+        s = pole_speed((poles,), z[k:, None]).sum(axis=1)
+        both = comparison(degree[k:], n_poles, s, speed[k:], True, True, CHECK_SLACK)  # tallied where each applies
         for side, applies in (("lower", lower_ok[k:]), ("upper", upper_ok[k:])):
             checks[f"rational_{side}"] = both[f"{side}_margin"][applies], ~both[f"{side}_pass"][applies]
     return checks
@@ -191,28 +181,18 @@ def _fuzz_checks(polynomials: list, rationals: list, zone: str) -> dict:
 def cmd_fuzz(args) -> int:
     """Tally randomized checks by zone; exit 2 when any case violates its inequality.
 
-    Each case draws a polynomial of random degree from zeros placed in the
-    zone and one angle where |P| is clear of its zeros (`corpus.fuzz_case`).
-    A polynomial is drawn as plain numbers, its leading coefficient, zeros,
-    poles and first angle try from one `Generator.random` call, and no
-    `RootForm` or `Polynomial` is built per case.  The cases are drawn
-    _FUZZ_CHUNK at a time, and each chunk is evaluated at once from the
-    zeros as `scan --roots` reads them (`RootBatch.snapped`), on (zeros x
-    cases) arrays: `poly.root_batch` gives the speed, lambda and the phase
-    of P behind value_thm1, the batch's sides the hypothesis flags, and
-    `oracle.arg_derivative_fd_batch` the central-difference oracle.  Both
-    reduce the arrays one zero row at a time, so a case's bits are
-    `root_grid`'s and do not depend on the chunk it is drawn in.  The
-    expansion of the zeros stays for the angle draw: its floor reads
-    max|c_k|, and a floor stated on the zeros would draw other angles and
-    ran slower, as did expanding a whole chunk in numpy (see README).  The
-    expansion also gives the four endpoint coefficients that each
-    theta-free bound reads, once per case.  fuzz solves for no root.  It
-    tallies, each bound through scan's gate (`bounds.verdict` for the
-    polynomial bounds, `rational.comparison` for the rational ones):
+    Each case is a polynomial of random degree with zeros placed in the zone and a uniform angle.  The cases are
+    drawn _FUZZ_CHUNK at a time (`corpus.fuzz_chunk`), each chunk from its own seeded stream, as arrays: no case
+    is expanded, and no object is built per case.  A chunk is evaluated at once from the zeros as `scan --roots`
+    reads them (`RootBatch.read`), on (zeros x cases) arrays: `poly.root_batch` gives the speed, lambda and the
+    phase of P behind value_thm1, the batch's sides the hypothesis flags, `RootBatch.endpoints` the four endpoint
+    coefficients by Vieta's relations, and `oracle.arg_derivative_fd_batch` the extrapolated central-difference
+    oracle.  Each reduces the arrays one zero row at a time, so a case's bits are `root_grid`'s and do not
+    depend on the other cases of its chunk; an angle the zero guard refuses drops its case.  fuzz solves for no
+    root.  It tallies, each bound through scan's gate (`bounds.verdict` for the polynomial bounds,
+    `rational.comparison` for the rational ones):
 
-    - every zone: oracle_agreement, the analytic speed against the
-      central-difference oracle within ORACLE_AGREEMENT_TOL;
+    - every zone: oracle_agreement, the analytic speed against the oracle within ORACLE_AGREEMENT_TOL;
     - in_disk and on_circle: the lower bounds (`bounds.lower_bounds`:
       lambda_nonneg, coeff, sqrt_weak, value, coeff2) and mercer_remark;
     - on_circle: lambda_zero, |lambda| <= CHECK_SLACK;
@@ -220,9 +200,7 @@ def cmd_fuzz(args) -> int:
 
     Except in the mixed zone, each case also draws a rational function with
     1-4 poles and tallies rational_lower and rational_upper, each over the
-    cases where it applies, from the numerator's zeros and the poles.  A
-    case that cannot be built, because at high degree its expansion
-    overflows, is an input error (exit 1).
+    cases where it applies, from the numerator's zeros and the poles.
     """
     for bad, message in (
         (args.degree_min < 1 or args.degree_max < args.degree_min, "invalid degree range"),
@@ -233,20 +211,14 @@ def cmd_fuzz(args) -> int:
         if bad:
             print(f"error: {message}", file=sys.stderr)
             return 1
-    rng = np.random.default_rng(args.seed)
     tally = _FuzzTally()
-    for start in range(0, args.count, _FUZZ_CHUNK):
-        cases = []
-        for _ in range(min(_FUZZ_CHUNK, args.count - start)):
-            degree = int(rng.integers(args.degree_min, args.degree_max + 1))
-            try:
-                cases.append(corpus.fuzz_case(rng, degree, args.zone))
-            except ValueError as exc:
-                print(f"error: cannot build a degree-{degree} case: {exc}", file=sys.stderr)
-                return 1
-        polynomials = [p for p, _ in cases if p.theta is not None]
-        rationals = [r for _, r in cases if r is not None and r.theta is not None]
-        for name, (margins, violated) in _fuzz_checks(polynomials, rationals, args.zone).items():
+    for index, start in enumerate(range(0, args.count, _FUZZ_CHUNK)):
+        chunk = corpus.fuzz_chunk(args.seed, index, min(_FUZZ_CHUNK, args.count - start),
+                                  (args.degree_min, args.degree_max), args.zone)
+        batch = RootBatch.read(chunk.leading, chunk.degree, chunk.re, chunk.im)
+        checks = _fuzz_checks(batch, chunk.thetas, len(batch.degree) - len(chunk.n_poles), chunk.poles,
+                              chunk.n_poles, args.zone)
+        for name, (margins, violated) in checks.items():
             tally.record(name, margins, violated)
 
     summary = {

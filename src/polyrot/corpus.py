@@ -6,8 +6,10 @@ the origin; outside roots mirror that through inversion.
 
 Each number is a function of uniforms u of `Generator.random`, scaled as
 `Generator.uniform(low, high)` scales them, low + (high - low) u.  The
-stream and every bit are therefore those of one scalar `uniform` call per
-number, in this order:
+scalar draws (`random_leading`, `random_roots`, `random_poles`, which take
+their uniforms from one `Generator.random` call each, and `valid_theta`)
+are therefore bit for bit one scalar `uniform` call per number, in this
+order:
 
 - the leading coefficient: its magnitude, then its phase;
 - each zero: its phase, then the zone coin (zone `mixed` only), then its
@@ -15,29 +17,23 @@ number, in this order:
 - each pole: its radius, then its phase;
 - `valid_theta`: one angle per try, drawn only when it is tried.
 
-`random_leading`, `random_roots` and `random_poles` take their uniforms
-from one `Generator.random` call each.
-
-A fuzz case (`fuzz_case`) is a polynomial and its angle, then, but in zone
-`mixed`, the pole count (`integers`), the numerator and its poles, as
-`random_rational` draws them, and the numerator's angle.  A polynomial's
-leading coefficient, zeros, poles and first angle try are consecutive in
-the stream, so one `Generator.random` call gives them all; each later try
-takes one `random()`.  It is kept as plain numbers, no `RootForm` or
-`Polynomial` built.  Its expansion stays: the angle's floor reads max|c_k|
-(a floor on the zeros would draw other angles), and the endpoint
-coefficients feed fuzz's theta-free bounds.
+fuzz draws a chunk of cases at once (`fuzz_chunk`), as arrays, from its own
+`Generator` seeded with (seed, chunk index): the degrees and the pole counts
+from one `integers` call each, then every leading coefficient, angle, zero
+and pole from one `Generator.random` call.  Each phase turns into a point
+through C `cos` and `sin`, one value at a time, so the bits do not depend
+on the CPU's vector units.  No case is expanded or built as an object.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .poly import Polynomial, RootForm, circle_point, coeff_endpoints, expand_roots, from_roots, horner
+from .poly import Polynomial, RootForm, circle_point, from_roots
 from .rational import RationalFunction
 from .tolerances import SAMPLE_FLOOR_REL, SAMPLE_TRIES
 
@@ -82,23 +78,6 @@ def _poles(draws: Sequence[float]) -> list[complex]:
             for r, phase in zip(draws[::2], draws[1::2])]
 
 
-def _tries(rng: np.random.Generator, first: float) -> Iterator[float]:
-    """SAMPLE_TRIES uniforms for the angle: first, then one `rng.random()` per later try, drawn only when it is tried."""
-    yield first
-    for _ in range(SAMPLE_TRIES - 1):
-        yield rng.random()
-
-
-def _clear_angle(coeffs: Sequence[complex], scale: float, tries: Iterator[float]) -> float | None:
-    """The first angle of tries where |P(e^{i theta})| > SAMPLE_FLOOR_REL * scale, scale = max|c_k|; None if none."""
-    floor = SAMPLE_FLOOR_REL * scale
-    for u in tries:
-        theta = _uniform(u, 0.0, TAU)
-        if abs(horner(coeffs, circle_point(theta))) > floor:
-            return theta
-    return None
-
-
 def random_leading(rng: np.random.Generator) -> complex:
     return _leading(*rng.random(2).tolist())
 
@@ -126,37 +105,53 @@ def random_rational(
 
 def valid_theta(rng: np.random.Generator, p: Polynomial) -> float | None:
     """A random angle where |P(e^{i theta})| > SAMPLE_FLOOR_REL * max|c_k|, or None after SAMPLE_TRIES draws."""
-    return _clear_angle(p.coeffs, p.coeff_scale, _tries(rng, rng.random()))
+    for _ in range(SAMPLE_TRIES):
+        theta = _uniform(rng.random(), 0.0, TAU)
+        if abs(p(circle_point(theta))) > SAMPLE_FLOOR_REL * p.coeff_scale:
+            return theta
+    return None
 
 
-class Drawn(NamedTuple):
-    """One polynomial of a fuzz case as drawn: its leading coefficient and zeros, the endpoints (c0, c1, c_{n-1}, cn)
-    of its expansion, its angle (None if none) and its poles."""
+class FuzzChunk(NamedTuple):
+    """One fuzz chunk as drawn: its forms, the polynomials and then the numerators of the rational functions, form k
+    with leading[k], degree[k] zeros and the angle thetas[k], their zeros re + i im in turn; and rational function
+    j's n_poles[j] poles, poles[j], padded with the pole -1, whose Poisson term (|a| - 1)(...) adds exactly 0."""
 
-    leading: complex
-    roots: list[complex]
-    endpoints: tuple[complex, complex, complex, complex]
-    theta: float | None
-    poles: tuple[complex, ...] = ()
-
-
-def _draw(rng: np.random.Generator, degree: int, zone: str, n_poles: int = 0) -> Drawn:
-    """One polynomial with n_poles poles: leading coefficient, zeros, poles and first angle try from one call."""
-    split = 2 + _per_zero(zone) * degree
-    u = rng.random(split + 2 * n_poles + 1).tolist()
-    lead, zeros = _leading(u[0], u[1]), _roots(u[2:split], zone)
-    coeffs = expand_roots(lead, zeros)
-    theta = _clear_angle(coeffs, max(map(abs, coeffs)), _tries(rng, u[-1]))
-    return Drawn(lead, zeros, coeff_endpoints(coeffs), theta, tuple(_poles(u[split:-1])))
+    leading: np.ndarray
+    degree: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    thetas: list[float]
+    poles: np.ndarray
+    n_poles: np.ndarray
 
 
-def fuzz_case(rng: np.random.Generator, degree: int, zone: str) -> tuple[Drawn, Drawn | None]:
-    """The polynomial of one fuzz case and, but in zone `mixed`, its rational function over 1-4 random poles.
+def fuzz_chunk(seed: int, index: int, size: int, degrees: tuple[int, int], zone: str) -> FuzzChunk:
+    """Chunk index of `fuzz --seed seed`: size cases of degrees[0] to degrees[1], each a polynomial and, but in zone
+    `mixed`, a rational function of the same degree over 1-4 poles.
 
-    The rational function is drawn as `random_rational` draws it, numerator then poles, and is not built: its
-    numerator is evaluated from its zeros.  An expansion past the double range is an error (ValueError).
+    The chunk's `Generator`, seeded with [seed, index], draws the degrees and the pole counts (`integers`), and
+    then in one `random` call: each form's leading coefficient (magnitude, phase), each form's angle, each zero
+    (phase, the zone coin in zone `mixed`, radius but on the circle) and each pole (radius, phase).
     """
-    polynomial = _draw(rng, degree, zone)
-    if zone == "mixed":
-        return polynomial, None
-    return polynomial, _draw(rng, degree, zone, int(rng.integers(1, 5)))
+    rng = np.random.default_rng([seed, index])
+    degree = rng.integers(degrees[0], degrees[1] + 1, size)
+    n_poles = rng.integers(1, 5, size) if zone != "mixed" else np.zeros(0, dtype=int)
+    degree = np.concatenate([degree, degree[:len(n_poles)]])
+    forms, zeros, poles = len(degree), int(degree.sum()), int(n_poles.sum())
+    u = rng.random(3 * forms + _per_zero(zone) * zeros + 2 * poles)
+    z, p = u[3 * forms:len(u) - 2 * poles].reshape(zeros, -1), u[len(u) - 2 * poles:].reshape(poles, 2)
+    inside = z[:, 1] < 0.5 if zone == "mixed" else zone == "in_disk"  # outside: inverted area-uniform, off the circle
+    radius = np.ones(zeros) if zone == "on_circle" else np.where(inside, np.sqrt(z[:, -1]),
+                                                                 1.0 / np.sqrt(_uniform(z[:, -1], 1e-4, 0.995)))
+    modulus = np.concatenate([_uniform(u[:2 * forms:2], 0.5, 2.0), radius, _uniform(p[:, 0], 1.2, 4.0)])
+    phase = _uniform(np.concatenate([u[1:2 * forms:2], z[:, 0], p[:, 1]]), 0.0, TAU).tolist()
+    # each point's parts as modulus * cmath.exp(1j * phase) has them: C cos and sin
+    re = modulus * np.fromiter(map(math.cos, phase), float, len(phase))
+    im = modulus * np.fromiter(map(math.sin, phase), float, len(phase))
+    leading, padded = np.empty(forms, dtype=complex), np.full((len(n_poles), n_poles.max(initial=0)), -1.0 + 0j)
+    leading.real, leading.imag = re[:forms], im[:forms]
+    drawn = np.arange(padded.shape[1]) < n_poles[:, None]
+    padded.real[drawn], padded.imag[drawn] = re[forms + zeros:], im[forms + zeros:]
+    return FuzzChunk(leading, degree, re[forms:forms + zeros], im[forms:forms + zeros],
+                     _uniform(u[2 * forms:3 * forms], 0.0, TAU).tolist(), padded, n_poles)

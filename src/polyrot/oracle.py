@@ -2,8 +2,9 @@
 
 `arg_derivative_fd` differences sampled values of arg P(e^{i theta});
 beyond the Horner value loop it shares no code with the rotation-speed
-formula it cross-checks.  `arg_derivative_fd_batch` takes the same central
-difference from the zeros of many root forms at once, one angle each.
+formula it cross-checks.  `arg_derivative_fd_batch` takes central
+differences from the zeros of many root forms at once, one angle each, at
+two steps, and extrapolates them (Richardson).
 `arc_increment` sums the closed-form increment of arg(z - a) over the
 classified zeros a of P at the two arc ends, which holds the sup when
 every zero lies in the closed unit disk.
@@ -41,34 +42,42 @@ def arg_derivative_fd(p: Polynomial, theta: float, h: float = 1e-5) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")  # as in root_batch: a zero past 1e154 squares to inf silently
 def arg_derivative_fd_batch(batch: RootBatch, thetas: Sequence[float], h: float = 1e-5) -> np.ndarray:
-    """`arg_derivative_fd` from the zeros, at one angle per form of batch: thetas[k] for form k.
+    """The speed from the zeros, at one angle per form of batch (thetas[k] for form k), by central differences of
+    arg P at the steps h and h/2, extrapolated: (4 D(h/2) - D(h))/3 (Richardson).
 
-    The step of arg P from z- = e^{i (theta - h)} to z+ = e^{i (theta + h)} is the sum over the zeros a of the
-    principal argument of (z+ - a) conj(z- - a) = e^{i h} (x + i y), with z = e^{i theta} and
+    The step of arg P from z- = e^{i (theta - t)} to z+ = e^{i (theta + t)} is the sum over the zeros a of the
+    principal argument of (z+ - a) conj(z- - a) = e^{i t} (x + i y), with z = e^{i theta} and
 
-        x = |z - a|^2 - (1 + |a|^2) 2 sin^2(h/2),   y = (1 - |a|)(1 + |a|) sin h,
+        x = |z - a|^2 - (1 + |a|^2) 2 sin^2(t/2),   y = (1 - |a|)(1 + |a|) sin t,
 
-    that is h + atan2(y, x), wrapped into (-pi, pi]; the leading coefficient adds none.  (1 - |a|^2)/2 is the
-    batch's `poisson`, and a zero in the on-circle band, whose `poisson` is 0, has y = 0.  Divided by 2h, the
-    steps give n/2 plus the sum of atan2(y, x)/(2h), each band zero exactly 1/2.  No difference of two nearby
-    angles is taken, so the only error left is the central difference's truncation.  The steps are summed one zero
-    row at a time, as `root_batch` sums its terms, so a form's value is the same alone as in any batch.  It shares
-    no code with `root_batch`'s speed.  There is no zero guard.
+    that is t + atan2(y, x), wrapped into (-pi, pi]; the leading coefficient adds none.  (1 - |a|^2)/2 is the
+    batch's `poisson`.  Divided by 2t, the steps give D(t) = n/2 plus the sum of atan2(y, x)/(2t).  A zero in the
+    on-circle band, whose `poisson` is 0, adds exactly 1/2 and takes no atan2: arg(z - a) turns at half the rate
+    of z along the circle, but for a jump of pi at a itself, which a stencil lying across a (y = 0, x < 0; a
+    uniform angle can fall within t of a) would measure.  No difference of two nearby angles is taken.  D(t) is
+    the speed plus c t^2 plus O(t^4): the extrapolation cancels the t^2 term, the plain difference's truncation
+    error.  The steps are summed one zero row at a time, as `root_batch` sums its terms, so a form's value is the
+    same alone as in any batch.  It shares no code with `root_batch`'s speed.  There is no zero guard.
     """
     if not (0.0 < h <= 1e-2):
         raise ValueError("step h must lie in (0, 1e-2]")
     z = circle_points(thetas)
     dr, di = z.real - batch.re, z.imag - batch.im
-    x = (dr * dr + di * di) - (2.0 - 2.0 * batch.poisson) * (2.0 * math.sin(0.5 * h) ** 2)  # 2 - 2 poisson = 1 + |a|^2
-    y = batch.poisson * (2.0 * math.sin(h))
-    live = batch.live
-    steps = np.zeros(live.shape)
-    steps[live] = list(map(math.atan2, y[live].tolist(), x[live].tolist()))  # C atan2 on every CPU
-    steps[steps > math.pi - h] -= 2.0 * math.pi  # h + atan2 past pi: the principal argument is 2 pi lower
-    total = np.zeros(live.shape[1])
-    for row in steps:
-        total += row
-    return 0.5 * batch.degree + total / (2.0 * h)
+    d2, off_band = dr * dr + di * di, batch.live & (batch.sides != 0)
+
+    def excess(t: float) -> np.ndarray:
+        """D(t) - n/2."""
+        x = d2 - (2.0 - 2.0 * batch.poisson) * (2.0 * math.sin(0.5 * t) ** 2)  # 2 - 2 poisson = 1 + |a|^2
+        y = batch.poisson * (2.0 * math.sin(t))
+        steps = np.zeros(d2.shape)
+        steps[off_band] = list(map(math.atan2, y[off_band].tolist(), x[off_band].tolist()))  # C atan2 on every CPU
+        steps[steps > math.pi - t] -= 2.0 * math.pi  # t + atan2 past pi: the principal argument is 2 pi lower
+        total = np.zeros(d2.shape[1])
+        for row in steps:
+            total += row
+        return total / (2.0 * t)
+
+    return 0.5 * batch.degree + (4.0 * excess(0.5 * h) - excess(h)) / 3.0
 
 
 def _endpoint_increments(inside: tuple[complex, ...], centers: np.ndarray, z0: np.ndarray, t: float) -> np.ndarray:

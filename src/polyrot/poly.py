@@ -47,14 +47,16 @@ def c_mul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def c_pow(ar, ai, n: int):
-    """(ar + i ai)**n for an int n >= 1 on split float64 arrays, element by element CPython's `complex_pow`.
+def c_pow(ar, ai, n):
+    """(ar + i ai)**n for an int n >= 1, or an int array of them, one per element: element by element CPython's
+    `complex_pow`.
 
-    Up to n = 100 that is `c_powu`'s repeated squaring from r = 1 + 0i, every product a `c_mul`; past it, the
-    per-point `w**n`, which CPython takes through `_Py_c_pow`'s polar form.
+    For one n up to 100 that is `c_powu`'s repeated squaring from r = 1 + 0i, every product a `c_mul`; otherwise
+    the per-point `w**n`, which CPython takes through `c_powu` or, past 100, `_Py_c_pow`'s polar form.
     """
-    if n > 100:
-        w = np.array([complex(r, i) ** n for r, i in zip(ar.tolist(), ai.tolist())])
+    if np.ndim(n) or n > 100:
+        ns = np.broadcast_to(n, np.shape(ar)).tolist()
+        w = np.array([complex(r, i) ** k for r, i, k in zip(ar.tolist(), ai.tolist(), ns)], dtype=complex)
         return w.real, w.imag
     rr, ri, mask = np.ones_like(ar), np.zeros_like(ai), 1
     while n >= mask:
@@ -87,9 +89,43 @@ def boundary_speed(coeffs: Sequence[complex], scale: float, z: complex) -> float
     return (z * der / val).real
 
 
-def cross_term(coeffs: Sequence[complex]) -> complex:
-    """conj(c_n) c_1 - c_0 conj(c_{n-1}): second coefficient bound, Mercer's remark and f''(0)."""
-    return coeffs[-1].conjugate() * coeffs[1] - coeffs[0] * coeffs[-2].conjugate()
+def hypot(x, y):
+    """C `hypot`, as CPython's abs(complex) takes it (math.hypot and numpy's complex abs may round otherwise): of two
+    Python floats as a Python float, of two arrays element by element."""
+    return abs(complex(x, y)) if type(x) is float else np.hypot(x, y)
+
+
+def modulus(c):
+    """abs(c) of a complex number, or of each element of a complex array (`hypot`)."""
+    return hypot(c.real, c.imag)
+
+
+def _pow2(v: float) -> float:
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
+
+
+def pow2(x):
+    """x ** 2 as CPython takes it, C `pow`, which is not always x * x (numpy's array power), of a float or of each
+    element of an array; past the double range it is inf instead of an OverflowError."""
+    if isinstance(x, np.ndarray):
+        return np.reshape(list(map(_pow2, x.ravel().tolist())), x.shape)
+    return _pow2(float(x))
+
+
+def product_modulus(a, b):
+    """abs(a * b) of complex numbers, or of arrays of them element by element, the product rounded as CPython's."""
+    return hypot(*c_mul(a.real, a.imag, b.real, b.imag))
+
+
+def cross_modulus(ends):
+    """|conj(cn) c1 - c0 conj(c_{n-1})| of ends = (c0, c1, c_{n-1}, cn), each a complex number or an array of them:
+    the second coefficient bound, Mercer's remark and f''(0), each product rounded as CPython's (`c_mul`)."""
+    c0, c1, cm, cn = ends
+    (ar, ai), (br, bi) = c_mul(cn.real, -cn.imag, c1.real, c1.imag), c_mul(c0.real, c0.imag, cm.real, -cm.imag)
+    return hypot(ar - br, ai - bi)
 
 
 def _finite(cs, what: str):
@@ -353,25 +389,31 @@ class RootBatch:
 
     @staticmethod
     def snapped(forms: Sequence) -> "RootBatch":
-        """The batch of forms, each read by its `leading` and `roots` alone: a `RootForm` or a drawn fuzz polynomial."""
+        """The batch of forms, each read by its `leading` and `roots` alone, as a `RootForm` is."""
         roots = [f.roots for f in forms]
-        degree = np.array(list(map(len, roots)), dtype=int)
+        zeros = np.fromiter(itertools.chain.from_iterable(roots), complex, sum(map(len, roots)))
+        return RootBatch.read(np.array([f.leading for f in forms], dtype=complex), np.array(list(map(len, roots))),
+                              zeros.real, zeros.imag)
+
+    @staticmethod
+    def read(leading: np.ndarray, degree: np.ndarray, re: np.ndarray, im: np.ndarray) -> "RootBatch":
+        """The batch of the forms with these leading coefficients and degrees, whose zeros re + i im list each form's
+        zeros in turn, each read by the band rule."""
         live = np.arange(degree.max(initial=0))[:, None] < degree
-        zeros = np.fromiter(itertools.chain.from_iterable(roots), complex, int(degree.sum()))
-        re, im = np.zeros(live.shape), np.zeros(live.shape)
-        re.T[live.T] = zeros.real  # form by form, as the forms list them
-        im.T[live.T] = zeros.imag
-        mod = np.hypot(re, im)  # abs(complex); np.abs of a complex array is not hypot
+        zr, zi = np.zeros(live.shape), np.zeros(live.shape)
+        zr.T[live.T] = re  # form by form, as the forms list them
+        zi.T[live.T] = im
+        mod = np.hypot(zr, zi)  # abs(complex); np.abs of a complex array is not hypot
         dist = mod - 1.0
         band = np.abs(dist) <= ON_CIRCLE_TOL  # never a padded slot, whose dist is -1
         if band.any():
             scale = np.where(band, mod, 1.0)
-            np.divide(re, scale, out=re)  # a / |a| part by part, as CPython divides a complex by a float
-            np.divide(im, scale, out=im)
+            np.divide(zr, scale, out=zr)  # a / |a| part by part, as CPython divides a complex by a float
+            np.divide(zi, scale, out=zi)
         on_side_0 = band | ~live
         sides = np.where(on_side_0, 0, np.where(dist < 0.0, -1, 1))
         poisson = np.where(on_side_0, 0.0, 0.5 * (1.0 - mod) * (1.0 + mod))
-        return RootBatch(np.array([f.leading for f in forms], dtype=complex), degree, re, im, poisson, sides, live)
+        return RootBatch(leading, degree, zr, zi, poisson, sides, live)
 
     def __getitem__(self, which) -> "RootBatch":
         """The forms that which selects, a slice or an index array, as a batch."""
@@ -381,6 +423,51 @@ class RootBatch:
     def count(self, side: int) -> np.ndarray:
         """Per form: how many of its zeros lie inside the circle (side -1) or outside it (side 1)."""
         return (self.sides == side).sum(axis=0)
+
+    def endpoints(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """`RootForm.endpoints` of every form, as complex arrays with one value per form, bit for bit.
+
+        Each zero's modulus, log (C `log`), unit factor -b/|b| and reciprocal 1/b come in whole-array calls, every
+        quotient as CPython rounds it; the phase product runs one zero row at a time in the forms' order (`c_mul`; a
+        padded slot or a zero at the origin multiplies by 1, which keeps every bit but the sign of a part that is
+        exactly 0), and each sum over a form's zeros is `math.fsum`, to which such a slot adds 0.
+        """
+        def exp(a):
+            return np.array(list(map(math.exp, a.tolist())))
+
+        def over(ar, ai, x):  # (ar + i ai) / x for x > 0: CPython's quotient by x + 0i, whose ratio is 0
+            return (ar + ai * 0.0) / x, (ai - ar * 0.0) / x
+
+        nonzero = self.live & ((self.re != 0.0) | (self.im != 0.0))
+        mod = np.where(nonzero, np.hypot(self.re, self.im), 1.0)
+        logs = np.zeros(mod.shape)
+        logs[nonzero] = list(map(math.log, mod[nonzero].tolist()))
+        inv = (np.where(nonzero, c, 0.0) for c in c_quot(1.0, 0.0, np.where(nonzero, self.re, 1.0), self.im))
+        # each form's sums, by fsum in one pass: sum log|b|, sum 1/b (off the origin) and sum a
+        columns = itertools.chain.from_iterable(a.T.tolist() for a in (logs, *inv, self.re, self.im))
+        sums = np.fromiter(map(math.fsum, columns), float, 5 * len(self.degree))
+        logs, inv_r, inv_i, sum_r, sum_i = sums.reshape(5, -1)
+        ur, ui = over(self.leading.real, self.leading.imag, np.hypot(self.leading.real, self.leading.imag))
+        pr, pi = ur, ui
+        for r, i in zip(*over(np.where(nonzero, -self.re, 1.0), np.where(nonzero, -self.im, 0.0), mod)):
+            pr, pi = c_mul(pr, pi, r, i)  # phase *= -b / |b|
+        small, large = exp(np.minimum(logs, 0.0)), exp(-np.maximum(logs, 0.0))
+        q0r, q0i = c_mul(*over(pr, pi, np.hypot(pr, pi)), small, 0.0)  # a complex times a float x: times x + 0i
+        lr, li = c_mul(ur, ui, large, 0.0)
+        sr, si = c_mul(-q0r, -q0i, inv_r, inv_i)
+        at_origin = self.degree - nonzero.sum(axis=0)
+        c0 = np.where(at_origin == 0, q0r, 0.0), np.where(at_origin == 0, q0i, 0.0)
+        c1 = (np.where(at_origin == 0, sr, np.where(at_origin == 1, q0r, 0.0)),
+              np.where(at_origin == 0, si, np.where(at_origin == 1, q0i, 0.0)))
+        cm = c_mul(-lr, -li, sum_r, sum_i)
+        return tuple(_complex(*parts) for parts in (c0, c1, cm, (lr, li)))
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array of these parts, each bit kept (re + 1j * im can move the sign of a zero)."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")

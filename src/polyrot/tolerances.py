@@ -34,11 +34,13 @@ EQUAL_MODULUS_REL = 1e-12
 ARC_EDGE_SLACK = 1e-9
 # The measured arc increment may exceed beta by this much (radians), the closed-form sum's rounding.
 ARC_INCREMENT_SLACK = 1e-9
-# Fuzz gate on |speed - central difference|; the difference's truncation error is about 1e-8 away from zeros.
+# Fuzz gate on |speed - oracle|.  The oracle extrapolates central differences at h and h/2 (Richardson), which
+# cancels their h^2 truncation term, up to 1e-4 at h = 1e-5 near a zero 1e-3 off the circle; what is left
+# stayed below 2e-8 there (tests/test_oracle.py).
 ORACLE_AGREEMENT_TOL = 1e-6
-# Fuzz angles keep |P(z)| above this * max|c_k|, clear of the guard and of the stencil's blow-up near zeros.
+# corpus.valid_theta's angles keep |P(z)| above this * max|c_k| (fuzz draws uniform angles and reads no floor).
 SAMPLE_FLOOR_REL = 1e-3
-# Random angles drawn for that floor before a fuzz case is dropped as having none.
+# Random angles valid_theta draws for that floor before it gives up.
 SAMPLE_TRIES = 500
 
 # Hypotheses of the Goryainov self-map check.

@@ -1,4 +1,4 @@
-"""The bulk draws of `polyrot.corpus` against one scalar `Generator.uniform` call per number, bit for bit."""
+"""The draws of `polyrot.corpus` against one scalar `uniform`, cmath or math call per number, bit for bit."""
 
 import cmath
 import math
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from polyrot import corpus
-from polyrot.poly import RootForm, circle_point, from_roots
+from polyrot.poly import RootBatch, RootForm, circle_point, from_roots
 from polyrot.tolerances import SAMPLE_FLOOR_REL, SAMPLE_TRIES
 
 # The draw loops as written with one scalar `uniform` call per number: the reference the bulk draws keep.
@@ -83,52 +83,72 @@ def test_bulk_draws_match_scalar_uniform(seed, zone):
         assert bulk.bit_generator.state == scalar.bit_generator.state, (seed, zone, degree)
 
 
-def _drawn(degree, lead, zeros, ends, theta, poles):
-    return degree, bits([lead]), bits(zeros), bits(ends), None if theta is None else theta.hex(), bits(poles)
+def reference_chunk(seed, index, size, degrees, zone):
+    """Chunk index of `fuzz --seed seed` re-derived from its uniforms one number at a time, in cmath and math: the
+    forms (leading coefficient, zeros), their angles, and each rational function's poles."""
+    rng = np.random.default_rng([seed, index])
+    degree = rng.integers(degrees[0], degrees[1] + 1, size).tolist()
+    n_poles = rng.integers(1, 5, size).tolist() if zone != "mixed" else []
+    degree += degree[:len(n_poles)]  # the polynomials, then the rational numerators
+    per_zero = {"on_circle": 1, "mixed": 3}.get(zone, 2)
+    u = iter(rng.random(3 * len(degree) + per_zero * sum(degree) + 2 * sum(n_poles)).tolist())
 
+    def uniform(low, high):
+        return low + (high - low) * next(u)
 
-def reference_fuzz(seed, zone, count, degree_min, degree_max):
-    """The (polynomial, rational) cases of `fuzz --seed seed` that have an angle, drawn with scalar `uniform` calls."""
-    rng = np.random.default_rng(seed)
-    polynomials, rationals = [], []
-    for _ in range(count):
-        degree = int(rng.integers(degree_min, degree_max + 1))
-        lead, zeros = reference_leading(rng), reference_roots(rng, degree, zone)
-        p = from_roots(RootForm(lead, zeros))
-        polynomials.append(_drawn(degree, lead, zeros, p.endpoints, reference_valid_theta(rng, p), ()))
-        if zone != "mixed":
-            n_poles = int(rng.integers(1, 5))
-            lead, zeros = reference_leading(rng), reference_roots(rng, degree, zone)
-            poles = reference_poles(rng, n_poles)
-            p = from_roots(RootForm(lead, zeros))
-            rationals.append(_drawn(degree, lead, zeros, p.endpoints, reference_valid_theta(rng, p), poles))
-    return [c for c in polynomials if c[4] is not None], [c for c in rationals if c[4] is not None]
+    def point(modulus):
+        return modulus * cmath.exp(1j * uniform(0.0, 2.0 * math.pi))
+
+    leads = [uniform(0.5, 2.0) * cmath.exp(1j * uniform(0.0, 2.0 * math.pi)) for _ in degree]
+    thetas = [uniform(0.0, 2.0 * math.pi) for _ in degree]
+    forms = []
+    for lead, d in zip(leads, degree):
+        zeros = []
+        for _ in range(d):
+            phase = uniform(0.0, 2.0 * math.pi)
+            side = zone if zone != "mixed" else "in_disk" if next(u) < 0.5 else "outside"
+            r = (1.0 if side == "on_circle" else math.sqrt(next(u)) if side == "in_disk"
+                 else 1.0 / math.sqrt(uniform(1e-4, 0.995)))
+            zeros.append(r * cmath.exp(1j * phase))
+        forms.append(RootForm(lead, zeros))
+    poles = [[point(uniform(1.2, 4.0)) for _ in range(n)] for n in n_poles]
+    assert next(u, None) is None  # every uniform used
+    return forms, thetas, poles
 
 
 @pytest.mark.parametrize("zone", corpus.ZONES)
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_fuzz_evaluates_the_scalar_draw_stream(monkeypatch, capsys, seed, zone):
-    # every case that cmd_fuzz evaluates, over more than one chunk, is the one the scalar loop draws, bit for bit;
-    # at degrees 30-64 the zero lists are long and first angle tries are often rejected
+    # every chunk that cmd_fuzz evaluates, a short last one included, is the one that cmath and math give from the
+    # chunk's own uniforms, bit for bit: the arrays' C cos and sin keep the draw off the CPU's vector units.  At
+    # degrees 30-64 the zero lists are long
     from polyrot import cli
 
-    real = cli._fuzz_checks
+    real, evaluated = cli._fuzz_checks, []
 
-    def spy(polynomials, rationals, zone):
-        for out, cases in zip(evaluated, (polynomials, rationals)):
-            out += [_drawn(len(c.roots), c.leading, c.roots, c.endpoints, c.theta, c.poles) for c in cases]
-        return real(polynomials, rationals, zone)
+    def spy(batch, thetas, k, poles, n_poles, zone):
+        evaluated.append((batch, thetas, k, poles, n_poles))
+        return real(batch, thetas, k, poles, n_poles, zone)
 
     monkeypatch.setattr(cli, "_fuzz_checks", spy)
     count = cli._FUZZ_CHUNK + 16
-    for degree_min, degree_max in ((1, 16), (30, 64)):
-        evaluated = ([], [])
+    for degrees in ((1, 16), (30, 64)):
+        evaluated.clear()
         argv = ["fuzz", "--count", str(count), "--zone", zone, "--seed", str(seed),
-                "--degree-min", str(degree_min), "--degree-max", str(degree_max)]
+                "--degree-min", str(degrees[0]), "--degree-max", str(degrees[1])]
         assert cli.main(argv) in (0, 2)
         capsys.readouterr()
-        assert evaluated == reference_fuzz(seed, zone, count, degree_min, degree_max), (degree_min, degree_max)
-        assert len(evaluated[0]) > count - 5
+        assert len(evaluated) == 2  # one call per chunk: no angle was refused
+        for index, (batch, thetas, k, poles, n_poles) in enumerate(evaluated):
+            size = min(cli._FUZZ_CHUNK, count - index * cli._FUZZ_CHUNK)
+            forms, want_thetas, want_poles = reference_chunk(seed, index, size, degrees, zone)
+            want = RootBatch.snapped(forms)
+            assert k == size and bits(thetas) == bits(want_thetas), (degrees, index)
+            for name in ("leading", "degree", "re", "im", "sides", "poisson", "live"):
+                assert getattr(batch, name).tobytes() == getattr(want, name).tobytes(), (degrees, index, name)
+            assert n_poles.tolist() == list(map(len, want_poles))
+            assert [bits(row[:n]) for row, n in zip(poles.tolist(), n_poles.tolist())] == list(map(bits, want_poles))
+            assert np.all(poles[np.arange(poles.shape[1]) >= n_poles[:, None]] == -1.0)
 
 
 @pytest.mark.parametrize("zone", ["in_disk", "outside", "on_circle"])

@@ -20,10 +20,10 @@ from polyrot import (
     witness_arc,
 )
 from polyrot.bounds import grid_report
-from polyrot.oracle import arg_derivative_fd
+from polyrot.oracle import arg_derivative_fd, arg_derivative_fd_batch
 from polyrot.roots import classify_root_list
-from polyrot.poly import circle_grid
-from polyrot.tolerances import ARC_EDGE_SLACK, ARC_INCREMENT_SLACK, CHECK_SLACK
+from polyrot.poly import RootBatch, circle_grid
+from polyrot.tolerances import ARC_EDGE_SLACK, ARC_INCREMENT_SLACK, CHECK_SLACK, ORACLE_AGREEMENT_TOL
 
 
 def lambda_at(p, theta):
@@ -61,6 +61,30 @@ def test_fd_second_order_convergence():
     order = math.log10(errors[0] / errors[1])
     assert 1.7 <= order <= 2.3
     assert abs(arg_derivative_fd(p, theta, 1e-5) - exact) <= 1e-6
+
+
+def test_extrapolated_oracle_matches_50_digits_near_the_circle():
+    # zeros within 1e-3 of the circle, 10^U(-6, -3) off it inside and outside, at uniform angles as fuzz draws
+    # them: the plain central difference at h = 1e-5 misses the 50-digit speed by more than the fuzz gate at some
+    # angles, by its truncation error; the extrapolated batch oracle stays within the gate at every one
+    rng = np.random.default_rng(1)
+    forms, thetas = [], []
+    for _ in range(400):
+        d = int(rng.integers(1, 17))
+        off = 10.0 ** rng.uniform(-6.0, -3.0, d)
+        radius = np.where(rng.random(d) < 0.5, 1.0 - off, 1.0 + off)
+        forms.append(RootForm(1.0, (radius * np.exp(2j * np.pi * rng.random(d))).tolist()))
+        thetas.append(float(2.0 * np.pi * rng.random()))
+    oracle, h, plain_misses = arg_derivative_fd_batch(RootBatch.snapped(forms), thetas).tolist(), mp.mpf(1e-5), 0
+    with mp.workdps(50):
+        for rf, theta, value in zip(forms, thetas, oracle):
+            zeros, t = [mp.mpc(a) for a in rf.roots], mp.mpf(theta)
+            z, zm, zp = mp.expj(t), mp.expj(t - h), mp.expj(t + h)
+            exact = mp.fsum((z / (z - a)).real for a in zeros)
+            plain = mp.fsum(mp.arg((zp - a) * mp.conj(zm - a)) for a in zeros) / (2 * h)
+            plain_misses += abs(plain - exact) > ORACLE_AGREEMENT_TOL
+            assert abs(value - exact) <= ORACLE_AGREEMENT_TOL, (rf, theta)
+    assert plain_misses > 0
 
 
 def test_arc_spec_validation():

@@ -91,16 +91,16 @@ def test_every_tolerance_is_read_by_the_package():
 
 
 def test_root_form_is_never_expanded_outside_fuzz():
-    # scan and the witnesses evaluate, guard and bound a root form from its zeros; only fuzz's corpus expands one,
-    # for its angle floor and endpoint coefficients, and poly's from_roots through the same helper
-    for name, allowed in (("from_roots", {"corpus"}), ("expand_roots", {"corpus", "poly"})):
+    # scan, fuzz and the witnesses evaluate, guard and bound a root form from its zeros; only corpus's scalar draws,
+    # which tests use as references, expand one, through poly's from_roots
+    for name, allowed in (("from_roots", {"corpus"}), ("expand_roots", {"poly"})):
         expanding = {path.stem for path in SRC.glob("*.py")
                      if path.name != "__init__.py" and name in _referenced_names(path)}
         assert expanding <= allowed, name
 
 
 def test_only_poly_reads_the_band():
-    # one band rule: poly.read_zero (and RootBatch.snapped, its array form) tests a zero against the on-circle band
+    # one band rule: poly.read_zero (and RootBatch.read, its array form) tests a zero against the on-circle band
     # and moves it onto the circle; every other module takes a zero's side and value from it
     reading = {path.stem for path in SRC.glob("*.py")
                if path.name != "tolerances.py" and "ON_CIRCLE_TOL" in _referenced_names(path)}
