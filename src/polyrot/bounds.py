@@ -10,9 +10,7 @@ One gate, `verdict`, turns the bounds into signed margins and flags: a
 bound is "na" where its hypothesis fails, and passes where its margin is
 at least -slack max(1, |lambda|).  `full_report` calls it at one boundary
 point, `grid_report` on a grid of angles and fuzz on a chunk of cases.
-A coefficient bound reads only ends = (c0, c1, c_{n-1}, cn), the
-`endpoints` of a Polynomial or a RootForm, and no positive factor of all
-four moves it.
+A coefficient bound reads only (c, t) (`Polynomial.ct`, `RootForm.ct`).
 """
 
 from __future__ import annotations
@@ -25,8 +23,8 @@ import numpy as np
 
 from .errors import HypothesisViolated
 from .oracle import arc_increment
-from .poly import (Polynomial, RootForm, boundary_grid, c_mul, c_pow, c_quot, circle_point, cross_modulus, guard_zero,
-                   modulus, pow2, root_grid, rotation_speed)
+from .poly import (Polynomial, RootForm, boundary_grid, c_mul, c_pow, c_quot, circle_point, conj_product, guard_zero,
+                   root_grid, rotation_speed)
 from .report import BOUND_KEYS, grid_rows, row_template
 from .roots import ZeroClassification
 from .tolerances import ARC_INCREMENT_SLACK, CHECK_SLACK, EQUAL_MODULUS_REL
@@ -37,24 +35,19 @@ def _where(cond, a, b):
     return np.where(cond, a, b) if isinstance(cond, np.ndarray) else a if cond else b
 
 
-# Each coefficient bound reads ends as numbers, in Python floats, or as arrays with one value per form
-# (`RootBatch.endpoints`), element by element the same bits.  A denominator is moved off 0 where _where does not
-# take its quotient, so neither form divides by 0.
-def bound_coeff(ends: tuple):
-    """Endpoint-coefficient lower bound (|cn| - |c0|) / (|cn| + |c0|).
-
-    Valid (nonnegative) when all zeros lie in the closed disk; ranges in
-    [0, 1] there, hitting 0 exactly when |c0| = |cn| and 1 when c0 = 0,
-    also where a root form's scaled cn underflowed to 0.
-    """
-    a0, an = modulus(ends[0]), modulus(ends[-1])
-    return _where(a0 == 0.0, 1.0, (an - a0) / (an + a0 + (a0 == 0.0)))
+# Each theta-free bound reads ct = (c, t): floats at a point, or arrays, one value per form (`RootBatch.ct`), with
+# the same bits.  A denominator is moved off 0 where _where does not take its quotient, so neither divides by 0.
+def bound_coeff(ct: tuple):
+    """Endpoint-coefficient lower bound c = (|cn| - |c0|) / (|cn| + |c0|): in [0, 1] when all zeros lie in the closed
+    disk, 0 exactly when |c0| = |cn| and 1 when c0 = 0."""
+    return ct[0]
 
 
-def bound_sqrt_weak(ends: tuple):
-    """Weaker square-root variant 1 - sqrt(|c0| / |cn|), kept for comparison: 1 where c0 = 0, -inf where only cn is."""
-    a0, an = modulus(ends[0]), modulus(ends[-1])
-    return _where(a0 == 0.0, 1.0, _where(an == 0.0, -math.inf, 1.0 - np.sqrt(a0 / (an + (an == 0.0)))))
+def bound_sqrt_weak(ct: tuple):
+    """Weaker variant 1 - sqrt(|c0| / |cn|) = 1 - sqrt((1 - c)/(1 + c)), kept for comparison: -inf where c = -1."""
+    c = ct[0]
+    ratio = (1.0 - c) / (1.0 + c + (c == -1.0))
+    return _where(c == -1.0, -math.inf, 1.0 - (np.sqrt(ratio) if isinstance(ratio, np.ndarray) else math.sqrt(ratio)))
 
 
 def bound_value(p: Polynomial, z: complex, lam: float) -> float:
@@ -69,30 +62,38 @@ def bound_value(p: Polynomial, z: complex, lam: float) -> float:
     return abs((lam + 1.0) * w - 1.0)
 
 
-def value_refined(ends: tuple, z, n, vr, vi, lam):
-    """`bound_value` on arrays, in its operations and order, at the points z with P(z) = vr + i vi: ends are P's
-    endpoints and n its degree, or one of each per point.  cn z^n is each point's Python product (`c_pow`).
-    No guard: the caller skips where P(z) vanishes.  Where c0 = 0 the bound is |0 - 1| = 1, also where a root
-    form's scaled cn underflowed and w reads 0/0."""
-    c0, cn = ends[0], ends[-1]
+def coefficient_w(coeffs, z, n, vr, vi):
+    """`bound_value`'s w = conj(c0) P(z) / (cn z^n conj(P(z))) on arrays, in its operations and order, at the points
+    z with P(z) = vr + i vi, for P's coefficients and degree n.  cn z^n is each point's Python product (`c_pow`).
+    No guard: the caller skips where P(z) vanishes."""
+    c0, cn = coeffs[0], coeffs[-1]
     lead_zn = c_mul(cn.real, cn.imag, *c_pow(z.real, z.imag, n))
-    wr, wi = c_quot(*c_mul(c0.real, -c0.imag, vr, vi), *c_mul(*lead_zn, vr, -vi))
-    # A real factor scales both parts: for finite w that is CPython's (lam + 1, 0) * w but for the sign of a zero.
-    return np.where(c0 == 0, 1.0, np.hypot((lam + 1.0) * wr - 1.0, (lam + 1.0) * wi))
+    return c_quot(*c_mul(c0.real, -c0.imag, vr, vi), *c_mul(*lead_zn, vr, -vi))
 
 
-def bound_coeff2(ends: tuple):
-    """Second coefficient lower bound 2(|c0|-|cn|)^2 / (|cn|^2 - |c0|^2 + |conj(cn) c1 - c0 conj(c_{n-1})|).
+def blaschke_w(s, ur, ui, z, n):
+    """A root form's w = s U^2 z^-n at the points z: s = prod (-conj(a)) (`conj_product`), U = ur + i ui the unit
+    product prod (z - a)/|z - a|, s and n one form's or one per point.  On the circle this is `coefficient_w` of the
+    expansion, the Blaschke product prod conj(a)(a - z)/(1 - conj(a) z), with no cn and no phase of P.  z^-n is
+    conj(z)^n (`c_pow`); a zero at the origin makes w = 0."""
+    pr, pi = c_pow(z.real, -z.imag, n)
+    return c_mul(s.real, s.imag, *c_mul(*c_mul(ur, ui, ur, ui), pr, pi))
 
-    Returns 0 when |c0| = |cn| (all zeros on the circle), where the
-    quotient formally degenerates.  Outside the zeros-in-disk hypothesis
-    the denominator can vanish or turn negative; the result is then nan
-    and the caller is expected to have gated the bound off.
-    """
-    a0, an = modulus(ends[0]), modulus(ends[-1])
-    denom = an * an - a0 * a0 + cross_modulus(ends)
-    value = _where(denom > 0.0, 2.0 * pow2(a0 - an) / _where(denom > 0.0, denom, 1.0), math.nan)
-    return _where(abs(a0 - an) <= EQUAL_MODULUS_REL * _where(a0 >= an, a0, an), 0.0, value)
+
+def value_refined(wr, wi, lam):
+    """The value-refined bound |(lambda + 1) w - 1| on arrays; (lambda + 1) w scales both parts, which for finite w
+    is CPython's (lambda + 1, 0) * w but for the sign of a zero."""
+    return np.hypot((lam + 1.0) * wr - 1.0, (lam + 1.0) * wi)
+
+
+def bound_coeff2(ct: tuple):
+    """Second coefficient lower bound 2 c^2 / (c + t), that is 2(|c0|-|cn|)^2 / (|cn|^2 - |c0|^2 + |conj(cn) c1 -
+    c0 conj(c_{n-1})|).  0 where |c0| and |cn| agree to EQUAL_MODULUS_REL, |c| <= EQUAL_MODULUS_REL (1 + |c|)/2 (all
+    zeros on the circle); nan where c + t <= 0, outside the hypothesis, which the caller gates off."""
+    c, t = ct
+    d = c + t
+    value = _where(d > 0.0, 2.0 * (c * c) / _where(d > 0.0, d, 1.0), math.nan)
+    return _where(abs(c) <= EQUAL_MODULUS_REL * 0.5 * (1.0 + abs(c)), 0.0, value)
 
 
 def bound_arc(theta: float, alpha: float, beta: float | None, classification: ZeroClassification) -> float:
@@ -124,19 +125,16 @@ def _arc_value(measured: float, alpha: float, beta: float | None) -> float:
     return math.tan(0.5 * use_beta) / math.tan(0.5 * alpha)
 
 
-def bound_zero_free(ends: tuple, degree):
-    """Upper bound n/2 + (|cn| - |c0|) / (2(|cn| + |c0|)) on the rotation speed.
-
-    Valid when no zero lies in the open unit disk: the reversed-conjugate
-    polynomial then has all zeros in the closed disk, and the correction
-    term is <= 0.  `verdict` applies the hypothesis gate.
-    """
-    return 0.5 * degree + 0.5 * bound_coeff(ends)
+def bound_zero_free(ct: tuple, degree):
+    """Upper bound n/2 + c/2 = n/2 + (|cn| - |c0|) / (2(|cn| + |c0|)) on the rotation speed.  Valid when no zero lies
+    in the open unit disk: the reversed-conjugate polynomial then has all its zeros in the closed disk, and c <= 0.
+    `verdict` applies the hypothesis gate."""
+    return 0.5 * degree + 0.5 * bound_coeff(ct)
 
 
-def lower_bounds(ends: tuple, value_thm1) -> tuple:
+def lower_bounds(ct: tuple, value_thm1) -> tuple:
     """The value of each lower bound, in BOUND_KEYS order; value_thm1 is the one that varies with theta."""
-    return 0.0, bound_coeff(ends), bound_sqrt_weak(ends), value_thm1, bound_coeff2(ends)
+    return 0.0, bound_coeff(ct), bound_sqrt_weak(ct), value_thm1, bound_coeff2(ct)
 
 
 # A scan row, as data: the JSON row with a column name at each leaf, and the CSV header name of each column.
@@ -244,12 +242,12 @@ def full_report(
     z = circle_point(theta)
     speed = rotation_speed(p, z)
     lam = 2.0 * speed - p.degree
-    lower = lower_bounds(p.endpoints, bound_value(p, z, lam))
+    lower = lower_bounds(p.ct, bound_value(p, z, lam))
     arc_value = None
     if arc is not None:
         with contextlib.suppress(HypothesisViolated):
             arc_value = bound_arc(theta, *arc, classification)
-    zero_free = None if classification.inside else bound_zero_free(p.endpoints, p.degree)
+    zero_free = None if classification.inside else bound_zero_free(p.ct, p.degree)
     return verdict(theta, speed, lam, lower, arc_value, zero_free, not classification.outside,
                    not classification.inside, slack)
 
@@ -258,13 +256,20 @@ def grid_report(poly: Polynomial | RootForm, thetas: list[float], arc: tuple[flo
                 slack: float, classification: ZeroClassification) -> BoundReport:
     """`full_report` at every angle of thetas in one array pass; each theta-free bound and `arc_increment` runs once.
 
-    A Polynomial is `full_report` bit for bit, from its coefficients (`boundary_grid`).  A RootForm is taken as
-    built, each reader applying the band rule (`read_zero`), and is never expanded: the speed, P(z) and the zero
-    guard come from its zeros (`root_grid`), and the coefficient bounds from its `endpoints`, by Vieta's relations.
+    A Polynomial is `full_report` bit for bit, from its coefficients (`boundary_grid`, `coefficient_w`).  A RootForm
+    is taken as built, never expanded: the speed, the guard, w (`root_grid`, `blaschke_w`) and (c, t) come from its
+    zeros, each as the band rule reads it (`read_zero`).
     """
-    z, vr, vi, speed, skipped = (root_grid(poly, thetas) if isinstance(poly, RootForm)
-                                 else boundary_grid(poly.coeffs, poly.coeff_scale, thetas))
-    ends, n = poly.endpoints, poly.degree
+    n = poly.degree
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # inf and nan arise silently, as in the kernels
+        if isinstance(poly, RootForm):
+            z, ur, ui, speed, skipped = root_grid(poly, thetas)
+            w = blaschke_w(conj_product([a for _, a, _ in poly.readings]), ur, ui, z, n)
+        else:
+            z, vr, vi, speed, skipped = boundary_grid(poly.coeffs, poly.coeff_scale, thetas)
+            w = coefficient_w(poly.coeffs, z, n, vr, vi)
+        lam = 2.0 * speed - n
+        value_thm1 = value_refined(*w, lam)
     angles = np.asarray(thetas, dtype=float)
     arc_value = None
     if arc is not None:
@@ -275,11 +280,6 @@ def grid_report(poly: Polynomial | RootForm, thetas: list[float], arc: tuple[flo
         with contextlib.suppress(HypothesisViolated):
             measured = arc_increment(angles[live], arc[0], classification).tolist()
             arc_value[live] = [_arc_value(x, *arc) for x in measured]
-
-    # inf and nan arise silently, as in boundary_grid; arc_increment above keeps its own numpy warnings
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        lam = 2.0 * speed - n
-        value_thm1 = value_refined(ends, z, n, vr, vi, lam)
-    zero_free = None if classification.inside else bound_zero_free(ends, n)
-    return verdict(angles, speed, lam, lower_bounds(ends, value_thm1), arc_value, zero_free,
+    zero_free = None if classification.inside else bound_zero_free(poly.ct, n)
+    return verdict(angles, speed, lam, lower_bounds(poly.ct, value_thm1), arc_value, zero_free,
                    not classification.outside, not classification.inside, slack, skipped)

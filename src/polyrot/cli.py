@@ -16,10 +16,10 @@ import numpy as np
 
 from . import corpus
 from .blaschke import check_mercer_remark
-from .bounds import bound_zero_free, grid_report, lower_bounds, value_refined, verdict
+from .bounds import blaschke_w, bound_zero_free, grid_report, lower_bounds, value_refined, verdict
 from .errors import PolyrotError
 from .oracle import arg_derivative_fd_batch
-from .poly import Polynomial, RootBatch, RootForm, circle_grid, root_batch
+from .poly import Polynomial, RootBatch, RootForm, circle_grid, root_batch, unit_products
 from .rational import RationalFunction, classify_numerator, comparison, pole_speed, rational_grid
 from .report import BOUND_KEYS, csv_cell, dump_json
 from .roots import classify_root_list, classify_zeros
@@ -141,11 +141,11 @@ def _fuzz_checks(batch: RootBatch, thetas: list[float], k: int, poles: np.ndarra
     """Each check's (margins, violated) over one chunk's forms, in the zone's set of checks (see `cmd_fuzz`): the
     first k forms of batch are its polynomials, the rest the numerators of rational functions with these poles.
 
-    One `root_batch` call evaluates every form; the oracle runs on the polynomials, and each theta-free bound
-    once on their endpoint arrays (`RootBatch.endpoints`).  The polynomial bounds are gated by `bounds.verdict`
-    and the rational ones by `rational.comparison`, as in scan.
+    One `root_batch` call evaluates every form; the oracle runs on the polynomials, and each theta-free bound once
+    on their (c, t) arrays (`RootBatch.ct`).  The polynomial bounds are gated by `bounds.verdict` and the rational
+    ones by `rational.comparison`, as in scan.
     """
-    z, vr, vi, speed, skipped = root_batch(batch, thetas)
+    z, fr, fi, speed, skipped = root_batch(batch, thetas)
     if skipped.any():  # an angle the zero guard refuses drops its case
         keep, rational = ~skipped, ~skipped[k:]
         return _fuzz_checks(batch[keep], np.asarray(thetas)[keep].tolist(), int(keep[:k].sum()), poles[rational],
@@ -156,15 +156,17 @@ def _fuzz_checks(batch: RootBatch, thetas: list[float], k: int, poles: np.ndarra
         polynomials, lam = batch[:k], 2.0 * speed[:k] - degree[:k]
         oracle = ORACLE_AGREEMENT_TOL - np.abs(speed[:k] - arg_derivative_fd_batch(polynomials, thetas[:k]))
         checks["oracle_agreement"] = oracle, oracle < 0.0
-        ends, lower, zero_free = polynomials.endpoints(), (), None
+        lower, zero_free, ct = (), None, polynomials.ct() if zone != "mixed" else None
         if zone in ("in_disk", "on_circle"):
-            lower = lower_bounds(ends, value_refined(ends, z[:k], degree[:k], vr[:k], vi[:k], lam))
-            margin, passed = check_mercer_remark(ends, lower_ok[:k])
+            u = unit_products(fr[:, :k], fi[:, :k], degree[:k])
+            w = blaschke_w(polynomials.conj_product(), u.real, u.imag, z[:k], degree[:k])
+            lower = lower_bounds(ct, value_refined(*w, lam))
+            margin, passed = check_mercer_remark(ct, lower_ok[:k])
             checks["mercer_remark"] = margin, ~passed
         if zone == "on_circle":
             checks["lambda_zero"] = -np.abs(lam), np.abs(lam) > CHECK_SLACK
         if zone == "outside":
-            zero_free = bound_zero_free(ends, degree[:k])
+            zero_free = bound_zero_free(ct, degree[:k])
         report = verdict(thetas[:k], speed[:k], lam, lower, None, zero_free, lower_ok[:k], upper_ok[:k], CHECK_SLACK)
         for key, name in _FUZZ_NAMES.items():
             if report.bounds[key] is not None:  # a bound that applies to no case counts each case with a nan margin
@@ -185,12 +187,11 @@ def cmd_fuzz(args) -> int:
     drawn _FUZZ_CHUNK at a time (`corpus.fuzz_chunk`), each chunk from its own seeded stream, as arrays: no case
     is expanded, and no object is built per case.  A chunk is evaluated at once from the zeros as `scan --roots`
     reads them (`RootBatch.read`), on (zeros x cases) arrays: `poly.root_batch` gives the speed, lambda and the
-    phase of P behind value_thm1, the batch's sides the hypothesis flags, `RootBatch.endpoints` the four endpoint
-    coefficients by Vieta's relations, and `oracle.arg_derivative_fd_batch` the extrapolated central-difference
-    oracle.  Each reduces the arrays one zero row at a time, so a case's bits are `root_grid`'s and do not
-    depend on the other cases of its chunk; an angle the zero guard refuses drops its case.  fuzz solves for no
-    root.  It tallies, each bound through scan's gate (`bounds.verdict` for the polynomial bounds,
-    `rational.comparison` for the rational ones):
+    unit factors behind value_thm1's Blaschke product w, the batch's sides the hypothesis flags, `RootBatch.ct` the
+    (c, t) that every theta-free bound reads, and `oracle.arg_derivative_fd_batch` the extrapolated oracle.  No
+    reduction over a form's zeros is pairwise, so a case's bits are `root_grid`'s and do not depend on the other
+    cases of its chunk; an angle the zero guard refuses drops its case.  fuzz solves for no root.  It tallies, each
+    bound through scan's gate (`bounds.verdict` for the polynomial bounds, `rational.comparison` for the rational ones):
 
     - every zone: oracle_agreement, the analytic speed against the oracle within ORACLE_AGREEMENT_TOL;
     - in_disk and on_circle: the lower bounds (`bounds.lower_bounds`:
@@ -215,7 +216,7 @@ def cmd_fuzz(args) -> int:
     for index, start in enumerate(range(0, args.count, _FUZZ_CHUNK)):
         chunk = corpus.fuzz_chunk(args.seed, index, min(_FUZZ_CHUNK, args.count - start),
                                   (args.degree_min, args.degree_max), args.zone)
-        batch = RootBatch.read(chunk.leading, chunk.degree, chunk.re, chunk.im)
+        batch = RootBatch.read(chunk.degree, chunk.re, chunk.im)
         checks = _fuzz_checks(batch, chunk.thetas, len(batch.degree) - len(chunk.n_poles), chunk.poles,
                               chunk.n_poles, args.zone)
         for name, (margins, violated) in checks.items():

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArcContainsRoot, HypothesisViolated
-from .poly import Polynomial, RootBatch, circle_points, guard_zero
+from .poly import Polynomial, RootBatch, circle_points, guard_zero, row_sum
 from .roots import ZeroClassification
 from .tolerances import ARC_EDGE_SLACK
 
@@ -48,34 +48,35 @@ def arg_derivative_fd_batch(batch: RootBatch, thetas: Sequence[float], h: float 
     The step of arg P from z- = e^{i (theta - t)} to z+ = e^{i (theta + t)} is the sum over the zeros a of the
     principal argument of (z+ - a) conj(z- - a) = e^{i t} (x + i y), with z = e^{i theta} and
 
-        x = |z - a|^2 - (1 + |a|^2) 2 sin^2(t/2),   y = (1 - |a|)(1 + |a|) sin t,
+        x = |z - a|^2 - (1 + |a|^2) 2 sin^2(t/2),   y = (1 - |a|^2) sin t,
 
-    that is t + atan2(y, x), wrapped into (-pi, pi]; the leading coefficient adds none.  (1 - |a|^2)/2 is the
-    batch's `poisson`.  Divided by 2t, the steps give D(t) = n/2 plus the sum of atan2(y, x)/(2t).  A zero in the
-    on-circle band, whose `poisson` is 0, adds exactly 1/2 and takes no atan2: arg(z - a) turns at half the rate
+    that is t + atan2(y, x), wrapped into (-pi, pi]; the leading coefficient adds none.  1 - |a|^2 is the batch's
+    `rho`.  Divided by 2t, the steps give D(t) = n/2 plus the sum of atan2(y, x)/(2t).  A zero in the
+    on-circle band, whose `rho` is 0, adds exactly 1/2 and takes no atan2: arg(z - a) turns at half the rate
     of z along the circle, but for a jump of pi at a itself, which a stencil lying across a (y = 0, x < 0; a
     uniform angle can fall within t of a) would measure.  No difference of two nearby angles is taken.  D(t) is
     the speed plus c t^2 plus O(t^4): the extrapolation cancels the t^2 term, the plain difference's truncation
-    error.  The steps are summed one zero row at a time, as `root_batch` sums its terms, so a form's value is the
-    same alone as in any batch.  It shares no code with `root_batch`'s speed.  There is no zero guard.
+    error.  The steps are summed one zero row at a time (`row_sum`), as `root_batch` sums its terms, so a form's
+    value is the same alone as in any batch.  It shares no code with `root_batch`'s speed.  There is no zero guard.
     """
     if not (0.0 < h <= 1e-2):
         raise ValueError("step h must lie in (0, 1e-2]")
     z = circle_points(thetas)
     dr, di = z.real - batch.re, z.imag - batch.im
-    d2, off_band = dr * dr + di * di, batch.live & (batch.sides != 0)
+    off_band = batch.live & (batch.sides != 0)
+    d2, rho = (dr * dr + di * di)[off_band], batch.rho[off_band]  # each zero off the band, read once
+    one_plus = 2.0 - rho  # 1 + |a|^2
 
     def excess(t: float) -> np.ndarray:
         """D(t) - n/2."""
-        x = d2 - (2.0 - 2.0 * batch.poisson) * (2.0 * math.sin(0.5 * t) ** 2)  # 2 - 2 poisson = 1 + |a|^2
-        y = batch.poisson * (2.0 * math.sin(t))
-        steps = np.zeros(d2.shape)
-        steps[off_band] = list(map(math.atan2, y[off_band].tolist(), x[off_band].tolist()))  # C atan2 on every CPU
-        steps[steps > math.pi - t] -= 2.0 * math.pi  # t + atan2 past pi: the principal argument is 2 pi lower
-        total = np.zeros(d2.shape[1])
-        for row in steps:
-            total += row
-        return total / (2.0 * t)
+        s = math.sin(0.5 * t)
+        x = d2 - one_plus * (2.0 * (s * s))  # x x: CPython's x ** 2 is C pow, not always x x
+        y = rho * math.sin(t)
+        flat = np.array(list(map(math.atan2, y.tolist(), x.tolist())))  # C atan2 on every CPU
+        flat[flat > math.pi - t] -= 2.0 * math.pi  # t + atan2 past pi: the principal argument is 2 pi lower
+        steps = np.zeros(batch.re.shape)
+        steps[off_band] = flat
+        return row_sum(steps) / (2.0 * t)
 
     return 0.5 * batch.degree + (4.0 * excess(0.5 * h) - excess(h)) / 3.0
 

@@ -12,7 +12,7 @@ which is finite at every boundary point away from the zeros of P.
 from __future__ import annotations
 
 import cmath
-import itertools
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -89,43 +89,37 @@ def boundary_speed(coeffs: Sequence[complex], scale: float, z: complex) -> float
     return (z * der / val).real
 
 
-def hypot(x, y):
-    """C `hypot`, as CPython's abs(complex) takes it (math.hypot and numpy's complex abs may round otherwise): of two
-    Python floats as a Python float, of two arrays element by element."""
-    return abs(complex(x, y)) if type(x) is float else np.hypot(x, y)
+_SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into two halves of at most 26 bits
 
 
-def modulus(c):
-    """abs(c) of a complex number, or of each element of a complex array (`hypot`)."""
-    return hypot(c.real, c.imag)
+def two_sum(a, b):
+    """(s, e), s = a + b rounded and s + e = a + b exactly (TwoSum; Ogita, Rump & Oishi 2005): floats or arrays."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
 
 
-def _pow2(v: float) -> float:
-    try:
-        return v ** 2
-    except OverflowError:
-        return math.inf
+def _split(x):
+    c = _SPLIT * x
+    hi = c - (c - x)
+    return hi, x - hi
 
 
-def pow2(x):
-    """x ** 2 as CPython takes it, C `pow`, which is not always x * x (numpy's array power), of a float or of each
-    element of an array; past the double range it is inf instead of an OverflowError."""
-    if isinstance(x, np.ndarray):
-        return np.reshape(list(map(_pow2, x.ravel().tolist())), x.shape)
-    return _pow2(float(x))
+def two_prod(a, b):
+    """(p, e), p = a b rounded and p + e = a b exactly unless it over- or underflows (Dekker's TwoProduct, 1971, by
+    his split: numpy has no FMA): floats or arrays."""
+    (ah, al), p = _split(a), a * b
+    bh, bl = (ah, al) if b is a else _split(b)
+    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
 
 
-def product_modulus(a, b):
-    """abs(a * b) of complex numbers, or of arrays of them element by element, the product rounded as CPython's."""
-    return hypot(*c_mul(a.real, a.imag, b.real, b.imag))
-
-
-def cross_modulus(ends):
-    """|conj(cn) c1 - c0 conj(c_{n-1})| of ends = (c0, c1, c_{n-1}, cn), each a complex number or an array of them:
-    the second coefficient bound, Mercer's remark and f''(0), each product rounded as CPython's (`c_mul`)."""
-    c0, c1, cm, cn = ends
-    (ar, ai), (br, bi) = c_mul(cn.real, -cn.imag, c1.real, c1.imag), c_mul(c0.real, c0.imag, cm.real, -cm.imag)
-    return hypot(ar - br, ai - bi)
+def one_minus_square(re, im):
+    """1 - re^2 - im^2 = 1 - |a|^2 from the error-free squares and their error-free sum s: 1 - s is exact where
+    |a|^2 lies in [1/2, 2] (Sterbenz), so the result is as if rounded once, however close |a| is to 1.  Floats or
+    arrays; not finite where a square overflows, past |a| of about 1.3e154."""
+    (pr, er), (pi, ei) = two_prod(re, re), two_prod(im, im)
+    s, f = two_sum(pr, pi)
+    return (1.0 - s) - (f + (er + ei))
 
 
 def _finite(cs, what: str):
@@ -157,12 +151,6 @@ def complex_pairs(data, what: str) -> tuple[complex, ...]:
     raise ValueError(f"{what} must be [re, im] pairs of numbers")
 
 
-def _fsum(values: Iterable[complex]) -> complex:
-    """The sum of complex values, each part correctly rounded by `math.fsum`."""
-    vs = list(values)
-    return complex(math.fsum(v.real for v in vs), math.fsum(v.imag for v in vs))
-
-
 def expand_monic(roots: Iterable[complex]) -> list[complex]:
     """Coefficients of prod (z - r), ascending degree."""
     coeffs: list[complex] = [1.0 + 0j]
@@ -177,11 +165,6 @@ def expand_monic(roots: Iterable[complex]) -> list[complex]:
 def expand_roots(leading: complex, roots: Iterable[complex]) -> list[complex]:
     """Coefficients of leading * prod (z - r), ascending degree; one past the double range is an error (ValueError)."""
     return _finite([leading * c for c in expand_monic(roots)], "coefficients")
-
-
-def coeff_endpoints(coeffs: Sequence[complex]) -> tuple[complex, complex, complex, complex]:
-    """(c0, c1, c_{n-1}, cn) of the coefficients, ascending degree: all that a theta-free bound reads."""
-    return coeffs[0], coeffs[1], coeffs[-2], coeffs[-1]
 
 
 @dataclass(frozen=True)
@@ -207,9 +190,14 @@ class Polynomial:
     def leading(self) -> complex:
         return self.coeffs[-1]
 
-    @property
-    def endpoints(self) -> tuple[complex, complex, complex, complex]:
-        return coeff_endpoints(self.coeffs)
+    @functools.cached_property
+    def ct(self) -> tuple[float, float]:
+        """(c, t), the two numbers every theta-free bound reads: c = (|cn| - |c0|)/(|cn| + |c0|) and
+        t = |conj(cn) c1 - c0 conj(c_{n-1})|/(|cn| + |c0|)^2, each product rounded as CPython's."""
+        (c0, c1), (cm, cn) = self.coeffs[:2], self.coeffs[-2:]
+        a0, an = abs(c0), abs(cn)
+        s = an + a0
+        return (an - a0) / s, abs(cn.conjugate() * c1 - c0 * cm.conjugate()) / s / s
 
     @property
     def coeff_scale(self) -> float:
@@ -251,22 +239,29 @@ class RootForm:
     def degree(self) -> int:
         return len(self.roots)
 
-    @property
-    def endpoints(self) -> tuple[complex, complex, complex, complex]:
-        """(c0, c1, c_{n-1}, cn) by Vieta's relations, times 1/(|cn| max(1, e^L)) to stay finite at any degree.
+    @functools.cached_property
+    def readings(self) -> tuple[tuple[int, complex, float], ...]:
+        """(side, zero, 1 - |a|^2) of each zero, as `read_zero` and `one_minus_square` read it (0 in the band)."""
+        return tuple((side, a, one_minus_square(a.real, a.imag) if side else 0.0)
+                     for side, a in map(read_zero, self.roots))
 
-        L = sum log|b| over the zeros b off the origin; q0 = cn prod (-b) and q1 = -q0 sum 1/b, the lowest coefficients
-        of cn prod (z - b), move up k places with k zeros at the origin; c_{n-1} = -cn sum a."""
-        roots = [read_zero(a)[1] for a in self.roots]  # each zero as every reader takes it
-        nonzero = [a for a in roots if a]
-        logs = math.fsum(math.log(abs(b)) for b in nonzero)
-        phase = unit = self.leading / abs(self.leading)
-        for b in nonzero:
-            phase *= -b / abs(b)
-        q0, lead = phase / abs(phase) * math.exp(min(logs, 0.0)), unit * math.exp(-max(logs, 0.0))
-        k = self.degree - len(nonzero)
-        c0, c1 = (q0, -q0 * _fsum(1.0 / b for b in nonzero)) if k == 0 else (0j, q0) if k == 1 else (0j, 0j)
-        return c0, c1, -lead * _fsum(roots), lead
+    @functools.cached_property
+    def ct(self) -> tuple[float, float]:
+        """`Polynomial.ct` of the expansion, from the zeros (`form_ct`).  Each zero off the band and the origin adds
+        log|a|^2 to 2L (log1p(-(1 - |a|^2)) where |1 - |a|^2| <= 1/2, else log of the rounded |a|^2; `math.fsum`) and
+        q conj(a) = (1 - |a|^2)/a to S (in turn); where |a|^2 overflows, these are 2 log|a| and q = -1."""
+        logs, sr, si, at_origin = [], [], [], 0
+        for side, a, rho in self.readings:
+            m2 = a.real * a.real + a.imag * a.imag
+            if m2 == 0.0:
+                at_origin += 1
+            elif side:
+                big = not math.isfinite(rho)
+                logs.append(2.0 * math.log(abs(a)) if big else math.log1p(-rho) if abs(rho) <= 0.5 else math.log(m2))
+                q = -1.0 if big else rho / m2
+                sr.append(q * a.real)
+                si.append(-(q * a.imag))
+        return form_ct(0.5 * math.fsum(logs), sum(sr), sum(si), at_origin)
 
     def to_json(self) -> dict:
         return {"leading": [self.leading.real, self.leading.imag], "roots": [[r.real, r.imag] for r in self.roots]}
@@ -293,9 +288,32 @@ def circle_points(thetas: Sequence[float]) -> np.ndarray:
 
 def read_zero(a: complex) -> tuple[int, complex]:
     """(side, zero): the one band rule, which every reader of a zero applies.  side is -1 inside the unit disk, 0 in
-    the on-circle band of width ON_CIRCLE_TOL and 1 outside; a zero of the band is moved onto the circle, to a/|a|."""
+    the on-circle band of width ON_CIRCLE_TOL and 1 outside.  A zero of the band is projected onto the circle, divided
+    by its modulus until that no longer moves it (at most 3 times in 10 million draws): read again, it keeps its
+    bits."""
     m = abs(a)
-    return (0, a / m) if abs(m - 1.0) <= ON_CIRCLE_TOL else (-1 if m < 1.0 else 1, a)
+    if abs(m - 1.0) > ON_CIRCLE_TOL:
+        return (-1 if m < 1.0 else 1), a
+    b = a / m
+    while b != a:
+        a, b = b, b / abs(b)
+    return 0, b
+
+
+def form_ct(logs: float, sr: float, si: float, at_origin: int) -> tuple[float, float]:
+    """(c, t) of a root form from L = sum log|a| and S = sr + i si = sum (1 - |a|^2)/a over its zeros off the band and
+    the origin, and the count at the origin (or where |a|^2 underflows): c = tanh(-L/2), t = e^L |S|/(1 + e^L)^2 with
+    x = e^-|L| so that neither overflows.  A zero at the origin makes c = 1 and t = |c1/cn|: e^L for one, 0 for more."""
+    if at_origin:
+        return 1.0, 0.0 if at_origin > 1 else math.exp(logs) if logs < 709.78 else math.inf
+    x = math.exp(-abs(logs))
+    return math.tanh(0.0 - 0.5 * logs), abs(complex(sr, si)) * x / ((1.0 + x) * (1.0 + x))
+
+
+def conj_product(zeros: Sequence[complex]) -> complex:
+    """prod (-conj(a)) = (-1)^n conj(prod a), the product taken in turn as CPython multiplies: conj(c0/cn)."""
+    p = math.prod(zeros).conjugate()
+    return -p if len(zeros) % 2 else p
 
 
 def from_roots(rf: RootForm) -> Polynomial:
@@ -304,12 +322,8 @@ def from_roots(rf: RootForm) -> Polynomial:
 
 
 def rotation_speed(p: Polynomial, z: complex) -> float:
-    """(d/dtheta) arg P(e^{i theta}) = Re(z P'(z)/P(z)) at z = `circle_point(theta)`.
-
-    Raises ZeroProximity when |P(z)| < ZERO_PROXIMITY_REL * max|c_k|: the
-    quantity is undefined at zeros of P and meaningless in their immediate
-    vicinity.
-    """
+    """(d/dtheta) arg P(e^{i theta}) = Re(z P'(z)/P(z)) at z = `circle_point(theta)`.  Raises ZeroProximity when
+    |P(z)| < ZERO_PROXIMITY_REL * max|c_k|: the quantity is undefined at zeros of P and meaningless near them."""
     return boundary_speed(p.coeffs, p.coeff_scale, z)
 
 
@@ -337,21 +351,20 @@ def boundary_grid(coeffs: Sequence[complex], scale: float, thetas: list[float]):
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def root_grid(rf: RootForm, thetas: list[float]):
-    """What `boundary_grid` returns, from the zeros of rf, each as `read_zero` reads it.
+    """(z, ur, ui, speed, skipped): z and the speed as `boundary_grid` gives them, from rf's zeros as it reads them
+    (`RootForm.readings`), and U = ur + i ui = prod (z - a)/|z - a|, the phase of P(z)/cn, one product per zero.
 
     One pass over the zeros in input order, on 1-D angle arrays.  Each zero adds its term of the speed Re(z/(z - a))
-    in a form that does not cancel: 1/2 + (1 - |a|^2)/(2 |z - a|^2) inside the disk (the 1/2s added at once),
-    (zr dr + zi di)/|z - a|^2 outside it, (dr, di) = z - a, and exactly 1/2 in the band.  The guard skips where the
-    nearest zero, the smallest |z - a| divided by, is closer than ZERO_PROXIMITY_REL.  P(z) is returned as
-    cn prod (z - a)/|z - a|, of P's argument and modulus |cn|.
+    in a form that does not cancel: (1 - |a|^2)/(2 |z - a|^2) inside the disk, (zr dr + zi di)/|z - a|^2 outside,
+    (dr, di) = z - a, 0 in the band; 1/2 per zero inside or in the band comes last.  The guard skips where the
+    nearest zero is closer than ZERO_PROXIMITY_REL; U reads 1 there.
     """
     z = circle_points(thetas)
     zr, zi = z.real.copy(), z.imag.copy()
-    zeros = list(map(read_zero, rf.roots))
-    speed, nearest = np.full(len(z), 0.5 * sum(side <= 0 for side, _ in zeros)), np.full(len(z), math.inf)
-    vr, vi = np.full(len(z), rf.leading.real), np.full(len(z), rf.leading.imag)
+    speed, nearest = np.zeros(len(z)), np.full(len(z), math.inf)
+    ur, ui = np.ones(len(z)), np.zeros(len(z))
     dr, di, d2, m, t = (np.empty(len(z)) for _ in range(5))  # scratch, written in place
-    for side, a in zeros:
+    for side, a, rho in rf.readings:
         np.subtract(zr, a.real, out=dr)
         np.subtract(zi, a.imag, out=di)
         np.add(np.multiply(dr, dr, out=d2), np.multiply(di, di, out=t), out=d2)  # |z - a|^2
@@ -360,126 +373,120 @@ def root_grid(rf: RootForm, thetas: list[float]):
             np.hypot(dr, di, out=m, where=np.isinf(d2))
         np.minimum(nearest, m, out=nearest)
         if side < 0:
-            speed += np.divide(0.5 * (1.0 - abs(a)) * (1.0 + abs(a)), d2, out=t)
+            speed += np.divide(0.5 * rho, d2, out=t)
         elif side > 0:
             speed += (zr * dr + zi * di) / d2
-        vr, vi = c_mul(vr, vi, np.divide(dr, m, out=dr), np.divide(di, m, out=di))  # times (z - a)/|z - a|
+        ur, ui = c_mul(ur, ui, np.divide(dr, m, out=dr), np.divide(di, m, out=di))  # times (z - a)/|z - a|
+    speed += 0.5 * sum(side <= 0 for side, _, _ in rf.readings)
     skipped = nearest < ZERO_PROXIMITY_REL
-    vr, vi = np.where(skipped, 1.0, vr), np.where(skipped, 0.0, vi)
-    return z, vr, vi, speed, skipped
+    return z, np.where(skipped, 1.0, ur), np.where(skipped, 0.0, ui), speed, skipped
 
 
 @dataclass(frozen=True)
 class RootBatch:
-    """Many root forms as (zeros x forms) float arrays: column k holds form k's zeros in order, padded past its degree.
+    """Many root forms as (zeros x forms) arrays: column k holds form k's zeros in order, padded past its degree.
 
-    `re` and `im` hold each zero and `sides` its side, both as `read_zero` reads it, bit for bit: this is that
-    rule on arrays, for fuzz's chunks.  `poisson` holds (1 - |a|)(1 + |a|)/2, half the numerator of the
-    zero's Poisson term (1 - |a|^2)/|z - a|^2, and exactly 0 in the band.  `live` marks the zeros that exist; a
-    padded slot holds 0 on side 0, with `poisson` 0.  Each array is contiguous; a zero's row is its index in its form.
+    `re`, `im` and `sides` hold each zero and its side as `read_zero` reads it, bit for bit: that rule on arrays, for
+    fuzz's chunks.  `rho` holds 1 - |a|^2 (`one_minus_square`), exactly 0 in the band.  `live` marks the zeros that
+    exist; a padded slot holds 0 on side 0, with `rho` 0.  A zero's row is its index in its form.
     """
 
-    leading: np.ndarray
     degree: np.ndarray
     re: np.ndarray
     im: np.ndarray
-    poisson: np.ndarray
+    rho: np.ndarray
     sides: np.ndarray
     live: np.ndarray
 
     @staticmethod
     def snapped(forms: Sequence) -> "RootBatch":
-        """The batch of forms, each read by its `leading` and `roots` alone, as a `RootForm` is."""
-        roots = [f.roots for f in forms]
-        zeros = np.fromiter(itertools.chain.from_iterable(roots), complex, sum(map(len, roots)))
-        return RootBatch.read(np.array([f.leading for f in forms], dtype=complex), np.array(list(map(len, roots))),
-                              zeros.real, zeros.imag)
+        """The batch of forms, each read by its `roots` alone, as a `RootForm` is."""
+        zeros = np.array([a for f in forms for a in f.roots], dtype=complex)
+        return RootBatch.read(np.array([len(f.roots) for f in forms]), zeros.real, zeros.imag)
 
     @staticmethod
-    def read(leading: np.ndarray, degree: np.ndarray, re: np.ndarray, im: np.ndarray) -> "RootBatch":
-        """The batch of the forms with these leading coefficients and degrees, whose zeros re + i im list each form's
-        zeros in turn, each read by the band rule."""
+    @np.errstate(over="ignore", invalid="ignore")  # a square past the double range reads inf or nan, as at a point
+    def read(degree: np.ndarray, re: np.ndarray, im: np.ndarray) -> "RootBatch":
+        """The batch of the forms of these degrees, whose zeros re + i im list each form's zeros in turn."""
+        def over(ar, ai, x):  # (ar + i ai)/x for x > 0 as CPython divides a complex by a float, by x + 0i
+            return (ar + ai * 0.0) / x, (ai - ar * 0.0) / x
+
+        mod = np.hypot(re, im)  # abs(complex); np.abs of a complex array is not hypot
+        band = np.abs(mod - 1.0) <= ON_CIRCLE_TOL
+        if band.any():  # read_zero's projection; a zero that stopped keeps its bits when divided again
+            (br, bi), moved = over(re[band], im[band], mod[band]), True
+            while np.any(moved):
+                nr, ni = over(br, bi, np.hypot(br, bi))
+                moved, br, bi = (nr != br) | (ni != bi), nr, ni
+            re, im = re.copy(), im.copy()
+            re[band], im[band] = br, bi
+        rho = one_minus_square(re, im)
+        rho[band] = 0.0
         live = np.arange(degree.max(initial=0))[:, None] < degree
-        zr, zi = np.zeros(live.shape), np.zeros(live.shape)
-        zr.T[live.T] = re  # form by form, as the forms list them
-        zi.T[live.T] = im
-        mod = np.hypot(zr, zi)  # abs(complex); np.abs of a complex array is not hypot
-        dist = mod - 1.0
-        band = np.abs(dist) <= ON_CIRCLE_TOL  # never a padded slot, whose dist is -1
-        if band.any():
-            scale = np.where(band, mod, 1.0)
-            np.divide(zr, scale, out=zr)  # a / |a| part by part, as CPython divides a complex by a float
-            np.divide(zi, scale, out=zi)
-        on_side_0 = band | ~live
-        sides = np.where(on_side_0, 0, np.where(dist < 0.0, -1, 1))
-        poisson = np.where(on_side_0, 0.0, 0.5 * (1.0 - mod) * (1.0 + mod))
-        return RootBatch(leading, degree, zr, zi, poisson, sides, live)
+        columns = []
+        for flat in (re, im, rho, np.where(band, 0, np.where(mod < 1.0, -1, 1))):
+            columns.append(np.zeros(live.shape, dtype=flat.dtype))
+            columns[-1].T[live.T] = flat  # form by form, as the forms list them; a padded slot holds 0
+        return RootBatch(degree, *columns, live)
 
     def __getitem__(self, which) -> "RootBatch":
         """The forms that which selects, a slice or an index array, as a batch."""
-        columns = (a[:, which] for a in (self.re, self.im, self.poisson, self.sides, self.live))
-        return RootBatch(self.leading[which], self.degree[which], *columns)
+        columns = (self.re, self.im, self.rho, self.sides, self.live)
+        return RootBatch(self.degree[which], *(a[:, which] for a in columns))
 
     def count(self, side: int) -> np.ndarray:
         """Per form: how many of its zeros lie inside the circle (side -1) or outside it (side 1)."""
         return (self.sides == side).sum(axis=0)
 
-    def endpoints(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """`RootForm.endpoints` of every form, as complex arrays with one value per form, bit for bit.
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    def ct(self) -> tuple[np.ndarray, np.ndarray]:
+        """`RootForm.ct` of every form, bit for bit: the terms on the arrays (log1p and log by C `math`), the sums as
+        `RootForm.ct` takes them (`math.fsum`, `row_sum`; a zero in the band or a padded slot adds 0), `form_ct`."""
+        rho, re, im = self.rho, self.re, self.im
+        m2 = re * re + im * im
+        at_origin = m2 == 0.0  # and every padded slot
+        small = np.abs(rho) <= 0.5
+        near, far = small & (rho != 0.0), ~(small | at_origin)  # rho is 0 in the band
+        logs = np.zeros(rho.shape)
+        logs[near] = list(map(math.log1p, (-rho[near]).tolist()))
+        logs[far] = list(map(math.log, m2[far].tolist()))
+        m2[at_origin] = 1.0
+        q = rho / m2
+        huge = ~np.isfinite(rho)
+        if huge.any():
+            logs[huge] = 2.0 * np.array(list(map(math.log, np.hypot(re[huge], im[huge]).tolist())))
+            q[huge] = -1.0
+        at_origin &= self.live
+        origin = at_origin.sum(axis=0).tolist() if at_origin.any() else [0] * len(self.degree)
+        sums = (0.5 * np.array(list(map(math.fsum, logs.T.tolist()))), row_sum(q * re), row_sum(-(q * im)))
+        return tuple(np.array(list(map(form_ct, *(s.tolist() for s in sums), origin))).reshape(-1, 2).T)
 
-        Each zero's modulus, log (C `log`), unit factor -b/|b| and reciprocal 1/b come in whole-array calls, every
-        quotient as CPython rounds it; the phase product runs one zero row at a time in the forms' order (`c_mul`; a
-        padded slot or a zero at the origin multiplies by 1, which keeps every bit but the sign of a part that is
-        exactly 0), and each sum over a form's zeros is `math.fsum`, to which such a slot adds 0.
-        """
-        def exp(a):
-            return np.array(list(map(math.exp, a.tolist())))
-
-        def over(ar, ai, x):  # (ar + i ai) / x for x > 0: CPython's quotient by x + 0i, whose ratio is 0
-            return (ar + ai * 0.0) / x, (ai - ar * 0.0) / x
-
-        nonzero = self.live & ((self.re != 0.0) | (self.im != 0.0))
-        mod = np.where(nonzero, np.hypot(self.re, self.im), 1.0)
-        logs = np.zeros(mod.shape)
-        logs[nonzero] = list(map(math.log, mod[nonzero].tolist()))
-        inv = (np.where(nonzero, c, 0.0) for c in c_quot(1.0, 0.0, np.where(nonzero, self.re, 1.0), self.im))
-        # each form's sums, by fsum in one pass: sum log|b|, sum 1/b (off the origin) and sum a
-        columns = itertools.chain.from_iterable(a.T.tolist() for a in (logs, *inv, self.re, self.im))
-        sums = np.fromiter(map(math.fsum, columns), float, 5 * len(self.degree))
-        logs, inv_r, inv_i, sum_r, sum_i = sums.reshape(5, -1)
-        ur, ui = over(self.leading.real, self.leading.imag, np.hypot(self.leading.real, self.leading.imag))
-        pr, pi = ur, ui
-        for r, i in zip(*over(np.where(nonzero, -self.re, 1.0), np.where(nonzero, -self.im, 0.0), mod)):
-            pr, pi = c_mul(pr, pi, r, i)  # phase *= -b / |b|
-        small, large = exp(np.minimum(logs, 0.0)), exp(-np.maximum(logs, 0.0))
-        q0r, q0i = c_mul(*over(pr, pi, np.hypot(pr, pi)), small, 0.0)  # a complex times a float x: times x + 0i
-        lr, li = c_mul(ur, ui, large, 0.0)
-        sr, si = c_mul(-q0r, -q0i, inv_r, inv_i)
-        at_origin = self.degree - nonzero.sum(axis=0)
-        c0 = np.where(at_origin == 0, q0r, 0.0), np.where(at_origin == 0, q0i, 0.0)
-        c1 = (np.where(at_origin == 0, sr, np.where(at_origin == 1, q0r, 0.0)),
-              np.where(at_origin == 0, si, np.where(at_origin == 1, q0i, 0.0)))
-        cm = c_mul(-lr, -li, sum_r, sum_i)
-        return tuple(_complex(*parts) for parts in (c0, c1, cm, (lr, li)))
+    def conj_product(self) -> np.ndarray:
+        """`conj_product` of every form's zeros."""
+        return unit_products(self.re, self.im, self.degree, conj_product)
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The complex array of these parts, each bit kept (re + 1j * im can move the sign of a zero)."""
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out
+def row_sum(a: np.ndarray) -> np.ndarray:
+    """Each column's sum, its rows added one at a time in order (an accumulate, never a pairwise sum): a column's bits
+    do not depend on the other columns of a, and are a Python `sum` of its rows."""
+    return np.cumsum(a, axis=0)[-1] if len(a) else np.zeros(a.shape[1:])
+
+
+def unit_products(fr: np.ndarray, fi: np.ndarray, degree: np.ndarray, product=math.prod):
+    """Each column's product of its first degree[k] factors fr + i fi as Python complex numbers, each product `c_mul`'s:
+    a complex array."""
+    factors = np.empty(fr.shape, dtype=complex)
+    factors.real, factors.imag = fr, fi
+    return np.array([product(col[:n]) for col, n in zip(factors.T.tolist(), degree.tolist())], dtype=complex)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def root_batch(batch: RootBatch, thetas: Sequence[float]):
-    """`root_grid`'s quantities at one angle per form of batch: thetas[k] for form k, every result one per form.
+    """(z, fr, fi, speed, skipped): `root_grid`'s quantities at one angle per form of batch, thetas[k] for form k,
+    but for U, as its (zeros x forms) factors fr + i fi = (z - a)/|z - a|, 1 at a padded slot (`unit_products`).
 
-    Each zero's term and unit factor are `root_grid`'s, taken on (zeros x forms) arrays: (1 - |a|^2)/(2 |z - a|^2)
-    inside the disk, (zr dr + zi di)/|z - a|^2 outside it, (dr, di) = z - a, 0 in the band, and (z - a)/|z - a|.
-    They are reduced one zero row at a time in `root_grid`'s order: the speed starts at 1/2 per zero inside or in
-    the band and adds each term in turn, and P(z) starts at cn and is multiplied by each factor in turn (`c_mul`);
-    a padded slot adds 0 and multiplies by 1.  So each form gets `root_grid`'s bits at its angle wherever the guard
-    keeps it, whatever other forms share its batch, but for the sign of a part of P(z) that is exactly 0.
+    Each term is `root_grid`'s, summed one zero row at a time (`row_sum`), 1/2 per zero inside or in the band last:
+    each form gets `root_grid`'s bits at its angle wherever the guard keeps it, whatever forms share its batch.
     """
     z = circle_points(thetas)
     zr, zi = z.real.copy(), z.imag.copy()
@@ -489,12 +496,7 @@ def root_batch(batch: RootBatch, thetas: Sequence[float]):
     if m.max(initial=0.0) == math.inf:  # |z - a|^2 overflows past |a| of about 1.3e154; hypot does not
         m = np.where(np.isinf(d2), np.hypot(dr, di), m)
     outside = batch.sides > 0
-    terms = np.where(outside, zr * dr + zi * di, batch.poisson) / d2
-    ur, ui = np.where(batch.live, dr / m, 1.0), np.where(batch.live, di / m, 0.0)
-    speed = 0.5 * (batch.degree - outside.sum(axis=0))
-    vr, vi = batch.leading.real, batch.leading.imag
-    for term, fr, fi in zip(terms, ur, ui):
-        speed += term
-        vr, vi = c_mul(vr, vi, fr, fi)
+    speed = row_sum(np.where(outside, zr * dr + zi * di, 0.5 * batch.rho) / d2)
+    speed += 0.5 * (batch.degree - outside.sum(axis=0))
     skipped = m.min(axis=0, initial=math.inf) < ZERO_PROXIMITY_REL  # a padded slot, at 0, lies 1 from z
-    return z, np.where(skipped, 1.0, vr), np.where(skipped, 0.0, vi), speed, skipped
+    return z, np.where(batch.live, dr / m, 1.0), np.where(batch.live, di / m, 0.0), speed, skipped

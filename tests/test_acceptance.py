@@ -175,9 +175,9 @@ def test_criterion_4_second_coefficient_bound(disk_corpus):
     ordering = math.inf
     remark_ok = True
     for _, p, thetas in disk_corpus:
-        rhs = bound_coeff2(p.endpoints)
-        ordering = min(ordering, rhs - bound_coeff(p.endpoints))
-        remark_ok = remark_ok and check_mercer_remark(p.endpoints, not classify_zeros(p).outside)[1]
+        rhs = bound_coeff2(p.ct)
+        ordering = min(ordering, rhs - bound_coeff(p.ct))
+        remark_ok = remark_ok and check_mercer_remark(p.ct, not classify_zeros(p).outside)[1]
         for t in thetas:
             low = min(low, lambda_at(p, t) - rhs)
     _report(

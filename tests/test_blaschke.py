@@ -200,7 +200,7 @@ def test_mercer_sweep(rng):
     for _ in range(200):
         rf = random_disk_rootform(rng, keep_off_one=False)
         p = from_roots(rf)
-        rhs = 1.0 + bound_coeff2(p.endpoints)
+        rhs = 1.0 + bound_coeff2(p.ct)
         assert abs(mercer_rhs(disk_map(rf)) - rhs) <= 1e-6
         theta = float(rng.uniform(0, 2 * math.pi))
         if abs(p(cmath.exp(1j * theta))) <= 1e-3 * p.coeff_scale:
@@ -211,44 +211,44 @@ def test_mercer_sweep(rng):
 def test_mercer_remark_values():
     # all zeros on the circle: both sides vanish
     p5 = from_roots(RootForm(1.0, tuple(cmath.exp(2j * math.pi * k / 5) for k in range(5))))
-    margin, passed = check_mercer_remark(p5.endpoints, not classify_zeros(p5).outside)
+    margin, passed = check_mercer_remark(p5.ct, not classify_zeros(p5).outside)
     assert abs(margin) <= 1e-12 and passed
 
-    # one zero: both sides are |cn|^2 - |c0|^2 = 0.75
+    # one zero: both sides are |cn|^2 - |c0|^2 = 0.75, so c = t = 1/3 (both divided by (|cn| + |c0|)^2 = 2.25)
     p1 = Polynomial([-0.5, 1])
-    assert check_mercer_remark(p1.endpoints, not classify_zeros(p1).outside) == (0.0, True)
+    assert check_mercer_remark(p1.ct, not classify_zeros(p1).outside) == (0.0, True)
 
-    # zeros +-1/2: 1 - 1/16 against a vanishing cross term
+    # zeros +-1/2: c = (1 - 1/4)/(1 + 1/4) against a vanishing cross term
     p2 = Polynomial([-0.25, 0, 1])
-    assert check_mercer_remark(p2.endpoints, not classify_zeros(p2).outside) == (0.9375, True)
+    assert check_mercer_remark(p2.ct, not classify_zeros(p2).outside) == (0.6, True)
 
 
 def test_mercer_remark_sweep(rng):
     for _ in range(200):
         rf = random_disk_rootform(rng, max_degree=10, keep_off_one=False)
         p = from_roots(rf)
-        assert check_mercer_remark(p.endpoints, not classify_zeros(p).outside)[1]
+        assert check_mercer_remark(p.ct, not classify_zeros(p).outside)[1]
 
 
 def test_mercer_remark_rejects_outside_zeros():
     p = Polynomial([-2, 1])
     with pytest.raises(HypothesisViolated):
-        check_mercer_remark(p.endpoints, False)
+        check_mercer_remark(p.ct, False)
 
 
 def test_mercer_margin_has_the_sign_of_coeff2_minus_coeff():
-    # coeff2 - coeff = (|cn| - |c0|)(margin)/((D + |X|)(|cn| + |c0|)), D = |cn|^2 - |c0|^2 and X the cross term, so
-    # fuzz's Mercer tally can read the sign from the report; the two disagree only where the margin is rounding
+    # coeff2 - coeff = 2c^2/(c + t) - c = c (c - t)/(c + t), and c - t is Mercer's margin, so fuzz's Mercer tally
+    # can read the sign from the report; the two disagree only where the margin is rounding.  Both read (c, t) from
+    # the zeros, as fuzz does, and from the expanded coefficients, as scan --coeffs does
     rng = np.random.default_rng(1013)
     rounding = agree = 0
     for _ in range(2000):
         rf, p = corpus.random_polynomial(rng, int(rng.integers(1, 17)), "in_disk")
-        ends = p.endpoints
-        margin, _ = check_mercer_remark(ends, not classify_root_list(rf.roots).outside)
-        scale = max(abs(ends[-1]) ** 2, abs(ends[1] * ends[-1]), abs(ends[0] * ends[-2]))
-        if abs(margin) <= 1e-14 * scale:  # a few dozen ulps; only degree 1, where Mercer is an equality, gets here
-            rounding += 1
-            continue
-        assert math.copysign(1.0, margin) == math.copysign(1.0, bound_coeff2(ends) - bound_coeff(ends)), rf
-        agree += 1
-    assert agree > 1500, (agree, rounding)
+        for ct in (rf.ct, p.ct):
+            margin, _ = check_mercer_remark(ct, not classify_root_list(rf.roots).outside)
+            if abs(margin) <= 1e-14 * max(1.0, ct[1]):  # a few dozen ulps; only degree 1, an equality, gets here
+                rounding += 1
+                continue
+            assert math.copysign(1.0, margin) == math.copysign(1.0, bound_coeff2(ct) - bound_coeff(ct)), rf
+            agree += 1
+    assert agree > 3000, (agree, rounding)

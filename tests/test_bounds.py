@@ -52,23 +52,25 @@ def test_lambda_hand_value():
 
 
 def test_bound_coeff_values():
-    assert bound_coeff(Polynomial([-0.5, 1]).endpoints) == pytest.approx(1 / 3)
-    assert bound_coeff(fifth_roots_of_unity().endpoints) == pytest.approx(0.0, abs=1e-15)
-    assert bound_coeff(Polynomial([0, 0, 0, 1]).endpoints) == pytest.approx(1.0)
-    # a zero at the origin gives c0 = 0, and two zeros at 1e200 scale cn past the double range to 0 as well:
-    # both bounds read exactly 1, as for every c0 = 0, and divide nothing by 0
-    ends = RootForm(1.0, (0j, 1e200, 1e200)).endpoints
-    assert ends[0] == ends[-1] == 0
-    assert bound_coeff(ends) == bound_sqrt_weak(ends) == bound_coeff(Polynomial([0, 1]).endpoints) == 1.0
+    assert bound_coeff(Polynomial([-0.5, 1]).ct) == pytest.approx(1 / 3)
+    assert bound_coeff(fifth_roots_of_unity().ct) == pytest.approx(0.0, abs=1e-15)
+    assert bound_coeff(Polynomial([0, 0, 0, 1]).ct) == pytest.approx(1.0)
+    # a zero at the origin gives c0 = 0, with two zeros at 1e200 whose product passes the double range: both bounds
+    # read exactly 1, as for every c0 = 0, and divide nothing by 0; c = -1 (every zero far outside) reads -inf
+    ct = RootForm(1.0, (0j, 1e200, 1e200)).ct
+    assert ct == (1.0, math.inf)
+    assert bound_coeff(ct) == bound_sqrt_weak(ct) == bound_coeff(Polynomial([0, 1]).ct) == 1.0
+    assert bound_coeff(RootForm(1.0, (1e200, 1e200)).ct) == -1.0
+    assert bound_sqrt_weak(RootForm(1.0, (1e200, 1e200)).ct) == -math.inf
 
 
 def test_bound_sqrt_weak_below_coeff(rng):
-    assert bound_sqrt_weak(Polynomial([-0.5, 1]).endpoints) == pytest.approx(1 - math.sqrt(0.5))
+    assert bound_sqrt_weak(Polynomial([-0.5, 1]).ct) == pytest.approx(1 - math.sqrt(0.5))
     for _ in range(50):
         n = int(rng.integers(1, 9))
         roots = [math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(n)]
         p = from_roots(RootForm(1.0, roots))
-        assert bound_sqrt_weak(p.endpoints) <= bound_coeff(p.endpoints) + 1e-12
+        assert bound_sqrt_weak(p.ct) <= bound_coeff(p.ct) + 1e-12
 
 
 def test_bound_value_hand_cases():
@@ -89,15 +91,15 @@ def test_bound_value_equality_with_unimodular_tail():
 
 
 def test_bound_coeff2_values():
-    assert bound_coeff2(fifth_roots_of_unity().endpoints) == 0.0
-    assert bound_coeff2(Polynomial([-0.5, 1]).endpoints) == pytest.approx(1 / 3)
+    assert bound_coeff2(fifth_roots_of_unity().ct) == 0.0
+    assert bound_coeff2(Polynomial([-0.5, 1]).ct) == pytest.approx(1 / 3)
     p = Polynomial([0, 0, 1])
-    assert bound_coeff2(p.endpoints) == pytest.approx(2.0)
+    assert bound_coeff2(p.ct) == pytest.approx(2.0)
     assert lambda_at(p, 0.7) == pytest.approx(2.0)
 
 
 def test_bound_coeff2_degenerate_denominator_is_nan():
-    assert math.isnan(bound_coeff2(Polynomial([-2, 1]).endpoints))
+    assert math.isnan(bound_coeff2(Polynomial([-2, 1]).ct))
 
 
 def test_bound_coeff2_dominates_coeff_in_disk(rng):
@@ -105,7 +107,7 @@ def test_bound_coeff2_dominates_coeff_in_disk(rng):
         n = int(rng.integers(1, 11))
         roots = [math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(n)]
         p = from_roots(RootForm(1.0, roots))
-        assert bound_coeff2(p.endpoints) >= bound_coeff(p.endpoints) - 1e-12
+        assert bound_coeff2(p.ct) >= bound_coeff(p.ct) - 1e-12
 
 
 def test_bound_arc_equal_angles():
@@ -145,7 +147,7 @@ def test_upper_bound_zero_free_hand_case():
     p = Polynomial([-2, 1])
     theta = 0.0
     bound = full_report(p, theta, classify_zeros(p)).bounds["upper_zero_free"]
-    assert bound == bound_zero_free(p.endpoints, p.degree) == pytest.approx(1 / 3)
+    assert bound == bound_zero_free(p.ct, p.degree) == pytest.approx(1 / 3)
     assert rotation_speed(p, circle_point(theta)) == pytest.approx(-1.0)
 
 
@@ -347,4 +349,4 @@ def test_lambda_dominates_coeff_chain(root_polar, theta):
     # reverse triangle step of the derivation
     w_mod = abs(p.coeffs[0] / p.leading)
     assert rhs >= 1.0 - (lam + 1.0) * w_mod - tol
-    assert lam >= bound_coeff(p.endpoints) - tol
+    assert lam >= bound_coeff(p.ct) - tol

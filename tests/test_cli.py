@@ -401,8 +401,8 @@ def test_root_form_double_zero_on_circle_keeps_lower_bounds(capsys, monkeypatch)
 
 
 def test_root_form_zero_at_the_origin_with_an_underflowed_leading_coefficient(capsys, monkeypatch):
-    # c0 is 0 for the zero at the origin, and the endpoints scale cn to 0 past sum log|a| of about 745: coeff,
-    # sqrt_weak and value_thm1 read exactly 1, as for every c0 = 0, where coeff and value_thm1 divided 0 by 0
+    # c0 is 0 for the zero at the origin, and |cn| prod |a| passes the double range: coeff, sqrt_weak and value_thm1
+    # read exactly 1, as for every c0 = 0 (c = 1 and w = 0), and nothing divides 0 by 0
     stdin = json.dumps({"leading": [1, 0], "roots": [[0, 0], [1e200, 0], [1e200, 0]]})
     code, out, err = run(capsys, ["scan", "--roots", "--theta", "0.5"], stdin=stdin, monkeypatch=monkeypatch)
     assert (code, err) == (0, "")

@@ -144,7 +144,7 @@ def test_fuzz_evaluates_the_scalar_draw_stream(monkeypatch, capsys, seed, zone):
             forms, want_thetas, want_poles = reference_chunk(seed, index, size, degrees, zone)
             want = RootBatch.snapped(forms)
             assert k == size and bits(thetas) == bits(want_thetas), (degrees, index)
-            for name in ("leading", "degree", "re", "im", "sides", "poisson", "live"):
+            for name in ("degree", "re", "im", "sides", "rho", "live"):
                 assert getattr(batch, name).tobytes() == getattr(want, name).tobytes(), (degrees, index, name)
             assert n_poles.tolist() == list(map(len, want_poles))
             assert [bits(row[:n]) for row, n in zip(poles.tolist(), n_poles.tolist())] == list(map(bits, want_poles))

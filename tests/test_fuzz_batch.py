@@ -5,8 +5,8 @@ Each error bound is K u times a first-order sum, K = 8 as in tests/test_root_for
 
 - the speed and the phase of P: u sum |t_k| (1 + |t_k|), the bound `root_grid` is held to;
 - lambda = 2 speed - n: twice that, plus n u for the subtraction;
-- value_thm1 = |(lambda + 1) w - 1|, |w| = |c0/cn|: lambda's bound times |w|, plus (n + 1) u of |(lambda + 1) w| + 1
-  for the n + 1 rounded factors of w (c0, the phase of each zero, z^n and the quotient);
+- value_thm1 = |(lambda + 1) w - 1|, w = prod(-conj(a)) U^2 z^-n, |w| = |c0/cn|: lambda's bound times |w|, plus
+  (n + 1) u of |(lambda + 1) w| + 1 for the rounded factors of w (prod(-conj(a)), the phase of each zero and z^-n);
 - a central difference D(t): u (sum |t_k| (1 + |t_k|) + n), each zero's step being its Poisson term to first order;
   the oracle (4 D(h/2) - D(h))/3 at most (4 + 1)/3 < 2 times that.
 """
@@ -21,10 +21,11 @@ import numpy as np
 import pytest
 
 from polyrot import corpus
-from polyrot.bounds import bound_zero_free, grid_report, lower_bounds, value_refined
+from polyrot.bounds import blaschke_w, bound_zero_free, grid_report, lower_bounds, value_refined
 from polyrot.cli import _FuzzTally, main
 from polyrot.oracle import arg_derivative_fd, arg_derivative_fd_batch
-from polyrot.poly import RootBatch, RootForm, from_roots, read_zero, root_batch, root_grid
+from polyrot.poly import (RootBatch, RootForm, conj_product, from_roots, read_zero, root_batch, root_grid,
+                          unit_products)
 from polyrot.report import BOUND_KEYS, csv_cell, dump_json
 from polyrot.roots import classify_root_list
 from polyrot.tolerances import CHECK_SLACK, ORACLE_AGREEMENT_TOL
@@ -58,14 +59,17 @@ def _drawn(zone, seed, count, degrees=(1, 16)):
 
 
 def _evaluated(cases):
-    """What fuzz computes for each case: z, P(z)'s phase, the speed, lambda, value_thm1 and the oracle."""
+    """What fuzz computes for each case: z, the unit product U = prod (z - a)/|z - a|, the speed, lambda, value_thm1
+    and the oracle."""
     batch, thetas = RootBatch.snapped(cases), [c.theta for c in cases]
-    z, vr, vi, speed, skipped = root_batch(batch, thetas)
+    z, fr, fi, speed, skipped = root_batch(batch, thetas)
     assert not skipped.any()
     n = batch.degree
+    u = unit_products(fr, fi, n)
+    ur, ui = u.real, u.imag
     lam = 2.0 * speed - n
-    value = value_refined(batch.endpoints(), z, n, vr, vi, lam)
-    return batch, z, vr, vi, speed, lam, value, arg_derivative_fd_batch(batch, thetas)
+    value = value_refined(*blaschke_w(batch.conj_product(), ur, ui, z, n), lam)
+    return batch, z, ur, ui, speed, lam, value, arg_derivative_fd_batch(batch, thetas)
 
 
 def _difference(zeros, theta, t):
@@ -109,50 +113,56 @@ def _hex(values):
 @pytest.mark.parametrize("zone", corpus.ZONES)
 @pytest.mark.parametrize("degrees, size", [((1, 16), 64), ((30, 64), 64), ((4096, 4096), 2)])
 def test_batch_endpoints_are_root_form_endpoints(zone, degrees, size):
-    # Vieta's relations on the chunk's arrays give RootForm.endpoints of each form as drawn, bit for bit
+    # what the theta-free bounds and value_thm1 read of each form, (c, t) and the Blaschke product's prod(-conj(a)):
+    # the chunk's arrays give RootForm's of each form as drawn, bit for bit
     for seed in (0, 1):
         chunk = corpus.fuzz_chunk(seed, 0, size, degrees, zone)
-        got = [_hex(e) for e in zip(*RootBatch.read(*chunk[:4]).endpoints())]
-        assert got == [_hex(RootForm(c.leading, c.roots).endpoints) for c in _cases(chunk)], seed
+        batch = RootBatch.read(*chunk[1:4])
+        got = list(zip(*map(_hex, (*batch.ct(), batch.conj_product()))))
+        forms = [RootForm(c.leading, c.roots) for c in _cases(chunk)]
+        assert got == [tuple(_hex((*rf.ct, conj_product([a for _, a, _ in rf.readings])))) for rf in forms], seed
 
 
-def _ends_with_edge_cases(zone):
-    """Endpoint arrays of drawn forms, with c0 = 0, cn = 0, |c0| = |cn| and c0 = cn = 0 appended."""
-    ends = [np.asarray(e) for e in RootBatch.read(*corpus.fuzz_chunk(4, 0, 64, (1, 16), zone)[:4]).endpoints()]
-    extra = [(0j, 1j, 0.5, 1 + 1j), (0.5j, 1.0, 2.0, 0j), (0.6 + 0.8j, 0.3, -0.2j, -1.0), (0j, 0j, 1.0, 0j)]
-    return tuple(np.concatenate([e, np.array(x, dtype=complex)]) for e, x in zip(ends, zip(*extra)))
+def _ct_with_edge_cases(zone):
+    """(c, t) arrays of drawn forms, with c0 = 0 (c = 1), c = -1, c = t = 0, c + t < 0, |c0| = |cn| to rounding and
+    t = inf appended."""
+    ct = RootBatch.read(*corpus.fuzz_chunk(4, 0, 64, (1, 16), zone)[1:4]).ct()
+    extra = [(1.0, 0.5), (-1.0, 0.0), (0.0, 0.0), (-0.5, 0.1), (2e-13, 0.3), (1.0, math.inf)]
+    return tuple(np.concatenate([a, np.array(x)]) for a, x in zip(ct, zip(*extra)))
 
 
 @pytest.mark.parametrize("zone", corpus.ZONES)
 def test_array_bounds_are_the_scalar_bounds(zone):
-    # each coefficient bound and Mercer's remark is one formula: on arrays it gives each element the scalar
-    # call's bits, the degenerate values (1, -inf, 0, nan) included
+    # each coefficient bound and Mercer's remark is one formula over (c, t): on arrays it gives each element the
+    # scalar call's bits, the degenerate values (1, -inf, 0, nan) included
     from polyrot.blaschke import check_mercer_remark
     from polyrot.bounds import bound_coeff, bound_coeff2, bound_sqrt_weak
     from polyrot.errors import HypothesisViolated
 
-    ends = _ends_with_edge_cases(zone)
-    scalar = [tuple(complex(c) for c in e) for e in zip(*ends)]
+    ct = _ct_with_edge_cases(zone)
+    scalar = list(zip(*(a.tolist() for a in ct)))
     degree = np.arange(1, len(scalar) + 1)
-    margin, passed = check_mercer_remark(ends, np.ones(len(scalar), dtype=bool))
+    margin, passed = check_mercer_remark(ct, np.ones(len(scalar), dtype=bool))
     for bound in (bound_coeff, bound_sqrt_weak, bound_coeff2):
-        assert [float(x).hex() for x in bound(ends)] == [float(bound(e)).hex() for e in scalar], bound.__name__
-    assert ([float(x).hex() for x in bound_zero_free(ends, degree)]
+        assert [float(x).hex() for x in bound(ct)] == [float(bound(e)).hex() for e in scalar], bound.__name__
+    assert [float(x) for x in bound_sqrt_weak(ct)[-6:-4]] == [1.0, -math.inf]
+    assert math.isnan(bound_coeff2(ct)[-3]) and bound_coeff2(ct)[-2] == 0.0
+    assert ([float(x).hex() for x in bound_zero_free(ct, degree)]
             == [float(bound_zero_free(e, n)).hex() for e, n in zip(scalar, degree.tolist())])
     assert [(float(m).hex(), bool(ok)) for m, ok in zip(margin, passed)] == [
         (float(m).hex(), bool(ok)) for m, ok in (check_mercer_remark(e, True) for e in scalar)]
     with pytest.raises(HypothesisViolated):
-        check_mercer_remark(ends, np.arange(len(scalar)) > 0)  # one form with a zero outside the closed disk
+        check_mercer_remark(ct, np.arange(len(scalar)) > 0)  # one form with a zero outside the closed disk
 
 
 @pytest.mark.parametrize("zone", corpus.ZONES)
 def test_each_case_is_grid_report_at_its_angle(zone):
     # every bound fuzz tallies for a case is what scan --roots reports for its zeros at its angle, bit for bit
     cases = _drawn(zone, 9, 100)
-    batch, z, vr, vi, speed, lam, value, _ = _evaluated(cases)
-    ends = batch.endpoints()
-    lower = [np.broadcast_to(b, len(cases)) for b in lower_bounds(ends, value)]
-    zero_free = bound_zero_free(ends, batch.degree)
+    batch, z, ur, ui, speed, lam, value, _ = _evaluated(cases)
+    ct = batch.ct()
+    lower = [np.broadcast_to(b, len(cases)) for b in lower_bounds(ct, value)]
+    zero_free = bound_zero_free(ct, batch.degree)
     for k, case in enumerate(cases):
         report = grid_report(RootForm(case.leading, case.roots), [case.theta], None, CHECK_SLACK,
                              classify_root_list(case.roots))
@@ -167,13 +177,20 @@ def test_each_case_is_grid_report_at_its_angle(zone):
 @pytest.mark.parametrize("zone", corpus.ZONES)
 @pytest.mark.parametrize("degrees", [(1, 16), (30, 64)])
 def test_each_case_alone_has_its_bits_in_the_chunk(zone, degrees):
-    # neither the kernel nor the oracle lets a case's bits depend on the other cases of its batch
+    # neither the kernel, nor (c, t), nor the Blaschke product w, nor the oracle lets a case's bits depend on the
+    # other cases of its batch: every reduction over a form's zeros is an fsum or a sum in row order, never pairwise
     cases = _drawn(zone, 5, 64, degrees)
-    _, z, vr, vi, speed, _, _, fd = _evaluated(cases)
+
+    def evaluated(forms):
+        batch, z, ur, ui, speed, _, _, fd = _evaluated(forms)
+        w = blaschke_w(batch.conj_product(), ur, ui, z, batch.degree)
+        return (z, speed, ur, ui, fd, *batch.ct(), *w)
+
+    together = evaluated(cases)
     for k, case in enumerate(cases):
-        _, z1, vr1, vi1, speed1, _, _, fd1 = _evaluated([case])
-        assert z1[0] == z[k]
-        assert _bits(speed1, vr1, vi1, fd1) == _bits(speed[k:k + 1], vr[k:k + 1], vi[k:k + 1], fd[k:k + 1]), (zone, k)
+        alone = evaluated([case])
+        assert alone[0][0] == together[0][k]
+        assert _bits(*alone[1:]) == _bits(*(a[k:k + 1] for a in together[1:])), (zone, k)
 
 
 @pytest.mark.parametrize("zone", corpus.ZONES)

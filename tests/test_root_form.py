@@ -18,7 +18,7 @@ import pytest
 from polyrot import RootForm, bound_coeff, bound_coeff2, bound_sqrt_weak, bound_zero_free, witness_unimodular
 from polyrot.bounds import grid_report
 from polyrot.cli import main
-from polyrot.poly import circle_grid, circle_point, read_zero, root_grid
+from polyrot.poly import RootBatch, circle_grid, circle_point, conj_product, read_zero, root_grid
 from polyrot.roots import classify_root_list
 from polyrot.tolerances import CHECK_SLACK, MAX_DEGREE, ZERO_PROXIMITY_REL
 
@@ -127,7 +127,8 @@ def _readings(rf, thetas):
     cls = classify_root_list(rf.roots)
     return {"root_grid": _hex(root_grid(rf, thetas)),
             "grid_report": _hex(dataclasses.asdict(grid_report(rf, thetas, (0.3, None), CHECK_SLACK, cls))),
-            "endpoints": _hex(rf.endpoints), "classify_root_list": _hex(dataclasses.asdict(cls))}
+            "ct": _hex(rf.ct), "conj_product": _hex(conj_product([a for _, a, _ in rf.readings])),
+            "classify_root_list": _hex(dataclasses.asdict(cls))}
 
 
 def _band_snapped(rf):
@@ -143,15 +144,40 @@ def test_readers_take_a_root_form_as_built():
 
 
 def test_displaced_band_zeros_keep_their_verdicts():
-    # zeros up to 9e-10 off the circle: read without the band rule, 176 of these 1,920 rows fail a bound.  About 1
-    # in 20 such zeros has an a/|a| that a second reading moves by another ulp, so a form that a caller snapped first
-    # can differ in its last bits, but not in a verdict, a skipped angle or a zero's side
-    def verdicts(r):
-        return r["grid_report"]["flags"], r["grid_report"]["skipped"], list(map(len, r["classify_root_list"].values()))
-
+    # zeros up to 9e-10 off the circle: read without the band rule, 176 of these 1,920 rows fail a bound.  The band
+    # rule is a projection, so a form that a caller snapped first reads, bit for bit, as the form as built
     thetas = circle_grid(64)
     for rf in _band_forms(displaced=True):
-        assert verdicts(_readings(rf, thetas)) == verdicts(_readings(_band_snapped(rf), thetas))
+        assert _readings(rf, thetas) == _readings(_band_snapped(rf), thetas)
+
+
+@pytest.mark.parametrize("low, high", [(1e-13, 1e-11), (1e-11, 1e-9)])
+def test_the_band_snap_is_a_projection(low, high):
+    # 100,000 zeros displaced into the band at uniform angles, in and out: reading a snapped zero again keeps its
+    # bits, as a zero and on arrays (RootBatch.read); before the snap divided until the zero stopped moving, about 1
+    # in 20 moved by another ulp
+    rng = np.random.default_rng(31)
+    n = 50_000
+    radii = 1.0 + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(math.log10(low), math.log10(high), n)
+    zeros = [circle_point(phi) * r for phi, r in zip(rng.uniform(-math.pi, math.pi, n).tolist(), radii.tolist())]
+    once = [read_zero(a) for a in zeros]
+    assert all(side == 0 for side, _ in once)
+    twice = [read_zero(a)[1] for _, a in once]
+    assert [_hex(a) for _, a in once] == [_hex(a) for a in twice]
+    batch = RootBatch.read(np.ones(n, dtype=int), np.array([a.real for a in zeros]),
+                           np.array([a.imag for a in zeros]))
+    assert _hex(batch.re[0]) == [_hex(a.real) for _, a in once] and _hex(batch.im[0]) == [_hex(a.imag) for _, a in once]
+
+
+@pytest.mark.parametrize("zero", [complex(-0.0, 1.0000000001), complex(1.0000000001, -0.0), complex(0.0, -1.0000000001),
+                                  complex(-1.0000000001, 0.0)])
+def test_batch_snaps_a_signed_zero_as_read_zero(zero):
+    # CPython divides a complex by a float as by x + 0i, which moves the sign of a part that is exactly 0;
+    # RootBatch.read takes that rule (`_over`), so the band rule on arrays is read_zero's, bit for bit
+    batch = RootBatch.read(np.ones(1, dtype=int), np.array([zero.real]),
+                           np.array([zero.imag]))
+    side, snapped = read_zero(zero)
+    assert side == 0 and (_hex(batch.re[0, 0]), _hex(batch.im[0, 0])) == (_hex(snapped.real), _hex(snapped.imag))
 
 
 def _scan(capsys, monkeypatch, argv, doc):
@@ -249,10 +275,13 @@ def _drawn_zeros(rng, kind, degree, origin):
     return [0j] * origin + zeros[origin:]
 
 
-# The coefficient bounds from a root form's endpoints err by at most K_ENDS n u max(1, |bound|): each log|a| and
-# each term of sum a and sum 1/a rounds once, and so does each factor of the phase product.  Over 20 draws of each
-# case below the largest ratio of error to n u max(1, |bound|) was 2.0, at degree 1.
-K_ENDS = 4
+# A root form's (c, t) come from its zeros, never from its coefficients: c from L = sum log|a|, an fsum of terms each
+# rounded once (log1p of an error-free -(1 - |a|^2)), and t from S = sum (1 - |a|^2)/a, whose terms are each within a
+# few u.  So c errs by at most K_CT u |c|, t by K_CT u T with T = e^L sum |1 - |a|^2|/|a| / (1 + e^L)^2 (t's own value
+# but for cancellation in S), and each bound by its first-order response to those two: all at any degree, held here
+# against the 50-digit endpoint coefficients by Vieta's relations.  Over these cases the largest ratio of error to u
+# times that scale was 3.0.
+K_CT = 8
 
 
 ENDPOINT_CASES = [(kind, origin, degree) for degree in (1, 2, 3, 8, 64, 512, 4096)
@@ -265,7 +294,7 @@ def test_endpoint_bounds_match_50_digits(kind, origin, degree):
     rng = np.random.default_rng(degree * 10 + origin)
     lead = complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
     rf = RootForm(lead, _drawn_zeros(rng, kind, degree, origin))
-    ends = rf.endpoints
+    ct = rf.ct
     with mp.workdps(50):
         a = [mp.mpc(z) for z in rf.roots]
         nonzero = [b for b in a if b != 0]
@@ -274,21 +303,93 @@ def test_endpoint_bounds_match_50_digits(kind, origin, degree):
         lowest = [q0, -q0 * mp.fsum(1 / b for b in nonzero)] if origin == 0 else [0, q0] if origin == 1 else [0, 0]
         c0, c1, cn1 = lowest[0], lowest[1], -cn * mp.fsum(a)
         a0, an = abs(c0), abs(cn)
-        coeff = (an - a0) / (an + a0)
-        # each bound where its hypothesis holds: the lower ones with every zero in the disk, the zero-free one outside
-        if kind == "inside":
-            cross = abs(mp.conj(cn) * c1 - c0 * mp.conj(cn1))
-            checked = {"coeff": (bound_coeff(ends), coeff),
-                       "sqrt_weak": (bound_sqrt_weak(ends), 1 - mp.sqrt(a0 / an)),
-                       "coeff2": (bound_coeff2(ends), 2 * (a0 - an) ** 2 / (an**2 - a0**2 + cross)),
-                       "c0/cn": (ends[0] / ends[-1], c0 / cn)}
-        else:
-            checked = {"zero_free": (bound_zero_free(ends, degree), mp.mpf(degree) / 2 + coeff / 2)}
-        for name, (got, ref) in checked.items():
-            assert cmath.isfinite(got), name
-            assert abs(got - complex(ref)) <= K_ENDS * degree * U * max(1.0, abs(complex(ref))), name
+        cross = abs(mp.conj(cn) * c1 - c0 * mp.conj(cn1))
+        c, t = (an - a0) / (an + a0), cross / (an + a0) ** 2
+        e_l = a0 / an
+        scale_t = e_l * mp.fsum(abs(1 - abs(b) ** 2) / abs(b) for b in nonzero) / (1 + e_l) ** 2 if origin == 0 else t
+        ratio = mp.sqrt(a0 / an)
+        checked = {"c": (ct[0], c, abs(c)), "t": (ct[1], t, scale_t), "coeff": (bound_coeff(ct), c, abs(c)),
+                   "zero_free": (bound_zero_free(ct, degree), mp.mpf(degree) / 2 + c / 2, mp.mpf(degree) / 2 + 1)}
+        if kind == "inside":  # the lower bounds where their hypothesis holds
+            coeff2 = 2 * (a0 - an) ** 2 / (an**2 - a0**2 + cross)
+            checked.update(sqrt_weak=(bound_sqrt_weak(ct), 1 - ratio, 1 - ratio + ratio / max(1 - c * c, 1e-300)),
+                           coeff2=(bound_coeff2(ct), coeff2, 3 * coeff2 + coeff2 / (c + t) * scale_t))
+        for name, (got, ref, scale) in checked.items():
+            assert math.isfinite(got), name
+            assert abs(got - ref) <= K_CT * U * scale + 5e-324, name  # t past the double range underflows to 0
     for bound in (bound_coeff, bound_sqrt_weak, bound_coeff2):  # where a hypothesis fails, a value but no error
-        bound(ends)
+        bound(ct)
+
+
+def _lambda_bound(zeros, z):
+    """The kernel's stated error bound on lambda at z: twice K_SPEED u sum |t_k| (1 + |t_k|), plus n u."""
+    t = [abs(z / (z - a)) for a in zeros]
+    return (2 * K_SPEED * math.fsum(x * (1.0 + x) for x in t) + len(zeros)) * U
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 8, 16, 32, 64, 128, 256])
+def test_near_circle_forms_match_50_digits(degree):
+    # zeros 1.1e-9 to 1e-3 off the circle, just outside the band, where 1 - |a|^2 formed from a rounded |a| lost up
+    # to 8 digits (coeff to 3.3e-10 and lambda to 5.9e-9 relative); taken error-free it loses none.  c = tanh(-L/2)
+    # and t = e^L |S| / (1 + e^L)^2 with L = sum log|a| and S = sum (1 - |a|^2)/a are (c, t) of the expansion, by
+    # Vieta's relations (`test_endpoint_bounds_match_50_digits`).  Inside the disk, lambda is held to 1e-13 against
+    # the 50-digit sum of the kernel's terms at the z it is given, which measures its arithmetic alone, and to its
+    # stated bound against lambda at e^{i theta}, which adds the rounding of z
+    rng = np.random.default_rng(1900 + degree)
+    for side in (-1.0, 1.0):
+        for _ in range(20 if degree <= 64 else 5):
+            radii = 1.0 + side * 10.0 ** rng.uniform(-8.95, -3.0, degree)
+            zeros = [r * circle_point(phi) for r, phi in zip(radii.tolist(), rng.uniform(-math.pi, math.pi, degree))]
+            rf = RootForm(1.0, zeros)
+            (c, t), thetas = rf.ct, rng.uniform(-math.pi, math.pi, 8).tolist()
+            report = grid_report(rf, thetas, None, CHECK_SLACK, classify_root_list(rf.roots))
+            with mp.workdps(50):
+                a = [mp.mpc(b) for b in zeros]
+                e_l = mp.exp(mp.fsum(mp.log(abs(b)) for b in a))
+                ref_c = (1 - e_l) / (1 + e_l)
+                ref_t = e_l * abs(mp.fsum((1 - abs(b) ** 2) / b for b in a)) / (1 + e_l) ** 2
+                assert abs(c - ref_c) <= 1e-15 * abs(ref_c) and bound_coeff(rf.ct) == c
+                assert abs(t - ref_t) <= 1e-14 * ref_t
+                if side > 0:
+                    continue
+                ref_coeff2 = 2 * ref_c**2 / (ref_c + ref_t)
+                assert abs(bound_coeff2(rf.ct) - ref_coeff2) <= 1e-15 * ref_coeff2
+                for k, theta in enumerate(thetas):
+                    z, exact = mp.mpc(circle_point(theta)), mp.expj(theta)
+                    terms = mp.fsum((1 - abs(b) ** 2) / abs(z - b) ** 2 for b in a)
+                    lam = 2 * mp.fsum((exact / (exact - b)).real for b in a) - degree
+                    assert report.skipped[k] or abs(report.lam[k] - terms) <= 1e-13 * max(1, abs(terms)), theta
+                    assert report.skipped[k] or abs(report.lam[k] - lam) <= _lambda_bound(zeros, circle_point(theta))
+
+
+def _family(kind, rng, degree):
+    """A P16 equality family at this degree, the zeros and the angle of the point that attains its bound: "coeff" is
+    (z - a) prod (z - u_k) with |a| < 1, at -a/|a|, which attains coeff and coeff2_thm2; "coeff2" is (z - a1)(z - a2)
+    prod (z - u_k), a1 and a2 on one ray in the disk, at its antipode; "zero_free" is (z - b) prod (z - u_k) with
+    |b| > 1, at -b/|b|, which attains upper_zero_free; the u_k lie on the circle."""
+    phi = rng.uniform(-math.pi, math.pi)
+    inner = 2 if kind == "coeff2" else 1
+    radii = rng.uniform(0.05, 0.95, inner) if kind != "zero_free" else rng.uniform(1.05, 20.0, 1)
+    unimodular = [circle_point(x) for x in rng.uniform(-math.pi, math.pi, degree - inner)]
+    return [r * circle_point(phi) for r in radii.tolist()] + unimodular, phi - math.copysign(math.pi, phi)
+
+
+@pytest.mark.parametrize("kind, keys", [("coeff", ("coeff", "coeff2_thm2")), ("coeff2", ("coeff2_thm2",)),
+                                        ("zero_free", ("upper_zero_free",))])
+def test_equality_families_attain_their_bounds(kind, keys):
+    # P16: through grid_report at the attaining point, each margin is 0 within the kernel's stated bound on lambda
+    # (the speed's, half of it, for upper_zero_free) and the bound's own rounding
+    rng = np.random.default_rng(16)
+    for degree in range(2 if kind == "coeff2" else 1, 17):
+        for _ in range(10):
+            zeros, theta = _family(kind, rng, degree)
+            rf = RootForm(1.0, zeros)
+            report = grid_report(rf, [theta], None, CHECK_SLACK, classify_root_list(rf.roots))
+            assert not report.skipped[0]
+            for key in keys:
+                bound = np.broadcast_to(report.bounds[key], 1)[0]  # a theta-free bound is one number
+                tol = _lambda_bound(rf.roots, circle_point(theta)) + 8 * U * max(1.0, bound)
+                assert abs(report.margins[key][0]) <= tol, (kind, degree, key, report.margins[key][0])
 
 
 @pytest.mark.parametrize("kind", ["in_disk", "unimodular"])
@@ -330,13 +431,14 @@ def test_unimodular_witness_at_the_largest_degree_checks_every_angle(capsys, mon
 
 
 # The scan row of zeros 0.5 and a at theta = 1, |z - a| by sqrt, or by hypot where |z - a|^2 overflows.  The kernel
-# tries hypot past |a| = 1e153; 2 (1 + |a|)^2 overflows past 9.4e153, |z - a|^2 here past 1.34e154
+# tries hypot past |a| = 1e153; 2 (1 + |a|)^2 overflows past 9.4e153, |z - a|^2 here past 1.34e154.  c rounds to -1
+# at these |c0/cn|, so sqrt_weak = 1 - sqrt((1 - c)/(1 + c)) reads -inf (an empty cell; no zero lies in the disk)
 FAR_ZERO_ROWS = {
-    9e153: "1,0.056787990437872082,0,-1,-6.7082039324994017e+76,4.7555459569704704e+153,2.0000000000000391,,,pass",
-    1e154: "1,0.056787990437872082,0,-1,-7.0710678118654923e+76,5.2839399521893858e+153,2.00000000000002,,,pass",
-    1.34e154: "1,0.056787990437872082,0,-1,-8.1853527718723914e+76,7.0804795359336402e+153,1.9999999999999423,,,pass",
-    1e160: "1,0.056787990437872082,0,-1,-7.0710678118654912e+79,5.2839399521893843e+159,2.0000000000000178,,,pass",
-    1e200: "1,0.056787990437872082,0,-1,-7.071067811865547e+99,5.2839399521894663e+199,2.0000000000000808,,,pass",
+    9e153: "1,0.056787990437872082,0,-1,,4.7555459569704243e+153,2.0000000000000391,,,pass",
+    1e154: "1,0.056787990437872082,0,-1,,5.2839399521893605e+153,2.00000000000002,,,pass",
+    1.34e154: "1,0.056787990437872082,0,-1,,7.0804795359337429e+153,1.9999999999999423,,,pass",
+    1e160: "1,0.056787990437872082,0,-1,,5.2839399521893593e+159,2.0000000000000178,,,pass",
+    1e200: "1,0.056787990437872082,0,-1,,5.2839399521893601e+199,2.0000000000000808,,,pass",
 }
 
 
@@ -355,6 +457,6 @@ def test_zero_past_1e154_keeps_the_phase_of_p(capsys, monkeypatch):
             val = mp.fprod(z - a for a in zeros)
             c0 = mp.fprod(-a for a in zeros)
             ref = abs((lam + 1) * mp.conj(c0) * val / (z**2 * mp.conj(val)) - 1)
-            # |c0/cn| = e^L, L = sum log|a| (up to 460), inherits L's rounding: a relative error up to about L u
-            assert abs(float(row["value_thm1"]) - ref) <= (mp.log(ref) + 8) * U * ref, far
+            # w = prod(-conj(a)) U^2 z^-n takes |c0/cn| as a product of the zeros, not as e^L with L up to 460
+            assert abs(float(row["value_thm1"]) - ref) <= 8 * U * ref, far
             assert abs(float(row["lambda"]) - lam) <= 8 * U, far

@@ -119,7 +119,7 @@ def test_unimodular_witness_properties():
     assert all(abs(abs(r) - 1.0) <= 1e-12 for r in rf.roots)
     p = from_roots(rf)
     assert abs(abs(p.coeffs[0]) - abs(p.leading)) <= 1e-12
-    assert bound_coeff2(p.endpoints) == 0.0
+    assert bound_coeff2(p.ct) == bound_coeff2(rf.ct) == 0.0
     checked = 0
     for k in range(64):
         theta = 2 * math.pi * k / 64
