@@ -16,12 +16,12 @@ from .tolerances import CHECK_SLACK
 def check_mercer_remark(ct: tuple, in_closed_disk) -> tuple:
     """(margin, passed) of Mercer's remark t <= c: margin c - t, passing at -CHECK_SLACK max(1, t) or above.
 
-    ct = (c, t) of P, or arrays of them (`RootBatch.ct`); in_closed_disk says that P has no zero outside the closed
+    ct = (c, t, r) of P, or arrays of them (`RootBatch.ct`); in_closed_disk says that P has no zero outside the closed
     disk, the remark's hypothesis, as `bounds.verdict`'s lower_ok says it.  Raises HypothesisViolated where any form
     fails it.
     """
     if not np.all(in_closed_disk):
         raise HypothesisViolated("zeros outside the closed unit disk")
-    c, t = ct
+    c, t = ct[:2]
     margin = c - t
     return margin, margin >= -CHECK_SLACK * np.maximum(1.0, t)

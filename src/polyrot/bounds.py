@@ -10,7 +10,7 @@ One gate, `verdict`, turns the bounds into signed margins and flags: a
 bound is "na" where its hypothesis fails, and passes where its margin is
 at least -slack max(1, |lambda|).  `full_report` calls it at one boundary
 point, `grid_report` on a grid of angles and fuzz on a chunk of cases.
-A coefficient bound reads only (c, t) (`Polynomial.ct`, `RootForm.ct`).
+A coefficient bound reads only (c, t), sqrt_weak the ratio r = |c0/cn| (`Polynomial.ct`, `RootForm.ct`).
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ def _where(cond, a, b):
     return np.where(cond, a, b) if isinstance(cond, np.ndarray) else a if cond else b
 
 
-# Each theta-free bound reads ct = (c, t): floats at a point, or arrays, one value per form (`RootBatch.ct`), with
-# the same bits.  A denominator is moved off 0 where _where does not take its quotient, so neither divides by 0.
+# Each theta-free bound reads ct = (c, t, r): floats at a point, or arrays, one value per form (`RootBatch.ct`),
+# with the same bits.  A denominator is moved off 0 where _where does not take its quotient, so neither divides by 0.
 def bound_coeff(ct: tuple):
     """Endpoint-coefficient lower bound c = (|cn| - |c0|) / (|cn| + |c0|): in [0, 1] when all zeros lie in the closed
     disk, 0 exactly when |c0| = |cn| and 1 when c0 = 0."""
@@ -44,10 +44,9 @@ def bound_coeff(ct: tuple):
 
 
 def bound_sqrt_weak(ct: tuple):
-    """Weaker variant 1 - sqrt(|c0| / |cn|) = 1 - sqrt((1 - c)/(1 + c)), kept for comparison: -inf where c = -1."""
-    c = ct[0]
-    ratio = (1.0 - c) / (1.0 + c + (c == -1.0))
-    return _where(c == -1.0, -math.inf, 1.0 - (np.sqrt(ratio) if isinstance(ratio, np.ndarray) else math.sqrt(ratio)))
+    """Weaker variant 1 - sqrt(r), r = |c0| / |cn| = (1 - c)/(1 + c) before c rounds, kept for comparison: 1 where
+    c0 = 0, -inf where r overflows."""
+    return 1.0 - np.sqrt(ct[2])
 
 
 def bound_value(p: Polynomial, z: complex, lam: float) -> float:
@@ -67,6 +66,8 @@ def coefficient_w(coeffs, z, n, vr, vi):
     z with P(z) = vr + i vi, for P's coefficients and degree n.  cn z^n is each point's Python product (`c_pow`).
     No guard: the caller skips where P(z) vanishes."""
     c0, cn = coeffs[0], coeffs[-1]
+    if c0 == 0:  # w = 0, also where cn z^n conj(P(z)) underflows
+        return np.zeros(len(z)), np.zeros(len(z))
     lead_zn = c_mul(cn.real, cn.imag, *c_pow(z.real, z.imag, n))
     return c_quot(*c_mul(c0.real, -c0.imag, vr, vi), *c_mul(*lead_zn, vr, -vi))
 
@@ -90,7 +91,7 @@ def bound_coeff2(ct: tuple):
     """Second coefficient lower bound 2 c^2 / (c + t), that is 2(|c0|-|cn|)^2 / (|cn|^2 - |c0|^2 + |conj(cn) c1 -
     c0 conj(c_{n-1})|).  0 where |c0| and |cn| agree to EQUAL_MODULUS_REL, |c| <= EQUAL_MODULUS_REL (1 + |c|)/2 (all
     zeros on the circle); nan where c + t <= 0, outside the hypothesis, which the caller gates off."""
-    c, t = ct
+    c, t = ct[:2]
     d = c + t
     value = _where(d > 0.0, 2.0 * (c * c) / _where(d > 0.0, d, 1.0), math.nan)
     return _where(abs(c) <= EQUAL_MODULUS_REL * 0.5 * (1.0 + abs(c)), 0.0, value)

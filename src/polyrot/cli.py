@@ -142,7 +142,7 @@ def _fuzz_checks(batch: RootBatch, thetas: list[float], k: int, poles: np.ndarra
     first k forms of batch are its polynomials, the rest the numerators of rational functions with these poles.
 
     One `root_batch` call evaluates every form; the oracle runs on the polynomials, and each theta-free bound once
-    on their (c, t) arrays (`RootBatch.ct`).  The polynomial bounds are gated by `bounds.verdict` and the rational
+    on their (c, t, r) arrays (`RootBatch.ct`).  The polynomial bounds are gated by `bounds.verdict` and the rational
     ones by `rational.comparison`, as in scan.
     """
     z, fr, fi, speed, skipped = root_batch(batch, thetas)
@@ -188,7 +188,7 @@ def cmd_fuzz(args) -> int:
     is expanded, and no object is built per case.  A chunk is evaluated at once from the zeros as `scan --roots`
     reads them (`RootBatch.read`), on (zeros x cases) arrays: `poly.root_batch` gives the speed, lambda and the
     unit factors behind value_thm1's Blaschke product w, the batch's sides the hypothesis flags, `RootBatch.ct` the
-    (c, t) that every theta-free bound reads, and `oracle.arg_derivative_fd_batch` the extrapolated oracle.  No
+    (c, t, r) that every theta-free bound reads, and `oracle.arg_derivative_fd_batch` the extrapolated oracle.  No
     reduction over a form's zeros is pairwise, so a case's bits are `root_grid`'s and do not depend on the other
     cases of its chunk; an angle the zero guard refuses drops its case.  fuzz solves for no root.  It tallies, each
     bound through scan's gate (`bounds.verdict` for the polynomial bounds, `rational.comparison` for the rational ones):

@@ -89,7 +89,7 @@ def boundary_speed(coeffs: Sequence[complex], scale: float, z: complex) -> float
     return (z * der / val).real
 
 
-_SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into two halves of at most 26 bits
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
 
 
 def two_sum(a, b):
@@ -99,25 +99,20 @@ def two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _split(x):
+def two_square(x):
+    """(p, e), p = x x rounded and p + e = x x exactly unless it over- or underflows (Dekker's TwoProduct, 1971, by
+    his split of x into two halves of at most 26 bits: numpy has no FMA): floats or arrays."""
     c = _SPLIT * x
     hi = c - (c - x)
-    return hi, x - hi
-
-
-def two_prod(a, b):
-    """(p, e), p = a b rounded and p + e = a b exactly unless it over- or underflows (Dekker's TwoProduct, 1971, by
-    his split: numpy has no FMA): floats or arrays."""
-    (ah, al), p = _split(a), a * b
-    bh, bl = (ah, al) if b is a else _split(b)
-    return p, al * bl - (((p - ah * bh) - al * bh) - ah * bl)
+    lo, p = x - hi, x * x
+    return p, lo * lo - ((p - hi * hi) - 2.0 * (hi * lo))
 
 
 def one_minus_square(re, im):
     """1 - re^2 - im^2 = 1 - |a|^2 from the error-free squares and their error-free sum s: 1 - s is exact where
     |a|^2 lies in [1/2, 2] (Sterbenz), so the result is as if rounded once, however close |a| is to 1.  Floats or
     arrays; not finite where a square overflows, past |a| of about 1.3e154."""
-    (pr, er), (pi, ei) = two_prod(re, re), two_prod(im, im)
+    (pr, er), (pi, ei) = two_square(re), two_square(im)
     s, f = two_sum(pr, pi)
     return (1.0 - s) - (f + (er + ei))
 
@@ -191,13 +186,16 @@ class Polynomial:
         return self.coeffs[-1]
 
     @functools.cached_property
-    def ct(self) -> tuple[float, float]:
-        """(c, t), the two numbers every theta-free bound reads: c = (|cn| - |c0|)/(|cn| + |c0|) and
-        t = |conj(cn) c1 - c0 conj(c_{n-1})|/(|cn| + |c0|)^2, each product rounded as CPython's."""
+    def ct(self) -> tuple[float, float, float]:
+        """(c, t, r), what the theta-free bounds read: c = (|cn| - |c0|)/s, s = |cn| + |c0|, t = |conj(cn) c1 - c0
+        conj(c_{n-1})|/s^2, its products CPython's on c0 and cn times 2^-k, s 2^-k in [1/2, 1) (no bit moves, nothing
+        over- or underflows), and r = |c0|/|cn|, the ratio that c rounds, for sqrt_weak."""
         (c0, c1), (cm, cn) = self.coeffs[:2], self.coeffs[-2:]
         a0, an = abs(c0), abs(cn)
         s = an + a0
-        return (an - a0) / s, abs(cn.conjugate() * c1 - c0 * cm.conjugate()) / s / s
+        k = -math.frexp(s)[1]
+        c0, cn = (complex(math.ldexp(c.real, k), math.ldexp(c.imag, k)) for c in (c0, cn))
+        return (an - a0) / s, abs(cn.conjugate() * c1 - c0 * cm.conjugate()) / math.ldexp(s, k) / s, a0 / an
 
     @property
     def coeff_scale(self) -> float:
@@ -246,11 +244,12 @@ class RootForm:
                      for side, a in map(read_zero, self.roots))
 
     @functools.cached_property
-    def ct(self) -> tuple[float, float]:
+    def ct(self) -> tuple[float, float, float]:
         """`Polynomial.ct` of the expansion, from the zeros (`form_ct`).  Each zero off the band and the origin adds
         log|a|^2 to 2L (log1p(-(1 - |a|^2)) where |1 - |a|^2| <= 1/2, else log of the rounded |a|^2; `math.fsum`) and
-        q conj(a) = (1 - |a|^2)/a to S (in turn); where |a|^2 overflows, these are 2 log|a| and q = -1."""
-        logs, sr, si, at_origin = [], [], [], 0
+        q conj(a) = (1 - |a|^2)/a to S (in turn, as `row_sum` adds; the builtin `sum` compensates from Python 3.12
+        on); where |a|^2 overflows, these are 2 log|a| and q = -1."""
+        logs, sr, si, at_origin = [], 0.0, 0.0, 0
         for side, a, rho in self.readings:
             m2 = a.real * a.real + a.imag * a.imag
             if m2 == 0.0:
@@ -259,9 +258,9 @@ class RootForm:
                 big = not math.isfinite(rho)
                 logs.append(2.0 * math.log(abs(a)) if big else math.log1p(-rho) if abs(rho) <= 0.5 else math.log(m2))
                 q = -1.0 if big else rho / m2
-                sr.append(q * a.real)
-                si.append(-(q * a.imag))
-        return form_ct(0.5 * math.fsum(logs), sum(sr), sum(si), at_origin)
+                sr += q * a.real
+                si -= q * a.imag
+        return form_ct(0.5 * math.fsum(logs), sr, si, at_origin)
 
     def to_json(self) -> dict:
         return {"leading": [self.leading.real, self.leading.imag], "roots": [[r.real, r.imag] for r in self.roots]}
@@ -300,14 +299,16 @@ def read_zero(a: complex) -> tuple[int, complex]:
     return 0, b
 
 
-def form_ct(logs: float, sr: float, si: float, at_origin: int) -> tuple[float, float]:
-    """(c, t) of a root form from L = sum log|a| and S = sr + i si = sum (1 - |a|^2)/a over its zeros off the band and
-    the origin, and the count at the origin (or where |a|^2 underflows): c = tanh(-L/2), t = e^L |S|/(1 + e^L)^2 with
-    x = e^-|L| so that neither overflows.  A zero at the origin makes c = 1 and t = |c1/cn|: e^L for one, 0 for more."""
+def form_ct(logs: float, sr: float, si: float, at_origin: int) -> tuple[float, float, float]:
+    """(c, t, r) of a root form from L = sum log|a| and S = sr + i si = sum (1 - |a|^2)/a over its zeros off the band
+    and the origin, and the count at the origin (or where |a|^2 underflows): c = tanh(-L/2), t = e^L |S|/(1 + e^L)^2
+    with x = e^-|L| so that neither overflows, and r = e^L (inf past the double range).  A zero at the origin makes
+    c = 1, r = 0 and t = |c1/cn|: e^L for one, 0 for more."""
+    e_l = math.exp(logs) if logs < 709.78 else math.inf
     if at_origin:
-        return 1.0, 0.0 if at_origin > 1 else math.exp(logs) if logs < 709.78 else math.inf
+        return 1.0, 0.0 if at_origin > 1 else e_l, 0.0
     x = math.exp(-abs(logs))
-    return math.tanh(0.0 - 0.5 * logs), abs(complex(sr, si)) * x / ((1.0 + x) * (1.0 + x))
+    return math.tanh(0.0 - 0.5 * logs), abs(complex(sr, si)) * x / ((1.0 + x) * (1.0 + x)), e_l
 
 
 def conj_product(zeros: Sequence[complex]) -> complex:
@@ -439,7 +440,7 @@ class RootBatch:
         return (self.sides == side).sum(axis=0)
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    def ct(self) -> tuple[np.ndarray, np.ndarray]:
+    def ct(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`RootForm.ct` of every form, bit for bit: the terms on the arrays (log1p and log by C `math`), the sums as
         `RootForm.ct` takes them (`math.fsum`, `row_sum`; a zero in the band or a padded slot adds 0), `form_ct`."""
         rho, re, im = self.rho, self.re, self.im
@@ -459,7 +460,7 @@ class RootBatch:
         at_origin &= self.live
         origin = at_origin.sum(axis=0).tolist() if at_origin.any() else [0] * len(self.degree)
         sums = (0.5 * np.array(list(map(math.fsum, logs.T.tolist()))), row_sum(q * re), row_sum(-(q * im)))
-        return tuple(np.array(list(map(form_ct, *(s.tolist() for s in sums), origin))).reshape(-1, 2).T)
+        return tuple(np.array(list(map(form_ct, *(s.tolist() for s in sums), origin))).reshape(-1, 3).T)
 
     def conj_product(self) -> np.ndarray:
         """`conj_product` of every form's zeros."""
@@ -468,7 +469,8 @@ class RootBatch:
 
 def row_sum(a: np.ndarray) -> np.ndarray:
     """Each column's sum, its rows added one at a time in order (an accumulate, never a pairwise sum): a column's bits
-    do not depend on the other columns of a, and are a Python `sum` of its rows."""
+    do not depend on the other columns of a, and are those of adding its rows in turn to 0.0 but for the sign of a
+    zero sum."""
     return np.cumsum(a, axis=0)[-1] if len(a) else np.zeros(a.shape[1:])
 
 

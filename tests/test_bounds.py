@@ -56,9 +56,9 @@ def test_bound_coeff_values():
     assert bound_coeff(fifth_roots_of_unity().ct) == pytest.approx(0.0, abs=1e-15)
     assert bound_coeff(Polynomial([0, 0, 0, 1]).ct) == pytest.approx(1.0)
     # a zero at the origin gives c0 = 0, with two zeros at 1e200 whose product passes the double range: both bounds
-    # read exactly 1, as for every c0 = 0, and divide nothing by 0; c = -1 (every zero far outside) reads -inf
+    # read exactly 1, as for every c0 = 0, and divide nothing by 0; |c0/cn| past the double range reads -inf
     ct = RootForm(1.0, (0j, 1e200, 1e200)).ct
-    assert ct == (1.0, math.inf)
+    assert ct == (1.0, math.inf, 0.0)
     assert bound_coeff(ct) == bound_sqrt_weak(ct) == bound_coeff(Polynomial([0, 1]).ct) == 1.0
     assert bound_coeff(RootForm(1.0, (1e200, 1e200)).ct) == -1.0
     assert bound_sqrt_weak(RootForm(1.0, (1e200, 1e200)).ct) == -math.inf

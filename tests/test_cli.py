@@ -408,6 +408,14 @@ def test_root_form_zero_at_the_origin_with_an_underflowed_leading_coefficient(ca
     assert (code, err) == (0, "")
     (row,) = csv.DictReader(io.StringIO(out))
     assert row["coeff"] == row["sqrt_weak"] == row["value_thm1"] == "1" and row["status"] == "pass"
+    # so do coefficients z (z + 1/2) times 1e-170, whose products cn z^n conj(P(z)) and conj(cn) c1 underflow to 0;
+    # coeff2_thm2 reads 2 c^2/(c + t) = 4/3 (t = |c1/cn| = 1/2), below lambda = 1.35
+    stdin = json.dumps([[0, 0], [0.5e-170, 0], [1e-170, 0]])
+    code, out, err = run(capsys, ["scan", "--theta", "0.5"], stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert row["coeff"] == row["sqrt_weak"] == row["value_thm1"] == "1" and row["status"] == "pass"
+    assert float(row["coeff2_thm2"]) == pytest.approx(4 / 3, rel=1e-15)
 
 
 def test_root_form_arc_bound_reads_the_given_zeros(capsys, monkeypatch):

@@ -124,16 +124,17 @@ def test_batch_endpoints_are_root_form_endpoints(zone, degrees, size):
 
 
 def _ct_with_edge_cases(zone):
-    """(c, t) arrays of drawn forms, with c0 = 0 (c = 1), c = -1, c = t = 0, c + t < 0, |c0| = |cn| to rounding and
-    t = inf appended."""
+    """(c, t, r) arrays of drawn forms, with c0 = 0 (c = 1, r = 0), c = -1 (r = inf), c = t = 0, c + t < 0,
+    |c0| = |cn| to rounding and t = inf appended."""
     ct = RootBatch.read(*corpus.fuzz_chunk(4, 0, 64, (1, 16), zone)[1:4]).ct()
-    extra = [(1.0, 0.5), (-1.0, 0.0), (0.0, 0.0), (-0.5, 0.1), (2e-13, 0.3), (1.0, math.inf)]
+    extra = [(1.0, 0.5, 0.0), (-1.0, 0.0, math.inf), (0.0, 0.0, 1.0), (-0.5, 0.1, 3.0), (2e-13, 0.3, 1 - 4e-13),
+             (1.0, math.inf, 0.0)]
     return tuple(np.concatenate([a, np.array(x)]) for a, x in zip(ct, zip(*extra)))
 
 
 @pytest.mark.parametrize("zone", corpus.ZONES)
 def test_array_bounds_are_the_scalar_bounds(zone):
-    # each coefficient bound and Mercer's remark is one formula over (c, t): on arrays it gives each element the
+    # each coefficient bound and Mercer's remark is one formula over (c, t, r): on arrays it gives each element the
     # scalar call's bits, the degenerate values (1, -inf, 0, nan) included
     from polyrot.blaschke import check_mercer_remark
     from polyrot.bounds import bound_coeff, bound_coeff2, bound_sqrt_weak

@@ -275,13 +275,15 @@ def _drawn_zeros(rng, kind, degree, origin):
     return [0j] * origin + zeros[origin:]
 
 
-# A root form's (c, t) come from its zeros, never from its coefficients: c from L = sum log|a|, an fsum of terms each
-# rounded once (log1p of an error-free -(1 - |a|^2)), and t from S = sum (1 - |a|^2)/a, whose terms are each within a
-# few u.  So c errs by at most K_CT u |c|, t by K_CT u T with T = e^L sum |1 - |a|^2|/|a| / (1 + e^L)^2 (t's own value
-# but for cancellation in S), and each bound by its first-order response to those two: all at any degree, held here
-# against the 50-digit endpoint coefficients by Vieta's relations.  Over these cases the largest ratio of error to u
-# times that scale was 3.0.
+# A root form's (c, t, r) come from its zeros, never from its coefficients: c and r = e^L from L = sum log|a|, an fsum
+# of terms each rounded once (log1p of an error-free -(1 - |a|^2)), and t from S = sum (1 - |a|^2)/a, whose terms
+# are each within a few u.  So c errs by at most K_CT u |c|, t by K_CT u T with T = e^L sum |1 - |a|^2|/|a| /
+# (1 + e^L)^2 (t's own value but for cancellation in S), and each bound by its first-order response to those: all at
+# any degree, held here against the 50-digit endpoint coefficients by Vieta's relations.  Over these cases the
+# largest ratio of error to u times that scale is 2.8.  No value is held more loosely than the endpoints by Vieta
+# were, to K_ENDS n u max(1, |value|); the largest ratio of error to n u max(1, |value|) is 1.8, for t.
 K_CT = 8
+K_ENDS = 4
 
 
 ENDPOINT_CASES = [(kind, origin, degree) for degree in (1, 2, 3, 8, 64, 512, 4096)
@@ -307,16 +309,20 @@ def test_endpoint_bounds_match_50_digits(kind, origin, degree):
         c, t = (an - a0) / (an + a0), cross / (an + a0) ** 2
         e_l = a0 / an
         scale_t = e_l * mp.fsum(abs(1 - abs(b) ** 2) / abs(b) for b in nonzero) / (1 + e_l) ** 2 if origin == 0 else t
-        ratio = mp.sqrt(a0 / an)
+        scale_l = mp.fsum(abs(mp.log(abs(b))) for b in nonzero) + 1  # L's terms, and e^L's own rounding
+        # (value, 50-digit value, first-order scale of its error)
         checked = {"c": (ct[0], c, abs(c)), "t": (ct[1], t, scale_t), "coeff": (bound_coeff(ct), c, abs(c)),
                    "zero_free": (bound_zero_free(ct, degree), mp.mpf(degree) / 2 + c / 2, mp.mpf(degree) / 2 + 1)}
-        if kind == "inside":  # the lower bounds where their hypothesis holds
+        if kind == "inside":  # the lower bounds where their hypothesis holds, and the Blaschke product's conj(c0/cn)
             coeff2 = 2 * (a0 - an) ** 2 / (an**2 - a0**2 + cross)
-            checked.update(sqrt_weak=(bound_sqrt_weak(ct), 1 - ratio, 1 - ratio + ratio / max(1 - c * c, 1e-300)),
-                           coeff2=(bound_coeff2(ct), coeff2, 3 * coeff2 + coeff2 / (c + t) * scale_t))
+            ratio = mp.sqrt(e_l)
+            checked.update(r=(ct[2], e_l, e_l * scale_l), sqrt_weak=(bound_sqrt_weak(ct), 1 - ratio, ratio * scale_l),
+                           coeff2=(bound_coeff2(ct), coeff2, 3 * coeff2 + coeff2 / (c + t) * scale_t),
+                           c0_cn=(conj_product([b for _, b, _ in rf.readings]), mp.conj(c0 / cn), degree * e_l))
         for name, (got, ref, scale) in checked.items():
-            assert math.isfinite(got), name
-            assert abs(got - ref) <= K_CT * U * scale + 5e-324, name  # t past the double range underflows to 0
+            assert cmath.isfinite(got), name
+            tol = min(K_CT * U * scale, K_ENDS * degree * U * max(1.0, abs(complex(ref))))
+            assert abs(got - complex(ref)) <= tol + 5e-324, name  # t past the double range underflows to 0
     for bound in (bound_coeff, bound_sqrt_weak, bound_coeff2):  # where a hypothesis fails, a value but no error
         bound(ct)
 
@@ -341,7 +347,7 @@ def test_near_circle_forms_match_50_digits(degree):
             radii = 1.0 + side * 10.0 ** rng.uniform(-8.95, -3.0, degree)
             zeros = [r * circle_point(phi) for r, phi in zip(radii.tolist(), rng.uniform(-math.pi, math.pi, degree))]
             rf = RootForm(1.0, zeros)
-            (c, t), thetas = rf.ct, rng.uniform(-math.pi, math.pi, 8).tolist()
+            (c, t, _), thetas = rf.ct, rng.uniform(-math.pi, math.pi, 8).tolist()
             report = grid_report(rf, thetas, None, CHECK_SLACK, classify_root_list(rf.roots))
             with mp.workdps(50):
                 a = [mp.mpc(b) for b in zeros]
@@ -431,14 +437,13 @@ def test_unimodular_witness_at_the_largest_degree_checks_every_angle(capsys, mon
 
 
 # The scan row of zeros 0.5 and a at theta = 1, |z - a| by sqrt, or by hypot where |z - a|^2 overflows.  The kernel
-# tries hypot past |a| = 1e153; 2 (1 + |a|)^2 overflows past 9.4e153, |z - a|^2 here past 1.34e154.  c rounds to -1
-# at these |c0/cn|, so sqrt_weak = 1 - sqrt((1 - c)/(1 + c)) reads -inf (an empty cell; no zero lies in the disk)
+# tries hypot past |a| = 1e153; 2 (1 + |a|)^2 overflows past 9.4e153, |z - a|^2 here past 1.34e154
 FAR_ZERO_ROWS = {
-    9e153: "1,0.056787990437872082,0,-1,,4.7555459569704243e+153,2.0000000000000391,,,pass",
-    1e154: "1,0.056787990437872082,0,-1,,5.2839399521893605e+153,2.00000000000002,,,pass",
-    1.34e154: "1,0.056787990437872082,0,-1,,7.0804795359337429e+153,1.9999999999999423,,,pass",
-    1e160: "1,0.056787990437872082,0,-1,,5.2839399521893593e+159,2.0000000000000178,,,pass",
-    1e200: "1,0.056787990437872082,0,-1,,5.2839399521893601e+199,2.0000000000000808,,,pass",
+    9e153: "1,0.056787990437872082,0,-1,-6.7082039324994017e+76,4.7555459569704243e+153,2.0000000000000391,,,pass",
+    1e154: "1,0.056787990437872082,0,-1,-7.0710678118654923e+76,5.2839399521893605e+153,2.00000000000002,,,pass",
+    1.34e154: "1,0.056787990437872082,0,-1,-8.1853527718723914e+76,7.0804795359337429e+153,1.9999999999999423,,,pass",
+    1e160: "1,0.056787990437872082,0,-1,-7.0710678118654912e+79,5.2839399521893593e+159,2.0000000000000178,,,pass",
+    1e200: "1,0.056787990437872082,0,-1,-7.071067811865547e+99,5.2839399521893601e+199,2.0000000000000808,,,pass",
 }
 
 
