@@ -57,18 +57,19 @@ def bound_value(p: Polynomial, z: complex, lam: float) -> float:
     """
     val = p(z)
     guard_zero(val, p.coeff_scale)
-    w = p.coeffs[0].conjugate() * val / (p.leading * z**p.degree * val.conjugate())
+    c0, cn, _ = p.ends  # scaled alike, so that neither product of two of P's sizes underflows
+    w = c0.conjugate() * val / (cn * z**p.degree * val.conjugate())
     return abs((lam + 1.0) * w - 1.0)
 
 
-def coefficient_w(coeffs, z, n, vr, vi):
+def coefficient_w(p: Polynomial, z, vr, vi):
     """`bound_value`'s w = conj(c0) P(z) / (cn z^n conj(P(z))) on arrays, in its operations and order, at the points
-    z with P(z) = vr + i vi, for P's coefficients and degree n.  cn z^n is each point's Python product (`c_pow`).
-    No guard: the caller skips where P(z) vanishes."""
-    c0, cn = coeffs[0], coeffs[-1]
+    z with P(z) = vr + i vi.  cn z^n is each point's Python product (`c_pow`).  No guard: the caller skips where
+    P(z) vanishes."""
+    c0, cn, _ = p.ends
     if c0 == 0:  # w = 0, also where cn z^n conj(P(z)) underflows
         return np.zeros(len(z)), np.zeros(len(z))
-    lead_zn = c_mul(cn.real, cn.imag, *c_pow(z.real, z.imag, n))
+    lead_zn = c_mul(cn.real, cn.imag, *c_pow(z.real, z.imag, p.degree))
     return c_quot(*c_mul(c0.real, -c0.imag, vr, vi), *c_mul(*lead_zn, vr, -vi))
 
 
@@ -268,7 +269,7 @@ def grid_report(poly: Polynomial | RootForm, thetas: list[float], arc: tuple[flo
             w = blaschke_w(conj_product([a for _, a, _ in poly.readings]), ur, ui, z, n)
         else:
             z, vr, vi, speed, skipped = boundary_grid(poly.coeffs, poly.coeff_scale, thetas)
-            w = coefficient_w(poly.coeffs, z, n, vr, vi)
+            w = coefficient_w(poly, z, vr, vi)
         lam = 2.0 * speed - n
         value_thm1 = value_refined(*w, lam)
     angles = np.asarray(thetas, dtype=float)

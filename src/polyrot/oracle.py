@@ -40,10 +40,13 @@ def arg_derivative_fd(p: Polynomial, theta: float, h: float = 1e-5) -> float:
     return ((w if w > 0.0 else w + 2.0 * math.pi) - math.pi) / (2.0 * h)  # the step wrapped into (-pi, pi]
 
 
+FD_BATCH_STEP = 1e-5  # h, the larger of the two steps of `arg_derivative_fd_batch`
+
+
 @np.errstate(over="ignore", invalid="ignore")  # as in root_batch: a zero past 1e154 squares to inf silently
-def arg_derivative_fd_batch(batch: RootBatch, thetas: Sequence[float], h: float = 1e-5) -> np.ndarray:
+def arg_derivative_fd_batch(batch: RootBatch, thetas: Sequence[float]) -> np.ndarray:
     """The speed from the zeros, at one angle per form of batch (thetas[k] for form k), by central differences of
-    arg P at the steps h and h/2, extrapolated: (4 D(h/2) - D(h))/3 (Richardson).
+    arg P at the steps h = `FD_BATCH_STEP` and h/2, extrapolated: (4 D(h/2) - D(h))/3 (Richardson).
 
     The step of arg P from z- = e^{i (theta - t)} to z+ = e^{i (theta + t)} is the sum over the zeros a of the
     principal argument of (z+ - a) conj(z- - a) = e^{i t} (x + i y), with z = e^{i theta} and
@@ -59,8 +62,6 @@ def arg_derivative_fd_batch(batch: RootBatch, thetas: Sequence[float], h: float 
     error.  The steps are summed one zero row at a time (`row_sum`), as `root_batch` sums its terms, so a form's
     value is the same alone as in any batch.  It shares no code with `root_batch`'s speed.  There is no zero guard.
     """
-    if not (0.0 < h <= 1e-2):
-        raise ValueError("step h must lie in (0, 1e-2]")
     z = circle_points(thetas)
     dr, di = z.real - batch.re, z.imag - batch.im
     off_band = batch.live & (batch.sides != 0)
@@ -78,7 +79,7 @@ def arg_derivative_fd_batch(batch: RootBatch, thetas: Sequence[float], h: float 
         steps[off_band] = flat
         return row_sum(steps) / (2.0 * t)
 
-    return 0.5 * batch.degree + (4.0 * excess(0.5 * h) - excess(h)) / 3.0
+    return 0.5 * batch.degree + (4.0 * excess(0.5 * FD_BATCH_STEP) - excess(FD_BATCH_STEP)) / 3.0
 
 
 def _endpoint_increments(inside: tuple[complex, ...], centers: np.ndarray, z0: np.ndarray, t: float) -> np.ndarray:

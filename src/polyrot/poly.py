@@ -117,16 +117,12 @@ def one_minus_square(re, im):
     return (1.0 - s) - (f + (er + ei))
 
 
-def _finite(cs, what: str):
-    """cs as given; a NaN or infinite part is an input error (ValueError)."""
+def finite_complex(values: Iterable[complex], what: str) -> tuple[complex, ...]:
+    """The values as complex numbers; a NaN or infinite part is an input error (ValueError)."""
+    cs = tuple(map(complex, values))
     if not all(map(cmath.isfinite, cs)):
         raise ValueError(f"{what} must be finite")
     return cs
-
-
-def finite_complex(values: Iterable[complex], what: str) -> tuple[complex, ...]:
-    """The values as complex numbers; a NaN or infinite part is an input error (ValueError)."""
-    return _finite(tuple(map(complex, values)), what)
 
 
 def is_number(x, kind=(int, float)) -> bool:
@@ -157,11 +153,6 @@ def expand_monic(roots: Iterable[complex]) -> list[complex]:
     return coeffs
 
 
-def expand_roots(leading: complex, roots: Iterable[complex]) -> list[complex]:
-    """Coefficients of leading * prod (z - r), ascending degree; one past the double range is an error (ValueError)."""
-    return _finite([leading * c for c in expand_monic(roots)], "coefficients")
-
-
 @dataclass(frozen=True)
 class Polynomial:
     """Coefficient-form polynomial, ascending degree, degree >= 1."""
@@ -186,16 +177,23 @@ class Polynomial:
         return self.coeffs[-1]
 
     @functools.cached_property
+    def ends(self) -> tuple[complex, complex, int]:
+        """(c0 2^k, cn 2^k, k), (|c0| + |cn|) 2^k in [1/2, 1): products of c0 or cn with values of P's size, taken on
+        these, neither over- nor underflow, and no bit moves."""
+        c0, cn = self.coeffs[0], self.coeffs[-1]
+        k = -math.frexp(abs(cn) + abs(c0))[1]
+        return (*(complex(math.ldexp(c.real, k), math.ldexp(c.imag, k)) for c in (c0, cn)), k)
+
+    @functools.cached_property
     def ct(self) -> tuple[float, float, float]:
         """(c, t, r), what the theta-free bounds read: c = (|cn| - |c0|)/s, s = |cn| + |c0|, t = |conj(cn) c1 - c0
-        conj(c_{n-1})|/s^2, its products CPython's on c0 and cn times 2^-k, s 2^-k in [1/2, 1) (no bit moves, nothing
-        over- or underflows), and r = |c0|/|cn|, the ratio that c rounds, for sqrt_weak."""
+        conj(c_{n-1})|/s^2, its products CPython's on the scaled c0 and cn (`ends`), and r = |c0|/|cn|, the ratio
+        that c rounds, for sqrt_weak."""
         (c0, c1), (cm, cn) = self.coeffs[:2], self.coeffs[-2:]
         a0, an = abs(c0), abs(cn)
         s = an + a0
-        k = -math.frexp(s)[1]
-        c0, cn = (complex(math.ldexp(c.real, k), math.ldexp(c.imag, k)) for c in (c0, cn))
-        return (an - a0) / s, abs(cn.conjugate() * c1 - c0 * cm.conjugate()) / math.ldexp(s, k) / s, a0 / an
+        e0, en, k = self.ends
+        return (an - a0) / s, abs(en.conjugate() * c1 - e0 * cm.conjugate()) / math.ldexp(s, k) / s, a0 / an
 
     @property
     def coeff_scale(self) -> float:
@@ -318,8 +316,9 @@ def conj_product(zeros: Sequence[complex]) -> complex:
 
 
 def from_roots(rf: RootForm) -> Polynomial:
-    """Expand leading * prod (z - r_k) into coefficient form, the iterated product of the monomial factors."""
-    return Polynomial(expand_roots(rf.leading, rf.roots))
+    """Expand leading * prod (z - r_k) into coefficient form, the iterated product of the monomial factors; an
+    expansion past the double range is an error (ValueError), as `Polynomial` refuses it."""
+    return Polynomial([rf.leading * c for c in expand_monic(rf.roots)])
 
 
 def rotation_speed(p: Polynomial, z: complex) -> float:
@@ -398,12 +397,6 @@ class RootBatch:
     rho: np.ndarray
     sides: np.ndarray
     live: np.ndarray
-
-    @staticmethod
-    def snapped(forms: Sequence) -> "RootBatch":
-        """The batch of forms, each read by its `roots` alone, as a `RootForm` is."""
-        zeros = np.array([a for f in forms for a in f.roots], dtype=complex)
-        return RootBatch.read(np.array([len(f.roots) for f in forms]), zeros.real, zeros.imag)
 
     @staticmethod
     @np.errstate(over="ignore", invalid="ignore")  # a square past the double range reads inf or nan, as at a point

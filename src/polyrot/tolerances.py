@@ -38,10 +38,6 @@ ARC_INCREMENT_SLACK = 1e-9
 # cancels their h^2 truncation term, up to 1e-4 at h = 1e-5 near a zero 1e-3 off the circle; what is left
 # stayed below 2e-8 there (tests/test_oracle.py).
 ORACLE_AGREEMENT_TOL = 1e-6
-# corpus.valid_theta's angles keep |P(z)| above this * max|c_k| (fuzz draws uniform angles and reads no floor).
-SAMPLE_FLOOR_REL = 1e-3
-# Random angles valid_theta draws for that floor before it gives up.
-SAMPLE_TRIES = 500
 
 # Hypotheses of the Goryainov self-map check.
 # Goryainov needs f(0) = 0, which the origin-pinned map gives exactly.

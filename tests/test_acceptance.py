@@ -39,6 +39,7 @@ from polyrot import corpus
 from polyrot.bounds import full_report
 from polyrot.oracle import arg_derivative_fd
 from polyrot.rational import check_rotation_bounds
+from test_corpus import reference_poles
 
 
 def lambda_at(p, theta):
@@ -206,8 +207,8 @@ def test_criterion_5_arc_bound():
     low = math.inf
     for _ in range(200):
         degree = int(rng.integers(1, 13))
-        # roots capped at radius 0.995; the leading coefficient is drawn first, as random_polynomial does
-        rf = RootForm(corpus.random_leading(rng), [0.995 * r for r in corpus.random_roots(rng, degree, "in_disk")])
+        drawn, _ = corpus.random_polynomial(rng, degree, "in_disk")
+        rf = RootForm(drawn.leading, [0.995 * r for r in drawn.roots])  # roots capped at radius 0.995
         p = from_roots(rf)
         alpha = float(rng.uniform(0.05, 0.45))
         t0 = _valid_theta(rng, p, rf.roots)
@@ -307,7 +308,7 @@ def test_criterion_8_rational_bounds():
     worst_eq = 0.0
     points = 0
     for _ in range(50):
-        poles = corpus.random_poles(rng, int(rng.integers(1, 5)))
+        poles = reference_poles(rng, int(rng.integers(1, 5)))
         r = witness_rational(
             poles,
             cmath.exp(1j * rng.uniform(0, 2 * math.pi)),

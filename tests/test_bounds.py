@@ -25,6 +25,7 @@ from polyrot import corpus
 from polyrot.bounds import full_report, verdict
 from polyrot.report import BOUND_KEYS
 from polyrot.roots import classify_root_list
+from test_corpus import reference_leading, reference_roots, reference_valid_theta
 
 
 def lambda_at(p, theta):
@@ -234,9 +235,9 @@ def test_every_applicable_flag_passes_across_zones(rng):
     gated_arcs = 0
     for _ in range(2000):
         zones = rng.choice(corpus.ZONES[:3], size=int(rng.integers(1, 7)))
-        roots = [r for zone in zones for r in corpus.random_roots(rng, 1, zone)]
-        p = from_roots(RootForm(corpus.random_leading(rng), roots))
-        theta, alpha = corpus.valid_theta(rng, p), float(rng.uniform(0.05, 1.5))
+        roots = [r for zone in zones for r in reference_roots(rng, 1, zone)]
+        p = from_roots(RootForm(reference_leading(rng), roots))
+        theta, alpha = reference_valid_theta(rng, p), float(rng.uniform(0.05, 1.5))
         if theta is None:
             continue
         cls = classify_root_list(roots)

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from polyrot import BoundReport, RootForm, bound_arc
+from polyrot import BoundReport, Polynomial, RootForm, bound_arc
+from polyrot.bounds import full_report, grid_report
 from polyrot.cli import main
 from polyrot.report import format_float
-from polyrot.roots import classify_root_list
-from polyrot.tolerances import MAX_DEGREE
+from polyrot.roots import classify_root_list, classify_zeros
+from polyrot.tolerances import CHECK_SLACK, MAX_DEGREE
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -416,6 +417,19 @@ def test_root_form_zero_at_the_origin_with_an_underflowed_leading_coefficient(ca
     (row,) = csv.DictReader(io.StringIO(out))
     assert row["coeff"] == row["sqrt_weak"] == row["value_thm1"] == "1" and row["status"] == "pass"
     assert float(row["coeff2_thm2"]) == pytest.approx(4 / 3, rel=1e-15)
+    # c0 != 0 at that size: value_thm1's products conj(c0) P(z) and cn z^n conj(P(z)) are taken on c0 and cn scaled
+    # by a power of two, so it is the value of the copy times 2^565, bit for bit, in scan, grid_report and full_report
+    tiny = Polynomial([1e-171, 0.5e-170, 1e-170])
+    code, out, err = run(capsys, ["scan", "--theta", "0.5"], stdin=json.dumps(tiny.to_json()), monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    (row,) = csv.DictReader(io.StringIO(out))
+    big = Polynomial([c * 2.0**565 for c in tiny.coeffs])
+    want = full_report(big, 0.5, classify_zeros(big)).bounds["value_thm1"]
+    assert row["value_thm1"] != "" and float(row["value_thm1"]) == want
+    for p in (tiny, big):
+        cls = classify_zeros(p)
+        assert full_report(p, 0.5, cls).bounds["value_thm1"].hex() == want.hex()
+        assert float(grid_report(p, [0.5], None, CHECK_SLACK, cls).bounds["value_thm1"][0]).hex() == want.hex()
 
 
 def test_root_form_arc_bound_reads_the_given_zeros(capsys, monkeypatch):

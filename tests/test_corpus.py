@@ -8,9 +8,9 @@ import pytest
 
 from polyrot import corpus
 from polyrot.poly import RootBatch, RootForm, circle_point, from_roots
-from polyrot.tolerances import SAMPLE_FLOOR_REL, SAMPLE_TRIES
 
-# The draw loops as written with one scalar `uniform` call per number: the reference the bulk draws keep.
+# The draw loops as written with one scalar `uniform` call per number: the reference the bulk draws keep, and the
+# draws of the tests that take their inputs one number at a time.
 
 
 def reference_leading(rng):
@@ -44,8 +44,9 @@ def reference_poles(rng, n):
 
 
 def reference_valid_theta(rng, p):
-    floor = SAMPLE_FLOOR_REL * p.coeff_scale
-    for _ in range(SAMPLE_TRIES):
+    """A uniform angle where |P(e^{i theta})| > 1e-3 max|c_k|, or None after 500 tries."""
+    floor = 1e-3 * p.coeff_scale
+    for _ in range(500):
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         if abs(p(circle_point(theta))) > floor:
             return theta
@@ -57,30 +58,25 @@ def bits(values):
     return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
 
 
-def draw_case(rng, degree, zone, leading, roots, poles, valid_theta):
-    """One fuzz-like case: integers mixed in, then leading coefficient, zeros, poles and an angle."""
-    n_poles = int(rng.integers(1, 5))
-    lead = leading(rng)
-    zeros = roots(rng, degree, zone)
-    drawn = {"leading": bits([lead]), "roots": bits(zeros), "poles": bits(poles(rng, n_poles))}
-    if degree:
-        theta = valid_theta(rng, from_roots(RootForm(lead, zeros)))
-        drawn["theta"] = None if theta is None else theta.hex()
-    drawn["tail"] = int(rng.integers(0, 2**40))
-    return drawn
-
-
 @pytest.mark.parametrize("zone", corpus.ZONES)
 @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
 def test_bulk_draws_match_scalar_uniform(seed, zone):
-    bulk, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-    for degree in range(65):
-        got = draw_case(bulk, degree, zone, corpus.random_leading, corpus.random_roots, corpus.random_poles,
-                        corpus.valid_theta)
-        want = draw_case(scalar, degree, zone, reference_leading, reference_roots, reference_poles,
-                         reference_valid_theta)
-        assert got == want, (seed, zone, degree)
-        assert bulk.bit_generator.state == scalar.bit_generator.state, (seed, zone, degree)
+    # one `random` call per form takes the uniforms of the scalar loops in their order, the leading coefficient,
+    # the zeros and then the poles, bit for bit, and leaves the generator where they leave it
+    got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+    for degree in range(1, 65):
+        rf, p = corpus.random_polynomial(got, degree, zone)
+        lead, zeros = reference_leading(want), reference_roots(want, degree, zone)
+        assert (bits([rf.leading]), bits(rf.roots)) == (bits([lead]), bits(zeros)), (seed, zone, degree)
+        assert p == from_roots(rf) and got.bit_generator.state == want.bit_generator.state, (seed, zone, degree)
+    for degree in range(1, 17):
+        for n_poles in range(5):
+            rf, p, r = corpus.random_rational(got, degree, n_poles, zone)
+            lead, zeros = reference_leading(want), reference_roots(want, degree, zone)
+            poles = reference_poles(want, n_poles)
+            assert (bits([rf.leading]), bits(rf.roots), bits(r.poles)) == (bits([lead]), bits(zeros), bits(poles))
+            assert p == from_roots(rf) and r.numerator == p.coeffs, (seed, zone, degree, n_poles)
+            assert got.bit_generator.state == want.bit_generator.state, (seed, zone, degree, n_poles)
 
 
 def reference_chunk(seed, index, size, degrees, zone):
@@ -142,7 +138,8 @@ def test_fuzz_evaluates_the_scalar_draw_stream(monkeypatch, capsys, seed, zone):
         for index, (batch, thetas, k, poles, n_poles) in enumerate(evaluated):
             size = min(cli._FUZZ_CHUNK, count - index * cli._FUZZ_CHUNK)
             forms, want_thetas, want_poles = reference_chunk(seed, index, size, degrees, zone)
-            want = RootBatch.snapped(forms)
+            zeros = np.array([a for rf in forms for a in rf.roots])
+            want = RootBatch.read(np.array([rf.degree for rf in forms]), zeros.real, zeros.imag)
             assert k == size and bits(thetas) == bits(want_thetas), (degrees, index)
             for name in ("degree", "re", "im", "sides", "rho", "live"):
                 assert getattr(batch, name).tobytes() == getattr(want, name).tobytes(), (degrees, index, name)

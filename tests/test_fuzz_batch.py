@@ -23,7 +23,7 @@ import pytest
 from polyrot import corpus
 from polyrot.bounds import blaschke_w, bound_zero_free, grid_report, lower_bounds, value_refined
 from polyrot.cli import _FuzzTally, main
-from polyrot.oracle import arg_derivative_fd, arg_derivative_fd_batch
+from polyrot.oracle import FD_BATCH_STEP, arg_derivative_fd, arg_derivative_fd_batch
 from polyrot.poly import (RootBatch, RootForm, conj_product, from_roots, read_zero, root_batch, root_grid,
                           unit_products)
 from polyrot.report import BOUND_KEYS, csv_cell, dump_json
@@ -32,7 +32,7 @@ from polyrot.tolerances import CHECK_SLACK, ORACLE_AGREEMENT_TOL
 
 U = 2.0**-53
 K = 8
-H = 1e-5
+H = FD_BATCH_STEP
 
 
 class Case(NamedTuple):
@@ -49,6 +49,12 @@ def _cases(chunk):
             for lead, d, e, theta in zip(chunk.leading.tolist(), chunk.degree.tolist(), ends, chunk.thetas)]
 
 
+def _batch(cases):
+    """The batch of the cases' forms, each read by its zeros alone, as a `RootForm` is."""
+    zeros = np.array([a for c in cases for a in c.roots], dtype=complex)
+    return RootBatch.read(np.array([len(c.roots) for c in cases]), zeros.real, zeros.imag)
+
+
 def _drawn(zone, seed, count, degrees=(1, 16)):
     """The first count forms that fuzz --seed seed draws in zone, chunk by chunk."""
     out, index = [], 0
@@ -61,7 +67,7 @@ def _drawn(zone, seed, count, degrees=(1, 16)):
 def _evaluated(cases):
     """What fuzz computes for each case: z, the unit product U = prod (z - a)/|z - a|, the speed, lambda, value_thm1
     and the oracle."""
-    batch, thetas = RootBatch.snapped(cases), [c.theta for c in cases]
+    batch, thetas = _batch(cases), [c.theta for c in cases]
     z, fr, fi, speed, skipped = root_batch(batch, thetas)
     assert not skipped.any()
     n = batch.degree
@@ -273,9 +279,9 @@ def test_an_angle_the_guard_refuses_drops_its_case():
     at_zero = Case(1.0, [cmath.exp(0.7j), 0.3], 0.7)
     cases = [at_zero, Case(1.0, [0.5j], 2.0), Case(2.0, [-0.4], 1.0), at_zero]
     poles = np.array([[2.0 + 0j, -1.0], [1.5j, 3.0]])
-    checks = _fuzz_checks(RootBatch.snapped(cases), [c.theta for c in cases], 2, poles, np.array([1, 2]), "in_disk")
+    checks = _fuzz_checks(_batch(cases), [c.theta for c in cases], 2, poles, np.array([1, 2]), "in_disk")
     assert checks["oracle_agreement"][0].shape == (1,) and checks["rational_lower"][0].shape == (1,)
-    assert _fuzz_checks(RootBatch.snapped([at_zero]), [0.7], 1, np.zeros((0, 0)), np.zeros(0, int), "in_disk") == {}
+    assert _fuzz_checks(_batch([at_zero]), [0.7], 1, np.zeros((0, 0)), np.zeros(0, int), "in_disk") == {}
 
 
 def test_tally_keeps_its_semantics():
@@ -373,8 +379,8 @@ def test_fuzz_calls_no_scalar_evaluator(capsys, monkeypatch):
 
     for module in (polyrot, polyrot.bounds, polyrot.cli, polyrot.corpus, polyrot.oracle, polyrot.poly,
                    polyrot.rational):
-        for name in ("full_report", "arg_derivative_fd", "check_rotation_bounds", "from_roots", "expand_roots",
-                     "expand_monic", "_leading", "_roots", "_poles"):
+        for name in ("full_report", "arg_derivative_fd", "check_rotation_bounds", "from_roots", "expand_monic",
+                     "random_polynomial", "random_rational"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden(name))
     for cls in (polyrot.rational.RationalFunction, polyrot.poly.RootForm, polyrot.poly.Polynomial):

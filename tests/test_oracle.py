@@ -20,7 +20,7 @@ from polyrot import (
     witness_arc,
 )
 from polyrot.bounds import grid_report
-from polyrot.oracle import arg_derivative_fd, arg_derivative_fd_batch
+from polyrot.oracle import FD_BATCH_STEP, arg_derivative_fd, arg_derivative_fd_batch
 from polyrot.roots import classify_root_list
 from polyrot.poly import RootBatch, circle_grid
 from polyrot.tolerances import ARC_EDGE_SLACK, ARC_INCREMENT_SLACK, CHECK_SLACK, ORACLE_AGREEMENT_TOL
@@ -75,7 +75,9 @@ def test_extrapolated_oracle_matches_50_digits_near_the_circle():
         radius = np.where(rng.random(d) < 0.5, 1.0 - off, 1.0 + off)
         forms.append(RootForm(1.0, (radius * np.exp(2j * np.pi * rng.random(d))).tolist()))
         thetas.append(float(2.0 * np.pi * rng.random()))
-    oracle, h, plain_misses = arg_derivative_fd_batch(RootBatch.snapped(forms), thetas).tolist(), mp.mpf(1e-5), 0
+    zeros = np.array([a for rf in forms for a in rf.roots])
+    batch = RootBatch.read(np.array([rf.degree for rf in forms]), zeros.real, zeros.imag)
+    oracle, h, plain_misses = arg_derivative_fd_batch(batch, thetas).tolist(), mp.mpf(FD_BATCH_STEP), 0
     with mp.workdps(50):
         for rf, theta, value in zip(forms, thetas, oracle):
             zeros, t = [mp.mpc(a) for a in rf.roots], mp.mpf(theta)

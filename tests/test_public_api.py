@@ -91,9 +91,10 @@ def test_every_tolerance_is_read_by_the_package():
 
 
 def test_root_form_is_never_expanded_outside_fuzz():
-    # scan, fuzz and the witnesses evaluate, guard and bound a root form from its zeros; only corpus's scalar draws,
-    # which tests use as references, expand one, through poly's from_roots
-    for name, allowed in (("from_roots", {"corpus"}), ("expand_roots", {"poly"})):
+    # scan, fuzz and the witnesses evaluate, guard and bound a root form from its zeros; only corpus's
+    # random_polynomial and random_rational, which no command calls, expand one, through poly's from_roots.  The
+    # rational witness expands its numerator from its poles
+    for name, allowed in (("from_roots", {"corpus"}), ("expand_monic", {"poly", "witness"})):
         expanding = {path.stem for path in SRC.glob("*.py")
                      if path.name != "__init__.py" and name in _referenced_names(path)}
         assert expanding <= allowed, name
