@@ -22,7 +22,7 @@ from .oracle import arg_derivative_fd_batch
 from .poly import Polynomial, RootBatch, RootForm, circle_grid, root_batch, unit_products
 from .rational import RationalFunction, classify_numerator, comparison, pole_speed, rational_grid
 from .report import BOUND_KEYS, csv_cell, dump_json
-from .roots import classify_root_list, classify_zeros
+from .roots import classify_zeros
 from .tolerances import CHECK_SLACK, MAX_DEGREE, ORACLE_AGREEMENT_TOL
 from .witness import WitnessSpec, witness_report
 
@@ -77,7 +77,7 @@ def cmd_scan(args) -> int:
             if bad:
                 raise ValueError(message)
         # The zeros do not depend on theta: classify them once per input, a root form's as it states them.
-        cls = (classify_root_list(obj.roots) if isinstance(obj, RootForm)
+        cls = (obj.classification if isinstance(obj, RootForm)
                else classify_numerator(obj) if isinstance(obj, RationalFunction) else classify_zeros(obj))
     except (ValueError, TypeError, OSError, PolyrotError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -216,6 +216,27 @@ class Polynomial:
 
 
 @dataclass(frozen=True)
+class ZeroClassification:
+    """The zeros partitioned against the unit circle, each part in input order.
+
+    Lower bounds need `not outside` (all zeros in the closed disk), the
+    zero-free upper bound needs `not inside` (none in the open disk).
+    """
+
+    inside: tuple[complex, ...]
+    on_circle: tuple[complex, ...]
+    outside: tuple[complex, ...]
+
+    @staticmethod
+    def of(readings) -> "ZeroClassification":
+        """The partition of (side, zero) pairs as `read_zero` gives them: side -1 inside, 0 on, 1 outside."""
+        parts: tuple[list, list, list] = ([], [], [])
+        for side, a in readings:
+            parts[side + 1].append(a)
+        return ZeroClassification(*map(tuple, parts))
+
+
+@dataclass(frozen=True)
 class RootForm:
     """Leading coefficient plus the multiset of zeros."""
 
@@ -240,6 +261,11 @@ class RootForm:
         """(side, zero, 1 - |a|^2) of each zero, as `read_zero` and `one_minus_square` read it (0 in the band)."""
         return tuple((side, a, one_minus_square(a.real, a.imag) if side else 0.0)
                      for side, a in map(read_zero, self.roots))
+
+    @functools.cached_property
+    def classification(self) -> ZeroClassification:
+        """The zeros partitioned as `readings` reads them, those of the band on the circle: `classify_root_list`."""
+        return ZeroClassification.of((side, a) for side, a, _ in self.readings)
 
     @functools.cached_property
     def ct(self) -> tuple[float, float, float]:

@@ -6,8 +6,10 @@ runs with identical inputs are byte identical.  Each report type states its
 scan row once, as data: a JSON row whose leaves name its columns, and the
 CSV column order.  `row_template` cuts a template of literals and column
 names from that schema, and `grid_rows` fills it in at every angle of a
-grid, rendering each input's constant cells once and each float column in
-one `%` call, with the digits that `format_float` gives one value at a time.
+grid.  A constant cell, or a column that holds one value at every angle,
+is rendered once and joins the literals.  Each distinct float column is
+formatted once, in one `%` call, with the digits that `format_float` gives
+one value at a time; columns with the same bits share its cells.
 """
 
 from __future__ import annotations
@@ -73,10 +75,15 @@ def _emit(obj, out: list[str], indent: int) -> None:
             out.append("[]")
             return
         out.append("[\n")
+        lead, last = pad + "  ", len(obj) - 1
         for i, v in enumerate(obj):
-            out.append(pad + "  ")
-            _emit(v, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
+            sep = ",\n" if i < last else "\n"
+            if type(v) is Rendered:  # a pre-rendered scan row, copied without a call
+                out += (lead, v, sep)
+            else:
+                out.append(lead)
+                _emit(v, out, indent + 1)
+                out.append(sep)
         out.append(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -122,26 +129,37 @@ def grid_rows(grid, template, json_rows: bool) -> list[str | None]:
     """Each angle's row of grid through template, None where grid.skipped.
 
     A column "group.key" reads grid.group[key], any other column the attribute of its name: an array over the
-    angles, or one value for all of them, which is rendered once and merged into the literals.
+    angles, or one value for all of them.  One value, or an array of non-floats that holds one value, is rendered
+    once and merged into the literals.  A float column is formatted once per distinct bit pattern: columns with
+    equal bits (after -0.0 becomes 0) share their cells.
     """
     literals, names = template
     cell = render_json if json_rows else csv_cell
-    columns, text = [], literals[0]
+    columns, text, formatted = [], literals[0], {}
     for name, literal in zip(names, literals[1:]):
         group, _, key = name.partition(".")
         value = getattr(grid, group)[key] if key else getattr(grid, group)
+        if (isinstance(value, np.ndarray) and value.dtype.kind != "f" and value.size
+                and value.tobytes() == value[:1].tobytes() * value.size):  # a flag or status with one value
+            value = value[0].item()
         if not isinstance(value, np.ndarray):
             text += cell(value) + literal
             continue
-        if value.dtype.kind == "f":  # format_float on the column in one call; + 0.0 turns -0.0 into 0
-            column = ("%.17g\0" * len(value)) % tuple((value + 0.0).tolist())
-            cells = column.split("\0")[:-1]
-            if "n" in column:  # nan or inf, the missing cell
-                missing = cell(math.nan)
-                cells = [missing if "n" in c else c for c in cells]
-        else:
-            names = {v: cell(v) for v in set(value.tolist())}
-            cells = [names[v] for v in value.tolist()]
+        if value.dtype.kind != "f":
+            values = value.tolist()
+            named = {v: cell(v) for v in set(values)}
+            cells = [named[v] for v in values]
+        else:  # format_float on the column in one call; + 0.0 turns -0.0 into 0
+            value = value + 0.0
+            bits = value.tobytes()
+            cells = formatted.get(bits)
+            if cells is None:
+                column = ("%.17g\0" * len(value)) % tuple(value.tolist())
+                cells = column.split("\0")[:-1]
+                if "n" in column:  # nan or inf, the missing cell
+                    missing = cell(math.nan)
+                    cells = [missing if "n" in c else c for c in cells]
+                formatted[bits] = cells
         columns += [itertools.repeat(text), cells]
         text = literal
     rows = map("".join, zip(*columns, itertools.repeat(text)))

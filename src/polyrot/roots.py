@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonConvergence
-from .poly import Polynomial, horner, horner_pair, read_zero
+from .poly import Polynomial, ZeroClassification, horner, horner_pair, read_zero
 from .tolerances import RESIDUAL_TOL
 
 
@@ -55,25 +54,9 @@ def find_roots(p: Polynomial) -> list[complex]:
     return roots
 
 
-@dataclass(frozen=True)
-class ZeroClassification:
-    """The zeros partitioned against the unit circle, each part in input order.
-
-    Lower bounds need `not outside` (all zeros in the closed disk), the
-    zero-free upper bound needs `not inside` (none in the open disk).
-    """
-
-    inside: tuple[complex, ...]
-    on_circle: tuple[complex, ...]
-    outside: tuple[complex, ...]
-
-
 def classify_root_list(roots) -> ZeroClassification:
     """The zeros partitioned as `read_zero` reads them, those of the on-circle band moved onto the circle."""
-    parts: tuple[list, list, list] = ([], [], [])  # inside, on, outside
-    for side, r in map(read_zero, map(complex, roots)):
-        parts[side + 1].append(r)
-    return ZeroClassification(*map(tuple, parts))
+    return ZeroClassification.of(map(read_zero, map(complex, roots)))
 
 
 def classify_zeros(p: Polynomial) -> ZeroClassification:

@@ -20,7 +20,6 @@ from .errors import HypothesisViolated, InvalidWitnessParams, ZeroProximity
 from .oracle import arc_increment
 from .poly import RootForm, circle_grid, circle_point, complex_pairs, expand_monic, is_number, read_zero
 from .rational import RationalFunction, classify_numerator, rational_grid
-from .roots import classify_root_list
 from .tolerances import (ANGULAR_DERIVATIVE_SLACK, CHECK_SLACK, MAX_DEGREE, ONE_EXCLUSION, POLE_CIRCLE_TOL,
                          SELF_MAP_ONE_TOL, SELF_MAP_ORIGIN_TOL)
 
@@ -168,7 +167,7 @@ class WitnessSpec:
 
 def _root_report(rf: RootForm, thetas: list[float]):
     """`grid_report` at thetas of rf, from its zeros, and their classification; raises at a lone skipped angle."""
-    cls = classify_root_list(rf.roots)
+    cls = rf.classification
     rep = grid_report(rf, thetas, None, CHECK_SLACK, cls)
     if len(thetas) == 1 and rep.skipped[0]:
         raise ZeroProximity(f"a zero of P is within the zero-proximity guard of theta = {thetas[0]}")

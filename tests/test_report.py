@@ -1,8 +1,8 @@
 """Scan rows rendered a column at a time against the per-cell rules of `format_float`, `csv_cell` and `render_json`.
 
-`grid_rows` formats each float column of a grid in one `%` call.  Every cell it writes must be the cell that the
-per-value rules write: 17 significant digits, -0.0 as 0, and the missing text (empty in CSV, null in JSON) for nan
-and infinities.
+`grid_rows` formats each float column of a grid in one `%` call, once for all the columns with its bits, and merges
+a column that holds one value into the literals.  Every cell it writes must be the cell that the per-value rules
+write: 17 significant digits, -0.0 as 0, and the missing text (empty in CSV, null in JSON) for nan and infinities.
 """
 
 import math
@@ -13,7 +13,8 @@ import pytest
 
 from polyrot import RootForm, circle_grid
 from polyrot.bounds import grid_report
-from polyrot.report import BOUND_KEYS, csv_cell, format_float, grid_rows, render_json, row_template
+from polyrot.report import (BOUND_KEYS, Rendered, csv_cell, dump_json, format_float, grid_rows, render_json,
+                            row_template)
 from polyrot.roots import classify_root_list
 
 MAX = 1.7976931348623157e308
@@ -75,3 +76,55 @@ def test_arc_column_of_numbers_and_nan_renders_cell_by_cell():
         assert json_rows[k] == render_json({"theta": thetas[k], "lambda": at(grid.lam), **groups, "status": status}, 2)
         cells = [thetas[k], at(grid.lam), *groups["bounds"].values(), status]
         assert csv_rows[k] == ",".join(map(csv_cell, cells))
+
+
+def _assert_cells_match(columns, skipped=None):
+    """grid_rows on a grid of the named columns (arrays over the angles or one value) renders, in CSV and JSON, each
+    row that is not skipped as the per-cell rules render it, and None where skipped."""
+    n = max(len(v) for v in columns.values() if isinstance(v, np.ndarray))
+    skipped = np.zeros(n, dtype=bool) if skipped is None else np.array(skipped)
+    grid = SimpleNamespace(**columns, skipped=skipped)
+    for json_rows in (False, True):
+        rows = grid_rows(grid, row_template({k: k for k in columns}, list(columns), json_rows), json_rows)
+        for k, row in enumerate(rows):
+            cells = {name: v[k].item() if isinstance(v, np.ndarray) else v for name, v in columns.items()}
+            expected = render_json(cells, 2) if json_rows else ",".join(map(csv_cell, cells.values()))
+            assert row == (None if skipped[k] else expected), (json_rows, k)
+
+
+def test_float_columns_with_equal_bits_share_their_cells():
+    # z agrees with x but in its last value, so a key on fewer than all of a column's bits gives z x's cells
+    x = np.array([0.1, 1.0 / 3.0, -2.5, 1e-310, 7.0])
+    _assert_cells_match({"x": x, "y": x.copy(), "z": np.array([0.1, 1.0 / 3.0, -2.5, 1e-310, 7.000000000000001])})
+
+
+def test_columns_equal_but_for_the_sign_of_zero_read_0():
+    plus, minus = np.array([0.0, 1.5, 0.0]), np.array([-0.0, 1.5, -0.0])
+    _assert_cells_match({"a": minus, "b": plus, "c": minus.copy()})
+    _assert_cells_match({"a": plus, "b": minus})
+
+
+def test_repeated_nan_and_inf_column_reads_missing_in_each():
+    column = np.array([math.nan, 1.0, math.inf, -math.inf, 2.0])
+    _assert_cells_match({"a": column, "b": column.copy(), "c": np.array([1.0, 2.0, 3.0, 4.0, 5.0])})
+
+
+def test_constant_string_and_bool_columns_join_the_literals():
+    n = 4
+    _assert_cells_match({"x": np.linspace(0.0, 1.0, n), "status": np.array(["pass"] * n), "ok": np.ones(n, dtype=bool),
+                         "off": np.zeros(n, dtype=bool), "flag": np.array(['na "q"'] * n)})
+
+
+def test_string_column_that_differs_only_at_a_skipped_row():
+    status = np.array(["fail", "pass", "pass", "fail", "pass"])
+    skipped = [True, False, False, True, False]
+    _assert_cells_match({"x": np.arange(5.0), "status": status}, skipped)
+
+
+def test_dump_json_copies_rendered_items_at_their_depth():
+    rows = [render_json({"x": 1.5, "s": "pass"}, 2), {"theta": 0.25, "skipped": True}, render_json({"x": -0.0}, 2)]
+    doc = {"rows": rows, "nested": [[render_json([1, None], 3), {"a": [render_json(True, 4)]}]], "empty": []}
+    plain = {"rows": [{"x": 1.5, "s": "pass"}, {"theta": 0.25, "skipped": True}, {"x": -0.0}],
+             "nested": [[[1, None], {"a": [True]}]], "empty": []}
+    assert all(type(r) is Rendered for r in rows[::2])
+    assert dump_json(doc) == dump_json(plain) == render_json(plain) + "\n"

@@ -151,6 +151,18 @@ def test_displaced_band_zeros_keep_their_verdicts():
         assert _readings(rf, thetas) == _readings(_band_snapped(rf), thetas)
 
 
+def test_classification_from_the_readings_is_classify_root_list():
+    # scan and the witnesses classify a root form through its readings, which read each zero once; band zeros up to
+    # 9e-10 off the circle must land on it with the bits classify_root_list gives them
+    parts, moved = np.zeros(3, dtype=int), 0
+    for rf in _band_forms(displaced=True):
+        cls = rf.classification
+        assert _hex(dataclasses.asdict(cls)) == _hex(dataclasses.asdict(classify_root_list(rf.roots)))
+        parts += [len(cls.inside), len(cls.on_circle), len(cls.outside)]
+        moved += sum(a not in rf.roots for a in cls.on_circle)
+    assert parts.min() > 0 and moved > 0
+
+
 @pytest.mark.parametrize("low, high", [(1e-13, 1e-11), (1e-11, 1e-9)])
 def test_the_band_snap_is_a_projection(low, high):
     # 100,000 zeros displaced into the band at uniform angles, in and out: reading a snapped zero again keeps its
