@@ -16,6 +16,7 @@ A coefficient bound reads only (c, t), sqrt_weak the ratio r = |c0/cn| (`Polynom
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ from .errors import HypothesisViolated
 from .oracle import arc_increment
 from .poly import (Polynomial, RootForm, boundary_grid, c_mul, c_pow, c_quot, circle_point, conj_product, guard_zero,
                    root_grid, rotation_speed)
-from .report import BOUND_KEYS, grid_rows, row_template
+from .report import BOUND_KEYS, ScanRows, row_template
 from .roots import ZeroClassification
 from .tolerances import ARC_INCREMENT_SLACK, CHECK_SLACK, EQUAL_MODULUS_REL
 
@@ -143,11 +144,10 @@ def lower_bounds(ct: tuple, value_thm1) -> tuple:
 _JSON_ROW = {"theta": "theta", "lambda": "lam", **{g: {k: f"{g}.{k}" for k in BOUND_KEYS}
                                                    for g in ("bounds", "margins", "flags")}, "status": "status"}
 _CSV_ROW = {"theta": "theta", "lambda": "lam", **{k: f"bounds.{k}" for k in BOUND_KEYS}, "status": "status"}
-_TEMPLATES = {json_rows: row_template(_JSON_ROW, _CSV_ROW.values(), json_rows) for json_rows in (False, True)}
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(ScanRows):
     """Every applicable bound at one boundary point, or at every angle of a grid, with margins and flags.
 
     Margin conventions: lower bounds report lambda - bound, the two upper
@@ -163,6 +163,8 @@ class BoundReport:
     """
 
     CSV_HEADER = ",".join(_CSV_ROW)
+    TEMPLATES = {json_rows: row_template(_JSON_ROW, _CSV_ROW.values(), json_rows) for json_rows in (False, True)}
+    VALUE = "lam"
 
     theta: float | np.ndarray
     speed: float | np.ndarray
@@ -172,25 +174,10 @@ class BoundReport:
     flags: dict
     skipped: bool | np.ndarray = False
 
-    def fails(self, checks) -> np.ndarray:
-        """Per angle: whether a bound named in checks failed there; never at a skipped angle."""
-        failed = np.zeros_like(self.skipped)
-        for k in checks:
-            failed |= np.asarray(self.flags[k]) == "fail"
-        return failed & np.logical_not(self.skipped)
-
-    @property
-    def status(self) -> np.ndarray:
-        return np.where(self.fails(BOUND_KEYS), "fail", "pass")
-
-    def rows(self, json_rows: bool) -> list[str | None]:
-        """Each angle's scan row on a grid, None where skipped; constant cells are rendered once."""
-        return grid_rows(self, _TEMPLATES[json_rows], json_rows)
-
-    @property
-    def overflows(self) -> np.ndarray:
-        """Per angle not skipped: whether lambda came out inf or nan."""
-        return ~np.isfinite(self.lam) & np.logical_not(self.skipped)
+    @functools.cached_property
+    def fail_masks(self) -> dict:
+        """Per bound: where its flag reads "fail", each flag compared once however often the masks are read."""
+        return {k: flag == "fail" for k, flag in self.flags.items()}
 
 
 @np.errstate(over="ignore", invalid="ignore")  # inf and nan arise silently, as in boundary_grid

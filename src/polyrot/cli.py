@@ -55,8 +55,8 @@ def cmd_scan(args) -> int:
     try:
         obj = _parse_scan_input(_read_input(args.input), args.mode)
         thetas = [float(t) for t in args.theta.split(",")] if args.theta is not None else circle_grid(args.grid)
-        checks = args.checks.split(",") if args.checks is not None else BOUND_KEYS
-        unknown = sorted(set(checks) - set(BOUND_KEYS))
+        checks = args.checks.split(",") if args.checks is not None else None  # None gates on every check
+        unknown = sorted(set(checks or ()) - set(BOUND_KEYS))
         if isinstance(obj, RationalFunction):
             # A rational input has no coefficient/root mode, no polynomial bound to gate on and no arc check.
             given = {f"--{args.mode}": args.mode != "auto", "--checks": args.checks is not None,
@@ -93,15 +93,10 @@ def cmd_scan(args) -> int:
         print(f"error: the evaluation overflows at theta = {csv_cell(thetas[overflow[0]])}", file=sys.stderr)
         return 1
 
-    json_rows, header = args.fmt == "json", grid.CSV_HEADER
-    rendered = grid.rows(json_rows)
-    rows = [row if row is not None else {"theta": theta, "skipped": True, "reason": "zero_proximity"} if json_rows
-            else csv_cell(theta) + "," * header.count(",") + "skipped" for theta, row in zip(thetas, rendered)]
-
-    if json_rows:
-        sys.stdout.write(dump_json({"command": "scan", "input": obj.to_json(), "rows": rows}))
+    if args.fmt == "json":
+        sys.stdout.write(dump_json({"command": "scan", "input": obj.to_json(), "rows": grid.rows(True)}))
     else:
-        sys.stdout.write("\n".join([header, *rows]) + "\n")
+        sys.stdout.write("\n".join([grid.CSV_HEADER, *grid.rows(False)]) + "\n")
     return 2 if grid.fails(checks).any() else 0
 
 
@@ -171,7 +166,7 @@ def _fuzz_checks(batch: RootBatch, thetas: list[float], k: int, poles: np.ndarra
         for key, name in _FUZZ_NAMES.items():
             if report.bounds[key] is not None:  # a bound that applies to no case counts each case with a nan margin
                 margins = report.margins[key]
-                checks[name] = np.full(k, math.nan) if margins is None else margins, report.flags[key] == "fail"
+                checks[name] = np.full(k, math.nan) if margins is None else margins, report.fail_masks[key]
     if len(n_poles):
         s = pole_speed((poles,), z[k:, None]).sum(axis=1)
         both = comparison(degree[k:], n_poles, s, speed[k:], True, True, CHECK_SLACK)  # tallied where each applies

@@ -24,16 +24,8 @@ from .errors import ZeroProximity
 from .tolerances import LEADING_REL, ON_CIRCLE_TOL, ZERO_PROXIMITY_REL
 
 
-def horner(coeffs: Sequence[complex], z):
-    """P(z) by Horner's nested scheme at a complex scalar z."""
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
 def horner_pair(coeffs: Sequence[complex], z):
-    """P(z) and P'(z) in one nested pass at a complex scalar z."""
+    """P(z) and P'(z) in one nested pass at a complex scalar z: the one scalar Horner, whose P(z) does not read P'."""
     acc = 0j
     dacc = 0j
     for c in reversed(coeffs):
@@ -83,10 +75,10 @@ def guard_zero(val: complex, scale: float) -> None:
 
 
 def boundary_speed(coeffs: Sequence[complex], scale: float, z: complex) -> float:
-    """Re(z P'(z)/P(z)) for the coefficients of P, scale = max|c_k|, behind `guard_zero`."""
+    """Re(z P'(z)/P(z)) for the coefficients of P, scale = max|c_k|, behind `guard_zero`; nan where P(z) overflows."""
     val, der = horner_pair(coeffs, z)
     guard_zero(val, scale)
-    return (z * der / val).real
+    return (z * der / val).real if cmath.isfinite(val) else math.nan
 
 
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter
@@ -201,7 +193,7 @@ class Polynomial:
         return self._scale
 
     def __call__(self, z: complex) -> complex:
-        return horner(self.coeffs, z)
+        return horner_pair(self.coeffs, z)[0]
 
     def to_json(self) -> list[list[float]]:
         return [[c.real, c.imag] for c in self.coeffs]
@@ -360,8 +352,9 @@ def boundary_grid(coeffs: Sequence[complex], scale: float, thetas: list[float]):
     Takes what `boundary_speed` takes, so any coefficient list works, a constant one included.  Element k is
     bit for bit what `circle_point`, `horner_pair` and `boundary_speed` give at thetas[k]: every complex
     product and quotient follows CPython's operand order (`c_mul`, `c_quot`), never numpy's complex multiply.
-    `skipped` marks where `guard_zero` refuses; P(z) reads 1 there, so nothing divides by 0.  z is the one
-    complex array of the points: callers take its `.real` and `.imag` views instead of building another.
+    `skipped` marks where `guard_zero` refuses; P(z) reads 1 there, so nothing divides by 0.  The speed is nan where
+    P(z) is not finite, as in `boundary_speed`.  z is the one complex array of the points: callers take its `.real`
+    and `.imag` views instead of building another.
     """
     z = circle_points(thetas)
     zr, zi = z.real, z.imag
@@ -372,7 +365,7 @@ def boundary_grid(coeffs: Sequence[complex], scale: float, thetas: list[float]):
     skipped = np.hypot(vr, vi) < ZERO_PROXIMITY_REL * scale  # abs(complex) is hypot
     vr, vi = np.where(skipped, 1.0, vr), np.where(skipped, 0.0, vi)
     speed, _ = c_quot(*c_mul(zr, zi, dr, di), vr, vi)
-    return z, vr, vi, speed, skipped
+    return z, vr, vi, np.where(np.isfinite(vr) & np.isfinite(vi), speed, math.nan), skipped
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")

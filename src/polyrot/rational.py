@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .poly import Polynomial, boundary_grid, boundary_speed, circle_point, complex_pairs, finite_complex
-from .report import grid_rows, row_template
+from .report import ScanRows, row_template
 from .roots import ZeroClassification, classify_root_list, classify_zeros
 from .tolerances import CHECK_SLACK, LEADING_REL, POLE_CIRCLE_TOL
 
@@ -92,11 +92,10 @@ _JSON_ROW = {"theta": "theta", "value": "value", "reference": "reference", "m": 
              **{side: {"applicable": f"{side}_applicable", "margin": f"{side}_margin", "passed": f"{side}_pass"}
                 for side in ("lower", "upper")}}
 _CSV_COLUMNS = ("theta", "value", "reference", "lower_margin", "upper_margin", "status")
-_TEMPLATES = {json_rows: row_template(_JSON_ROW, _CSV_COLUMNS, json_rows) for json_rows in (False, True)}
 
 
 @dataclass(frozen=True)
-class RationalBoundReport:
+class RationalBoundReport(ScanRows):
     """Both halves of the rotation comparison against (m - n + (arg B)')/2, at one point or on a grid.
 
     At a point (`check_rotation_bounds`) every field is a Python scalar.  On a grid (`rational_grid`) theta,
@@ -105,6 +104,8 @@ class RationalBoundReport:
     """
 
     CSV_HEADER = ",".join(_CSV_COLUMNS)
+    TEMPLATES = {json_rows: row_template(_JSON_ROW, _CSV_COLUMNS, json_rows) for json_rows in (False, True)}
+    VALUE = "value"  # the reference is finite for finite poles
 
     theta: float | np.ndarray
     value: float | np.ndarray
@@ -119,29 +120,11 @@ class RationalBoundReport:
     upper_pass: bool | np.ndarray | None
     skipped: bool | np.ndarray = False
 
-    def fails(self, checks=()) -> np.ndarray:
-        """Per angle: whether either comparison failed there; never at a skipped angle.
-
-        checks name polynomial bounds, which do not apply; the parameter matches `BoundReport.fails`.
-        """
-        failed = np.zeros_like(self.skipped)
-        for passed in (self.lower_pass, self.upper_pass):
-            if passed is not None:
-                failed |= np.logical_not(passed)
-        return failed & np.logical_not(self.skipped)
-
     @property
-    def status(self) -> np.ndarray:
-        return np.where(self.fails(), "fail", "pass")
-
-    def rows(self, json_rows: bool) -> list[str | None]:
-        """Each angle's scan row on a grid, None where skipped; constant cells are rendered once."""
-        return grid_rows(self, _TEMPLATES[json_rows], json_rows)
-
-    @property
-    def overflows(self) -> np.ndarray:
-        """Per angle not skipped: whether value came out inf or nan; the reference is finite for finite poles."""
-        return ~np.isfinite(self.value) & np.logical_not(self.skipped)
+    def fail_masks(self) -> dict:
+        """Per comparison that applies: where it failed."""
+        sides = {"lower": self.lower_pass, "upper": self.upper_pass}
+        return {side: np.logical_not(passed) for side, passed in sides.items() if passed is not None}
 
 
 def classify_numerator(r: RationalFunction) -> ZeroClassification:

@@ -9,7 +9,9 @@ names from that schema, and `grid_rows` fills it in at every angle of a
 grid.  A constant cell, or a column that holds one value at every angle,
 is rendered once and joins the literals.  Each distinct float column is
 formatted once, in one `%` call, with the digits that `format_float` gives
-one value at a time; columns with the same bits share its cells.
+one value at a time; columns with the same bits share its cells.  A skipped
+angle's row is written here too, and `ScanRows` gives both report types the
+`fails`, status, rows and overflows that scan reads.
 """
 
 from __future__ import annotations
@@ -125,8 +127,8 @@ def row_template(json_row: dict, csv_columns, json_rows: bool) -> tuple[tuple[st
     return tuple(parts[0::2]), tuple(parts[1::2])
 
 
-def grid_rows(grid, template, json_rows: bool) -> list[str | None]:
-    """Each angle's row of grid through template, None where grid.skipped.
+def grid_rows(grid, template, json_rows: bool) -> list[str]:
+    """Each angle's row of grid through template; where grid.skipped, the skipped row of grid.theta's angle.
 
     A column "group.key" reads grid.group[key], any other column the attribute of its name: an array over the
     angles, or one value for all of them.  One value, or an array of non-floats that holds one value, is rendered
@@ -163,4 +165,37 @@ def grid_rows(grid, template, json_rows: bool) -> list[str | None]:
         columns += [itertools.repeat(text), cells]
         text = literal
     rows = map("".join, zip(*columns, itertools.repeat(text)))
-    return [None if skip else Rendered(r) if json_rows else r for r, skip in zip(rows, grid.skipped.tolist())]
+    rows = list(map(Rendered, rows) if json_rows else rows)
+    for k in np.flatnonzero(grid.skipped).tolist():  # a skipped angle has no verdict: its theta and why
+        theta = grid.theta[k].item()
+        rows[k] = (render_json({"theta": theta, "skipped": True, "reason": "zero_proximity"}, 2) if json_rows
+                   else csv_cell(theta) + "," * (len(names) - 1) + "skipped")
+    return rows
+
+
+class ScanRows:
+    """What scan reads of a report on a grid: where it fails, its rows, its status column and where it overflows.
+
+    A report type sets CSV_HEADER, TEMPLATES (its `row_template` for each format), VALUE (the field whose inf or
+    nan is an overflow) and `fail_masks`: per check, where it failed.
+    """
+
+    def fails(self, checks=None) -> np.ndarray:
+        """Per angle: whether a check named in checks, any if None, failed there; never at a skipped angle."""
+        failed = np.zeros_like(self.skipped)
+        for k in self.fail_masks if checks is None else checks:
+            failed |= self.fail_masks[k]
+        return failed & np.logical_not(self.skipped)
+
+    @property
+    def status(self) -> np.ndarray:
+        return np.where(self.fails(), "fail", "pass")
+
+    def rows(self, json_rows: bool) -> list[str]:
+        """Each angle's scan row on a grid, a skipped angle's included; constant cells are rendered once."""
+        return grid_rows(self, self.TEMPLATES[json_rows], json_rows)
+
+    @property
+    def overflows(self) -> np.ndarray:
+        """Per angle not skipped: whether VALUE came out inf or nan."""
+        return ~np.isfinite(getattr(self, self.VALUE)) & np.logical_not(self.skipped)

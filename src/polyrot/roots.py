@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import NonConvergence
-from .poly import Polynomial, ZeroClassification, horner, horner_pair, read_zero
+from .poly import Polynomial, ZeroClassification, horner_pair, read_zero
 from .tolerances import RESIDUAL_TOL
 
 
@@ -42,7 +42,7 @@ def find_roots(p: Polynomial) -> list[complex]:
             z -= val / der
         if not cmath.isfinite(z):
             raise NonConvergence(f"root solve gave a non-finite zero {z}")
-        residual = abs(horner(monic, z))
+        residual = abs(horner_pair(monic, z)[0])
         try:
             bound = RESIDUAL_TOL * abs_sum * max(1.0, abs(z)) ** m
         except OverflowError:  # the bound is past the double range: any finite residual is below it

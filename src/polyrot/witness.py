@@ -18,7 +18,7 @@ import numpy as np
 from .bounds import grid_report
 from .errors import HypothesisViolated, InvalidWitnessParams, ZeroProximity
 from .oracle import arc_increment
-from .poly import RootForm, circle_grid, circle_point, complex_pairs, expand_monic, is_number, read_zero
+from .poly import RootForm, circle_grid, circle_point, complex_pairs, conj_product, expand_monic, is_number, read_zero
 from .rational import RationalFunction, classify_numerator, rational_grid
 from .tolerances import (ANGULAR_DERIVATIVE_SLACK, CHECK_SLACK, MAX_DEGREE, ONE_EXCLUSION, POLE_CIRCLE_TOL,
                          SELF_MAP_ONE_TOL, SELF_MAP_ORIGIN_TOL)
@@ -112,11 +112,7 @@ def witness_rational(
         raise InvalidWitnessParams("alpha and beta must be unimodular")
 
     # numerator of alpha B + beta over the common denominator prod (z - a_k)
-    top = expand_monic(1.0 / a.conjugate() for a in ps)
-    lead = 1.0 + 0j
-    for a in ps:
-        lead *= -a.conjugate()
-    bottom = expand_monic(ps)
+    top, lead, bottom = expand_monic(1.0 / a.conjugate() for a in ps), conj_product(ps), expand_monic(ps)
     num = [alpha * lead * t + beta * b for t, b in zip(top, bottom)]
     return RationalFunction(num, ps)
 

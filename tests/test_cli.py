@@ -482,6 +482,15 @@ def test_scan_pole_near_double_max_evaluates(capsys, monkeypatch):
                 assert abs(got - exact) <= 1e-15 * abs(exact)
 
 
+@pytest.mark.parametrize("stdin", ["[[1e308,0],[1e308,0]]", '{"numerator":[[1e308,0],[1e308,0]],"poles":[[1e-300,2]]}'],
+                         ids=["polynomial", "rational"])
+def test_scan_where_p_overflows_is_input_error(capsys, monkeypatch, stdin):
+    # P(z) = 1e308 (1 + z) overflows at theta = 0.5 while z P'(z) does not: Re(z P'/P) would read 0, a false
+    # lambda of -1 for the polynomial and a lower margin of -0.5 for the rational function, both exit 2
+    code, out, err = run(capsys, ["scan", "--theta", "0.5"], stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, out, err) == (1, "", "error: the evaluation overflows at theta = 0.5\n")
+
+
 def test_scan_rational_skip_rows(capsys, monkeypatch):
     # numerator z - 1 vanishes at theta = 0: that row is skipped
     stdin = json.dumps({"numerator": [[-1, 0], [1, 0]], "poles": [[2, 0]]})

@@ -8,7 +8,8 @@ flags and skipped rows.  Equality is exact (compared through float.hex), not
 within a tolerance.  Each rendered row must equal, byte for byte, a row that
 the test renders itself from the point report's fields with `render_json` and
 `csv_cell`, so the row template and its merged constant cells are checked
-against a direct rendering.
+against a direct rendering; a skipped row must equal the skipped row the test
+renders from the angle alone.
 """
 
 import cmath
@@ -85,6 +86,13 @@ def _bound_row(rep):
             "status": _status(rep.flags.values())}
 
 
+def _skipped_rows(theta, header):
+    """The (JSON, CSV) rows of an angle the guard refuses: its theta, and the reason, or skipped in the last of the
+    CSV header's columns."""
+    cells = [csv_cell(theta), *[""] * (header.count(",") - 1), "skipped"]
+    return render_json({"theta": theta, "skipped": True, "reason": "zero_proximity"}, 2), ",".join(cells)
+
+
 def assert_grid_matches_scalar(p, cls, thetas, arc=None, slack=1e-9):
     grid = grid_report(p, thetas, arc=arc, slack=slack, classification=cls)
     json_rows, csv_rows = grid.rows(True), grid.rows(False)
@@ -99,7 +107,7 @@ def assert_grid_matches_scalar(p, cls, thetas, arc=None, slack=1e-9):
         try:
             rep = full_report(p, theta, arc=arc, slack=slack, classification=cls)
         except ZeroProximity:
-            assert refused and json_rows[k] is None and csv_rows[k] is None
+            assert refused and (json_rows[k], csv_rows[k]) == _skipped_rows(theta, grid.CSV_HEADER)
             skipped += 1
             continue
         assert not refused
@@ -162,6 +170,17 @@ def test_grid_skips_where_the_guard_refuses():
     assert np.all(np.isfinite(speed))
 
 
+def test_grid_and_point_read_nan_where_p_overflows():
+    # P(z) = 1e308 (1 + z) overflows at theta = 0.5 but not at 3, while z P'(z) stays finite at both: the speed
+    # Re(z P'/P) would read 0 where P(z) is inf
+    p = Polynomial([1e308, 1e308])
+    thetas = [0.5, 3.0]
+    *_, speed, skipped = boundary_grid(p.coeffs, p.coeff_scale, thetas)
+    point = [poly.rotation_speed(p, circle_point(theta)) for theta in thetas]
+    assert math.isnan(speed[0]) and math.isnan(point[0]) and not skipped.any()
+    assert _hex(speed[1]) == _hex(point[1])
+
+
 def _rational_cases():
     rng = np.random.default_rng(9)
     zones = ("in_disk", "outside", "on_circle", "mixed")
@@ -205,7 +224,7 @@ def rational_mismatches(r, thetas, tol=1e-9):
         try:
             rep = check_rotation_bounds(r, theta, cls, tol)
         except ZeroProximity:
-            if not grid.skipped[k] or json_rows[k] is not None or csv_rows[k] is not None or fails[k]:
+            if not grid.skipped[k] or (json_rows[k], csv_rows[k]) != _skipped_rows(theta, grid.CSV_HEADER) or fails[k]:
                 out.append((theta, "skipped"))
             continue
         if grid.skipped[k]:

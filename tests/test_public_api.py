@@ -63,6 +63,15 @@ def _referenced_names(path):
     return names
 
 
+def test_only_report_lays_out_a_skipped_row():
+    # report renders every scan row, a skipped angle's included; a module that states the skip reason itself has
+    # grown its own row layout again
+    stating = {path.stem for path in SRC.glob("*.py")
+               if any(isinstance(node, ast.Constant) and node.value == "zero_proximity"
+                      for node in ast.walk(ast.parse(path.read_text())))}
+    assert stating == {"report"}
+
+
 def test_zeros_are_solved_for_only_where_an_input_arrives():
     # only a coefficient array and a rational numerator come without their zeros, and only scan and the
     # rational module solve for those; a root form is classified from the zeros it states.  Every evaluator

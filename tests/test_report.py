@@ -5,13 +5,14 @@ a column that holds one value into the literals.  Every cell it writes must be t
 write: 17 significant digits, -0.0 as 0, and the missing text (empty in CSV, null in JSON) for nan and infinities.
 """
 
+import cmath
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from polyrot import RootForm, circle_grid
+from polyrot import RootForm, circle_grid, from_roots
 from polyrot.bounds import grid_report
 from polyrot.report import (BOUND_KEYS, Rendered, csv_cell, dump_json, format_float, grid_rows, render_json,
                             row_template)
@@ -29,7 +30,8 @@ EDGES = [
 def _column_rows(values, json_rows):
     """Each value's cell as `grid_rows` renders a one-column grid of values."""
     column = np.array(values, dtype=float)
-    grid = SimpleNamespace(x=column, skipped=np.zeros(len(column), dtype=bool))
+    n = len(column)
+    grid = SimpleNamespace(x=column, theta=np.arange(n, dtype=float), skipped=np.zeros(n, dtype=bool))
     return grid_rows(grid, row_template({"x": "x"}, ["x"], json_rows), json_rows)
 
 
@@ -78,18 +80,52 @@ def test_arc_column_of_numbers_and_nan_renders_cell_by_cell():
         assert csv_rows[k] == ",".join(map(csv_cell, cells))
 
 
+class _CountedFlags(np.ndarray):
+    """A flag array that counts how often it is compared."""
+
+    def __eq__(self, other):
+        self.compared += 1
+        return np.asarray(self) == other
+
+
+def test_each_flag_is_compared_with_fail_once():
+    # the status column and scan's exit code both read where each flag fails: one comparison per flag array serves
+    # every read of either.  The expanded zeros on the circle give lambda at rounding level, so under a slack far
+    # below rounding every bound applies and fails at some angles
+    roots = tuple(map(cmath.exp, (1j, 2.5j, -2j)))
+    grid = grid_report(from_roots(RootForm(1.0 + 0.5j, roots)), circle_grid(360), (0.3, None), 1e-300,
+                       classify_root_list(roots))
+    counted = {k: flag.view(_CountedFlags) for k, flag in grid.flags.items() if isinstance(flag, np.ndarray)}
+    for flag in counted.values():
+        flag.compared = 0
+    grid.flags.update(counted)
+    status, rows = grid.status, grid.rows(False)
+    fails = [grid.fails(checks) for checks in (BOUND_KEYS, ["coeff"])]
+    assert grid.fails().tolist() == fails[0].tolist() and fails[0].any() and not fails[0].all()
+    assert status.tolist() == np.where(fails[0], "fail", "pass").tolist()
+    assert fails[1].tolist() == ((np.asarray(grid.flags["coeff"]) == "fail") & ~grid.skipped).tolist()
+    assert [row.rsplit(",", 1)[1] for row in rows] == status.tolist()
+    assert len(counted) == len(BOUND_KEYS)
+    assert {k: flag.compared for k, flag in counted.items()} == dict.fromkeys(counted, 1)
+
+
 def _assert_cells_match(columns, skipped=None):
     """grid_rows on a grid of the named columns (arrays over the angles or one value) renders, in CSV and JSON, each
-    row that is not skipped as the per-cell rules render it, and None where skipped."""
+    row that is not skipped as the per-cell rules render it, and where skipped the angle's theta, the reason in JSON
+    and skipped in the last CSV column."""
     n = max(len(v) for v in columns.values() if isinstance(v, np.ndarray))
     skipped = np.zeros(n, dtype=bool) if skipped is None else np.array(skipped)
-    grid = SimpleNamespace(**columns, skipped=skipped)
+    theta = np.linspace(0.0, 6.0, n)
+    grid = SimpleNamespace(**columns, theta=theta, skipped=skipped)
     for json_rows in (False, True):
         rows = grid_rows(grid, row_template({k: k for k in columns}, list(columns), json_rows), json_rows)
         for k, row in enumerate(rows):
             cells = {name: v[k].item() if isinstance(v, np.ndarray) else v for name, v in columns.items()}
+            if skipped[k]:
+                cells = ({"theta": theta[k].item(), "skipped": True, "reason": "zero_proximity"} if json_rows
+                         else dict(enumerate([theta[k].item(), *[None] * (len(columns) - 2), "skipped"])))
             expected = render_json(cells, 2) if json_rows else ",".join(map(csv_cell, cells.values()))
-            assert row == (None if skipped[k] else expected), (json_rows, k)
+            assert row == expected, (json_rows, k)
 
 
 def test_float_columns_with_equal_bits_share_their_cells():

@@ -19,6 +19,7 @@ from polyrot import (
     from_roots,
     witness_unimodular,
 )
+from polyrot.poly import horner_pair
 from polyrot.roots import classify_root_list
 from polyrot.tolerances import ON_CIRCLE_TOL, RESIDUAL_TOL
 
@@ -102,10 +103,18 @@ def test_exact_zero_past_the_residual_scale_is_accepted(monkeypatch):
     # max(1, |z|)^2 overflows at z = 1e200: the bound is past the double range, so the exact zero passes
     p = Polynomial([0, -1e200, 1])
     assert find_roots(p) == [0, 1e200]
-    # a residual that is not finite is still refused, even against that bound
-    monkeypatch.setattr("polyrot.roots.horner", lambda coeffs, z: complex("inf"))
+    # a residual that is not finite is still refused, even against that bound: each zero's second horner_pair call,
+    # after its Newton step, is the residual's, and only that one reads inf
+    calls = []
+
+    def inf_residual(coeffs, z):
+        calls.append(z)
+        return (complex("inf"), 0j) if len(calls) % 2 == 0 else horner_pair(coeffs, z)
+
+    monkeypatch.setattr("polyrot.roots.horner_pair", inf_residual)
     with pytest.raises(NonConvergence, match="residual"):
         find_roots(p)
+    assert len(calls) == 2
 
 
 def test_degree_128_expansion_passes_the_postcondition():
