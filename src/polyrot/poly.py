@@ -287,8 +287,9 @@ class RootForm:
 
 
 def circle_point(theta: float) -> complex:
-    """e^{i theta}: the one formula for a boundary point."""
-    return cmath.exp(1j * theta)
+    """e^{i theta} = cos theta + i sin theta: the one formula for a boundary point.  Bit for bit `cmath.exp(1j *
+    theta)`, whose imaginary exponent is theta + 0.0 (-0.0 reads 0), from the same C cos and sin."""
+    return complex(math.cos(theta), math.sin(theta + 0.0))
 
 
 def circle_grid(n: int) -> list[float]:
@@ -298,7 +299,11 @@ def circle_grid(n: int) -> list[float]:
 
 def circle_points(thetas: Sequence[float]) -> np.ndarray:
     """`circle_point` at every angle of thetas, as one complex array."""
-    return np.fromiter(map(circle_point, thetas), complex, len(thetas))
+    z = np.empty(len(thetas), complex)
+    z.real = np.fromiter(map(math.cos, thetas), float, len(thetas))
+    # only sin(-0.0) reads -0.0, and + 0.0 turns it into circle_point's sin(0.0); every other sine keeps its bits
+    z.imag = np.fromiter(map(math.sin, thetas), float, len(thetas)) + 0.0
+    return z
 
 
 def read_zero(a: complex) -> tuple[int, complex]:

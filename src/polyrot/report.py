@@ -10,12 +10,16 @@ grid.  A constant cell, or a column that holds one value at every angle,
 is rendered once and joins the literals.  Each distinct float column is
 formatted once, in one `%` call, with the digits that `format_float` gives
 one value at a time; columns with the same bits share its cells.  A skipped
-angle's row is written here too, and `ScanRows` gives both report types the
-`fails`, status, rows and overflows that scan reads.
+angle's row is written here too.  A JSON row is built, in the same join, as
+its finished line of the scan document's "rows" list, lead and separator
+included, and `dump_json` writes the list of them (`RowLines`) in one extend.
+`ScanRows` gives both report types the `fails`, status, rows and overflows
+that scan reads; the mask of every check is computed once per report.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -41,6 +45,17 @@ def format_float(x: float) -> str:
 
 class Rendered(str):
     """JSON text rendered in advance at its depth in the document; `dump_json` copies it verbatim."""
+
+
+class RowLines(list):
+    """The items of a JSON list at depth 1 of a document, each rendered in advance as its finished line: the lead, the
+    item's text at depth 2 and the separator after it (",\\n", or "\\n" after the last).  `dump_json` writes them as
+    they are, with no call per item."""
+
+
+def _row_line(text: str) -> str:
+    """text at depth 2 as a line of a list at depth 1 that another item follows."""
+    return "    " + text + ",\n"
 
 
 def render_json(obj, indent: int = 0) -> Rendered:
@@ -77,15 +92,14 @@ def _emit(obj, out: list[str], indent: int) -> None:
             out.append("[]")
             return
         out.append("[\n")
-        lead, last = pad + "  ", len(obj) - 1
-        for i, v in enumerate(obj):
-            sep = ",\n" if i < last else "\n"
-            if type(v) is Rendered:  # a pre-rendered scan row, copied without a call
-                out += (lead, v, sep)
-            else:
+        if type(obj) is RowLines:  # finished lines, copied in one extend
+            out += obj
+        else:
+            lead, last = pad + "  ", len(obj) - 1
+            for i, v in enumerate(obj):
                 out.append(lead)
                 _emit(v, out, indent + 1)
-                out.append(sep)
+                out.append(",\n" if i < last else "\n")
         out.append(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
@@ -117,10 +131,11 @@ def row_template(json_row: dict, csv_columns, json_rows: bool) -> tuple[tuple[st
 
     json_row is the JSON row with a column name at each leaf, csv_columns the CSV cells' column names in order:
     one report type's row schema, stated as data.  The row renders with a sentinel in every cell and is cut
-    there, so the literals are exactly those of `render_json` or the CSV join.
+    there, so the literals are exactly those of `render_json` or the CSV join.  A JSON row is cut as its finished
+    line of the scan document's "rows" list (`RowLines`), lead and separator included.
     """
     if json_rows:
-        text = render_json(_slots(json_row), 2)  # rows sit at depth 2 of the scan document, in its "rows" list
+        text = _row_line(render_json(_slots(json_row), 2))  # rows sit at depth 2, in the "rows" list at depth 1
     else:
         text = ",".join(map(_slots, csv_columns))
     parts = re.split('"?\0([^\0]*)\0"?', text)
@@ -128,7 +143,8 @@ def row_template(json_row: dict, csv_columns, json_rows: bool) -> tuple[tuple[st
 
 
 def grid_rows(grid, template, json_rows: bool) -> list[str]:
-    """Each angle's row of grid through template; where grid.skipped, the skipped row of grid.theta's angle.
+    """Each angle's row of grid through template; where grid.skipped, the skipped row of grid.theta's angle.  JSON
+    rows come as `RowLines`, the finished lines of the "rows" list.
 
     A column "group.key" reads grid.group[key], any other column the attribute of its name: an array over the
     angles, or one value for all of them.  One value, or an array of non-floats that holds one value, is rendered
@@ -165,11 +181,13 @@ def grid_rows(grid, template, json_rows: bool) -> list[str]:
         columns += [itertools.repeat(text), cells]
         text = literal
     rows = map("".join, zip(*columns, itertools.repeat(text)))
-    rows = list(map(Rendered, rows) if json_rows else rows)
+    rows = RowLines(rows) if json_rows else list(rows)
     for k in np.flatnonzero(grid.skipped).tolist():  # a skipped angle has no verdict: its theta and why
         theta = grid.theta[k].item()
-        rows[k] = (render_json({"theta": theta, "skipped": True, "reason": "zero_proximity"}, 2) if json_rows
-                   else csv_cell(theta) + "," * (len(names) - 1) + "skipped")
+        rows[k] = (_row_line(render_json({"theta": theta, "skipped": True, "reason": "zero_proximity"}, 2))
+                   if json_rows else csv_cell(theta) + "," * (len(names) - 1) + "skipped")
+    if json_rows and rows:
+        rows[-1] = rows[-1][:-2] + "\n"  # no comma after the last item
     return rows
 
 
@@ -182,9 +200,18 @@ class ScanRows:
 
     def fails(self, checks=None) -> np.ndarray:
         """Per angle: whether a check named in checks, any if None, failed there; never at a skipped angle."""
+        return self.any_fails if checks is None else self._fail_mask(checks)
+
+    @functools.cached_property
+    def any_fails(self) -> np.ndarray:
+        """`fails()`, computed once per report: the status column and scan's exit code both read it."""
+        return self._fail_mask(None)
+
+    def _fail_mask(self, checks) -> np.ndarray:
+        masks = self.fail_masks
         failed = np.zeros_like(self.skipped)
-        for k in self.fail_masks if checks is None else checks:
-            failed |= self.fail_masks[k]
+        for k in masks if checks is None else checks:
+            failed |= masks[k]
         return failed & np.logical_not(self.skipped)
 
     @property

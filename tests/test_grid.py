@@ -9,7 +9,9 @@ within a tolerance.  Each rendered row must equal, byte for byte, a row that
 the test renders itself from the point report's fields with `render_json` and
 `csv_cell`, so the row template and its merged constant cells are checked
 against a direct rendering; a skipped row must equal the skipped row the test
-renders from the angle alone.
+renders from the angle alone.  A JSON row is its finished line of the scan
+document's "rows" list: the lead, the row at depth 2, and ",\n" ("\n" after
+the last row).
 """
 
 import cmath
@@ -32,7 +34,7 @@ from polyrot import poly
 from polyrot.bounds import full_report, grid_report
 from polyrot.poly import boundary_grid, guard_zero
 from polyrot.rational import check_rotation_bounds, rational_grid
-from polyrot.report import BOUND_KEYS, csv_cell, render_json
+from polyrot.report import BOUND_KEYS, RowLines, csv_cell, dump_json, render_json
 from polyrot.roots import classify_root_list, classify_zeros
 
 CHECK_SUBSETS = (BOUND_KEYS, ("coeff",), ("value_thm1", "upper_zero_free"), ("arc_thm3",), ("classic", "coeff2_thm2"))
@@ -86,11 +88,20 @@ def _bound_row(rep):
             "status": _status(rep.flags.values())}
 
 
-def _skipped_rows(theta, header):
-    """The (JSON, CSV) rows of an angle the guard refuses: its theta, and the reason, or skipped in the last of the
-    CSV header's columns."""
+def _json_line(row, k, n):
+    """row, a dict, as the finished line k of a "rows" list of n items at depth 1: lead, row at depth 2, separator."""
+    return "    " + render_json(row, 2) + (",\n" if k < n - 1 else "\n")
+
+
+def _skipped_row(theta):
+    return {"theta": theta, "skipped": True, "reason": "zero_proximity"}
+
+
+def _skipped_rows(theta, header, k, n):
+    """The (JSON, CSV) rows of an angle the guard refuses, line k of n: its theta, and the reason, or skipped in the
+    last of the CSV header's columns."""
     cells = [csv_cell(theta), *[""] * (header.count(",") - 1), "skipped"]
-    return render_json({"theta": theta, "skipped": True, "reason": "zero_proximity"}, 2), ",".join(cells)
+    return _json_line(_skipped_row(theta), k, n), ",".join(cells)
 
 
 def assert_grid_matches_scalar(p, cls, thetas, arc=None, slack=1e-9):
@@ -107,7 +118,7 @@ def assert_grid_matches_scalar(p, cls, thetas, arc=None, slack=1e-9):
         try:
             rep = full_report(p, theta, arc=arc, slack=slack, classification=cls)
         except ZeroProximity:
-            assert refused and (json_rows[k], csv_rows[k]) == _skipped_rows(theta, grid.CSV_HEADER)
+            assert refused and (json_rows[k], csv_rows[k]) == _skipped_rows(theta, grid.CSV_HEADER, k, len(thetas))
             skipped += 1
             continue
         assert not refused
@@ -121,7 +132,7 @@ def assert_grid_matches_scalar(p, cls, thetas, arc=None, slack=1e-9):
         for checks in CHECK_SUBSETS:
             failed = any(rep.flags[c] == "fail" for c in checks)
             assert bool(grid.fails(checks)[k]) == bool(rep.fails(checks)) == failed, (theta, checks)
-        assert json_rows[k] == render_json(_bound_row(rep), 2)
+        assert json_rows[k] == _json_line(_bound_row(rep), k, len(thetas))
         cells = [rep.theta, rep.lam, *(rep.bounds[key] for key in BOUND_KEYS)]
         assert csv_rows[k] == ",".join([*map(csv_cell, cells), status])
     return skipped
@@ -224,7 +235,8 @@ def rational_mismatches(r, thetas, tol=1e-9):
         try:
             rep = check_rotation_bounds(r, theta, cls, tol)
         except ZeroProximity:
-            if not grid.skipped[k] or (json_rows[k], csv_rows[k]) != _skipped_rows(theta, grid.CSV_HEADER) or fails[k]:
+            skipped_rows = _skipped_rows(theta, grid.CSV_HEADER, k, len(thetas))
+            if not grid.skipped[k] or (json_rows[k], csv_rows[k]) != skipped_rows or fails[k]:
                 out.append((theta, "skipped"))
             continue
         if grid.skipped[k]:
@@ -239,7 +251,7 @@ def rational_mismatches(r, thetas, tol=1e-9):
         status = "fail" if False in (rep.lower_pass, rep.upper_pass) else "pass"
         if bool(fails[k]) != (status == "fail") or bool(rep.fails()) != (status == "fail"):
             out.append((theta, "fails"))
-        if json_rows[k] != render_json(_rational_row(rep), 2) or csv_rows[k] != ",".join(
+        if json_rows[k] != _json_line(_rational_row(rep), k, len(thetas)) or csv_rows[k] != ",".join(
                 [*map(csv_cell, (rep.theta, rep.value, rep.reference, rep.lower_margin, rep.upper_margin)), status]):
             out.append((theta, "row"))
     return out
@@ -283,3 +295,36 @@ def test_grid_refuses_a_beta_outside_0_pi():
     for beta in (0.0, math.pi, -1.0):
         with pytest.raises(ValueError, match="beta"):
             grid_report(p, circle_grid(8), (0.5, beta), 1e-9, classify_zeros(p))
+
+
+SKIPPED_ENDS = {"first_and_last_skipped": [0.0, 0.5, 2.0, 0.0], "one_angle": [0.5], "one_skipped_angle": [0.0]}
+
+
+@pytest.mark.parametrize("thetas", SKIPPED_ENDS.values(), ids=SKIPPED_ENDS)
+@pytest.mark.parametrize("kind", ["polynomial", "rational"])
+def test_scan_document_equals_its_plain_rendering(kind, thetas):
+    # a zero at 1 makes the guard refuse theta = 0: the finished lines at both ends of the list are skipped rows, and
+    # the whole document is what dump_json writes for the same rows built as plain dicts from the point reports
+    if kind == "polynomial":
+        obj, cls = from_roots(RootForm(1.0, (1.0, 0.5))), classify_root_list((1.0, 0.5))
+        grid = grid_report(obj, thetas, None, 1e-9, cls)
+
+        def point(theta):
+            return _bound_row(full_report(obj, theta, slack=1e-9, classification=cls))
+    else:
+        obj, cls = RationalFunction((-1.0, 1.0), (2.0,)), classify_root_list((1.0,))
+        grid = rational_grid(obj, thetas, 1e-9, cls)
+
+        def point(theta):
+            return _rational_row(check_rotation_bounds(obj, theta, cls, 1e-9))
+    plain = []
+    for theta in thetas:
+        try:
+            plain.append(point(theta))
+        except ZeroProximity:
+            plain.append(_skipped_row(theta))
+    rows = grid.rows(True)
+    assert type(rows) is RowLines and all(type(row) is str for row in rows)
+    assert grid.skipped.tolist() == [theta == 0.0 for theta in thetas]
+    doc = {"command": "scan", "input": obj.to_json(), "rows": rows}
+    assert dump_json(doc) == render_json({**doc, "rows": plain}) + "\n"

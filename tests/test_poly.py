@@ -15,7 +15,7 @@ from polyrot import (
     from_roots,
     rotation_speed,
 )
-from polyrot.poly import c_pow, expand_monic, horner_pair
+from polyrot.poly import c_pow, circle_points, expand_monic, horner_pair
 
 
 def test_evaluate_direct_substitution():
@@ -69,6 +69,22 @@ def test_rotation_speed_refuses_zero_proximity():
 def test_unit_circle_point_modulus():
     for theta in (0.0, 1.0, 3.9, -2.5):
         assert abs(circle_point(theta)) == pytest.approx(1.0, abs=5e-16)
+
+
+def test_circle_point_is_cmath_exp_bit_for_bit():
+    # cos theta + i sin(theta + 0.0) is cmath.exp(1j * theta), whose imaginary exponent is theta + 0.0: signed zeros,
+    # subnormals, +-pi and angles far past 2 pi included, at a point and over an array
+    edges = [0.0, -0.0, math.pi, -math.pi, 5e-324, -5e-324, 1e308, -1e308]
+    rng = np.random.default_rng(35)
+    thetas = edges + rng.uniform(-8.0, 8.0, 20000).tolist() + (rng.standard_normal(5000) * 1e6).tolist()
+
+    def bits(z):
+        return z.real.hex(), z.imag.hex()
+
+    want = [bits(cmath.exp(1j * t)) for t in thetas]
+    assert [bits(circle_point(t)) for t in thetas] == want
+    assert [bits(z) for z in circle_points(thetas).tolist()] == want
+    assert [bits(z) for z in circle_points(np.array(thetas)).tolist()] == want
 
 
 def test_polynomial_invariants():

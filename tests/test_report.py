@@ -3,19 +3,23 @@
 `grid_rows` formats each float column of a grid in one `%` call, once for all the columns with its bits, and merges
 a column that holds one value into the literals.  Every cell it writes must be the cell that the per-value rules
 write: 17 significant digits, -0.0 as 0, and the missing text (empty in CSV, null in JSON) for nan and infinities.
+A JSON row is its finished line of the scan document's "rows" list: the lead, the row at depth 2, and ",\n" ("\n"
+after the last row).
 """
 
 import cmath
+import io
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from polyrot import RootForm, circle_grid, from_roots
+from polyrot import RootForm, circle_grid, from_roots, report
 from polyrot.bounds import grid_report
-from polyrot.report import (BOUND_KEYS, Rendered, csv_cell, dump_json, format_float, grid_rows, render_json,
-                            row_template)
+from polyrot.cli import main
+from polyrot.report import (BOUND_KEYS, Rendered, RowLines, ScanRows, csv_cell, dump_json, format_float, grid_rows,
+                            render_json, row_template)
 from polyrot.roots import classify_root_list
 
 MAX = 1.7976931348623157e308
@@ -25,6 +29,11 @@ EDGES = [
     123456789012345678.0, 1e-4, 9.9999999999999991e-5, 1e-5, 0.1, 1.0 / 3.0, -2.5, 1.0, 100.0,
     math.nan, -math.nan, math.inf, -math.inf,
 ]
+
+
+def _json_line(row, k, n):
+    """row as the finished line k of a "rows" list of n items at depth 1: lead, row at depth 2, separator."""
+    return "    " + render_json(row, 2) + (",\n" if k < n - 1 else "\n")
 
 
 def _column_rows(values, json_rows):
@@ -46,11 +55,11 @@ def _random_doubles(n):
 @pytest.mark.parametrize("values", [EDGES, _random_doubles(20000)], ids=["edges", "random_bits"])
 def test_column_cells_equal_the_per_value_rules(values):
     csv_rows, json_rows = _column_rows(values, False), _column_rows(values, True)
-    for x, csv_row, json_row in zip(values, csv_rows, json_rows):
+    for k, (x, csv_row, json_row) in enumerate(zip(values, csv_rows, json_rows)):
         assert csv_row == csv_cell(x), x.hex()
         if math.isfinite(x):
             assert csv_row == format_float(x), x.hex()
-        assert json_row == render_json({"x": x}, 2), x.hex()
+        assert json_row == _json_line({"x": x}, k, len(values)), x.hex()
 
 
 def test_edge_cells_read_as_stated():
@@ -75,7 +84,8 @@ def test_arc_column_of_numbers_and_nan_renders_cell_by_cell():
 
         groups = {g: {key: at(getattr(grid, g)[key]) for key in BOUND_KEYS} for g in ("bounds", "margins", "flags")}
         status = at(grid.status)
-        assert json_rows[k] == render_json({"theta": thetas[k], "lambda": at(grid.lam), **groups, "status": status}, 2)
+        row = {"theta": thetas[k], "lambda": at(grid.lam), **groups, "status": status}
+        assert json_rows[k] == _json_line(row, k, len(thetas))
         cells = [thetas[k], at(grid.lam), *groups["bounds"].values(), status]
         assert csv_rows[k] == ",".join(map(csv_cell, cells))
 
@@ -124,7 +134,7 @@ def _assert_cells_match(columns, skipped=None):
             if skipped[k]:
                 cells = ({"theta": theta[k].item(), "skipped": True, "reason": "zero_proximity"} if json_rows
                          else dict(enumerate([theta[k].item(), *[None] * (len(columns) - 2), "skipped"])))
-            expected = render_json(cells, 2) if json_rows else ",".join(map(csv_cell, cells.values()))
+            expected = _json_line(cells, k, n) if json_rows else ",".join(map(csv_cell, cells.values()))
             assert row == expected, (json_rows, k)
 
 
@@ -158,9 +168,54 @@ def test_string_column_that_differs_only_at_a_skipped_row():
 
 
 def test_dump_json_copies_rendered_items_at_their_depth():
-    rows = [render_json({"x": 1.5, "s": "pass"}, 2), {"theta": 0.25, "skipped": True}, render_json({"x": -0.0}, 2)]
-    doc = {"rows": rows, "nested": [[render_json([1, None], 3), {"a": [render_json(True, 4)]}]], "empty": []}
-    plain = {"rows": [{"x": 1.5, "s": "pass"}, {"theta": 0.25, "skipped": True}, {"x": -0.0}],
-             "nested": [[[1, None], {"a": [True]}]], "empty": []}
-    assert all(type(r) is Rendered for r in rows[::2])
+    items = [{"x": 1.5, "s": "pass"}, {"theta": 0.25, "skipped": True}, {"x": -0.0}]
+    rows = RowLines(_json_line(item, k, len(items)) for k, item in enumerate(items))
+    nested = [[render_json([1, None], 3), {"a": [render_json(True, 4)]}, [render_json(2.5, 3)]]]
+    doc = {"rows": rows, "nested": nested, "empty": [], "no_rows": RowLines()}
+    plain = {"rows": items, "nested": [[[1, None], {"a": [True]}, [2.5]]], "empty": [], "no_rows": []}
+    assert type(nested[0][0]) is Rendered and all(type(r) is str for r in rows)
     assert dump_json(doc) == dump_json(plain) == render_json(plain) + "\n"
+
+
+def test_dump_json_makes_no_call_per_scan_row(monkeypatch):
+    # the finished lines of a scan's rows are written as they are: no row is wrapped in Rendered, and dump_json makes
+    # as many _emit calls for 1800 rows as for 2
+    calls = []
+    emit = report._emit
+
+    def counted(obj, out, indent):
+        calls.append(type(obj))
+        emit(obj, out, indent)
+
+    monkeypatch.setattr(report, "_emit", counted)
+    rf = RootForm(1.0 + 0.5j, (0.5 + 0.2j, 1j, -0.3 - 0.6j, 1.0))
+    counts = []
+    for n in (2, 1800):
+        rows = grid_report(rf, circle_grid(n), None, 1e-9, rf.classification).rows(True)
+        assert type(rows) is RowLines and len(rows) == n and all(type(row) is str for row in rows)
+        calls.clear()
+        dump_json({"command": "scan", "input": rf.to_json(), "rows": rows})
+        counts.append(len(calls))
+    assert counts[0] == counts[1] and calls.count(RowLines) == 1 and Rendered not in calls
+
+
+SCAN_INPUTS = {"polynomial": '{"leading":[1,0.5],"roots":[[0.5,0.2],[0,1],[-0.3,-0.6],[1,0]]}',
+               "rational": '{"numerator":[[-1,0],[1,0]],"poles":[[2,0]]}'}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind,checks", [("polynomial", None), ("polynomial", "coeff"), ("rational", None)])
+def test_scan_computes_the_mask_of_every_check_once(kind, checks, fmt, monkeypatch, capsys):
+    # the status column and the exit code read one mask of every check; --checks adds its own mask for the exit code
+    computed = []
+    fail_mask = ScanRows._fail_mask
+
+    def counted(self, names):
+        computed.append(names)
+        return fail_mask(self, names)
+
+    monkeypatch.setattr(ScanRows, "_fail_mask", counted)
+    monkeypatch.setattr("sys.stdin", io.StringIO(SCAN_INPUTS[kind]))
+    assert main(["scan", "--grid", "360", "--format", fmt, *([] if checks is None else ["--checks", checks])]) == 0
+    assert capsys.readouterr().out
+    assert computed == [None] + ([] if checks is None else [[checks]])
