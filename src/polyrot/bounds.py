@@ -6,6 +6,8 @@ All lower bounds are stated for the normalized excess rotation
 
 which is nonnegative whenever every zero of P lies in the closed unit
 disk.  Each bound function returns the right-hand side on that scale.
+`BOUNDS` is the one list of the bounds, in the order of a scan row's
+columns; the row schema, `scan --checks`, `verdict` and fuzz's tally read it.
 One gate, `verdict`, turns the bounds into signed margins and flags: a
 bound is "na" where its hypothesis fails, and passes where its margin is
 at least -slack max(1, |lambda|).  `full_report` calls it at one boundary
@@ -26,9 +28,14 @@ from .errors import HypothesisViolated
 from .oracle import arc_increment
 from .poly import (Polynomial, RootForm, boundary_grid, c_mul, c_pow, c_quot, circle_point, conj_product, guard_zero,
                    root_grid, rotation_speed)
-from .report import BOUND_KEYS, ScanRows, row_template
+from .report import ScanRows, row_template
 from .roots import ZeroClassification
 from .tolerances import ARC_INCREMENT_SLACK, CHECK_SLACK, EQUAL_MODULUS_REL
+
+
+# The bounds, in row order: each bound's key and the name fuzz tallies it under (None: fuzz does not tally it yet).
+BOUNDS = {"classic": "lambda_nonneg", "coeff": "coeff", "sqrt_weak": "sqrt_weak", "value_thm1": "value",
+          "coeff2_thm2": "coeff2", "arc_thm3": None, "upper_zero_free": "upper_zero_free"}
 
 
 def _where(cond, a, b):
@@ -135,15 +142,16 @@ def bound_zero_free(ct: tuple, degree):
     return 0.5 * degree + 0.5 * bound_coeff(ct)
 
 
-def lower_bounds(ct: tuple, value_thm1) -> tuple:
-    """The value of each lower bound, in BOUND_KEYS order; value_thm1 is the one that varies with theta."""
-    return 0.0, bound_coeff(ct), bound_sqrt_weak(ct), value_thm1, bound_coeff2(ct)
+def lower_bounds(ct: tuple, value_thm1) -> dict:
+    """The value of each lower bound, keyed by its `BOUNDS` key; value_thm1 is the one that varies with theta."""
+    return {"classic": 0.0, "coeff": bound_coeff(ct), "sqrt_weak": bound_sqrt_weak(ct), "value_thm1": value_thm1,
+            "coeff2_thm2": bound_coeff2(ct)}
 
 
 # A scan row, as data: the JSON row with a column name at each leaf, and the CSV header name of each column.
-_JSON_ROW = {"theta": "theta", "lambda": "lam", **{g: {k: f"{g}.{k}" for k in BOUND_KEYS}
+_JSON_ROW = {"theta": "theta", "lambda": "lam", **{g: {k: f"{g}.{k}" for k in BOUNDS}
                                                    for g in ("bounds", "margins", "flags")}, "status": "status"}
-_CSV_ROW = {"theta": "theta", "lambda": "lam", **{k: f"bounds.{k}" for k in BOUND_KEYS}, "status": "status"}
+_CSV_ROW = {"theta": "theta", "lambda": "lam", **{k: f"bounds.{k}" for k in BOUNDS}, "status": "status"}
 
 
 @dataclass(frozen=True)
@@ -185,16 +193,17 @@ def verdict(theta, speed, lam, lower, arc, zero_free, lower_ok, upper_ok, slack:
             skipped=False) -> BoundReport:
     """The one gate of the polynomial bounds, at a point or on arrays over a grid's angles or a fuzz chunk's cases.
 
-    lower holds the `lower_bounds` values, arc the arc bound (nan where its hypothesis fails) and zero_free the
-    zero-free bound; lower_ok and upper_ok say where all zeros lie in the closed disk and where none lie in the
-    open disk.  An empty lower, or None for arc or zero_free, leaves those bounds out.  A bound applies where its
-    hypothesis holds and, for a lower bound, its value is finite; elsewhere it is "na" with a nan margin (None if
-    it applies nowhere).  Where it applies it passes when its margin is at least -slack max(1, |lam|), and fails
-    otherwise, a nan margin included.  At a point each flag is a Python str.
+    lower maps lower bound keys to their values (`lower_bounds`), arc is the arc bound (nan where its hypothesis
+    fails) and zero_free the zero-free bound; lower_ok and upper_ok say where all zeros lie in the closed disk and
+    where none lie in the open disk.  A key missing from lower, or None for arc or zero_free, leaves that bound out.
+    A bound applies where its hypothesis holds and, for a lower bound, its value is finite; elsewhere it is "na"
+    with a nan margin (None if it applies nowhere).  Where it applies it passes when its margin is at least
+    -slack max(1, |lam|), and fails otherwise, a nan margin included.  The report's bounds, margins and flags hold
+    every key of `BOUNDS`, in its order; at a point each flag is a Python str.
     """
-    bounds, margins, flags = dict.fromkeys(BOUND_KEYS), dict.fromkeys(BOUND_KEYS), dict.fromkeys(BOUND_KEYS, "na")
+    bounds, margins, flags = dict.fromkeys(BOUNDS), dict.fromkeys(BOUNDS), dict.fromkeys(BOUNDS, "na")
     neg_tol = -(slack * np.fmax(1.0, np.abs(lam)))  # fmax, like max(1.0, x), ignores a nan x
-    checks = [(key, value, lam - value, lower_ok & np.isfinite(value)) for key, value in zip(BOUND_KEYS, lower)]
+    checks = [(key, value, lam - value, lower_ok & np.isfinite(value)) for key, value in lower.items()]
     if arc is not None:
         checks.append(("arc_thm3", arc, arc - lam, ~np.isnan(arc)))
     if zero_free is not None:

@@ -16,12 +16,12 @@ import numpy as np
 
 from . import corpus
 from .blaschke import check_mercer_remark
-from .bounds import blaschke_w, bound_zero_free, grid_report, lower_bounds, value_refined, verdict
+from .bounds import BOUNDS, blaschke_w, bound_zero_free, grid_report, lower_bounds, value_refined, verdict
 from .errors import PolyrotError
 from .oracle import arg_derivative_fd_batch
 from .poly import Polynomial, RootBatch, RootForm, circle_grid, root_batch, unit_products
 from .rational import RationalFunction, classify_numerator, comparison, pole_speed, rational_grid
-from .report import BOUND_KEYS, csv_cell, dump_json
+from .report import csv_cell, dump_json
 from .roots import classify_zeros
 from .tolerances import CHECK_SLACK, MAX_DEGREE, ORACLE_AGREEMENT_TOL
 from .witness import WitnessSpec, witness_report
@@ -56,7 +56,7 @@ def cmd_scan(args) -> int:
         obj = _parse_scan_input(_read_input(args.input), args.mode)
         thetas = [float(t) for t in args.theta.split(",")] if args.theta is not None else circle_grid(args.grid)
         checks = args.checks.split(",") if args.checks is not None else None  # None gates on every check
-        unknown = sorted(set(checks or ()) - set(BOUND_KEYS))
+        unknown = sorted(set(checks or ()) - set(BOUNDS))
         if isinstance(obj, RationalFunction):
             # A rational input has no coefficient/root mode, no polynomial bound to gate on and no arc check.
             given = {f"--{args.mode}": args.mode != "auto", "--checks": args.checks is not None,
@@ -126,10 +126,6 @@ class _FuzzTally:
 # --count never holds every case at once (at MAX_DEGREE each array of a chunk's batch is 4096 x 128 doubles, 4 MB).
 _FUZZ_CHUNK = 64
 
-# The bound keys fuzz tallies and the names it tallies them under.
-_FUZZ_NAMES = {"classic": "lambda_nonneg", "coeff": "coeff", "sqrt_weak": "sqrt_weak", "value_thm1": "value",
-               "coeff2_thm2": "coeff2", "upper_zero_free": "upper_zero_free"}
-
 
 def _fuzz_checks(batch: RootBatch, thetas: list[float], k: int, poles: np.ndarray, n_poles: np.ndarray,
                  zone: str) -> dict:
@@ -151,7 +147,7 @@ def _fuzz_checks(batch: RootBatch, thetas: list[float], k: int, poles: np.ndarra
         polynomials, lam = batch[:k], 2.0 * speed[:k] - degree[:k]
         oracle = ORACLE_AGREEMENT_TOL - np.abs(speed[:k] - arg_derivative_fd_batch(polynomials, thetas[:k]))
         checks["oracle_agreement"] = oracle, oracle < 0.0
-        lower, zero_free, ct = (), None, polynomials.ct() if zone != "mixed" else None
+        lower, zero_free, ct = {}, None, polynomials.ct() if zone != "mixed" else None
         if zone in ("in_disk", "on_circle"):
             u = unit_products(fr[:, :k], fi[:, :k], degree[:k])
             w = blaschke_w(polynomials.conj_product(), u.real, u.imag, z[:k], degree[:k])
@@ -163,8 +159,8 @@ def _fuzz_checks(batch: RootBatch, thetas: list[float], k: int, poles: np.ndarra
         if zone == "outside":
             zero_free = bound_zero_free(ct, degree[:k])
         report = verdict(thetas[:k], speed[:k], lam, lower, None, zero_free, lower_ok[:k], upper_ok[:k], CHECK_SLACK)
-        for key, name in _FUZZ_NAMES.items():
-            if report.bounds[key] is not None:  # a bound that applies to no case counts each case with a nan margin
+        for key, name in BOUNDS.items():  # a bound that applies to no case counts each case with a nan margin
+            if name is not None and report.bounds[key] is not None:
                 margins = report.margins[key]
                 checks[name] = np.full(k, math.nan) if margins is None else margins, report.fail_masks[key]
     if len(n_poles):
@@ -186,13 +182,13 @@ def cmd_fuzz(args) -> int:
     (c, t, r) that every theta-free bound reads, and `oracle.arg_derivative_fd_batch` the extrapolated oracle.  No
     reduction over a form's zeros is pairwise, so a case's bits are `root_grid`'s and do not depend on the other
     cases of its chunk; an angle the zero guard refuses drops its case.  fuzz solves for no root.  It tallies, each
-    bound through scan's gate (`bounds.verdict` for the polynomial bounds, `rational.comparison` for the rational ones):
+    bound through scan's gate (`bounds.verdict` for the polynomial bounds, `rational.comparison` for the rational ones),
+    and each polynomial bound under its fuzz name in `bounds.BOUNDS` (arc_thm3 has none, and is not tallied yet):
 
     - every zone: oracle_agreement, the analytic speed against the oracle within ORACLE_AGREEMENT_TOL;
-    - in_disk and on_circle: the lower bounds (`bounds.lower_bounds`:
-      lambda_nonneg, coeff, sqrt_weak, value, coeff2) and mercer_remark;
+    - in_disk and on_circle: the lower bounds (`bounds.lower_bounds`) and mercer_remark;
     - on_circle: lambda_zero, |lambda| <= CHECK_SLACK;
-    - outside: upper_zero_free.
+    - outside: the zero-free upper bound.
 
     Except in the mixed zone, each case also draws a rational function with
     1-4 poles and tallies rational_lower and rational_upper, each over the

@@ -26,25 +26,10 @@ import re
 
 import numpy as np
 
-BOUND_KEYS = (
-    "classic",
-    "coeff",
-    "sqrt_weak",
-    "value_thm1",
-    "coeff2_thm2",
-    "arc_thm3",
-    "upper_zero_free",
-)
-
-
 def format_float(x: float) -> str:
     if x == 0.0:
         x = 0.0  # normalize -0.0
     return f"{x:.17g}"
-
-
-class Rendered(str):
-    """JSON text rendered in advance at its depth in the document; `dump_json` copies it verbatim."""
 
 
 class RowLines(list):
@@ -58,18 +43,16 @@ def _row_line(text: str) -> str:
     return "    " + text + ",\n"
 
 
-def render_json(obj, indent: int = 0) -> Rendered:
+def render_json(obj, indent: int = 0) -> str:
     """obj as JSON text at the given nesting depth, with the rules of `dump_json`."""
     out: list[str] = []
     _emit(obj, out, indent)
-    return Rendered("".join(out))
+    return "".join(out)
 
 
 def _emit(obj, out: list[str], indent: int) -> None:
     pad = "  " * indent
-    if isinstance(obj, Rendered):
-        out.append(obj)
-    elif obj is None or isinstance(obj, bool):
+    if obj is None or isinstance(obj, bool):
         out.append("null" if obj is None else "true" if obj else "false")
     elif isinstance(obj, str):
         out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')

@@ -22,8 +22,7 @@ from polyrot import (
     rotation_speed,
 )
 from polyrot import corpus
-from polyrot.bounds import full_report, verdict
-from polyrot.report import BOUND_KEYS
+from polyrot.bounds import BOUNDS, full_report, verdict
 from polyrot.roots import classify_root_list
 from test_corpus import reference_leading, reference_roots, reference_valid_theta
 
@@ -231,7 +230,7 @@ def test_every_applicable_flag_passes_across_zones(rng):
     # Each zero of a degree 1-6 input is drawn inside the disk, on the circle or outside, at an angle where
     # |P| clears fuzz's floor.  A bound whose hypothesis holds must pass, and the arc bound, stated for zeros
     # in the closed disk, must read na whenever one lies outside.
-    applicable = dict.fromkeys(BOUND_KEYS, 0)
+    applicable = dict.fromkeys(BOUNDS, 0)
     gated_arcs = 0
     for _ in range(2000):
         zones = rng.choice(corpus.ZONES[:3], size=int(rng.integers(1, 7)))
@@ -273,10 +272,11 @@ def test_verdict_is_the_same_gate_at_a_point_and_on_arrays():
         assert lam - coeff == zero_free - speed == -SLACK * max(1.0, abs(lam))
     lam, speed, coeff, zero_free, lower_ok, upper_ok, _, _ = map(np.array, zip(*GATE_CASES))
     # classic reads nan, so it is na everywhere and the status is that of the two bounds under test
-    on_arrays = verdict(None, speed, lam, (math.nan, coeff), None, zero_free, lower_ok, upper_ok, SLACK,
-                        np.zeros(len(lam), bool))
+    on_arrays = verdict(None, speed, lam, {"classic": math.nan, "coeff": coeff}, None, zero_free, lower_ok, upper_ok,
+                        SLACK, np.zeros(len(lam), bool))
     for k, (lam, speed, coeff, zero_free, lower_ok, upper_ok, *flags) in enumerate(GATE_CASES):
-        at_point = verdict(0.0, speed, lam, (math.nan, coeff), None, zero_free, lower_ok, upper_ok, SLACK)
+        at_point = verdict(0.0, speed, lam, {"classic": math.nan, "coeff": coeff}, None, zero_free, lower_ok, upper_ok,
+                           SLACK)
         for key, flag, margin in zip(("coeff", "upper_zero_free"), flags, (lam - coeff, zero_free - speed)):
             assert type(at_point.flags[key]) is str and at_point.flags[key] == on_arrays.flags[key][k] == flag
             assert at_point.margins[key] is None or type(at_point.margins[key]) is float
@@ -287,15 +287,15 @@ def test_verdict_is_the_same_gate_at_a_point_and_on_arrays():
 
 def test_verdict_keeps_none_where_a_bound_applies_nowhere():
     nowhere, lam = np.array([False, False]), np.array([0.5, 1.0])
-    at_point = verdict(0.0, 0.5, 0.5, (0.0, 0.25), math.nan, 2.0, False, False, SLACK)
-    on_arrays = verdict(None, lam, lam, (0.0, np.array([0.25, math.inf])), np.full(2, math.nan), 2.0, nowhere,
-                        nowhere, SLACK)
+    at_point = verdict(0.0, 0.5, 0.5, {"classic": 0.0, "coeff": 0.25}, math.nan, 2.0, False, False, SLACK)
+    on_arrays = verdict(None, lam, lam, {"classic": 0.0, "coeff": np.array([0.25, math.inf])}, np.full(2, math.nan),
+                        2.0, nowhere, nowhere, SLACK)
     for report in (at_point, on_arrays):
         for key in ("classic", "coeff", "arc_thm3", "upper_zero_free"):
             assert report.margins[key] is None and report.flags[key] == "na", key
         assert report.bounds["classic"] == 0.0 and report.bounds["upper_zero_free"] == 2.0
     # a bound left out has no value either
-    left_out = verdict(0.0, 0.5, 0.5, (), None, None, True, True, SLACK)
+    left_out = verdict(0.0, 0.5, 0.5, {}, None, None, True, True, SLACK)
     assert set(left_out.bounds.values()) == set(left_out.margins.values()) == {None}
     assert set(left_out.flags.values()) == {"na"}
 
@@ -303,7 +303,7 @@ def test_verdict_keeps_none_where_a_bound_applies_nowhere():
 def test_report_keys_match_wire_schema():
     p = Polynomial([-0.5, 1])
     rep = full_report(p, 0.0, classify_zeros(p))
-    assert tuple(rep.bounds) == tuple(rep.margins) == tuple(rep.flags) == BOUND_KEYS
+    assert tuple(rep.bounds) == tuple(rep.margins) == tuple(rep.flags) == tuple(BOUNDS)
 
 
 def test_scale_invariance(rng):

@@ -31,13 +31,14 @@ from polyrot import (
     from_roots,
 )
 from polyrot import poly
-from polyrot.bounds import full_report, grid_report
+from polyrot.bounds import BOUNDS, full_report, grid_report
 from polyrot.poly import boundary_grid, guard_zero
 from polyrot.rational import check_rotation_bounds, rational_grid
-from polyrot.report import BOUND_KEYS, RowLines, csv_cell, dump_json, render_json
+from polyrot.report import RowLines, csv_cell, dump_json, render_json
 from polyrot.roots import classify_root_list, classify_zeros
 
-CHECK_SUBSETS = (BOUND_KEYS, ("coeff",), ("value_thm1", "upper_zero_free"), ("arc_thm3",), ("classic", "coeff2_thm2"))
+CHECK_SUBSETS = (tuple(BOUNDS), ("coeff",), ("value_thm1", "upper_zero_free"), ("arc_thm3",),
+                 ("classic", "coeff2_thm2"))
 
 
 def _zeros(rng, degree, zone):
@@ -83,8 +84,8 @@ def _status(flags):
 
 def _bound_row(rep):
     """The JSON scan row of a `full_report`, built from its fields: the reference for the grid's template."""
-    return {"theta": rep.theta, "lambda": rep.lam, "bounds": {k: rep.bounds[k] for k in BOUND_KEYS},
-            "margins": {k: rep.margins[k] for k in BOUND_KEYS}, "flags": {k: rep.flags[k] for k in BOUND_KEYS},
+    return {"theta": rep.theta, "lambda": rep.lam, "bounds": {k: rep.bounds[k] for k in BOUNDS},
+            "margins": {k: rep.margins[k] for k in BOUNDS}, "flags": {k: rep.flags[k] for k in BOUNDS},
             "status": _status(rep.flags.values())}
 
 
@@ -123,7 +124,7 @@ def assert_grid_matches_scalar(p, cls, thetas, arc=None, slack=1e-9):
             continue
         assert not refused
         assert _hex(grid.speed[k]) == _hex(rep.speed) and _hex(grid.lam[k]) == _hex(rep.lam), theta
-        for key in BOUND_KEYS:
+        for key in BOUNDS:
             assert _hex(_at(grid.bounds[key], k)) == _hex(rep.bounds[key]), (theta, key)
             assert _hex(_at(grid.margins[key], k)) == _hex(rep.margins[key]), (theta, key)
             assert _at(grid.flags[key], k) == rep.flags[key], (theta, key)
@@ -133,7 +134,7 @@ def assert_grid_matches_scalar(p, cls, thetas, arc=None, slack=1e-9):
             failed = any(rep.flags[c] == "fail" for c in checks)
             assert bool(grid.fails(checks)[k]) == bool(rep.fails(checks)) == failed, (theta, checks)
         assert json_rows[k] == _json_line(_bound_row(rep), k, len(thetas))
-        cells = [rep.theta, rep.lam, *(rep.bounds[key] for key in BOUND_KEYS)]
+        cells = [rep.theta, rep.lam, *(rep.bounds[key] for key in BOUNDS)]
         assert csv_rows[k] == ",".join([*map(csv_cell, cells), status])
     return skipped
 

@@ -6,6 +6,7 @@ import inspect
 from pathlib import Path
 
 import polyrot
+from polyrot.bounds import BOUNDS
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "polyrot"
@@ -70,6 +71,24 @@ def test_only_report_lays_out_a_skipped_row():
                if any(isinstance(node, ast.Constant) and node.value == "zero_proximity"
                       for node in ast.walk(ast.parse(path.read_text())))}
     assert stating == {"report"}
+
+
+def _bound_key_lists(path):
+    """Each tuple, list or set literal, and each dict's keys, in the module at path that hold two or more bound keys."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else getattr(node, "keys", ())
+        keys = [item.value for item in items if isinstance(item, ast.Constant) and item.value in BOUNDS]
+        if len(keys) >= 2:
+            found.append(keys)
+    return found
+
+
+def test_only_bounds_lists_the_bounds():
+    # bounds.BOUNDS is the one list of the bounds, read by the row schema, scan --checks, verdict and fuzz; a second
+    # list elsewhere would miss the next bound added to it.  Reading one bound by its key is not a list
+    listing = {path.stem: _bound_key_lists(path) for path in SRC.glob("*.py") if path.stem != "bounds"}
+    assert {stem: found for stem, found in listing.items() if found} == {}
 
 
 def test_zeros_are_solved_for_only_where_an_input_arrives():

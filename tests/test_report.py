@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from polyrot import RootForm, circle_grid, from_roots, report
-from polyrot.bounds import grid_report
+from polyrot.bounds import BOUNDS, grid_report
 from polyrot.cli import main
-from polyrot.report import (BOUND_KEYS, Rendered, RowLines, ScanRows, csv_cell, dump_json, format_float, grid_rows,
-                            render_json, row_template)
+from polyrot.report import (RowLines, ScanRows, csv_cell, dump_json, format_float, grid_rows, render_json,
+                            row_template)
 from polyrot.roots import classify_root_list
 
 MAX = 1.7976931348623157e308
@@ -82,7 +82,7 @@ def test_arc_column_of_numbers_and_nan_renders_cell_by_cell():
         def at(column):
             return column[k].item() if isinstance(column, np.ndarray) else column
 
-        groups = {g: {key: at(getattr(grid, g)[key]) for key in BOUND_KEYS} for g in ("bounds", "margins", "flags")}
+        groups = {g: {key: at(getattr(grid, g)[key]) for key in BOUNDS} for g in ("bounds", "margins", "flags")}
         status = at(grid.status)
         row = {"theta": thetas[k], "lambda": at(grid.lam), **groups, "status": status}
         assert json_rows[k] == _json_line(row, k, len(thetas))
@@ -110,12 +110,12 @@ def test_each_flag_is_compared_with_fail_once():
         flag.compared = 0
     grid.flags.update(counted)
     status, rows = grid.status, grid.rows(False)
-    fails = [grid.fails(checks) for checks in (BOUND_KEYS, ["coeff"])]
+    fails = [grid.fails(checks) for checks in (BOUNDS, ["coeff"])]
     assert grid.fails().tolist() == fails[0].tolist() and fails[0].any() and not fails[0].all()
     assert status.tolist() == np.where(fails[0], "fail", "pass").tolist()
     assert fails[1].tolist() == ((np.asarray(grid.flags["coeff"]) == "fail") & ~grid.skipped).tolist()
     assert [row.rsplit(",", 1)[1] for row in rows] == status.tolist()
-    assert len(counted) == len(BOUND_KEYS)
+    assert len(counted) == len(BOUNDS)
     assert {k: flag.compared for k, flag in counted.items()} == dict.fromkeys(counted, 1)
 
 
@@ -167,19 +167,18 @@ def test_string_column_that_differs_only_at_a_skipped_row():
     _assert_cells_match({"x": np.arange(5.0), "status": status}, skipped)
 
 
-def test_dump_json_copies_rendered_items_at_their_depth():
+def test_dump_json_copies_row_lines_as_they_are():
     items = [{"x": 1.5, "s": "pass"}, {"theta": 0.25, "skipped": True}, {"x": -0.0}]
     rows = RowLines(_json_line(item, k, len(items)) for k, item in enumerate(items))
-    nested = [[render_json([1, None], 3), {"a": [render_json(True, 4)]}, [render_json(2.5, 3)]]]
-    doc = {"rows": rows, "nested": nested, "empty": [], "no_rows": RowLines()}
-    plain = {"rows": items, "nested": [[[1, None], {"a": [True]}, [2.5]]], "empty": [], "no_rows": []}
-    assert type(nested[0][0]) is Rendered and all(type(r) is str for r in rows)
+    doc = {"rows": rows, "empty": [], "no_rows": RowLines()}
+    plain = {"rows": items, "empty": [], "no_rows": []}
+    assert all(type(r) is str for r in rows)
     assert dump_json(doc) == dump_json(plain) == render_json(plain) + "\n"
 
 
 def test_dump_json_makes_no_call_per_scan_row(monkeypatch):
-    # the finished lines of a scan's rows are written as they are: no row is wrapped in Rendered, and dump_json makes
-    # as many _emit calls for 1800 rows as for 2
+    # the finished lines of a scan's rows are written as they are: dump_json makes as many _emit calls for 1800 rows
+    # as for 2
     calls = []
     emit = report._emit
 
@@ -196,7 +195,7 @@ def test_dump_json_makes_no_call_per_scan_row(monkeypatch):
         calls.clear()
         dump_json({"command": "scan", "input": rf.to_json(), "rows": rows})
         counts.append(len(calls))
-    assert counts[0] == counts[1] and calls.count(RowLines) == 1 and Rendered not in calls
+    assert counts[0] == counts[1] and calls.count(RowLines) == 1
 
 
 SCAN_INPUTS = {"polynomial": '{"leading":[1,0.5],"roots":[[0.5,0.2],[0,1],[-0.3,-0.6],[1,0]]}',
