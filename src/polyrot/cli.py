@@ -100,26 +100,15 @@ def cmd_scan(args) -> int:
     return 2 if grid.fails(checks).any() else 0
 
 
-class _FuzzTally:
-    def __init__(self):
-        self.stats: dict = {}
-
-    def record(self, name: str, margins: np.ndarray, violated: np.ndarray):
-        """Cases of check name, one entry each; a nan margin (a non-finite bound: the scalar path's None) counts
-        its case but leaves the minimum as it is.  No cases leave the check out of the report."""
-        if not len(margins):
-            return
-        s = self.stats.setdefault(name, {"cases": 0, "min_margin": math.inf, "violations": 0})
-        s["cases"] += len(margins)
-        s["min_margin"] = min(s["min_margin"], float(np.fmin.reduce(margins, initial=math.inf)))
-        s["violations"] += int(np.count_nonzero(violated))
-
-    def as_dict(self) -> dict:
-        return {k: dict(v) for k, v in sorted(self.stats.items())}
-
-    @property
-    def violations(self) -> int:
-        return sum(v["violations"] for v in self.stats.values())
+def _record(stats: dict, name: str, margins: np.ndarray, violated: np.ndarray):
+    """Add cases of check name to stats, one entry each; a nan margin (a non-finite bound: the scalar path's None)
+    counts its case but leaves the minimum as it is.  No cases leave the check out of the report."""
+    if not len(margins):
+        return
+    s = stats.setdefault(name, {"cases": 0, "min_margin": math.inf, "violations": 0})
+    s["cases"] += len(margins)
+    s["min_margin"] = min(s["min_margin"], float(np.fmin.reduce(margins, initial=math.inf)))
+    s["violations"] += int(np.count_nonzero(violated))
 
 
 # Cases drawn before they are evaluated together: enough to amortize the array passes, few enough that a large
@@ -127,20 +116,20 @@ class _FuzzTally:
 _FUZZ_CHUNK = 64
 
 
-def _fuzz_checks(batch: RootBatch, thetas: list[float], k: int, poles: np.ndarray, n_poles: np.ndarray,
-                 zone: str) -> dict:
+def _fuzz_checks(batch: RootBatch, thetas: list[float], poles: np.ndarray, n_poles: np.ndarray, zone: str) -> dict:
     """Each check's (margins, violated) over one chunk's forms, in the zone's set of checks (see `cmd_fuzz`): the
-    first k forms of batch are its polynomials, the rest the numerators of rational functions with these poles.
+    last len(n_poles) forms of batch are the numerators of rational functions with these poles, the k before them
+    its polynomials.
 
     One `root_batch` call evaluates every form; the oracle runs on the polynomials, and each theta-free bound once
     on their (c, t, r) arrays (`RootBatch.ct`).  The polynomial bounds are gated by `bounds.verdict` and the rational
     ones by `rational.comparison`, as in scan.
     """
+    k = len(batch.degree) - len(n_poles)
     z, fr, fi, speed, skipped = root_batch(batch, thetas)
     if skipped.any():  # an angle the zero guard refuses drops its case
         keep, rational = ~skipped, ~skipped[k:]
-        return _fuzz_checks(batch[keep], np.asarray(thetas)[keep].tolist(), int(keep[:k].sum()), poles[rational],
-                            n_poles[rational], zone)
+        return _fuzz_checks(batch[keep], np.asarray(thetas)[keep].tolist(), poles[rational], n_poles[rational], zone)
     degree, lower_ok, upper_ok = batch.degree, batch.count(1) == 0, batch.count(-1) == 0
     checks = {}
     if k:
@@ -203,15 +192,16 @@ def cmd_fuzz(args) -> int:
         if bad:
             print(f"error: {message}", file=sys.stderr)
             return 1
-    tally = _FuzzTally()
+    stats: dict = {}
     for index, start in enumerate(range(0, args.count, _FUZZ_CHUNK)):
         chunk = corpus.fuzz_chunk(args.seed, index, min(_FUZZ_CHUNK, args.count - start),
                                   (args.degree_min, args.degree_max), args.zone)
         batch = RootBatch.read(chunk.degree, chunk.re, chunk.im)
-        checks = _fuzz_checks(batch, chunk.thetas, len(batch.degree) - len(chunk.n_poles), chunk.poles,
-                              chunk.n_poles, args.zone)
-        for name, (margins, violated) in checks.items():
-            tally.record(name, margins, violated)
+        for name, (margins, violated) in _fuzz_checks(batch, chunk.thetas, chunk.poles, chunk.n_poles,
+                                                      args.zone).items():
+            _record(stats, name, margins, violated)
+    stats = dict(sorted(stats.items()))
+    violations = sum(s["violations"] for s in stats.values())
 
     summary = {
         "command": "fuzz",
@@ -219,17 +209,17 @@ def cmd_fuzz(args) -> int:
         "count": args.count,
         "seed": args.seed,
         "degree_range": [args.degree_min, args.degree_max],
-        "checks": tally.as_dict(),
-        "violations": tally.violations,
+        "checks": stats,
+        "violations": violations,
     }
     if args.fmt == "json":
         sys.stdout.write(dump_json(summary))
     else:
         out = ["check,cases,min_margin,violations"]
-        for name, s in sorted(tally.stats.items()):
+        for name, s in stats.items():
             out.append(f"{name},{s['cases']},{csv_cell(s['min_margin'])},{s['violations']}")
         sys.stdout.write("\n".join(out) + "\n")
-    return 2 if tally.violations else 0
+    return 2 if violations else 0
 
 
 def cmd_witness(args) -> int:

@@ -23,7 +23,6 @@ from polyrot import (
     bound_coeff,
     bound_coeff2,
     bound_value,
-    check_goryainov,
     check_mercer_remark,
     circle_point,
     classify_numerator,
@@ -40,34 +39,7 @@ from polyrot.bounds import full_report
 from polyrot.oracle import arg_derivative_fd
 from polyrot.rational import check_rotation_bounds
 from test_corpus import reference_poles
-
-
-def lambda_at(p, theta):
-    """Excess rotation 2 (arg P)'_theta - n at theta, from the coefficients."""
-    return 2.0 * rotation_speed(p, circle_point(theta)) - p.degree
-
-
-class SelfMap:
-    """f(z) = pre z prod (z - a)/(1 - conj(a) z), a finite Blaschke product over zeros a in the open disk."""
-
-    def __init__(self, pre, zeros):
-        self.pre, self.zeros = pre, tuple(zeros)
-
-    def __call__(self, z):
-        acc = self.pre * z
-        for a in self.zeros:
-            acc *= (z - a) / (1.0 - a.conjugate() * z)
-        return acc
-
-    def derivative_at_zero(self):
-        acc = self.pre
-        for a in self.zeros:
-            acc *= -a
-        return acc
-
-    def goryainov(self, fp1):
-        """`check_goryainov` of this map, whose angular derivative at 1 is fp1."""
-        return check_goryainov(self(0j), self(1.0 + 0j), self.derivative_at_zero(), fp1)
+from helpers import SelfMap, lambda_at
 
 
 # The witnesses' increment is alpha exactly; the closed form misses it only by rounding.

@@ -25,11 +25,7 @@ from polyrot import corpus
 from polyrot.bounds import BOUNDS, full_report, verdict
 from polyrot.roots import classify_root_list
 from test_corpus import reference_leading, reference_roots, reference_valid_theta
-
-
-def lambda_at(p, theta):
-    """Excess rotation 2 (arg P)'_theta - n at theta, from the coefficients."""
-    return 2.0 * rotation_speed(p, circle_point(theta)) - p.degree
+from helpers import lambda_at
 
 
 def fifth_roots_of_unity():

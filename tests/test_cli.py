@@ -443,6 +443,19 @@ def test_root_form_arc_bound_reads_the_given_zeros(capsys, monkeypatch):
         assert row["bounds"]["arc_thm3"] == bound_arc(row["theta"], 0.4, None, cls)
 
 
+@pytest.mark.xfail(strict=True, reason="P36: the arc increment is measured over the rounded width fl(theta +- alpha) - "
+                                       "theta but divided by tan(alpha/2), so a small alpha reads a false fail")
+@pytest.mark.parametrize("theta, alpha", [("0.5,3.0", "1e-13"), ("0.5,3.0", "1e-20"), ("3.14,6.2", "1e-8")],
+                         ids=["alpha_1e-13", "alpha_1e-20", "alpha_1e-8"])
+def test_scan_arc_bound_holds_for_a_small_alpha(capsys, monkeypatch, theta, alpha):
+    # P = z - 1/2 satisfies Theorem 3 at every angle and half-width: at alpha = 1e-13, theta = 3 the 50-digit
+    # margin is +1.05e-15
+    argv = ["scan", "--roots", "--theta", theta, "--arc-alpha", alpha, "--format", "json"]
+    code, out, err = run(capsys, argv, stdin='{"leading":[1,0],"roots":[[0.5,0]]}', monkeypatch=monkeypatch)
+    assert code == 0, err
+    assert [row["flags"]["arc_thm3"] for row in json.loads(out)["rows"]] == ["pass", "pass"]
+
+
 def test_witness_arc_solves_no_roots(capsys, monkeypatch):
     # the witness is built from its zeros, so its arc increment reads their classification instead of solving
     import polyrot.roots as roots
@@ -704,6 +717,31 @@ def test_witness_toolkit_error_is_input_error(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_witness_value_zero_moved_onto_its_angle_is_input_error(capsys, monkeypatch):
+    # the band rule moves the zero 1e-10 inside the circle onto z = 1, the one angle the value witness checks
+    spec = '{"kind":"value","a":[0.9999999999,0]}'
+    code, out, err = run(capsys, ["witness", "--spec", "-"], stdin=spec, monkeypatch=monkeypatch)
+    assert (code, out, err) == (1, "", "error: a zero of P is within the zero-proximity guard of theta = 0.0\n")
+
+
+def test_scan_rational_with_a_zero_numerator_is_input_error(capsys, monkeypatch):
+    stdin = '{"numerator":[[0,0],[0,0]],"poles":[[2,0]]}'
+    code, out, err = run(capsys, ["scan"], stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, out, err) == (1, "", "error: numerator must not be identically zero\n")
+
+
+def test_scan_reads_its_input_from_a_file(capsys, monkeypatch, tmp_path):
+    # --input FILE prints what the same input on stdin prints; a missing file is an input error of one line
+    path = tmp_path / "p.json"
+    path.write_text("[[-0.5,0],[1,0]]")
+    piped = run(capsys, ["scan", "--theta", "0.5"], stdin=path.read_text(), monkeypatch=monkeypatch)
+    assert piped[0] == 0
+    assert run(capsys, ["scan", "--input", str(path), "--theta", "0.5"]) == piped
+    code, out, err = run(capsys, ["scan", "--input", str(tmp_path / "missing.json")])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: [Errno 2] ") and err.endswith("\n") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -122,9 +122,9 @@ def test_fuzz_evaluates_the_scalar_draw_stream(monkeypatch, capsys, seed, zone):
 
     real, evaluated = cli._fuzz_checks, []
 
-    def spy(batch, thetas, k, poles, n_poles, zone):
-        evaluated.append((batch, thetas, k, poles, n_poles))
-        return real(batch, thetas, k, poles, n_poles, zone)
+    def spy(batch, thetas, poles, n_poles, zone):
+        evaluated.append((batch, thetas, poles, n_poles))
+        return real(batch, thetas, poles, n_poles, zone)
 
     monkeypatch.setattr(cli, "_fuzz_checks", spy)
     count = cli._FUZZ_CHUNK + 16
@@ -135,7 +135,8 @@ def test_fuzz_evaluates_the_scalar_draw_stream(monkeypatch, capsys, seed, zone):
         assert cli.main(argv) in (0, 2)
         capsys.readouterr()
         assert len(evaluated) == 2  # one call per chunk: no angle was refused
-        for index, (batch, thetas, k, poles, n_poles) in enumerate(evaluated):
+        for index, (batch, thetas, poles, n_poles) in enumerate(evaluated):
+            k = len(batch.degree) - len(n_poles)
             size = min(cli._FUZZ_CHUNK, count - index * cli._FUZZ_CHUNK)
             forms, want_thetas, want_poles = reference_chunk(seed, index, size, degrees, zone)
             zeros = np.array([a for rf in forms for a in rf.roots])

@@ -22,11 +22,11 @@ import pytest
 
 from polyrot import corpus
 from polyrot.bounds import BOUNDS, blaschke_w, bound_zero_free, grid_report, lower_bounds, value_refined
-from polyrot.cli import _FuzzTally, main
+from polyrot.cli import _record, main
 from polyrot.oracle import FD_BATCH_STEP, arg_derivative_fd, arg_derivative_fd_batch
 from polyrot.poly import (RootBatch, RootForm, conj_product, from_roots, read_zero, root_batch, root_grid,
                           unit_products)
-from polyrot.report import csv_cell, dump_json
+from polyrot.report import dump_json
 from polyrot.roots import classify_root_list
 from polyrot.tolerances import CHECK_SLACK, ORACLE_AGREEMENT_TOL
 
@@ -127,6 +127,26 @@ def test_batch_endpoints_are_root_form_endpoints(zone, degrees, size):
         got = list(zip(*map(_hex, (*batch.ct(), batch.conj_product()))))
         forms = [RootForm(c.leading, c.roots) for c in _cases(chunk)]
         assert got == [tuple(_hex((*rf.ct, conj_product([a for _, a, _ in rf.readings])))) for rf in forms], seed
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.7, 2.0, -1.3, 3.1])
+def test_batch_past_the_square_overflow_is_root_form(theta):
+    # zeros past |a| of about 1.3e154, where |a|^2 and |z - a|^2 overflow: RootBatch.ct's huge branch and root_batch's
+    # hypot branch give RootForm.ct's (c, t, r) and root_grid's speed, phase and skip flag, bit for bit
+    forms = [RootForm(1.0, roots) for roots in
+             ((0.3, 1e200), (1e200, 1e200, 0.5j), (2e154 + 1e154j, -0.2), (1e300, 0, 0.1), (1e155j,))]
+    batch = _batch([Case(rf.leading, list(rf.roots), theta) for rf in forms])
+    z, fr, fi, speed, skipped = root_batch(batch, [theta] * len(forms))
+    u = unit_products(fr, fi, batch.degree)
+    for k, (rf, *ct) in enumerate(zip(forms, *batch.ct())):
+        columns = (batch.sides[:rf.degree, k], *_bits(batch.re[:rf.degree, k], batch.im[:rf.degree, k],
+                                                      batch.rho[:rf.degree, k]))
+        assert list(zip(*columns)) == [(side, a.real.hex(), a.imag.hex(), rho.hex()) for side, a, rho in rf.readings]
+        assert _bits(ct) == _bits(rf.ct), k
+        gz, gur, gui, gspeed, gskipped = root_grid(rf, [theta])
+        assert _bits(z[k:k + 1].real, z[k:k + 1].imag, speed[k:k + 1], [u[k].real], [u[k].imag]) == \
+            _bits(gz.real, gz.imag, gspeed, gur, gui), k
+        assert skipped[k] == gskipped[0], k
 
 
 def _ct_with_edge_cases(zone):
@@ -250,9 +270,9 @@ def test_fuzz_tallies_do_not_depend_on_how_a_chunk_is_evaluated(zone, capsys, mo
 
     real, chunks = cli._fuzz_checks, []
 
-    def spy(batch, thetas, k, poles, n_poles, zone):
-        chunks.append((batch, thetas, k, poles, n_poles))
-        return real(batch, thetas, k, poles, n_poles, zone)
+    def spy(batch, thetas, poles, n_poles, zone):
+        chunks.append((batch, thetas, poles, n_poles))
+        return real(batch, thetas, poles, n_poles, zone)
 
     monkeypatch.setattr(cli, "_fuzz_checks", spy)
     for seed in (0, 1, 2):
@@ -260,15 +280,16 @@ def test_fuzz_tallies_do_not_depend_on_how_a_chunk_is_evaluated(zone, capsys, mo
             chunks.clear()
             main(["fuzz", "--count", "70", "--zone", zone, "--seed", str(seed), "--degree-max", degree_max])
             printed = json.loads(capsys.readouterr().out)["checks"]
-            alone = _FuzzTally()
-            for batch, thetas, k, poles, n_poles in chunks:
+            alone = {}
+            for batch, thetas, poles, n_poles in chunks:
+                k = len(batch.degree) - len(n_poles)
                 for i in range(k):
                     forms = [i] if zone == "mixed" else [i, k + i]
-                    checks = real(batch[forms], [thetas[j] for j in forms], 1, poles[i:i + len(forms) - 1],
+                    checks = real(batch[forms], [thetas[j] for j in forms], poles[i:i + len(forms) - 1],
                                   n_poles[i:i + len(forms) - 1], zone)
                     for name, (margins, violated) in checks.items():
-                        alone.record(name, margins, violated)
-            assert json.loads(dump_json(alone.as_dict())) == printed, (seed, degree_max)
+                        _record(alone, name, margins, violated)
+            assert json.loads(dump_json(alone)) == printed, (seed, degree_max)
 
 
 def test_an_angle_the_guard_refuses_drops_its_case():
@@ -278,24 +299,37 @@ def test_an_angle_the_guard_refuses_drops_its_case():
     at_zero = Case(1.0, [cmath.exp(0.7j), 0.3], 0.7)
     cases = [at_zero, Case(1.0, [0.5j], 2.0), Case(2.0, [-0.4], 1.0), at_zero]
     poles = np.array([[2.0 + 0j, -1.0], [1.5j, 3.0]])
-    checks = _fuzz_checks(_batch(cases), [c.theta for c in cases], 2, poles, np.array([1, 2]), "in_disk")
+    checks = _fuzz_checks(_batch(cases), [c.theta for c in cases], poles, np.array([1, 2]), "in_disk")
     assert checks["oracle_agreement"][0].shape == (1,) and checks["rational_lower"][0].shape == (1,)
-    assert _fuzz_checks(_batch([at_zero]), [0.7], 1, np.zeros((0, 0)), np.zeros(0, int), "in_disk") == {}
+    assert _fuzz_checks(_batch([at_zero]), [0.7], np.zeros((0, 0)), np.zeros(0, int), "in_disk") == {}
 
 
-def test_tally_keeps_its_semantics():
+def test_tally_keeps_its_semantics(capsys, monkeypatch):
     # a nan margin, the scalar path's None, counts its case and leaves the minimum alone; a check whose every
-    # margin is nan prints null in JSON and an empty cell in CSV; a check with no cases is left out
-    tally = _FuzzTally()
-    tally.record("coeff", np.array([0.5, math.nan, 0.25]), np.array([False, False, True]))
-    tally.record("coeff", np.array([math.nan]), np.array([False]))
-    tally.record("sqrt_weak", np.array([math.nan, math.nan]), np.array([False, False]))
-    tally.record("value", np.array([]), np.array([], dtype=bool))
-    assert tally.as_dict() == {"coeff": {"cases": 4, "min_margin": 0.25, "violations": 1},
-                               "sqrt_weak": {"cases": 2, "min_margin": math.inf, "violations": 0}}
-    assert tally.violations == 1
-    assert json.loads(dump_json(tally.as_dict()))["sqrt_weak"]["min_margin"] is None
-    assert csv_cell(tally.stats["sqrt_weak"]["min_margin"]) == ""
+    # margin is nan prints null in JSON and an empty cell in CSV; a check with no cases is left out.  The checks
+    # merge across chunks and print sorted, and the violations over them all set the exit code
+    from polyrot import cli
+
+    chunks = [
+        {"sqrt_weak": (np.array([math.nan, math.nan]), np.array([False, False])),
+         "coeff": (np.array([0.5, math.nan, 0.25]), np.array([False, False, True])),
+         "value": (np.array([]), np.array([], dtype=bool))},
+        {"coeff": (np.array([math.nan]), np.array([False]))},
+        {"coeff": (np.array([0.75]), np.array([True]))},
+    ]
+    calls = iter(chunks)
+    monkeypatch.setattr(cli, "_fuzz_checks", lambda *args: next(calls))
+    assert main(["fuzz", "--count", str(2 * cli._FUZZ_CHUNK + 1)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc["checks"]) == ["coeff", "sqrt_weak"]
+    assert doc["checks"] == {"coeff": {"cases": 5, "min_margin": 0.25, "violations": 2},
+                             "sqrt_weak": {"cases": 2, "min_margin": None, "violations": 0}}
+    assert doc["violations"] == 2
+    calls = iter(chunks)
+    assert main(["fuzz", "--count", str(2 * cli._FUZZ_CHUNK + 1), "--format", "csv"]) == 2
+    assert capsys.readouterr().out == "check,cases,min_margin,violations\ncoeff,5,0.25,2\nsqrt_weak,2,,0\n"
+    assert main(["fuzz", "--count", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"] == {}
 
 
 def test_fuzz_tallies_every_bound_the_table_names(capsys):

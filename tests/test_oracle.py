@@ -24,11 +24,7 @@ from polyrot.oracle import FD_BATCH_STEP, arg_derivative_fd, arg_derivative_fd_b
 from polyrot.roots import classify_root_list
 from polyrot.poly import RootBatch, circle_grid
 from polyrot.tolerances import ARC_EDGE_SLACK, ARC_INCREMENT_SLACK, CHECK_SLACK, ORACLE_AGREEMENT_TOL
-
-
-def lambda_at(p, theta):
-    """Excess rotation 2 (arg P)'_theta - n at theta, from the coefficients."""
-    return 2.0 * rotation_speed(p, circle_point(theta)) - p.degree
+from helpers import lambda_at
 
 
 # Rounding bound of the closed-form increment: a few ulps per zero term, summed exactly.

@@ -18,11 +18,7 @@ from polyrot import (
 )
 from polyrot.rational import check_rotation_bounds
 from polyrot.poly import RootForm
-
-
-def lambda_at(p, theta):
-    """Excess rotation 2 (arg P)'_theta - n at theta, from the coefficients."""
-    return 2.0 * rotation_speed(p, circle_point(theta)) - p.degree
+from helpers import lambda_at
 
 
 def fd_arg_derivative(func, theta, h=1e-6):

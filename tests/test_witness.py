@@ -13,17 +13,12 @@ from polyrot import (
     circle_point,
     classify_zeros,
     from_roots,
-    rotation_speed,
     witness_arc,
     witness_goryainov,
     witness_unimodular,
     witness_value,
 )
-
-
-def lambda_at(p, theta):
-    """Excess rotation 2 (arg P)'_theta - n at theta, from the coefficients."""
-    return 2.0 * rotation_speed(p, circle_point(theta)) - p.degree
+from helpers import lambda_at
 
 
 def equality_gap_at_one(rf):
